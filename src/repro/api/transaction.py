@@ -622,11 +622,45 @@ class Transaction:
         rel_types: Optional[Sequence[str]] = None,
     ) -> Iterator[Tuple[Relationship, Node]]:
         """Yield ``(relationship, neighbour)`` pairs around ``node``."""
-        node_id = _node_id(node)
-        for relationship in self.relationships_of(node_id, direction, rel_types):
-            neighbour = self.try_get_node(relationship.other_node_id(node_id))
-            if neighbour is not None:
-                yield relationship, neighbour
+        return iter(self.expand_many((node,), direction, rel_types)[0])
+
+    def expand_many(
+        self,
+        nodes: Sequence[NodeLike],
+        direction: Direction = Direction.BOTH,
+        rel_types: Optional[Sequence[str]] = None,
+    ) -> List[List[Tuple[Relationship, Node]]]:
+        """One-hop expansion of many nodes as a single batched read.
+
+        Per node, the ``(relationship, neighbour)`` pairs in adjacency
+        order, relationships whose far end is not visible skipped.  The
+        adjacency lists of *all* nodes resolve in one engine visit and every
+        distinct neighbour id is materialised exactly once for the whole
+        batch (one batched point read; under serializable isolation, one
+        SIREAD-registration visit each).  :meth:`expand`, the traversal
+        framework and the query executor's expand operators are all built
+        on this.
+        """
+        node_ids = [_node_id(node) for node in nodes]
+        adjacency = self._txn.relationships_of_many(node_ids, direction, rel_types)
+        others: List[List[int]] = [
+            [data.other_node(node_id) for data in data_list]
+            for node_id, data_list in zip(node_ids, adjacency)
+        ]
+        distinct = list(dict.fromkeys(other for row in others for other in row))
+        neighbours = {
+            data.node_id: Node(self, data)
+            for data in self._txn.read_nodes_many(distinct)
+            if data is not None
+        }
+        return [
+            [
+                (Relationship(self, data), neighbours[other])
+                for data, other in zip(data_list, row)
+                if other in neighbours
+            ]
+            for data_list, row in zip(adjacency, others)
+        ]
 
     def neighbours(
         self,

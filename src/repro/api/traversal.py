@@ -12,11 +12,12 @@ multi-step traversal observes one consistent snapshot — the exact property
 whose absence under read committed (a traversed path disappearing mid-
 algorithm) the paper's introduction calls out.
 
-Performance note: every expansion funnels through ``tx.expand`` →
-``tx.relationships_of`` → the engine transaction, which under snapshot
-isolation serves repeat visits from its snapshot-local adjacency and payload
-caches (safe because a snapshot is immutable).  A traversal that touches the
-same neighbourhood from several directions — ``friends_of_friends``, cycle
+Performance note: every expansion funnels through ``tx.expand``, which
+reads the adjacency list and *all* its neighbours as two batched engine
+visits (``tx.expand_many``), and the engine transaction serves repeat visits
+from its snapshot-local and shared adjacency and payload caches (safe
+because a snapshot is immutable).  A traversal that touches the same
+neighbourhood from several directions — ``friends_of_friends``, cycle
 detection, shortest-path frontiers — resolves each version chain once, not
 once per visit.
 """
@@ -201,51 +202,6 @@ class TraversalDescription:
 
 
 # ---------------------------------------------------------------------------
-# Batched single-hop expansion
-# ---------------------------------------------------------------------------
-
-def batch_expand(
-    tx: Transaction,
-    sources: Sequence[Node],
-    direction: Direction = Direction.BOTH,
-    rel_types: Optional[Sequence[str]] = None,
-) -> List[List[Tuple[Relationship, Node]]]:
-    """One-hop expansion of many source nodes as a single batched read.
-
-    The per-source equivalent of ``list(tx.expand(source, ...))``, but the
-    adjacency lists of *all* sources resolve in one engine visit and every
-    distinct neighbour id is materialised exactly once for the whole batch
-    (one batched point-read, one SIREAD-registration visit under
-    serializable isolation).  The vectorized executor's single-hop
-    ``Expand`` operator is built on this; per-source output order matches
-    ``tx.expand`` exactly.
-    """
-    adjacency = tx.relationships_of_many(sources, direction, rel_types)
-    neighbour_ids: List[int] = []
-    seen: Set[int] = set()
-    for source, relationships in zip(sources, adjacency):
-        source_id = source.id
-        for relationship in relationships:
-            other = relationship.other_node_id(source_id)
-            if other not in seen:
-                seen.add(other)
-                neighbour_ids.append(other)
-    neighbours = {
-        node.id: node for node in tx.nodes_by_ids(neighbour_ids)
-    }
-    expanded: List[List[Tuple[Relationship, Node]]] = []
-    for source, relationships in zip(sources, adjacency):
-        source_id = source.id
-        pairs: List[Tuple[Relationship, Node]] = []
-        for relationship in relationships:
-            neighbour = neighbours.get(relationship.other_node_id(source_id))
-            if neighbour is not None:
-                pairs.append((relationship, neighbour))
-        expanded.append(pairs)
-    return expanded
-
-
-# ---------------------------------------------------------------------------
 # Derived algorithms
 # ---------------------------------------------------------------------------
 
@@ -303,12 +259,12 @@ def two_step_neighbourhood(
     """
     start_id = _node_id(start)
     first_hop = {node.id for node in tx.neighbours(start_id, Direction.BOTH, rel_types)}
-    second_hop: Set[int] = set()
-    for neighbour_id in first_hop:
-        if tx.try_get_node(neighbour_id) is None:
-            continue
-        for second in tx.neighbours(neighbour_id, Direction.BOTH, rel_types):
-            second_hop.add(second.id)
+    # The whole second step is one frontier expansion: two batched reads.
+    second_hop = {
+        second.id
+        for pairs in tx.expand_many(sorted(first_hop), Direction.BOTH, rel_types)
+        for _relationship, second in pairs
+    }
     second_hop -= first_hop
     second_hop.discard(start_id)
     return first_hop, second_hop

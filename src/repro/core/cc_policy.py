@@ -25,8 +25,8 @@ critical sections runs second is guaranteed to observe the other's
 registration — the store/load ordering that makes the edge detection
 race-free without putting locks on the MVCC read path itself):
 
-* ``sireads``: entity key -> records that point-read it (fed by
-  :meth:`~repro.core.si_transaction.SnapshotTransaction._resolve_committed`,
+* ``sireads``: entity key -> records that point-read it (fed, a batch at a
+  time, by :meth:`~repro.core.si_transaction.SnapshotTransaction._note_reads`,
   which covers point reads, adjacency expansions and index lookups);
 * ``predicates``: per-record predicate reads (label scans, property
   lookups, relationship-type scans, whole-store iterations, adjacency
@@ -306,31 +306,19 @@ class ConcurrencyControlPolicy(abc.ABC):
     ) -> None:
         """Write-time conflict rule (first write of ``key`` by the transaction)."""
 
-    def register_point_read(self, record: SsiTransactionRecord, key: EntityKey) -> None:
-        """Record that ``record`` read the committed state of ``key``."""
-
-    def register_point_reads(
-        self, record: SsiTransactionRecord, keys: Sequence[EntityKey]
+    def register_reads(
+        self,
+        record: SsiTransactionRecord,
+        keys: Sequence[EntityKey] = (),
+        predicates: Iterable[Predicate] = (),
     ) -> None:
-        """Batch form of :meth:`register_point_read` (one call per read batch).
+        """Record one batch of reads by ``record``: the committed state of
+        every key in ``keys`` and every predicate in ``predicates``.
 
-        Policies with a tracker mutex override this so a whole batch pays a
-        single acquisition; the default simply loops.
+        The only read-registration entry point — a point read is a batch of
+        one — so policies with a tracker mutex pay one acquisition per batch
+        however many entities a scan or a traversal level touched.
         """
-        for key in keys:
-            self.register_point_read(record, key)
-
-    def register_predicate_read(
-        self, record: SsiTransactionRecord, predicate: Predicate
-    ) -> None:
-        """Record that ``record`` evaluated a predicate over committed state."""
-
-    def register_predicate_reads(
-        self, record: SsiTransactionRecord, predicates: Sequence[Predicate]
-    ) -> None:
-        """Batch form of :meth:`register_predicate_read`."""
-        for predicate in predicates:
-            self.register_predicate_read(record, predicate)
 
     def validate_commit(
         self,
@@ -737,21 +725,9 @@ class SerializableSnapshotPolicy(SnapshotWriteRulePolicy):
             with self._safe_mutex:
                 self._safe_stats.upgrades += 1
             self._records[record.txn_id] = record
-            for key in record.read_keys:
-                self._sireads.setdefault(key, set()).add(record)
-                for commit_ts, writer in self._write_registry.get(key, ()):
-                    if writer is not record and commit_ts > record.start_ts:
-                        self._note_edge(record, writer, acting=record)
-            if record.predicates:
-                self._predicate_readers.add(record)
-                for predicate in record.predicates:
-                    for entry in self._commit_log:
-                        if entry.record is record or entry.commit_ts <= record.start_ts:
-                            continue
-                        for _key, old, new in entry.changes:
-                            if predicate_membership_changed(predicate, old, new):
-                                self._note_edge(record, entry.record, acting=record)
-                                break
+            buffered_keys, buffered_predicates = record.read_keys, record.predicates
+            record.read_keys, record.predicates = set(), set()
+            self._register_locked(record, buffered_keys, buffered_predicates)
 
     def finish_read_only(self, handle: PendingSafeSnapshot) -> None:
         """Close out a tracked reader; its census entry may outlive it.
@@ -899,91 +875,79 @@ class SerializableSnapshotPolicy(SnapshotWriteRulePolicy):
 
     # -- read-time hooks -------------------------------------------------------
 
-    def register_point_read(self, record: SsiTransactionRecord, key: EntityKey) -> None:
-        if key in record.read_keys:
-            # Only the owning thread mutates ``read_keys``, so this dedup
-            # test is safe outside the mutex — and it is what keeps repeat
-            # reads (snapshot-cache hits included) at a set-lookup cost.
-            return
-        if record.doomed:
-            self._abort_doomed(record)
-        with self._mutex:
-            record.read_keys.add(key)
-            self._sireads.setdefault(key, set()).add(record)
-            # Reader-side half of the race-free edge detection: a writer that
-            # already committed a newer version of this key was concurrent
-            # with us, so we read "under" its write — an rw edge out of us.
-            for commit_ts, writer in self._write_registry.get(key, ()):
-                if writer is not record and commit_ts > record.start_ts:
-                    self._note_edge(record, writer, acting=record)
-
-    def register_point_reads(
-        self, record: SsiTransactionRecord, keys: Sequence[EntityKey]
+    def register_reads(
+        self,
+        record: SsiTransactionRecord,
+        keys: Sequence[EntityKey] = (),
+        predicates: Iterable[Predicate] = (),
     ) -> None:
         """Register a whole read batch under one tracker-mutex acquisition.
 
-        The dedup filter runs outside the mutex — only the owning thread
-        mutates ``read_keys``, exactly as in the scalar path — so a batch of
-        repeat reads (snapshot-cache hits included) costs one set-lookup per
-        key and never touches the lock.
+        The dedup — within the batch and against what the record already
+        holds — runs outside the mutex: only the owning thread mutates
+        ``read_keys`` and ``predicates``.  So a batch of repeat reads (cache
+        hits included) costs one set probe per key and never touches the
+        lock, and the mutex is held only for the genuinely new registrations.
+        It keeps the order the reads were made in, so which edge of a batch
+        is noted first — and hence which pivot gets doomed — is reproducible.
         """
-        fresh = [key for key in keys if key not in record.read_keys]
-        if not fresh:
+        read_keys = record.read_keys
+        if len(keys) == 1:  # a point read: no batch to dedup
+            fresh_keys = () if keys[0] in read_keys else keys
+        else:
+            fresh_keys = [key for key in dict.fromkeys(keys) if key not in read_keys]
+        fresh_predicates: Sequence[Predicate] = ()
+        if predicates:
+            held = record.predicates
+            fresh_predicates = [p for p in dict.fromkeys(predicates) if p not in held]
+        if not fresh_keys and not fresh_predicates:
             return
         if record.doomed:
             self._abort_doomed(record)
         with self._mutex:
+            self._register_locked(record, fresh_keys, fresh_predicates)
+
+    def _register_locked(
+        self,
+        record: SsiTransactionRecord,
+        keys: Iterable[EntityKey],
+        predicates: Iterable[Predicate],
+    ) -> None:
+        """Add SIREADs and predicate reads the record does not hold yet and
+        run the reader-side half of the race-free edge detection (mutex held).
+
+        A writer that already committed a newer version of a key — or a
+        change moving an entity into or out of a predicate — was concurrent
+        with the reader, so the reader read "under" its write: an rw edge out
+        of the reader.  Registration and this check are one critical section,
+        so whichever of reader and writer runs second sees the other.
+        """
+        start_ts = record.start_ts
+        if keys:
             read_keys = record.read_keys
             sireads = self._sireads
             write_registry = self._write_registry
-            for key in fresh:
-                if key in read_keys:
-                    # Duplicate within the batch itself.
-                    continue
+            for key in keys:
                 read_keys.add(key)
-                sireads.setdefault(key, set()).add(record)
+                holders = sireads.get(key)
+                if holders is None:
+                    sireads[key] = {record}
+                else:
+                    holders.add(record)
                 for commit_ts, writer in write_registry.get(key, ()):
-                    if writer is not record and commit_ts > record.start_ts:
+                    if writer is not record and commit_ts > start_ts:
                         self._note_edge(record, writer, acting=record)
-
-    def register_predicate_read(
-        self, record: SsiTransactionRecord, predicate: Predicate
-    ) -> None:
-        if predicate in record.predicates:
-            return
-        if record.doomed:
-            self._abort_doomed(record)
-        with self._mutex:
-            record.predicates.add(predicate)
+        if predicates:
             self._predicate_readers.add(record)
-            for entry in self._commit_log:
-                if entry.record is record or entry.commit_ts <= record.start_ts:
-                    continue
-                for _key, old, new in entry.changes:
-                    if predicate_membership_changed(predicate, old, new):
-                        self._note_edge(record, entry.record, acting=record)
-                        break
-
-    def register_predicate_reads(
-        self, record: SsiTransactionRecord, predicates: Sequence[Predicate]
-    ) -> None:
-        """Register many predicates (e.g. a batch of adjacency expansions)
-        under one tracker-mutex acquisition."""
-        fresh = [p for p in predicates if p not in record.predicates]
-        if not fresh:
-            return
-        if record.doomed:
-            self._abort_doomed(record)
-        with self._mutex:
+            # Select the concurrent commits once per batch, not per predicate.
+            concurrent = [
+                entry for entry in self._commit_log
+                if entry.commit_ts > start_ts and entry.record is not record
+            ]
             registered = record.predicates
-            for predicate in fresh:
-                if predicate in registered:
-                    continue
+            for predicate in predicates:
                 registered.add(predicate)
-                self._predicate_readers.add(record)
-                for entry in self._commit_log:
-                    if entry.record is record or entry.commit_ts <= record.start_ts:
-                        continue
+                for entry in concurrent:
                     for _key, old, new in entry.changes:
                         if predicate_membership_changed(predicate, old, new):
                             self._note_edge(record, entry.record, acting=record)

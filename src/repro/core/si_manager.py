@@ -77,7 +77,12 @@ DEFAULT_MORSEL_THRESHOLD = 2048
 
 #: Maximum nodes in the engine-level resolved-adjacency cache (entries for
 #: additional nodes are simply not stored; existing keys keep refreshing).
+#: It counts nodes, not lists: each entry holds the node's candidate-key
+#: tuple, its raw list and up to ``ADJACENCY_VARIANT_LIMIT`` projections.
 ADJACENCY_CACHE_LIMIT = 16_384
+
+#: Maximum ``(direction, types)`` projections kept beside a node's raw list.
+ADJACENCY_VARIANT_LIMIT = 4
 
 #: Maximum entries in the engine-level resolved-payload cache (same
 #: admission policy as the adjacency cache).
@@ -89,6 +94,25 @@ PAYLOAD_CACHE_LIMIT = 65_536
 #: that never runs GC would grow its commit log without bound and pay an
 #: ever-longer predicate scan per read.
 SSI_RECLAIM_EVERY_N_COMMITS = 64
+
+
+class _AdjacencyEntry:
+    """One node's shared resolved adjacency (see ``_adjacency_payloads``)."""
+
+    __slots__ = ("built_ts", "read_keys", "variants")
+
+    def __init__(
+        self,
+        built_ts: int,
+        read_keys: Tuple[EntityKey, ...],
+        variants: Dict[object, Sequence[object]],
+    ) -> None:
+        self.built_ts = built_ts
+        #: Key of every adjacency candidate at build time — the SIREADs a
+        #: reader of any variant must hold.
+        self.read_keys = read_keys
+        #: ``None`` (raw) or ``(direction.value, types)`` -> resolved payloads.
+        self.variants = variants
 
 
 class SnapshotIsolationEngine(GraphEngine):
@@ -186,33 +210,28 @@ class SnapshotIsolationEngine(GraphEngine):
         )
         self.snapshot_read_cache = snapshot_read_cache
         self.query_caches = QueryCaches(query_cache_size)
-        #: Engine-level cache of fully resolved committed adjacency lists,
-        #: shared across transactions: ``(node_id, variant) -> (built_ts,
-        #: payloads)``, where ``variant`` is ``None`` for the raw committed
-        #: list or a ``(direction, types)`` filter projection of it.
-        #: An entry is valid for a snapshot ``S`` iff ``built_ts <= S`` and
-        #: the node's adjacency has not changed since ``built_ts`` (tracked
-        #: by ``_adjacency_stamp``, bumped inside the commit critical
-        #: section *before* the commit is published — so a snapshot that can
-        #: see a change can never validate an entry predating it; in-flight
-        #: commits fail validation conservatively).  Only transactions that
-        #: do no read tracking consult it (plain snapshot isolation): SSI
-        #: readers must register per-relationship SIREADs and keep paying
-        #: the resolving path.
-        self._adjacency_payloads: Dict[
-            Tuple[int, object], Tuple[int, Sequence[object]]
-        ] = {}
+        #: Engine-level cache of resolved committed adjacency, shared across
+        #: transactions and isolation levels: one :class:`_AdjacencyEntry`
+        #: per node.  The one rule: an entry is the payloads *plus the SIREAD
+        #: keys that reading them implies*, and it is valid for a snapshot
+        #: ``S`` iff ``built_ts <= S`` and the node's stamp ``<= built_ts``
+        #: (``_adjacency_stamp`` is bumped by every relationship change
+        #: touching the node, inside the commit critical section *before* the
+        #: commit is published — so a snapshot that can see a change can
+        #: never validate an entry predating it, and in-flight commits fail
+        #: validation conservatively).  A valid entry is a pure function of
+        #: ``(node, snapshot)``, so a hit hands a tracking (SSI) reader the
+        #: exact keys the resolving path would have registered.
+        self._adjacency_payloads: Dict[int, _AdjacencyEntry] = {}
         self._adjacency_stamp: Dict[int, int] = {}
-        #: Engine-level cache of resolved committed payloads, shared across
-        #: transactions and isolation levels: ``key -> (built_ts, payload)``
-        #: with the same stamp-validation scheme as the adjacency cache
+        #: Engine-level cache of resolved committed payloads, shared the same
+        #: way: ``key -> (built_ts, payload)`` under the same validity rule
         #: (``_payload_stamp[key]`` is bumped by every version install for
         #: the key, inside the commit critical section before publish).
-        #: Unlike the adjacency cache this one is consulted by *all*
-        #: transactions: SIREAD/predicate registration happens in the
-        #: transaction layer before the engine read rule runs, so the
-        #: engine-level resolution is a pure function of ``(key, snapshot)``
-        #: and sharing it never skips read tracking.
+        #: SIREAD/predicate registration happens in the transaction layer
+        #: before the engine read rule runs, so the engine-level resolution
+        #: is a pure function of ``(key, snapshot)`` and sharing it never
+        #: skips read tracking.
         self._payload_cache: Dict[EntityKey, Tuple[int, Optional[object]]] = {}
         self._payload_stamp: Dict[EntityKey, int] = {}
         #: Vectorized-executor knobs (read by :mod:`repro.query` at execute
@@ -643,39 +662,86 @@ class SnapshotIsolationEngine(GraphEngine):
         if key in cache or len(cache) < PAYLOAD_CACHE_LIMIT:
             cache[key] = (built_ts, payload)
 
+    def _valid_adjacency_entry(
+        self, node_id: int, start_ts: int
+    ) -> Optional[_AdjacencyEntry]:
+        """The node's shared entry if it is valid for snapshot ``start_ts``:
+        built at or before it, and no relationship change touching the node
+        since the build (the one rule of ``_adjacency_payloads``)."""
+        entry = self._adjacency_payloads.get(node_id)
+        if entry is None or entry.built_ts > start_ts \
+                or self._adjacency_stamp.get(node_id, 0) > entry.built_ts:
+            return None
+        return entry
+
     def cached_committed_adjacency(
         self, node_id: int, variant: object, start_ts: int
-    ) -> Optional[Sequence[object]]:
-        """The shared resolved adjacency of ``node_id`` if valid at ``start_ts``.
+    ) -> Optional[Tuple[Sequence[object], Tuple[EntityKey, ...]]]:
+        """``(payloads, read_keys)`` of ``node_id`` if cached and valid at
+        ``start_ts``.
 
-        ``variant`` distinguishes the raw committed list (``None``) from
-        direction/type-filtered projections of it — all variants share the
-        node's validity stamp.  Valid means the entry was built at or before
-        this snapshot and no relationship touching the node has committed
-        since it was built (see ``_adjacency_payloads``).  Callers that
-        track reads (SSI) must not use this — they need the
-        per-relationship SIREADs the resolving path registers.
+        ``variant`` selects the raw committed list (``None``) or a
+        ``(direction.value, types)`` projection of it; every variant of a node
+        shares the entry's stamp and its ``read_keys`` — the key of *every*
+        adjacency candidate, visible or not, which is what a resolving miss
+        registers as SIREADs.  A tracking caller registers those keys plus
+        the ``("adjacency", node_id)`` predicate; an untracked one ignores
+        them.
         """
-        entry = self._adjacency_payloads.get((node_id, variant))
+        entry = self._valid_adjacency_entry(node_id, start_ts)
         if entry is None:
             return None
-        built_ts, payloads = entry
-        if built_ts <= start_ts and \
-                self._adjacency_stamp.get(node_id, 0) <= built_ts:
-            return payloads
-        return None
+        payloads = entry.variants.get(variant)
+        if payloads is None:
+            return None
+        return payloads, entry.read_keys
 
-    def store_committed_adjacency(
-        self, node_id: int, variant: object, built_ts: int,
+    def store_adjacency_entry(
+        self,
+        node_id: int,
+        built_ts: int,
         payloads: Sequence[object],
+        read_keys: Tuple[EntityKey, ...],
     ) -> None:
-        """Publish one resolved adjacency list into the shared cache."""
+        """Publish the raw adjacency of ``node_id`` as resolved from all its
+        candidates (``read_keys``) at snapshot ``built_ts``.
+
+        Stored unless a change this snapshot cannot see already touched the
+        node, or the node still has a valid entry — which then holds the same
+        list (nothing changed between the two builds) plus its projections.
+        """
         if not self.snapshot_read_cache:
             return
         cache = self._adjacency_payloads
-        key = (node_id, variant)
-        if key in cache or len(cache) < ADJACENCY_CACHE_LIMIT:
-            cache[key] = (built_ts, payloads)
+        entry = cache.get(node_id)
+        stamp = self._adjacency_stamp.get(node_id, 0)
+        if stamp > built_ts or (entry is not None and stamp <= entry.built_ts):
+            return
+        if entry is not None or len(cache) < ADJACENCY_CACHE_LIMIT:
+            cache[node_id] = _AdjacencyEntry(built_ts, read_keys, {None: payloads})
+
+    def add_adjacency_variant(
+        self,
+        node_id: int,
+        variant: object,
+        snapshot_ts: int,
+        payloads: Sequence[object],
+    ) -> None:
+        """Attach a ``(direction.value, types)`` projection computed at
+        snapshot ``snapshot_ts`` to the node's entry, if that is valid there:
+        between the entry's build and such a snapshot the adjacency cannot
+        have changed, so the projection is the entry's own.
+
+        Without a valid entry the projection is dropped — only the raw
+        resolution knows the candidate keys an entry must carry; a later
+        transaction's raw miss publishes one.
+        """
+        entry = self._valid_adjacency_entry(node_id, snapshot_ts)
+        if entry is not None and (
+            variant in entry.variants
+            or len(entry.variants) <= ADJACENCY_VARIANT_LIMIT
+        ):
+            entry.variants[variant] = payloads
 
     def newest_committed_ts(self, key: EntityKey) -> Optional[int]:
         """Commit timestamp of the newest committed version of ``key``."""

@@ -92,16 +92,16 @@ class SnapshotTransaction(EngineTransaction):
         self._adjacency_cache: Optional[Dict[int, Tuple[RelationshipData, ...]]] = (
             {} if enabled else None
         )
-        #: Memo of *filtered* adjacency answers keyed by (node, direction,
-        #: types), valid only while the write set is empty.  The raw
-        #: adjacency cache above saves chain resolution but a hit still pays
-        #: the full direction/type filter loop per call, which benchmarking
-        #: showed costs as much as re-resolving — this memo makes a repeat
-        #: ``relationships_of`` a single dict probe (see
-        #: :meth:`relationships_of`).
-        self._filtered_adjacency_cache: Optional[Dict[tuple, List[RelationshipData]]] = (
-            {} if enabled else None
-        )
+        #: Memo of *filtered* adjacency answers, ``variant -> node -> list``
+        #: with ``variant = (direction.value, types)``, valid only while the
+        #: write set is empty.  The raw adjacency cache above saves chain
+        #: resolution but a hit still pays the full direction/type filter
+        #: loop per call, which benchmarking showed costs as much as
+        #: re-resolving — this memo makes a repeat expansion a single dict
+        #: probe (see :meth:`relationships_of_many`).
+        self._filtered_adjacency_cache: Optional[
+            Dict[tuple, Dict[int, Sequence[RelationshipData]]]
+        ] = {} if enabled else None
         #: Cache effectiveness counters (surfaced by bench_e11 and tests).
         self.snapshot_cache_hits = 0
         self.snapshot_cache_misses = 0
@@ -132,30 +132,60 @@ class SnapshotTransaction(EngineTransaction):
             return self._writes[key]
         return self._resolve_committed(key)
 
+    def _note_reads(
+        self,
+        keys: Sequence[EntityKey] = (),
+        predicates: Sequence[tuple] = (),
+    ) -> None:
+        """The one read-bookkeeping site: every committed-state read — point
+        read, scan, index lookup, traversal level — reports the entity keys
+        it resolved and the predicates it evaluated here, once per batch.
+
+        Plain snapshot readers (and serializable read-only transactions whose
+        snapshot was safe from birth) return after two attribute tests.  A
+        tracked transaction registers the batch as SIREADs / predicate reads
+        in one tracker-mutex visit.  Predicates — label scans, property
+        lookups, type scans, whole-store iterations, adjacency expansions —
+        are what catch phantoms: a concurrent committer whose change moves an
+        entity into or out of one forms an rw-antidependency with this
+        transaction even though no common entity was point-read.
+
+        A *pending* safe-snapshot reader buffers the batch in its handle's
+        local record (plain set updates, touched only by this thread, so the
+        path stays mutex-free).  When the census drains the handle flips safe
+        and is dropped here; when a writer was aborted on this reader's
+        behalf the handle demands an upgrade, after which every buffered and
+        future read is registered for real so later committers get precise
+        conflict checks.  The handle is read once per call: another thread
+        flipping it safe mid-batch cannot leave a half-handled batch.
+        """
+        if self._track_reads:
+            self._cc.register_reads(self.cc_record, keys, predicates)
+            return
+        handle = self._pending_reader
+        if handle is None:
+            return
+        if handle.safe and not handle.upgraded:
+            self._pending_reader = None
+            return
+        if handle.upgrade_required and not handle.upgraded:
+            self._cc.upgrade_reader(handle)
+        if handle.upgraded:
+            self._cc.register_reads(handle.record, keys, predicates)
+        else:
+            handle.record.read_keys.update(keys)
+            handle.record.predicates.update(predicates)
+
     def _resolve_committed(self, key: EntityKey) -> Optional[object]:
         """Committed-state resolution through the snapshot-local payload cache.
 
         Shared by point reads (:meth:`_resolve`, after the own-writes check)
-        and the adjacency path (:meth:`_committed_adjacency`), so a chain
-        resolved while expanding a node is never re-resolved by a later
-        point read of the same entity — and vice versa.
-
-        This is also the single choke point where serializable transactions
-        register their SIREADs: every committed-state resolution — point
-        read, index lookup materialisation, scan, traversal — funnels through
-        here, so one hook covers them all.  Own-write reads never reach this
-        method and correctly register nothing.
+        and scans, so a chain resolved while expanding a node is never
+        re-resolved by a later point read of the same entity — and vice
+        versa.  Own-write reads never reach this method and correctly
+        register nothing.
         """
-        if self._track_reads:
-            self._cc.register_point_read(self.cc_record, key)
-        elif self._pending_reader is not None:
-            handle = self._pending_reader
-            if not (handle.safe or handle.upgrade_required or handle.upgraded):
-                # Hot path of a pending safe-snapshot reader: buffer the key
-                # locally (only this thread touches the buffer) and move on.
-                handle.record.read_keys.add(key)
-            else:
-                self._observe_pending_read(key, None)
+        self._note_reads((key,))
         cache = self._payload_cache
         if cache is None:
             return self._engine.read_committed_version(key, self.snapshot.start_ts)
@@ -195,22 +225,16 @@ class SnapshotTransaction(EngineTransaction):
         return resolved
 
     def _resolve_committed_many(self, keys: Sequence[EntityKey]) -> List[Optional[object]]:
-        """Batch committed-state resolution: the whole batch pays one SIREAD
-        registration visit (one tracker-mutex acquisition under SSI) and one
-        engine-level chain-resolution pass, instead of one of each per key.
+        """Batch committed-state resolution: the whole batch pays one read
+        registration and one engine-level chain-resolution pass — the same
+        SIREADs and cache interactions as :meth:`_resolve_committed` per key,
+        just amortised."""
+        self._note_reads(keys)
+        return self._load_committed_many(keys)
 
-        Semantically identical to calling :meth:`_resolve_committed` per key
-        — same SIREADs registered, same cache interactions — just amortised.
-        """
-        if self._track_reads:
-            self._cc.register_point_reads(self.cc_record, keys)
-        elif self._pending_reader is not None:
-            handle = self._pending_reader
-            if not (handle.safe or handle.upgrade_required or handle.upgraded):
-                handle.record.read_keys.update(keys)
-            else:
-                for key in keys:
-                    self._observe_pending_read(key, None)
+    def _load_committed_many(self, keys: Sequence[EntityKey]) -> List[Optional[object]]:
+        """Committed payloads of ``keys`` (already registered by the caller)
+        through the snapshot-local cache, misses in one engine visit."""
         cache = self._payload_cache
         start_ts = self.snapshot.start_ts
         if cache is None:
@@ -268,55 +292,13 @@ class SnapshotTransaction(EngineTransaction):
 
     def iter_nodes(self) -> Iterator[NodeData]:
         self.ensure_open()
-        self._register_predicate(("all_nodes",))
+        self._note_reads(predicates=(("all_nodes",),))
         return self._iterator().nodes()
 
     def iter_relationships(self) -> Iterator[RelationshipData]:
         self.ensure_open()
-        self._register_predicate(("all_rels",))
+        self._note_reads(predicates=(("all_rels",),))
         return self._iterator().relationships()
-
-    def _register_predicate(self, predicate) -> None:
-        """SSI predicate-read registration (no-op unless the policy tracks reads).
-
-        Predicates — label scans, property lookups, type scans, whole-store
-        iterations, adjacency expansions — are what catch phantoms: a
-        concurrent committer whose change moves an entity into or out of the
-        registered predicate forms an rw-antidependency with this
-        transaction even though no common entity was point-read.
-        """
-        if self._track_reads:
-            self._cc.register_predicate_read(self.cc_record, predicate)
-        elif self._pending_reader is not None:
-            self._observe_pending_read(None, predicate)
-
-    def _observe_pending_read(self, key, predicate) -> None:
-        """Read bookkeeping for a safe-snapshot reader (tentpole fast path).
-
-        Until the snapshot resolves, reads are buffered into the handle's
-        local record — a plain set add, touched only by this thread, so the
-        untracked read path stays mutex-free.  When the census drains the
-        handle flips safe and this method unhooks itself entirely; when a
-        writer was aborted on this reader's behalf the handle demands an
-        upgrade, after which every buffered and future read is registered
-        as a real SIREAD so later committers get precise conflict checks.
-        """
-        handle = self._pending_reader
-        if handle.safe and not handle.upgraded:
-            self._pending_reader = None
-            return
-        if handle.upgrade_required and not handle.upgraded:
-            self._cc.upgrade_reader(handle)
-        if handle.upgraded:
-            if key is not None:
-                self._cc.register_point_read(handle.record, key)
-            if predicate is not None:
-                self._cc.register_predicate_read(handle.record, predicate)
-        else:
-            if key is not None:
-                handle.record.read_keys.add(key)
-            if predicate is not None:
-                handle.record.predicates.add(predicate)
 
     def _iterator(self) -> SnapshotIterator:
         return SnapshotIterator(
@@ -330,13 +312,13 @@ class SnapshotTransaction(EngineTransaction):
 
     def find_nodes_by_label(self, label: str) -> Set[int]:
         self.ensure_open()
-        self._register_predicate(("label", label))
+        self._note_reads(predicates=(("label", label),))
         result = self._engine.indexes.node_labels.visible(label, self.snapshot.start_ts)
         return self._overlay_nodes(result, lambda node: label in node.labels)
 
     def find_nodes_by_property(self, key: str, value: PropertyValue) -> Set[int]:
         self.ensure_open()
-        self._register_predicate(("node_prop", key, hashable_value(value)))
+        self._note_reads(predicates=(("node_prop", key, hashable_value(value)),))
         result = self._engine.indexes.node_properties.visible(
             key, value, self.snapshot.start_ts
         )
@@ -344,7 +326,7 @@ class SnapshotTransaction(EngineTransaction):
 
     def find_relationships_by_property(self, key: str, value: PropertyValue) -> Set[int]:
         self.ensure_open()
-        self._register_predicate(("rel_prop", key, hashable_value(value)))
+        self._note_reads(predicates=(("rel_prop", key, hashable_value(value)),))
         result = self._engine.indexes.relationship_properties.visible(
             key, value, self.snapshot.start_ts
         )
@@ -355,7 +337,7 @@ class SnapshotTransaction(EngineTransaction):
     def find_relationships_by_type(self, rel_type: str) -> Set[int]:
         """Ids of visible relationships of ``rel_type`` (snapshot-consistent)."""
         self.ensure_open()
-        self._register_predicate(("rel_type", rel_type))
+        self._note_reads(predicates=(("rel_type", rel_type),))
         result = self._engine.indexes.relationship_types.visible(
             rel_type, self.snapshot.start_ts
         )
@@ -388,137 +370,77 @@ class SnapshotTransaction(EngineTransaction):
 
     # -- traversal reads -------------------------------------------------------------
 
-    def _committed_adjacency(self, node_id: int) -> Tuple[RelationshipData, ...]:
-        """Snapshot-visible committed relationships of one node, by rel id.
-
-        Safe to cache for the transaction's lifetime: a candidate added to
-        the global adjacency index by a later committer resolves to a version
-        newer than this snapshot (invisible), and GC never reclaims a version
-        an active snapshot can still select — so the resolved list is a pure
-        function of (node, snapshot).
-        """
-        # An adjacency expansion is a predicate read over "relationships
-        # touching this node": a concurrent committer attaching or detaching
-        # a relationship here must form an rw edge even though the new
-        # relationship id was never point-read.
-        self._register_predicate(("adjacency", node_id))
-        cache = self._adjacency_cache
-        if cache is not None:
-            cached = cache.get(node_id)
-            if cached is not None:
-                self.snapshot_cache_hits += 1
-                # Keep the experiments' read counter consistent with the
-                # payload cache, which counts hits as served reads too.
-                self.reads_performed += len(cached)
-                return cached
-        # Untracked snapshot readers share one engine-level resolved cache:
-        # its validity stamp makes an entry a pure function of (node,
-        # snapshot), and with no SIREADs to register a hit is observably
-        # identical to resolving.  SSI transactions skip it — they need the
-        # per-relationship registrations the resolving path performs.
-        untracked = not self._track_reads and self._pending_reader is None
-        start_ts = self.snapshot.start_ts
-        if untracked:
-            shared = self._engine.cached_committed_adjacency(
-                node_id, None, start_ts
-            )
-            if shared is not None:
-                self.snapshot_cache_hits += 1
-                self.reads_performed += len(shared)
-                if cache is not None and len(cache) < SNAPSHOT_CACHE_LIMIT:
-                    cache[node_id] = shared
-                return shared
-        candidates = self._engine.indexes.adjacency.candidate_rel_ids(node_id)
-        resolved: List[RelationshipData] = []
-        for rel_id in sorted(candidates):
-            # Through the shared payload cache: a relationship resolved here
-            # is free for later point reads of the same id (and vice versa).
-            payload = self._resolve_committed(EntityKey.relationship(rel_id))
-            if isinstance(payload, RelationshipData):
-                resolved.append(payload)
-        self.reads_performed += len(candidates)
-        result = tuple(resolved)
-        if untracked:
-            self._engine.store_committed_adjacency(
-                node_id, None, start_ts, result
-            )
-        if cache is not None:
-            self.snapshot_cache_misses += 1
-            if len(cache) < SNAPSHOT_CACHE_LIMIT:
-                cache[node_id] = result
-        return result
-
     def _committed_adjacency_many(
         self, node_ids: Sequence[int]
     ) -> List[Tuple[RelationshipData, ...]]:
-        """Batch form of :meth:`_committed_adjacency`.
+        """Snapshot-visible committed relationships of each node, by rel id.
 
-        One predicate-registration visit covers every expanded node and one
-        batched resolution covers every candidate relationship, so a
-        batch-expand of N sources pays two tracker-mutex acquisitions under
-        SSI instead of N + (total candidate) ones.
+        A resolved list is a pure function of (node, snapshot): a candidate
+        added to the global adjacency index by a later committer resolves to
+        a version newer than this snapshot (invisible), and GC never reclaims
+        a version an active snapshot can still select.  So it is served, in
+        order, from the snapshot-local cache (whose entries this transaction
+        already registered), from the engine's shared cache — entry =
+        payloads + the SIREAD keys that reading them implies; valid iff
+        ``built_ts <= S`` and the node's stamp ``<= built_ts`` — or by
+        resolving every adjacency candidate, which publishes such an entry.
+
+        Hit or miss, the reads reported are the same: the key of every
+        candidate relationship plus the ``("adjacency", node)`` predicate (a
+        concurrent committer attaching or detaching a relationship here must
+        form an rw edge even though the new relationship id was never
+        point-read) — in one bookkeeping visit for the whole batch.
         """
-        predicates = [("adjacency", node_id) for node_id in node_ids]
-        if self._track_reads:
-            self._cc.register_predicate_reads(self.cc_record, predicates)
-        elif self._pending_reader is not None:
-            handle = self._pending_reader
-            if not (handle.safe or handle.upgrade_required or handle.upgraded):
-                handle.record.predicates.update(predicates)
-            else:
-                for predicate in predicates:
-                    self._observe_pending_read(None, predicate)
         cache = self._adjacency_cache
-        untracked = not self._track_reads and self._pending_reader is None
-        start_ts = self.snapshot.start_ts
         engine = self._engine
+        start_ts = self.snapshot.start_ts
         results: List[Optional[Tuple[RelationshipData, ...]]] = [None] * len(node_ids)
-        miss_ids: List[int] = []
-        miss_indexes: List[int] = []
+        read_keys: List[EntityKey] = []
+        predicates: List[tuple] = []
+        misses: List[Tuple[int, int, Tuple[EntityKey, ...]]] = []
+        candidate_rel_ids = engine.indexes.adjacency.candidate_rel_ids
         for index, node_id in enumerate(node_ids):
             cached = cache.get(node_id) if cache is not None else None
-            if cached is None and untracked:
-                cached = engine.cached_committed_adjacency(
-                    node_id, None, start_ts
-                )
-                if cached is not None and cache is not None \
-                        and len(cache) < SNAPSHOT_CACHE_LIMIT:
+            if cached is None:
+                predicates.append(("adjacency", node_id))
+                shared = engine.cached_committed_adjacency(node_id, None, start_ts)
+                if shared is None:
+                    candidates = tuple(
+                        EntityKey.relationship(rel_id)
+                        for rel_id in sorted(candidate_rel_ids(node_id))
+                    )
+                    read_keys.extend(candidates)
+                    misses.append((index, node_id, candidates))
+                    continue
+                cached, candidates = shared
+                read_keys.extend(candidates)
+                if cache is not None and len(cache) < SNAPSHOT_CACHE_LIMIT:
                     cache[node_id] = cached
-            if cached is not None:
-                self.snapshot_cache_hits += 1
-                self.reads_performed += len(cached)
-                results[index] = cached
-            else:
-                miss_indexes.append(index)
-                miss_ids.append(node_id)
-        if miss_ids:
-            candidate_rel_ids = self._engine.indexes.adjacency
-            per_node: List[List[int]] = [
-                sorted(candidate_rel_ids.candidate_rel_ids(node_id))
-                for node_id in miss_ids
-            ]
-            flat_keys = [
-                EntityKey.relationship(rel_id)
-                for rel_ids in per_node
-                for rel_id in rel_ids
-            ]
-            resolved = self._resolve_committed_many(flat_keys) if flat_keys else []
+            self.snapshot_cache_hits += 1
+            # Keep the experiments' read counter consistent with the payload
+            # cache, which counts hits as served reads too.
+            self.reads_performed += len(cached)
+            results[index] = cached
+        if predicates:
+            self._note_reads(read_keys, predicates)
+        if misses:
+            # Through the snapshot-local payload cache: a relationship
+            # resolved here is free for later point reads of the same id.
+            resolved = self._load_committed_many(
+                [key for _index, _node_id, candidates in misses for key in candidates]
+            )
             cursor = 0
-            for index, node_id, rel_ids in zip(miss_indexes, miss_ids, per_node):
-                count = len(rel_ids)
-                window = resolved[cursor:cursor + count]
-                cursor += count
+            for index, node_id, candidates in misses:
+                count = len(candidates)
                 adjacency = tuple(
                     payload
-                    for payload in window
+                    for payload in resolved[cursor:cursor + count]
                     if isinstance(payload, RelationshipData)
                 )
+                cursor += count
                 self.reads_performed += count
                 results[index] = adjacency
-                if untracked:
-                    engine.store_committed_adjacency(
-                        node_id, None, start_ts, adjacency
-                    )
+                engine.store_adjacency_entry(node_id, start_ts, adjacency, candidates)
                 if cache is not None:
                     self.snapshot_cache_misses += 1
                     if len(cache) < SNAPSHOT_CACHE_LIMIT:
@@ -578,42 +500,7 @@ class SnapshotTransaction(EngineTransaction):
         direction: Direction = Direction.BOTH,
         rel_types: Optional[Sequence[str]] = None,
     ) -> List[RelationshipData]:
-        self.ensure_open()
-        # Fast path for repeat expansions: while the transaction has written
-        # nothing, the *filtered* answer is as immutable as the snapshot, so
-        # a traversal revisiting a node skips the overlay and filter loops
-        # entirely.  (Predicate/SIREAD registration already happened when the
-        # entry was populated — both are per-transaction sets, so repeats
-        # register nothing new anyway.)
-        memo = self._filtered_adjacency_cache
-        memo_key = None
-        if memo is not None and not self._writes:
-            memo_key = (node_id, direction, tuple(rel_types) if rel_types else None)
-            cached = memo.get(memo_key)
-            if cached is None and not self._track_reads \
-                    and self._pending_reader is None:
-                cached = self._engine.cached_committed_adjacency(
-                    node_id, (direction, memo_key[2]), self.snapshot.start_ts
-                )
-                if cached is not None and len(memo) < SNAPSHOT_CACHE_LIMIT:
-                    memo[memo_key] = cached
-            if cached is not None:
-                self.snapshot_cache_hits += 1
-                self.reads_performed += len(cached)
-                return list(cached)
-        committed = self._committed_adjacency(node_id)
-        wanted_types = set(rel_types) if rel_types else None
-        result = self._overlay_and_filter(node_id, committed, direction, wanted_types)
-        if memo_key is not None:
-            if not self._track_reads and self._pending_reader is None:
-                self._engine.store_committed_adjacency(
-                    node_id, (direction, memo_key[2]),
-                    self.snapshot.start_ts, tuple(result),
-                )
-            if len(memo) < SNAPSHOT_CACHE_LIMIT:
-                memo[memo_key] = result
-                return list(result)
-        return result
+        return self.relationships_of_many((node_id,), direction, rel_types)[0]
 
     def relationships_of_many(
         self,
@@ -621,54 +508,66 @@ class SnapshotTransaction(EngineTransaction):
         direction: Direction = Direction.BOTH,
         rel_types: Optional[Sequence[str]] = None,
     ) -> List[List[RelationshipData]]:
-        """Visible relationships of each node, resolved as one batch."""
+        """Visible relationships of each node, resolved as one batch.
+
+        While the transaction has written nothing, the *filtered* answer is
+        as immutable as the snapshot, so it is memoised per ``(node,
+        direction, types)`` — snapshot-locally (a traversal revisiting a node
+        skips the overlay and filter loops; its reads are already registered)
+        and as a projection in the engine's shared entry for the node, whose
+        hits report the entry's SIREAD keys exactly as the raw path does (see
+        :meth:`_committed_adjacency_many`).
+        """
         self.ensure_open()
         wanted_types = set(rel_types) if rel_types else None
         memo = self._filtered_adjacency_cache
         if memo is None or self._writes:
-            committed_lists = self._committed_adjacency_many(node_ids)
             return [
                 self._overlay_and_filter(node_id, committed, direction, wanted_types)
-                for node_id, committed in zip(node_ids, committed_lists)
-            ]
-        types_key = tuple(rel_types) if rel_types else None
-        variant = (direction, types_key)
-        untracked = not self._track_reads and self._pending_reader is None
-        start_ts = self.snapshot.start_ts
-        engine = self._engine
-        results: List[Optional[List[RelationshipData]]] = [None] * len(node_ids)
-        miss_ids: List[int] = []
-        miss_indexes: List[int] = []
-        for index, node_id in enumerate(node_ids):
-            cached = memo.get((node_id, direction, types_key))
-            if cached is None and untracked:
-                cached = engine.cached_committed_adjacency(
-                    node_id, variant, start_ts
+                for node_id, committed in zip(
+                    node_ids, self._committed_adjacency_many(node_ids)
                 )
-                if cached is not None and len(memo) < SNAPSHOT_CACHE_LIMIT:
-                    memo[(node_id, direction, types_key)] = cached
-            if cached is not None:
-                self.snapshot_cache_hits += 1
-                self.reads_performed += len(cached)
-                results[index] = list(cached)
-            else:
-                miss_indexes.append(index)
-                miss_ids.append(node_id)
-        if miss_ids:
+            ]
+        variant = (direction.value, tuple(rel_types) if rel_types else None)
+        memo = memo.setdefault(variant, {})
+        start_ts = self.snapshot.start_ts
+        cached_adjacency = self._engine.cached_committed_adjacency
+        results: List[Optional[List[RelationshipData]]] = []
+        read_keys: List[EntityKey] = []
+        predicates: List[tuple] = []
+        miss_indexes: List[int] = []
+        for node_id in node_ids:
+            cached = memo.get(node_id)
+            if cached is None:
+                shared = cached_adjacency(node_id, variant, start_ts)
+                if shared is None:
+                    miss_indexes.append(len(results))
+                    results.append(None)
+                    continue
+                cached, candidates = shared
+                read_keys.extend(candidates)
+                predicates.append(("adjacency", node_id))
+                if len(memo) < SNAPSHOT_CACHE_LIMIT:
+                    memo[node_id] = cached
+            self.snapshot_cache_hits += 1
+            self.reads_performed += len(cached)
+            results.append(list(cached))
+        if predicates:
+            self._note_reads(read_keys, predicates)
+        if miss_indexes:
+            miss_ids = [node_ids[index] for index in miss_indexes]
             committed_lists = self._committed_adjacency_many(miss_ids)
             for index, node_id, committed in zip(miss_indexes, miss_ids, committed_lists):
                 filtered = self._overlay_and_filter(
                     node_id, committed, direction, wanted_types
                 )
-                if untracked:
-                    engine.store_committed_adjacency(
-                        node_id, variant, start_ts, tuple(filtered)
-                    )
+                self._engine.add_adjacency_variant(
+                    node_id, variant, start_ts, tuple(filtered)
+                )
                 if len(memo) < SNAPSHOT_CACHE_LIMIT:
-                    memo[(node_id, direction, types_key)] = filtered
-                    results[index] = list(filtered)
-                else:
-                    results[index] = filtered
+                    memo[node_id] = filtered
+                    filtered = list(filtered)
+                results[index] = filtered
         return results  # type: ignore[return-value]
 
     # ------------------------------------------------------------------
@@ -768,5 +667,7 @@ class SnapshotTransaction(EngineTransaction):
             "misses": self.snapshot_cache_misses,
             "payload_entries": len(self._payload_cache or ()),
             "adjacency_entries": len(self._adjacency_cache or ()),
-            "filtered_adjacency_entries": len(self._filtered_adjacency_cache or ()),
+            "filtered_adjacency_entries": sum(
+                len(memo) for memo in (self._filtered_adjacency_cache or {}).values()
+            ),
         }

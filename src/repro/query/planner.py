@@ -242,6 +242,12 @@ class Expand(PlanOperator):
         #: (``-[r:KNOWS]-()``): the batch executor then skips the neighbour
         #: node reads entirely — the result cannot depend on them.
         self.bind_target = True
+        #: Bounded variable-length hops only: per depth, ``[round trips,
+        #: paths expanded]`` of the batch executor's frontier levels.
+        self.actual_levels: Optional[List[List[int]]] = None
+        #: ... and how many roots outgrew the frontier's path budget and
+        #: streamed through the lazy per-row traversal instead.
+        self.actual_lazy_roots = 0
         if rel.var_length:
             self.name = "VarLengthExpandInto" if into else "VarLengthExpand"
         else:
@@ -261,10 +267,22 @@ class Expand(PlanOperator):
             hops = f"*{self.rel.min_hops}..{upper}"
         arrow_left = "<-" if self.rel.direction == "IN" else "-"
         arrow_right = "->" if self.rel.direction == "OUT" else "-"
-        unbound = "" if self.bind_target or self.into else " unbound-target"
+        tags = "" if self.bind_target or self.into else " unbound-target"
+        if self.rel.var_length:
+            # How the batch executor runs the hop, decided by plan shape.
+            tags += " lazy" if self.rel.max_hops is None else " frontier"
+        if self.actual_levels:
+            trips = ",".join(str(trips) for trips, _paths in self.actual_levels)
+            paths = ",".join(str(paths) for _trips, paths in self.actual_levels)
+            tags += (
+                f" levels={len(self.actual_levels)} level-batches={trips}"
+                f" level-paths={paths}"
+            )
+        if self.actual_lazy_roots:
+            tags += f" lazy-roots={self.actual_lazy_roots}"
         return (
             f"({self.from_var}){arrow_left}[{type_part}{hops}]{arrow_right}"
-            f"({self.to_var}){unbound}"
+            f"({self.to_var}){tags}"
         )
 
 

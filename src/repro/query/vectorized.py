@@ -13,10 +13,13 @@ tracker-mutex visit registers the whole batch's SIREADs.
 Semantics are identical to the row executor by construction: expression
 evaluation reuses the *same* compiled closures (falling back to per-row
 calls wherever vectorization could change Cypher's short-circuit error
-behaviour), single-hop expansion reproduces the depth-first traversal's
-LIFO output order, and var-length patterns and write clauses delegate to
-the row operator bodies outright.  ``tests/test_batch_equivalence.py``
-pins the two executors against each other.
+behaviour), expansion — single-hop, and bounded variable-length one whole
+frontier level at a time — reproduces the depth-first traversal's LIFO
+output order, and unbounded patterns (lazy by necessity: a ``LIMIT`` above
+``-[*]-`` must not enumerate the graph), bounded roots whose frontier
+outgrows :data:`FRONTIER_PATH_BUDGET`, and write clauses delegate to the
+row operator bodies outright.  ``tests/test_batch_equivalence.py`` pins the
+two executors against each other.
 
 Morsel-style parallelism: leaf scans the planner marked ``parallel``
 (estimated rows above the engine's ``morsel_threshold`` with
@@ -36,9 +39,8 @@ from concurrent.futures import ThreadPoolExecutor
 from time import perf_counter
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.errors import QueryExecutionError
+from repro.errors import NodeNotFoundError, QueryExecutionError
 from repro.api.transaction import Node, Relationship
-from repro.api.traversal import batch_expand
 from repro.core.si_transaction import SnapshotTransaction
 from repro.graph.entity import EntityKey, EntityKind, NodeData
 from repro.query import ast
@@ -554,40 +556,49 @@ def _property_seek_batches(op: PropertyIndexSeek, ctx: ExecutionContext) -> Iter
 # -- expand ------------------------------------------------------------------
 
 
+def _expand_sources(op: Expand, in_batch: RowBatch) -> Tuple[List[int], List[Node]]:
+    """Row indexes and source nodes of the batch rows an expand starts from."""
+    from_var = op.from_var
+    source_column = in_batch.data.get(from_var)
+    if source_column is None:
+        raise QueryExecutionError(f"unbound variable {from_var!r}")
+    indexes: List[int] = []
+    sources: List[Node] = []
+    for index, source in enumerate(source_column):
+        if source is None:
+            continue
+        if not isinstance(source, Node):
+            raise QueryExecutionError(
+                f"cannot expand from {from_var!r}: not a node"
+            )
+        indexes.append(index)
+        sources.append(source)
+    return indexes, sources
+
+
 def _expand_batches(op: Expand, ctx: ExecutionContext) -> Iterator[RowBatch]:
     rel = op.rel
-    if rel.var_length or rel.min_hops != 1 or rel.max_hops != 1:
-        # Variable-length patterns need the real traversal machinery; run
-        # the row operator body per materialised row.
+    if rel.max_hops is None:
+        # Unbounded patterns stay lazy, one path at a time: run the row
+        # operator body per materialised row.
         yield from _rowwise(op, ctx, _expand_row)
+        return
+    if rel.var_length:
+        yield from _var_length_expand_batches(op, ctx)
         return
     to_matcher = _pattern_matcher(op, op.to_pattern, attr="_to_matcher")
     rel_prop_fns = _rel_property_fns(op)
-    from_var = op.from_var
     rel_types = rel.types or None
     direction = op.direction
     batch_size = ctx.batch_size
     bind_target = getattr(op, "bind_target", True)
     for in_batch in _run_batches(op.child, ctx):
         data = in_batch.data
-        source_column = data.get(from_var)
-        if source_column is None:
-            raise QueryExecutionError(f"unbound variable {from_var!r}")
-        sources: List[Node] = []
-        source_indexes: List[int] = []
-        for index, source in enumerate(source_column):
-            if source is None:
-                continue
-            if not isinstance(source, Node):
-                raise QueryExecutionError(
-                    f"cannot expand from {from_var!r}: not a node"
-                )
-            sources.append(source)
-            source_indexes.append(index)
+        source_indexes, sources = _expand_sources(op, in_batch)
         if not sources:
             continue
         if bind_target:
-            expanded = batch_expand(ctx.tx, sources, direction, rel_types)
+            expanded = ctx.tx.expand_many(sources, direction, rel_types)
         else:
             # Nothing downstream can observe the far-end node (anonymous
             # terminal target, no label/property checks), so skip the
@@ -663,6 +674,204 @@ def _expand_output(in_batch: RowBatch, op: Expand, indexes: List[int],
             columns = columns + (op.to_var,)
         data[op.to_var] = nodes
     return RowBatch(columns, data, len(indexes))
+
+
+#: Most paths one frontier may hold.  Level-at-a-time expansion keeps every
+#: path of its root group alive until the group is emitted, so a large bound
+#: on a dense graph would build the whole neighbourhood before the first row
+#: — and a ``LIMIT`` above it could not stop that.  A group that outgrows the
+#: budget is halved; a single root that still does not fit streams its paths
+#: through the lazy per-row traversal (same rows, same order).
+FRONTIER_PATH_BUDGET = 4096
+
+
+def _var_length_expand_batches(op: Expand, ctx: ExecutionContext) -> Iterator[RowBatch]:
+    """Bounded ``*m..n`` expand, set-at-a-time; output chunked at batch size."""
+    batch_size = ctx.batch_size
+    #: Per depth: [round trips, paths expanded] (PROFILE).
+    op.actual_levels = []
+    op.actual_lazy_roots = 0
+    for in_batch in _run_batches(op.child, ctx):
+        out_indexes: List[int] = []
+        out_rels: List[object] = []
+        out_nodes: List[Node] = []
+        for index, relationships, end in _var_length_matches(op, ctx, in_batch):
+            out_indexes.append(index)
+            out_rels.append(relationships)
+            out_nodes.append(end)
+            if len(out_indexes) >= batch_size:
+                yield _expand_output(in_batch, op, out_indexes, out_rels, out_nodes)
+                out_indexes, out_rels, out_nodes = [], [], []
+        if out_indexes:
+            yield _expand_output(in_batch, op, out_indexes, out_rels, out_nodes)
+
+
+def _var_length_matches(
+    op: Expand, ctx: ExecutionContext, in_batch: RowBatch
+) -> Iterator[Tuple[int, List[Relationship], Node]]:
+    """``(row index, path relationships, end node)`` of every match of one
+    input batch, lazily, in the row executor's order.
+
+    The batch's roots grow together as one frontier (:func:`_grow_frontier`)
+    while that fits :data:`FRONTIER_PATH_BUDGET`; emission replays the row
+    executor's depth-first LIFO discipline — pre-order, siblings in reverse
+    adjacency order — over the grown path forest.
+    """
+    to_matcher = _pattern_matcher(op, op.to_pattern, attr="_to_matcher")
+    min_hops = op.rel.min_hops
+    row = _RowView(in_batch.data)
+    indexes, sources = _expand_sources(op, in_batch)
+    # Like the traversal, start from the roots as this transaction sees them
+    # now, not from the (possibly stale) handles bound upstream.
+    visible = {
+        node.id: node
+        for node in ctx.tx.nodes_by_ids(
+            list(dict.fromkeys(source.id for source in sources))
+        )
+    }
+    root_rows: List[int] = []
+    root_nodes: List[Node] = []
+    excluded_of: Dict[int, frozenset] = {}
+    target_of: Dict[int, int] = {}
+    for index, source in zip(indexes, sources):
+        row.index = index
+        if op.into:
+            bound_target = row.get(op.to_var)
+            if not isinstance(bound_target, Node):
+                continue
+            target_of[index] = bound_target.id
+        if source.id not in visible:
+            raise NodeNotFoundError(source.id)
+        excluded_of[index] = (
+            _excluded_rel_ids(op.exclude_rel_vars, row)
+            if op.exclude_rel_vars
+            else _EMPTY_FROZENSET
+        )
+        root_rows.append(index)
+        root_nodes.append(visible[source.id])
+    start = 0
+    step = len(root_rows)
+    while start < len(root_rows):
+        group_rows = root_rows[start:start + step]
+        grown = _grow_frontier(
+            op, ctx, row, group_rows, root_nodes[start:start + step], excluded_of
+        )
+        if grown is None and step > 1:
+            step = (step + 1) // 2
+            continue
+        start += step
+        if grown is None:
+            op.actual_lazy_roots += 1
+            index = group_rows[0]
+            scope = {name: column[index] for name, column in in_batch.data.items()}
+            for out_row in _expand_row(op, scope, ctx):
+                yield index, out_row[op.rel_var], out_row[op.to_var]
+            continue
+        path_parent, path_rel, path_node, path_children = grown
+        roots = len(group_rows)
+        for root, index in enumerate(group_rows):
+            row.index = index
+            target_id = target_of.get(index)
+            stack = [(root, 0)]
+            while stack:
+                path, hops = stack.pop()
+                for child in path_children[path]:
+                    stack.append((child, hops + 1))
+                if hops < min_hops:
+                    continue
+                end = path_node[path]
+                if target_id is not None and end.id != target_id:
+                    continue
+                if to_matcher is not None and not to_matcher(end, row, ctx):
+                    continue
+                relationships: List[Relationship] = []
+                while path >= roots:
+                    relationships.append(path_rel[path])
+                    path = path_parent[path]
+                relationships.reverse()
+                yield index, relationships, end
+
+
+def _grow_frontier(
+    op: Expand,
+    ctx: ExecutionContext,
+    row: _RowView,
+    root_rows: List[int],
+    root_nodes: List[Node],
+    excluded_of: Dict[int, frozenset],
+) -> Optional[Tuple[List[int], List[Optional[Relationship]], List[Node], List[List[int]]]]:
+    """Grow every path from a group of roots, one level per round trip.
+
+    Level ``d`` expands the distinct end nodes of every surviving depth-``d``
+    path in one ``expand_many`` (one adjacency read and one neighbour read
+    for the whole frontier).  Paths live in parallel arrays linked by parent
+    index — the roots first — and pruning mirrors the row executor's
+    evaluator: no immediate back-walk, Cypher relationship isomorphism,
+    ``exclude_rel_vars``, the hop's property map.  Returns ``(parent,
+    relationship, end node, children)`` per path, or ``None`` once the group
+    holds more than :data:`FRONTIER_PATH_BUDGET` paths.
+    """
+    rel = op.rel
+    rel_prop_fns = _rel_property_fns(op)
+    max_hops = rel.max_hops
+    rel_types = rel.types or None
+    direction = op.direction
+    expand_many = ctx.tx.expand_many
+    budget = FRONTIER_PATH_BUDGET
+    levels = op.actual_levels
+    roots = len(root_rows)
+    path_row = list(root_rows)
+    path_parent = [-1] * roots
+    path_rel: List[Optional[Relationship]] = [None] * roots
+    path_rel_id = [-1] * roots
+    path_node = list(root_nodes)
+    path_children: List[List[int]] = [[] for _ in range(roots)]
+    frontier = list(range(roots))
+    depth = 0
+    while frontier and depth < max_hops:
+        if depth == len(levels):
+            levels.append([0, 0])
+        levels[depth][0] += 1
+        levels[depth][1] += len(frontier)
+        ends = {path_node[path].id: path_node[path] for path in frontier}
+        pairs_of = dict(
+            zip(ends, expand_many(list(ends.values()), direction, rel_types))
+        )
+        grown: List[int] = []
+        for path in frontier:
+            index = path_row[path]
+            row.index = index
+            excluded = excluded_of[index]
+            children = path_children[path]
+            for relationship, neighbour in pairs_of[path_node[path].id]:
+                rel_id = relationship.id
+                if rel_id in excluded:
+                    continue
+                ancestor = path
+                while ancestor >= roots and path_rel_id[ancestor] != rel_id:
+                    ancestor = path_parent[ancestor]
+                if ancestor >= roots:
+                    continue  # relationship already on this path
+                properties = relationship.data.properties
+                for key, value_fn in rel_prop_fns:
+                    wanted = value_fn(row, ctx)
+                    if wanted is None or properties.get(key) != wanted:
+                        break
+                else:
+                    child = len(path_row)
+                    path_row.append(index)
+                    path_parent.append(path)
+                    path_rel.append(relationship)
+                    path_rel_id.append(rel_id)
+                    path_node.append(neighbour)
+                    path_children.append([])
+                    children.append(child)
+                    grown.append(child)
+            if len(path_row) > budget:
+                return None
+        frontier = grown
+        depth += 1
+    return path_parent, path_rel, path_node, path_children
 
 
 # -- filters and projections -------------------------------------------------
@@ -837,23 +1046,9 @@ def _fused_expand_count_batches(
     single_group = len(group_items) == 1
     rel_types = child.rel.types or None
     direction = child.direction
-    from_var = child.from_var
     groups: Dict[object, Tuple[Row, List[int]]] = {}
     for in_batch in _run_batches(child.child, ctx):
-        source_column = in_batch.data.get(from_var)
-        if source_column is None:
-            raise QueryExecutionError(f"unbound variable {from_var!r}")
-        sources: List[Node] = []
-        source_indexes: List[int] = []
-        for index, source in enumerate(source_column):
-            if source is None:
-                continue
-            if not isinstance(source, Node):
-                raise QueryExecutionError(
-                    f"cannot expand from {from_var!r}: not a node"
-                )
-            sources.append(source)
-            source_indexes.append(index)
+        source_indexes, sources = _expand_sources(child, in_batch)
         if not sources:
             continue
         counts = ctx.tx.count_relationships_of_many(sources, direction, rel_types)

@@ -432,7 +432,7 @@ class TestSafeSnapshotMechanics:
         policy = SerializableSnapshotPolicy(LockManager())
         key_a, key_b = EntityKey.node(1), EntityKey.node(2)
         w1 = policy.begin_transaction(1, 0)
-        policy.register_point_read(w1, key_b)
+        policy.register_reads(w1, (key_b,))
         policy.record_commit(w1, [(key_a, None, None)], 1)  # w1 writes a
         w2 = policy.begin_transaction(2, 0)
         policy.record_commit(w2, [(key_b, None, None)], 2)  # w1 -rw-> w2
@@ -463,3 +463,84 @@ class TestSafeSnapshotMechanics:
 
     def test_unsafe_snapshot_error_is_retryable(self):
         assert issubclass(UnsafeSnapshotError, SerializationError)
+
+
+class TestHandleTurningSafeBetweenBatchReads:
+    """A pending reader whose snapshot is proven safe between two multi-key
+    batch reads drops its handle cleanly (the read-bookkeeping helper reads
+    the handle once per batch).  Before, the first key of the next batch
+    cleared the handle and the second dereferenced ``None``."""
+
+    @staticmethod
+    def _graph(db, people=12):
+        with db.transaction() as tx:
+            ids = [tx.create_node(["Person"], {"i": i}).id for i in range(people)]
+            for left, right in zip(ids, ids[1:]):
+                tx.create_relationship(left, right, "KNOWS")
+        return ids
+
+    def test_both_reads_return_and_the_handle_is_dropped(self):
+        db = GraphDatabase.in_memory(isolation=IsolationLevel.SERIALIZABLE)
+        ids = self._graph(db)
+        writer = db.begin()
+        writer.create_node(["Person"], {"i": -1})  # read-write, in flight
+        reader = db.begin(read_only=True)
+        etxn = reader.engine_transaction
+        assert etxn._pending_reader is not None  # tracked until proven safe
+        first = reader.nodes_by_ids(ids[:6])
+        assert len(first) == 6 and len(etxn._pending_reader.record.read_keys) == 6
+        writer.commit()  # the census drains: the snapshot is safe
+        second = reader.nodes_by_ids(ids[6:])
+        assert len(second) == 6
+        assert etxn._pending_reader is None
+        # Adjacency batches go through the same helper.
+        assert [len(rels) for rels in reader.relationships_of_many(ids[:3])] == [1, 2, 2]
+        reader.commit()
+        assert db.statistics()["safe_snapshots"]["became_safe"] == 1
+        db.close()
+
+    def test_two_thread_read_loop_survives_handles_flipping_safe(self):
+        """2 000 read-only transactions of two batch reads each beside a
+        steady committer: every handle that flips safe mid-transaction used
+        to kill the read it interrupted."""
+        import sys
+        import time
+
+        db = GraphDatabase.in_memory(isolation=IsolationLevel.SERIALIZABLE)
+        ids = self._graph(db, people=40)
+        stop = threading.Event()
+        failures = []
+
+        def committer():
+            try:
+                while not stop.is_set():
+                    with db.transaction() as tx:
+                        tx.set_node_property(ids[0], "i", 0)
+            except BaseException as exc:  # pragma: no cover - reported below
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        thread = threading.Thread(target=committer, daemon=True)
+        thread.start()
+        deadline = time.monotonic() + 30.0
+        try:
+            completed = 0
+            while completed < 2000 and time.monotonic() < deadline:
+                with db.transaction(read_only=True) as tx:
+                    assert len(tx.nodes_by_ids(ids[1:20])) == 19
+                    assert len(tx.relationships_of_many(ids[20:])) == 20
+                    rows = tx.execute(
+                        "MATCH (p:Person {i: 5})-[:KNOWS*1..2]-(f) RETURN f.i"
+                    ).rows()
+                    assert len(rows) == 4
+                completed += 1
+        finally:
+            stop.set()
+            thread.join(timeout=10.0)
+            sys.setswitchinterval(interval)
+        assert not thread.is_alive()
+        assert not failures
+        assert completed == 2000
+        assert db.statistics()["safe_snapshots"]["tracked"] > 0
+        db.close()

@@ -18,6 +18,7 @@ from repro import (
     SerializationError,
     TransactionAbortedError,
 )
+from repro.graph.entity import Direction
 from repro.workload.anomaly import AnomalyCounters, WriteSkewProbe
 
 
@@ -74,10 +75,14 @@ class TestWriteSkew:
         assert si_committed == 2 and si_skew >= 1  # SI permits the anomaly
         assert ssi_committed == 1 and ssi_skew == 0  # SSI aborts one of the two
 
-    def test_second_committer_gets_serialization_error(self):
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm-cache"])
+    def test_second_committer_gets_serialization_error(self, warm):
         db = GraphDatabase.in_memory(isolation=IsolationLevel.SERIALIZABLE)
         a, b = _make_accounts(db)
         probe = WriteSkewProbe(a, b, withdraw_amount=150)
+        if warm:  # an earlier transaction fills the engine's shared caches
+            with db.transaction() as tx:
+                assert tx.nodes_by_ids([a, b])
         t1 = db.begin()
         t2 = db.begin()
         probe.withdraw(t1, a)
@@ -191,22 +196,198 @@ class TestPhantomPrevention:
             assert len(tx.find_nodes(key="email", value="a@x")) == 1
         db.close()
 
-    def test_phantom_via_relationship_adjacency_caught(self):
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm-cache"])
+    def test_phantom_via_relationship_adjacency_caught(self, warm):
         """Degree-constraint skew: both cap-check a node's degree, both attach."""
         db = GraphDatabase.in_memory(isolation=IsolationLevel.SERIALIZABLE)
         with db.transaction() as tx:
             hub = tx.create_node(labels=["Hub"])
             s1 = tx.create_node()
             s2 = tx.create_node()
+        if warm:  # the shared adjacency cache answers both cap-checks below
+            with db.transaction() as tx:
+                assert tx.degree(hub.id) == 0
         t1 = db.begin()
         t2 = db.begin()
         assert t1.degree(hub.id) == 0  # adjacency predicate read
         assert t2.degree(hub.id) == 0
+        if warm:
+            assert t2.engine_transaction.snapshot_cache_stats()["misses"] == 0
         t1.create_relationship(s1.id, hub.id, "LINK")
         t2.create_relationship(s2.id, hub.id, "LINK")
         t1.commit()
         with pytest.raises(SerializationError):
             t2.commit()
+        db.close()
+
+
+class TestSharedAdjacencyCacheTracksReads:
+    """The engine's adjacency cache serves tracked readers: a hit registers
+    exactly the SIREADs and predicates a resolving miss registers."""
+
+    #: ``None`` is the raw committed list (reached once the transaction has
+    #: written something); the rest are ``(direction.value, types)``
+    #: projections, as the engine cache keys them.
+    VARIANTS = [
+        pytest.param(None, id="raw"),
+        pytest.param(("both", None), id="both"),
+        pytest.param(("outgoing", None), id="outgoing"),
+        pytest.param(("both", ("KNOWS",)), id="both-knows"),
+        pytest.param(("incoming", ("KNOWS", "LIKES")), id="incoming-two-types"),
+    ]
+
+    @staticmethod
+    def _hub(db):
+        """A hub with relationships both ways, two types, and one deleted
+        relationship (still an adjacency candidate, no longer visible)."""
+        with db.transaction() as tx:
+            hub = tx.create_node(["Hub"])
+            spokes = [tx.create_node(["Spoke"]) for _ in range(4)]
+            tx.create_relationship(hub, spokes[0], "KNOWS")
+            tx.create_relationship(spokes[1], hub, "KNOWS")
+            tx.create_relationship(spokes[2], hub, "LIKES")
+            doomed = tx.create_relationship(hub, spokes[3], "KNOWS")
+        with db.transaction() as tx:
+            tx.delete_relationship(doomed.id)
+        return hub.id, doomed.id
+
+    @staticmethod
+    def _expand(db, hub_id, variant):
+        """One tracked expansion; returns (rel ids, SIREAD keys, predicates,
+        cache stats)."""
+        tx = db.begin()
+        try:
+            if variant is None:
+                tx.create_node()  # a write: the raw path, no filtered memo
+                rels = tx.relationships_of(hub_id)
+            else:
+                rels = tx.relationships_of(hub_id, Direction(variant[0]), variant[1])
+            record = tx.engine_transaction.cc_record
+            return (
+                [rel.id for rel in rels],
+                set(record.read_keys),
+                set(record.predicates),
+                tx.engine_transaction.snapshot_cache_stats(),
+            )
+        finally:
+            tx.rollback()
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_hit_registers_what_a_miss_registers(self, variant):
+        from repro.graph.entity import EntityKey
+
+        db = GraphDatabase.in_memory(isolation=IsolationLevel.SERIALIZABLE)
+        hub_id, deleted_rel_id = self._hub(db)
+        engine = db.engine
+        start_ts = engine.oracle.latest_commit_ts
+        assert engine.cached_committed_adjacency(hub_id, variant, start_ts) is None
+        cold_rels, cold_keys, cold_predicates, cold_stats = self._expand(
+            db, hub_id, variant
+        )
+        assert cold_stats["misses"] > 0
+        assert engine.cached_committed_adjacency(hub_id, variant, start_ts) is not None
+        warm_rels, warm_keys, warm_predicates, warm_stats = self._expand(
+            db, hub_id, variant
+        )
+        assert warm_stats["misses"] == 0 and warm_stats["hits"] > 0
+        assert warm_rels == cold_rels and deleted_rel_id not in warm_rels
+        assert warm_keys == cold_keys
+        assert warm_predicates == cold_predicates == {("adjacency", hub_id)}
+        # Every candidate is registered, not only the visible ones.
+        assert EntityKey.relationship(deleted_rel_id) in warm_keys
+        assert len(warm_keys) == 4
+        db.close()
+
+    def test_entry_invalidated_by_a_commit_falls_back_to_resolving(self):
+        db = GraphDatabase.in_memory(isolation=IsolationLevel.SERIALIZABLE)
+        hub_id, _deleted = self._hub(db)
+        variant = ("both", None)
+        self._expand(db, hub_id, variant)  # warm
+        with db.transaction() as tx:
+            tx.create_relationship(hub_id, tx.create_node(), "KNOWS")
+        rels, keys, _predicates, stats = self._expand(db, hub_id, variant)
+        assert len(rels) == 4 and len(keys) == 5
+        assert stats["misses"] > 0  # the stale entry failed validation
+        db.close()
+
+    def test_projections_join_only_a_valid_entry_and_are_capped(self):
+        """White-box: only the raw resolution can start an entry (it knows
+        the candidate keys); a projection joins a valid one, up to the cap."""
+        from repro.core.si_manager import ADJACENCY_VARIANT_LIMIT
+
+        db = GraphDatabase.in_memory(isolation=IsolationLevel.SERIALIZABLE)
+        hub_id, _deleted = self._hub(db)
+        engine = db.engine
+        start_ts = engine.oracle.latest_commit_ts
+        engine.add_adjacency_variant(hub_id, ("both", None), start_ts, ())
+        assert engine.cached_committed_adjacency(hub_id, ("both", None), start_ts) is None
+        for types in (None, ("KNOWS",), ("LIKES",), ("KNOWS", "LIKES"), ("X",), ("Y",)):
+            self._expand(db, hub_id, ("both", types))
+        entry = engine._adjacency_payloads[hub_id]
+        assert len(entry.variants) == 1 + ADJACENCY_VARIANT_LIMIT
+        # Past the cap a projection is recomputed, never wrong.
+        rels, keys, _predicates, _stats = self._expand(db, hub_id, ("both", ("Y",)))
+        assert rels == [] and len(keys) == 4
+        # A build that cannot see the newest change to the node is not stored
+        # and does not displace anything.
+        with db.transaction() as tx:
+            tx.create_relationship(hub_id, tx.create_node(), "KNOWS")
+        engine.store_adjacency_entry(hub_id, start_ts, (), ())
+        assert engine._adjacency_payloads[hub_id] is entry
+        assert engine.cached_committed_adjacency(
+            hub_id, None, engine.oracle.latest_commit_ts
+        ) is None
+        db.close()
+
+    @pytest.mark.parametrize("writer_first", [False, True],
+                             ids=["reader-registers-first", "writer-commits-first"])
+    def test_warm_var_length_reader_still_conflicts_with_befriend(
+        self, writer_first, monkeypatch
+    ):
+        """A tracked 2-hop reader served from warm caches keeps its rw edge
+        to a concurrent ``befriend`` on a 1-hop neighbour."""
+        db = GraphDatabase.in_memory(isolation=IsolationLevel.SERIALIZABLE)
+        db.execute(
+            "CREATE (:Person {name: 'p'})-[:KNOWS]->(:Person {name: 'n1'})"
+            "-[:KNOWS]->(:Person {name: 'n2'})"
+        )
+        db.execute("CREATE (:Person {name: 'z'})")
+        fof = (
+            "MATCH (p:Person {name: 'p'})-[:KNOWS*1..2]-(f:Person) "
+            "RETURN DISTINCT f.name"
+        )
+        befriend = (
+            "MATCH (a:Person {name: 'n1'}), (b:Person {name: 'z'}) "
+            "CREATE (a)-[:KNOWS]->(b)"
+        )
+        with db.transaction() as tx:  # warm the shared caches
+            assert len(tx.execute(fof).rows()) == 2
+
+        def edges():
+            return db.statistics()["engine"]["concurrency_control"]["rw_edges_observed"]
+
+        resolved = []  # nodes whose adjacency candidates had to be resolved
+        adjacency = db.engine.indexes.adjacency
+        candidate_rel_ids = adjacency.candidate_rel_ids
+        monkeypatch.setattr(
+            adjacency, "candidate_rel_ids",
+            lambda node_id: resolved.append(node_id) or candidate_rel_ids(node_id),
+        )
+        before = edges()
+        reader = db.begin()
+        if writer_first:
+            with db.transaction() as tx:
+                tx.execute(befriend)
+        assert sorted(reader.execute(fof).rows()) == [["n1"], ["n2"]]
+        record = reader.engine_transaction.cc_record
+        if not writer_first:
+            assert resolved == []  # both levels came from the shared cache
+            assert not record.out_conflict
+            with db.transaction() as tx:
+                tx.execute(befriend)
+        assert record.out_conflict
+        assert edges() > before
+        reader.commit()  # a single rw edge is no dangerous structure
         db.close()
 
 
@@ -381,6 +562,37 @@ class TestPolicyInjection:
         finally:
             engine.close()
             store.close()
+
+
+class TestReadRegistrationOrder:
+    def test_batch_edges_are_noted_in_read_order(self, monkeypatch):
+        """White-box: a batch registers its fresh keys in the order they were
+        read (duplicates and held keys dropped), so which rw edge of a batch
+        is noted first — and which pivot it dooms — is reproducible."""
+        from repro.core.cc_policy import SerializableSnapshotPolicy
+        from repro.graph.entity import EntityKey
+        from repro.locking.lock_manager import LockManager
+
+        policy = SerializableSnapshotPolicy(LockManager())
+        keys = [EntityKey.node(node_id) for node_id in (9, 2, 7, 4)]
+        reader = policy.begin_transaction(1, 0)
+        writers = {}
+        for offset, key in enumerate(keys):
+            writer = policy.begin_transaction(10 + offset, 0)
+            policy.record_commit(writer, [(key, None, None)], 1 + offset)
+            writers[writer] = key
+        noted = []
+        monkeypatch.setattr(
+            policy, "_note_edge",
+            lambda source, target, acting: noted.append(writers[target]),
+        )
+        policy.register_reads(reader, (keys[2],))  # the point-read fast path
+        policy.register_reads(
+            reader, [keys[3], keys[2], keys[0], keys[3], keys[1]]
+        )
+        assert noted == [keys[2], keys[3], keys[0], keys[1]]
+        policy.register_reads(reader, keys)  # all held: no mutex visit, no edge
+        assert len(noted) == 4 and reader.read_keys == set(keys)
 
 
 class TestSerializableIsStillSnapshot:

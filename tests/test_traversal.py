@@ -83,6 +83,78 @@ class TestTraversalDescription:
             assert longest.node_ids() == chain.node_ids
 
 
+class TestExpansionOrderAndBatching:
+    """``tx.expand`` reads all neighbours of one expansion in one batched
+    engine visit; the pairs it yields, and their order, are unchanged."""
+
+    @pytest.fixture
+    def star(self, si_db):
+        with si_db.transaction() as tx:
+            hub = tx.create_node(["Hub"]).id
+            spokes = [tx.create_node(["Spoke"], {"n": n}).id for n in range(4)]
+            rels = [
+                tx.create_relationship(hub, spokes[0], "OUT").id,
+                tx.create_relationship(spokes[1], hub, "IN").id,
+                tx.create_relationship(hub, spokes[2], "OUT").id,
+                tx.create_relationship(hub, spokes[0], "OUT").id,  # parallel edge
+                tx.create_relationship(spokes[3], spokes[2], "OUT").id,
+            ]
+        return hub, spokes, rels
+
+    def test_expand_yields_pairs_in_relationship_id_order(self, si_db, star):
+        hub, spokes, rels = star
+        with si_db.transaction(read_only=True) as tx:
+            pairs = [(rel.id, node.id) for rel, node in tx.expand(hub)]
+            assert pairs == [
+                (rels[0], spokes[0]), (rels[1], spokes[1]),
+                (rels[2], spokes[2]), (rels[3], spokes[0]),
+            ]
+            outgoing = [
+                (rel.id, node.id)
+                for rel, node in tx.expand(hub, Direction.OUTGOING, ["OUT"])
+            ]
+            assert outgoing == [
+                (rels[0], spokes[0]), (rels[2], spokes[2]), (rels[3], spokes[0]),
+            ]
+
+    def test_expand_reads_neighbours_as_one_batch(self, si_db, star, monkeypatch):
+        hub, spokes, _rels = star
+        with si_db.transaction(read_only=True) as tx:
+            etxn = tx.engine_transaction
+            batches, singles = [], []
+            read_nodes_many, read_node = etxn.read_nodes_many, etxn.read_node
+            monkeypatch.setattr(
+                etxn, "read_nodes_many",
+                lambda ids: batches.append(list(ids)) or read_nodes_many(ids),
+            )
+            monkeypatch.setattr(
+                etxn, "read_node",
+                lambda node_id: singles.append(node_id) or read_node(node_id),
+            )
+            assert len(list(tx.expand(hub))) == 4
+            assert batches == [[spokes[0], spokes[1], spokes[2]]] and singles == []
+
+    def test_depth_first_traversal_order_is_pinned(self, si_db, star):
+        hub, _spokes, rels = star
+        with si_db.transaction(read_only=True) as tx:
+            description = (
+                TraversalDescription().depth_first().unique(Uniqueness.NONE).limit_depth(2)
+            )
+            walked = [
+                [rel.id for rel in path.relationships]
+                for path in description.traverse(tx, hub)
+            ]
+            # LIFO frontier: the last-expanded relationship is walked first,
+            # and a path never steps straight back over its last one.
+            assert walked == [
+                [],
+                [rels[3]], [rels[3], rels[0]],
+                [rels[2]], [rels[2], rels[4]],
+                [rels[1]],
+                [rels[0]], [rels[0], rels[3]],
+            ]
+
+
 class TestDerivedAlgorithms:
     def test_reachable_node_ids_with_depth(self, si_db, chain):
         with si_db.transaction(read_only=True) as tx:
