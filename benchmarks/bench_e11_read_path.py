@@ -7,8 +7,8 @@ Three series, each isolating one layer of the PR-3 read-path overhaul:
   while another thread holds the chain's write lock — zero lock
   acquisitions on the read path).
 * ``traversal`` — ``two_step_neighbourhood`` (the paper's friends-of-friends
-  motivating workload) under snapshot isolation with the snapshot-local
-  adjacency/payload caches on vs. off.
+  motivating workload) under snapshot isolation, with the share of its
+  adjacency lookups the engine's shared entries answered.
 * ``query_mix`` — the E10 declarative query mix (4 readers / 4 writers)
   under snapshot isolation (plan cache on and off) and read committed
   (eager read-unlock on and off — the RC satellite's before/after).
@@ -119,13 +119,12 @@ def _bench_chain_resolve(*, versions: int, resolutions: int) -> Dict[str, object
 
 
 # ---------------------------------------------------------------------------
-# Series 2: friends-of-friends traversal, snapshot cache on/off
+# Series 2: friends-of-friends traversal
 # ---------------------------------------------------------------------------
 
 
-def _bench_traversal(*, seconds: float, snapshot_read_cache: bool,
-                     seed: int = 7) -> Dict[str, object]:
-    db = open_db(IsolationLevel.SNAPSHOT, snapshot_read_cache=snapshot_read_cache)
+def _bench_traversal(*, seconds: float, seed: int = 7) -> Dict[str, object]:
+    db = open_db(IsolationLevel.SNAPSHOT)
     build_social_graph(db, people=PEOPLE, avg_friends=AVG_FRIENDS, seed=seed)
     with db.begin(read_only=True) as tx:
         person_ids = [node.id for node in tx.find_nodes(label="Person")]
@@ -148,7 +147,6 @@ def _bench_traversal(*, seconds: float, snapshot_read_cache: bool,
     lookups = cache_hits + cache_misses
     return {
         "series": "traversal",
-        "snapshot_read_cache": snapshot_read_cache,
         "traversals": traversals,
         "duration_seconds": round(duration, 3),
         "traversals_per_second": round(traversals / duration, 1),
@@ -273,12 +271,8 @@ def run_benchmark(*, seconds: float = 4.0, readers: int = READERS,
     micro = _bench_chain_resolve(versions=8, resolutions=resolutions)
     print_row("E11", micro)
 
-    traversal_rows = [
-        _bench_traversal(seconds=max(seconds / 2, 0.5), snapshot_read_cache=cache)
-        for cache in (True, False)
-    ]
-    for row in traversal_rows:
-        print_row("E11", row)
+    traversal = _bench_traversal(seconds=max(seconds / 2, 0.5))
+    print_row("E11", traversal)
 
     cells = [
         ("si_full", dict(isolation=IsolationLevel.SNAPSHOT)),
@@ -314,7 +308,7 @@ def run_benchmark(*, seconds: float = 4.0, readers: int = READERS,
             "writers": writers,
             "seconds_per_cell": seconds,
         },
-        "series": [micro] + traversal_rows + mix_rows,
+        "series": [micro, traversal] + mix_rows,
         "baseline": {
             "source": os.path.basename(_BASELINE_FILE),
             "si_queries_per_second_e10": baseline_qps,

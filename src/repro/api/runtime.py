@@ -80,7 +80,6 @@ class EngineRuntime:
         gc_every_n_commits: int = 0,
         commit_stripes: int = DEFAULT_COMMIT_STRIPES,
         group_commit: bool = False,
-        snapshot_read_cache: bool = True,
         query_cache_size: int = DEFAULT_QUERY_CACHE_SIZE,
         query_executor: str = "batch",
         query_batch_size: int = 1024,
@@ -148,7 +147,6 @@ class EngineRuntime:
                 version_cache_capacity=version_cache_capacity,
                 gc_every_n_commits=gc_every_n_commits,
                 commit_stripes=commit_stripes,
-                snapshot_read_cache=snapshot_read_cache,
                 query_cache_size=query_cache_size,
                 query_executor=query_executor,
                 query_batch_size=query_batch_size,

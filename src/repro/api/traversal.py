@@ -14,12 +14,12 @@ algorithm) the paper's introduction calls out.
 
 Performance note: every expansion funnels through ``tx.expand``, which
 reads the adjacency list and *all* its neighbours as two batched engine
-visits (``tx.expand_many``), and the engine transaction serves repeat visits
-from its snapshot-local and shared adjacency and payload caches (safe
-because a snapshot is immutable).  A traversal that touches the same
-neighbourhood from several directions — ``friends_of_friends``, cycle
-detection, shortest-path frontiers — resolves each version chain once, not
-once per visit.
+visits (``tx.expand_many``), and repeat visits are answered by the engine's
+shared, stamp-validated adjacency and payload entries.  A traversal that
+touches the same neighbourhood from several directions —
+``friends_of_friends``, cycle detection, shortest-path frontiers — resolves
+each version chain once, not once per visit, unless a concurrent commit
+invalidates the entry in between (the read rule then gives the same answer).
 """
 
 from __future__ import annotations

@@ -77,12 +77,7 @@ DEFAULT_MORSEL_THRESHOLD = 2048
 
 #: Maximum nodes in the engine-level resolved-adjacency cache (entries for
 #: additional nodes are simply not stored; existing keys keep refreshing).
-#: It counts nodes, not lists: each entry holds the node's candidate-key
-#: tuple, its raw list and up to ``ADJACENCY_VARIANT_LIMIT`` projections.
 ADJACENCY_CACHE_LIMIT = 16_384
-
-#: Maximum ``(direction, types)`` projections kept beside a node's raw list.
-ADJACENCY_VARIANT_LIMIT = 4
 
 #: Maximum entries in the engine-level resolved-payload cache (same
 #: admission policy as the adjacency cache).
@@ -94,25 +89,6 @@ PAYLOAD_CACHE_LIMIT = 65_536
 #: that never runs GC would grow its commit log without bound and pay an
 #: ever-longer predicate scan per read.
 SSI_RECLAIM_EVERY_N_COMMITS = 64
-
-
-class _AdjacencyEntry:
-    """One node's shared resolved adjacency (see ``_adjacency_payloads``)."""
-
-    __slots__ = ("built_ts", "read_keys", "variants")
-
-    def __init__(
-        self,
-        built_ts: int,
-        read_keys: Tuple[EntityKey, ...],
-        variants: Dict[object, Sequence[object]],
-    ) -> None:
-        self.built_ts = built_ts
-        #: Key of every adjacency candidate at build time — the SIREADs a
-        #: reader of any variant must hold.
-        self.read_keys = read_keys
-        #: ``None`` (raw) or ``(direction.value, types)`` -> resolved payloads.
-        self.variants = variants
 
 
 class SnapshotIsolationEngine(GraphEngine):
@@ -139,7 +115,6 @@ class SnapshotIsolationEngine(GraphEngine):
         version_cache_capacity: int = 200_000,
         gc_every_n_commits: int = 0,
         commit_stripes: int = DEFAULT_COMMIT_STRIPES,
-        snapshot_read_cache: bool = True,
         query_cache_size: int = DEFAULT_QUERY_CACHE_SIZE,
         query_batch_size: int = DEFAULT_QUERY_BATCH_SIZE,
         query_executor: str = "batch",
@@ -167,8 +142,6 @@ class SnapshotIsolationEngine(GraphEngine):
         sets proceed concurrently.  ``commit_stripes=1`` restores the seed's
         fully-serialised single-mutex behaviour.
 
-        ``snapshot_read_cache`` enables the per-transaction caches of resolved
-        payloads and adjacency lists (safe because a snapshot is immutable);
         ``query_cache_size`` sizes the per-database parse and plan caches
         (0 disables them).
 
@@ -208,30 +181,31 @@ class SnapshotIsolationEngine(GraphEngine):
         self.indexes = VersionedIndexSet(
             stripes=commit_stripes, stats_epoch=self.stats_epoch
         )
-        self.snapshot_read_cache = snapshot_read_cache
         self.query_caches = QueryCaches(query_cache_size)
-        #: Engine-level cache of resolved committed adjacency, shared across
-        #: transactions and isolation levels: one :class:`_AdjacencyEntry`
-        #: per node.  The one rule: an entry is the payloads *plus the SIREAD
-        #: keys that reading them implies*, and it is valid for a snapshot
-        #: ``S`` iff ``built_ts <= S`` and the node's stamp ``<= built_ts``
-        #: (``_adjacency_stamp`` is bumped by every relationship change
-        #: touching the node, inside the commit critical section *before* the
-        #: commit is published — so a snapshot that can see a change can
-        #: never validate an entry predating it, and in-flight commits fail
-        #: validation conservatively).  A valid entry is a pure function of
-        #: ``(node, snapshot)``, so a hit hands a tracking (SSI) reader the
-        #: exact keys the resolving path would have registered.
-        self._adjacency_payloads: Dict[int, _AdjacencyEntry] = {}
+        #: Engine-level cache of resolved committed state, shared across
+        #: transactions and isolation levels — the one layer between a
+        #: transaction and the version chains.  Two entry kinds, each a
+        #: tuple led by the snapshot it was resolved at:
+        #: ``node -> (built_ts, read_keys, payloads)`` (a node's visible
+        #: relationships *plus the SIREAD keys that reading them implies*:
+        #: the key of every adjacency candidate, visible or not) and
+        #: ``key -> (built_ts, payload)``.  The one rule: an entry is valid
+        #: for a snapshot ``S`` iff ``built_ts <= S`` and the key's stamp
+        #: ``<= built_ts``.  ``_adjacency_stamp`` is bumped by every
+        #: relationship change touching the node and ``_payload_stamp`` by
+        #: every version install for the key, inside the commit critical
+        #: section *before* the commit is published — so a snapshot that can
+        #: see a change can never validate an entry predating it, and
+        #: in-flight commits fail validation conservatively.  A valid entry
+        #: is a pure function of ``(key, snapshot)``: SIREAD/predicate
+        #: registration happens in the transaction layer before the engine
+        #: is asked, and an adjacency hit hands a tracking (SSI) reader the
+        #: exact keys the resolving path would have registered, so sharing
+        #: never skips read tracking.  Admission: :meth:`_publish_entry`.
+        self._adjacency_payloads: Dict[
+            int, Tuple[int, Tuple[EntityKey, ...], Sequence[object]]
+        ] = {}
         self._adjacency_stamp: Dict[int, int] = {}
-        #: Engine-level cache of resolved committed payloads, shared the same
-        #: way: ``key -> (built_ts, payload)`` under the same validity rule
-        #: (``_payload_stamp[key]`` is bumped by every version install for
-        #: the key, inside the commit critical section before publish).
-        #: SIREAD/predicate registration happens in the transaction layer
-        #: before the engine read rule runs, so the engine-level resolution
-        #: is a pure function of ``(key, snapshot)`` and sharing it never
-        #: skips read tracking.
         self._payload_cache: Dict[EntityKey, Tuple[int, Optional[object]]] = {}
         self._payload_stamp: Dict[EntityKey, int] = {}
         #: Vectorized-executor knobs (read by :mod:`repro.query` at execute
@@ -610,7 +584,10 @@ class SnapshotIsolationEngine(GraphEngine):
                 payload = None
             else:
                 payload = version.payload
-        self._store_committed_payload(key, start_ts, payload)
+        self._publish_entry(
+            self._payload_cache, self._payload_stamp, PAYLOAD_CACHE_LIMIT,
+            key, (start_ts, payload),
+        )
         return payload
 
     def read_committed_versions(
@@ -644,57 +621,58 @@ class SnapshotIsolationEngine(GraphEngine):
         chains = self.versions.get_many(
             miss_keys, lambda key: (lambda: self._load_persisted(key))
         )
-        store = self._store_committed_payload
+        publish = self._publish_entry
         for index, key, payload in zip(
             misses, miss_keys, resolve_payloads(chains, start_ts)
         ):
             results[index] = payload
-            store(key, start_ts, payload)
+            publish(cache, stamp, PAYLOAD_CACHE_LIMIT, key, (start_ts, payload))
         return results
 
-    def _store_committed_payload(
-        self, key: EntityKey, built_ts: int, payload: Optional[object]
-    ) -> None:
-        """Publish one resolved payload into the shared read cache."""
-        if not self.snapshot_read_cache:
-            return
-        cache = self._payload_cache
-        if key in cache or len(cache) < PAYLOAD_CACHE_LIMIT:
-            cache[key] = (built_ts, payload)
+    @staticmethod
+    def _publish_entry(cache, stamps, limit: int, key, entry: tuple) -> None:
+        """Admit ``entry`` (``built_ts`` first) for ``key`` into a shared
+        read cache — the one admission check of both entry kinds.
 
-    def _valid_adjacency_entry(
-        self, node_id: int, start_ts: int
-    ) -> Optional[_AdjacencyEntry]:
-        """The node's shared entry if it is valid for snapshot ``start_ts``:
-        built at or before it, and no relationship change touching the node
-        since the build (the one rule of ``_adjacency_payloads``)."""
-        entry = self._adjacency_payloads.get(node_id)
-        if entry is None or entry.built_ts > start_ts \
-                or self._adjacency_stamp.get(node_id, 0) > entry.built_ts:
-            return None
-        return entry
+        Dropped when it is invalid at birth (a change its snapshot cannot
+        see already stamped the key) or a valid entry stands that already
+        serves this snapshot; an older snapshot's build must never displace
+        an entry newer readers can still validate.  A valid build older than
+        a standing valid entry does replace it — nothing changed between
+        the two, so it serves every snapshot that one served and the
+        builder's own as well.
+        """
+        built_ts = entry[0]
+        stamp = stamps.get(key, 0)
+        if stamp > built_ts:
+            return
+        standing = cache.get(key)
+        if standing is None:
+            if len(cache) >= limit:
+                return
+        elif stamp <= standing[0] <= built_ts:
+            return
+        cache[key] = entry
 
     def cached_committed_adjacency(
-        self, node_id: int, variant: object, start_ts: int
+        self, node_id: int, start_ts: int
     ) -> Optional[Tuple[Sequence[object], Tuple[EntityKey, ...]]]:
         """``(payloads, read_keys)`` of ``node_id`` if cached and valid at
-        ``start_ts``.
+        ``start_ts``: built at or before it, and no relationship change
+        touching the node since the build.
 
-        ``variant`` selects the raw committed list (``None``) or a
-        ``(direction.value, types)`` projection of it; every variant of a node
-        shares the entry's stamp and its ``read_keys`` — the key of *every*
-        adjacency candidate, visible or not, which is what a resolving miss
-        registers as SIREADs.  A tracking caller registers those keys plus
-        the ``("adjacency", node_id)`` predicate; an untracked one ignores
-        them.
+        ``read_keys`` is the key of *every* adjacency candidate, visible or
+        not, which is what a resolving miss registers as SIREADs.  A
+        tracking caller registers those keys plus the ``("adjacency",
+        node_id)`` predicate; an untracked one ignores them.
         """
-        entry = self._valid_adjacency_entry(node_id, start_ts)
+        entry = self._adjacency_payloads.get(node_id)
         if entry is None:
             return None
-        payloads = entry.variants.get(variant)
-        if payloads is None:
+        built_ts, read_keys, payloads = entry
+        if built_ts > start_ts or self._adjacency_stamp.get(node_id, 0) > built_ts:
             return None
-        return payloads, entry.read_keys
+        return payloads, read_keys
 
     def store_adjacency_entry(
         self,
@@ -703,45 +681,12 @@ class SnapshotIsolationEngine(GraphEngine):
         payloads: Sequence[object],
         read_keys: Tuple[EntityKey, ...],
     ) -> None:
-        """Publish the raw adjacency of ``node_id`` as resolved from all its
-        candidates (``read_keys``) at snapshot ``built_ts``.
-
-        Stored unless a change this snapshot cannot see already touched the
-        node, or the node still has a valid entry — which then holds the same
-        list (nothing changed between the two builds) plus its projections.
-        """
-        if not self.snapshot_read_cache:
-            return
-        cache = self._adjacency_payloads
-        entry = cache.get(node_id)
-        stamp = self._adjacency_stamp.get(node_id, 0)
-        if stamp > built_ts or (entry is not None and stamp <= entry.built_ts):
-            return
-        if entry is not None or len(cache) < ADJACENCY_CACHE_LIMIT:
-            cache[node_id] = _AdjacencyEntry(built_ts, read_keys, {None: payloads})
-
-    def add_adjacency_variant(
-        self,
-        node_id: int,
-        variant: object,
-        snapshot_ts: int,
-        payloads: Sequence[object],
-    ) -> None:
-        """Attach a ``(direction.value, types)`` projection computed at
-        snapshot ``snapshot_ts`` to the node's entry, if that is valid there:
-        between the entry's build and such a snapshot the adjacency cannot
-        have changed, so the projection is the entry's own.
-
-        Without a valid entry the projection is dropped — only the raw
-        resolution knows the candidate keys an entry must carry; a later
-        transaction's raw miss publishes one.
-        """
-        entry = self._valid_adjacency_entry(node_id, snapshot_ts)
-        if entry is not None and (
-            variant in entry.variants
-            or len(entry.variants) <= ADJACENCY_VARIANT_LIMIT
-        ):
-            entry.variants[variant] = payloads
+        """Publish the adjacency of ``node_id`` as resolved from all its
+        candidates (``read_keys``) at snapshot ``built_ts``."""
+        self._publish_entry(
+            self._adjacency_payloads, self._adjacency_stamp, ADJACENCY_CACHE_LIMIT,
+            node_id, (built_ts, read_keys, payloads),
+        )
 
     def newest_committed_ts(self, key: EntityKey) -> Optional[int]:
         """Commit timestamp of the newest committed version of ``key``."""

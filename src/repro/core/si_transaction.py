@@ -10,14 +10,16 @@ Unlike the read-committed transaction it never takes read locks: the paper
 removes Neo4j's short read locks entirely because the version chains make
 them unnecessary.
 
-Because a snapshot is immutable, everything a transaction resolves from the
-*committed* state — point-lookup payloads and per-node adjacency lists — can
-be cached for the transaction's lifetime without any invalidation protocol:
-no commit, GC pass or chain swap can change what this snapshot sees.  The
-caches hold only committed resolutions; the private write set is overlaid on
-every read, so read-your-own-writes still holds for entities the transaction
-itself touches.  ``friends_of_friends``-style traversals, which revisit the
-same nodes across hops, stop re-resolving the same chains entirely.
+A transaction holds no copy of anything it read.  A committed read is a pure
+function of ``(key, start_ts)`` over a version chain, so repeatability comes
+from the read rule itself and read-your-own-writes from overlaying the
+private write set on every answer; neither needs a memo.  What this layer
+keeps is *bookkeeping* — the write set and, for tracked serializable
+transactions, the SIREAD/predicate registration done in :meth:`_note_reads`
+before the engine is asked.  *Resolved state* (payloads and per-node
+adjacency lists) lives only in the engine's shared, stamp-validated cache
+(:mod:`repro.core.si_manager`), under one validity rule for every
+transaction and isolation level.
 """
 
 from __future__ import annotations
@@ -37,14 +39,6 @@ from repro.graph.entity import (
 )
 from repro.graph.properties import PropertyValue
 from repro.index.property_index import hashable_value
-
-#: Sentinel distinguishing "cached as absent" from "not cached".
-_MISSING = object()
-
-#: Upper bound on entries per snapshot-local cache; a transaction that reads
-#: more distinct entities than this simply stops inserting (hits keep
-#: working), so a whole-store scan cannot balloon a long transaction.
-SNAPSHOT_CACHE_LIMIT = 65_536
 
 
 class SnapshotTransaction(EngineTransaction):
@@ -85,24 +79,8 @@ class SnapshotTransaction(EngineTransaction):
         self._created: Set[EntityKey] = set()
         #: Number of reads served (used by experiments).
         self.reads_performed = 0
-        #: Snapshot-local caches (safe because the snapshot is immutable);
-        #: ``None`` when the engine was opened with the cache disabled.
-        enabled = getattr(engine, "snapshot_read_cache", True)
-        self._payload_cache: Optional[Dict[EntityKey, object]] = {} if enabled else None
-        self._adjacency_cache: Optional[Dict[int, Tuple[RelationshipData, ...]]] = (
-            {} if enabled else None
-        )
-        #: Memo of *filtered* adjacency answers, ``variant -> node -> list``
-        #: with ``variant = (direction.value, types)``, valid only while the
-        #: write set is empty.  The raw adjacency cache above saves chain
-        #: resolution but a hit still pays the full direction/type filter
-        #: loop per call, which benchmarking showed costs as much as
-        #: re-resolving — this memo makes a repeat expansion a single dict
-        #: probe (see :meth:`relationships_of_many`).
-        self._filtered_adjacency_cache: Optional[
-            Dict[tuple, Dict[int, Sequence[RelationshipData]]]
-        ] = {} if enabled else None
-        #: Cache effectiveness counters (surfaced by bench_e11 and tests).
+        #: This transaction's lookups in the engine's shared adjacency
+        #: entries (surfaced by :meth:`snapshot_cache_stats`).
         self.snapshot_cache_hits = 0
         self.snapshot_cache_misses = 0
         #: Observability trace (set by the engine for sampled transactions).
@@ -123,9 +101,8 @@ class SnapshotTransaction(EngineTransaction):
     def _resolve(self, key: EntityKey) -> Optional[object]:
         """Read path shared by point reads, scans and index lookups.
 
-        Own writes win; committed resolutions are memoised per snapshot
-        (``None`` — absent or invisible — is cached too, since within one
-        snapshot that answer can never change).
+        Own writes win; everything else is the committed state the snapshot
+        selects.
         """
         self.reads_performed += 1
         if key in self._writes:
@@ -177,27 +154,15 @@ class SnapshotTransaction(EngineTransaction):
             handle.record.predicates.update(predicates)
 
     def _resolve_committed(self, key: EntityKey) -> Optional[object]:
-        """Committed-state resolution through the snapshot-local payload cache.
+        """Committed-state resolution: register the read, then apply the
+        engine's read rule.
 
         Shared by point reads (:meth:`_resolve`, after the own-writes check)
-        and scans, so a chain resolved while expanding a node is never
-        re-resolved by a later point read of the same entity — and vice
-        versa.  Own-write reads never reach this method and correctly
+        and scans.  Own-write reads never reach this method and correctly
         register nothing.
         """
         self._note_reads((key,))
-        cache = self._payload_cache
-        if cache is None:
-            return self._engine.read_committed_version(key, self.snapshot.start_ts)
-        cached = cache.get(key, _MISSING)
-        if cached is not _MISSING:
-            self.snapshot_cache_hits += 1
-            return cached
-        resolved = self._engine.read_committed_version(key, self.snapshot.start_ts)
-        self.snapshot_cache_misses += 1
-        if len(cache) < SNAPSHOT_CACHE_LIMIT:
-            cache[key] = resolved
-        return resolved
+        return self._engine.read_committed_version(key, self.snapshot.start_ts)
 
     # -- batch reads (vectorized executor) -----------------------------------
 
@@ -227,39 +192,9 @@ class SnapshotTransaction(EngineTransaction):
     def _resolve_committed_many(self, keys: Sequence[EntityKey]) -> List[Optional[object]]:
         """Batch committed-state resolution: the whole batch pays one read
         registration and one engine-level chain-resolution pass — the same
-        SIREADs and cache interactions as :meth:`_resolve_committed` per key,
-        just amortised."""
+        SIREADs as :meth:`_resolve_committed` per key, just amortised."""
         self._note_reads(keys)
-        return self._load_committed_many(keys)
-
-    def _load_committed_many(self, keys: Sequence[EntityKey]) -> List[Optional[object]]:
-        """Committed payloads of ``keys`` (already registered by the caller)
-        through the snapshot-local cache, misses in one engine visit."""
-        cache = self._payload_cache
-        start_ts = self.snapshot.start_ts
-        if cache is None:
-            return self._engine.read_committed_versions(keys, start_ts)
-        resolved: List[Optional[object]] = [None] * len(keys)
-        miss_keys: List[EntityKey] = []
-        miss_indexes: List[int] = []
-        hits = 0
-        for index, key in enumerate(keys):
-            cached = cache.get(key, _MISSING)
-            if cached is not _MISSING:
-                hits += 1
-                resolved[index] = cached
-            else:
-                miss_indexes.append(index)
-                miss_keys.append(key)
-        self.snapshot_cache_hits += hits
-        if miss_keys:
-            loaded = self._engine.read_committed_versions(miss_keys, start_ts)
-            self.snapshot_cache_misses += len(miss_keys)
-            for index, key, value in zip(miss_indexes, miss_keys, loaded):
-                resolved[index] = value
-                if len(cache) < SNAPSHOT_CACHE_LIMIT:
-                    cache[key] = value
-        return resolved
+        return self._engine.read_committed_versions(keys, self.snapshot.start_ts)
 
     def read_nodes_many(self, node_ids: Sequence[int]) -> List[Optional[NodeData]]:
         self.ensure_open()
@@ -378,12 +313,11 @@ class SnapshotTransaction(EngineTransaction):
         A resolved list is a pure function of (node, snapshot): a candidate
         added to the global adjacency index by a later committer resolves to
         a version newer than this snapshot (invisible), and GC never reclaims
-        a version an active snapshot can still select.  So it is served, in
-        order, from the snapshot-local cache (whose entries this transaction
-        already registered), from the engine's shared cache — entry =
-        payloads + the SIREAD keys that reading them implies; valid iff
-        ``built_ts <= S`` and the node's stamp ``<= built_ts`` — or by
-        resolving every adjacency candidate, which publishes such an entry.
+        a version an active snapshot can still select.  So it is served from
+        the engine's shared entry for the node — payloads + the SIREAD keys
+        that reading them implies; valid iff ``built_ts <= S`` and the node's
+        stamp ``<= built_ts`` — or by resolving every adjacency candidate,
+        which publishes such an entry.
 
         Hit or miss, the reads reported are the same: the key of every
         candidate relationship plus the ``("adjacency", node)`` predicate (a
@@ -391,43 +325,37 @@ class SnapshotTransaction(EngineTransaction):
         form an rw edge even though the new relationship id was never
         point-read) — in one bookkeeping visit for the whole batch.
         """
-        cache = self._adjacency_cache
+        if not node_ids:
+            return []
         engine = self._engine
         start_ts = self.snapshot.start_ts
         results: List[Optional[Tuple[RelationshipData, ...]]] = [None] * len(node_ids)
         read_keys: List[EntityKey] = []
-        predicates: List[tuple] = []
         misses: List[Tuple[int, int, Tuple[EntityKey, ...]]] = []
+        cached_adjacency = engine.cached_committed_adjacency
         candidate_rel_ids = engine.indexes.adjacency.candidate_rel_ids
         for index, node_id in enumerate(node_ids):
-            cached = cache.get(node_id) if cache is not None else None
-            if cached is None:
-                predicates.append(("adjacency", node_id))
-                shared = engine.cached_committed_adjacency(node_id, None, start_ts)
-                if shared is None:
-                    candidates = tuple(
-                        EntityKey.relationship(rel_id)
-                        for rel_id in sorted(candidate_rel_ids(node_id))
-                    )
-                    read_keys.extend(candidates)
-                    misses.append((index, node_id, candidates))
-                    continue
-                cached, candidates = shared
-                read_keys.extend(candidates)
-                if cache is not None and len(cache) < SNAPSHOT_CACHE_LIMIT:
-                    cache[node_id] = cached
-            self.snapshot_cache_hits += 1
-            # Keep the experiments' read counter consistent with the payload
-            # cache, which counts hits as served reads too.
-            self.reads_performed += len(cached)
-            results[index] = cached
-        if predicates:
-            self._note_reads(read_keys, predicates)
+            shared = cached_adjacency(node_id, start_ts)
+            if shared is None:
+                candidates = tuple(
+                    EntityKey.relationship(rel_id)
+                    for rel_id in sorted(candidate_rel_ids(node_id))
+                )
+                misses.append((index, node_id, candidates))
+            else:
+                adjacency, candidates = shared
+                self.reads_performed += len(adjacency)
+                results[index] = adjacency
+            read_keys.extend(candidates)
+        self.snapshot_cache_misses += len(misses)
+        self.snapshot_cache_hits += len(node_ids) - len(misses)
+        self._note_reads(
+            read_keys, [("adjacency", node_id) for node_id in node_ids]
+        )
         if misses:
-            # Through the snapshot-local payload cache: a relationship
-            # resolved here is free for later point reads of the same id.
-            resolved = self._load_committed_many(
-                [key for _index, _node_id, candidates in misses for key in candidates]
+            resolved = engine.read_committed_versions(
+                [key for _index, _node_id, candidates in misses for key in candidates],
+                start_ts,
             )
             cursor = 0
             for index, node_id, candidates in misses:
@@ -441,10 +369,6 @@ class SnapshotTransaction(EngineTransaction):
                 self.reads_performed += count
                 results[index] = adjacency
                 engine.store_adjacency_entry(node_id, start_ts, adjacency, candidates)
-                if cache is not None:
-                    self.snapshot_cache_misses += 1
-                    if len(cache) < SNAPSHOT_CACHE_LIMIT:
-                        cache[node_id] = adjacency
         return results  # type: ignore[return-value]
 
     def _overlay_and_filter(
@@ -508,67 +432,17 @@ class SnapshotTransaction(EngineTransaction):
         direction: Direction = Direction.BOTH,
         rel_types: Optional[Sequence[str]] = None,
     ) -> List[List[RelationshipData]]:
-        """Visible relationships of each node, resolved as one batch.
-
-        While the transaction has written nothing, the *filtered* answer is
-        as immutable as the snapshot, so it is memoised per ``(node,
-        direction, types)`` — snapshot-locally (a traversal revisiting a node
-        skips the overlay and filter loops; its reads are already registered)
-        and as a projection in the engine's shared entry for the node, whose
-        hits report the entry's SIREAD keys exactly as the raw path does (see
-        :meth:`_committed_adjacency_many`).
-        """
+        """Visible relationships of each node, resolved as one batch: the
+        write-set overlay and the direction/type filter applied to each
+        node's committed list (see :meth:`_committed_adjacency_many`)."""
         self.ensure_open()
         wanted_types = set(rel_types) if rel_types else None
-        memo = self._filtered_adjacency_cache
-        if memo is None or self._writes:
-            return [
-                self._overlay_and_filter(node_id, committed, direction, wanted_types)
-                for node_id, committed in zip(
-                    node_ids, self._committed_adjacency_many(node_ids)
-                )
-            ]
-        variant = (direction.value, tuple(rel_types) if rel_types else None)
-        memo = memo.setdefault(variant, {})
-        start_ts = self.snapshot.start_ts
-        cached_adjacency = self._engine.cached_committed_adjacency
-        results: List[Optional[List[RelationshipData]]] = []
-        read_keys: List[EntityKey] = []
-        predicates: List[tuple] = []
-        miss_indexes: List[int] = []
-        for node_id in node_ids:
-            cached = memo.get(node_id)
-            if cached is None:
-                shared = cached_adjacency(node_id, variant, start_ts)
-                if shared is None:
-                    miss_indexes.append(len(results))
-                    results.append(None)
-                    continue
-                cached, candidates = shared
-                read_keys.extend(candidates)
-                predicates.append(("adjacency", node_id))
-                if len(memo) < SNAPSHOT_CACHE_LIMIT:
-                    memo[node_id] = cached
-            self.snapshot_cache_hits += 1
-            self.reads_performed += len(cached)
-            results.append(list(cached))
-        if predicates:
-            self._note_reads(read_keys, predicates)
-        if miss_indexes:
-            miss_ids = [node_ids[index] for index in miss_indexes]
-            committed_lists = self._committed_adjacency_many(miss_ids)
-            for index, node_id, committed in zip(miss_indexes, miss_ids, committed_lists):
-                filtered = self._overlay_and_filter(
-                    node_id, committed, direction, wanted_types
-                )
-                self._engine.add_adjacency_variant(
-                    node_id, variant, start_ts, tuple(filtered)
-                )
-                if len(memo) < SNAPSHOT_CACHE_LIMIT:
-                    memo[node_id] = filtered
-                    filtered = list(filtered)
-                results[index] = filtered
-        return results  # type: ignore[return-value]
+        return [
+            self._overlay_and_filter(node_id, committed, direction, wanted_types)
+            for node_id, committed in zip(
+                node_ids, self._committed_adjacency_many(node_ids)
+            )
+        ]
 
     # ------------------------------------------------------------------
     # writes (write rule, first-updater-wins)
@@ -657,17 +531,13 @@ class SnapshotTransaction(EngineTransaction):
         return bool(self._writes)
 
     # ------------------------------------------------------------------
-    # snapshot-local cache introspection
+    # shared-cache introspection
     # ------------------------------------------------------------------
 
     def snapshot_cache_stats(self) -> Dict[str, int]:
-        """Effectiveness counters of the snapshot-local read caches."""
+        """How many of this transaction's adjacency lookups the engine's
+        shared entries answered (``hits``) or had to resolve (``misses``)."""
         return {
             "hits": self.snapshot_cache_hits,
             "misses": self.snapshot_cache_misses,
-            "payload_entries": len(self._payload_cache or ()),
-            "adjacency_entries": len(self._adjacency_cache or ()),
-            "filtered_adjacency_entries": sum(
-                len(memo) for memo in (self._filtered_adjacency_cache or {}).values()
-            ),
         }

@@ -178,15 +178,20 @@ class ObjectCache:
     # -- internal -------------------------------------------------------------
 
     def _evict_if_needed(self) -> None:
-        if len(self._entries) <= self._capacity:
+        excess = len(self._entries) - self._capacity
+        if excess <= 0:
             return
-        for key in list(self._entries.keys()):
-            if len(self._entries) <= self._capacity:
-                break
+        # Walk the LRU order only as far as needed; pinned and non-evictable
+        # entries are skipped, and nothing is deleted while iterating.
+        victims = []
+        for key, value in self._entries.items():
             if key in self._pinned:
                 continue
-            value = self._entries[key]
             if self._evictable is not None and not self._evictable(key, value):
                 continue
+            victims.append(key)
+            if len(victims) == excess:
+                break
+        for key in victims:
             del self._entries[key]
-            self.stats.evictions += 1
+        self.stats.evictions += len(victims)

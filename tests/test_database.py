@@ -1,8 +1,13 @@
 """Tests for the GraphDatabase facade."""
 
+import inspect
+import pathlib
+import re
+
 import pytest
 
 from repro import ConflictPolicy, GraphDatabase, IsolationLevel, ReproError
+from repro.api.runtime import EngineRuntime
 
 
 class TestConstruction:
@@ -41,6 +46,19 @@ class TestConstruction:
     def test_close_is_idempotent(self, si_db):
         si_db.close()
         si_db.close()
+
+    def test_readme_option_table_names_only_real_keywords(self):
+        """``GraphDatabase(**options)`` forwards to ``EngineRuntime``; the
+        README table must not advertise an option that no longer exists."""
+        readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+        _heading, _, rest = readme.read_text(encoding="utf-8").partition(
+            "Tuning knobs on `GraphDatabase`"
+        )
+        table = rest.split("\n## ", 1)[0]
+        options = re.findall(r"^\| `(\w+)` \|", table, flags=re.MULTILINE)
+        assert len(options) >= 8, "README option table not found"
+        keywords = inspect.signature(EngineRuntime.__init__).parameters
+        assert [name for name in options if name not in keywords] == []
 
 
 class TestMaintenance:

@@ -54,6 +54,28 @@ class TestObjectCache:
             cache.put(EntityKey.node(index), "normal")
         assert cache.get(EntityKey.node(0)) == "sticky"
 
+    def test_pinned_and_sticky_lru_heads_are_skipped_in_lru_order(self):
+        cache = ObjectCache(capacity=2, evictable=lambda key, value: value != "sticky")
+        keys = [EntityKey.node(index) for index in range(6)]
+        cache.put(keys[0], "pinned")
+        cache.pin(keys[0])
+        cache.put(keys[1], "sticky")
+        cache.put(keys[2], "a")
+        # Over capacity: the two LRU heads are skipped, the third goes.
+        assert keys[2] not in cache and cache.stats.evictions == 1
+        cache.pin(keys[3])
+        cache.put(keys[3], "also pinned")  # nothing evictable: stays over
+        assert list(cache.keys()) == [keys[0], keys[1], keys[3]]
+        assert cache.stats.evictions == 1
+        # Once the protected entries are ordinary again, one insert evicts
+        # everything beyond capacity, oldest first.
+        cache.unpin(keys[0])
+        cache.unpin(keys[3])
+        cache._evictable = None
+        cache.put(keys[4], "b")
+        assert list(cache.keys()) == [keys[3], keys[4]]
+        assert cache.stats.evictions == 3
+
     def test_get_or_create(self):
         cache = ObjectCache(capacity=4)
         key = EntityKey.node(1)

@@ -2,7 +2,8 @@
 
 Covers the copy-on-write version chains (reads succeed while the write lock
 is held — the paper's "readers never block" taken literally), GC racing the
-new chains, the snapshot-local adjacency/payload caches, the stats-epoch
+new chains, the engine's shared stamp-validated read cache (and the
+repeatability of reads with nothing memoised per snapshot), the stats-epoch
 plan cache, the configurable parse cache, token interning and the
 read-committed eager-unlock guard.
 """
@@ -15,7 +16,7 @@ import pytest
 from repro import GraphDatabase, IsolationLevel
 from repro.core.si_manager import SnapshotIsolationEngine
 from repro.core.version import Version, VersionChain
-from repro.graph.entity import EntityKey, NodeData
+from repro.graph.entity import Direction, EntityKey, NodeData
 from repro.graph.store_manager import StoreManager
 from repro.locking.lock_manager import LockManager, LockMode
 from repro.stats import CardinalityEpoch
@@ -229,18 +230,66 @@ class TestGcRacesCopyOnWriteChains:
         db.close()
 
 
-class TestSnapshotLocalCaches:
-    def test_point_lookup_payloads_are_cached_per_snapshot(self):
+class TestSharedReadCache:
+    def test_point_lookups_are_served_by_the_shared_payload_entry(self):
         db = GraphDatabase.in_memory()
         with db.transaction() as tx:
             alice = tx.create_node(["Person"], {"name": "Alice"})
+        key = EntityKey.node(alice.id)
         with db.transaction(read_only=True) as tx:
-            engine_txn = tx.engine_transaction
             for _ in range(5):
                 assert tx.get_node(alice.id).get("name") == "Alice"
-            stats = engine_txn.snapshot_cache_stats()
-            assert stats["hits"] >= 4
-            assert stats["payload_entries"] >= 1
+            # The transaction keeps nothing; the engine holds the one entry.
+            built_ts, payload = db.engine._payload_cache[key]
+            assert built_ts == tx.engine_transaction.start_ts
+            assert payload.properties["name"] == "Alice"
+        db.close()
+
+    def test_old_snapshot_does_not_clobber_a_valid_shared_payload_entry(self):
+        db = GraphDatabase.in_memory()
+        with db.transaction() as tx:
+            node = tx.create_node(["P"], {"v": "old"})
+        key = EntityKey.node(node.id)
+        old_reader = db.transaction(read_only=True)
+        with db.transaction() as tx:
+            tx.set_node_property(node, "v", "new")
+        with db.transaction(read_only=True) as tx:
+            assert tx.get_node(node.id).get("v") == "new"
+        entry = db.engine._payload_cache[key]
+        # The old snapshot resolves its own version and leaves the entry be.
+        assert old_reader.get_node(node.id).get("v") == "old"
+        old_reader.rollback()
+        assert db.engine._payload_cache[key] is entry
+        # The next fresh reader is answered by it: the version store is not
+        # consulted at all.
+        lookups = db.statistics()["object_cache"]
+        with db.transaction(read_only=True) as tx:
+            assert tx.get_node(node.id).get("v") == "new"
+        after = db.statistics()["object_cache"]
+        assert (after["hits"], after["misses"]) == (lookups["hits"], lookups["misses"])
+        db.close()
+
+    def test_earlier_build_with_nothing_changed_since_widens_the_entry(self):
+        """White-box: the admission rule keeps whichever valid entry serves
+        more snapshots, so a long reader is not locked out of the cache by
+        entries that newer snapshots built."""
+        db = GraphDatabase.in_memory()
+        with db.transaction() as tx:
+            node = tx.create_node(["P"], {"v": 1})
+            other = tx.create_node(["P"], {"v": 1})
+        key = EntityKey.node(node.id)
+        long_reader = db.transaction(read_only=True)
+        with db.transaction() as tx:
+            tx.set_node_property(other, "v", 2)  # advances time, not ``node``
+        with db.transaction(read_only=True) as tx:
+            tx.get_node(node.id)
+            assert db.engine._payload_cache[key][0] == tx.engine_transaction.start_ts
+        long_reader.get_node(node.id)
+        assert db.engine._payload_cache[key][0] == long_reader.engine_transaction.start_ts
+        with db.transaction(read_only=True) as tx:  # still valid for newer ones
+            tx.get_node(node.id)
+            assert db.engine._payload_cache[key][0] == long_reader.engine_transaction.start_ts
+        long_reader.rollback()
         db.close()
 
     def test_adjacency_cache_overlays_own_writes(self):
@@ -288,15 +337,83 @@ class TestSnapshotLocalCaches:
             assert len(tx.relationships_of(hub)) == 4
         db.close()
 
-    def test_snapshot_read_cache_can_be_disabled(self):
-        db = GraphDatabase.in_memory(snapshot_read_cache=False)
+    @pytest.mark.parametrize(
+        "isolation", [IsolationLevel.SNAPSHOT, IsolationLevel.SERIALIZABLE]
+    )
+    def test_reads_repeat_with_no_memo_underneath(self, isolation):
+        """One long reader; before each of its reads a writer commits to the
+        same hub, which invalidates every shared entry the reader could hit,
+        and GC runs.  Repeatability has to come from the read rule alone."""
+        db = GraphDatabase.in_memory(isolation=isolation, gc_every_n_commits=1)
         with db.transaction() as tx:
-            node = tx.create_node(["P"], {"name": "n"})
+            hub = tx.create_node(["Hub"], {"v": 0})
+            spokes = [tx.create_node(["Spoke"], {"i": i}) for i in range(8)]
+            rels = [
+                tx.create_relationship(hub, spoke, "KNOWS") if i % 2
+                else tx.create_relationship(spoke, hub, "LIKES" if i % 4 else "KNOWS")
+                for i, spoke in enumerate(spokes)
+            ]
+        doomed_rels = [rel.id for rel in rels[:3]]
+        doomed_spokes = [spoke.id for spoke in spokes[5:]]
+
+        def update_property(tx):
+            tx.set_node_property(hub, "v", tx.get_node(hub).get("v") + 1)
+
+        def create_relationship(tx):
+            tx.create_relationship(hub, tx.create_node(["Spoke"]), "KNOWS")
+
+        def delete_relationship(tx):
+            tx.delete_relationship(doomed_rels.pop())
+
+        def delete_neighbour(tx):
+            tx.delete_node(doomed_spokes.pop(), detach=True)
+
+        writes = [create_relationship, update_property, delete_relationship,
+                  delete_neighbour]
+
+        # Read-write, so the serializable reader is tracked.
+        reader = db.begin()
+
+        def expansion(direction=Direction.BOTH, types=None):
+            return lambda: [
+                (rel.id, rel.type, rel.other_node_id(hub.id))
+                for rel in reader.relationships_of(hub, direction, types)
+            ]
+
+        reads = [
+            lambda: dict(reader.get_node(hub).properties),
+            lambda: [dict(reader.get_node(spoke).properties) for spoke in spokes],
+            expansion(),
+            expansion(Direction.OUTGOING),
+            expansion(Direction.INCOMING),
+            expansion(Direction.BOTH, ["KNOWS"]),
+            expansion(Direction.INCOMING, ["KNOWS", "LIKES"]),
+        ]
+        first = [read() for read in reads]
+        assert len(first[2]) == 8 and len(first[5]) == 6
+        warm = reader.engine_transaction.snapshot_cache_stats()
+        commits = 0
+        for _round in range(2):
+            for read, expected in zip(reads, first):
+                with db.transaction() as tx:
+                    writes[commits % len(writes)](tx)
+                commits += 1
+                assert read() == expected
+        assert not doomed_rels and not doomed_spokes
+        stats = reader.engine_transaction.snapshot_cache_stats()
+        # No entry a newer snapshot built can serve this one.
+        assert stats["hits"] == warm["hits"] and stats["misses"] > warm["misses"]
+        # GC ran after every commit, held back only by this reader.
+        held = db.statistics()["engine"]["gc"]
+        assert held["watermark"] == reader.engine_transaction.start_ts
+        reader.rollback()
+        with db.transaction() as tx:
+            update_property(tx)
+        assert db.statistics()["engine"]["gc"]["versions_collected"] > \
+            held["versions_collected"]
         with db.transaction(read_only=True) as tx:
-            for _ in range(3):
-                tx.get_node(node.id)
-            stats = tx.engine_transaction.snapshot_cache_stats()
-            assert stats["hits"] == 0 and stats["misses"] == 0
+            assert tx.get_node(hub).get("v") == 5
+            assert len(tx.relationships_of(hub)) == 8 + 4 - 3 - 3
         db.close()
 
 

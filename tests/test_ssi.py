@@ -225,10 +225,11 @@ class TestSharedAdjacencyCacheTracksReads:
     """The engine's adjacency cache serves tracked readers: a hit registers
     exactly the SIREADs and predicates a resolving miss registers."""
 
-    #: ``None`` is the raw committed list (reached once the transaction has
-    #: written something); the rest are ``(direction.value, types)``
-    #: projections, as the engine cache keys them.
-    VARIANTS = [
+    #: ``None`` is the raw committed list as the engine transaction hands it
+    #: to the overlay (read here after the transaction has written
+    #: something, so the overlay runs too); the rest are ``(direction.value,
+    #: types)`` filtered calls over the same shared entry.
+    CALLS = [
         pytest.param(None, id="raw"),
         pytest.param(("both", None), id="both"),
         pytest.param(("outgoing", None), id="outgoing"),
@@ -252,16 +253,16 @@ class TestSharedAdjacencyCacheTracksReads:
         return hub.id, doomed.id
 
     @staticmethod
-    def _expand(db, hub_id, variant):
+    def _expand(db, hub_id, call):
         """One tracked expansion; returns (rel ids, SIREAD keys, predicates,
         cache stats)."""
         tx = db.begin()
         try:
-            if variant is None:
-                tx.create_node()  # a write: the raw path, no filtered memo
+            if call is None:
+                tx.create_node()
                 rels = tx.relationships_of(hub_id)
             else:
-                rels = tx.relationships_of(hub_id, Direction(variant[0]), variant[1])
+                rels = tx.relationships_of(hub_id, Direction(call[0]), call[1])
             record = tx.engine_transaction.cc_record
             return (
                 [rel.id for rel in rels],
@@ -272,24 +273,24 @@ class TestSharedAdjacencyCacheTracksReads:
         finally:
             tx.rollback()
 
-    @pytest.mark.parametrize("variant", VARIANTS)
-    def test_hit_registers_what_a_miss_registers(self, variant):
+    @pytest.mark.parametrize("call", CALLS)
+    def test_hit_registers_what_a_miss_registers(self, call):
         from repro.graph.entity import EntityKey
 
         db = GraphDatabase.in_memory(isolation=IsolationLevel.SERIALIZABLE)
         hub_id, deleted_rel_id = self._hub(db)
         engine = db.engine
         start_ts = engine.oracle.latest_commit_ts
-        assert engine.cached_committed_adjacency(hub_id, variant, start_ts) is None
+        assert engine.cached_committed_adjacency(hub_id, start_ts) is None
         cold_rels, cold_keys, cold_predicates, cold_stats = self._expand(
-            db, hub_id, variant
+            db, hub_id, call
         )
-        assert cold_stats["misses"] > 0
-        assert engine.cached_committed_adjacency(hub_id, variant, start_ts) is not None
+        assert cold_stats == {"hits": 0, "misses": 1}
+        assert engine.cached_committed_adjacency(hub_id, start_ts) is not None
         warm_rels, warm_keys, warm_predicates, warm_stats = self._expand(
-            db, hub_id, variant
+            db, hub_id, call
         )
-        assert warm_stats["misses"] == 0 and warm_stats["hits"] > 0
+        assert warm_stats == {"hits": 1, "misses": 0}
         assert warm_rels == cold_rels and deleted_rel_id not in warm_rels
         assert warm_keys == cold_keys
         assert warm_predicates == cold_predicates == {("adjacency", hub_id)}
@@ -298,45 +299,59 @@ class TestSharedAdjacencyCacheTracksReads:
         assert len(warm_keys) == 4
         db.close()
 
+    def test_filtered_calls_share_the_one_raw_entry(self):
+        """Whichever call resolves first publishes the entry every other
+        ``(direction, types)`` call then filters."""
+        db = GraphDatabase.in_memory(isolation=IsolationLevel.SERIALIZABLE)
+        hub_id, _deleted = self._hub(db)
+        _rels, cold_keys, _predicates, cold_stats = self._expand(
+            db, hub_id, ("incoming", ("LIKES",))
+        )
+        assert cold_stats["misses"] == 1
+        sizes = {}
+        for call in (None, ("both", None), ("outgoing", None), ("both", ("KNOWS",))):
+            rels, keys, predicates, stats = self._expand(db, hub_id, call)
+            assert stats == {"hits": 1, "misses": 0}
+            assert keys == cold_keys and predicates == {("adjacency", hub_id)}
+            sizes[call] = len(rels)
+        assert sizes == {
+            None: 3, ("both", None): 3, ("outgoing", None): 1, ("both", ("KNOWS",)): 2,
+        }
+        db.close()
+
     def test_entry_invalidated_by_a_commit_falls_back_to_resolving(self):
         db = GraphDatabase.in_memory(isolation=IsolationLevel.SERIALIZABLE)
         hub_id, _deleted = self._hub(db)
-        variant = ("both", None)
-        self._expand(db, hub_id, variant)  # warm
+        call = ("both", None)
+        self._expand(db, hub_id, call)  # warm
         with db.transaction() as tx:
             tx.create_relationship(hub_id, tx.create_node(), "KNOWS")
-        rels, keys, _predicates, stats = self._expand(db, hub_id, variant)
+        rels, keys, _predicates, stats = self._expand(db, hub_id, call)
         assert len(rels) == 4 and len(keys) == 5
         assert stats["misses"] > 0  # the stale entry failed validation
         db.close()
 
-    def test_projections_join_only_a_valid_entry_and_are_capped(self):
-        """White-box: only the raw resolution can start an entry (it knows
-        the candidate keys); a projection joins a valid one, up to the cap."""
-        from repro.core.si_manager import ADJACENCY_VARIANT_LIMIT
-
+    def test_stale_build_is_not_published(self):
+        """White-box: a build that cannot see the newest change to the node
+        is dropped and displaces nothing; neither does a build a standing
+        valid entry already serves."""
         db = GraphDatabase.in_memory(isolation=IsolationLevel.SERIALIZABLE)
         hub_id, _deleted = self._hub(db)
         engine = db.engine
-        start_ts = engine.oracle.latest_commit_ts
-        engine.add_adjacency_variant(hub_id, ("both", None), start_ts, ())
-        assert engine.cached_committed_adjacency(hub_id, ("both", None), start_ts) is None
-        for types in (None, ("KNOWS",), ("LIKES",), ("KNOWS", "LIKES"), ("X",), ("Y",)):
-            self._expand(db, hub_id, ("both", types))
+        stale_ts = engine.oracle.latest_commit_ts
+        self._expand(db, hub_id, ("both", None))
         entry = engine._adjacency_payloads[hub_id]
-        assert len(entry.variants) == 1 + ADJACENCY_VARIANT_LIMIT
-        # Past the cap a projection is recomputed, never wrong.
-        rels, keys, _predicates, _stats = self._expand(db, hub_id, ("both", ("Y",)))
-        assert rels == [] and len(keys) == 4
-        # A build that cannot see the newest change to the node is not stored
-        # and does not displace anything.
         with db.transaction() as tx:
             tx.create_relationship(hub_id, tx.create_node(), "KNOWS")
-        engine.store_adjacency_entry(hub_id, start_ts, (), ())
+        latest_ts = engine.oracle.latest_commit_ts
+        engine.store_adjacency_entry(hub_id, stale_ts, (), ())
         assert engine._adjacency_payloads[hub_id] is entry
-        assert engine.cached_committed_adjacency(
-            hub_id, None, engine.oracle.latest_commit_ts
-        ) is None
+        assert engine.cached_committed_adjacency(hub_id, latest_ts) is None
+        self._expand(db, hub_id, ("both", None))
+        fresh = engine._adjacency_payloads[hub_id]
+        assert fresh is not entry and fresh[0] == latest_ts
+        engine.store_adjacency_entry(hub_id, latest_ts, (), ())
+        assert engine._adjacency_payloads[hub_id] is fresh
         db.close()
 
     @pytest.mark.parametrize("writer_first", [False, True],
