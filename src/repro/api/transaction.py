@@ -47,6 +47,7 @@ from repro.graph.properties import (
     validate_property_key,
     validate_property_value,
 )
+from repro.index.property_index import hashable_value
 
 #: Anything accepted where a node is expected: a handle or a raw id.
 NodeLike = Union["Node", int]
@@ -388,6 +389,12 @@ class Transaction:
         With no arguments every visible node is returned.  Results are sorted
         by node id so repeated scans are comparable (the phantom experiment
         relies on that).
+
+        A label *and* a property predicate together are a seek: candidates
+        come from whichever of the two index entries is smaller and both
+        conjuncts are checked on the node states read for the result — the
+        states this transaction sees, own writes included — so the larger
+        entry (typically the whole label set) is never materialised.
         """
         if key is None and value is not None:
             raise ValueError("find_nodes with a property value requires a key")
@@ -396,13 +403,18 @@ class Transaction:
         if key is not None and value is None:
             raise ValueError("find_nodes with a property key requires a value")
         if label is not None and key is not None:
-            ids = self._txn.find_nodes_by_label(label) & self._txn.find_nodes_by_property(
-                key, value
-            )
-        elif label is not None:
+            candidates = self._txn.node_seek_candidates(label, key, value)
+            wanted = hashable_value(value)
+            return [
+                Node(self, data)
+                for data in self._txn.read_nodes_many(sorted(candidates))
+                if data is not None
+                and label in data.labels
+                and hashable_value(data.properties.get(key)) == wanted
+            ]
+        if label is not None:
             ids = self._txn.find_nodes_by_label(label)
         else:
-            assert key is not None
             ids = self._txn.find_nodes_by_property(key, value)
         return self.nodes_by_ids(sorted(ids))
 
@@ -543,7 +555,8 @@ class Transaction:
 
         Mirrors :meth:`find_nodes`: ``rel_type`` uses the relationship-type
         index, ``key``/``value`` the relationship-property index, and giving
-        both intersects the two lookups.  Results are sorted by id.
+        both is a seek over the smaller of the two entries.  Results are
+        sorted by id and resolved as one batch read.
         """
         if key is None and rel_type is None:
             raise ValueError("find_relationships needs a property predicate or rel_type")
@@ -551,18 +564,20 @@ class Transaction:
             raise ValueError("find_relationships with a property key requires a value")
         if key is None and value is not None:
             raise ValueError("find_relationships with a property value requires a key")
-        ids: Optional[Set[int]] = None
-        if rel_type is not None:
+        if key is None:
             ids = self._txn.find_relationships_by_type(rel_type)
-        if key is not None:
-            property_ids = self._txn.find_relationships_by_property(key, value)
-            ids = property_ids if ids is None else ids & property_ids
-        result = []
-        for rel_id in sorted(ids):
-            data = self._txn.read_relationship(rel_id)
-            if data is not None:
-                result.append(Relationship(self, data))
-        return result
+        elif rel_type is None:
+            ids = self._txn.find_relationships_by_property(key, value)
+        else:
+            ids = self._txn.relationship_seek_candidates(rel_type, key, value)
+        wanted = hashable_value(value)
+        return [
+            Relationship(self, data)
+            for data in self._txn.read_relationships_many(sorted(ids))
+            if data is not None
+            and (rel_type is None or data.rel_type == rel_type)
+            and (key is None or hashable_value(data.properties.get(key)) == wanted)
+        ]
 
     def relationships_of(
         self,

@@ -25,6 +25,16 @@ head only while ``reclaim_ts <= watermark`` and never looks at a version
 that must be retained — the property the paper claims for its threaded
 list, and the property benchmark E5 compares against the full-scan vacuum
 baseline.
+
+The versioned indexes keep the same promise for their membership intervals:
+each shard threads an interval onto a queue ordered by ``removed_ts`` when it
+closes, and ``indexes.purge(watermark)`` at the end of a pass pops that queue
+the way ``pop_reclaimable`` pops this list.  A pass therefore costs the
+versions and intervals it reclaims — :attr:`GcStats.versions_examined` and
+:attr:`GcStats.index_intervals_examined` count exactly those — however many
+the store and the indexes hold.  Purging a deleted entity needs no index
+sweep either: its intervals closed at the tombstone's timestamp, so the pass
+that reclaims the tombstone finds them at the head of the queues.
 """
 
 from __future__ import annotations
@@ -49,6 +59,9 @@ class GcStats:
     versions_examined: int = 0
     versions_collected: int = 0
     entities_purged: int = 0
+    #: Closed index intervals popped from the purge queues, and how many of
+    #: them were dropped (the rest were already gone).
+    index_intervals_examined: int = 0
     index_intervals_purged: int = 0
     cc_entries_reclaimed: int = 0
     duration_seconds: float = 0.0
@@ -60,6 +73,7 @@ class GcStats:
             "versions_examined": self.versions_examined,
             "versions_collected": self.versions_collected,
             "entities_purged": self.entities_purged,
+            "index_intervals_examined": self.index_intervals_examined,
             "index_intervals_purged": self.index_intervals_purged,
             "cc_entries_reclaimed": self.cc_entries_reclaimed,
             "duration_seconds": self.duration_seconds,
@@ -209,7 +223,10 @@ class GarbageCollector:
             stats.versions_examined = len(reclaimable)
             for version in reclaimable:
                 stats.versions_collected += self._reclaim(version, stats)
-            stats.index_intervals_purged = self.indexes.purge(stats.watermark)
+            (
+                stats.index_intervals_examined,
+                stats.index_intervals_purged,
+            ) = self.indexes.purge(stats.watermark)
             if self.cc_policy is not None:
                 stats.cc_entries_reclaimed = self.cc_policy.reclaim(
                     stats.watermark,
@@ -241,8 +258,8 @@ class GarbageCollector:
             return 0
         if not version.is_tombstone:
             # If this payload-carrying version is being dropped because the
-            # entity was deleted, remove its traces from the versioned indexes
-            # and the adjacency map while the payload is still at hand.
+            # entity was deleted, remove its traces from the adjacency map
+            # while the payload is still at hand.
             if newest is not None and newest.is_tombstone:
                 self._purge_entity_payload(version, stats)
         else:
@@ -265,6 +282,7 @@ class GarbageCollector:
         self.total_stats.versions_examined += stats.versions_examined
         self.total_stats.versions_collected += stats.versions_collected
         self.total_stats.entities_purged += stats.entities_purged
+        self.total_stats.index_intervals_examined += stats.index_intervals_examined
         self.total_stats.index_intervals_purged += stats.index_intervals_purged
         self.total_stats.cc_entries_reclaimed += stats.cc_entries_reclaimed
         self.total_stats.duration_seconds += stats.duration_seconds

@@ -777,6 +777,10 @@ class SnapshotIsolationEngine(GraphEngine):
         """Relationships currently of ``rel_type`` in O(1)."""
         return self.indexes.relationship_types.count(rel_type)
 
+    def count_relationships_with_property(self, key: str, value) -> int:
+        """Relationships currently holding ``key`` = ``value`` in O(1)."""
+        return self.indexes.relationship_properties.count(key, value)
+
     def cardinalities(self) -> Dict[str, Dict[str, int]]:
         """Per-label and per-type current cardinalities (stats surface)."""
         return {

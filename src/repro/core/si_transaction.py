@@ -248,20 +248,66 @@ class SnapshotTransaction(EngineTransaction):
     def find_nodes_by_label(self, label: str) -> Set[int]:
         self.ensure_open()
         self._note_reads(predicates=(("label", label),))
-        result = self._engine.indexes.node_labels.visible(label, self.snapshot.start_ts)
-        return self._overlay_nodes(result, lambda node: label in node.labels)
+        return self._nodes_with_label(label)
 
     def find_nodes_by_property(self, key: str, value: PropertyValue) -> Set[int]:
         self.ensure_open()
         self._note_reads(predicates=(("node_prop", key, hashable_value(value)),))
+        return self._nodes_with_property(key, value)
+
+    def node_seek_candidates(
+        self, label: str, key: str, value: PropertyValue
+    ) -> Set[int]:
+        self.ensure_open()
+        self._note_reads(
+            predicates=(("label", label), ("node_prop", key, hashable_value(value)))
+        )
+        engine = self._engine
+        if engine.count_nodes_with_label(label) <= engine.count_nodes_with_property(
+            key, value
+        ):
+            return self._nodes_with_label(label)
+        return self._nodes_with_property(key, value)
+
+    def find_relationships_by_property(self, key: str, value: PropertyValue) -> Set[int]:
+        self.ensure_open()
+        self._note_reads(predicates=(("rel_prop", key, hashable_value(value)),))
+        return self._relationships_with_property(key, value)
+
+    def find_relationships_by_type(self, rel_type: str) -> Set[int]:
+        """Ids of visible relationships of ``rel_type`` (snapshot-consistent)."""
+        self.ensure_open()
+        self._note_reads(predicates=(("rel_type", rel_type),))
+        return self._relationships_of_type(rel_type)
+
+    def relationship_seek_candidates(
+        self, rel_type: str, key: str, value: PropertyValue
+    ) -> Set[int]:
+        self.ensure_open()
+        self._note_reads(
+            predicates=(("rel_type", rel_type), ("rel_prop", key, hashable_value(value)))
+        )
+        engine = self._engine
+        if engine.count_relationships_of_type(
+            rel_type
+        ) <= engine.count_relationships_with_property(key, value):
+            return self._relationships_of_type(rel_type)
+        return self._relationships_with_property(key, value)
+
+    # One index entry at this snapshot with the private write set overlaid;
+    # the callers above have registered the predicate(s) being evaluated.
+
+    def _nodes_with_label(self, label: str) -> Set[int]:
+        result = self._engine.indexes.node_labels.visible(label, self.snapshot.start_ts)
+        return self._overlay_nodes(result, lambda node: label in node.labels)
+
+    def _nodes_with_property(self, key: str, value: PropertyValue) -> Set[int]:
         result = self._engine.indexes.node_properties.visible(
             key, value, self.snapshot.start_ts
         )
         return self._overlay_nodes(result, lambda node: node.properties.get(key) == value)
 
-    def find_relationships_by_property(self, key: str, value: PropertyValue) -> Set[int]:
-        self.ensure_open()
-        self._note_reads(predicates=(("rel_prop", key, hashable_value(value)),))
+    def _relationships_with_property(self, key: str, value: PropertyValue) -> Set[int]:
         result = self._engine.indexes.relationship_properties.visible(
             key, value, self.snapshot.start_ts
         )
@@ -269,10 +315,7 @@ class SnapshotTransaction(EngineTransaction):
             result, lambda rel: rel.properties.get(key) == value
         )
 
-    def find_relationships_by_type(self, rel_type: str) -> Set[int]:
-        """Ids of visible relationships of ``rel_type`` (snapshot-consistent)."""
-        self.ensure_open()
-        self._note_reads(predicates=(("rel_type", rel_type),))
+    def _relationships_of_type(self, rel_type: str) -> Set[int]:
         result = self._engine.indexes.relationship_types.visible(
             rel_type, self.snapshot.start_ts
         )

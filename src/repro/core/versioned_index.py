@@ -16,41 +16,80 @@ records its creation timestamp so a whole key created after the reader's
 snapshot can be discarded without touching its entry list — exactly the
 shortcut the paper describes.
 
-Garbage collection calls :meth:`purge` with the watermark to drop intervals
-that no active snapshot can select any more.
+Every operation costs what it touches, not what the index holds:
+
+* **Lookup.**  Visibility is a test applied to the members of *one* entry.
+  A conjunctive lookup (label + property, type + property) reads only the
+  smaller entry and checks the other conjunct on the entity states it
+  resolves anyway (:meth:`SnapshotTransaction.node_seek_candidates
+  <repro.core.si_transaction.SnapshotTransaction.node_seek_candidates>`), so
+  a large label set is materialised for label *scans* only.
+* **Garbage collection.**  The paper threads versions onto a list sorted by
+  timestamp so collection traverses "just those versions that must be garbage
+  collected"; index intervals get the same treatment.  Closing an interval
+  threads ``(removed_ts, index_key, entity_id)`` onto its shard's queue,
+  ordered by ``removed_ts``, and :meth:`_VersionedKeyedIndex.purge` pops only
+  the head entries at or below the watermark — an interval that must be
+  retained, and every open one, is never visited.  A deleted entity needs no
+  separate sweep: the delete closes all of its intervals at the tombstone's
+  timestamp, so the pass that reclaims the tombstone pops them too.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Set, Tuple
+from collections import deque
+from typing import Deque, Dict, Hashable, List, Mapping, Optional, Set, Tuple, Union
 
 from repro.graph.entity import NodeData, RelationshipData
 from repro.graph.properties import PropertyValue
 from repro.index.property_index import hashable_value
 
-#: Sentinel meaning "the entry has not been removed".
-_OPEN = None
+#: One membership interval: a bare ``created_ts`` while it is open,
+#: ``(created_ts, removed_ts)`` once closed.
+_Interval = Union[int, Tuple[int, int]]
+
+
+def _covers(held: Union[Tuple[int, int], List[_Interval]], start_ts: int) -> bool:
+    """Whether a closed interval, or any of a list of intervals, contains ``start_ts``."""
+    if type(held) is tuple:
+        return held[0] <= start_ts < held[1]
+    return any(
+        interval <= start_ts if type(interval) is int else _covers(interval, start_ts)
+        for interval in held
+    )
 
 
 class VersionedEntrySet:
     """Per-index-key membership with ``[created_ts, removed_ts)`` intervals."""
 
+    __slots__ = ("_intervals", "_open_count", "_visible_cache", "_change_ts")
+
     def __init__(self) -> None:
-        self._intervals: Dict[int, List[List[Optional[int]]]] = {}
+        #: entity id -> what it holds.  Nearly every entity has exactly one
+        #: interval, so that case is stored flat — the interval itself — and
+        #: only an entity re-added after a removal gets a list of intervals
+        #: (oldest first; only the last can be open).
+        self._intervals: Dict[int, Union[_Interval, List[_Interval]]] = {}
         #: Number of entities whose newest interval is still open.  Maintained
         #: incrementally so current-cardinality reads are O(1) (no set copy) —
-        #: the query planner's cost estimates hit this on every MATCH.
+        #: the query planner's cost estimates and the conjunctive seek's
+        #: choice of driving entry hit this on every MATCH.
         self._open_count = 0
         #: Memoised interval scan: ``(built_ts, members)`` — the result of
         #: ``visible(built_ts)``.  Valid for a snapshot ``S`` iff
         #: ``built_ts <= S`` and no interval changed since ``built_ts``
         #: (``_change_ts``, bumped by every add/remove before the owning
         #: commit publishes — so a snapshot that can see a change never
-        #: validates an entry predating it).  Turns the per-lookup
-        #: O(members × intervals) scan into a set copy on the hot path.
+        #: validates an entry predating it).  Turns a label or type scan's
+        #: O(members) interval tests into a set copy; an entry set with a
+        #: single member is cheaper to scan than to memoise and keeps none.
         self._visible_cache: Optional[Tuple[int, frozenset]] = None
         self._change_ts = 0
+
+    def __len__(self) -> int:
+        """Number of entities holding at least one interval."""
+        return len(self._intervals)
 
     def add(self, entity_id: int, commit_ts: int) -> None:
         """Record that the entity acquired this index key at ``commit_ts``.
@@ -59,26 +98,36 @@ class VersionedEntrySet:
         still open) is a no-op, so membership semantics hold even if a caller
         reports the same association twice.
         """
-        intervals = self._intervals.setdefault(entity_id, [])
-        if intervals and intervals[-1][1] is _OPEN:
+        held = self._intervals.get(entity_id)
+        if held is None:
+            self._intervals[entity_id] = commit_ts
+        elif type(held) is tuple:
+            self._intervals[entity_id] = [held, commit_ts]
+        elif type(held) is list and type(held[-1]) is tuple:
+            held.append(commit_ts)
+        else:
             return
         if commit_ts > self._change_ts:
             self._change_ts = commit_ts
-        intervals.append([commit_ts, _OPEN])
         self._open_count += 1
 
-    def mark_removed(self, entity_id: int, commit_ts: int) -> None:
-        """Record that the entity lost this index key at ``commit_ts``."""
-        intervals = self._intervals.get(entity_id)
-        if not intervals:
-            return
-        for interval in reversed(intervals):
-            if interval[1] is _OPEN:
-                if commit_ts > self._change_ts:
-                    self._change_ts = commit_ts
-                interval[1] = commit_ts
-                self._open_count -= 1
-                return
+    def mark_removed(self, entity_id: int, commit_ts: int) -> bool:
+        """Record that the entity lost this index key at ``commit_ts``.
+
+        Returns whether an open interval was closed (the caller threads it
+        onto the purge queue).
+        """
+        held = self._intervals.get(entity_id)
+        if type(held) is int:
+            self._intervals[entity_id] = (held, commit_ts)
+        elif type(held) is list and type(held[-1]) is int:
+            held[-1] = (held[-1], commit_ts)
+        else:
+            return False
+        if commit_ts > self._change_ts:
+            self._change_ts = commit_ts
+        self._open_count -= 1
+        return True
 
     def visible(self, start_ts: int) -> Set[int]:
         """Entities whose membership interval contains ``start_ts``."""
@@ -87,22 +136,13 @@ class VersionedEntrySet:
             built_ts, cached_members = cached
             if built_ts <= start_ts and self._change_ts <= built_ts:
                 return set(cached_members)
-        members: Set[int] = set()
-        for entity_id, intervals in self._intervals.items():
-            for created_ts, removed_ts in intervals:
-                if created_ts <= start_ts and (removed_ts is _OPEN or removed_ts > start_ts):
-                    members.add(entity_id)
-                    break
-        if self._change_ts <= start_ts:
+        members = {
+            entity_id
+            for entity_id, held in self._intervals.items()
+            if (held <= start_ts if type(held) is int else _covers(held, start_ts))
+        }
+        if len(self._intervals) > 1 and self._change_ts <= start_ts:
             self._visible_cache = (start_ts, frozenset(members))
-        return members
-
-    def current(self) -> Set[int]:
-        """Entities whose newest interval is still open (the latest state)."""
-        members: Set[int] = set()
-        for entity_id, intervals in self._intervals.items():
-            if any(removed_ts is _OPEN for _created, removed_ts in intervals):
-                members.add(entity_id)
         return members
 
     @property
@@ -110,48 +150,46 @@ class VersionedEntrySet:
         """Number of current members, without materialising the set (O(1))."""
         return self._open_count
 
-    def purge(self, watermark: int) -> int:
-        """Drop closed intervals no snapshot at or above ``watermark`` can see."""
-        removed = 0
-        for entity_id in list(self._intervals):
-            kept = [
-                interval
-                for interval in self._intervals[entity_id]
-                if interval[1] is _OPEN or interval[1] > watermark
-            ]
-            removed += len(self._intervals[entity_id]) - len(kept)
-            if kept:
-                self._intervals[entity_id] = kept
-            else:
-                del self._intervals[entity_id]
-        return removed
-
-    def drop_entity(self, entity_id: int) -> None:
-        """Remove every interval of one entity (full purge of a deleted entity)."""
-        self._visible_cache = None
-        intervals = self._intervals.pop(entity_id, None)
-        if intervals and intervals[-1][1] is _OPEN:
-            self._open_count -= 1
-
-    def is_empty(self) -> bool:
-        """Whether no entity has any interval left."""
-        return not self._intervals
+    def reclaim(self, entity_id: int, removed_ts: int) -> bool:
+        """Drop the entity's interval closed at ``removed_ts``; whether one was held."""
+        held = self._intervals.get(entity_id)
+        if type(held) is tuple:
+            if held[1] != removed_ts:
+                return False
+            del self._intervals[entity_id]
+            return True
+        if type(held) is not list:
+            return False
+        for position, interval in enumerate(held):
+            if type(interval) is tuple and interval[1] == removed_ts:
+                del held[position]
+                if len(held) == 1:
+                    self._intervals[entity_id] = held[0]
+                return True
+        return False
 
     def interval_count(self) -> int:
         """Total number of stored intervals (memory metric for experiments)."""
-        return sum(len(intervals) for intervals in self._intervals.values())
+        return sum(
+            len(held) if type(held) is list else 1 for held in self._intervals.values()
+        )
 
 
 class _IndexShard:
-    """One lock stripe of a keyed index: its own lock, entries and key table."""
+    """One lock stripe of a keyed index: its own lock, entries, key table and
+    purge queue."""
 
-    __slots__ = ("lock", "entries", "key_created_ts")
+    __slots__ = ("lock", "entries", "key_created_ts", "closed")
 
     def __init__(self) -> None:
         self.lock = threading.RLock()
         self.entries: Dict[Hashable, VersionedEntrySet] = {}
         #: Commit timestamp at which each index key first appeared.
         self.key_created_ts: Dict[Hashable, int] = {}
+        #: Closed intervals awaiting reclamation, ``(removed_ts, index_key,
+        #: entity_id)`` ordered by ``removed_ts`` — the index-side counterpart
+        #: of :class:`~repro.core.gc.ThreadedVersionList`.
+        self.closed: Deque[Tuple[int, Hashable, int]] = deque()
 
 
 class _VersionedKeyedIndex:
@@ -181,16 +219,28 @@ class _VersionedKeyedIndex:
             created = shard.key_created_ts.get(index_key)
             if created is None or commit_ts < created:
                 shard.key_created_ts[index_key] = commit_ts
-            shard.entries.setdefault(index_key, VersionedEntrySet()).add(
-                entity_id, commit_ts
-            )
+            entry = shard.entries.get(index_key)
+            if entry is None:
+                entry = shard.entries[index_key] = VersionedEntrySet()
+            entry.add(entity_id, commit_ts)
 
     def _remove(self, index_key: Hashable, entity_id: int, commit_ts: int) -> None:
         shard = self._shard_of(index_key)
         with shard.lock:
             entry = shard.entries.get(index_key)
-            if entry is not None:
-                entry.mark_removed(entity_id, commit_ts)
+            if entry is None or not entry.mark_removed(entity_id, commit_ts):
+                return
+            # Thread the closed interval in ``removed_ts`` order.  Commits
+            # finish installing out of timestamp order under the sharded
+            # pipeline, so the queue is nearly sorted rather than sorted by
+            # construction; walking back from the tail finds the slot in O(1)
+            # amortised (the disorder is bounded by the number of concurrently
+            # installing commits), as ``ThreadedVersionList.append`` does.
+            closed = shard.closed
+            position = len(closed)
+            while position and closed[position - 1][0] > commit_ts:
+                position -= 1
+            closed.insert(position, (commit_ts, index_key, entity_id))
 
     def _visible(self, index_key: Hashable, start_ts: int) -> Set[int]:
         shard = self._shard_of(index_key)
@@ -203,21 +253,30 @@ class _VersionedKeyedIndex:
             entry = shard.entries.get(index_key)
             return entry.visible(start_ts) if entry is not None else set()
 
-    def _drop_entity(self, entity_id: int) -> None:
-        for shard in self._shards:
-            with shard.lock:
-                for entry in shard.entries.values():
-                    entry.drop_entity(entity_id)
+    def purge(self, watermark: int) -> Tuple[int, int]:
+        """Drop intervals invisible to every snapshot at or above ``watermark``.
 
-    def purge(self, watermark: int) -> int:
-        """Drop intervals invisible to every snapshot at or above ``watermark``."""
-        removed = 0
+        Pops each shard's queue while its head closed at or below the
+        watermark, so the pass visits exactly the reclaimable intervals.  An
+        entry set emptied by the pass is dropped together with its key's
+        creation timestamp.  Returns ``(examined, purged)``; the two differ
+        only by queue entries whose interval is already gone.
+        """
+        examined = purged = 0
         for shard in self._shards:
+            closed = shard.closed
             with shard.lock:
-                removed += sum(
-                    entry.purge(watermark) for entry in shard.entries.values()
-                )
-        return removed
+                while closed and closed[0][0] <= watermark:
+                    removed_ts, index_key, entity_id = closed.popleft()
+                    examined += 1
+                    entry = shard.entries.get(index_key)
+                    if entry is None or not entry.reclaim(entity_id, removed_ts):
+                        continue
+                    purged += 1
+                    if not entry:
+                        del shard.entries[index_key]
+                        del shard.key_created_ts[index_key]
+        return examined, purged
 
     def count_current(self, index_key: Hashable) -> int:
         """Current cardinality of one index key in O(1) (no set copy).
@@ -244,7 +303,8 @@ class _VersionedKeyedIndex:
         return result
 
     def key_creation_ts(self, index_key: Hashable) -> Optional[int]:
-        """When ``index_key`` was first used (``None`` if never)."""
+        """When ``index_key`` was first used (``None`` if never, or if every
+        interval under it has since been purged)."""
         shard = self._shard_of(index_key)
         with shard.lock:
             return shard.key_created_ts.get(index_key)
@@ -283,10 +343,6 @@ class VersionedLabelIndex(_VersionedKeyedIndex):
         """Number of nodes currently carrying ``label`` (O(1), no set copy)."""
         return self.count_current(label)
 
-    def drop_node(self, node_id: int) -> None:
-        """Forget a fully purged node."""
-        self._drop_entity(node_id)
-
 
 class VersionedPropertyIndex(_VersionedKeyedIndex):
     """(property key, value) -> versioned set of entity ids.
@@ -317,10 +373,6 @@ class VersionedPropertyIndex(_VersionedKeyedIndex):
         """Number of entities currently holding ``key`` = ``value`` (O(1))."""
         return self.count_current((key, hashable_value(value)))
 
-    def drop_entity(self, entity_id: int) -> None:
-        """Forget a fully purged entity."""
-        self._drop_entity(entity_id)
-
 
 class VersionedRelationshipTypeIndex(_VersionedKeyedIndex):
     """relationship type -> versioned set of relationship ids."""
@@ -344,10 +396,6 @@ class VersionedRelationshipTypeIndex(_VersionedKeyedIndex):
     def count(self, rel_type: str) -> int:
         """Number of relationships currently of ``rel_type`` (O(1))."""
         return self.count_current(rel_type)
-
-    def drop_relationship(self, rel_id: int) -> None:
-        """Forget a fully purged relationship."""
-        self._drop_entity(rel_id)
 
 
 class AdjacencyIndex:
@@ -481,25 +529,31 @@ class VersionedIndexSet:
         if self.stats_epoch is not None:
             self.stats_epoch.record((old is None) - (new is None))
 
-    def purge(self, watermark: int) -> int:
-        """Purge every index; returns the number of intervals dropped."""
-        return (
-            self.node_labels.purge(watermark)
-            + self.node_properties.purge(watermark)
-            + self.relationship_properties.purge(watermark)
-            + self.relationship_types.purge(watermark)
-        )
+    def purge(self, watermark: int) -> Tuple[int, int]:
+        """Purge every index; returns ``(examined, purged)`` interval counts."""
+        examined = purged = 0
+        for index in (
+            self.node_labels,
+            self.node_properties,
+            self.relationship_properties,
+            self.relationship_types,
+        ):
+            index_examined, index_purged = index.purge(watermark)
+            examined += index_examined
+            purged += index_purged
+        return examined, purged
 
     def purge_node(self, node: NodeData) -> None:
-        """Remove every trace of a fully garbage-collected node."""
-        self.node_labels.drop_node(node.node_id)
-        self.node_properties.drop_entity(node.node_id)
+        """Forget a fully garbage-collected node's adjacency entry.
+
+        Its index intervals were all closed by the delete, at the tombstone's
+        timestamp; the :meth:`purge` of the same pass reclaims them.
+        """
         self.adjacency.drop_node(node.node_id)
 
     def purge_relationship(self, relationship: RelationshipData) -> None:
-        """Remove every trace of a fully garbage-collected relationship."""
-        self.relationship_properties.drop_entity(relationship.rel_id)
-        self.relationship_types.drop_relationship(relationship.rel_id)
+        """Forget a fully garbage-collected relationship's adjacency entries
+        (its index intervals go the way :meth:`purge_node` describes)."""
         self.adjacency.discard(relationship)
 
     def interval_count(self) -> int:

@@ -123,6 +123,25 @@ class EngineTransaction(abc.ABC):
         """Ids of visible relationships of type ``rel_type``."""
 
     @abc.abstractmethod
+    def node_seek_candidates(
+        self, label: str, key: str, value: PropertyValue
+    ) -> Set[int]:
+        """Candidate ids for "carries ``label`` *and* ``key`` = ``value``".
+
+        The ids of whichever of the two index entries currently has fewer
+        members — a superset of the matches; the caller checks both conjuncts
+        on the node states it reads, so the larger entry is never
+        materialised.  Both predicates count as read.
+        """
+
+    @abc.abstractmethod
+    def relationship_seek_candidates(
+        self, rel_type: str, key: str, value: PropertyValue
+    ) -> Set[int]:
+        """Candidate ids for "of ``rel_type`` *and* ``key`` = ``value``"
+        (see :meth:`node_seek_candidates`)."""
+
+    @abc.abstractmethod
     def relationships_of(
         self,
         node_id: int,

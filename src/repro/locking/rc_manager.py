@@ -156,6 +156,10 @@ class ReadCommittedEngine(GraphEngine):
         """Relationships currently of ``rel_type`` in O(1)."""
         return self.indexes.count_relationships_of_type(rel_type)
 
+    def count_relationships_with_property(self, key: str, value) -> int:
+        """Relationships currently holding ``key`` = ``value`` in O(1)."""
+        return self.indexes.relationship_properties.count(key, value)
+
     def cardinalities(self) -> Dict[str, Dict[str, int]]:
         """Per-label and per-type cardinalities (stats surface)."""
         return self.indexes.cardinalities()

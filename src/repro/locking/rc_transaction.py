@@ -133,6 +133,26 @@ class ReadCommittedTransaction(EngineTransaction):
             result, lambda rel: rel.rel_type == rel_type
         )
 
+    def node_seek_candidates(
+        self, label: str, key: str, value: PropertyValue
+    ) -> Set[int]:
+        engine = self._engine
+        if engine.count_nodes_with_label(label) <= engine.count_nodes_with_property(
+            key, value
+        ):
+            return self.find_nodes_by_label(label)
+        return self.find_nodes_by_property(key, value)
+
+    def relationship_seek_candidates(
+        self, rel_type: str, key: str, value: PropertyValue
+    ) -> Set[int]:
+        engine = self._engine
+        if engine.count_relationships_of_type(
+            rel_type
+        ) <= engine.count_relationships_with_property(key, value):
+            return self.find_relationships_by_type(rel_type)
+        return self.find_relationships_by_property(key, value)
+
     def _merge_node_predicate(self, result: Set[int], predicate) -> Set[int]:
         """Overlay this transaction's own node writes onto an index result."""
         return self._merge_predicate(result, predicate, EntityKind.NODE)

@@ -1,5 +1,8 @@
 """Unit tests for the threaded-list garbage collector and the vacuum baseline."""
 
+import pytest
+
+from repro import GraphDatabase, IsolationLevel
 from repro.core.gc import GarbageCollector, ThreadedVersionList
 from repro.core.si_manager import SnapshotIsolationEngine
 from repro.core.timestamps import TimestampOracle
@@ -113,6 +116,9 @@ class TestGarbageCollectorUnit:
         tomb = Version(KEY, None, 4)
         chain.add_committed(base)
         chain.add_committed(tomb)
+        # The delete closes the node's index intervals at the tombstone's
+        # timestamp; the pass that reclaims the tombstone pops them.
+        indexes.apply_node_change(node, None, commit_ts=4)
         collector.version_superseded(base, superseding_commit_ts=4)
         collector.tombstone_installed(tomb)
 
@@ -120,8 +126,10 @@ class TestGarbageCollectorUnit:
         stats = collector.collect()
         assert stats.versions_collected == 2
         assert stats.entities_purged == 1
+        assert stats.index_intervals_examined == stats.index_intervals_purged == 1
         assert store.get_chain(KEY) is None
         assert indexes.node_labels.visible("Person", 10) == set()
+        assert indexes.interval_count() == 0
 
     def test_collect_accumulates_totals(self):
         _store, oracle, _indexes, collector = self.make()
@@ -205,3 +213,100 @@ class TestVacuumCollector:
         assert stats.entities_purged == 1
         assert engine.versions.get_chain(EntityKey.node(node_id)) is None
         store.close()
+
+
+class TestIndexReclamationIsChangeProportional:
+    """Counts, not clocks: a pass examines the intervals that closed since the
+    last one, whatever the indexes hold."""
+
+    @pytest.mark.parametrize("persons", [200, 20_000])
+    def test_pass_after_k_updates_examines_at_most_4k_intervals(self, persons):
+        db = GraphDatabase.in_memory(isolation=IsolationLevel.SNAPSHOT)
+        with db.transaction() as tx:
+            ids = [
+                tx.create_node(["Person"], {"name": f"p{index}", "score": 0}).id
+                for index in range(persons)
+            ]
+        db.run_gc()
+        held = db.engine.indexes.interval_count()
+        assert held == 3 * persons
+        updates = 40
+        for step in range(updates):
+            with db.transaction() as tx:
+                node = tx.find_nodes("Person", "name", f"p{step * 3}")[0]
+                tx.set_node_property(node, "score", step + 1)
+                if step % 4 == 0:
+                    tx.add_label(node, "Hot")
+                    tx.set_node_property(node, "name", f"renamed-{step}")
+            if step % 10 == 9:
+                with db.transaction() as tx:
+                    tx.delete_node(ids[-1 - step])
+        stats = db.run_gc()
+        assert 0 < stats.index_intervals_examined <= 4 * updates
+        assert stats.index_intervals_examined == stats.index_intervals_purged
+        assert stats.as_dict()["index_intervals_examined"] == stats.index_intervals_examined
+        # Nothing closed since: the next pass examines nothing at all.
+        assert db.run_gc().index_intervals_examined == 0
+        assert db.engine.indexes.interval_count() == held + updates // 4 - 3 * (updates // 10)
+        db.close()
+
+
+class TestDeletedEntitiesLeaveTheIndexes:
+    """With the per-entity index sweep gone, a delete + a pass at a watermark
+    past the tombstone still leaves no interval of the entity behind."""
+
+    @staticmethod
+    def _delete_half(db):
+        with db.transaction() as tx:
+            nodes = [
+                tx.create_node(["Person", "Temp"], {"name": f"p{index}", "city": index % 2})
+                for index in range(6)
+            ]
+            rels = [
+                tx.create_relationship(nodes[index], nodes[index + 1], "KNOWS", {"w": index})
+                for index in range(5)
+            ]
+        with db.transaction() as tx:
+            tx.remove_label(nodes[0], "Temp")  # closed before the delete
+        reader = db.begin(read_only=True)  # pins the pre-delete snapshot
+        with db.transaction() as tx:
+            for node in nodes[:3]:
+                tx.delete_node(node, detach=True)
+        return reader, [node.id for node in nodes], [rel.id for rel in rels]
+
+    @staticmethod
+    def _entities_held(index):
+        return {
+            entity_id
+            for shard in index._shards
+            for entry in shard.entries.values()
+            for entity_id in entry._intervals
+        }
+
+    @pytest.mark.parametrize("collector", ["threaded", "vacuum"])
+    def test_no_interval_of_a_deleted_entity_survives(self, collector):
+        db = GraphDatabase.in_memory(isolation=IsolationLevel.SNAPSHOT)
+        reader, nodes, rels = self._delete_half(db)
+        collect = (
+            db.run_gc if collector == "threaded" else db.create_vacuum_collector().collect
+        )
+        indexes = db.engine.indexes
+        # The pinned reader still finds the deleted entities through the indexes.
+        collect()
+        assert [n.id for n in reader.find_nodes("Temp", "city", 0)] == [nodes[2], nodes[4]]
+        assert len(reader.find_relationships(rel_type="KNOWS")) == 5
+        assert indexes.interval_count() == (6 * 4 - 1) + 5 * 2
+        reader.rollback()
+        collect()
+        survivors, surviving_rels = set(nodes[3:]), set(rels[3:])
+        assert self._entities_held(indexes.node_labels) == survivors
+        assert self._entities_held(indexes.node_properties) == survivors
+        assert self._entities_held(indexes.relationship_types) == surviving_rels
+        assert self._entities_held(indexes.relationship_properties) == surviving_rels
+        assert indexes.interval_count() == 3 * 4 + 2 * 2
+        for node_id in nodes[:3]:
+            assert indexes.adjacency.candidate_rel_ids(node_id) == set()
+        assert indexes.adjacency.candidate_rel_ids(nodes[3]) == {rels[3]}
+        assert all(not shard.closed for shard in indexes.node_labels._shards)
+        db.close()
+

@@ -149,6 +149,137 @@ def test_versioned_entry_set_matches_brute_force(events, read_ts):
     assert entries.visible(read_ts) == expected
 
 
+# -- queue-driven index purge vs the full walk it replaced ----------------------------------
+
+def _reference_purge(model, watermark):
+    """The old purge: walk every interval of every entity of every key."""
+    dropped = 0
+    for index_key in list(model):
+        for entity_id, intervals in list(model[index_key].items()):
+            kept = [iv for iv in intervals if iv[1] is None or iv[1] > watermark]
+            dropped += len(intervals) - len(kept)
+            if kept:
+                model[index_key][entity_id] = kept
+            else:
+                del model[index_key][entity_id]
+        if not model[index_key]:
+            del model[index_key]
+    return dropped
+
+
+def _stored_intervals(index):
+    """``key -> entity -> [[created, removed|None], ...]`` held by ``index``."""
+    stored = {}
+    for shard in index._shards:
+        for index_key, entry in shard.entries.items():
+            stored[index_key] = {}
+            for entity_id, held in entry._intervals.items():
+                intervals = held if type(held) is list else [held]
+                stored[index_key][entity_id] = [
+                    [iv, None] if type(iv) is int else list(iv) for iv in intervals
+                ]
+    return stored
+
+
+_INDEX_OPS = st.tuples(
+    st.sampled_from(["add", "remove", "add-reverted", "remove-reverted"]),
+    st.sampled_from(["a", "b"]),
+    st.integers(min_value=0, max_value=2),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.tuples(
+                st.just("commits"),
+                st.lists(_INDEX_OPS, min_size=1, max_size=4),
+                st.permutations(range(4)),
+            ),
+            st.tuples(st.just("purge"), st.integers(min_value=0, max_value=4)),
+        ),
+        max_size=12,
+    ),
+    st.integers(min_value=1, max_value=2),
+)
+def test_queue_driven_purge_matches_full_walk(events, stripes):
+    """Random add / remove / re-add / revert-at-same-ts / purge sequences with
+    out-of-order commit timestamps.
+
+    A ``commits`` event is a group of concurrent commits — consecutive
+    timestamps, one index change each, on distinct (key, entity) pairs as the
+    commit stripes guarantee — installing in a shuffled order, so closed
+    intervals reach the purge queue out of ``removed_ts`` order; a
+    ``*-reverted`` change is followed by its inverse at the same timestamp,
+    as ``_revert_installs`` does.  After every purge the queue-driven index
+    holds exactly the intervals the old full walk leaves, and between events
+    it answers every snapshot at or above the watermark like the model."""
+    from repro.core.versioned_index import VersionedLabelIndex
+
+    index = VersionedLabelIndex(stripes)
+    model = {}  # key -> entity -> [[created, removed|None], ...]
+    clock = watermark = 0
+
+    def apply(add, index_key, entity_id, commit_ts):
+        intervals = model.setdefault(index_key, {}).setdefault(entity_id, [])
+        is_open = bool(intervals) and intervals[-1][1] is None
+        if add:
+            index._add(index_key, entity_id, commit_ts)
+            if not is_open:
+                intervals.append([commit_ts, None])
+        else:
+            index._remove(index_key, entity_id, commit_ts)
+            if is_open:
+                intervals[-1][1] = commit_ts
+        if not intervals:
+            del model[index_key][entity_id]
+        if not model[index_key]:
+            del model[index_key]
+
+    for event in events:
+        if event[0] == "purge":
+            watermark = min(clock, watermark + event[1])
+            dropped = _reference_purge(model, watermark)
+            assert index.purge(watermark) == (dropped, dropped)
+            assert _stored_intervals(index) == model
+            assert all(not shard.closed or shard.closed[0][0] > watermark
+                       for shard in index._shards)
+        else:
+            _kind, operations, order = event
+            distinct = list({(key, entity): op for op, key, entity in operations}.items())
+            stamped = [
+                (clock + 1 + position, op, key, entity)
+                for position, ((key, entity), op) in enumerate(distinct)
+            ]
+            clock += len(stamped)
+            install_order = [rank for rank in order if rank < len(stamped)]
+            for commit_ts, operation, index_key, entity_id in (
+                stamped[rank] for rank in install_order
+            ):
+                add = operation.startswith("add")
+                apply(add, index_key, entity_id, commit_ts)
+                if operation.endswith("-reverted"):
+                    apply(not add, index_key, entity_id, commit_ts)
+        for start_ts in range(watermark, clock + 1):
+            for key in "ab":
+                expected = {
+                    entity
+                    for entity, held in model.get(key, {}).items()
+                    if any(c <= start_ts and (r is None or r > start_ts) for c, r in held)
+                }
+                assert index.visible(key, start_ts) == expected
+        assert index.interval_count() == sum(
+            len(held) for entities in model.values() for held in entities.values()
+        )
+        assert all(
+            index.count(key) == sum(
+                1 for held in model.get(key, {}).values() if held[-1][1] is None
+            )
+            for key in "ab"
+        )
+
+
 # -- end-to-end engine invariant: committed money is conserved under SI ------------------
 
 @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -196,6 +196,66 @@ class TestPhantomPrevention:
             assert len(tx.find_nodes(key="email", value="a@x")) == 1
         db.close()
 
+    @pytest.mark.parametrize("small_side", ["label", "property"])
+    @pytest.mark.parametrize("phantom", ["create", "label-add", "property-change"])
+    def test_phantom_via_conjunctive_seek_caught(self, phantom, small_side):
+        """`find_nodes(label, key, value)` reads one index entry, whichever is
+        smaller, but evaluates two predicates: a concurrent committer that
+        moves a node into the conjunction — by creating it, labelling it or
+        setting the property — still forms the rw-antidependency."""
+        db = GraphDatabase.in_memory(isolation=IsolationLevel.SERIALIZABLE)
+        with db.transaction() as tx:
+            # Two nodes one write away from matching (User, email = a@x) ...
+            if phantom == "label-add":
+                spares = [tx.create_node(["Guest"], {"email": "a@x"}).id for _ in range(2)]
+            else:
+                spares = [tx.create_node(["User"], {"email": "b@x"}).id for _ in range(2)]
+            # ... and ballast that makes the chosen entry the smaller one.
+            for index in range(6):
+                if small_side == "label":
+                    tx.create_node(["Guest"], {"email": "a@x"})
+                else:
+                    tx.create_node(["User"], {"email": f"u{index}@x"})
+        engine = db.engine
+        label_smaller = engine.count_nodes_with_label(
+            "User"
+        ) <= engine.count_nodes_with_property("email", "a@x")
+        assert label_smaller == (small_side == "label")
+        t1 = db.begin()
+        t2 = db.begin()
+        for txn, spare in ((t1, spares[0]), (t2, spares[1])):
+            assert txn.find_nodes("User", "email", "a@x") == []
+            if phantom == "create":
+                txn.create_node(["User"], {"email": "a@x"})
+            elif phantom == "label-add":
+                txn.add_label(spare, "User")
+            else:
+                txn.set_node_property(spare, "email", "a@x")
+        t1.commit()
+        with pytest.raises(SerializationError):
+            t2.commit()
+        reasons = db.statistics()["engine"]["transactions"]["abort_reasons"]
+        assert reasons["rw-antidependency"] == 1
+        with db.transaction(read_only=True) as tx:
+            assert len(tx.find_nodes("User", "email", "a@x")) == 1
+        db.close()
+
+    def test_phantom_via_conjunctive_relationship_seek_caught(self):
+        db = GraphDatabase.in_memory(isolation=IsolationLevel.SERIALIZABLE)
+        with db.transaction() as tx:
+            a, b = tx.create_node(["P"]), tx.create_node(["P"])
+            for _ in range(4):
+                tx.create_relationship(a, b, "KNOWS", {"since": 1999})
+        t1 = db.begin()
+        t2 = db.begin()
+        for txn in (t1, t2):
+            assert txn.find_relationships("since", 2016, rel_type="KNOWS") == []
+            txn.create_relationship(a, b, "KNOWS", {"since": 2016})
+        t1.commit()
+        with pytest.raises(SerializationError):
+            t2.commit()
+        db.close()
+
     @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm-cache"])
     def test_phantom_via_relationship_adjacency_caught(self, warm):
         """Degree-constraint skew: both cap-check a node's degree, both attach."""
