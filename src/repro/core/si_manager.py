@@ -421,7 +421,7 @@ class SnapshotIsolationEngine(GraphEngine):
                         trace.mark("install")
                     operations = self._build_store_operations(writes, commit_ts)
                     try:
-                        self.store.apply_batch(txn.txn_id, operations)
+                        apply_seconds = self.store.apply_batch(txn.txn_id, operations)
                     except BaseException:
                         # The batch never became durable, but publish_commit
                         # below still advances the watermark past commit_ts —
@@ -439,6 +439,7 @@ class SnapshotIsolationEngine(GraphEngine):
                     if trace is not None:
                         trace.mark("wal")
                         trace.annotate("writes", len(writes))
+                        trace.annotate("apply_us", round(apply_seconds * 1e6, 1))
                 finally:
                     # Publish unconditionally so a failed install can never
                     # wedge the snapshot watermark (store operations are not

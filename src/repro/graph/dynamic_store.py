@@ -9,12 +9,12 @@ first block.  This mirrors Neo4j's dynamic string/array stores.
 from __future__ import annotations
 
 import threading
-from typing import List, Optional
+from typing import Iterator, List, Optional, Tuple
 
 from repro.errors import RecordNotInUseError
 from repro.graph.id_allocator import IdAllocator
 from repro.graph.paging import PagedFile
-from repro.graph.records import NULL_REF, DynamicRecord, RecordStore
+from repro.graph.records import NULL_REF, UNREADABLE, DynamicRecord, RecordStore
 
 
 class DynamicStore:
@@ -56,28 +56,49 @@ class DynamicStore:
                 self._records.write(block_ids[index], record)
             return block_ids[0]
 
-    def read_bytes(self, first_block: int) -> bytes:
-        """Read back the byte string starting at ``first_block``."""
-        if first_block == NULL_REF:
-            return b""
-        chunks: List[bytes] = []
+    def _iter_chain(self, first_block: int) -> Iterator[Tuple[int, DynamicRecord]]:
+        """Yield ``(block_id, record)`` along a chain (caller holds the lock).
+
+        Raises :class:`RecordNotInUseError` at a block that is not in use or
+        that closes a cycle; everything yielded before that is sound.
+        """
         block_id = first_block
         seen = set()
+        while block_id != NULL_REF:
+            if block_id in seen:
+                raise RecordNotInUseError(
+                    f"{self.name}: dynamic chain cycle at block {block_id}"
+                )
+            seen.add(block_id)
+            record = self._records.read(block_id)
+            if not record.in_use:
+                raise RecordNotInUseError(
+                    f"{self.name}: dynamic block {block_id} is not in use"
+                )
+            yield block_id, record
+            block_id = record.next_block
+
+    def read_bytes(self, first_block: int) -> bytes:
+        """Read back the byte string starting at ``first_block``."""
         with self._lock:
-            while block_id != NULL_REF:
-                if block_id in seen:
-                    raise RecordNotInUseError(
-                        f"{self.name}: dynamic chain cycle at block {block_id}"
-                    )
-                seen.add(block_id)
-                record = self._records.read(block_id)
-                if not record.in_use:
-                    raise RecordNotInUseError(
-                        f"{self.name}: dynamic block {block_id} is not in use"
-                    )
-                chunks.append(record.payload[:record.length])
-                block_id = record.next_block
-        return b"".join(chunks)
+            return b"".join(
+                record.payload[:record.length]
+                for _, record in self._iter_chain(first_block)
+            )
+
+    def chain_block_ids(self, first_block: int) -> List[int]:
+        """In-use block ids reachable from ``first_block`` (consistency checker).
+
+        Stops quietly where :meth:`read_bytes` would raise.
+        """
+        block_ids: List[int] = []
+        with self._lock:
+            try:
+                for block_id, _ in self._iter_chain(first_block):
+                    block_ids.append(block_id)
+            except UNREADABLE:
+                pass
+        return block_ids
 
     def free_chain(self, first_block: int) -> int:
         """Free every block of a chain; returns the number of blocks freed."""

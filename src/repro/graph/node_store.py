@@ -15,7 +15,7 @@ from typing import Iterator, List
 from repro.graph.dynamic_store import DynamicStore
 from repro.graph.id_allocator import IdAllocator
 from repro.graph.paging import PagedFile
-from repro.graph.records import NULL_REF, NodeRecord, RecordStore
+from repro.graph.records import NULL_REF, UNREADABLE, NodeRecord, RecordStore
 
 
 class NodeStore:
@@ -112,6 +112,31 @@ class NodeStore:
         """Free a label chain (no-op for ``NULL_REF``)."""
         if label_ref != NULL_REF:
             self._labels.free_chain(label_ref)
+
+    def replace_labels(self, label_ref: int, label_ids: List[int]) -> int:
+        """Make ``label_ref`` hold ``label_ids``; returns the reference to keep.
+
+        A block that already holds exactly these ids is left alone.  Anything
+        else — a different label set, or a block that cannot be read back
+        (WAL replay over a torn page image) — is freed and written fresh.
+        """
+        if label_ref == NULL_REF:
+            return self.write_labels(label_ids)
+        try:
+            if self.read_labels(label_ref) == sorted(label_ids):
+                return label_ref
+        except UNREADABLE:
+            pass
+        self.free_labels(label_ref)
+        return self.write_labels(label_ids)
+
+    def label_block_ids(self, label_ref: int) -> List[int]:
+        """In-use label blocks reachable from ``label_ref`` (consistency checker)."""
+        return self._labels.chain_block_ids(label_ref)
+
+    def label_blocks_in_use(self) -> int:
+        """Number of live label blocks (linear scan)."""
+        return self._labels.blocks_in_use()
 
     # -- lifecycle -------------------------------------------------------------
 

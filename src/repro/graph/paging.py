@@ -236,9 +236,15 @@ class PageCache:
 
     def read_page(self, file_id: int, page_no: int) -> bytes:
         """Return a copy of the page's bytes (loading it if necessary)."""
+        return self.read_from_page(file_id, page_no, 0, self._page_size)
+
+    def read_from_page(
+        self, file_id: int, page_no: int, offset_in_page: int, length: int
+    ) -> bytes:
+        """Return a copy of ``length`` bytes of a page (loading it if necessary)."""
         with self._lock:
             page = self._get_page(file_id, page_no)
-            return bytes(page)
+            return bytes(page[offset_in_page:offset_in_page + length])
 
     def write_into_page(
         self, file_id: int, page_no: int, offset_in_page: int, data: bytes
@@ -342,14 +348,20 @@ class PagedFile:
         if length <= 0:
             return b""
         page_size = self._cache.page_size
+        page_no, in_page = divmod(offset, page_size)
+        if in_page + length <= page_size:
+            # One record inside one page — all but the reads that straddle a
+            # page boundary — copies the record's bytes, not the page's.
+            return self._cache.read_from_page(self._file_id, page_no, in_page, length)
         chunks = []
         remaining = length
         position = offset
         while remaining > 0:
             page_no, in_page = divmod(position, page_size)
             take = min(remaining, page_size - in_page)
-            page = self._cache.read_page(self._file_id, page_no)
-            chunks.append(page[in_page:in_page + take])
+            chunks.append(
+                self._cache.read_from_page(self._file_id, page_no, in_page, take)
+            )
             position += take
             remaining -= take
         return b"".join(chunks)

@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import struct
 import threading
-from typing import Dict, List, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from repro.errors import InvalidPropertyValueError, StoreCorruptionError
 from repro.graph.dynamic_store import DynamicStore
 from repro.graph.id_allocator import IdAllocator
 from repro.graph.paging import PagedFile
 from repro.graph.properties import PropertyValue
-from repro.graph.records import NULL_REF, PropertyRecord, RecordStore
+from repro.graph.records import NULL_REF, UNREADABLE, PropertyRecord, RecordStore
 
 
 class PropertyType:
@@ -39,6 +39,14 @@ _ARRAY_ELEMENT_STRING = 4
 
 #: Longest UTF-8 string (in bytes) that fits inline in a property record.
 SHORT_STRING_LIMIT = 7
+
+#: Types whose value lives in the dynamic store; the record's inline bytes
+#: hold the first block's id.
+_DYNAMIC_TYPES = (PropertyType.LONG_STRING, PropertyType.ARRAY)
+
+
+def _block_ref(inline: bytes) -> int:
+    return struct.unpack_from("<q", inline)[0]
 
 
 def encode_array(values: List[PropertyValue]) -> bytes:
@@ -117,11 +125,12 @@ class PropertyStore:
 
     # -- value encoding ----------------------------------------------------
 
-    def _encode_value(self, value: PropertyValue) -> Tuple[int, bytes]:
-        """Encode a value into ``(type_tag, inline_bytes)``.
+    @staticmethod
+    def _encode_value(value: PropertyValue) -> Tuple[int, bytes]:
+        """Encode a value into ``(type_tag, data)`` without touching a store.
 
-        Values that do not fit inline are written to the dynamic store and the
-        inline bytes hold the block reference.
+        ``data`` is the record's 8 inline bytes, or — for the types in
+        ``_DYNAMIC_TYPES`` — the payload bound for the dynamic store.
         """
         if isinstance(value, bool):
             return PropertyType.BOOL, struct.pack("<q", 1 if value else 0)
@@ -132,15 +141,34 @@ class PropertyStore:
         if isinstance(value, str):
             raw = value.encode("utf-8")
             if len(raw) <= SHORT_STRING_LIMIT:
-                return PropertyType.SHORT_STRING, bytes([len(raw)]) + raw
-            block = self._values.write_bytes(raw)
-            return PropertyType.LONG_STRING, struct.pack("<q", block)
+                inline = bytes([len(raw)]) + raw
+                return PropertyType.SHORT_STRING, inline.ljust(8, b"\x00")
+            return PropertyType.LONG_STRING, raw
         if isinstance(value, (list, tuple)):
-            block = self._values.write_bytes(encode_array(list(value)))
-            return PropertyType.ARRAY, struct.pack("<q", block)
+            return PropertyType.ARRAY, encode_array(list(value))
         raise InvalidPropertyValueError(
             f"cannot encode property value of type {type(value).__name__}"
         )
+
+    def _store_value(self, value_type: int, data: bytes) -> bytes:
+        """The inline bytes for an encoded value, writing dynamic payloads out."""
+        if value_type in _DYNAMIC_TYPES:
+            return struct.pack("<q", self._values.write_bytes(data))
+        return data
+
+    def _holds_value(self, record: PropertyRecord, value_type: int, data: bytes) -> bool:
+        """Whether ``record`` already stores exactly this encoded value.
+
+        A dynamic value that cannot be read back counts as different.
+        """
+        if record.value_type != value_type:
+            return False
+        if value_type not in _DYNAMIC_TYPES:
+            return record.inline_value == data
+        try:
+            return self._values.read_bytes(_block_ref(record.inline_value)) == data
+        except UNREADABLE:
+            return False
 
     def _decode_value(self, value_type: int, inline: bytes) -> PropertyValue:
         if value_type == PropertyType.BOOL:
@@ -153,17 +181,14 @@ class PropertyStore:
             length = inline[0]
             return inline[1:1 + length].decode("utf-8")
         if value_type == PropertyType.LONG_STRING:
-            block = struct.unpack_from("<q", inline)[0]
-            return self._values.read_bytes(block).decode("utf-8")
+            return self._values.read_bytes(_block_ref(inline)).decode("utf-8")
         if value_type == PropertyType.ARRAY:
-            block = struct.unpack_from("<q", inline)[0]
-            return decode_array(self._values.read_bytes(block))
+            return decode_array(self._values.read_bytes(_block_ref(inline)))
         raise StoreCorruptionError(f"unknown property type tag {value_type}")
 
     def _free_value(self, value_type: int, inline: bytes) -> None:
-        if value_type in (PropertyType.LONG_STRING, PropertyType.ARRAY):
-            block = struct.unpack_from("<q", inline)[0]
-            self._values.free_chain(block)
+        if value_type in _DYNAMIC_TYPES:
+            self._values.free_chain(_block_ref(inline))
 
     # -- chain management ---------------------------------------------------
 
@@ -179,12 +204,12 @@ class PropertyStore:
             items = sorted(properties.items())
             record_ids = [self._allocator.allocate() for _ in items]
             for index, (key_id, value) in enumerate(items):
-                value_type, inline = self._encode_value(value)
+                value_type, data = self._encode_value(value)
                 record = PropertyRecord(
                     in_use=True,
                     key_id=key_id,
                     value_type=value_type,
-                    inline_value=inline,
+                    inline_value=self._store_value(value_type, data),
                     prev_prop=record_ids[index - 1] if index > 0 else NULL_REF,
                     next_prop=(
                         record_ids[index + 1] if index + 1 < len(record_ids) else NULL_REF
@@ -193,28 +218,35 @@ class PropertyStore:
                 self._records.write(record_ids[index], record)
             return record_ids[0]
 
-    def read_chain(self, first_prop: int) -> Dict[int, PropertyValue]:
-        """Read a property chain back into a ``{key_id: value}`` map."""
-        properties: Dict[int, PropertyValue] = {}
+    def _iter_chain(self, first_prop: int) -> Iterator[Tuple[int, PropertyRecord]]:
+        """Yield ``(record_id, record)`` along a chain (caller holds the lock).
+
+        Raises :class:`StoreCorruptionError` at a record that is not in use or
+        that closes a cycle; everything yielded before that is sound.
+        """
         record_id = first_prop
         seen = set()
-        with self._lock:
-            while record_id != NULL_REF:
-                if record_id in seen:
-                    raise StoreCorruptionError(
-                        f"{self.name}: property chain cycle at record {record_id}"
-                    )
-                seen.add(record_id)
-                record = self._records.read(record_id)
-                if not record.in_use:
-                    raise StoreCorruptionError(
-                        f"{self.name}: property record {record_id} is not in use"
-                    )
-                properties[record.key_id] = self._decode_value(
-                    record.value_type, record.inline_value
+        while record_id != NULL_REF:
+            if record_id in seen:
+                raise StoreCorruptionError(
+                    f"{self.name}: property chain cycle at record {record_id}"
                 )
-                record_id = record.next_prop
-        return properties
+            seen.add(record_id)
+            record = self._records.read(record_id)
+            if not record.in_use:
+                raise StoreCorruptionError(
+                    f"{self.name}: property record {record_id} is not in use"
+                )
+            yield record_id, record
+            record_id = record.next_prop
+
+    def read_chain(self, first_prop: int) -> Dict[int, PropertyValue]:
+        """Read a property chain back into a ``{key_id: value}`` map."""
+        with self._lock:
+            return {
+                record.key_id: self._decode_value(record.value_type, record.inline_value)
+                for _, record in self._iter_chain(first_prop)
+            }
 
     def free_chain(self, first_prop: int) -> int:
         """Free a property chain (and any dynamic values it references)."""
@@ -234,15 +266,69 @@ class PropertyStore:
         return freed
 
     def replace_chain(self, first_prop: int, properties: Dict[int, PropertyValue]) -> int:
-        """Free the existing chain and write a new one; returns the new head."""
-        with self._lock:
-            if first_prop != NULL_REF:
-                self.free_chain(first_prop)
+        """Make the chain at ``first_prop`` hold ``properties``; returns its head.
+
+        The one overwrite routine of the store (commit apply, direct writes
+        and WAL replay alike).  When the stored chain reads back and holds
+        exactly the keys of ``properties``, only the records whose encoded
+        value differs are rewritten, in place, and a long string's or array's
+        dynamic blocks are replaced only if that value changed; the head is
+        returned unchanged.  Any structural difference — a key added or
+        removed, or stored state that cannot be read back (replay runs over
+        whatever page image a crash left) — frees what the old head still
+        reaches and writes a fresh chain.
+        """
+        if first_prop == NULL_REF:
             return self.write_chain(properties)
+        with self._lock:
+            try:
+                stored = list(self._iter_chain(first_prop))
+            except UNREADABLE:
+                stored = None
+            if (
+                stored is None
+                or len(stored) != len(properties)
+                or {record.key_id for _, record in stored} != properties.keys()
+            ):
+                self.free_chain(first_prop)
+                return self.write_chain(properties)
+            for record_id, record in stored:
+                value_type, data = self._encode_value(properties[record.key_id])
+                if self._holds_value(record, value_type, data):
+                    continue
+                self._free_value(record.value_type, record.inline_value)
+                record.value_type = value_type
+                record.inline_value = self._store_value(value_type, data)
+                self._records.write(record_id, record)
+            return first_prop
+
+    def chain_footprint(self, first_prop: int) -> Tuple[List[int], List[int]]:
+        """In-use ``(record ids, dynamic block ids)`` reachable from a chain head.
+
+        For the consistency checker's leak count; stops quietly where
+        :meth:`read_chain` would raise.
+        """
+        record_ids: List[int] = []
+        block_ids: List[int] = []
+        with self._lock:
+            try:
+                for record_id, record in self._iter_chain(first_prop):
+                    record_ids.append(record_id)
+                    if record.value_type in _DYNAMIC_TYPES:
+                        block_ids.extend(
+                            self._values.chain_block_ids(_block_ref(record.inline_value))
+                        )
+            except UNREADABLE:
+                pass
+        return record_ids, block_ids
 
     def records_in_use(self) -> int:
         """Number of live property records (linear scan)."""
         return self._records.count_in_use()
+
+    def value_blocks_in_use(self) -> int:
+        """Number of live dynamic value blocks (linear scan)."""
+        return self._values.blocks_in_use()
 
     def flush(self) -> None:
         """Flush property records and the dynamic value store."""

@@ -38,11 +38,17 @@ import threading
 from dataclasses import dataclass
 from typing import Generic, Iterator, List, Optional, Type, TypeVar
 
-from repro.errors import StoreCorruptionError
+from repro.errors import RecordNotInUseError, StoreCorruptionError
 from repro.graph.paging import PagedFile
 
 #: Null reference used by every chain pointer field.
 NULL_REF = -1
+
+#: What following a stored reference raises when the state behind it cannot be
+#: read back: a record or block that is not in use, a chain that loops, bytes
+#: that do not decode.  WAL replay meets all of them in a page image a crash
+#: tore, and treats them as "nothing usable stored here".
+UNREADABLE = (StoreCorruptionError, RecordNotInUseError)
 
 #: Size in bytes of the per-store header written at offset zero.
 STORE_HEADER_SIZE = 16
@@ -331,10 +337,14 @@ class RecordStore(Generic[RecordT]):
                 self._high_water = record_id + 1
 
     def mark_not_in_use(self, record_id: int) -> None:
-        """Clear the in-use flag of a slot (the rest of the bytes are kept)."""
-        record = self.read(record_id)
-        record.in_use = False
-        self.write(record_id, record)
+        """Clear the in-use flag of a slot (the rest of the bytes are kept).
+
+        Every record layout leads with its in-use byte, so this is a
+        one-byte write — no read, unpack and re-pack of the record.
+        """
+        if record_id < 0:
+            raise ValueError(f"record id must be non-negative, got {record_id}")
+        self._file.write(self._offset(record_id), b"\x00")
 
     def iter_used_ids(self) -> Iterator[int]:
         """Yield every record id whose slot is marked in use."""

@@ -100,13 +100,15 @@ class StoreManagerStats:
 class _PendingCommit:
     """One committer's batch waiting in the group-commit queue."""
 
-    __slots__ = ("txn_id", "operations", "done", "error")
+    __slots__ = ("txn_id", "operations", "done", "error", "apply_seconds")
 
     def __init__(self, txn_id: int, operations: List[StoreOperation]) -> None:
         self.txn_id = txn_id
         self.operations = operations
         self.done = threading.Event()
         self.error: Optional[BaseException] = None
+        #: Time its operations took to reach the record stores.
+        self.apply_seconds = 0.0
 
 
 class StoreManager:
@@ -332,8 +334,11 @@ class StoreManager:
     # batched application (the commit path)
     # ------------------------------------------------------------------
 
-    def apply_batch(self, txn_id: int, operations: List[StoreOperation]) -> None:
+    def apply_batch(self, txn_id: int, operations: List[StoreOperation]) -> float:
         """Log and apply one committed transaction's store operations.
+
+        Returns the seconds the record-store apply of this batch took (the
+        part of the call that is neither the WAL append nor a latch wait).
 
         The write-ahead log entry is appended before any store file is
         touched, so a crash in the middle of application is repaired by
@@ -345,7 +350,7 @@ class StoreManager:
         included) and later committers find their entry already flushed.
         """
         if not operations:
-            return
+            return 0.0
         self.health.ensure_writable()
         entry = _PendingCommit(txn_id, operations)
         if not self._group_commit:
@@ -367,6 +372,7 @@ class StoreManager:
                     self._flush_batches(drained)
         if entry.error is not None:
             raise entry.error
+        return entry.apply_seconds
 
     def _flush_batches(self, batch: List[_PendingCommit]) -> None:
         """Apply a group of batches under the store latch (caller holds it).
@@ -390,6 +396,7 @@ class StoreManager:
         store files.  Either way the safe continuation is "stop writing,
         keep serving snapshot reads, repair by replay on the next open".
         """
+        obs = self.obs
         try:
             if self._failpoints is not None:
                 fault = self._failpoints.hit("store.group_flush")
@@ -400,7 +407,6 @@ class StoreManager:
                     (entry.txn_id, operations_to_payloads(entry.operations))
                     for entry in batch
                 ]
-                obs = self.obs
                 if obs is not None:
                     wal_started = perf_counter()
                     self.wal.append_commits(payloads)
@@ -418,6 +424,7 @@ class StoreManager:
                 entry.done.set()
             return
         for entry in batch:
+            apply_started = perf_counter()
             try:
                 for operation in entry.operations:
                     self._apply_operation(operation)
@@ -427,6 +434,9 @@ class StoreManager:
                     self.health.mark_degraded("store-apply-failed", exc)
                     self._note_degraded_obs()
                 entry.error = exc
+            entry.apply_seconds = perf_counter() - apply_started
+            if obs is not None:
+                obs.store_apply_seconds.observe(entry.apply_seconds)
             entry.done.set()
 
     def _apply_operation(self, operation: StoreOperation) -> None:
@@ -446,33 +456,42 @@ class StoreManager:
     # ------------------------------------------------------------------
 
     def write_node(self, node: NodeData, *, _log: bool = True) -> None:
-        """Create or overwrite a node's persistent state."""
+        """Create or overwrite a node's persistent state.
+
+        An overwrite costs what changed: the label block and every property
+        record whose value is unchanged are left alone, and the node record is
+        rewritten only when one of its references moved (see
+        :meth:`PropertyStore.replace_chain` for the rule and its fall-through).
+        """
         with self._lock:
             if _log and self._wal_enabled:
                 self.wal.append_commit(0, operations_to_payloads([WriteNodeOp(node)]))
             self.nodes.mark_id_used(node.node_id)
             record = self.nodes.read(node.node_id)
-            if record.in_use:
-                self.nodes.free_labels(record.label_ref)
-                self.properties.free_chain(record.first_prop)
-            else:
+            created = not record.in_use
+            if created:
                 record = NodeRecord(in_use=True)
-            record.in_use = True
-            record.label_ref = self.nodes.write_labels(
-                [self.tokens.labels.get_or_create(label) for label in node.labels]
+            label_ref = self.nodes.replace_labels(
+                record.label_ref,
+                [self.tokens.labels.get_or_create(label) for label in node.labels],
             )
-            record.first_prop = self.properties.write_chain(
-                self._encode_property_keys(node.properties)
+            first_prop = self.properties.replace_chain(
+                record.first_prop, self._encode_property_keys(node.properties)
             )
-            self.nodes.write(node.node_id, record)
+            if created or (label_ref, first_prop) != (record.label_ref, record.first_prop):
+                record.label_ref = label_ref
+                record.first_prop = first_prop
+                self.nodes.write(node.node_id, record)
             self.stats.node_writes += 1
 
     def read_node(self, node_id: int) -> Optional[NodeData]:
         """Read a node's persistent state, or ``None`` if the slot is unused."""
+        if node_id < 0:
+            return None
         with self._lock:
-            if not self.nodes.exists(node_id):
-                return None
             record = self.nodes.read(node_id)
+            if not record.in_use:
+                return None
             labels = frozenset(
                 self.tokens.labels.name_of(label_id)
                 for label_id in self.nodes.read_labels(record.label_ref)
@@ -537,8 +556,9 @@ class StoreManager:
     def write_relationship(self, relationship: RelationshipData, *, _log: bool = True) -> None:
         """Create or overwrite a relationship's persistent state.
 
-        For an existing relationship only the property chain is replaced; the
-        endpoints and type of a relationship are immutable, as in Neo4j.
+        For an existing relationship only the property chain is replaced
+        (in place where the key set is unchanged, as for nodes); the endpoints
+        and type of a relationship are immutable, as in Neo4j.
         """
         with self._lock:
             if _log and self._wal_enabled:
@@ -549,9 +569,12 @@ class StoreManager:
             record = self.relationships.read(relationship.rel_id)
             encoded_props = self._encode_property_keys(relationship.properties)
             if record.in_use:
-                self.properties.free_chain(record.first_prop)
-                record.first_prop = self.properties.write_chain(encoded_props)
-                self.relationships.write(relationship.rel_id, record)
+                first_prop = self.properties.replace_chain(
+                    record.first_prop, encoded_props
+                )
+                if first_prop != record.first_prop:
+                    record.first_prop = first_prop
+                    self.relationships.write(relationship.rel_id, record)
             else:
                 self._require_node(relationship.start_node)
                 self._require_node(relationship.end_node)
@@ -569,10 +592,12 @@ class StoreManager:
 
     def read_relationship(self, rel_id: int) -> Optional[RelationshipData]:
         """Read a relationship's persistent state, or ``None`` if unused."""
+        if rel_id < 0:
+            return None
         with self._lock:
-            if not self.relationships.exists(rel_id):
-                return None
             record = self.relationships.read(rel_id)
+            if not record.in_use:
+                return None
             properties = self._decode_property_keys(
                 self.properties.read_chain(record.first_prop)
             )

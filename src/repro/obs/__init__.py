@@ -121,6 +121,11 @@ class Observability:
             "repro_wal_append_seconds",
             "WAL append (incl. fsync when enabled) latency (seconds)",
         )
+        self.store_apply_seconds = reg.histogram(
+            "repro_store_apply_seconds",
+            "Record-store apply of one committed batch, after its WAL append "
+            "(seconds)",
+        )
         self.wal_fsyncs = reg.counter(
             "repro_wal_fsyncs_total", "WAL fsync calls"
         )

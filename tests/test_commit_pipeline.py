@@ -120,7 +120,7 @@ class _StallingStore(StoreManager):
         if txn_id == self.stall_txn_id:
             self.stalled.set()
             assert self.release.wait(timeout=10.0), "stalled committer never released"
-        super().apply_batch(txn_id, operations)
+        return super().apply_batch(txn_id, operations)
 
 
 class TestWatermarkPublication:

@@ -36,6 +36,9 @@ class TestTransactionTracing:
         assert [name for name, _ in trace.phases] == list(PHASES)
         assert trace.annotations["stripes"] >= 1
         assert trace.annotations["writes"] >= 1
+        # The record-store share of the ``wal`` phase, in microseconds.
+        wal_us = dict(trace.phases)["wal"] * 1e6
+        assert 0.0 < trace.annotations["apply_us"] <= wal_us
         db.close()
 
     def test_phase_durations_sum_to_wall_time(self):
@@ -228,6 +231,9 @@ class TestPrometheusExposition:
         count_key = ("repro_query_seconds_count", ())
         assert parsed[inf_key] == parsed[count_key] >= 1.0
         assert "# TYPE repro_txn_seconds histogram" in text
+        # One committed batch: one WAL append, one record-store apply.
+        assert parsed[("repro_wal_append_seconds_count", ())] == 1.0
+        assert parsed[("repro_store_apply_seconds_count", ())] == 1.0
         db.close()
 
     def test_bucket_counts_are_cumulative(self):

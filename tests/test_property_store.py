@@ -9,8 +9,8 @@ from repro.graph.property_store import PropertyStore, decode_array, encode_array
 from repro.graph.records import NULL_REF
 
 
-def make_property_store():
-    cache = PageCache(capacity_pages=256, page_size=256)
+def make_property_store(cache=None):
+    cache = cache or PageCache(capacity_pages=256, page_size=256)
     values = DynamicStore(PagedFile(InMemoryBackend(), cache), "values")
     return PropertyStore(PagedFile(InMemoryBackend(), cache), values)
 
@@ -79,10 +79,40 @@ class TestPropertyStore:
         assert store.records_in_use() == 0
 
     def test_replace_chain(self):
-        store = make_property_store()
-        ref = store.write_chain({0: 1, 1: 2})
+        cache = PageCache(capacity_pages=256, page_size=256)
+        store = make_property_store(cache)
+        long_value = "x" * 100
+        ref = store.write_chain({0: 1, 1: long_value, 2: [1, 2]})
+        writes = cache.stats
+        # Same keys: the head stays, only the changed record is written.
+        before = writes.page_writes
+        assert store.replace_chain(ref, {0: 5, 1: long_value, 2: [1, 2]}) == ref
+        assert writes.page_writes - before == 1
+        assert store.read_chain(ref) == {0: 5, 1: long_value, 2: [1, 2]}
+        # A changed dynamic value swaps its blocks under the same record.
+        assert store.replace_chain(ref, {0: 5, 1: "short", 2: [1, 2, 3]}) == ref
+        assert store.read_chain(ref) == {0: 5, 1: "short", 2: [1, 2, 3]}
+        assert store.value_blocks_in_use() == 1
+        # A different key set frees the chain and writes a fresh one.
         new_ref = store.replace_chain(ref, {2: "three"})
         assert store.read_chain(new_ref) == {2: "three"}
+        assert store.records_in_use() == 1
+        assert store.value_blocks_in_use() == 0
+
+    def test_replace_chain_over_unreadable_state_writes_fresh(self):
+        # What WAL replay can find in a torn page image: a chain broken
+        # mid-way, a record whose dynamic value is gone.  Never an error.
+        store = make_property_store()
+        ref = store.write_chain({0: 1, 1: 2, 2: 3})
+        second = store._records.read(ref).next_prop
+        store._records.mark_not_in_use(second)
+        new_ref = store.replace_chain(ref, {0: 1, 1: 2, 2: 4})
+        assert store.read_chain(new_ref) == {0: 1, 1: 2, 2: 4}
+
+        ref = store.write_chain({0: "y" * 100})
+        store._values.free_chain(0)
+        assert store.replace_chain(ref, {0: "y" * 100}) == ref
+        assert store.read_chain(ref) == {0: "y" * 100}
 
     def test_unencodable_value_rejected(self):
         store = make_property_store()
