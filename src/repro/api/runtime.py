@@ -81,7 +81,6 @@ class EngineRuntime:
         commit_stripes: int = DEFAULT_COMMIT_STRIPES,
         group_commit: bool = False,
         query_cache_size: int = DEFAULT_QUERY_CACHE_SIZE,
-        query_executor: str = "batch",
         query_batch_size: int = 1024,
         morsel_workers: int = 0,
         morsel_threshold: int = 2048,
@@ -148,7 +147,6 @@ class EngineRuntime:
                 gc_every_n_commits=gc_every_n_commits,
                 commit_stripes=commit_stripes,
                 query_cache_size=query_cache_size,
-                query_executor=query_executor,
                 query_batch_size=query_batch_size,
                 morsel_workers=morsel_workers,
                 morsel_threshold=morsel_threshold,
@@ -167,7 +165,6 @@ class EngineRuntime:
             # The RC engine takes no executor knobs of its own; attach the
             # shared query-executor configuration (morsels never apply — the
             # eligibility check requires a multi-version snapshot reader).
-            self.engine.query_executor = query_executor
             self.engine.query_batch_size = max(1, int(query_batch_size))
             self.engine.morsel_workers = 0
 

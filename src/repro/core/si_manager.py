@@ -67,8 +67,8 @@ COMMIT_TS_PROPERTY = RESERVED_PROPERTY_PREFIX + "commit_ts"
 #: Default number of commit stripes (1 restores the seed's global mutex).
 DEFAULT_COMMIT_STRIPES = 16
 
-#: Default rows per :class:`~repro.query.vectorized.RowBatch` in the
-#: vectorized executor (and the granularity of batched SIREAD registration).
+#: Default rows per :class:`~repro.query.executor.RowBatch` in the
+#: query executor (and the granularity of batched SIREAD registration).
 DEFAULT_QUERY_BATCH_SIZE = 1024
 
 #: Minimum *estimated* leaf-scan cardinality before the planner marks a scan
@@ -117,7 +117,6 @@ class SnapshotIsolationEngine(GraphEngine):
         commit_stripes: int = DEFAULT_COMMIT_STRIPES,
         query_cache_size: int = DEFAULT_QUERY_CACHE_SIZE,
         query_batch_size: int = DEFAULT_QUERY_BATCH_SIZE,
-        query_executor: str = "batch",
         morsel_workers: int = 0,
         morsel_threshold: int = DEFAULT_MORSEL_THRESHOLD,
         safe_snapshots: bool = True,
@@ -145,9 +144,8 @@ class SnapshotIsolationEngine(GraphEngine):
         ``query_cache_size`` sizes the per-database parse and plan caches
         (0 disables them).
 
-        ``query_batch_size`` sets the rows-per-batch of the vectorized
-        executor; ``query_executor`` selects ``"batch"`` (default) or
-        ``"row"`` (the pre-vectorization pull executor).  ``morsel_workers``
+        ``query_batch_size`` sets the rows-per-batch of the query
+        executor.  ``morsel_workers``
         > 1 lets untracked read-only leaf scans split their id ranges into
         that many morsels over a shared thread pool (0 — the default —
         keeps scans single-threaded; the GIL makes parallel resolution pay
@@ -208,12 +206,9 @@ class SnapshotIsolationEngine(GraphEngine):
         self._adjacency_stamp: Dict[int, int] = {}
         self._payload_cache: Dict[EntityKey, Tuple[int, Optional[object]]] = {}
         self._payload_stamp: Dict[EntityKey, int] = {}
-        #: Vectorized-executor knobs (read by :mod:`repro.query` at execute
-        #: time and by the planner's morsel decision; see the class docstring
-        #: additions below).  ``query_executor`` selects "batch" (default) or
-        #: "row" (the pre-vectorization pull executor, kept as a fallback).
+        #: Query-executor knobs (read by :mod:`repro.query` at execute
+        #: time and by the planner's morsel decision).
         self.query_batch_size = max(1, int(query_batch_size))
-        self.query_executor = query_executor
         self.morsel_workers = max(0, int(morsel_workers))
         self.morsel_threshold = max(1, int(morsel_threshold))
         if cc_policy is None:

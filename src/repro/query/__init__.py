@@ -1,6 +1,6 @@
 """Declarative query subsystem: a Cypher-subset compiled per transaction.
 
-Four stages, one module each:
+Four stages:
 
 * :mod:`repro.query.lexer` + :mod:`repro.query.parser` — tokens and a
   recursive-descent parser producing the typed AST in :mod:`repro.query.ast`,
@@ -8,13 +8,13 @@ Four stages, one module each:
   the cheapest start point per ``MATCH`` pattern (property-index seek, label
   scan or all-nodes scan) using the engines' O(1) count fast paths, and
   orders expansions by estimated fan-out,
-* :mod:`repro.query.executor` + :mod:`repro.query.vectorized` — two
-  operator runtimes over the same plans: the reference pull-based row
-  executor and the default vectorized batch executor (columnar
-  :class:`~repro.query.vectorized.RowBatch` pipelines with batched reads
-  and optional morsel-parallel scans).  All reads flow through one
-  transaction (one snapshot under snapshot isolation), with expand
-  operators built on :mod:`repro.api.traversal`,
+* :mod:`repro.query.executor` — the one operator runtime: vectorized
+  batch-at-a-time operators (columnar
+  :class:`~repro.query.executor.RowBatch` pipelines with batched reads and
+  optional morsel-parallel scans) over the compiled expressions of
+  :mod:`repro.query.expressions`.  All reads flow through one transaction
+  (one snapshot under snapshot isolation); write clauses apply to their
+  whole input before anything downstream runs,
 * :mod:`repro.query.result` — lazily-pulled records, mutation statistics and
   the ``EXPLAIN`` plan with estimated vs. actual rows.
 
@@ -126,7 +126,6 @@ def execute(tx, engine, text: str,
             caches.plan.put(plan_key, plan)
     context = ExecutionContext(
         tx, params, QueryStatistics(), timed=query.profile,
-        executor=getattr(engine, "query_executor", "batch"),
         batch_size=getattr(engine, "query_batch_size", 1024),
         morsel_workers=getattr(engine, "morsel_workers", 0),
         obs=obs,
@@ -143,8 +142,9 @@ def execute(tx, engine, text: str,
         plan=plan if query.profile else None,
     )
     if query.has_writes or query.profile:
-        # Writes are eager (Cypher semantics) and PROFILE needs the actual
-        # row counts, so both drain the pipeline before returning.
+        # Writes are eager (Cypher semantics: every write clause has been
+        # applied to all of its input by the time execute() returns) and
+        # PROFILE needs the actual row counts, so both drain the pipeline.
         result.consume()
     return result
 

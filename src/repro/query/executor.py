@@ -1,26 +1,50 @@
-"""Pull-based query executor.
+"""The query executor: vectorized, batch-at-a-time plan operators.
 
-Each plan operator becomes a Python generator over *rows* (variable → value
-dicts); pulling the root pulls exactly as much of the tree as needed, so
-``LIMIT 10`` over a million-node scan touches ~10 nodes.  Every read goes
-through the :class:`repro.api.transaction.Transaction` the query was started
-in — and the expand operators run on :mod:`repro.api.traversal` — so a whole
-query, however long it takes to iterate, observes a single snapshot under
-snapshot isolation.
+Every plan operator runs over :class:`RowBatch` objects — columnar batches
+of up to ``ctx.batch_size`` rows (one list per bound variable) — with
+expressions applied per batch via list comprehensions and the read path
+batched end to end: ``read_nodes_many`` / ``relationships_of_many`` resolve
+a whole batch's version chains in one engine visit, and under SERIALIZABLE
+one tracker-mutex visit registers the whole batch's SIREADs.  Every read
+goes through the :class:`repro.api.transaction.Transaction` the query was
+started in, so a whole query, however long it takes to iterate, observes a
+single snapshot under snapshot isolation.
 
-Expressions are **compiled, not interpreted**: :func:`compile_expression`
-turns an AST subtree into a nest of Python closures exactly once, and every
-row evaluation afterwards is plain closure calls — no ``isinstance`` tree
-walk per row.  Compiled closures are memoised per AST node (ASTs are frozen
-and shared through the parse cache) and additionally pinned on the plan
-operators that use them, so a plan served repeatedly from the plan cache
-never recompiles anything.
+Read operators are pull-based and lazy: ``LIMIT 10`` over a million-node
+scan pulls one batch.  **Write clauses are pipeline breakers**
+(:func:`_write_batches`): ``CREATE`` / ``SET`` / ``DELETE`` drain their
+input, apply the clause to every input row and only then emit, so what a
+query changes — and what a later ``MATCH`` of the same query sees of it —
+depends neither on the batch size nor on a ``LIMIT`` further up.
+
+Variable-length expansion grows a whole frontier level per round trip
+while that fits :data:`FRONTIER_PATH_BUDGET`; unbounded patterns and roots
+that outgrow the budget run the same emission loop lazily, expanding one
+path's end node at a time (a ``LIMIT`` above ``-[*]-`` must not enumerate
+the graph).  Per-row evaluation uses the compiled closures of
+:mod:`repro.query.expressions` wherever vectorization could change
+Cypher's short-circuit error behaviour.  ``tests/reference_executor.py``
+holds an independent row-at-a-time implementation of the same operators;
+``tests/test_batch_equivalence.py`` pins this module against it.
+
+Morsel-style parallelism: leaf scans the planner marked ``parallel``
+(estimated rows above the engine's ``morsel_threshold`` with
+``morsel_workers`` > 1) split their id range into per-worker morsels
+dispatched across a shared thread pool.  Workers call the engine's
+lock-free ``read_committed_versions`` directly — snapshot reads never take
+locks, so sharing the transaction's snapshot across threads is safe — and
+the scan is only eligible when the transaction is a plain snapshot reader
+(no SSI read tracking, no pending safe-snapshot census, no buffered
+writes), so all bookkeeping stays on the query thread.
 """
 
 from __future__ import annotations
 
+import threading
+from functools import partial
+from concurrent.futures import ThreadPoolExecutor
 from time import perf_counter
-from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import (
     NodeNotFoundError,
@@ -28,8 +52,22 @@ from repro.errors import (
     RelationshipNotFoundError,
 )
 from repro.api.transaction import Node, Relationship, Transaction
-from repro.api.traversal import Order, Path, TraversalDescription, Uniqueness
+from repro.core.si_transaction import SnapshotTransaction
+from repro.graph.entity import EntityKey, EntityKind, NodeData
 from repro.query import ast
+from repro.query.expressions import (
+    Row,
+    SCALAR_FUNCTIONS,
+    arithmetic,
+    compare,
+    compiled,
+    evaluate,
+    freeze,
+    pattern_matcher,
+    rel_property_fns,
+    require_non_negative_int,
+    sort_key,
+)
 from repro.query.planner import (
     Aggregate,
     AllNodesScan,
@@ -52,8 +90,6 @@ from repro.query.planner import (
 )
 from repro.query.result import QueryStatistics
 
-Row = Dict[str, object]
-
 
 class ExecutionContext:
     """Everything operators need at runtime: the transaction, parameters, stats.
@@ -61,223 +97,502 @@ class ExecutionContext:
     ``timed`` turns on per-operator wall-time accounting (``PROFILE``):
     every pull through an operator adds its inclusive duration to the plan
     node's ``actual_time_seconds``.  Off by default — plain execution pays
-    no clock calls per row.
-
-    ``executor`` selects the operator runtime: ``"batch"`` (the default)
-    runs the vectorized batch-at-a-time operators in
-    :mod:`repro.query.vectorized`; ``"row"`` runs the original pull-based
-    row-at-a-time generators in this module.  Both produce identical
-    results — the row executor is kept as the semantic reference (the
-    equivalence suite and the CI microbench guard run both).
-    ``batch_size`` caps the rows per batch, and ``morsel_workers`` enables
-    morsel-parallel leaf scans for eligible snapshot reads (0 disables).
+    no clock calls per batch.  ``batch_size`` caps the rows per batch, and
+    ``morsel_workers`` enables morsel-parallel leaf scans for eligible
+    snapshot reads (0 disables).
     """
 
     def __init__(self, tx: Transaction, parameters: Mapping[str, object],
                  stats: QueryStatistics, *, timed: bool = False,
-                 executor: str = "batch", batch_size: int = 1024,
-                 morsel_workers: int = 0, obs=None) -> None:
+                 batch_size: int = 1024, morsel_workers: int = 0,
+                 obs=None) -> None:
         self.tx = tx
         self.parameters = parameters
         self.stats = stats
         self.timed = timed
-        self.executor = executor
         self.batch_size = max(1, batch_size)
         self.morsel_workers = morsel_workers
         self.obs = obs
 
 
+class RowBatch:
+    """A columnar batch of rows: one value list per bound variable.
+
+    ``columns`` is the ordered tuple of variable names, ``data`` maps each
+    name to a list of ``size`` values.  Batches are immutable by
+    convention — operators build new ones rather than mutating inputs
+    (several operators pass their input batch through unchanged).
+    """
+
+    __slots__ = ("columns", "data", "size")
+
+    def __init__(self, columns: Tuple[str, ...], data: Dict[str, List[object]],
+                 size: int) -> None:
+        self.columns = columns
+        self.data = data
+        self.size = size
+
+
+class _RowView:
+    """A zero-copy mapping view of one batch row (reusable via ``index``).
+
+    Implements enough of the Mapping protocol for the compiled closures
+    and pattern matchers: ``view[name]`` raises
+    ``KeyError`` for an unknown variable exactly like a row dict, which the
+    closures convert to the usual "unbound variable" error.
+    """
+
+    __slots__ = ("_data", "index")
+
+    def __init__(self, data: Dict[str, List[object]]) -> None:
+        self._data = data
+        self.index = 0
+
+    def __getitem__(self, name: str) -> object:
+        return self._data[name][self.index]
+
+    def get(self, name: str, default: object = None) -> object:
+        column = self._data.get(name)
+        return default if column is None else column[self.index]
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._data
+
+    def __iter__(self):
+        return iter(self._data)
+
+    def __len__(self) -> int:
+        return len(self._data)
+
+    def keys(self):
+        return self._data.keys()
+
+    def items(self):
+        index = self.index
+        return [(name, column[index]) for name, column in self._data.items()]
+
+
+_EMPTY_ROW: Row = {}
+_EMPTY_FROZENSET: frozenset = frozenset()
+
+
+# ---------------------------------------------------------------------------
+# Batch construction helpers
+# ---------------------------------------------------------------------------
+
+
+def _take(batch: RowBatch, indexes: Sequence[int]) -> RowBatch:
+    """The selected rows of a batch, in the given order."""
+    data = {
+        name: [column[i] for i in indexes] for name, column in batch.data.items()
+    }
+    return RowBatch(batch.columns, data, len(indexes))
+
+
+def _slice(batch: RowBatch, start: int, stop: int) -> RowBatch:
+    """A contiguous row range of a batch."""
+    data = {name: column[start:stop] for name, column in batch.data.items()}
+    return RowBatch(batch.columns, data, stop - start)
+
+
+def _materialise_rows(batch: RowBatch) -> List[Row]:
+    """The batch as plain row dicts (write clauses, ORDER BY scopes)."""
+    data = batch.data
+    columns = batch.columns
+    return [
+        {name: data[name][index] for name in columns}
+        for index in range(batch.size)
+    ]
+
+
+def _batch_from_rows(rows: List[Row]) -> RowBatch:
+    """Rebuild a batch from row dicts (columns are the union, missing → None)."""
+    columns: List[str] = []
+    for row in rows:
+        for name in row:
+            if name not in columns:
+                columns.append(name)
+    data = {name: [row.get(name) for row in rows] for name in columns}
+    return RowBatch(tuple(columns), data, len(rows))
+
+
+def _scoped_rows(batch: RowBatch) -> Iterator[Row]:
+    """Per-row evaluation scopes, overlaying the ORDER BY source bindings.
+
+    ORDER BY / WHERE scope: when a projection kept its pre-projection rows
+    under ``SOURCE_ROW_KEY``, aliases overlay the source bindings (alias
+    wins).  Without a source column this yields a
+    single reusable :class:`_RowView` — no dict copies at all.
+    """
+    data = batch.data
+    source_column = data.get(SOURCE_ROW_KEY)
+    if source_column is not None:
+        names = [name for name in batch.columns if name != SOURCE_ROW_KEY]
+        for index in range(batch.size):
+            merged = dict(source_column[index])
+            for name in names:
+                merged[name] = data[name][index]
+            yield merged
+    else:
+        view = _RowView(data)
+        for index in range(batch.size):
+            view.index = index
+            yield view
+
+
+# ---------------------------------------------------------------------------
+# Batch expression application
+# ---------------------------------------------------------------------------
+
+
+def _apply(expression: ast.Expression, batch: RowBatch,
+           ctx: ExecutionContext) -> List[object]:
+    """Evaluate an expression over every row of a batch.
+
+    The hot shapes — literals, parameters, column references, direct
+    property reads, comparisons, arithmetic, null checks and the scalar
+    functions — are vectorized as whole-column list comprehensions.  Only
+    expression forms that evaluate every operand for every row are
+    vectorized; anything that short-circuits *evaluation* per row (AND/OR,
+    coalesce) runs the compiled closure per row, so an operand Cypher would
+    not have evaluated cannot raise.
+    """
+    size = batch.size
+    data = batch.data
+    kind = type(expression)
+    if kind is ast.Literal:
+        return [expression.value] * size
+    if kind is ast.Parameter:
+        try:
+            value = ctx.parameters[expression.name]
+        except KeyError:
+            raise QueryExecutionError(
+                f"missing parameter ${expression.name}"
+            ) from None
+        return [value] * size
+    if kind is ast.Variable:
+        column = data.get(expression.name)
+        if column is not None:
+            return list(column)
+        # Not a batch column: resolve through the source scope (or raise
+        # the usual unbound-variable error) via the generic path below.
+    elif kind is ast.PropertyAccess and type(expression.entity) is ast.Variable:
+        column = data.get(expression.entity.name)
+        if column is not None:
+            key = expression.key
+            values: List[object] = []
+            append = values.append
+            for entity in column:
+                if isinstance(entity, (Node, Relationship)):
+                    append(entity.data.properties.get(key))
+                elif entity is None:
+                    append(None)
+                else:
+                    raise QueryExecutionError(
+                        f"cannot read property {key!r} of {type(entity).__name__}"
+                    )
+            return values
+    elif kind is ast.Comparison:
+        op = expression.op
+        left = _apply(expression.left, batch, ctx)
+        right = _apply(expression.right, batch, ctx)
+        return [compare(op, lhs, rhs) for lhs, rhs in zip(left, right)]
+    elif kind is ast.Arithmetic:
+        op = expression.op
+        left = _apply(expression.left, batch, ctx)
+        right = _apply(expression.right, batch, ctx)
+        return [arithmetic(op, lhs, rhs) for lhs, rhs in zip(left, right)]
+    elif kind is ast.IsNull:
+        operand = _apply(expression.operand, batch, ctx)
+        if expression.negated:
+            return [value is not None for value in operand]
+        return [value is None for value in operand]
+    elif kind is ast.FunctionCall:
+        scalar = SCALAR_FUNCTIONS.get(expression.name)
+        if scalar is not None and len(expression.args) == 1:
+            operand = _apply(expression.args[0], batch, ctx)
+            return [None if value is None else scalar(value) for value in operand]
+    fn = compiled(expression)
+    return [fn(scope, ctx) for scope in _scoped_rows(batch)]
+
+
+# ---------------------------------------------------------------------------
+# Morsel-parallel leaf scans
+# ---------------------------------------------------------------------------
+
+#: Shared worker pool for morsel-parallel scans, created on first use.  One
+#: pool per process — morsels from concurrent queries interleave on it.
+_MORSEL_POOL: Optional[ThreadPoolExecutor] = None
+_MORSEL_POOL_LOCK = threading.Lock()
+
+
+def _morsel_pool(workers: int) -> ThreadPoolExecutor:
+    global _MORSEL_POOL
+    pool = _MORSEL_POOL
+    if pool is None:
+        with _MORSEL_POOL_LOCK:
+            pool = _MORSEL_POOL
+            if pool is None:
+                pool = ThreadPoolExecutor(
+                    max_workers=max(2, workers),
+                    thread_name_prefix="repro-morsel",
+                )
+                _MORSEL_POOL = pool
+    return pool
+
+
+def _morsel_transaction(ctx: ExecutionContext) -> Optional[SnapshotTransaction]:
+    """The engine transaction, iff this scan may run across the morsel pool.
+
+    Eligible means: a multi-version snapshot transaction that is a *plain
+    snapshot reader* right now — no SSI read tracking (``cc_record``), no
+    pending safe-snapshot census, and no buffered writes.  Those three all
+    require per-read bookkeeping or a write overlay, which would have to be
+    synchronised across workers; the plain reader's visibility resolution
+    is completely lock-free and therefore trivially shareable.
+    """
+    if ctx.morsel_workers <= 1:
+        return None
+    etxn = getattr(ctx.tx, "_txn", None)
+    if not isinstance(etxn, SnapshotTransaction):
+        return None
+    if etxn.cc_record is not None or etxn._pending_reader is not None:
+        return None
+    if etxn._writes:
+        return None
+    return etxn
+
+
+def _morsel_nodes(ctx: ExecutionContext, etxn: SnapshotTransaction,
+                  node_ids: Sequence[int]) -> List[Node]:
+    """Resolve many node payloads across the morsel pool, preserving order."""
+    keys = [EntityKey.node(node_id) for node_id in node_ids]
+    engine = etxn._engine
+    start_ts = etxn.snapshot.start_ts
+    workers = ctx.morsel_workers
+    etxn.reads_performed += len(keys)
+    if len(keys) < workers * 2:
+        payloads = engine.read_committed_versions(keys, start_ts)
+    else:
+        pool = _morsel_pool(workers)
+        chunk = (len(keys) + workers - 1) // workers
+        futures = [
+            pool.submit(
+                engine.read_committed_versions, keys[offset:offset + chunk],
+                start_ts,
+            )
+            for offset in range(0, len(keys), chunk)
+        ]
+        payloads = []
+        for future in futures:
+            payloads.extend(future.result())
+    tx = ctx.tx
+    return [Node(tx, data) for data in payloads if isinstance(data, NodeData)]
+
+
+def _all_committed_node_ids(etxn: SnapshotTransaction) -> List[int]:
+    """Candidate node ids in the order ``iter_nodes`` would visit them.
+
+    The eligible morsel transaction has no own writes, so candidates are
+    the cached version chains followed by the persistent store.
+    """
+    engine = etxn._engine
+    seen = set()
+    ids: List[int] = []
+    for key in engine.versions.keys():
+        if key.kind is EntityKind.NODE and key.entity_id not in seen:
+            seen.add(key.entity_id)
+            ids.append(key.entity_id)
+    for entity_id in engine.store.iter_node_ids():
+        if entity_id not in seen:
+            seen.add(entity_id)
+            ids.append(entity_id)
+    return ids
+
+
+# ---------------------------------------------------------------------------
+# Operator runners
+# ---------------------------------------------------------------------------
+
+
 def run_plan(plan: Plan, ctx: ExecutionContext) -> Iterator[List[object]]:
-    """Run a plan, yielding result rows as value lists (lazy)."""
-    if ctx.executor == "batch":
-        from repro.query.vectorized import run_plan_batches
-
-        return run_plan_batches(plan, ctx)
-    return run_plan_rows(plan, ctx)
-
-
-def run_plan_rows(plan: Plan, ctx: ExecutionContext) -> Iterator[List[object]]:
-    """Run a plan on the row-at-a-time executor, yielding result value lists."""
+    """Run a plan batch-at-a-time, yielding result rows as value lists."""
     root = plan.root
     columns = root.columns
-    for row in _run(root, ctx):
-        if columns:
-            yield [row.get(column) for column in columns]
+    obs = ctx.obs
+    for batch in _run_batches(root, ctx):
+        if obs is not None:
+            obs.query_batches.inc()
+            obs.query_batch_rows.observe(batch.size)
+        if not columns:
+            continue
+        size = batch.size
+        column_lists = [
+            batch.data[name] if name in batch.data else [None] * size
+            for name in columns
+        ]
+        for values in zip(*column_lists):
+            yield list(values)
 
 
-# ---------------------------------------------------------------------------
-# Operator dispatch
-# ---------------------------------------------------------------------------
-
-
-def _run(op, ctx: ExecutionContext) -> Iterator[Row]:
-    """Instantiate one operator's generator, counting rows into the plan node."""
-    runner = _RUNNERS[type(op)]
+def _run_batches(op, ctx: ExecutionContext) -> Iterator[RowBatch]:
+    """Instantiate one operator's batch generator, counting rows and batches."""
+    runner = _OPERATORS[type(op)]
     op.actual_rows = 0
-    op.actual_batches = None
+    op.actual_batches = 0
     if ctx.timed:
         op.actual_time_seconds = 0.0
-        return _timed_runner(op, runner, ctx)
+        return _timed_batches(op, runner, ctx)
 
-    def counted() -> Iterator[Row]:
-        for row in runner(op, ctx):
-            op.actual_rows += 1
-            yield row
+    def counted() -> Iterator[RowBatch]:
+        for batch in runner(op, ctx):
+            if batch.size == 0:
+                continue
+            op.actual_rows += batch.size
+            op.actual_batches += 1
+            yield batch
 
     return counted()
 
 
-def _timed_runner(op, runner, ctx: ExecutionContext) -> Iterator[Row]:
-    """PROFILE variant of :func:`_run`: rows counted *and* pulls timed.
-
-    The measured time is inclusive — pulling an operator pulls its children
-    from inside the same ``next()`` call — matching how PROFILE output is
-    conventionally read (a parent's time covers its subtree).
-    """
+def _timed_batches(op, runner, ctx: ExecutionContext) -> Iterator[RowBatch]:
+    """PROFILE variant of :func:`_run_batches` (inclusive per-pull timing)."""
     generator = runner(op, ctx)
     while True:
         started = perf_counter()
         try:
-            row = next(generator)
+            batch = next(generator)
         except StopIteration:
             op.actual_time_seconds += perf_counter() - started
             return
         op.actual_time_seconds += perf_counter() - started
-        op.actual_rows += 1
-        yield row
+        if batch.size == 0:
+            continue
+        op.actual_rows += batch.size
+        op.actual_batches += 1
+        yield batch
 
 
-def _run_argument(op: Argument, ctx: ExecutionContext) -> Iterator[Row]:
-    yield {}
+def _argument_batches(op: Argument, ctx: ExecutionContext) -> Iterator[RowBatch]:
+    yield RowBatch((), {}, 1)
 
 
-def _run_produce(op: ProduceResults, ctx: ExecutionContext) -> Iterator[Row]:
-    for row in _run(op.child, ctx):
-        yield row
+def _produce_batches(op: ProduceResults, ctx: ExecutionContext) -> Iterator[RowBatch]:
+    yield from _run_batches(op.child, ctx)
+
 
 
 # -- scans -------------------------------------------------------------------
 
 
-def _run_all_nodes_scan(op: AllNodesScan, ctx: ExecutionContext) -> Iterator[Row]:
-    matcher = _pattern_matcher(op, op.pattern)
-    for row in _run(op.child, ctx):
-        for node in ctx.tx.nodes():
-            if matcher is None or matcher(node, row, ctx):
-                yield _bind(row, op.variable, node)
+def _input_rows(op, ctx: ExecutionContext):
+    """Yield ``(in_batch, index, row_scope)`` triples from the child operator."""
+    for in_batch in _run_batches(op.child, ctx):
+        if in_batch.columns:
+            view = _RowView(in_batch.data)
+            for index in range(in_batch.size):
+                view.index = index
+                yield in_batch, index, view
+        else:
+            for index in range(in_batch.size):
+                yield in_batch, index, _EMPTY_ROW
 
 
-def _run_label_scan(op: LabelScan, ctx: ExecutionContext) -> Iterator[Row]:
-    matcher = _pattern_matcher(op, op.pattern)
-    for row in _run(op.child, ctx):
-        for node in ctx.tx.find_nodes(label=op.label):
-            if matcher is None or matcher(node, row, ctx):
-                yield _bind(row, op.variable, node)
+def _bind_column(in_batch: RowBatch, index: int, variable: str,
+                 values: List[object]) -> RowBatch:
+    """One input row replicated against a column of freshly-bound values."""
+    size = len(values)
+    data = {
+        name: [column[index]] * size for name, column in in_batch.data.items()
+    }
+    columns = in_batch.columns
+    if variable not in data:
+        columns = columns + (variable,)
+    data[variable] = values
+    return RowBatch(columns, data, size)
 
 
-def _run_property_seek(op: PropertyIndexSeek, ctx: ExecutionContext) -> Iterator[Row]:
+def _emit_scan_rows(op, ctx: ExecutionContext, in_batch: RowBatch, index: int,
+                    nodes, matcher, row) -> Iterator[RowBatch]:
+    """Bind matching scanned nodes to ``op.variable`` in batch-size chunks."""
+    batch_size = ctx.batch_size
+    matched: List[Node] = []
+    for node in nodes:
+        if matcher is None or matcher(node, row, ctx):
+            matched.append(node)
+            if len(matched) >= batch_size:
+                yield _bind_column(in_batch, index, op.variable, matched)
+                matched = []
+    if matched:
+        yield _bind_column(in_batch, index, op.variable, matched)
+
+
+def _all_nodes_scan_batches(op: AllNodesScan, ctx: ExecutionContext) -> Iterator[RowBatch]:
+    matcher = pattern_matcher(op, op.pattern)
+    for in_batch, index, row in _input_rows(op, ctx):
+        if getattr(op, "parallel", False):
+            etxn = _morsel_transaction(ctx)
+            if etxn is not None:
+                nodes = _morsel_nodes(ctx, etxn, _all_committed_node_ids(etxn))
+                yield from _emit_scan_rows(op, ctx, in_batch, index, nodes, matcher, row)
+                continue
+        yield from _emit_scan_rows(
+            op, ctx, in_batch, index, ctx.tx.nodes(), matcher, row
+        )
+
+
+def _label_scan_batches(op: LabelScan, ctx: ExecutionContext) -> Iterator[RowBatch]:
+    matcher = pattern_matcher(op, op.pattern)
+    for in_batch, index, row in _input_rows(op, ctx):
+        if getattr(op, "parallel", False):
+            etxn = _morsel_transaction(ctx)
+            if etxn is not None:
+                ids = sorted(etxn.find_nodes_by_label(op.label))
+                nodes = _morsel_nodes(ctx, etxn, ids)
+                yield from _emit_scan_rows(op, ctx, in_batch, index, nodes, matcher, row)
+                continue
+        yield from _emit_scan_rows(
+            op, ctx, in_batch, index, ctx.tx.find_nodes(label=op.label),
+            matcher, row,
+        )
+
+
+def _property_seek_batches(op: PropertyIndexSeek, ctx: ExecutionContext) -> Iterator[RowBatch]:
     value_fn = compiled(op.value)
-    matcher = _pattern_matcher(op, op.pattern)
-    for row in _run(op.child, ctx):
+    matcher = pattern_matcher(op, op.pattern)
+    for in_batch, index, row in _input_rows(op, ctx):
         value = value_fn(row, ctx)
         if value is None:
             continue
-        for node in ctx.tx.find_nodes(label=op.label, key=op.key, value=value):
-            if matcher is None or matcher(node, row, ctx):
-                yield _bind(row, op.variable, node)
+        nodes = ctx.tx.find_nodes(label=op.label, key=op.key, value=value)
+        yield from _emit_scan_rows(op, ctx, in_batch, index, nodes, matcher, row)
 
 
 # -- expand ------------------------------------------------------------------
 
 
-def _run_expand(op: Expand, ctx: ExecutionContext) -> Iterator[Row]:
-    for row in _run(op.child, ctx):
-        yield from _expand_row(op, row, ctx)
-
-
-def _expand_row(op: Expand, row: Row, ctx: ExecutionContext) -> Iterator[Row]:
-    """Expand one input row through the hop's traversal (shared with the
-    batch executor, which falls back to this for var-length patterns)."""
-    rel = op.rel
-    to_matcher = _pattern_matcher(op, op.to_pattern, attr="_to_matcher")
-    rel_prop_fns = _rel_property_fns(op)
-    source = row.get(op.from_var)
-    if source is None:
-        return
-    if not isinstance(source, Node):
-        raise QueryExecutionError(
-            f"cannot expand from {op.from_var!r}: not a node"
-        )
-    excluded = _excluded_rel_ids(op.exclude_rel_vars, row)
-    target: Optional[Node] = None
-    if op.into:
-        bound_target = row.get(op.to_var)
-        if not isinstance(bound_target, Node):
-            return
-        target = bound_target
-    description = TraversalDescription(
-        order=Order.DEPTH_FIRST,
-        direction=op.direction,
-        rel_types=rel.types or None,
-        max_depth=rel.max_hops,
-        min_depth=rel.min_hops,
-        uniqueness=Uniqueness.NONE,
-        evaluator=_make_evaluator(rel, rel_prop_fns, row, ctx, excluded),
-    )
-    for path in description.traverse(ctx.tx, source):
-        end = path.end_node
-        if target is not None and end.id != target.id:
+def _expand_sources(op: Expand, in_batch: RowBatch) -> Tuple[List[int], List[Node]]:
+    """Row indexes and source nodes of the batch rows an expand starts from."""
+    from_var = op.from_var
+    source_column = in_batch.data.get(from_var)
+    if source_column is None:
+        raise QueryExecutionError(f"unbound variable {from_var!r}")
+    indexes: List[int] = []
+    sources: List[Node] = []
+    for index, source in enumerate(source_column):
+        if source is None:
             continue
-        if to_matcher is not None and not to_matcher(end, row, ctx):
-            continue
-        rel_value: object
-        if rel.var_length:
-            rel_value = list(path.relationships)
-        else:
-            rel_value = path.relationships[-1]
-        new_row = _bind(row, op.rel_var, rel_value)
-        if not op.into:
-            new_row[op.to_var] = end
-        yield new_row
-
-
-def _rel_property_fns(op: Expand) -> Tuple[Tuple[str, CompiledExpression], ...]:
-    """Compiled (key, value expression) pairs of the hop's property map."""
-    fns = getattr(op, "_rel_prop_fns", None)
-    if fns is None:
-        fns = tuple((key, compiled(expr)) for key, expr in op.rel.properties)
-        op._rel_prop_fns = fns
-    return fns
-
-
-def _make_evaluator(rel_pattern, rel_prop_fns, row: Row, ctx: ExecutionContext,
-                    excluded: frozenset):
-    min_hops = rel_pattern.min_hops
-
-    def evaluator(path: Path) -> Tuple[bool, bool]:
-        if path.length == 0:
-            return min_hops == 0, True
-        last = path.relationships[-1]
-        if last.id in excluded:
-            return False, False
-        # Cypher's relationship isomorphism within one pattern: a path may
-        # not traverse the same relationship twice (Uniqueness.NONE only
-        # stops immediate backtracking, not longer cycles).
-        seen = set()
-        for relationship in path.relationships:
-            if relationship.id in seen:
-                return False, False
-            seen.add(relationship.id)
-        for key, value_fn in rel_prop_fns:
-            wanted = value_fn(row, ctx)
-            if wanted is None or last.data.properties.get(key) != wanted:
-                return False, False
-        return True, True
-
-    return evaluator
+        if not isinstance(source, Node):
+            raise QueryExecutionError(
+                f"cannot expand from {from_var!r}: not a node"
+            )
+        indexes.append(index)
+        sources.append(source)
+    return indexes, sources
 
 
 def _excluded_rel_ids(variables: Sequence[str], row: Row) -> frozenset:
+    """Ids of the relationships earlier hops of the pattern already bound."""
     excluded = set()
     for variable in variables:
         value = row.get(variable)
@@ -290,92 +605,481 @@ def _excluded_rel_ids(variables: Sequence[str], row: Row) -> frozenset:
     return frozenset(excluded)
 
 
+def _expand_batches(op: Expand, ctx: ExecutionContext) -> Iterator[RowBatch]:
+    rel = op.rel
+    if rel.var_length:
+        yield from _var_length_expand_batches(op, ctx)
+        return
+    to_matcher = pattern_matcher(op, op.to_pattern, attr="_to_matcher")
+    rel_prop_fns = rel_property_fns(op)
+    rel_types = rel.types or None
+    direction = op.direction
+    batch_size = ctx.batch_size
+    bind_target = getattr(op, "bind_target", True)
+    for in_batch in _run_batches(op.child, ctx):
+        data = in_batch.data
+        source_indexes, sources = _expand_sources(op, in_batch)
+        if not sources:
+            continue
+        if bind_target:
+            expanded = ctx.tx.expand_many(sources, direction, rel_types)
+        else:
+            # Nothing downstream can observe the far-end node (anonymous
+            # terminal target, no label/property checks), so skip the
+            # neighbour point-reads entirely and pair each relationship
+            # with a placeholder.
+            expanded = [
+                [(relationship, None) for relationship in relationships]
+                for relationships in ctx.tx.relationships_of_many(
+                    sources, direction, rel_types
+                )
+            ]
+        out_indexes: List[int] = []
+        out_rels: List[object] = []
+        out_nodes: List[Node] = []
+        row = _RowView(data)
+        for index, pairs in zip(source_indexes, expanded):
+            row.index = index
+            excluded = (
+                _excluded_rel_ids(op.exclude_rel_vars, row)
+                if op.exclude_rel_vars
+                else _EMPTY_FROZENSET
+            )
+            target_id: Optional[int] = None
+            if op.into:
+                bound_target = row.get(op.to_var)
+                if not isinstance(bound_target, Node):
+                    continue
+                target_id = bound_target.id
+            # Reverse adjacency order: a single hop is the one-level case
+            # of the var-length walk, which pops its stack LIFO.
+            for relationship, neighbour in reversed(pairs):
+                if relationship.id in excluded:
+                    continue
+                if rel_prop_fns:
+                    wanted_ok = True
+                    for key, value_fn in rel_prop_fns:
+                        wanted = value_fn(row, ctx)
+                        if wanted is None or \
+                                relationship.data.properties.get(key) != wanted:
+                            wanted_ok = False
+                            break
+                    if not wanted_ok:
+                        continue
+                if target_id is not None and neighbour.id != target_id:
+                    continue
+                if to_matcher is not None and not to_matcher(neighbour, row, ctx):
+                    continue
+                out_indexes.append(index)
+                out_rels.append(relationship)
+                out_nodes.append(neighbour)
+                if len(out_indexes) >= batch_size:
+                    yield _expand_output(in_batch, op, out_indexes, out_rels, out_nodes)
+                    out_indexes, out_rels, out_nodes = [], [], []
+        if out_indexes:
+            yield _expand_output(in_batch, op, out_indexes, out_rels, out_nodes)
+
+
+def _expand_output(in_batch: RowBatch, op: Expand, indexes: List[int],
+                   rels: List[object], nodes: List[Node]) -> RowBatch:
+    """Input rows replicated per expansion, with the hop's bindings appended."""
+    data = {
+        name: [column[i] for i in indexes]
+        for name, column in in_batch.data.items()
+    }
+    columns = in_batch.columns
+    if op.rel_var not in data:
+        columns = columns + (op.rel_var,)
+    data[op.rel_var] = rels
+    if not op.into and getattr(op, "bind_target", True):
+        if op.to_var not in data:
+            columns = columns + (op.to_var,)
+        data[op.to_var] = nodes
+    return RowBatch(columns, data, len(indexes))
+
+
+#: Most paths one frontier may hold.  Level-at-a-time expansion keeps every
+#: path of its root group alive until the group is emitted, so a large bound
+#: on a dense graph would build the whole neighbourhood before the first row
+#: — and a ``LIMIT`` above it could not stop that.  A group that outgrows the
+#: budget is halved; a single root that still does not fit is walked lazily,
+#: one path at a time (same rows, same order).
+FRONTIER_PATH_BUDGET = 4096
+
+
+def _var_length_expand_batches(op: Expand, ctx: ExecutionContext) -> Iterator[RowBatch]:
+    """``*m..n`` / ``*m..`` expand, set-at-a-time; output chunked at batch size."""
+    batch_size = ctx.batch_size
+    #: Per depth: [round trips, paths expanded] (PROFILE).
+    op.actual_levels = []
+    op.actual_lazy_roots = 0
+    for in_batch in _run_batches(op.child, ctx):
+        out_indexes: List[int] = []
+        out_rels: List[object] = []
+        out_nodes: List[Node] = []
+        for index, relationships, end in _var_length_matches(op, ctx, in_batch):
+            out_indexes.append(index)
+            out_rels.append(relationships)
+            out_nodes.append(end)
+            if len(out_indexes) >= batch_size:
+                yield _expand_output(in_batch, op, out_indexes, out_rels, out_nodes)
+                out_indexes, out_rels, out_nodes = [], [], []
+        if out_indexes:
+            yield _expand_output(in_batch, op, out_indexes, out_rels, out_nodes)
+
+
+class _PathForest:
+    """The paths grown from a group of root rows, as parallel arrays linked
+    by parent index — the roots first, so ``path < roots`` means "a root"."""
+
+    __slots__ = ("roots", "row", "parent", "rel", "rel_id", "node", "children")
+
+    def __init__(self, root_rows: List[int], root_nodes: List[Node]) -> None:
+        roots = len(root_rows)
+        self.roots = roots
+        self.row = list(root_rows)
+        self.parent = [-1] * roots
+        self.rel: List[Optional[Relationship]] = [None] * roots
+        self.rel_id = [-1] * roots
+        self.node = list(root_nodes)
+        self.children: List[List[int]] = [[] for _ in range(roots)]
+
+    def truncate(self, size: int) -> None:
+        """Forget every path from index ``size`` on."""
+        del self.row[size:], self.parent[size:], self.rel[size:]
+        del self.rel_id[size:], self.node[size:], self.children[size:]
+
+
+def _extend_path(forest: _PathForest, path: int, pairs, excluded: frozenset,
+                 rel_prop_fns, row: _RowView, ctx: ExecutionContext) -> List[int]:
+    """Append the children of ``path`` — one per ``(relationship, neighbour)``
+    pair that may continue it — and return their indexes.
+
+    The pattern's pruning rules live here and nowhere else: no relationship
+    bound by an earlier hop (``exclude_rel_vars``), Cypher's relationship
+    isomorphism (a path never walks one relationship twice, which covers
+    the immediate back-walk), and the hop's property map.
+    """
+    roots = forest.roots
+    path_parent = forest.parent
+    path_rel_id = forest.rel_id
+    index = forest.row[path]
+    children = forest.children[path]
+    for relationship, neighbour in pairs:
+        rel_id = relationship.id
+        if rel_id in excluded:
+            continue
+        ancestor = path
+        while ancestor >= roots and path_rel_id[ancestor] != rel_id:
+            ancestor = path_parent[ancestor]
+        if ancestor >= roots:
+            continue  # relationship already on this path
+        properties = relationship.data.properties
+        for key, value_fn in rel_prop_fns:
+            wanted = value_fn(row, ctx)
+            if wanted is None or properties.get(key) != wanted:
+                break
+        else:
+            children.append(len(path_parent))
+            forest.row.append(index)
+            path_parent.append(path)
+            forest.rel.append(relationship)
+            path_rel_id.append(rel_id)
+            forest.node.append(neighbour)
+            forest.children.append([])
+    return children
+
+
+def _var_length_matches(
+    op: Expand, ctx: ExecutionContext, in_batch: RowBatch
+) -> Iterator[Tuple[int, List[Relationship], Node]]:
+    """``(row index, path relationships, end node)`` of every match of one
+    input batch, lazily, in depth-first order: pre-order, siblings in
+    reverse adjacency order.
+
+    A bounded pattern's roots grow together as one frontier
+    (:func:`_grow_frontier`) while that fits :data:`FRONTIER_PATH_BUDGET`,
+    and emission walks the grown forest.  An unbounded pattern, and a single
+    root that does not fit the budget, run the same walk *lazily*: a path's
+    children are found when the path is popped — after it has been emitted,
+    so a consumer that stops early has expanded nothing it did not need —
+    and the forest is cut back to the popped path, whose later siblings'
+    subtrees are finished by then, so memory stays at the stack's size.
+    """
+    rel = op.rel
+    to_matcher = pattern_matcher(op, op.to_pattern, attr="_to_matcher")
+    rel_prop_fns = rel_property_fns(op)
+    min_hops = rel.min_hops
+    max_hops = rel.max_hops
+    rel_types = rel.types or None
+    direction = op.direction
+    expand_many = ctx.tx.expand_many
+    row = _RowView(in_batch.data)
+    indexes, sources = _expand_sources(op, in_batch)
+    # Start from the roots as this transaction sees them now, not from the
+    # (possibly stale) handles bound upstream.
+    visible = {
+        node.id: node
+        for node in ctx.tx.nodes_by_ids(
+            list(dict.fromkeys(source.id for source in sources))
+        )
+    }
+    root_rows: List[int] = []
+    root_nodes: List[Node] = []
+    excluded_of: Dict[int, frozenset] = {}
+    target_of: Dict[int, int] = {}
+    for index, source in zip(indexes, sources):
+        row.index = index
+        if op.into:
+            bound_target = row.get(op.to_var)
+            if not isinstance(bound_target, Node):
+                continue
+            target_of[index] = bound_target.id
+        if source.id not in visible:
+            raise NodeNotFoundError(source.id)
+        excluded_of[index] = (
+            _excluded_rel_ids(op.exclude_rel_vars, row)
+            if op.exclude_rel_vars
+            else _EMPTY_FROZENSET
+        )
+        root_rows.append(index)
+        root_nodes.append(visible[source.id])
+    start = 0
+    step = 1 if max_hops is None else len(root_rows)
+    while start < len(root_rows):
+        group_rows = root_rows[start:start + step]
+        group_nodes = root_nodes[start:start + step]
+        forest = _PathForest(group_rows, group_nodes)
+        lazy = max_hops is None or not _grow_frontier(
+            op, ctx, row, forest, excluded_of
+        )
+        if lazy and step > 1:
+            step = (step + 1) // 2
+            continue
+        start += step
+        if lazy:
+            op.actual_lazy_roots += 1
+            # Start over from the bare root: drop what the attempt grew.
+            forest = _PathForest(group_rows, group_nodes)
+        roots = forest.roots
+        path_parent = forest.parent
+        path_rel = forest.rel
+        path_node = forest.node
+        path_children = forest.children
+        for root, index in enumerate(group_rows):
+            row.index = index
+            target_id = target_of.get(index)
+            stack = [(root, 0)]
+            while stack:
+                path, hops = stack.pop()
+                if lazy:
+                    forest.truncate(path + 1)
+                end = path_node[path]
+                if (
+                    hops >= min_hops
+                    and (target_id is None or end.id == target_id)
+                    and (to_matcher is None or to_matcher(end, row, ctx))
+                ):
+                    relationships: List[Relationship] = []
+                    link = path
+                    while link >= roots:
+                        relationships.append(path_rel[link])
+                        link = path_parent[link]
+                    relationships.reverse()
+                    yield index, relationships, end
+                if lazy and (max_hops is None or hops < max_hops):
+                    _extend_path(
+                        forest, path,
+                        expand_many([end], direction, rel_types)[0],
+                        excluded_of[index], rel_prop_fns, row, ctx,
+                    )
+                for child in path_children[path]:
+                    stack.append((child, hops + 1))
+
+
+def _grow_frontier(
+    op: Expand,
+    ctx: ExecutionContext,
+    row: _RowView,
+    forest: _PathForest,
+    excluded_of: Dict[int, frozenset],
+) -> bool:
+    """Grow every path from the forest's roots, one level per round trip.
+
+    Level ``d`` expands the distinct end nodes of every surviving depth-``d``
+    path in one ``expand_many`` (one adjacency read and one neighbour read
+    for the whole frontier).  Returns ``False`` — leaving the forest partly
+    grown — once it holds more than :data:`FRONTIER_PATH_BUDGET` paths.
+    """
+    rel = op.rel
+    rel_prop_fns = rel_property_fns(op)
+    max_hops = rel.max_hops
+    rel_types = rel.types or None
+    direction = op.direction
+    expand_many = ctx.tx.expand_many
+    budget = FRONTIER_PATH_BUDGET
+    levels = op.actual_levels
+    path_row = forest.row
+    path_node = forest.node
+    frontier = list(range(forest.roots))
+    depth = 0
+    while frontier and depth < max_hops:
+        if depth == len(levels):
+            levels.append([0, 0])
+        levels[depth][0] += 1
+        levels[depth][1] += len(frontier)
+        ends = {path_node[path].id: path_node[path] for path in frontier}
+        pairs_of = dict(
+            zip(ends, expand_many(list(ends.values()), direction, rel_types))
+        )
+        grown: List[int] = []
+        for path in frontier:
+            index = path_row[path]
+            row.index = index
+            grown.extend(_extend_path(
+                forest, path, pairs_of[path_node[path].id], excluded_of[index],
+                rel_prop_fns, row, ctx,
+            ))
+            if len(path_row) > budget:
+                return False
+        frontier = grown
+        depth += 1
+    return True
+
+
 # -- filters and projections -------------------------------------------------
 
 
-def _run_filter(op: Filter, ctx: ExecutionContext) -> Iterator[Row]:
-    predicate_fn = compiled(op.predicate)
-    for row in _run(op.child, ctx):
-        scope = _order_scope(row)
-        value = predicate_fn(scope, ctx)
-        if value is not None and value:
-            yield row
+def _filter_batches(op: Filter, ctx: ExecutionContext) -> Iterator[RowBatch]:
+    predicate = op.predicate
+    for batch in _run_batches(op.child, ctx):
+        values = _apply(predicate, batch, ctx)
+        keep = [
+            index for index, value in enumerate(values)
+            if value is not None and value
+        ]
+        if len(keep) == batch.size:
+            yield batch
+        elif keep:
+            yield _take(batch, keep)
 
 
-def _run_projection(op: Projection, ctx: ExecutionContext) -> Iterator[Row]:
-    item_fns = [(item.alias, compiled(item.expression)) for item in op.items]
+def _projection_batches(op: Projection, ctx: ExecutionContext) -> Iterator[RowBatch]:
+    aliases = tuple(item.alias for item in op.items)
     keep_source = op.keep_source
-    for row in _run(op.child, ctx):
-        projected: Row = {alias: fn(row, ctx) for alias, fn in item_fns}
+    for batch in _run_batches(op.child, ctx):
+        data = {
+            item.alias: _apply(item.expression, batch, ctx) for item in op.items
+        }
+        columns = aliases
         if keep_source:
-            projected[SOURCE_ROW_KEY] = row
-        yield projected
+            data[SOURCE_ROW_KEY] = _materialise_rows(batch)
+            columns = aliases + (SOURCE_ROW_KEY,)
+        yield RowBatch(columns, data, batch.size)
 
 
-def _run_distinct(op: Distinct, ctx: ExecutionContext) -> Iterator[Row]:
+def _distinct_batches(op: Distinct, ctx: ExecutionContext) -> Iterator[RowBatch]:
     seen = set()
-    for row in _run(op.child, ctx):
-        key = tuple(_freeze(row.get(column)) for column in op.columns)
-        if key in seen:
-            continue
-        seen.add(key)
-        yield row
+    for batch in _run_batches(op.child, ctx):
+        cols = [batch.data.get(name) for name in op.columns]
+        keep: List[int] = []
+        for index in range(batch.size):
+            key = tuple(
+                freeze(col[index]) if col is not None else None for col in cols
+            )
+            if key not in seen:
+                seen.add(key)
+                keep.append(index)
+        if len(keep) == batch.size:
+            yield batch
+        elif keep:
+            yield _take(batch, keep)
 
 
-def _run_order_by(op: OrderBy, ctx: ExecutionContext) -> Iterator[Row]:
-    rows = list(_run(op.child, ctx))
-    # Stable multi-key sort: apply keys right-to-left.
-    for item in reversed(op.order_items):
-        key_fn = compiled(item.expression)
-        rows.sort(
-            key=lambda row, fn=key_fn: _sort_key(fn(_order_scope(row), ctx)),
-            reverse=not item.ascending,
+def _order_by_batches(op: OrderBy, ctx: ExecutionContext) -> Iterator[RowBatch]:
+    batches = list(_run_batches(op.child, ctx))
+    if not batches:
+        return
+    # Evaluate every order key once per row (through the source scope),
+    # then sort global row indexes stably, right-to-left.
+    key_columns: List[List[object]] = [[] for _ in op.order_items]
+    for batch in batches:
+        for slot, item in enumerate(op.order_items):
+            key_columns[slot].extend(
+                sort_key(value) for value in _apply(item.expression, batch, ctx)
+            )
+    out_columns = tuple(
+        name for name in batches[0].columns if name != SOURCE_ROW_KEY
+    )
+    flat: Dict[str, List[object]] = {name: [] for name in out_columns}
+    for batch in batches:
+        for name in out_columns:
+            column = batch.data.get(name)
+            if column is None:
+                flat[name].extend([None] * batch.size)
+            else:
+                flat[name].extend(column)
+    total = sum(batch.size for batch in batches)
+    order = list(range(total))
+    for slot in range(len(op.order_items) - 1, -1, -1):
+        keys = key_columns[slot]
+        order.sort(
+            key=keys.__getitem__, reverse=not op.order_items[slot].ascending
         )
-    for row in rows:
-        if SOURCE_ROW_KEY in row:
-            row = {k: v for k, v in row.items() if k != SOURCE_ROW_KEY}
-        yield row
+    batch_size = ctx.batch_size
+    for start in range(0, total, batch_size):
+        chunk = order[start:start + batch_size]
+        data = {
+            name: [column[i] for i in chunk] for name, column in flat.items()
+        }
+        yield RowBatch(out_columns, data, len(chunk))
 
 
-def _order_scope(row: Row) -> Row:
-    """ORDER BY / WHERE scope: aliases overlay the pre-projection bindings."""
-    source = row.get(SOURCE_ROW_KEY)
-    if isinstance(source, dict):
-        merged = dict(source)
-        merged.update(row)
-        merged.pop(SOURCE_ROW_KEY, None)
-        return merged
-    return row
+def _skip_batches(op: Skip, ctx: ExecutionContext) -> Iterator[RowBatch]:
+    count = require_non_negative_int(evaluate(op.count, {}, ctx), "SKIP")
+    skipped = 0
+    for batch in _run_batches(op.child, ctx):
+        if skipped >= count:
+            yield batch
+            continue
+        if skipped + batch.size <= count:
+            skipped += batch.size
+            continue
+        start = count - skipped
+        skipped = count
+        yield _slice(batch, start, batch.size)
 
 
-def _run_skip(op: Skip, ctx: ExecutionContext) -> Iterator[Row]:
-    count = _require_non_negative_int(evaluate(op.count, {}, ctx), "SKIP")
-    for index, row in enumerate(_run(op.child, ctx)):
-        if index >= count:
-            yield row
-
-
-def _run_limit(op: Limit, ctx: ExecutionContext) -> Iterator[Row]:
-    count = _require_non_negative_int(evaluate(op.count, {}, ctx), "LIMIT")
+def _limit_batches(op: Limit, ctx: ExecutionContext) -> Iterator[RowBatch]:
+    count = require_non_negative_int(evaluate(op.count, {}, ctx), "LIMIT")
     if count == 0:
+        # Not pulling the child is only an optimisation over a read-only
+        # subtree; a write clause below still has to run.
+        if any(isinstance(below, _WRITE_OPERATORS) for below in op.child.walk()):
+            for _batch in _run_batches(op.child, ctx):
+                pass
         return
     produced = 0
-    for row in _run(op.child, ctx):
-        yield row
-        produced += 1
-        if produced >= count:
+    for batch in _run_batches(op.child, ctx):
+        remaining = count - produced
+        if batch.size <= remaining:
+            produced += batch.size
+            yield batch
+            if produced >= count:
+                return
+        else:
+            yield _slice(batch, 0, remaining)
             return
 
 
 # -- aggregation ---------------------------------------------------------------
 
 
-class _Accumulator:
+class Accumulator:
     """One aggregate function instance for one group."""
 
-    def __init__(self, call: ast.FunctionCall, arg_fn: Optional[CompiledExpression]) -> None:
+    def __init__(self, call: ast.FunctionCall) -> None:
         self.call = call
-        self.arg_fn = arg_fn
         self.count = 0
         self.total = 0
         self.minimum = None
@@ -383,19 +1087,9 @@ class _Accumulator:
         self.collected: List[object] = []
         self.distinct_seen = set()
 
-    def update(self, row: Row, ctx: ExecutionContext) -> None:
-        if self.call.star:
-            self.count += 1
-            return
-        self.update_value(self.arg_fn(row, ctx))
-
     def update_value(self, value: object) -> None:
-        """Fold one already-evaluated argument value into the aggregate.
-
-        The batch executor evaluates the argument expression over a whole
-        batch at once and feeds the values here; ``count(*)`` ignores the
-        value entirely.
-        """
+        """Fold one already-evaluated argument value into the aggregate
+        (``count(*)`` ignores the value entirely)."""
         call = self.call
         if call.star:
             self.count += 1
@@ -403,7 +1097,7 @@ class _Accumulator:
         if value is None:
             return
         if call.distinct:
-            key = _freeze(value)
+            key = freeze(value)
             if key in self.distinct_seen:
                 return
             self.distinct_seen.add(key)
@@ -415,17 +1109,17 @@ class _Accumulator:
                 )
             self.total += value
         elif call.name == "min":
-            if self.minimum is None or _sort_key(value) < _sort_key(self.minimum):
+            if self.minimum is None or sort_key(value) < sort_key(self.minimum):
                 self.minimum = value
         elif call.name == "max":
-            if self.maximum is None or _sort_key(value) > _sort_key(self.maximum):
+            if self.maximum is None or sort_key(value) > sort_key(self.maximum):
                 self.maximum = value
         elif call.name == "collect":
             self.collected.append(value)
 
     def update_slice(self, column: Optional[List[object]],
                      indexes: List[int]) -> None:
-        """Fold ``column[i]`` for every ``i`` in ``indexes`` (batch executor).
+        """Fold ``column[i]`` for every ``i`` in ``indexes``.
 
         ``column`` is ``None`` for ``count(*)`` — the whole slice counts.
         Plain ``count(x)`` short-circuits to a non-``None`` tally; everything
@@ -461,50 +1155,206 @@ class _Accumulator:
         raise QueryExecutionError(f"unknown aggregate {name!r}")
 
 
-def _run_aggregate(op: Aggregate, ctx: ExecutionContext) -> Iterator[Row]:
-    group_fns = [(item.alias, compiled(item.expression)) for item in op.group_items]
-    agg_specs = [
-        (
-            item.expression,
-            None if item.expression.star else compiled(item.expression.args[0]),
-        )
-        for item in op.agg_items
-    ]
-    groups: Dict[Tuple, Tuple[Row, List[_Accumulator]]] = {}
-    for row in _run(op.child, ctx):
-        key_values = [fn(row, ctx) for _alias, fn in group_fns]
-        key = tuple(_freeze(value) for value in key_values)
-        entry = groups.get(key)
-        if entry is None:
-            accumulators = [_Accumulator(call, fn) for call, fn in agg_specs]
-            group_row = {
-                alias: value
-                for (alias, _fn), value in zip(group_fns, key_values)
-            }
-            entry = (group_row, accumulators)
-            groups[key] = entry
-        for accumulator in entry[1]:
-            accumulator.update(row, ctx)
-    if not groups and not op.group_items:
+def _fused_expand_count(
+    op: Aggregate, ctx: ExecutionContext
+) -> Optional[Iterator[RowBatch]]:
+    """``Expand -> Aggregate(count(r))`` folded into adjacency-length sums.
+
+    When an aggregate sits directly on an unbound-target single-hop expand
+    and every aggregate is a plain ``count(rel_var)`` over that expand's
+    relationship variable (with every group key a pre-expand variable), the
+    per-relationship rows exist only to be counted.  Summing the adjacency
+    list lengths per source row produces the same groups and the same
+    counts without materialising them.  The reads are identical — the
+    counts come from the same ``relationships_of_many`` call the expand
+    would make, so SI visibility and SSI predicate registration are
+    untouched; sources with an empty adjacency produce no row, exactly as
+    the real expand produces no row to aggregate.
+    """
+    child = op.child
+    if not isinstance(child, Expand):
+        return None
+    rel = child.rel
+    if (child.into or rel.var_length or rel.min_hops != 1 or rel.max_hops != 1
+            or rel.properties or child.exclude_rel_vars
+            or getattr(child, "bind_target", True)):
+        return None
+    rel_var = child.rel_var
+    for item in op.group_items:
+        expression = item.expression
+        if not isinstance(expression, ast.Variable) or \
+                expression.name in (rel_var, child.to_var):
+            return None
+    for item in op.agg_items:
+        call = item.expression
+        if call.name != "count" or call.star or call.distinct:
+            return None
+        argument = call.args[0]
+        if not isinstance(argument, ast.Variable) or argument.name != rel_var:
+            return None
+    return _fused_expand_count_batches(op, child, ctx)
+
+
+def _fused_expand_count_batches(
+    op: Aggregate, child: Expand, ctx: ExecutionContext
+) -> Iterator[RowBatch]:
+    group_items = op.group_items
+    agg_items = op.agg_items
+    single_group = len(group_items) == 1
+    rel_types = child.rel.types or None
+    direction = child.direction
+    groups: Dict[object, Tuple[Row, List[int]]] = {}
+    for in_batch in _run_batches(child.child, ctx):
+        source_indexes, sources = _expand_sources(child, in_batch)
+        if not sources:
+            continue
+        counts = ctx.tx.count_relationships_of_many(sources, direction, rel_types)
+        group_columns = [
+            _apply(item.expression, in_batch, ctx) for item in group_items
+        ]
+        for index, count in zip(source_indexes, counts):
+            if not count:
+                continue
+            if single_group:
+                key = freeze(group_columns[0][index])
+            elif group_items:
+                key = tuple(freeze(column[index]) for column in group_columns)
+            else:
+                key = ()
+            entry = groups.get(key)
+            if entry is None:
+                group_row = {
+                    item.alias: column[index]
+                    for item, column in zip(group_items, group_columns)
+                }
+                entry = (group_row, [0] * len(agg_items))
+                groups[key] = entry
+            totals = entry[1]
+            for position in range(len(totals)):
+                totals[position] += count
+    if not groups and not group_items:
+        # Aggregation over zero rows still produces one row (count = 0).
+        groups[()] = ({}, [0] * len(agg_items))
+    columns = tuple(item.alias for item in group_items) + tuple(
+        item.alias for item in agg_items
+    )
+    out_rows: List[Row] = []
+    for group_row, totals in groups.values():
+        out = dict(group_row)
+        for item, total in zip(agg_items, totals):
+            out[item.alias] = total
+        out_rows.append(out)
+    batch_size = ctx.batch_size
+    for start in range(0, len(out_rows), batch_size):
+        chunk = out_rows[start:start + batch_size]
+        data = {name: [row.get(name) for row in chunk] for name in columns}
+        yield RowBatch(columns, data, len(chunk))
+
+
+def _aggregate_batches(op: Aggregate, ctx: ExecutionContext) -> Iterator[RowBatch]:
+    fused = _fused_expand_count(op, ctx)
+    if fused is not None:
+        yield from fused
+        return
+    group_items = op.group_items
+    agg_items = op.agg_items
+    groups: Dict[object, Tuple[Row, List[Accumulator]]] = {}
+    single_group = len(group_items) == 1
+    for batch in _run_batches(op.child, ctx):
+        group_columns = [
+            _apply(item.expression, batch, ctx) for item in group_items
+        ]
+        agg_columns = [
+            None if item.expression.star
+            else _apply(item.expression.args[0], batch, ctx)
+            for item in agg_items
+        ]
+        # Bucket row indexes by group key first, then feed each accumulator
+        # one slice per (batch, group) instead of one call per row.
+        buckets: Dict[object, List[int]] = {}
+        if single_group:
+            column = group_columns[0]
+            for index in range(batch.size):
+                key = freeze(column[index])
+                bucket = buckets.get(key)
+                if bucket is None:
+                    buckets[key] = [index]
+                else:
+                    bucket.append(index)
+        elif group_items:
+            for index in range(batch.size):
+                key = tuple(freeze(column[index]) for column in group_columns)
+                bucket = buckets.get(key)
+                if bucket is None:
+                    buckets[key] = [index]
+                else:
+                    bucket.append(index)
+        else:
+            buckets[()] = list(range(batch.size))
+        for key, indexes in buckets.items():
+            entry = groups.get(key)
+            if entry is None:
+                first = indexes[0]
+                group_row = {
+                    item.alias: column[first]
+                    for item, column in zip(group_items, group_columns)
+                }
+                accumulators = [
+                    Accumulator(item.expression) for item in agg_items
+                ]
+                entry = (group_row, accumulators)
+                groups[key] = entry
+            for accumulator, column in zip(entry[1], agg_columns):
+                accumulator.update_slice(column, indexes)
+    if not groups and not group_items:
         # Aggregation over zero rows still produces one row (count = 0 etc).
-        accumulators = [_Accumulator(call, fn) for call, fn in agg_specs]
-        groups[()] = ({}, accumulators)
+        groups[()] = (
+            {}, [Accumulator(item.expression) for item in agg_items]
+        )
+    columns = tuple(item.alias for item in group_items) + tuple(
+        item.alias for item in agg_items
+    )
+    out_rows: List[Row] = []
     for group_row, accumulators in groups.values():
         out = dict(group_row)
-        for item, accumulator in zip(op.agg_items, accumulators):
+        for item, accumulator in zip(agg_items, accumulators):
             out[item.alias] = accumulator.result()
-        yield out
+        out_rows.append(out)
+    batch_size = ctx.batch_size
+    for start in range(0, len(out_rows), batch_size):
+        chunk = out_rows[start:start + batch_size]
+        data = {name: [row.get(name) for row in chunk] for name in columns}
+        yield RowBatch(columns, data, len(chunk))
 
 
 # -- writes --------------------------------------------------------------------
 
 
-def _run_create(op: CreateOp, ctx: ExecutionContext) -> Iterator[Row]:
-    for row in _run(op.child, ctx):
-        yield _apply_create(op, dict(row), ctx)
+#: The write operators — the reason a ``LIMIT 0`` may not skip its child.
+_WRITE_OPERATORS = (CreateOp, SetOp, DeleteOp)
 
 
-def _apply_create(op: CreateOp, row: Row, ctx: ExecutionContext) -> Row:
+def _write_batches(op, ctx: ExecutionContext, apply_row) -> Iterator[RowBatch]:
+    """A write clause is a pipeline breaker: drain the child, apply the
+    clause to every input row, and only then emit.
+
+    So what the clause changes cannot depend on how the operators around it
+    step through the rows — not on the batch size, not on a ``LIMIT`` above
+    that stops pulling after one batch — and a later ``MATCH`` of the same
+    query sees all of the clause's effects.
+    """
+    rows = [
+        row
+        for in_batch in _run_batches(op.child, ctx)
+        for row in _materialise_rows(in_batch)
+    ]
+    rows = [apply_row(op, row, ctx) for row in rows]
+    batch_size = ctx.batch_size
+    for start in range(0, len(rows), batch_size):
+        yield _batch_from_rows(rows[start:start + batch_size])
+
+
+def apply_create(op: CreateOp, row: Row, ctx: ExecutionContext) -> Row:
     """Create the clause's patterns for one (already-copied) row."""
     for pattern in op.clause.patterns:
         handles: List[Node] = []
@@ -554,12 +1404,7 @@ def _evaluate_property_map(entries, row: Row, ctx: ExecutionContext) -> Dict[str
     return properties
 
 
-def _run_set(op: SetOp, ctx: ExecutionContext) -> Iterator[Row]:
-    for row in _run(op.child, ctx):
-        yield _apply_set(op, dict(row), ctx)
-
-
-def _apply_set(op: SetOp, row: Row, ctx: ExecutionContext) -> Row:
+def apply_set(op: SetOp, row: Row, ctx: ExecutionContext) -> Row:
     """Apply the SET items to one (already-copied) row."""
     for item in op.clause.items:
         target = row.get(item.variable)
@@ -609,12 +1454,7 @@ def _rebind_entity(row: Row, refreshed) -> None:
             ]
 
 
-def _run_delete(op: DeleteOp, ctx: ExecutionContext) -> Iterator[Row]:
-    for row in _run(op.child, ctx):
-        yield _apply_delete(op, row, ctx)
-
-
-def _apply_delete(op: DeleteOp, row: Row, ctx: ExecutionContext) -> Row:
+def apply_delete(op: DeleteOp, row: Row, ctx: ExecutionContext) -> Row:
     """Delete the clause's entities for one row (the row is not modified)."""
     detach = op.clause.detach
     for variable in op.clause.variables:
@@ -651,452 +1491,22 @@ def _flatten_entities(value: object):
         yield value
 
 
-# ---------------------------------------------------------------------------
-# Pattern matching helpers
-# ---------------------------------------------------------------------------
 
-
-def _bind(row: Row, variable: str, value: object) -> Row:
-    new_row = dict(row)
-    new_row[variable] = value
-    return new_row
-
-
-def _pattern_matcher(op, pattern: ast.NodePattern, *, attr: str = "_matcher"):
-    """A compiled node-pattern check, pinned on the plan operator.
-
-    Returns ``None`` for the empty pattern (every node matches), so callers
-    can skip the call entirely.  Pinning on the operator means a plan served
-    from the plan cache carries its matchers across executions.
-    """
-    cached = getattr(op, attr, _PATTERN_UNSET)
-    if cached is not _PATTERN_UNSET:
-        return cached
-    matcher = _compile_node_pattern(pattern)
-    setattr(op, attr, matcher)
-    return matcher
-
-
-_PATTERN_UNSET = object()
-
-
-def _compile_node_pattern(pattern: ast.NodePattern):
-    labels = tuple(pattern.labels)
-    prop_fns = tuple(
-        (key, compiled(expression)) for key, expression in pattern.properties
-    )
-    if not labels and not prop_fns:
-        return None
-
-    def matches(node: Node, row: Row, ctx: ExecutionContext) -> bool:
-        data = node.data
-        for label in labels:
-            if label not in data.labels:
-                return False
-        properties = data.properties
-        for key, value_fn in prop_fns:
-            wanted = value_fn(row, ctx)
-            if wanted is None or properties.get(key) != wanted:
-                return False
-        return True
-
-    return matches
-
-
-# ---------------------------------------------------------------------------
-# Expression compilation
-# ---------------------------------------------------------------------------
-
-#: A compiled expression: called once per row, returns the expression value.
-CompiledExpression = Callable[[Row, "ExecutionContext"], object]
-
-#: Memo of compiled closures keyed by AST node identity.  Entries hold a
-#: strong reference to the AST node, so an id can never be recycled while its
-#: entry is live; the table is cleared wholesale when it grows past the
-#: limit (compilation is cheap — the memo only exists so hot ASTs shared via
-#: the parse/plan caches compile once).
-_COMPILED: Dict[int, Tuple[ast.Expression, CompiledExpression]] = {}
-_COMPILED_LIMIT = 4096
-
-
-def compiled(expression: ast.Expression) -> CompiledExpression:
-    """The memoised compiled form of ``expression``."""
-    entry = _COMPILED.get(id(expression))
-    if entry is not None and entry[0] is expression:
-        return entry[1]
-    fn = compile_expression(expression)
-    if len(_COMPILED) >= _COMPILED_LIMIT:
-        _COMPILED.clear()
-    _COMPILED[id(expression)] = (expression, fn)
-    return fn
-
-
-def evaluate(expression: ast.Expression, row: Row, ctx: ExecutionContext) -> object:
-    """Evaluate an expression in the scope of one row (Cypher null semantics)."""
-    return compiled(expression)(row, ctx)
-
-
-def compile_expression(expression: ast.Expression) -> CompiledExpression:
-    """Compile one AST subtree into a closure (no per-row tree walks).
-
-    Every branch below mirrors one case of the old interpreter; the
-    ``isinstance`` dispatch happens here, once, instead of on every row.
-    """
-    if isinstance(expression, ast.Literal):
-        value = expression.value
-
-        def literal_fn(row: Row, ctx: ExecutionContext) -> object:
-            return value
-
-        return literal_fn
-    if isinstance(expression, ast.Parameter):
-        name = expression.name
-
-        def parameter_fn(row: Row, ctx: ExecutionContext) -> object:
-            try:
-                return ctx.parameters[name]
-            except KeyError:
-                raise QueryExecutionError(f"missing parameter ${name}") from None
-
-        return parameter_fn
-    if isinstance(expression, ast.Variable):
-        name = expression.name
-
-        def variable_fn(row: Row, ctx: ExecutionContext) -> object:
-            try:
-                return row[name]
-            except KeyError:
-                raise QueryExecutionError(f"unbound variable {name!r}") from None
-
-        return variable_fn
-    if isinstance(expression, ast.PropertyAccess):
-        key = expression.key
-        if isinstance(expression.entity, ast.Variable):
-            # The overwhelmingly common shape (``n.prop``): skip the generic
-            # entity closure and read the handle's immutable data directly.
-            variable = expression.entity.name
-
-            def direct_property_fn(row: Row, ctx: ExecutionContext) -> object:
-                try:
-                    entity = row[variable]
-                except KeyError:
-                    raise QueryExecutionError(
-                        f"unbound variable {variable!r}"
-                    ) from None
-                if entity is None:
-                    return None
-                if isinstance(entity, (Node, Relationship)):
-                    return entity.data.properties.get(key)
-                raise QueryExecutionError(
-                    f"cannot read property {key!r} of {type(entity).__name__}"
-                )
-
-            return direct_property_fn
-        entity_fn = compile_expression(expression.entity)
-
-        def property_fn(row: Row, ctx: ExecutionContext) -> object:
-            entity = entity_fn(row, ctx)
-            if entity is None:
-                return None
-            if isinstance(entity, (Node, Relationship)):
-                return entity.data.properties.get(key)
-            raise QueryExecutionError(
-                f"cannot read property {key!r} of {type(entity).__name__}"
-            )
-
-        return property_fn
-    if isinstance(expression, ast.ListLiteral):
-        item_fns = tuple(compile_expression(item) for item in expression.items)
-
-        def list_fn(row: Row, ctx: ExecutionContext) -> object:
-            return [fn(row, ctx) for fn in item_fns]
-
-        return list_fn
-    if isinstance(expression, ast.Comparison):
-        op = expression.op
-        left_fn = compile_expression(expression.left)
-        right_fn = compile_expression(expression.right)
-
-        def comparison_fn(row: Row, ctx: ExecutionContext) -> object:
-            return _compare(op, left_fn(row, ctx), right_fn(row, ctx))
-
-        return comparison_fn
-    if isinstance(expression, ast.IsNull):
-        operand_fn = compile_expression(expression.operand)
-        if expression.negated:
-
-            def is_not_null_fn(row: Row, ctx: ExecutionContext) -> object:
-                return operand_fn(row, ctx) is not None
-
-            return is_not_null_fn
-
-        def is_null_fn(row: Row, ctx: ExecutionContext) -> object:
-            return operand_fn(row, ctx) is None
-
-        return is_null_fn
-    if isinstance(expression, ast.BooleanOp):
-        operand_fns = tuple(
-            compile_expression(operand) for operand in expression.operands
-        )
-        if expression.op == "AND":
-
-            def and_fn(row: Row, ctx: ExecutionContext) -> object:
-                result: object = True
-                for fn in operand_fns:
-                    value = fn(row, ctx)
-                    if value is None:
-                        result = None
-                    elif not value:
-                        return False
-                return result
-
-            return and_fn
-
-        def or_fn(row: Row, ctx: ExecutionContext) -> object:
-            result: object = False
-            for fn in operand_fns:
-                value = fn(row, ctx)
-                if value is None:
-                    result = None
-                elif value:
-                    return True
-            return result
-
-        return or_fn
-    if isinstance(expression, ast.Not):
-        operand_fn = compile_expression(expression.operand)
-
-        def not_fn(row: Row, ctx: ExecutionContext) -> object:
-            value = operand_fn(row, ctx)
-            if value is None:
-                return None
-            return not _is_truthy(value)
-
-        return not_fn
-    if isinstance(expression, ast.Arithmetic):
-        op = expression.op
-        left_fn = compile_expression(expression.left)
-        right_fn = compile_expression(expression.right)
-
-        def arithmetic_fn(row: Row, ctx: ExecutionContext) -> object:
-            return _arithmetic(op, left_fn(row, ctx), right_fn(row, ctx))
-
-        return arithmetic_fn
-    if isinstance(expression, ast.Negate):
-        operand_fn = compile_expression(expression.operand)
-
-        def negate_fn(row: Row, ctx: ExecutionContext) -> object:
-            value = operand_fn(row, ctx)
-            if value is None:
-                return None
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise QueryExecutionError(f"cannot negate {value!r}")
-            return -value
-
-        return negate_fn
-    if isinstance(expression, ast.FunctionCall):
-        return _compile_function(expression)
-    raise QueryExecutionError(f"cannot evaluate {expression!r}")
-
-
-def _compare(op: str, left: object, right: object) -> Optional[bool]:
-    if left is None or right is None:
-        return None
-    try:
-        if op == "=":
-            return left == right
-        if op == "<>":
-            return left != right
-        if op == "<":
-            return left < right
-        if op == "<=":
-            return left <= right
-        if op == ">":
-            return left > right
-        if op == ">=":
-            return left >= right
-    except TypeError:
-        return None
-    if op == "IN":
-        if not isinstance(right, (list, tuple)):
-            raise QueryExecutionError("IN requires a list on its right-hand side")
-        return left in right
-    if op in ("STARTS WITH", "ENDS WITH", "CONTAINS"):
-        if not isinstance(left, str) or not isinstance(right, str):
-            return None
-        if op == "STARTS WITH":
-            return left.startswith(right)
-        if op == "ENDS WITH":
-            return left.endswith(right)
-        return right in left
-    raise QueryExecutionError(f"unknown comparison operator {op!r}")
-
-
-def _arithmetic(op: str, left: object, right: object) -> object:
-    if left is None or right is None:
-        return None
-    if op == "+":
-        if isinstance(left, str) and isinstance(right, str):
-            return left + right
-        if isinstance(left, list) and isinstance(right, list):
-            return left + right
-    if not isinstance(left, (int, float)) or not isinstance(right, (int, float)) \
-            or isinstance(left, bool) or isinstance(right, bool):
-        raise QueryExecutionError(
-            f"cannot apply {op!r} to {left!r} and {right!r}"
-        )
-    try:
-        if op == "+":
-            return left + right
-        if op == "-":
-            return left - right
-        if op == "*":
-            return left * right
-        if op == "/":
-            if isinstance(left, int) and isinstance(right, int):
-                # Cypher integer division truncates toward zero; stay in
-                # integer arithmetic (float round-tripping loses precision
-                # above 2**53).
-                quotient = left // right
-                if quotient < 0 and quotient * right != left:
-                    quotient += 1
-                return quotient
-            return left / right
-        if op == "%":
-            return left % right
-    except ZeroDivisionError:
-        raise QueryExecutionError("division by zero") from None
-    raise QueryExecutionError(f"unknown arithmetic operator {op!r}")
-
-
-def _compile_function(call: ast.FunctionCall) -> CompiledExpression:
-    name = call.name
-    if name in ast.AGGREGATE_FUNCTIONS:
-
-        def aggregate_misuse_fn(row: Row, ctx: ExecutionContext) -> object:
-            raise QueryExecutionError(
-                f"aggregate {name}() is only allowed in RETURN or WITH items"
-            )
-
-        return aggregate_misuse_fn
-    arg_fns = tuple(compile_expression(arg) for arg in call.args)
-    if name == "coalesce":
-
-        def coalesce_fn(row: Row, ctx: ExecutionContext) -> object:
-            for fn in arg_fns:
-                value = fn(row, ctx)
-                if value is not None:
-                    return value
-            return None
-
-        return coalesce_fn
-    # Preserve the interpreter's evaluation order for every remaining name,
-    # known or not: arity first, then the null short-circuit (so even an
-    # unknown function applied to null yields null), then dispatch.
-    if len(arg_fns) != 1:
-
-        def arity_fn(row: Row, ctx: ExecutionContext) -> object:
-            raise QueryExecutionError(f"{name}() takes exactly one argument")
-
-        return arity_fn
-    arg_fn = arg_fns[0]
-    scalar = _SCALAR_FUNCTIONS.get(name)
-
-    def scalar_fn(row: Row, ctx: ExecutionContext) -> object:
-        value = arg_fn(row, ctx)
-        if value is None:
-            return None
-        if scalar is None:
-            raise QueryExecutionError(f"unknown function {name!r}")
-        return scalar(value)
-
-    return scalar_fn
-
-
-def _fn_id(value: object) -> object:
-    if isinstance(value, (Node, Relationship)):
-        return value.id
-    raise QueryExecutionError("id() requires a node or relationship")
-
-
-def _fn_labels(value: object) -> object:
-    if isinstance(value, Node):
-        return sorted(value.labels)
-    raise QueryExecutionError("labels() requires a node")
-
-
-def _fn_type(value: object) -> object:
-    if isinstance(value, Relationship):
-        return value.type
-    raise QueryExecutionError("type() requires a relationship")
-
-
-def _fn_size(value: object) -> object:
-    if isinstance(value, (str, list, tuple)):
-        return len(value)
-    raise QueryExecutionError("size() requires a string or list")
-
-
-_SCALAR_FUNCTIONS = {
-    "id": _fn_id,
-    "labels": _fn_labels,
-    "type": _fn_type,
-    "size": _fn_size,
-}
-
-
-def _is_truthy(value: object) -> bool:
-    return value is not None and bool(value)
-
-
-def _freeze(value: object) -> object:
-    if isinstance(value, list):
-        return tuple(_freeze(item) for item in value)
-    return value
-
-
-_TYPE_ORDER_NUMBER = 0
-_TYPE_ORDER_STRING = 1
-_TYPE_ORDER_OTHER = 2
-_TYPE_ORDER_NULL = 3
-
-
-def _sort_key(value: object):
-    """A total order over mixed-type values (numbers < strings < rest < null)."""
-    if value is None:
-        return (_TYPE_ORDER_NULL, 0)
-    if isinstance(value, bool):
-        return (_TYPE_ORDER_NUMBER, float(value))
-    if isinstance(value, (int, float)):
-        return (_TYPE_ORDER_NUMBER, float(value))
-    if isinstance(value, str):
-        return (_TYPE_ORDER_STRING, value)
-    if isinstance(value, (Node, Relationship)):
-        return (_TYPE_ORDER_OTHER, str(value.id))
-    return (_TYPE_ORDER_OTHER, repr(value))
-
-
-def _require_non_negative_int(value: object, what: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-        raise QueryExecutionError(f"{what} requires a non-negative integer")
-    return value
-
-
-_RUNNERS = {
-    Argument: _run_argument,
-    ProduceResults: _run_produce,
-    AllNodesScan: _run_all_nodes_scan,
-    LabelScan: _run_label_scan,
-    PropertyIndexSeek: _run_property_seek,
-    Expand: _run_expand,
-    Filter: _run_filter,
-    Projection: _run_projection,
-    Distinct: _run_distinct,
-    OrderBy: _run_order_by,
-    Skip: _run_skip,
-    Limit: _run_limit,
-    Aggregate: _run_aggregate,
-    CreateOp: _run_create,
-    SetOp: _run_set,
-    DeleteOp: _run_delete,
+_OPERATORS = {
+    Argument: _argument_batches,
+    ProduceResults: _produce_batches,
+    AllNodesScan: _all_nodes_scan_batches,
+    LabelScan: _label_scan_batches,
+    PropertyIndexSeek: _property_seek_batches,
+    Expand: _expand_batches,
+    Filter: _filter_batches,
+    Projection: _projection_batches,
+    Distinct: _distinct_batches,
+    OrderBy: _order_by_batches,
+    Skip: _skip_batches,
+    Limit: _limit_batches,
+    Aggregate: _aggregate_batches,
+    CreateOp: partial(_write_batches, apply_row=apply_create),
+    SetOp: partial(_write_batches, apply_row=apply_set),
+    DeleteOp: partial(_write_batches, apply_row=apply_delete),
 }

@@ -1,7 +1,7 @@
 """Cardinality-aware logical planner.
 
 Turns a parsed :class:`~repro.query.ast.Query` into a tree of plan operators
-that the pull-based executor walks.  The planner's one real decision is the
+that the executor walks.  The planner's one real decision is the
 *start point* of every ``MATCH`` path: a property-index seek, a label-index
 scan or an all-nodes scan, costed with the O(1) cardinality counters the
 engines expose (`count_nodes_with_label` / `count_nodes_with_property` /
@@ -100,9 +100,8 @@ class PlanOperator:
         #: included, since they are pulled from inside it); filled in only
         #: under ``PROFILE``, ``None`` otherwise.
         self.actual_time_seconds: Optional[float] = None
-        #: Number of row batches this operator produced; filled in by the
-        #: vectorized executor, ``None`` under the row executor.
-        self.actual_batches: Optional[int] = None
+        #: Number of row batches this operator produced.
+        self.actual_batches = 0
 
     def detail(self) -> str:
         """Human-readable operator arguments for EXPLAIN output."""
@@ -130,7 +129,7 @@ class PlanOperator:
         )
         batches = ""
         if self.actual_batches:
-            per_batch = (self.actual_rows or 0) / self.actual_batches
+            per_batch = self.actual_rows / self.actual_batches
             batches = f" batches={self.actual_batches} rows/batch={per_batch:.1f}"
         line = (
             f"{' ' * indent}+{self.name}{suffix} "
@@ -168,7 +167,7 @@ class AllNodesScan(PlanOperator):
         self.variable = variable
         self.pattern = pattern
         #: Set by the planner when the scan should be split into morsels
-        #: across the worker pool (batch executor only).
+        #: across the worker pool.
         self.parallel = False
 
     def detail(self) -> str:
@@ -187,7 +186,7 @@ class LabelScan(PlanOperator):
         self.label = label
         self.pattern = pattern
         #: Set by the planner when the scan should be split into morsels
-        #: across the worker pool (batch executor only).
+        #: across the worker pool.
         self.parallel = False
 
     def detail(self) -> str:
@@ -218,9 +217,7 @@ class Expand(PlanOperator):
     """One pattern hop: expand ``from_var`` along a relationship pattern.
 
     ``into`` marks the case where the far end is already bound (closing a
-    cycle or joining two patterns), which filters instead of binding.  The
-    runtime goes through :mod:`repro.api.traversal`, so a whole multi-hop
-    match observes one snapshot.
+    cycle or joining two patterns), which filters instead of binding.
     """
 
     name = "Expand"
@@ -239,14 +236,15 @@ class Expand(PlanOperator):
         self.exclude_rel_vars = exclude_rel_vars
         #: Whether the far-end node must be materialised.  The planner clears
         #: this for terminal anonymous targets with no label/property checks
-        #: (``-[r:KNOWS]-()``): the batch executor then skips the neighbour
+        #: (``-[r:KNOWS]-()``): the executor then skips the neighbour
         #: node reads entirely — the result cannot depend on them.
         self.bind_target = True
         #: Bounded variable-length hops only: per depth, ``[round trips,
-        #: paths expanded]`` of the batch executor's frontier levels.
+        #: paths expanded]`` of the executor's frontier levels.
         self.actual_levels: Optional[List[List[int]]] = None
-        #: ... and how many roots outgrew the frontier's path budget and
-        #: streamed through the lazy per-row traversal instead.
+        #: ... and how many roots were walked lazily instead, one path at a
+        #: time: every root of an unbounded hop, and each root of a bounded
+        #: one that outgrew the frontier's path budget.
         self.actual_lazy_roots = 0
         if rel.var_length:
             self.name = "VarLengthExpandInto" if into else "VarLengthExpand"
@@ -269,7 +267,7 @@ class Expand(PlanOperator):
         arrow_right = "->" if self.rel.direction == "OUT" else "-"
         tags = "" if self.bind_target or self.into else " unbound-target"
         if self.rel.var_length:
-            # How the batch executor runs the hop, decided by plan shape.
+            # How the executor runs the hop, decided by plan shape.
             tags += " lazy" if self.rel.max_hops is None else " frontier"
         if self.actual_levels:
             trips = ",".join(str(trips) for trips, _paths in self.actual_levels)

@@ -1,23 +1,27 @@
-"""Batch/row executor equivalence.
+"""Executor vs reference equivalence.
 
-The vectorized batch executor is the default runtime; the row-at-a-time
-executor is the semantic reference.  These tests pin them together: every
-read template of the E10 workload mix must return byte-identical rows (same
-values, same order) under batch sizes 1, 2 and 1024, with and without
-morsel-parallel leaf scans — and the batch executor must preserve the
-snapshot-consistency and SSI-abort behaviour the row executor exhibits,
-including for the plans the batch runtime rewrites (unbound-target expands
-and fused ``Expand -> count(r)`` aggregates).
+The vectorized batch executor is the only runtime; the row-at-a-time
+operators in ``tests/reference_executor.py`` are the semantic reference.
+These tests pin them together: every read template of the E10 workload mix
+must return byte-identical rows (same values, same order) under batch sizes
+1, 2 and 1024, with and without morsel-parallel leaf scans — and the
+executor must preserve the snapshot-consistency and SSI-abort behaviour the
+reference exhibits, including for the plans the batch runtime rewrites
+(unbound-target expands and fused ``Expand -> count(r)`` aggregates) and
+for queries that read what they wrote.
 """
 
 from __future__ import annotations
 
+import contextlib
 import random
 
 import pytest
 
+from reference_executor import reference_executor
 from repro import GraphDatabase, IsolationLevel, TransactionAbortedError
 from repro.errors import NodeNotFoundError
+from repro.query import executor
 from repro.workload import READ_TEMPLATES, build_social_graph, person_names_of
 
 #: Batch-executor configurations under test: every required batch size, each
@@ -57,17 +61,33 @@ def _rows(db: GraphDatabase, text: str, params) -> list:
         return [record.as_dict() for record in tx.execute(text, params).records()]
 
 
+def _reference_rows(db: GraphDatabase, text: str, params) -> list:
+    with reference_executor():
+        return _rows(db, text, params)
+
+
+#: Contexts an ``execute`` runs in: on the reference, then on the executor.
+RUNTIMES = (reference_executor, contextlib.nullcontext)
+
+
+def _var_length_expand(result):
+    """The var-length expand operator of a profiled result's plan."""
+    return next(
+        op for op in result.plan.root.walk() if op.name == "VarLengthExpand"
+    )
+
+
 @pytest.fixture(params=BATCH_CONFIGS)
 def batch_config(request):
     return request.param
 
 
 class TestTemplateEquivalence:
-    """Every E10 read template, row executor vs every batch configuration."""
+    """Every E10 read template, reference vs every batch configuration."""
 
     @pytest.fixture(scope="class")
     def row_db(self):
-        db = _social_db(IsolationLevel.SNAPSHOT, query_executor="row")
+        db = _social_db(IsolationLevel.SNAPSHOT)
         yield db
         db.close()
 
@@ -75,16 +95,14 @@ class TestTemplateEquivalence:
         "template", READ_TEMPLATES, ids=[t.name for t in READ_TEMPLATES]
     )
     def test_template_rows_identical(self, template, batch_config, row_db):
-        batch_db = _social_db(
-            IsolationLevel.SNAPSHOT, query_executor="batch", **batch_config
-        )
+        batch_db = _social_db(IsolationLevel.SNAPSHOT, **batch_config)
         names = person_names_of(row_db)
         try:
             # Several parameter draws per template, deterministic per run.
             rng = random.Random(97)
             for _ in range(4):
                 params = template.params(rng, names)
-                expected = _rows(row_db, template.text, params)
+                expected = _reference_rows(row_db, template.text, params)
                 actual = _rows(batch_db, template.text, params)
                 assert actual == expected, (
                     f"{template.name} diverged under {batch_config}"
@@ -217,7 +235,10 @@ def _write_skew_outcome(db: GraphDatabase, warm: bool = False) -> tuple:
     return _commit_outcomes(db, t1, t2)
 
 
-def _adjacency_skew_outcome(db: GraphDatabase, warm: bool = False) -> tuple:
+def _adjacency_skew_outcome(
+    db: GraphDatabase, warm: bool = False,
+    read: str = "MATCH (n:P {k: $k})-[r:KNOWS]-() RETURN count(r)",
+) -> tuple:
     """Cross rw-antidependency through adjacency predicate reads.
 
     Each side counts the other's future write target with the exact shape
@@ -233,17 +254,11 @@ def _adjacency_skew_outcome(db: GraphDatabase, warm: bool = False) -> tuple:
     if warm:
         with db.transaction() as tx:
             for k in "xy":
-                assert tx.execute(
-                    "MATCH (n:P {k: $k})-[r:KNOWS]-() RETURN count(r)", {"k": k}
-                ).value() == 0
+                assert tx.execute(read, {"k": k}).value() == 0
     t1 = db.begin()
     t2 = db.begin()
-    assert (
-        t1.execute("MATCH (n:P {k: 'x'})-[r:KNOWS]-() RETURN count(r)").value() == 0
-    )
-    assert (
-        t2.execute("MATCH (n:P {k: 'y'})-[r:KNOWS]-() RETURN count(r)").value() == 0
-    )
+    assert t1.execute(read, {"k": "x"}).value() == 0
+    assert t2.execute(read, {"k": "y"}).value() == 0
     t1.execute(
         "MATCH (a:P {k: 'y'}), (b:P {k: 'z'}) CREATE (a)-[:KNOWS]->(b)", {}
     )
@@ -253,33 +268,65 @@ def _adjacency_skew_outcome(db: GraphDatabase, warm: bool = False) -> tuple:
     return _commit_outcomes(db, t1, t2)
 
 
+def _unbounded_adjacency_skew_outcome(db: GraphDatabase, warm: bool = False) -> tuple:
+    """The adjacency skew read through an unbounded hop: the lazy walk has
+    to register the adjacency predicate of every node it expands."""
+    return _adjacency_skew_outcome(
+        db, warm, "MATCH (n:P {k: $k})-[r:KNOWS*]-(m) RETURN count(r)"
+    )
+
+
 #: The second committer aborts, classified as an rw-antidependency.
 SKEW_OUTCOME = (("committed", "aborted"), {"rw-antidependency": 1})
 
 
 class TestSSIAbortEquivalence:
     """Identical serialization aborts — same transaction, same classified
-    reason — from both executors, per batch config, and with the engine's
-    shared caches cold or pre-warmed by an earlier transaction."""
+    reason — from the reference and the executor, per batch config, and with
+    the engine's shared caches cold or pre-warmed by an earlier transaction."""
 
     @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm-cache"])
     @pytest.mark.parametrize(
-        "scenario", [_write_skew_outcome, _adjacency_skew_outcome],
-        ids=["write-skew", "adjacency-skew"],
+        "scenario",
+        [_write_skew_outcome, _adjacency_skew_outcome,
+         _unbounded_adjacency_skew_outcome],
+        ids=["write-skew", "adjacency-skew", "unbounded-adjacency-skew"],
     )
-    def test_outcome_matches_row_executor(self, scenario, warm, batch_config):
-        row_db = GraphDatabase.in_memory(
-            isolation=IsolationLevel.SERIALIZABLE, query_executor="row"
-        )
+    def test_outcome_matches_reference(self, scenario, warm, batch_config):
+        row_db = GraphDatabase.in_memory(isolation=IsolationLevel.SERIALIZABLE)
         batch_db = GraphDatabase.in_memory(
             isolation=IsolationLevel.SERIALIZABLE, **batch_config
         )
         try:
-            assert scenario(row_db, warm) == SKEW_OUTCOME
+            with reference_executor():
+                assert scenario(row_db, warm) == SKEW_OUTCOME
             assert scenario(batch_db, warm) == SKEW_OUTCOME
         finally:
             row_db.close()
             batch_db.close()
+
+    def test_lazy_walk_registers_the_reference_sireads(self, batch_config):
+        """Under SERIALIZABLE an unbounded walk leaves the SIREAD keys and
+        predicates the reference's traversal leaves — no read goes untracked,
+        none is added."""
+        text = "MATCH (s:N {k: 'c'})-[r:KNOWS*]-(x) RETURN x.k"
+        registered = []
+        for runtime in RUNTIMES:
+            db = GraphDatabase.in_memory(
+                isolation=IsolationLevel.SERIALIZABLE, **batch_config
+            )
+            try:
+                _build_motifs(db)
+                with db.transaction() as tx, runtime():
+                    rows = tx.execute(text).rows()
+                    record = tx._txn.cc_record
+                    registered.append(
+                        (rows, set(record.read_keys), set(record.predicates))
+                    )
+            finally:
+                db.close()
+        assert registered[0][1] and registered[0][2]
+        assert registered[1] == registered[0]
 
 
 def _build_motifs(db: GraphDatabase) -> None:
@@ -360,22 +407,22 @@ VAR_LENGTH_QUERIES = [
 
 
 class TestVarLengthEquivalence:
-    """The frontier-batched var-length expand emits the row executor's rows
-    in the row executor's order, whatever the batch size."""
+    """The var-length expand — frontier-batched or lazy — emits the
+    reference's rows in the reference's order, whatever the batch size."""
 
     @pytest.fixture(scope="class")
     def row_db(self):
-        db = GraphDatabase.in_memory(query_executor="row")
+        db = GraphDatabase.in_memory()
         _build_motifs(db)
         yield db
         db.close()
 
     @pytest.mark.parametrize("text, params", VAR_LENGTH_QUERIES)
     def test_rows_and_order_identical(self, text, params, batch_config, row_db):
-        batch_db = GraphDatabase.in_memory(query_executor="batch", **batch_config)
+        batch_db = GraphDatabase.in_memory(**batch_config)
         try:
             _build_motifs(batch_db)
-            expected = _rows(row_db, text, params)
+            expected = _reference_rows(row_db, text, params)
             assert expected, "the case must produce rows to compare"
             assert _rows(batch_db, text, params) == expected
         finally:
@@ -386,9 +433,7 @@ class TestVarLengthEquivalence:
         try:
             _build_motifs(db)
             result = db.execute("PROFILE MATCH (s:N)-[:KNOWS*1..3]-(x) RETURN x.k")
-            expand = next(
-                op for op in result.plan.root.walk() if op.name == "VarLengthExpand"
-            )
+            expand = _var_length_expand(result)
             assert expand.actual_rows == 87 and expand.actual_batches == 22
             # Two input batches of the 7 sources, three levels each: one
             # round trip per level per input batch, whole frontier at once.
@@ -401,31 +446,32 @@ class TestVarLengthEquivalence:
         finally:
             db.close()
 
-    def test_bounded_patterns_bypass_the_row_body(self, monkeypatch):
-        """Routing is by plan shape and by what the run observes: a bounded
-        pattern reaches the per-row traversal from the batch executor only
-        for a root whose frontier outgrows the path budget."""
-        from repro.query import vectorized
-
-        calls = []
-        real = vectorized._expand_row
-
-        def spy(op, row, ctx):
-            calls.append(op.rel.max_hops)
-            return real(op, row, ctx)
-
-        monkeypatch.setattr(vectorized, "_expand_row", spy)
+    def test_bounded_patterns_walk_lazily_only_past_the_budget(self, monkeypatch):
+        """Routing is by plan shape and by what the run observes: an
+        unbounded pattern walks every root lazily, a bounded one only a root
+        whose frontier outgrows the path budget."""
         db = GraphDatabase.in_memory()
+
+        def profiled(text):
+            result = db.execute("PROFILE " + text)
+            return _var_length_expand(result).actual_lazy_roots, result.render_plan()
+
         try:
             _build_motifs(db)
-            _rows(db, "MATCH (s:N {k: 'a'})-[:KNOWS*1..3]-(x) RETURN x.k", {})
-            _rows(db, "MATCH (s:N {k: 'a'})-[:KNOWS*0..0]-(x) RETURN x.k", {})
-            assert calls == []
-            _rows(db, "MATCH (s:N {k: 'a'})-[:KNOWS*]-(x) RETURN x.k LIMIT 1", {})
-            assert calls == [None]
-            monkeypatch.setattr(vectorized, "FRONTIER_PATH_BUDGET", 3)
-            _rows(db, "MATCH (s:N {k: 'a'})-[:KNOWS*1..3]-(x) RETURN x.k", {})
-            assert calls == [None, 3]
+            bounded = "MATCH (s:N {k: 'a'})-[:KNOWS*1..3]-(x) RETURN x.k"
+            for text in (bounded, "MATCH (s:N {k: 'a'})-[:KNOWS*0..0]-(x) RETURN x.k"):
+                lazy_roots, rendered = profiled(text)
+                assert lazy_roots == 0
+                assert " frontier" in rendered and "lazy" not in rendered
+            lazy_roots, rendered = profiled(
+                "MATCH (s:N {k: 'a'})-[:KNOWS*]-(x) RETURN x.k LIMIT 1"
+            )
+            assert lazy_roots == 1
+            assert " lazy " in rendered and "lazy-roots=1" in rendered
+            monkeypatch.setattr(executor, "FRONTIER_PATH_BUDGET", 3)
+            lazy_roots, rendered = profiled(bounded)
+            assert lazy_roots == 1
+            assert " frontier" in rendered and "lazy-roots=1" in rendered
         finally:
             db.close()
 
@@ -435,65 +481,156 @@ class TestVarLengthEquivalence:
         self, text, params, budget, batch_config, row_db, monkeypatch
     ):
         """Past the budget a root group is halved, and a single root that
-        still does not fit streams through the per-row traversal: the same
-        rows in the same order either way."""
-        from repro.query import vectorized
-
-        monkeypatch.setattr(vectorized, "FRONTIER_PATH_BUDGET", budget)
-        batch_db = GraphDatabase.in_memory(query_executor="batch", **batch_config)
+        still does not fit is walked lazily: the same rows in the same order
+        either way."""
+        monkeypatch.setattr(executor, "FRONTIER_PATH_BUDGET", budget)
+        batch_db = GraphDatabase.in_memory(**batch_config)
         try:
             _build_motifs(batch_db)
-            assert _rows(batch_db, text, params) == _rows(row_db, text, params)
+            assert _rows(batch_db, text, params) == _reference_rows(
+                row_db, text, params
+            )
         finally:
             batch_db.close()
 
-    def test_limit_above_a_large_bound_stays_cheap(self):
-        """``LIMIT 1`` above ``*1..7`` on a dense graph (~10^7 paths) must
-        not build the neighbourhood first: the frontier gives up at its path
-        budget and the root streams lazily, as under the row executor."""
-        from repro.query import vectorized
+    @pytest.fixture
+    def dense_db(self):
+        """60 nodes, 360 random KNOWS edges: ~10^7 paths within seven hops."""
+        db = GraphDatabase.in_memory()
+        rng = random.Random(7)
+        with db.transaction() as tx:
+            nodes = [tx.create_node(["N"], {"k": k}) for k in range(60)]
+            pairs = set()
+            while len(pairs) < 360:
+                pairs.add(tuple(sorted(rng.sample(range(60), 2))))
+            for start, end in sorted(pairs):
+                tx.create_relationship(nodes[start], nodes[end], "KNOWS")
+        yield db
+        db.close()
 
-        answers = []
-        for options in ({"query_executor": "row"}, {"query_executor": "batch"}):
-            db = GraphDatabase.in_memory(**options)
-            rng = random.Random(7)
-            with db.transaction() as tx:
-                nodes = [tx.create_node(["N"], {"k": k}) for k in range(60)]
-                pairs = set()
-                while len(pairs) < 360:
-                    pairs.add(tuple(sorted(rng.sample(range(60), 2))))
-                for start, end in sorted(pairs):
-                    tx.create_relationship(nodes[start], nodes[end], "KNOWS")
-            result = db.execute(
-                "PROFILE MATCH (s:N {k: 0})-[:KNOWS*1..7]-(x) RETURN x.k LIMIT 1"
-            )
-            answers.append(result.rows())
-            if options["query_executor"] == "batch":
-                expand = next(
-                    op for op in result.plan.root.walk()
-                    if op.name == "VarLengthExpand"
-                )
-                grown = sum(paths for _trips, paths in expand.actual_levels)
-                # One attempt, abandoned within one node's degree of the budget.
-                assert grown <= vectorized.FRONTIER_PATH_BUDGET + 60
-                assert expand.actual_lazy_roots == 1
-                assert "lazy-roots=1" in result.render_plan()
-            db.close()
-        assert answers[0] == answers[1] and len(answers[0]) == 1
+    def test_limit_above_a_large_bound_stays_cheap(self, dense_db):
+        """``LIMIT 1`` above ``*1..7`` on a dense graph must not build the
+        neighbourhood first: the frontier gives up at its path budget and the
+        root is walked lazily, as under the reference."""
+        text = "MATCH (s:N {k: 0})-[:KNOWS*1..7]-(x) RETURN x.k LIMIT 1"
+        with reference_executor():
+            expected = dense_db.execute(text).rows()
+        result = dense_db.execute("PROFILE " + text)
+        assert result.rows() == expected and len(expected) == 1
+        expand = _var_length_expand(result)
+        grown = sum(paths for _trips, paths in expand.actual_levels)
+        # One attempt, abandoned within one node's degree of the budget.
+        assert grown <= executor.FRONTIER_PATH_BUDGET + 60
+        assert expand.actual_lazy_roots == 1
+        assert "lazy-roots=1" in result.render_plan()
+
+    def test_limit_above_an_unbounded_pattern_expands_what_it_emits(self, dense_db):
+        """``LIMIT 1`` above ``-[*]-`` costs one output batch, whatever the
+        graph holds: a path's end node is expanded only after the path has
+        been emitted, so the walk expands no more nodes than it emits rows."""
+        text = "MATCH (s:N {k: 0})-[:KNOWS*]-(x) RETURN x.k LIMIT 1"
+        with reference_executor():
+            expected = dense_db.execute(text).rows()
+        with dense_db.transaction(read_only=True) as tx:
+            expanded = []
+            expand_many = tx.expand_many
+
+            def spy(nodes, *args):
+                expanded.append([node.id for node in nodes])
+                return expand_many(nodes, *args)
+
+            tx.expand_many = spy
+            result = tx.execute("PROFILE " + text)
+            assert result.rows() == expected and len(expected) == 1
+        expand = _var_length_expand(result)
+        assert expand.actual_batches == 1 and expand.actual_lazy_roots == 1
+        assert all(len(nodes) == 1 for nodes in expanded)
+        assert len(expanded) <= expand.actual_rows == 1024
+        # Lazy from the first path: no frontier level was ever grown.
+        assert expand.actual_levels == []
+
+    def test_unbounded_pattern_on_a_cycle_terminates_in_reference_order(
+        self, batch_config, row_db
+    ):
+        """Relationship isomorphism is what ends an unbounded walk on a cyclic
+        graph; every source, every direction, rows and order as the reference."""
+        batch_db = GraphDatabase.in_memory(**batch_config)
+        try:
+            _build_motifs(batch_db)
+            for text in (
+                "MATCH (s:N)-[r:KNOWS*]-(x) RETURN s.k, r, x.k",
+                "MATCH (s:N)-[r*2..]->(x:N) RETURN s.k, r, x.k",
+                "MATCH (s:N {k: 'c'})<-[r:KNOWS|LIKES*0..]-(x) RETURN r, x.k",
+            ):
+                expected = _reference_rows(row_db, text, {})
+                assert len(expected) > 7
+                assert _rows(batch_db, text, {}) == expected
+        finally:
+            batch_db.close()
 
     def test_invisible_source_raises_like_the_traversal(self, batch_config):
-        """The traversal re-reads its start node; so does the frontier: a
-        source deleted earlier in the query is an error, never a stale
-        zero-length match."""
-        text = (
-            "MATCH (s:N {k: 'g'}) DETACH DELETE s WITH s "
-            "MATCH (s)-[:KNOWS*0..1]-(x) RETURN x.k"
-        )
-        for options in ({"query_executor": "row"}, batch_config):
-            db = GraphDatabase.in_memory(**options)
+        """The traversal re-reads its start node; so does the var-length
+        expand, frontier or lazy: a source deleted earlier in the query is an
+        error, never a stale zero-length match."""
+        for hops in ("*0..1", "*0.."):
+            text = (
+                "MATCH (s:N {k: 'g'}) DETACH DELETE s WITH s "
+                f"MATCH (s)-[:KNOWS{hops}]-(x) RETURN x.k"
+            )
+            for runtime in RUNTIMES:
+                db = GraphDatabase.in_memory(**batch_config)
+                try:
+                    _build_motifs(db)
+                    with pytest.raises(NodeNotFoundError), runtime():
+                        db.execute(text).rows()
+                finally:
+                    db.close()
+
+#: Queries that read what they wrote: a later ``MATCH`` sees all of an
+#: earlier write clause's effects, at every batch size.
+WRITE_THEN_READ_QUERIES = [
+    pytest.param(
+        "MATCH (a:N) WHERE a.k < 'd' SET a.seen = 1 WITH a "
+        "MATCH (x:N) WHERE x.seen = 1 RETURN a.k, x.k",
+        id="set-then-match",
+    ),
+    pytest.param(
+        "MATCH (a:N {k: 'c'})-[r:KNOWS]-(b) DELETE r WITH a, b "
+        "MATCH (b)-[r2]-(c) RETURN b.k, c.k",
+        id="delete-then-match",
+    ),
+    pytest.param(
+        "MATCH (a:N) WHERE a.k < 'd' CREATE (a)-[:MADE]->(m:M {k: a.k}) WITH a "
+        "MATCH (x:M) RETURN a.k, x.k",
+        id="create-then-match",
+    ),
+]
+
+
+class TestWriteThenReadEquivalence:
+    """Rows, row order, statistics and the state left behind are the
+    reference's, whatever the batch size."""
+
+    @pytest.mark.parametrize("text", WRITE_THEN_READ_QUERIES)
+    def test_rows_statistics_and_state_identical(self, text, batch_config):
+        outcomes = []
+        for runtime in RUNTIMES:
+            db = GraphDatabase.in_memory(**batch_config)
             try:
                 _build_motifs(db)
-                with pytest.raises(NodeNotFoundError):
-                    db.execute(text).rows()
+                with runtime():
+                    result = db.execute(text)
+                state = db.execute(
+                    "MATCH (n) RETURN labels(n), n.k, n.seen ORDER BY n.k, labels(n)"
+                ).rows()
+                edges = db.execute(
+                    "MATCH (a)-[r]->(b) RETURN a.k, type(r), b.k"
+                ).rows()
+                outcomes.append(
+                    (result.rows(), result.stats.as_dict(), state, sorted(edges))
+                )
             finally:
                 db.close()
+        rows, stats = outcomes[0][:2]
+        assert rows and any(stats.values())
+        assert outcomes[1] == outcomes[0]

@@ -1,5 +1,7 @@
 """Property-based tests (hypothesis) for core data structures and invariants."""
 
+import contextlib
+
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -307,7 +309,7 @@ def test_snapshot_isolation_conserves_total_balance(transfers):
     db.close()
 
 
-# -- var-length expand: frontier-batched operator == row executor -------------------------
+# -- var-length expand: frontier-batched or lazy operator == reference ---------------------
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
@@ -327,12 +329,13 @@ def test_snapshot_isolation_conserves_total_balance(transfers):
     batch_size=st.sampled_from([1, 2, 1024]),
     path_budget=st.sampled_from([2, 16, 4096]),
 )
-def test_bounded_var_length_expand_matches_row_executor(
+def test_bounded_var_length_expand_matches_reference(
     nodes, edges, min_hops, extra_hops, direction, types, weight, batch_size,
     path_budget,
 ):
+    from reference_executor import reference_executor
     from repro import GraphDatabase
-    from repro.query import vectorized
+    from repro.query import executor
 
     left, right = ("<-", "-") if direction == "<-" else ("-", direction)
     props = "" if weight is None else " {w: $w}"
@@ -341,21 +344,22 @@ def test_bounded_var_length_expand_matches_row_executor(
         f"{right}(x) RETURN s.i, r, x.i"
     )
     answers = []
-    for options in ({"query_executor": "row"}, {"query_batch_size": batch_size}):
-        db = GraphDatabase.in_memory(**options)
+    for run in (reference_executor, contextlib.nullcontext):
+        db = GraphDatabase.in_memory(query_batch_size=batch_size)
         with db.transaction() as tx:
             ids = [tx.create_node(["V"], {"i": index}).id for index in range(nodes)]
             for start, end, rel_type, w in edges:
                 tx.create_relationship(
                     ids[start % nodes], ids[end % nodes], rel_type, {"w": w}
                 )
-        # A small budget splits root groups and sends crowded roots through
-        # the per-row traversal; rows and order must not notice.
-        default_budget = vectorized.FRONTIER_PATH_BUDGET
-        vectorized.FRONTIER_PATH_BUDGET = path_budget
+        # A small budget splits root groups and walks crowded roots lazily;
+        # rows and order must not notice.
+        default_budget = executor.FRONTIER_PATH_BUDGET
+        executor.FRONTIER_PATH_BUDGET = path_budget
         try:
-            answers.append(db.execute(text, {"w": weight}).rows())
+            with run():
+                answers.append(db.execute(text, {"w": weight}).rows())
         finally:
-            vectorized.FRONTIER_PATH_BUDGET = default_budget
+            executor.FRONTIER_PATH_BUDGET = default_budget
             db.close()
     assert answers[0] == answers[1]

@@ -1,0 +1,31 @@
+"""The query package keeps one executor: no private names cross its module
+boundaries, and the executor switch cannot grow back."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+QUERY = SRC / "repro" / "query"
+
+
+def test_query_modules_import_no_private_name_from_a_sibling():
+    offenders = []
+    for path in sorted(QUERY.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            sibling = node.level > 0 or (node.module or "").startswith("repro.query")
+            for alias in node.names:
+                if sibling and alias.name.startswith("_"):
+                    offenders.append(f"{path.name}:{node.lineno} {alias.name}")
+    assert offenders == []
+
+
+def test_no_query_executor_switch_under_src():
+    assert [
+        str(path.relative_to(SRC))
+        for path in sorted(SRC.rglob("*.py"))
+        if "query_executor" in path.read_text()
+    ] == []
