@@ -44,6 +44,7 @@ from repro.core.si_manager import SnapshotIsolationEngine
 from repro.core.vacuum import VacuumCollector
 from repro.engine import IsolationLevel
 from repro.errors import ReproError, TransactionAbortedError
+from repro.query import is_read_only_query
 
 # Re-exported from its new home so existing imports keep working; the WAL's
 # bounded IO-retry loop shares the same backoff (see repro.retry).
@@ -165,14 +166,16 @@ class GraphDatabase:
         :class:`~repro.errors.DatabaseClosedError` while in-flight
         transactions get a grace period to finish.
         """
-        self._gate.ensure_open()
+        gate = self._gate
+        gate.ensure_open()
+        engine = self._runtime.engine
         transaction = Transaction(
-            self.engine,
-            self.engine.begin(read_only=read_only, deferrable=deferrable),
-            on_close=self._gate.deregister,
+            engine,
+            engine.begin(read_only=read_only, deferrable=deferrable),
+            on_close=gate.deregister,
         )
         try:
-            self._gate.register(transaction)
+            gate.register(transaction)
         except BaseException:
             transaction.rollback()
             raise
@@ -280,11 +283,11 @@ class GraphDatabase:
         predicate registration, no chance of a serialization abort, and no
         retained tracking record.
         """
-        from repro.query import is_read_only_query
-
-        tx = self.begin(read_only=is_read_only_query(self.engine, query))
+        if params:
+            parameters = {**(parameters or {}), **params}
+        tx = self.begin(read_only=is_read_only_query(self.engine, query, parameters))
         try:
-            result = tx.execute(query, parameters, **params)
+            result = tx.execute(query, parameters)
             result.consume()
             tx.commit()
         except BaseException:

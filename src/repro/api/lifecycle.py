@@ -41,7 +41,10 @@ class TransactionGate:
     """Admission control plus graceful drain for a database's transactions."""
 
     def __init__(self) -> None:
-        self._cond = threading.Condition(threading.Lock())
+        # Admission takes the bare lock (a C-level ``with``); only the drain
+        # waits on the condition, so only a closed gate notifies it.
+        self._lock = threading.Lock()
+        self._cond = threading.Condition(self._lock)
         self._active: Dict[int, Transaction] = {}
         self._closed = False
         self._drained_total = 0
@@ -53,7 +56,7 @@ class TransactionGate:
 
     def register(self, transaction: Transaction) -> None:
         """Admit a freshly-begun transaction (raises once the gate closed)."""
-        with self._cond:
+        with self._lock:
             if self._closed:
                 raise DatabaseClosedError(
                     "the database is closed (or draining for shutdown); "
@@ -62,9 +65,9 @@ class TransactionGate:
             self._active[id(transaction)] = transaction
 
     def deregister(self, transaction: Transaction) -> None:
-        """Drop a finished transaction and wake any drain waiter."""
-        with self._cond:
-            if self._active.pop(id(transaction), None) is not None:
+        """Drop a finished transaction and wake the drain, if one waits."""
+        with self._lock:
+            if self._active.pop(id(transaction), None) is not None and self._closed:
                 self._cond.notify_all()
 
     # ------------------------------------------------------------------

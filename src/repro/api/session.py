@@ -27,6 +27,7 @@ from typing import TYPE_CHECKING, Callable, Mapping, Optional, TypeVar
 
 from repro.api.transaction import Transaction
 from repro.errors import SessionStateError
+from repro.query import is_read_only_query
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api.database import GraphDatabase
@@ -156,12 +157,14 @@ class Session:
                 return tx.execute(query, parameters, **params)
         # Auto-commit path outside the lock: the statement may be slow and
         # the session serialises its own callers anyway on the server side.
-        from repro.query import is_read_only_query
-
-        read_only = self._read_only or is_read_only_query(self._db.engine, query)
+        if params:
+            parameters = {**(parameters or {}), **params}
+        read_only = self._read_only or is_read_only_query(
+            self._db.engine, query, parameters
+        )
         tx = self._db.begin(read_only=read_only)
         try:
-            result = tx.execute(query, parameters, **params)
+            result = tx.execute(query, parameters)
             result.consume()
             tx.commit()
         except BaseException:

@@ -739,8 +739,6 @@ class Transaction:
         rows on demand from this transaction's snapshot; write queries and
         ``EXPLAIN`` execute eagerly.  See :mod:`repro.query` for the language.
         """
-        from repro.query import execute as _execute_query
-
         merged = dict(parameters or {})
         merged.update(params)
         return _execute_query(self, self._engine, query, merged)
@@ -774,3 +772,8 @@ class Transaction:
         if data is None:
             raise RelationshipNotFoundError(rel_id)
         return data
+
+
+# The query layer's executor builds on the handle classes above, so it is
+# imported once they exist.
+from repro.query import execute as _execute_query  # noqa: E402

@@ -147,32 +147,37 @@ class Observability:
             labelnames=("site",),
         )
         # -- query layer ----------------------------------------------------
+        # A statement updates each of these at most once: the plan-cache
+        # counters at its lookup, the rest when it finishes (see
+        # repro.query.execute).  The unlabelled ones are held as their only
+        # child, so that update skips the family's pass-through.
         self.query_seconds = reg.histogram(
             "repro_query_seconds", "Query wall time, parse to last row (seconds)"
-        )
+        ).labels()
         self.query_rows = reg.counter(
             "repro_query_rows_total", "Rows produced by queries"
-        )
+        ).labels()
         self.queries = reg.counter(
             "repro_queries_total",
             "Queries executed, by outcome",
             labelnames=("kind",),
         )
+        self._query_kinds: Dict[str, Counter] = {}
         self.query_batches = reg.counter(
             "repro_query_batches_total",
             "Row batches produced by the vectorized executor",
-        )
+        ).labels()
         self.query_batch_rows = reg.histogram(
             "repro_query_batch_rows",
             "Rows per batch produced by the vectorized executor",
             buckets=(1, 4, 16, 64, 256, 1024, 4096),
-        )
+        ).labels()
         self.plan_cache_hits = reg.counter(
             "repro_plan_cache_hits_total", "Plan cache hits"
-        )
+        ).labels()
         self.plan_cache_misses = reg.counter(
             "repro_plan_cache_misses_total", "Plan cache misses"
-        )
+        ).labels()
         reg.gauge(
             "repro_slow_queries_total",
             "Queries recorded by the slow-query log",
@@ -194,6 +199,15 @@ class Observability:
 
         if self.tracer.enabled:
             self.tracer.add_sink(self._observe_trace)
+
+    def query_kind(self, kind: str) -> Counter:
+        """The ``repro_queries_total`` child of ``kind`` (``read``, ``write``
+        or ``error``), bound on first use — a kind that never occurred is
+        not exposed."""
+        child = self._query_kinds.get(kind)
+        if child is None:
+            child = self._query_kinds[kind] = self.queries.labels(kind=kind)
+        return child
 
     # -- trace -> metric bridge ---------------------------------------------
 

@@ -242,6 +242,18 @@ class Histogram(_Sharded):
         if cell.samples is not None:
             cell.samples.append(value)
 
+    def observe_many(self, values: Sequence[float]) -> None:
+        """Record several observations with one cell lookup."""
+        cell = self._cell()
+        bounds = self.bounds
+        bucket_counts = cell.bucket_counts
+        for value in values:
+            bucket_counts[bisect_left(bounds, value)] += 1
+        cell.count += len(values)
+        cell.total += sum(values)
+        if cell.samples is not None:
+            cell.samples.extend(values)
+
     # -- merged views -------------------------------------------------------
 
     def count(self) -> int:

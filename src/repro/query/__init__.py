@@ -8,8 +8,8 @@ Four stages:
   the cheapest start point per ``MATCH`` pattern (property-index seek, label
   scan or all-nodes scan) using the engines' O(1) count fast paths, and
   orders expansions by estimated fan-out,
-* :mod:`repro.query.executor` — the one operator runtime: vectorized
-  batch-at-a-time operators (columnar
+* :mod:`repro.query.executor` — the one operator runtime: the plan compiled
+  once into a pipeline of vectorized batch-at-a-time operators (columnar
   :class:`~repro.query.executor.RowBatch` pipelines with batched reads and
   optional morsel-parallel scans) over the compiled expressions of
   :mod:`repro.query.expressions`.  All reads flow through one transaction
@@ -24,47 +24,35 @@ Use it through ``tx.execute(...)`` / ``db.execute(...)``; this module's
 
 from __future__ import annotations
 
-import functools
+from time import perf_counter
 from typing import Mapping, Optional
 
-from repro.query import ast
-from repro.query.cache import ParseCache, PlanCache, QueryCaches
+from repro.errors import QueryError
+from repro.query import executor as _executor
+from repro.query.cache import QueryCaches
+from repro.query.executor import ExecutionContext, prepare
 from repro.query.parser import parse
 from repro.query.planner import Plan, PlannerStatistics, plan_query
 from repro.query.result import QueryResult, QueryStatistics, Record
 
 
-@functools.lru_cache(maxsize=512)
-def parse_cached(text: str) -> ast.Query:
-    """Parse with a process-wide cache (ASTs are immutable and shareable).
-
-    Fallback for engines without a per-database :class:`QueryCaches` bundle
-    (bare engine objects constructed in tests); databases opened through
-    :class:`repro.api.database.GraphDatabase` use their engine's own
-    size-configurable parse cache instead.
-    """
-    return parse(text)
-
-
-def is_read_only_query(engine, text: str) -> bool:
+def is_read_only_query(engine, text: str,
+                       parameters: Optional[Mapping[str, object]] = None) -> bool:
     """Whether ``text`` performs no writes (``EXPLAIN`` counts as read-only).
 
-    Used by :meth:`repro.api.database.GraphDatabase.execute` to open
-    read-only transactions for pure-read statements — which matters under
-    serializable isolation, where read-only transactions skip SIREAD
-    registration entirely and can never abort.  Parses through the engine's
-    parse cache, so the subsequent execution reuses the cached AST.  A query
-    that does not parse is reported read-write: the caller's normal
-    execution path then raises the syntax error with its usual semantics.
+    :meth:`repro.api.database.GraphDatabase.execute` and session auto-commits
+    open read-only transactions for pure reads — under serializable
+    isolation those skip SIREAD registration and can never abort.  Answered
+    by the prepared statement the execution is about to hit, else by a parse
+    through the parse cache; a query that does not parse is reported
+    read-write, so its execution raises the syntax error as usual.
     """
-    from repro.errors import QueryError
-
-    caches: Optional[QueryCaches] = getattr(engine, "query_caches", None)
+    key = (text, engine.cardinality_epoch(), frozenset(parameters or ()))
+    plan = engine.query_caches.statement(key, executing=False)
+    if plan is not None:  # never an EXPLAIN: those are not cached
+        return not plan.has_writes
     try:
-        if caches is not None:
-            query = caches.parse.parse(text)
-        else:
-            query = parse_cached(text)
+        query = engine.query_caches.parse_query(text)
     except QueryError:
         return False
     return query.explain or not query.has_writes
@@ -72,76 +60,43 @@ def is_read_only_query(engine, text: str) -> bool:
 
 def execute(tx, engine, text: str,
             parameters: Optional[Mapping[str, object]] = None) -> QueryResult:
-    """Parse, plan and execute one query inside ``tx``.
+    """Run one query inside ``tx``, from its prepared statement.
 
-    ``tx`` is the user-facing :class:`repro.api.transaction.Transaction`;
-    ``engine`` the :class:`repro.engine.GraphEngine` behind it (the planner
-    reads its cardinality counters).  Read-only queries return a lazy result;
-    write queries and ``PROFILE`` are drained before returning.  ``EXPLAIN``
-    only plans — it never executes, so it is always safe on a write query.
+    ``tx`` is the user-facing :class:`repro.api.transaction.Transaction`,
+    ``engine`` the :class:`repro.engine.GraphEngine` behind it, and
+    ``parameters`` belongs to this execution (``Transaction.execute`` hands
+    over a fresh mapping).  Read-only queries return a lazy result; write
+    queries and ``PROFILE`` are drained before returning; ``EXPLAIN`` only
+    plans, so it is safe on a write query.
 
-    Plans are reused through the engine's plan cache, keyed on ``(query
-    text, cardinality epoch, provided parameter names)``: when the engine's
-    statistics drift enough to bump the epoch, the stale entries silently
-    miss and the query is re-planned against fresh counts.  ``EXPLAIN`` and
-    ``PROFILE`` always plan fresh — their per-operator actual/estimated row
-    counts must describe exactly this execution, not a cached tree being
-    raced by other executions.
-
-    Every execution reports into the engine's observability bundle: wall
-    time (parse to last pulled row) and produced rows go to the metrics
-    registry, plan-cache hits/misses to first-class counters, and
-    executions above the slow-query threshold — statement text, parameters,
-    rendered plan, snapshot timestamp — to the slow-query log.  Lazy
-    results are finalised when their row stream is exhausted or closed, so
-    the recorded duration covers the whole pull, not just planning.
+    A plan-cache hit (see :mod:`repro.query.cache`) is one lookup, then a
+    fresh :class:`~repro.query.executor.ExecutionContext` runs the cached
+    pipeline; a miss prepares one (:func:`_prepare`).  The execution reports
+    to the engine's observability bundle once, when it finishes
+    (:func:`_observed_rows`).
     """
-    from time import perf_counter
-
-    from repro.query.executor import ExecutionContext, run_plan
-
     started = perf_counter()
-    obs = getattr(engine, "obs", None)
-    params = dict(parameters or {})
-    caches: Optional[QueryCaches] = getattr(engine, "query_caches", None)
-    if caches is not None:
-        query = caches.parse.parse(text)
-    else:
-        query = parse_cached(text)
-    plan_key = None
-    plan: Optional[Plan] = None
-    if (
-        caches is not None
-        and not query.explain
-        and not query.profile
-        and hasattr(engine, "cardinality_epoch")
-    ):
-        plan_key = PlanCache.key(text, engine.cardinality_epoch(), params)
-        plan = caches.plan.get(plan_key)
-        if obs is not None:
-            (obs.plan_cache_hits if plan is not None else obs.plan_cache_misses).inc()
+    parameters = {} if parameters is None else parameters
+    key = (text, engine.cardinality_epoch(), frozenset(parameters))
+    plan = engine.query_caches.statement(key)
+    obs = engine.obs
     if plan is None:
-        plan = plan_query(query, PlannerStatistics(engine), params)
-        if plan_key is not None:
-            caches.plan.put(plan_key, plan)
-    context = ExecutionContext(
-        tx, params, QueryStatistics(), timed=query.profile,
-        batch_size=getattr(engine, "query_batch_size", 1024),
-        morsel_workers=getattr(engine, "morsel_workers", 0),
-        obs=obs,
-    )
+        plan = _prepare(engine, text, parameters, key)
+    else:
+        obs.plan_cache_hits.inc()
+    ctx = ExecutionContext(tx, parameters, QueryStatistics())
+    query = plan.query
     if query.explain:
-        return QueryResult(plan.columns, iter(()), context.stats, plan=plan)
-    rows = run_plan(plan, context)
-    if obs is not None:
-        rows = _observed_rows(
-            rows, obs, tx, query, text, params, plan, started
-        )
-    result = QueryResult(
-        plan.columns, rows, context.stats,
-        plan=plan if query.profile else None,
+        return QueryResult(plan.columns, iter(()), ctx.stats, plan=plan)
+    # ``run_plan`` is looked up per call so tests can route an execution
+    # through the row-at-a-time reference executor.
+    rows = _observed_rows(
+        _executor.run_plan(plan, ctx), plan, ctx, obs, text, started
     )
-    if query.has_writes or query.profile:
+    result = QueryResult(
+        plan.columns, rows, ctx.stats, plan=plan if query.profile else None
+    )
+    if plan.has_writes or query.profile:
         # Writes are eager (Cypher semantics: every write clause has been
         # applied to all of its input by the time execute() returns) and
         # PROFILE needs the actual row counts, so both drain the pipeline.
@@ -149,52 +104,78 @@ def execute(tx, engine, text: str,
     return result
 
 
-def _observed_rows(rows, obs, tx, query, text, params, plan, started):
-    """Wrap a row stream so its completion reports to the observability bundle.
+def _prepare(engine, text: str, parameters: Mapping[str, object], key) -> Plan:
+    """The plan-cache miss: parse (through the parse cache), plan against
+    the engine's statistics, compile the pipeline — and cache the result,
+    unless ``EXPLAIN`` / ``PROFILE`` asked for a plan of this execution's
+    own."""
+    caches = engine.query_caches
+    query = caches.parse_query(text)
+    cached = not (query.explain or query.profile)
+    if cached:
+        caches.plan_missed()
+        engine.obs.plan_cache_misses.inc()
+    plan = plan_query(query, PlannerStatistics(engine), parameters)
+    prepare(plan, batch_size=getattr(engine, "query_batch_size", 1024),
+            morsel_workers=getattr(engine, "morsel_workers", 0), profile=query.profile)
+    if cached:
+        caches.plan.put(key, plan)
+    return plan
 
-    The wall time and row count are recorded when the stream is exhausted,
-    closed, or garbage-collected — for eager (write/``PROFILE``) queries
-    that happens inside :func:`execute` itself; a lazy read result reports
-    when its consumer finishes pulling.  The slow-query plan text is only
-    rendered for executions that crossed the threshold.
+
+def _observed_rows(rows, plan: Plan, ctx: ExecutionContext, obs, text: str,
+                   started: float):
+    """Wrap a row stream so the statement reports once, when it finishes.
+
+    Finished means exhausted, failed, or closed: a lazy read whose consumer
+    stops pulling and drops (or closes) the result is a ``read`` like any
+    other, timed to its last pulled row.  Each query instrument is updated
+    once, from totals kept here and in ``ctx``; the slow-query plan text is
+    only rendered for executions that crossed the threshold.
     """
-    from time import perf_counter
-
     produced = 0
-    outcome = "ok"
+    failed = False
+    finished = started
     try:
         for row in rows:
             produced += 1
+            finished = perf_counter()
             yield row
+        finished = perf_counter()
+    except GeneratorExit:
+        raise
     except BaseException:
-        outcome = "error"
+        failed = True
+        finished = perf_counter()
         raise
     finally:
-        seconds = perf_counter() - started
+        seconds = finished - started
         obs.query_seconds.observe(seconds)
         if produced:
             obs.query_rows.inc(produced)
-        kind = "write" if query.has_writes else "read"
-        obs.queries.labels(kind=kind if outcome == "ok" else "error").inc()
+        obs.query_kind(
+            "error" if failed else "write" if plan.has_writes else "read"
+        ).inc()
+        sizes = ctx.batch_sizes
+        if sizes:
+            obs.query_batches.inc(len(sizes))
+            obs.query_batch_rows.observe_many(sizes)
         slowlog = obs.slow_queries
         threshold = slowlog.threshold_seconds
         if threshold is not None and seconds >= threshold:
-            inner = getattr(tx, "_txn", None)
             slowlog.observe(
                 text,
-                params,
+                ctx.parameters,
                 seconds,
                 rows=produced,
                 plan=plan.render(),
-                snapshot_ts=getattr(inner, "start_ts", None),
-                read_only=not query.has_writes,
+                snapshot_ts=getattr(getattr(ctx.tx, "_txn", None), "start_ts", None),
+                read_only=not plan.has_writes,
             )
 
 
 __all__ = [
-    "ParseCache",
     "Plan",
-    "PlanCache",
     "PlannerStatistics",
     "QueryCaches",
     "QueryResult",
@@ -203,6 +184,5 @@ __all__ = [
     "execute",
     "is_read_only_query",
     "parse",
-    "parse_cached",
     "plan_query",
 ]

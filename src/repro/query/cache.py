@@ -1,28 +1,26 @@
-"""Query-level caches: parsed ASTs and planned operator trees.
+"""Query-level caches: parsed ASTs and prepared statements.
 
-Two caches, both LRU, both per-database (each engine owns a
-:class:`QueryCaches` bundle rather than sharing process-global state):
+Two LRU maps under one lock, per database (each engine owns a
+:class:`QueryCaches` bundle), both sized by ``query_cache_size``:
 
-* :class:`ParseCache` — query text → immutable AST.  Parsing is pure, so the
-  only policy is size (``GraphDatabase(query_cache_size=...)``) and the only
-  interesting output is the hit/miss counters surfaced through
-  ``statistics()["query_cache"]``.
+* ``parse`` — query text → immutable AST.
+* ``plan`` — ``(query text, cardinality epoch, provided parameter names)`` →
+  prepared statement: the :class:`~repro.query.planner.Plan` with the
+  pipeline :func:`repro.query.executor.prepare` compiled from it.  Plans
+  are costed against the engine's cardinality counters, so when the
+  statistics drift enough for the :class:`~repro.stats.CardinalityEpoch`
+  to bump, every cached statement misses and is prepared again.  Parameter
+  *names* are part of the key (a plan seeks on ``$p`` only if ``p`` was
+  provided at plan time); parameter *values* are not — like Cypher's plan
+  cache, one plan per query shape is reused across values.
 
-* :class:`PlanCache` — ``(query text, cardinality epoch, provided parameter
-  names)`` → planned operator tree.  Plans are costed against the engine's
-  cardinality counters, so they are keyed on the engine's
-  :class:`~repro.stats.CardinalityEpoch`: when the statistics drift enough
-  for the epoch to bump, every cached plan misses on its next lookup and is
-  re-planned against fresh counts.  Parameter *names* are part of the key
-  (a plan seeks on ``$p`` only if ``p`` was provided at plan time); parameter
-  *values* are not — like Cypher's plan cache, one plan per query shape is
-  reused across values, trading per-value optimality for never planning a
-  hot query twice.
-
-Plan operator trees are shared between concurrent executions.  That is safe
-because executing reads the tree but mutates only the per-operator
-``actual_rows`` counters (a benign race that PROFILE avoids by bypassing the
-cache entirely — see :func:`repro.query.execute`).
+A cached statement is shared by every execution that hits it, concurrently,
+and nothing writes to it once it is prepared: what belongs to one execution
+lives in that execution's context, and ``PROFILE`` (whose per-operator
+counts are execution state) prepares a plan of its own.  A statement hit
+also serves the parse, so it counts as a hit of both caches: each hit share
+in ``statistics()["query_cache"]`` means what it meant when every execution
+probed both.
 """
 
 from __future__ import annotations
@@ -31,38 +29,31 @@ import threading
 from collections import OrderedDict
 from typing import Any, Dict, Hashable, Optional
 
+from repro.query.parser import parse
+
 #: Default capacity of both query caches.
 DEFAULT_QUERY_CACHE_SIZE = 512
 
 
 class _LruCache:
-    """A small thread-safe LRU map with hit/miss/eviction counters."""
+    """A small LRU map with hit/miss/eviction counters (the caller locks)."""
 
-    def __init__(self, maxsize: int) -> None:
+    def __init__(self, maxsize: int, lock: threading.Lock) -> None:
         if maxsize < 0:
             raise ValueError("cache size must be >= 0 (0 disables the cache)")
         self._maxsize = maxsize
-        self._lock = threading.Lock()
+        self._lock = lock
         self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
 
-    @property
-    def maxsize(self) -> int:
-        """Configured capacity (0 = disabled)."""
-        return self._maxsize
-
-    def get(self, key: Hashable) -> Optional[Any]:
-        """The cached value for ``key``, or ``None`` (counts hit/miss)."""
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self.misses += 1
-                return None
+    def _get(self, key: Hashable) -> Optional[Any]:
+        """The cached value for ``key`` or ``None`` (uncounted; lock held)."""
+        entry = self._entries.get(key)
+        if entry is not None:
             self._entries.move_to_end(key)
-            self.hits += 1
-            return entry
+        return entry
 
     def put(self, key: Hashable, value: Any) -> None:
         """Insert ``key`` (no-op when the cache is disabled)."""
@@ -74,15 +65,6 @@ class _LruCache:
             while len(self._entries) > self._maxsize:
                 self._entries.popitem(last=False)
                 self.evictions += 1
-
-    def clear(self) -> None:
-        """Drop every entry (counters are kept)."""
-        with self._lock:
-            self._entries.clear()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
 
     def stats(self) -> Dict[str, int]:
         """Counters plus current size."""
@@ -96,35 +78,44 @@ class _LruCache:
             }
 
 
-class ParseCache(_LruCache):
-    """Query text → parsed AST (ASTs are immutable and freely shareable)."""
-
-    def parse(self, text: str):
-        """Parse ``text`` through the cache."""
-        from repro.query.parser import parse
-
-        query = self.get(text)
-        if query is None:
-            query = parse(text)
-            self.put(text, query)
-        return query
-
-
-class PlanCache(_LruCache):
-    """(query text, cardinality epoch, parameter names) → planned tree."""
-
-    @staticmethod
-    def key(text: str, epoch: int, parameters: Dict[str, object]) -> Hashable:
-        """The cache key for one execution's (text, epoch, param names)."""
-        return (text, epoch, frozenset(parameters))
-
-
 class QueryCaches:
-    """The per-database bundle: one parse cache, one plan cache."""
+    """The per-database bundle: one parse cache, one statement cache."""
 
     def __init__(self, size: int = DEFAULT_QUERY_CACHE_SIZE) -> None:
-        self.parse = ParseCache(size)
-        self.plan = PlanCache(size)
+        self._lock = threading.Lock()
+        self.parse = _LruCache(size, self._lock)
+        self.plan = _LruCache(size, self._lock)
+
+    def statement(self, key: Hashable, *, executing: bool = True):
+        """The statement cached under ``key`` or ``None``.  A hit counts as a
+        parse hit and, for an execution, a plan hit; misses are counted by
+        :meth:`plan_missed`, once a parse shows the text is cacheable."""
+        with self._lock:
+            statement = self.plan._get(key)
+            if statement is not None:
+                self.parse.hits += 1
+                if executing:
+                    self.plan.hits += 1
+            return statement
+
+    def plan_missed(self) -> None:
+        """Count a statement-cache miss of a cacheable statement."""
+        with self._lock:
+            self.plan.misses += 1
+
+    def parse_query(self, text: str):
+        """Parse ``text`` through the parse cache (a hit or a miss is counted
+        before parsing, so a syntax error counts as a miss)."""
+        with self._lock:
+            query = self.parse._get(text)
+            if query is None:
+                self.parse.misses += 1
+            else:
+                self.parse.hits += 1
+        if query is None:
+            query = parse(text)
+            self.parse.put(text, query)
+        return query
 
     def stats(self) -> Dict[str, Dict[str, int]]:
         """Both caches' counters (the ``statistics()["query_cache"]`` body)."""

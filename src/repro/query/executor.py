@@ -1,41 +1,32 @@
-"""The query executor: vectorized, batch-at-a-time plan operators.
+"""The query executor: vectorized, batch-at-a-time plan operators, prepared once.
 
-Every plan operator runs over :class:`RowBatch` objects — columnar batches
-of up to ``ctx.batch_size`` rows (one list per bound variable) — with
-expressions applied per batch via list comprehensions and the read path
-batched end to end: ``read_nodes_many`` / ``relationships_of_many`` resolve
-a whole batch's version chains in one engine visit, and under SERIALIZABLE
-one tracker-mutex visit registers the whole batch's SIREADs.  Every read
-goes through the :class:`repro.api.transaction.Transaction` the query was
-started in, so a whole query, however long it takes to iterate, observes a
-single snapshot under snapshot isolation.
+:func:`prepare` compiles a plan into a *pipeline*: per operator, a stage
+``stage(ctx)`` yielding :class:`RowBatch` objects, closed over what does not
+change between executions (child stage, compiled expressions and pattern
+matchers, batch size).  A cached plan is therefore a prepared statement: an
+execution builds an :class:`ExecutionContext` (transaction, parameters,
+statistics) and pulls the pipeline — nothing is looked up, compiled or
+written on the shared plan, and no stage captures a transaction or a
+parameter value.  Per-operator accounting is built in only for ``PROFILE``,
+whose plan belongs to that one execution.
 
-Read operators are pull-based and lazy: ``LIMIT 10`` over a million-node
-scan pulls one batch.  **Write clauses are pipeline breakers**
-(:func:`_write_batches`): ``CREATE`` / ``SET`` / ``DELETE`` drain their
-input, apply the clause to every input row and only then emit, so what a
-query changes — and what a later ``MATCH`` of the same query sees of it —
-depends neither on the batch size nor on a ``LIMIT`` further up.
-
-Variable-length expansion grows a whole frontier level per round trip
-while that fits :data:`FRONTIER_PATH_BUDGET`; unbounded patterns and roots
-that outgrow the budget run the same emission loop lazily, expanding one
-path's end node at a time (a ``LIMIT`` above ``-[*]-`` must not enumerate
-the graph).  Per-row evaluation uses the compiled closures of
-:mod:`repro.query.expressions` wherever vectorization could change
-Cypher's short-circuit error behaviour.  ``tests/reference_executor.py``
-holds an independent row-at-a-time implementation of the same operators;
-``tests/test_batch_equivalence.py`` pins this module against it.
-
-Morsel-style parallelism: leaf scans the planner marked ``parallel``
-(estimated rows above the engine's ``morsel_threshold`` with
-``morsel_workers`` > 1) split their id range into per-worker morsels
-dispatched across a shared thread pool.  Workers call the engine's
-lock-free ``read_committed_versions`` directly — snapshot reads never take
-locks, so sharing the transaction's snapshot across threads is safe — and
-the scan is only eligible when the transaction is a plain snapshot reader
-(no SSI read tracking, no pending safe-snapshot census, no buffered
-writes), so all bookkeeping stays on the query thread.
+Batches are columnar (one list per bound variable, never empty), expressions
+apply per batch, and reads are batched end to end: ``read_nodes_many`` /
+``relationships_of_many`` resolve a batch's version chains in one engine
+visit, and under SERIALIZABLE one tracker visit registers its SIREADs.
+Every read goes through the query's transaction, so a query, however long
+it is iterated, observes one snapshot.  Read operators are pull-based and
+lazy (``LIMIT 10`` over a large scan pulls one batch); **write clauses are
+pipeline breakers** (:func:`_write`), so what a query changes — and what a
+later ``MATCH`` of it sees — depends neither on the batch size nor on a
+``LIMIT`` above.  Variable-length expansion grows a whole frontier level per
+round trip while that fits :data:`FRONTIER_PATH_BUDGET`; unbounded patterns
+and roots that outgrow it run the same emission loop lazily, one path's end
+node at a time.  ``tests/reference_executor.py`` holds an independent
+row-at-a-time implementation; ``tests/test_batch_equivalence.py`` pins this
+module against it.  Leaf scans the planner marked ``parallel`` split into
+morsels across a shared thread pool when the transaction is a plain snapshot
+reader (:func:`_morsel_transaction`).
 """
 
 from __future__ import annotations
@@ -44,7 +35,7 @@ import threading
 from functools import partial
 from concurrent.futures import ThreadPoolExecutor
 from time import perf_counter
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import (
     NodeNotFoundError,
@@ -60,8 +51,7 @@ from repro.query.expressions import (
     SCALAR_FUNCTIONS,
     arithmetic,
     compare,
-    compiled,
-    evaluate,
+    compile_expression,
     freeze,
     pattern_matcher,
     rel_property_fns,
@@ -92,37 +82,23 @@ from repro.query.result import QueryStatistics
 
 
 class ExecutionContext:
-    """Everything operators need at runtime: the transaction, parameters, stats.
+    """One execution's state: transaction, parameters, mutation statistics,
+    and the size of every batch produced (reported once, when it finishes)."""
 
-    ``timed`` turns on per-operator wall-time accounting (``PROFILE``):
-    every pull through an operator adds its inclusive duration to the plan
-    node's ``actual_time_seconds``.  Off by default — plain execution pays
-    no clock calls per batch.  ``batch_size`` caps the rows per batch, and
-    ``morsel_workers`` enables morsel-parallel leaf scans for eligible
-    snapshot reads (0 disables).
-    """
+    __slots__ = ("tx", "parameters", "stats", "batch_sizes")
 
     def __init__(self, tx: Transaction, parameters: Mapping[str, object],
-                 stats: QueryStatistics, *, timed: bool = False,
-                 batch_size: int = 1024, morsel_workers: int = 0,
-                 obs=None) -> None:
+                 stats: QueryStatistics) -> None:
         self.tx = tx
         self.parameters = parameters
         self.stats = stats
-        self.timed = timed
-        self.batch_size = max(1, batch_size)
-        self.morsel_workers = morsel_workers
-        self.obs = obs
+        self.batch_sizes: List[int] = []
 
 
 class RowBatch:
-    """A columnar batch of rows: one value list per bound variable.
-
-    ``columns`` is the ordered tuple of variable names, ``data`` maps each
-    name to a list of ``size`` values.  Batches are immutable by
-    convention — operators build new ones rather than mutating inputs
-    (several operators pass their input batch through unchanged).
-    """
+    """A columnar batch of ``size`` rows: ``data`` maps each variable of
+    ``columns`` to its value list.  Immutable by convention — operators
+    build new batches (several pass their input through unchanged)."""
 
     __slots__ = ("columns", "data", "size")
 
@@ -133,14 +109,14 @@ class RowBatch:
         self.size = size
 
 
-class _RowView:
-    """A zero-copy mapping view of one batch row (reusable via ``index``).
+#: One operator of a prepared pipeline: ``stage(ctx)`` yields its batches.
+Stage = Callable[[ExecutionContext], Iterator[RowBatch]]
 
-    Implements enough of the Mapping protocol for the compiled closures
-    and pattern matchers: ``view[name]`` raises
-    ``KeyError`` for an unknown variable exactly like a row dict, which the
-    closures convert to the usual "unbound variable" error.
-    """
+
+class _RowView:
+    """A zero-copy mapping view of one batch row (reusable via ``index``):
+    as much of a row dict as the compiled closures use — ``view[name]``
+    raises ``KeyError`` for an unknown variable, like a dict."""
 
     __slots__ = ("_data", "index")
 
@@ -158,22 +134,120 @@ class _RowView:
     def __contains__(self, name: object) -> bool:
         return name in self._data
 
-    def __iter__(self):
-        return iter(self._data)
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def keys(self):
-        return self._data.keys()
-
     def items(self):
         index = self.index
         return [(name, column[index]) for name, column in self._data.items()]
 
 
+#: A variable a write clause binds, in a row it has not bound it in yet.
+_UNBOUND = object()
+
+
+class _WriteRow(_RowView):
+    """A mutable row view for write bodies: assignment writes the columns,
+    and a variable the clause binds becomes a new column (``added``) that
+    is absent from a row until bound there — as in a row dict."""
+
+    __slots__ = ("size", "added")
+
+    def __init__(self, data: Dict[str, List[object]], size: int) -> None:
+        self._data = data
+        self.index = 0
+        self.size = size
+        self.added: List[str] = []
+
+    def __getitem__(self, name: str) -> object:
+        value = self._data[name][self.index]
+        if value is _UNBOUND:
+            raise KeyError(name)
+        return value
+
+    def get(self, name: str, default: object = None) -> object:
+        value = super().get(name, _UNBOUND)
+        return default if value is _UNBOUND else value
+
+    def __contains__(self, name: object) -> bool:
+        return self.get(name, _UNBOUND) is not _UNBOUND
+
+    def __setitem__(self, name: str, value: object) -> None:
+        column = self._data.get(name)
+        if column is None:
+            column = self._data[name] = [_UNBOUND] * self.size
+            self.added.append(name)
+        column[self.index] = value
+
+
 _EMPTY_ROW: Row = {}
 _EMPTY_FROZENSET: frozenset = frozenset()
+
+
+# ---------------------------------------------------------------------------
+# Preparation
+# ---------------------------------------------------------------------------
+
+
+def prepare(plan: Plan, *, batch_size: int, morsel_workers: int,
+            profile: bool) -> None:
+    """Compile ``plan`` into its pipeline (``plan.pipeline``), once;
+    ``profile`` builds the ``PROFILE`` variant, whose stages record their
+    rows, batches and pull time on the operators of this plan."""
+    root = _Build(max(1, batch_size), morsel_workers, profile)(plan.root)
+    columns = plan.root.columns
+
+    def pipeline(ctx: ExecutionContext) -> Iterator[Sequence[object]]:
+        sizes = ctx.batch_sizes
+        for batch in root(ctx):
+            sizes.append(batch.size)
+            if columns:
+                data = batch.data
+                size = batch.size
+                yield from zip(*[
+                    data[name] if name in data else [None] * size
+                    for name in columns
+                ])
+
+    plan.pipeline = pipeline
+
+
+def run_plan(plan: Plan, ctx: ExecutionContext) -> Iterator[Sequence[object]]:
+    """Run a prepared plan: its result rows as value sequences, lazily."""
+    return plan.pipeline(ctx)
+
+
+class _Build:
+    """Builds the stages of one pipeline (the call builds an operator's)."""
+
+    __slots__ = ("batch_size", "morsel_workers", "profile")
+
+    def __init__(self, batch_size: int, morsel_workers: int, profile: bool) -> None:
+        self.batch_size = batch_size
+        self.morsel_workers = morsel_workers
+        self.profile = profile
+
+    def __call__(self, op) -> Stage:
+        stage = _BUILDERS[type(op)](op, self)
+        return _profiled(op, stage) if self.profile else stage
+
+
+def _profiled(op, stage: Stage) -> Stage:
+    """``PROFILE``: count the operator's rows and batches and time every pull
+    (inclusive — children are pulled from inside it)."""
+
+    def profiled(ctx: ExecutionContext) -> Iterator[RowBatch]:
+        op.actual_rows = op.actual_batches = 0
+        op.actual_time_seconds = 0.0
+        batches = stage(ctx)
+        while True:
+            started = perf_counter()
+            batch = next(batches, None)
+            op.actual_time_seconds += perf_counter() - started
+            if batch is None:
+                return
+            op.actual_rows += batch.size
+            op.actual_batches += 1
+            yield batch
+
+    return profiled
 
 
 # ---------------------------------------------------------------------------
@@ -193,27 +267,6 @@ def _slice(batch: RowBatch, start: int, stop: int) -> RowBatch:
     """A contiguous row range of a batch."""
     data = {name: column[start:stop] for name, column in batch.data.items()}
     return RowBatch(batch.columns, data, stop - start)
-
-
-def _materialise_rows(batch: RowBatch) -> List[Row]:
-    """The batch as plain row dicts (write clauses, ORDER BY scopes)."""
-    data = batch.data
-    columns = batch.columns
-    return [
-        {name: data[name][index] for name in columns}
-        for index in range(batch.size)
-    ]
-
-
-def _batch_from_rows(rows: List[Row]) -> RowBatch:
-    """Rebuild a batch from row dicts (columns are the union, missing → None)."""
-    columns: List[str] = []
-    for row in rows:
-        for name in row:
-            if name not in columns:
-                columns.append(name)
-    data = {name: [row.get(name) for row in rows] for name in columns}
-    return RowBatch(tuple(columns), data, len(rows))
 
 
 def _scoped_rows(batch: RowBatch) -> Iterator[Row]:
@@ -241,45 +294,67 @@ def _scoped_rows(batch: RowBatch) -> Iterator[Row]:
 
 
 # ---------------------------------------------------------------------------
-# Batch expression application
+# Batch expressions
 # ---------------------------------------------------------------------------
 
+#: A compiled whole-batch expression: one value per row of the batch.
+ColumnFn = Callable[[RowBatch, ExecutionContext], List[object]]
 
-def _apply(expression: ast.Expression, batch: RowBatch,
-           ctx: ExecutionContext) -> List[object]:
-    """Evaluate an expression over every row of a batch.
 
-    The hot shapes — literals, parameters, column references, direct
-    property reads, comparisons, arithmetic, null checks and the scalar
-    functions — are vectorized as whole-column list comprehensions.  Only
-    expression forms that evaluate every operand for every row are
-    vectorized; anything that short-circuits *evaluation* per row (AND/OR,
-    coalesce) runs the compiled closure per row, so an operand Cypher would
-    not have evaluated cannot raise.
-    """
-    size = batch.size
-    data = batch.data
+def _column_fn(expression: ast.Expression) -> ColumnFn:
+    """Compile an expression for whole batches.  Forms that evaluate every
+    operand for every row (literals, parameters, columns, ``n.prop``,
+    comparisons, arithmetic, null checks, scalar functions) are whole-column
+    comprehensions; anything that short-circuits per row (AND/OR, coalesce)
+    runs the compiled closure per row, so an operand Cypher would not have
+    evaluated cannot raise."""
     kind = type(expression)
-    if kind is ast.Literal:
-        return [expression.value] * size
-    if kind is ast.Parameter:
-        try:
-            value = ctx.parameters[expression.name]
-        except KeyError:
-            raise QueryExecutionError(
-                f"missing parameter ${expression.name}"
-            ) from None
-        return [value] * size
+    if kind is ast.Literal or kind is ast.Parameter:
+        value_fn = compile_expression(expression)
+        return lambda batch, ctx: [value_fn(_EMPTY_ROW, ctx)] * batch.size
+    if kind is ast.Comparison or kind is ast.Arithmetic:
+        apply = compare if kind is ast.Comparison else arithmetic
+        op = expression.op
+        left = _column_fn(expression.left)
+        right = _column_fn(expression.right)
+        return lambda batch, ctx: [
+            apply(op, lhs, rhs) for lhs, rhs in zip(left(batch, ctx), right(batch, ctx))
+        ]
+    if kind is ast.IsNull:
+        operand = _column_fn(expression.operand)
+        if expression.negated:
+            return lambda batch, ctx: [value is not None for value in operand(batch, ctx)]
+        return lambda batch, ctx: [value is None for value in operand(batch, ctx)]
+    if kind is ast.FunctionCall and len(expression.args) == 1 \
+            and expression.name in SCALAR_FUNCTIONS:
+        scalar = SCALAR_FUNCTIONS[expression.name]
+        operand = _column_fn(expression.args[0])
+        return lambda batch, ctx: [
+            None if value is None else scalar(value) for value in operand(batch, ctx)
+        ]
+    row_fn = compile_expression(expression)
+
+    def per_row(batch: RowBatch, ctx: ExecutionContext) -> List[object]:
+        return [row_fn(scope, ctx) for scope in _scoped_rows(batch)]
+
     if kind is ast.Variable:
-        column = data.get(expression.name)
-        if column is not None:
-            return list(column)
-        # Not a batch column: resolve through the source scope (or raise
-        # the usual unbound-variable error) via the generic path below.
-    elif kind is ast.PropertyAccess and type(expression.entity) is ast.Variable:
-        column = data.get(expression.entity.name)
-        if column is not None:
-            key = expression.key
+        name = expression.name
+
+        def variable_column(batch: RowBatch, ctx: ExecutionContext) -> List[object]:
+            column = batch.data.get(name)
+            # Not a batch column: resolve through the source scope (or raise
+            # the usual unbound-variable error) row by row.
+            return list(column) if column is not None else per_row(batch, ctx)
+
+        return variable_column
+    if kind is ast.PropertyAccess and type(expression.entity) is ast.Variable:
+        name = expression.entity.name
+        key = expression.key
+
+        def property_column(batch: RowBatch, ctx: ExecutionContext) -> List[object]:
+            column = batch.data.get(name)
+            if column is None:
+                return per_row(batch, ctx)
             values: List[object] = []
             append = values.append
             for entity in column:
@@ -292,28 +367,9 @@ def _apply(expression: ast.Expression, batch: RowBatch,
                         f"cannot read property {key!r} of {type(entity).__name__}"
                     )
             return values
-    elif kind is ast.Comparison:
-        op = expression.op
-        left = _apply(expression.left, batch, ctx)
-        right = _apply(expression.right, batch, ctx)
-        return [compare(op, lhs, rhs) for lhs, rhs in zip(left, right)]
-    elif kind is ast.Arithmetic:
-        op = expression.op
-        left = _apply(expression.left, batch, ctx)
-        right = _apply(expression.right, batch, ctx)
-        return [arithmetic(op, lhs, rhs) for lhs, rhs in zip(left, right)]
-    elif kind is ast.IsNull:
-        operand = _apply(expression.operand, batch, ctx)
-        if expression.negated:
-            return [value is not None for value in operand]
-        return [value is None for value in operand]
-    elif kind is ast.FunctionCall:
-        scalar = SCALAR_FUNCTIONS.get(expression.name)
-        if scalar is not None and len(expression.args) == 1:
-            operand = _apply(expression.args[0], batch, ctx)
-            return [None if value is None else scalar(value) for value in operand]
-    fn = compiled(expression)
-    return [fn(scope, ctx) for scope in _scoped_rows(batch)]
+
+        return property_column
+    return per_row
 
 
 # ---------------------------------------------------------------------------
@@ -328,20 +384,16 @@ _MORSEL_POOL_LOCK = threading.Lock()
 
 def _morsel_pool(workers: int) -> ThreadPoolExecutor:
     global _MORSEL_POOL
-    pool = _MORSEL_POOL
-    if pool is None:
-        with _MORSEL_POOL_LOCK:
-            pool = _MORSEL_POOL
-            if pool is None:
-                pool = ThreadPoolExecutor(
-                    max_workers=max(2, workers),
-                    thread_name_prefix="repro-morsel",
-                )
-                _MORSEL_POOL = pool
-    return pool
+    with _MORSEL_POOL_LOCK:
+        if _MORSEL_POOL is None:
+            _MORSEL_POOL = ThreadPoolExecutor(
+                max_workers=max(2, workers), thread_name_prefix="repro-morsel"
+            )
+        return _MORSEL_POOL
 
 
-def _morsel_transaction(ctx: ExecutionContext) -> Optional[SnapshotTransaction]:
+def _morsel_transaction(ctx: ExecutionContext,
+                        workers: int) -> Optional[SnapshotTransaction]:
     """The engine transaction, iff this scan may run across the morsel pool.
 
     Eligible means: a multi-version snapshot transaction that is a *plain
@@ -351,7 +403,7 @@ def _morsel_transaction(ctx: ExecutionContext) -> Optional[SnapshotTransaction]:
     synchronised across workers; the plain reader's visibility resolution
     is completely lock-free and therefore trivially shareable.
     """
-    if ctx.morsel_workers <= 1:
+    if workers <= 1:
         return None
     etxn = getattr(ctx.tx, "_txn", None)
     if not isinstance(etxn, SnapshotTransaction):
@@ -364,12 +416,11 @@ def _morsel_transaction(ctx: ExecutionContext) -> Optional[SnapshotTransaction]:
 
 
 def _morsel_nodes(ctx: ExecutionContext, etxn: SnapshotTransaction,
-                  node_ids: Sequence[int]) -> List[Node]:
+                  workers: int, node_ids: Sequence[int]) -> List[Node]:
     """Resolve many node payloads across the morsel pool, preserving order."""
     keys = [EntityKey.node(node_id) for node_id in node_ids]
     engine = etxn._engine
     start_ts = etxn.snapshot.start_ts
-    workers = ctx.morsel_workers
     etxn.reads_performed += len(keys)
     if len(keys) < workers * 2:
         payloads = engine.read_committed_versions(keys, start_ts)
@@ -411,83 +462,23 @@ def _all_committed_node_ids(etxn: SnapshotTransaction) -> List[int]:
 
 
 # ---------------------------------------------------------------------------
-# Operator runners
+# Operators: each builder compiles one plan operator into its stage
 # ---------------------------------------------------------------------------
 
 
-def run_plan(plan: Plan, ctx: ExecutionContext) -> Iterator[List[object]]:
-    """Run a plan batch-at-a-time, yielding result rows as value lists."""
-    root = plan.root
-    columns = root.columns
-    obs = ctx.obs
-    for batch in _run_batches(root, ctx):
-        if obs is not None:
-            obs.query_batches.inc()
-            obs.query_batch_rows.observe(batch.size)
-        if not columns:
-            continue
-        size = batch.size
-        column_lists = [
-            batch.data[name] if name in batch.data else [None] * size
-            for name in columns
-        ]
-        for values in zip(*column_lists):
-            yield list(values)
+def _argument(op: Argument, build: _Build) -> Stage:
+    def argument(ctx: ExecutionContext) -> Iterator[RowBatch]:
+        yield RowBatch((), {}, 1)
 
-
-def _run_batches(op, ctx: ExecutionContext) -> Iterator[RowBatch]:
-    """Instantiate one operator's batch generator, counting rows and batches."""
-    runner = _OPERATORS[type(op)]
-    op.actual_rows = 0
-    op.actual_batches = 0
-    if ctx.timed:
-        op.actual_time_seconds = 0.0
-        return _timed_batches(op, runner, ctx)
-
-    def counted() -> Iterator[RowBatch]:
-        for batch in runner(op, ctx):
-            if batch.size == 0:
-                continue
-            op.actual_rows += batch.size
-            op.actual_batches += 1
-            yield batch
-
-    return counted()
-
-
-def _timed_batches(op, runner, ctx: ExecutionContext) -> Iterator[RowBatch]:
-    """PROFILE variant of :func:`_run_batches` (inclusive per-pull timing)."""
-    generator = runner(op, ctx)
-    while True:
-        started = perf_counter()
-        try:
-            batch = next(generator)
-        except StopIteration:
-            op.actual_time_seconds += perf_counter() - started
-            return
-        op.actual_time_seconds += perf_counter() - started
-        if batch.size == 0:
-            continue
-        op.actual_rows += batch.size
-        op.actual_batches += 1
-        yield batch
-
-
-def _argument_batches(op: Argument, ctx: ExecutionContext) -> Iterator[RowBatch]:
-    yield RowBatch((), {}, 1)
-
-
-def _produce_batches(op: ProduceResults, ctx: ExecutionContext) -> Iterator[RowBatch]:
-    yield from _run_batches(op.child, ctx)
-
+    return argument
 
 
 # -- scans -------------------------------------------------------------------
 
 
-def _input_rows(op, ctx: ExecutionContext):
-    """Yield ``(in_batch, index, row_scope)`` triples from the child operator."""
-    for in_batch in _run_batches(op.child, ctx):
+def _input_rows(child: Stage, ctx: ExecutionContext):
+    """Yield ``(in_batch, index, row_scope)`` triples from the child stage."""
+    for in_batch in child(ctx):
         if in_batch.columns:
             view = _RowView(in_batch.data)
             for index in range(in_batch.size):
@@ -512,60 +503,68 @@ def _bind_column(in_batch: RowBatch, index: int, variable: str,
     return RowBatch(columns, data, size)
 
 
-def _emit_scan_rows(op, ctx: ExecutionContext, in_batch: RowBatch, index: int,
-                    nodes, matcher, row) -> Iterator[RowBatch]:
-    """Bind matching scanned nodes to ``op.variable`` in batch-size chunks."""
-    batch_size = ctx.batch_size
-    matched: List[Node] = []
-    for node in nodes:
-        if matcher is None or matcher(node, row, ctx):
-            matched.append(node)
-            if len(matched) >= batch_size:
-                yield _bind_column(in_batch, index, op.variable, matched)
-                matched = []
-    if matched:
-        yield _bind_column(in_batch, index, op.variable, matched)
+def _scan_emitter(op, build: _Build):
+    """``emit(ctx, in_batch, index, nodes, row)``: bind the scanned nodes that
+    match the operator's pattern to its variable, in batch-size chunks."""
+    variable = op.variable
+    matcher = pattern_matcher(op.pattern)
+    batch_size = build.batch_size
+
+    def emit(ctx, in_batch, index, nodes, row) -> Iterator[RowBatch]:
+        matched: List[Node] = []
+        for node in nodes:
+            if matcher is None or matcher(node, row, ctx):
+                matched.append(node)
+                if len(matched) >= batch_size:
+                    yield _bind_column(in_batch, index, variable, matched)
+                    matched = []
+        if matched:
+            yield _bind_column(in_batch, index, variable, matched)
+
+    return emit
 
 
-def _all_nodes_scan_batches(op: AllNodesScan, ctx: ExecutionContext) -> Iterator[RowBatch]:
-    matcher = pattern_matcher(op, op.pattern)
-    for in_batch, index, row in _input_rows(op, ctx):
-        if getattr(op, "parallel", False):
-            etxn = _morsel_transaction(ctx)
+def _node_scan(op, build: _Build) -> Stage:
+    """``AllNodesScan`` / ``LabelScan``: every visible (labelled) node."""
+    child = build(op.child)
+    emit = _scan_emitter(op, build)
+    label = op.label if isinstance(op, LabelScan) else None
+    workers = build.morsel_workers if op.parallel else 0
+
+    def node_scan(ctx: ExecutionContext) -> Iterator[RowBatch]:
+        for in_batch, index, row in _input_rows(child, ctx):
+            etxn = _morsel_transaction(ctx, workers)
             if etxn is not None:
-                nodes = _morsel_nodes(ctx, etxn, _all_committed_node_ids(etxn))
-                yield from _emit_scan_rows(op, ctx, in_batch, index, nodes, matcher, row)
+                ids = (
+                    _all_committed_node_ids(etxn) if label is None
+                    else sorted(etxn.find_nodes_by_label(label))
+                )
+                nodes = _morsel_nodes(ctx, etxn, workers, ids)
+            elif label is None:
+                nodes = ctx.tx.nodes()
+            else:
+                nodes = ctx.tx.find_nodes(label=label)
+            yield from emit(ctx, in_batch, index, nodes, row)
+
+    return node_scan
+
+
+def _property_seek(op: PropertyIndexSeek, build: _Build) -> Stage:
+    child = build(op.child)
+    emit = _scan_emitter(op, build)
+    value_fn = compile_expression(op.value)
+    label = op.label
+    key = op.key
+
+    def property_seek(ctx: ExecutionContext) -> Iterator[RowBatch]:
+        for in_batch, index, row in _input_rows(child, ctx):
+            value = value_fn(row, ctx)
+            if value is None:
                 continue
-        yield from _emit_scan_rows(
-            op, ctx, in_batch, index, ctx.tx.nodes(), matcher, row
-        )
+            nodes = ctx.tx.find_nodes(label=label, key=key, value=value)
+            yield from emit(ctx, in_batch, index, nodes, row)
 
-
-def _label_scan_batches(op: LabelScan, ctx: ExecutionContext) -> Iterator[RowBatch]:
-    matcher = pattern_matcher(op, op.pattern)
-    for in_batch, index, row in _input_rows(op, ctx):
-        if getattr(op, "parallel", False):
-            etxn = _morsel_transaction(ctx)
-            if etxn is not None:
-                ids = sorted(etxn.find_nodes_by_label(op.label))
-                nodes = _morsel_nodes(ctx, etxn, ids)
-                yield from _emit_scan_rows(op, ctx, in_batch, index, nodes, matcher, row)
-                continue
-        yield from _emit_scan_rows(
-            op, ctx, in_batch, index, ctx.tx.find_nodes(label=op.label),
-            matcher, row,
-        )
-
-
-def _property_seek_batches(op: PropertyIndexSeek, ctx: ExecutionContext) -> Iterator[RowBatch]:
-    value_fn = compiled(op.value)
-    matcher = pattern_matcher(op, op.pattern)
-    for in_batch, index, row in _input_rows(op, ctx):
-        value = value_fn(row, ctx)
-        if value is None:
-            continue
-        nodes = ctx.tx.find_nodes(label=op.label, key=op.key, value=value)
-        yield from _emit_scan_rows(op, ctx, in_batch, index, nodes, matcher, row)
+    return property_seek
 
 
 # -- expand ------------------------------------------------------------------
@@ -605,79 +604,98 @@ def _excluded_rel_ids(variables: Sequence[str], row: Row) -> frozenset:
     return frozenset(excluded)
 
 
-def _expand_batches(op: Expand, ctx: ExecutionContext) -> Iterator[RowBatch]:
-    rel = op.rel
-    if rel.var_length:
-        yield from _var_length_expand_batches(op, ctx)
-        return
-    to_matcher = pattern_matcher(op, op.to_pattern, attr="_to_matcher")
-    rel_prop_fns = rel_property_fns(op)
-    rel_types = rel.types or None
-    direction = op.direction
-    batch_size = ctx.batch_size
-    bind_target = getattr(op, "bind_target", True)
-    for in_batch in _run_batches(op.child, ctx):
-        data = in_batch.data
-        source_indexes, sources = _expand_sources(op, in_batch)
-        if not sources:
-            continue
-        if bind_target:
-            expanded = ctx.tx.expand_many(sources, direction, rel_types)
-        else:
-            # Nothing downstream can observe the far-end node (anonymous
-            # terminal target, no label/property checks), so skip the
-            # neighbour point-reads entirely and pair each relationship
-            # with a placeholder.
-            expanded = [
-                [(relationship, None) for relationship in relationships]
-                for relationships in ctx.tx.relationships_of_many(
-                    sources, direction, rel_types
-                )
-            ]
-        out_indexes: List[int] = []
-        out_rels: List[object] = []
-        out_nodes: List[Node] = []
-        row = _RowView(data)
-        for index, pairs in zip(source_indexes, expanded):
-            row.index = index
-            excluded = (
-                _excluded_rel_ids(op.exclude_rel_vars, row)
-                if op.exclude_rel_vars
-                else _EMPTY_FROZENSET
-            )
-            target_id: Optional[int] = None
-            if op.into:
-                bound_target = row.get(op.to_var)
-                if not isinstance(bound_target, Node):
-                    continue
-                target_id = bound_target.id
-            # Reverse adjacency order: a single hop is the one-level case
-            # of the var-length walk, which pops its stack LIFO.
-            for relationship, neighbour in reversed(pairs):
-                if relationship.id in excluded:
-                    continue
-                if rel_prop_fns:
-                    wanted_ok = True
-                    for key, value_fn in rel_prop_fns:
-                        wanted = value_fn(row, ctx)
-                        if wanted is None or \
-                                relationship.data.properties.get(key) != wanted:
-                            wanted_ok = False
-                            break
-                    if not wanted_ok:
-                        continue
-                if target_id is not None and neighbour.id != target_id:
-                    continue
-                if to_matcher is not None and not to_matcher(neighbour, row, ctx):
-                    continue
+def _has_properties(relationship: Relationship, rel_prop_fns, row: Row,
+                    ctx: ExecutionContext) -> bool:
+    """Whether ``relationship`` matches the hop's property map."""
+    properties = relationship.data.properties
+    for key, value_fn in rel_prop_fns:
+        wanted = value_fn(row, ctx)
+        if wanted is None or properties.get(key) != wanted:
+            return False
+    return True
+
+
+def _expand(op: Expand, build: _Build) -> Stage:
+    """A hop (or ``*m..n`` / ``*m..`` hop): every match of each input row.
+    Under ``PROFILE`` a variable-length hop also records per depth ``[round
+    trips, paths expanded]`` and how many roots it walked lazily."""
+    child = build(op.child)
+    matches = _var_length_matches if op.rel.var_length else _hop_matches
+    to_matcher = pattern_matcher(op.to_pattern)
+    rel_prop_fns = rel_property_fns(op.rel)
+    batch_size = build.batch_size
+    profiled = op if build.profile and op.rel.var_length else None
+
+    def expand(ctx: ExecutionContext) -> Iterator[RowBatch]:
+        if profiled is not None:
+            profiled.actual_levels = []
+            profiled.actual_lazy_roots = 0
+        for in_batch in child(ctx):
+            out_indexes: List[int] = []
+            out_rels: List[object] = []
+            out_nodes: List[Node] = []
+            for index, rels, end in matches(
+                op, ctx, in_batch, to_matcher, rel_prop_fns, profiled
+            ):
                 out_indexes.append(index)
-                out_rels.append(relationship)
-                out_nodes.append(neighbour)
+                out_rels.append(rels)
+                out_nodes.append(end)
                 if len(out_indexes) >= batch_size:
                     yield _expand_output(in_batch, op, out_indexes, out_rels, out_nodes)
                     out_indexes, out_rels, out_nodes = [], [], []
-        if out_indexes:
-            yield _expand_output(in_batch, op, out_indexes, out_rels, out_nodes)
+            if out_indexes:
+                yield _expand_output(in_batch, op, out_indexes, out_rels, out_nodes)
+
+    return expand
+
+
+def _hop_matches(
+    op: Expand, ctx: ExecutionContext, in_batch: RowBatch, to_matcher,
+    rel_prop_fns, _profiled,
+) -> Iterator[Tuple[int, Relationship, Optional[Node]]]:
+    """``(row index, relationship, neighbour)`` of every single-hop match of
+    one input batch, each row's in reverse adjacency order: a single hop is
+    the one-level case of the var-length walk, which pops its stack LIFO."""
+    source_indexes, sources = _expand_sources(op, in_batch)
+    if not sources:
+        return
+    rel_types = op.rel.types or None
+    if op.bind_target:
+        expanded = ctx.tx.expand_many(sources, op.direction, rel_types)
+    else:
+        # Nothing downstream can observe the far-end node (anonymous terminal
+        # target, no label/property checks), so skip the neighbour reads and
+        # pair each relationship with a placeholder.
+        expanded = [
+            [(relationship, None) for relationship in relationships]
+            for relationships in ctx.tx.relationships_of_many(
+                sources, op.direction, rel_types
+            )
+        ]
+    row = _RowView(in_batch.data)
+    for index, pairs in zip(source_indexes, expanded):
+        row.index = index
+        excluded = (
+            _excluded_rel_ids(op.exclude_rel_vars, row)
+            if op.exclude_rel_vars
+            else _EMPTY_FROZENSET
+        )
+        target_id: Optional[int] = None
+        if op.into:
+            bound_target = row.get(op.to_var)
+            if not isinstance(bound_target, Node):
+                continue
+            target_id = bound_target.id
+        for relationship, neighbour in reversed(pairs):
+            if relationship.id in excluded or (
+                rel_prop_fns and not _has_properties(relationship, rel_prop_fns, row, ctx)
+            ):
+                continue
+            if target_id is not None and neighbour.id != target_id:
+                continue
+            if to_matcher is not None and not to_matcher(neighbour, row, ctx):
+                continue
+            yield index, relationship, neighbour
 
 
 def _expand_output(in_batch: RowBatch, op: Expand, indexes: List[int],
@@ -691,7 +709,7 @@ def _expand_output(in_batch: RowBatch, op: Expand, indexes: List[int],
     if op.rel_var not in data:
         columns = columns + (op.rel_var,)
     data[op.rel_var] = rels
-    if not op.into and getattr(op, "bind_target", True):
+    if not op.into and op.bind_target:
         if op.to_var not in data:
             columns = columns + (op.to_var,)
         data[op.to_var] = nodes
@@ -705,27 +723,6 @@ def _expand_output(in_batch: RowBatch, op: Expand, indexes: List[int],
 #: budget is halved; a single root that still does not fit is walked lazily,
 #: one path at a time (same rows, same order).
 FRONTIER_PATH_BUDGET = 4096
-
-
-def _var_length_expand_batches(op: Expand, ctx: ExecutionContext) -> Iterator[RowBatch]:
-    """``*m..n`` / ``*m..`` expand, set-at-a-time; output chunked at batch size."""
-    batch_size = ctx.batch_size
-    #: Per depth: [round trips, paths expanded] (PROFILE).
-    op.actual_levels = []
-    op.actual_lazy_roots = 0
-    for in_batch in _run_batches(op.child, ctx):
-        out_indexes: List[int] = []
-        out_rels: List[object] = []
-        out_nodes: List[Node] = []
-        for index, relationships, end in _var_length_matches(op, ctx, in_batch):
-            out_indexes.append(index)
-            out_rels.append(relationships)
-            out_nodes.append(end)
-            if len(out_indexes) >= batch_size:
-                yield _expand_output(in_batch, op, out_indexes, out_rels, out_nodes)
-                out_indexes, out_rels, out_nodes = [], [], []
-        if out_indexes:
-            yield _expand_output(in_batch, op, out_indexes, out_rels, out_nodes)
 
 
 class _PathForest:
@@ -774,12 +771,7 @@ def _extend_path(forest: _PathForest, path: int, pairs, excluded: frozenset,
             ancestor = path_parent[ancestor]
         if ancestor >= roots:
             continue  # relationship already on this path
-        properties = relationship.data.properties
-        for key, value_fn in rel_prop_fns:
-            wanted = value_fn(row, ctx)
-            if wanted is None or properties.get(key) != wanted:
-                break
-        else:
+        if _has_properties(relationship, rel_prop_fns, row, ctx):
             children.append(len(path_parent))
             forest.row.append(index)
             path_parent.append(path)
@@ -791,7 +783,8 @@ def _extend_path(forest: _PathForest, path: int, pairs, excluded: frozenset,
 
 
 def _var_length_matches(
-    op: Expand, ctx: ExecutionContext, in_batch: RowBatch
+    op: Expand, ctx: ExecutionContext, in_batch: RowBatch, to_matcher,
+    rel_prop_fns, profiled: Optional[Expand],
 ) -> Iterator[Tuple[int, List[Relationship], Node]]:
     """``(row index, path relationships, end node)`` of every match of one
     input batch, lazily, in depth-first order: pre-order, siblings in
@@ -807,13 +800,12 @@ def _var_length_matches(
     subtrees are finished by then, so memory stays at the stack's size.
     """
     rel = op.rel
-    to_matcher = pattern_matcher(op, op.to_pattern, attr="_to_matcher")
-    rel_prop_fns = rel_property_fns(op)
     min_hops = rel.min_hops
     max_hops = rel.max_hops
     rel_types = rel.types or None
     direction = op.direction
     expand_many = ctx.tx.expand_many
+    levels = profiled.actual_levels if profiled is not None else None
     row = _RowView(in_batch.data)
     indexes, sources = _expand_sources(op, in_batch)
     # Start from the roots as this transaction sees them now, not from the
@@ -851,14 +843,15 @@ def _var_length_matches(
         group_nodes = root_nodes[start:start + step]
         forest = _PathForest(group_rows, group_nodes)
         lazy = max_hops is None or not _grow_frontier(
-            op, ctx, row, forest, excluded_of
+            op, ctx, row, forest, excluded_of, rel_prop_fns, levels
         )
         if lazy and step > 1:
             step = (step + 1) // 2
             continue
         start += step
         if lazy:
-            op.actual_lazy_roots += 1
+            if profiled is not None:
+                profiled.actual_lazy_roots += 1
             # Start over from the bare root: drop what the attempt grew.
             forest = _PathForest(group_rows, group_nodes)
         roots = forest.roots
@@ -903,6 +896,8 @@ def _grow_frontier(
     row: _RowView,
     forest: _PathForest,
     excluded_of: Dict[int, frozenset],
+    rel_prop_fns,
+    levels: Optional[List[List[int]]],
 ) -> bool:
     """Grow every path from the forest's roots, one level per round trip.
 
@@ -910,24 +905,24 @@ def _grow_frontier(
     path in one ``expand_many`` (one adjacency read and one neighbour read
     for the whole frontier).  Returns ``False`` — leaving the forest partly
     grown — once it holds more than :data:`FRONTIER_PATH_BUDGET` paths.
+    ``levels`` (``PROFILE`` only) counts each level's round trips and paths.
     """
     rel = op.rel
-    rel_prop_fns = rel_property_fns(op)
     max_hops = rel.max_hops
     rel_types = rel.types or None
     direction = op.direction
     expand_many = ctx.tx.expand_many
     budget = FRONTIER_PATH_BUDGET
-    levels = op.actual_levels
     path_row = forest.row
     path_node = forest.node
     frontier = list(range(forest.roots))
     depth = 0
     while frontier and depth < max_hops:
-        if depth == len(levels):
-            levels.append([0, 0])
-        levels[depth][0] += 1
-        levels[depth][1] += len(frontier)
+        if levels is not None:
+            if depth == len(levels):
+                levels.append([0, 0])
+            levels[depth][0] += 1
+            levels[depth][1] += len(frontier)
         ends = {path_node[path].id: path_node[path] for path in frontier}
         pairs_of = dict(
             zip(ends, expand_many(list(ends.values()), direction, rel_types))
@@ -950,126 +945,162 @@ def _grow_frontier(
 # -- filters and projections -------------------------------------------------
 
 
-def _filter_batches(op: Filter, ctx: ExecutionContext) -> Iterator[RowBatch]:
-    predicate = op.predicate
-    for batch in _run_batches(op.child, ctx):
-        values = _apply(predicate, batch, ctx)
-        keep = [
-            index for index, value in enumerate(values)
-            if value is not None and value
-        ]
-        if len(keep) == batch.size:
-            yield batch
-        elif keep:
-            yield _take(batch, keep)
+def _filter(op: Filter, build: _Build) -> Stage:
+    child = build(op.child)
+    predicate = _column_fn(op.predicate)
+
+    def filter_(ctx: ExecutionContext) -> Iterator[RowBatch]:
+        for batch in child(ctx):
+            values = predicate(batch, ctx)
+            keep = [
+                index for index, value in enumerate(values)
+                if value is not None and value
+            ]
+            if len(keep) == batch.size:
+                yield batch
+            elif keep:
+                yield _take(batch, keep)
+
+    return filter_
 
 
-def _projection_batches(op: Projection, ctx: ExecutionContext) -> Iterator[RowBatch]:
-    aliases = tuple(item.alias for item in op.items)
+def _projection(op: Projection, build: _Build) -> Stage:
+    child = build(op.child)
+    items = [(item.alias, _column_fn(item.expression)) for item in op.items]
     keep_source = op.keep_source
-    for batch in _run_batches(op.child, ctx):
-        data = {
-            item.alias: _apply(item.expression, batch, ctx) for item in op.items
-        }
-        columns = aliases
-        if keep_source:
-            data[SOURCE_ROW_KEY] = _materialise_rows(batch)
-            columns = aliases + (SOURCE_ROW_KEY,)
-        yield RowBatch(columns, data, batch.size)
+    columns = tuple(alias for alias, _fn in items)
+    if keep_source:
+        columns += (SOURCE_ROW_KEY,)
+
+    def projection(ctx: ExecutionContext) -> Iterator[RowBatch]:
+        for batch in child(ctx):
+            data = {alias: fn(batch, ctx) for alias, fn in items}
+            if keep_source:
+                # The pre-projection rows, as dicts: the ORDER BY scope.
+                data[SOURCE_ROW_KEY] = [
+                    {name: batch.data[name][index] for name in batch.columns}
+                    for index in range(batch.size)
+                ]
+            yield RowBatch(columns, data, batch.size)
+
+    return projection
 
 
-def _distinct_batches(op: Distinct, ctx: ExecutionContext) -> Iterator[RowBatch]:
-    seen = set()
-    for batch in _run_batches(op.child, ctx):
-        cols = [batch.data.get(name) for name in op.columns]
-        keep: List[int] = []
-        for index in range(batch.size):
-            key = tuple(
-                freeze(col[index]) if col is not None else None for col in cols
-            )
-            if key not in seen:
-                seen.add(key)
-                keep.append(index)
-        if len(keep) == batch.size:
-            yield batch
-        elif keep:
-            yield _take(batch, keep)
+def _distinct(op: Distinct, build: _Build) -> Stage:
+    child = build(op.child)
+
+    def distinct(ctx: ExecutionContext) -> Iterator[RowBatch]:
+        seen = set()
+        for batch in child(ctx):
+            cols = [batch.data.get(name) for name in op.columns]
+            keep: List[int] = []
+            for index in range(batch.size):
+                key = tuple(
+                    freeze(col[index]) if col is not None else None for col in cols
+                )
+                if key not in seen:
+                    seen.add(key)
+                    keep.append(index)
+            if len(keep) == batch.size:
+                yield batch
+            elif keep:
+                yield _take(batch, keep)
+
+    return distinct
 
 
-def _order_by_batches(op: OrderBy, ctx: ExecutionContext) -> Iterator[RowBatch]:
-    batches = list(_run_batches(op.child, ctx))
-    if not batches:
-        return
-    # Evaluate every order key once per row (through the source scope),
-    # then sort global row indexes stably, right-to-left.
-    key_columns: List[List[object]] = [[] for _ in op.order_items]
-    for batch in batches:
-        for slot, item in enumerate(op.order_items):
-            key_columns[slot].extend(
-                sort_key(value) for value in _apply(item.expression, batch, ctx)
-            )
-    out_columns = tuple(
-        name for name in batches[0].columns if name != SOURCE_ROW_KEY
-    )
-    flat: Dict[str, List[object]] = {name: [] for name in out_columns}
-    for batch in batches:
-        for name in out_columns:
-            column = batch.data.get(name)
-            if column is None:
-                flat[name].extend([None] * batch.size)
-            else:
-                flat[name].extend(column)
-    total = sum(batch.size for batch in batches)
-    order = list(range(total))
-    for slot in range(len(op.order_items) - 1, -1, -1):
-        keys = key_columns[slot]
-        order.sort(
-            key=keys.__getitem__, reverse=not op.order_items[slot].ascending
-        )
-    batch_size = ctx.batch_size
-    for start in range(0, total, batch_size):
-        chunk = order[start:start + batch_size]
-        data = {
-            name: [column[i] for i in chunk] for name, column in flat.items()
-        }
-        yield RowBatch(out_columns, data, len(chunk))
+def _order_by(op: OrderBy, build: _Build) -> Stage:
+    child = build(op.child)
+    keys = [(_column_fn(item.expression), item.ascending) for item in op.order_items]
+    batch_size = build.batch_size
 
-
-def _skip_batches(op: Skip, ctx: ExecutionContext) -> Iterator[RowBatch]:
-    count = require_non_negative_int(evaluate(op.count, {}, ctx), "SKIP")
-    skipped = 0
-    for batch in _run_batches(op.child, ctx):
-        if skipped >= count:
-            yield batch
-            continue
-        if skipped + batch.size <= count:
-            skipped += batch.size
-            continue
-        start = count - skipped
-        skipped = count
-        yield _slice(batch, start, batch.size)
-
-
-def _limit_batches(op: Limit, ctx: ExecutionContext) -> Iterator[RowBatch]:
-    count = require_non_negative_int(evaluate(op.count, {}, ctx), "LIMIT")
-    if count == 0:
-        # Not pulling the child is only an optimisation over a read-only
-        # subtree; a write clause below still has to run.
-        if any(isinstance(below, _WRITE_OPERATORS) for below in op.child.walk()):
-            for _batch in _run_batches(op.child, ctx):
-                pass
-        return
-    produced = 0
-    for batch in _run_batches(op.child, ctx):
-        remaining = count - produced
-        if batch.size <= remaining:
-            produced += batch.size
-            yield batch
-            if produced >= count:
-                return
-        else:
-            yield _slice(batch, 0, remaining)
+    def order_by(ctx: ExecutionContext) -> Iterator[RowBatch]:
+        batches = list(child(ctx))
+        if not batches:
             return
+        # Evaluate every order key once per row (through the source scope),
+        # then sort global row indexes stably, right-to-left.
+        key_columns: List[List[object]] = [[] for _ in keys]
+        for batch in batches:
+            for slot, (key_fn, _ascending) in enumerate(keys):
+                key_columns[slot].extend(
+                    sort_key(value) for value in key_fn(batch, ctx)
+                )
+        out_columns = tuple(
+            name for name in batches[0].columns if name != SOURCE_ROW_KEY
+        )
+        flat: Dict[str, List[object]] = {name: [] for name in out_columns}
+        for batch in batches:
+            for name in out_columns:
+                column = batch.data.get(name)
+                if column is None:
+                    flat[name].extend([None] * batch.size)
+                else:
+                    flat[name].extend(column)
+        total = sum(batch.size for batch in batches)
+        order = list(range(total))
+        for slot in range(len(keys) - 1, -1, -1):
+            order.sort(
+                key=key_columns[slot].__getitem__, reverse=not keys[slot][1]
+            )
+        for start in range(0, total, batch_size):
+            chunk = order[start:start + batch_size]
+            data = {
+                name: [column[i] for i in chunk] for name, column in flat.items()
+            }
+            yield RowBatch(out_columns, data, len(chunk))
+
+    return order_by
+
+
+def _skip(op: Skip, build: _Build) -> Stage:
+    child = build(op.child)
+    count_fn = compile_expression(op.count)
+
+    def skip(ctx: ExecutionContext) -> Iterator[RowBatch]:
+        count = require_non_negative_int(count_fn(_EMPTY_ROW, ctx), "SKIP")
+        skipped = 0
+        for batch in child(ctx):
+            if skipped >= count:
+                yield batch
+                continue
+            if skipped + batch.size <= count:
+                skipped += batch.size
+                continue
+            start = count - skipped
+            skipped = count
+            yield _slice(batch, start, batch.size)
+
+    return skip
+
+
+def _limit(op: Limit, build: _Build) -> Stage:
+    child = build(op.child)
+    count_fn = compile_expression(op.count)
+    # Not pulling the child is only an optimisation over a read-only
+    # subtree; a write clause below still has to run.
+    drain = any(isinstance(below, _WRITE_OPERATORS) for below in op.child.walk())
+
+    def limit(ctx: ExecutionContext) -> Iterator[RowBatch]:
+        count = require_non_negative_int(count_fn(_EMPTY_ROW, ctx), "LIMIT")
+        if count == 0:
+            if drain:
+                for _batch in child(ctx):
+                    pass
+            return
+        produced = 0
+        for batch in child(ctx):
+            remaining = count - produced
+            if batch.size <= remaining:
+                produced += batch.size
+                yield batch
+                if produced >= count:
+                    return
+            else:
+                yield _slice(batch, 0, remaining)
+                return
+
+    return limit
 
 
 # -- aggregation ---------------------------------------------------------------
@@ -1140,191 +1171,169 @@ class Accumulator:
 
     def result(self) -> object:
         name = self.call.name
-        if name == "count":
-            return self.count
-        if name == "sum":
-            return self.total
         if name == "avg":
             return self.total / self.count if self.count else None
-        if name == "min":
-            return self.minimum
-        if name == "max":
-            return self.maximum
-        if name == "collect":
-            return self.collected
-        raise QueryExecutionError(f"unknown aggregate {name!r}")
+        results = {"count": self.count, "sum": self.total, "min": self.minimum,
+                   "max": self.maximum, "collect": self.collected}
+        if name not in results:
+            raise QueryExecutionError(f"unknown aggregate {name!r}")
+        return results[name]
 
 
-def _fused_expand_count(
-    op: Aggregate, ctx: ExecutionContext
-) -> Optional[Iterator[RowBatch]]:
-    """``Expand -> Aggregate(count(r))`` folded into adjacency-length sums.
+def _group_keys(group_columns: List[List[object]], size: int) -> List[object]:
+    """Each row's hashable group key (one column: the frozen value itself)."""
+    if len(group_columns) == 1:
+        return [freeze(value) for value in group_columns[0]]
+    if group_columns:
+        return [tuple(freeze(value) for value in row) for row in zip(*group_columns)]
+    return [()] * size
 
-    When an aggregate sits directly on an unbound-target single-hop expand
-    and every aggregate is a plain ``count(rel_var)`` over that expand's
-    relationship variable (with every group key a pre-expand variable), the
-    per-relationship rows exist only to be counted.  Summing the adjacency
-    list lengths per source row produces the same groups and the same
-    counts without materialising them.  The reads are identical — the
-    counts come from the same ``relationships_of_many`` call the expand
-    would make, so SI visibility and SSI predicate registration are
-    untouched; sources with an empty adjacency produce no row, exactly as
-    the real expand produces no row to aggregate.
-    """
+
+def _group_batches(op: Aggregate, groups, batch_size: int) -> Iterator[RowBatch]:
+    """An aggregate's ``(group row, aggregate values)`` pairs as output
+    batches: the group keys, then the aggregates."""
+    columns = tuple(item.alias for item in op.group_items) + tuple(
+        item.alias for item in op.agg_items
+    )
+    out_rows: List[Row] = []
+    for group_row, values in groups:
+        out = dict(group_row)
+        for item, value in zip(op.agg_items, values):
+            out[item.alias] = value
+        out_rows.append(out)
+    for start in range(0, len(out_rows), batch_size):
+        chunk = out_rows[start:start + batch_size]
+        data = {name: [row.get(name) for row in chunk] for name in columns}
+        yield RowBatch(columns, data, len(chunk))
+
+
+def _fuses_expand_count(op: Aggregate) -> bool:
+    """Whether ``Expand -> Aggregate(count(r))`` folds into adjacency-length
+    sums: an unbound-target single hop whose rows exist only to be counted
+    by plain ``count(rel_var)`` aggregates grouped on pre-expand variables.
+    The counts come from the same adjacency reads the expand would make, so
+    SI visibility and SSI predicate registration are untouched, and a source
+    with an empty adjacency produces no row, as the expand would."""
     child = op.child
     if not isinstance(child, Expand):
-        return None
+        return False
     rel = child.rel
     if (child.into or rel.var_length or rel.min_hops != 1 or rel.max_hops != 1
-            or rel.properties or child.exclude_rel_vars
-            or getattr(child, "bind_target", True)):
-        return None
+            or rel.properties or child.exclude_rel_vars or child.bind_target):
+        return False
     rel_var = child.rel_var
     for item in op.group_items:
         expression = item.expression
         if not isinstance(expression, ast.Variable) or \
                 expression.name in (rel_var, child.to_var):
-            return None
+            return False
     for item in op.agg_items:
         call = item.expression
         if call.name != "count" or call.star or call.distinct:
-            return None
+            return False
         argument = call.args[0]
         if not isinstance(argument, ast.Variable) or argument.name != rel_var:
-            return None
-    return _fused_expand_count_batches(op, child, ctx)
+            return False
+    return True
 
 
-def _fused_expand_count_batches(
-    op: Aggregate, child: Expand, ctx: ExecutionContext
-) -> Iterator[RowBatch]:
-    group_items = op.group_items
-    agg_items = op.agg_items
-    single_group = len(group_items) == 1
-    rel_types = child.rel.types or None
-    direction = child.direction
-    groups: Dict[object, Tuple[Row, List[int]]] = {}
-    for in_batch in _run_batches(child.child, ctx):
-        source_indexes, sources = _expand_sources(child, in_batch)
-        if not sources:
-            continue
-        counts = ctx.tx.count_relationships_of_many(sources, direction, rel_types)
-        group_columns = [
-            _apply(item.expression, in_batch, ctx) for item in group_items
-        ]
-        for index, count in zip(source_indexes, counts):
-            if not count:
+def _fused_expand_count(op: Aggregate, build: _Build) -> Stage:
+    expand = op.child
+    child = build(expand.child)
+    group_fns = [_column_fn(item.expression) for item in op.group_items]
+    aggregates = len(op.agg_items)
+    rel_types = expand.rel.types or None
+    direction = expand.direction
+    batch_size = build.batch_size
+
+    def fused_expand_count(ctx: ExecutionContext) -> Iterator[RowBatch]:
+        groups: Dict[object, Tuple[Row, List[int]]] = {}
+        for in_batch in child(ctx):
+            source_indexes, sources = _expand_sources(expand, in_batch)
+            if not sources:
                 continue
-            if single_group:
-                key = freeze(group_columns[0][index])
-            elif group_items:
-                key = tuple(freeze(column[index]) for column in group_columns)
-            else:
-                key = ()
-            entry = groups.get(key)
-            if entry is None:
-                group_row = {
-                    item.alias: column[index]
-                    for item, column in zip(group_items, group_columns)
-                }
-                entry = (group_row, [0] * len(agg_items))
-                groups[key] = entry
-            totals = entry[1]
-            for position in range(len(totals)):
-                totals[position] += count
-    if not groups and not group_items:
-        # Aggregation over zero rows still produces one row (count = 0).
-        groups[()] = ({}, [0] * len(agg_items))
-    columns = tuple(item.alias for item in group_items) + tuple(
-        item.alias for item in agg_items
-    )
-    out_rows: List[Row] = []
-    for group_row, totals in groups.values():
-        out = dict(group_row)
-        for item, total in zip(agg_items, totals):
-            out[item.alias] = total
-        out_rows.append(out)
-    batch_size = ctx.batch_size
-    for start in range(0, len(out_rows), batch_size):
-        chunk = out_rows[start:start + batch_size]
-        data = {name: [row.get(name) for row in chunk] for name in columns}
-        yield RowBatch(columns, data, len(chunk))
+            counts = ctx.tx.count_relationships_of_many(sources, direction, rel_types)
+            group_columns = [fn(in_batch, ctx) for fn in group_fns]
+            keys = _group_keys(group_columns, in_batch.size)
+            for index, count in zip(source_indexes, counts):
+                if not count:
+                    continue
+                key = keys[index]
+                entry = groups.get(key)
+                if entry is None:
+                    group_row = {
+                        item.alias: column[index]
+                        for item, column in zip(op.group_items, group_columns)
+                    }
+                    entry = (group_row, [0] * aggregates)
+                    groups[key] = entry
+                totals = entry[1]
+                for position in range(aggregates):
+                    totals[position] += count
+        if not groups and not group_fns:
+            # Aggregation over zero rows still produces one row (count = 0).
+            groups[()] = ({}, [0] * aggregates)
+        yield from _group_batches(op, groups.values(), batch_size)
+
+    return fused_expand_count
 
 
-def _aggregate_batches(op: Aggregate, ctx: ExecutionContext) -> Iterator[RowBatch]:
-    fused = _fused_expand_count(op, ctx)
-    if fused is not None:
-        yield from fused
-        return
+def _aggregate(op: Aggregate, build: _Build) -> Stage:
+    if _fuses_expand_count(op):
+        return _fused_expand_count(op, build)
+    child = build(op.child)
     group_items = op.group_items
     agg_items = op.agg_items
-    groups: Dict[object, Tuple[Row, List[Accumulator]]] = {}
-    single_group = len(group_items) == 1
-    for batch in _run_batches(op.child, ctx):
-        group_columns = [
-            _apply(item.expression, batch, ctx) for item in group_items
-        ]
-        agg_columns = [
-            None if item.expression.star
-            else _apply(item.expression.args[0], batch, ctx)
-            for item in agg_items
-        ]
-        # Bucket row indexes by group key first, then feed each accumulator
-        # one slice per (batch, group) instead of one call per row.
-        buckets: Dict[object, List[int]] = {}
-        if single_group:
-            column = group_columns[0]
-            for index in range(batch.size):
-                key = freeze(column[index])
+    group_fns = [_column_fn(item.expression) for item in group_items]
+    arg_fns = [
+        None if item.expression.star else _column_fn(item.expression.args[0])
+        for item in agg_items
+    ]
+    batch_size = build.batch_size
+
+    def aggregate(ctx: ExecutionContext) -> Iterator[RowBatch]:
+        groups: Dict[object, Tuple[Row, List[Accumulator]]] = {}
+        for batch in child(ctx):
+            group_columns = [fn(batch, ctx) for fn in group_fns]
+            agg_columns = [
+                None if fn is None else fn(batch, ctx) for fn in arg_fns
+            ]
+            # Bucket row indexes by group key first, then feed each
+            # accumulator one slice per (batch, group) instead of one call
+            # per row.
+            buckets: Dict[object, List[int]] = {}
+            for index, key in enumerate(_group_keys(group_columns, batch.size)):
                 bucket = buckets.get(key)
                 if bucket is None:
                     buckets[key] = [index]
                 else:
                     bucket.append(index)
-        elif group_items:
-            for index in range(batch.size):
-                key = tuple(freeze(column[index]) for column in group_columns)
-                bucket = buckets.get(key)
-                if bucket is None:
-                    buckets[key] = [index]
-                else:
-                    bucket.append(index)
-        else:
-            buckets[()] = list(range(batch.size))
-        for key, indexes in buckets.items():
-            entry = groups.get(key)
-            if entry is None:
-                first = indexes[0]
-                group_row = {
-                    item.alias: column[first]
-                    for item, column in zip(group_items, group_columns)
-                }
-                accumulators = [
-                    Accumulator(item.expression) for item in agg_items
-                ]
-                entry = (group_row, accumulators)
-                groups[key] = entry
-            for accumulator, column in zip(entry[1], agg_columns):
-                accumulator.update_slice(column, indexes)
-    if not groups and not group_items:
-        # Aggregation over zero rows still produces one row (count = 0 etc).
-        groups[()] = (
-            {}, [Accumulator(item.expression) for item in agg_items]
-        )
-    columns = tuple(item.alias for item in group_items) + tuple(
-        item.alias for item in agg_items
-    )
-    out_rows: List[Row] = []
-    for group_row, accumulators in groups.values():
-        out = dict(group_row)
-        for item, accumulator in zip(agg_items, accumulators):
-            out[item.alias] = accumulator.result()
-        out_rows.append(out)
-    batch_size = ctx.batch_size
-    for start in range(0, len(out_rows), batch_size):
-        chunk = out_rows[start:start + batch_size]
-        data = {name: [row.get(name) for row in chunk] for name in columns}
-        yield RowBatch(columns, data, len(chunk))
+            for key, indexes in buckets.items():
+                entry = groups.get(key)
+                if entry is None:
+                    first = indexes[0]
+                    group_row = {
+                        item.alias: column[first]
+                        for item, column in zip(group_items, group_columns)
+                    }
+                    accumulators = [
+                        Accumulator(item.expression) for item in agg_items
+                    ]
+                    entry = (group_row, accumulators)
+                    groups[key] = entry
+                for accumulator, column in zip(entry[1], agg_columns):
+                    accumulator.update_slice(column, indexes)
+        if not groups and not group_items:
+            # Aggregation over zero rows still produces one row (count = 0 etc).
+            groups[()] = (
+                {}, [Accumulator(item.expression) for item in agg_items]
+            )
+        yield from _group_batches(op, (
+            (group_row, [accumulator.result() for accumulator in accumulators])
+            for group_row, accumulators in groups.values()
+        ), batch_size)
+
+    return aggregate
 
 
 # -- writes --------------------------------------------------------------------
@@ -1333,51 +1342,97 @@ def _aggregate_batches(op: Aggregate, ctx: ExecutionContext) -> Iterator[RowBatc
 #: The write operators — the reason a ``LIMIT 0`` may not skip its child.
 _WRITE_OPERATORS = (CreateOp, SetOp, DeleteOp)
 
+#: The compiled per-row body of one write clause: ``body(row, ctx) -> row``.
+WriteBody = Callable[[Row, ExecutionContext], Row]
 
-def _write_batches(op, ctx: ExecutionContext, apply_row) -> Iterator[RowBatch]:
+
+def _write(op, build: _Build, body_of: Callable[[object], WriteBody]) -> Stage:
     """A write clause is a pipeline breaker: drain the child, apply the
-    clause to every input row, and only then emit.
+    clause's body to every input row — through a view of the drained
+    columns, not a dict per row — and only then emit.  So what it changes
+    depends neither on the batch size nor on a ``LIMIT`` above, and a later
+    ``MATCH`` of the query sees all of it."""
+    child = build(op.child)
+    body = body_of(op)
+    batch_size = build.batch_size
 
-    So what the clause changes cannot depend on how the operators around it
-    step through the rows — not on the batch size, not on a ``LIMIT`` above
-    that stops pulling after one batch — and a later ``MATCH`` of the same
-    query sees all of the clause's effects.
-    """
-    rows = [
-        row
-        for in_batch in _run_batches(op.child, ctx)
-        for row in _materialise_rows(in_batch)
-    ]
-    rows = [apply_row(op, row, ctx) for row in rows]
-    batch_size = ctx.batch_size
-    for start in range(0, len(rows), batch_size):
-        yield _batch_from_rows(rows[start:start + batch_size])
-
-
-def apply_create(op: CreateOp, row: Row, ctx: ExecutionContext) -> Row:
-    """Create the clause's patterns for one (already-copied) row."""
-    for pattern in op.clause.patterns:
-        handles: List[Node] = []
-        for node_pattern in pattern.nodes:
-            handles.append(_create_or_reuse_node(node_pattern, row, ctx))
-        for index, rel_pattern in enumerate(pattern.rels):
-            if rel_pattern.direction == "OUT":
-                start, end = handles[index], handles[index + 1]
-            else:
-                start, end = handles[index + 1], handles[index]
-            properties = _evaluate_property_map(rel_pattern.properties, row, ctx)
-            relationship = ctx.tx.create_relationship(
-                start, end, rel_pattern.types[0], properties
+    def write(ctx: ExecutionContext) -> Iterator[RowBatch]:
+        data: Dict[str, List[object]] = {}
+        size = 0
+        for batch in child(ctx):
+            for name in batch.columns:
+                if name not in data:
+                    data[name] = [None] * size
+            for name, column in data.items():
+                column.extend(batch.data.get(name) or [None] * batch.size)
+            size += batch.size
+        row = _WriteRow(data, size)
+        for index in range(size):
+            row.index = index
+            body(row, ctx)
+        for name in row.added:
+            data[name] = [None if v is _UNBOUND else v for v in data[name]]
+        whole = RowBatch(tuple(data), data, size)
+        for start in range(0, size, batch_size):
+            yield whole if size <= batch_size else _slice(
+                whole, start, min(size, start + batch_size)
             )
-            ctx.stats.relationships_created += 1
-            ctx.stats.properties_set += len(properties)
-            if rel_pattern.variable is not None:
-                row[rel_pattern.variable] = relationship
-    return row
+
+    return write
 
 
-def _create_or_reuse_node(node_pattern: ast.NodePattern, row: Row,
-                          ctx: ExecutionContext) -> Node:
+def _property_map_fn(entries) -> Callable[[Row, ExecutionContext], Dict[str, object]]:
+    """A pattern's ``{key: expr}`` map compiled; null values are left out."""
+    fns = [(key, compile_expression(expression)) for key, expression in entries]
+
+    def property_map(row: Row, ctx: ExecutionContext) -> Dict[str, object]:
+        properties: Dict[str, object] = {}
+        for key, value_fn in fns:
+            value = value_fn(row, ctx)
+            if value is not None:
+                properties[key] = value
+        return properties
+
+    return property_map
+
+
+def create_body(op: CreateOp) -> WriteBody:
+    """``CREATE``: create the clause's patterns for one row, binding their
+    variables in it."""
+    patterns = [
+        (
+            [(node, _property_map_fn(node.properties)) for node in pattern.nodes],
+            [(rel, _property_map_fn(rel.properties)) for rel in pattern.rels],
+        )
+        for pattern in op.clause.patterns
+    ]
+
+    def create(row: Row, ctx: ExecutionContext) -> Row:
+        for nodes, rels in patterns:
+            handles = [
+                _create_or_reuse_node(node_pattern, properties_of, row, ctx)
+                for node_pattern, properties_of in nodes
+            ]
+            for index, (rel_pattern, properties_of) in enumerate(rels):
+                if rel_pattern.direction == "OUT":
+                    start, end = handles[index], handles[index + 1]
+                else:
+                    start, end = handles[index + 1], handles[index]
+                properties = properties_of(row, ctx)
+                relationship = ctx.tx.create_relationship(
+                    start, end, rel_pattern.types[0], properties
+                )
+                ctx.stats.relationships_created += 1
+                ctx.stats.properties_set += len(properties)
+                if rel_pattern.variable is not None:
+                    row[rel_pattern.variable] = relationship
+        return row
+
+    return create
+
+
+def _create_or_reuse_node(node_pattern: ast.NodePattern, properties_of,
+                          row: Row, ctx: ExecutionContext) -> Node:
     if node_pattern.variable is not None and node_pattern.variable in row:
         existing = row[node_pattern.variable]
         if not isinstance(existing, Node):
@@ -1385,7 +1440,7 @@ def _create_or_reuse_node(node_pattern: ast.NodePattern, row: Row,
                 f"CREATE expected {node_pattern.variable!r} to be a node"
             )
         return existing
-    properties = _evaluate_property_map(node_pattern.properties, row, ctx)
+    properties = properties_of(row, ctx)
     node = ctx.tx.create_node(node_pattern.labels, properties)
     ctx.stats.nodes_created += 1
     ctx.stats.labels_added += len(node_pattern.labels)
@@ -1395,43 +1450,43 @@ def _create_or_reuse_node(node_pattern: ast.NodePattern, row: Row,
     return node
 
 
-def _evaluate_property_map(entries, row: Row, ctx: ExecutionContext) -> Dict[str, object]:
-    properties: Dict[str, object] = {}
-    for key, expression in entries:
-        value = evaluate(expression, row, ctx)
-        if value is not None:
-            properties[key] = value
-    return properties
+def set_body(op: SetOp) -> WriteBody:
+    """``SET``: apply the clause's items to one row, rebinding the handles."""
+    items = [
+        (item, compile_expression(item.value)
+         if isinstance(item, ast.SetProperty) else None)
+        for item in op.clause.items
+    ]
 
-
-def apply_set(op: SetOp, row: Row, ctx: ExecutionContext) -> Row:
-    """Apply the SET items to one (already-copied) row."""
-    for item in op.clause.items:
-        target = row.get(item.variable)
-        if target is None:
-            continue
-        if isinstance(item, ast.SetProperty):
-            if not isinstance(target, (Node, Relationship)):
-                raise QueryExecutionError(
-                    f"SET target {item.variable!r} is not a node or relationship"
-                )
-            value = evaluate(item.value, row, ctx)
-            if value is None:
-                refreshed = target.remove_property(item.key)
+    def set_(row: Row, ctx: ExecutionContext) -> Row:
+        for item, value_fn in items:
+            target = row.get(item.variable)
+            if target is None:
+                continue
+            if value_fn is not None:
+                if not isinstance(target, (Node, Relationship)):
+                    raise QueryExecutionError(
+                        f"SET target {item.variable!r} is not a node or relationship"
+                    )
+                value = value_fn(row, ctx)
+                if value is None:
+                    refreshed = target.remove_property(item.key)
+                else:
+                    refreshed = target.set_property(item.key, value)
+                ctx.stats.properties_set += 1
             else:
-                refreshed = target.set_property(item.key, value)
-            ctx.stats.properties_set += 1
-        else:
-            if not isinstance(target, Node):
-                raise QueryExecutionError(
-                    f"SET label target {item.variable!r} is not a node"
-                )
-            refreshed = target
-            for label in item.labels:
-                refreshed = refreshed.add_label(label)
-                ctx.stats.labels_added += 1
-        _rebind_entity(row, refreshed)
-    return row
+                if not isinstance(target, Node):
+                    raise QueryExecutionError(
+                        f"SET label target {item.variable!r} is not a node"
+                    )
+                refreshed = target
+                for label in item.labels:
+                    refreshed = refreshed.add_label(label)
+                    ctx.stats.labels_added += 1
+            _rebind_entity(row, refreshed)
+        return row
+
+    return set_
 
 
 def _rebind_entity(row: Row, refreshed) -> None:
@@ -1454,31 +1509,36 @@ def _rebind_entity(row: Row, refreshed) -> None:
             ]
 
 
-def apply_delete(op: DeleteOp, row: Row, ctx: ExecutionContext) -> Row:
-    """Delete the clause's entities for one row (the row is not modified)."""
+def delete_body(op: DeleteOp) -> WriteBody:
+    """``[DETACH] DELETE``: delete the clause's entities for one row (the
+    row itself is not modified)."""
     detach = op.clause.detach
-    for variable in op.clause.variables:
-        value = row.get(variable)
-        for entity in _flatten_entities(value):
-            if isinstance(entity, Node):
-                try:
-                    attached = len(ctx.tx.relationships_of(entity)) if detach else 0
-                    ctx.tx.delete_node(entity, detach=detach)
-                except NodeNotFoundError:
-                    continue
-                ctx.stats.nodes_deleted += 1
-                ctx.stats.relationships_deleted += attached
-            elif isinstance(entity, Relationship):
-                try:
-                    ctx.tx.delete_relationship(entity)
-                except RelationshipNotFoundError:
-                    continue
-                ctx.stats.relationships_deleted += 1
-            else:
-                raise QueryExecutionError(
-                    f"DELETE target {variable!r} is not a node or relationship"
-                )
-    return row
+    variables = op.clause.variables
+
+    def delete(row: Row, ctx: ExecutionContext) -> Row:
+        for variable in variables:
+            for entity in _flatten_entities(row.get(variable)):
+                if isinstance(entity, Node):
+                    try:
+                        attached = len(ctx.tx.relationships_of(entity)) if detach else 0
+                        ctx.tx.delete_node(entity, detach=detach)
+                    except NodeNotFoundError:
+                        continue
+                    ctx.stats.nodes_deleted += 1
+                    ctx.stats.relationships_deleted += attached
+                elif isinstance(entity, Relationship):
+                    try:
+                        ctx.tx.delete_relationship(entity)
+                    except RelationshipNotFoundError:
+                        continue
+                    ctx.stats.relationships_deleted += 1
+                else:
+                    raise QueryExecutionError(
+                        f"DELETE target {variable!r} is not a node or relationship"
+                    )
+        return row
+
+    return delete
 
 
 def _flatten_entities(value: object):
@@ -1491,22 +1551,21 @@ def _flatten_entities(value: object):
         yield value
 
 
-
-_OPERATORS = {
-    Argument: _argument_batches,
-    ProduceResults: _produce_batches,
-    AllNodesScan: _all_nodes_scan_batches,
-    LabelScan: _label_scan_batches,
-    PropertyIndexSeek: _property_seek_batches,
-    Expand: _expand_batches,
-    Filter: _filter_batches,
-    Projection: _projection_batches,
-    Distinct: _distinct_batches,
-    OrderBy: _order_by_batches,
-    Skip: _skip_batches,
-    Limit: _limit_batches,
-    Aggregate: _aggregate_batches,
-    CreateOp: partial(_write_batches, apply_row=apply_create),
-    SetOp: partial(_write_batches, apply_row=apply_set),
-    DeleteOp: partial(_write_batches, apply_row=apply_delete),
+_BUILDERS = {
+    Argument: _argument,
+    ProduceResults: lambda op, build: build(op.child),
+    AllNodesScan: _node_scan,
+    LabelScan: _node_scan,
+    PropertyIndexSeek: _property_seek,
+    Expand: _expand,
+    Filter: _filter,
+    Projection: _projection,
+    Distinct: _distinct,
+    OrderBy: _order_by,
+    Skip: _skip,
+    Limit: _limit,
+    Aggregate: _aggregate,
+    CreateOp: partial(_write, body_of=create_body),
+    SetOp: partial(_write, body_of=set_body),
+    DeleteOp: partial(_write, body_of=delete_body),
 }

@@ -1,12 +1,11 @@
 """Compiled expressions: AST subtrees turned into Python closures.
 
 Expressions are **compiled, not interpreted**: :func:`compile_expression`
-turns an AST subtree into a nest of Python closures exactly once, and every
-row evaluation afterwards is plain closure calls — no ``isinstance`` tree
-walk per row.  Compiled closures are memoised per AST node (ASTs are frozen
-and shared through the parse cache) and additionally pinned on the plan
-operators that use them, so a plan served repeatedly from the plan cache
-never recompiles anything.
+turns an AST subtree into a nest of Python closures, and every row
+evaluation afterwards is plain closure calls — no ``isinstance`` tree walk
+per row.  Compilation happens when a plan is prepared
+(:func:`repro.query.executor.prepare`): each operator of the pipeline holds
+the closures it needs, so an execution of a cached plan compiles nothing.
 
 The executor's operators evaluate whole columns where that cannot change
 Cypher's per-row error behaviour and call these closures everywhere else;
@@ -31,31 +30,6 @@ Row = Dict[str, object]
 
 #: A compiled expression: called once per row, returns the expression value.
 CompiledExpression = Callable[[Row, "ExecutionContext"], object]
-
-#: Memo of compiled closures keyed by AST node identity.  Entries hold a
-#: strong reference to the AST node, so an id can never be recycled while its
-#: entry is live; the table is cleared wholesale when it grows past the
-#: limit (compilation is cheap — the memo only exists so hot ASTs shared via
-#: the parse/plan caches compile once).
-_COMPILED: Dict[int, Tuple[ast.Expression, CompiledExpression]] = {}
-_COMPILED_LIMIT = 4096
-
-
-def compiled(expression: ast.Expression) -> CompiledExpression:
-    """The memoised compiled form of ``expression``."""
-    entry = _COMPILED.get(id(expression))
-    if entry is not None and entry[0] is expression:
-        return entry[1]
-    fn = compile_expression(expression)
-    if len(_COMPILED) >= _COMPILED_LIMIT:
-        _COMPILED.clear()
-    _COMPILED[id(expression)] = (expression, fn)
-    return fn
-
-
-def evaluate(expression: ast.Expression, row: Row, ctx: ExecutionContext) -> object:
-    """Evaluate an expression in the scope of one row (Cypher null semantics)."""
-    return compiled(expression)(row, ctx)
 
 
 def compile_expression(expression: ast.Expression) -> CompiledExpression:
@@ -409,28 +383,14 @@ def require_non_negative_int(value: object, what: str) -> int:
 # ---------------------------------------------------------------------------
 
 
-def pattern_matcher(op, pattern: ast.NodePattern, *, attr: str = "_matcher"):
-    """A compiled node-pattern check, pinned on the plan operator.
-
-    Returns ``None`` for the empty pattern (every node matches), so callers
-    can skip the call entirely.  Pinning on the operator means a plan served
-    from the plan cache carries its matchers across executions.
-    """
-    cached = getattr(op, attr, _PATTERN_UNSET)
-    if cached is not _PATTERN_UNSET:
-        return cached
-    matcher = _compile_node_pattern(pattern)
-    setattr(op, attr, matcher)
-    return matcher
-
-
-_PATTERN_UNSET = object()
-
-
-def _compile_node_pattern(pattern: ast.NodePattern):
+def pattern_matcher(pattern: ast.NodePattern):
+    """A compiled node-pattern check (labels, then the property map), or
+    ``None`` for the empty pattern — every node matches, so callers can skip
+    the call entirely."""
     labels = tuple(pattern.labels)
     prop_fns = tuple(
-        (key, compiled(expression)) for key, expression in pattern.properties
+        (key, compile_expression(expression))
+        for key, expression in pattern.properties
     )
     if not labels and not prop_fns:
         return None
@@ -450,10 +410,6 @@ def _compile_node_pattern(pattern: ast.NodePattern):
     return matches
 
 
-def rel_property_fns(op) -> Tuple[Tuple[str, CompiledExpression], ...]:
-    """Compiled (key, value expression) pairs of an expand's property map."""
-    fns = getattr(op, "_rel_prop_fns", None)
-    if fns is None:
-        fns = tuple((key, compiled(expr)) for key, expr in op.rel.properties)
-        op._rel_prop_fns = fns
-    return fns
+def rel_property_fns(rel: ast.RelPattern) -> Tuple[Tuple[str, CompiledExpression], ...]:
+    """Compiled (key, value expression) pairs of a hop's property map."""
+    return tuple((key, compile_expression(expr)) for key, expr in rel.properties)

@@ -10,7 +10,9 @@ start, and when both ends of the partially-covered path could be extended the
 planner picks the end with the smaller estimated fan-out.
 
 Every operator doubles as an ``EXPLAIN`` node: it carries its estimated row
-count from planning and accumulates its actual row count during execution.
+count from planning, and — in a ``PROFILE`` run, whose plan is its own — the
+actual rows, batches and time of that one execution.  A plan that is cached
+is never written to after it has been prepared.
 """
 
 from __future__ import annotations
@@ -94,13 +96,13 @@ class PlanOperator:
     def __init__(self, child: Optional["PlanOperator"], estimated_rows: float) -> None:
         self.child = child
         self.estimated_rows = max(0.0, estimated_rows)
-        #: Filled in by the executor; ``None`` until the operator has run.
+        #: Filled in by a ``PROFILE`` run; ``None`` otherwise.
         self.actual_rows: Optional[int] = None
         #: Inclusive wall time spent pulling this operator (children
         #: included, since they are pulled from inside it); filled in only
         #: under ``PROFILE``, ``None`` otherwise.
         self.actual_time_seconds: Optional[float] = None
-        #: Number of row batches this operator produced.
+        #: Number of row batches this operator produced (``PROFILE``).
         self.actual_batches = 0
 
     def detail(self) -> str:
@@ -239,7 +241,7 @@ class Expand(PlanOperator):
         #: (``-[r:KNOWS]-()``): the executor then skips the neighbour
         #: node reads entirely — the result cannot depend on them.
         self.bind_target = True
-        #: Bounded variable-length hops only: per depth, ``[round trips,
+        #: ``PROFILE`` of a variable-length hop: per depth, ``[round trips,
         #: paths expanded]`` of the executor's frontier levels.
         self.actual_levels: Optional[List[List[int]]] = None
         #: ... and how many roots were walked lazily instead, one path at a
@@ -461,12 +463,16 @@ class ProduceResults(PlanOperator):
 
 
 class Plan:
-    """A planned query: the operator tree plus its result columns."""
+    """A planned query — with the ``pipeline`` that
+    :func:`repro.query.executor.prepare` compiles from its tree, a prepared
+    statement: the query's facts, the operator tree, the result columns."""
 
     def __init__(self, query: ast.Query, root: ProduceResults) -> None:
         self.query = query
         self.root = root
         self.columns = list(root.columns)
+        self.has_writes = query.has_writes
+        self.pipeline = None
 
     def render(self) -> str:
         """The whole plan as indented EXPLAIN text."""

@@ -27,14 +27,7 @@ class QueryStatistics:
 
     def as_dict(self) -> Dict[str, int]:
         """Plain-dict view of the counters."""
-        return {
-            "nodes_created": self.nodes_created,
-            "nodes_deleted": self.nodes_deleted,
-            "relationships_created": self.relationships_created,
-            "relationships_deleted": self.relationships_deleted,
-            "properties_set": self.properties_set,
-            "labels_added": self.labels_added,
-        }
+        return dict(vars(self))
 
     @property
     def contains_updates(self) -> bool:

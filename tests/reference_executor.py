@@ -26,14 +26,13 @@ from repro.query import executor, planner
 from repro.query.executor import (
     Accumulator,
     ExecutionContext,
-    apply_create,
-    apply_delete,
-    apply_set,
+    create_body,
+    delete_body,
+    set_body,
 )
 from repro.query.expressions import (
     Row,
-    compiled,
-    evaluate,
+    compile_expression,
     freeze,
     pattern_matcher,
     rel_property_fns,
@@ -63,14 +62,11 @@ def run_plan_rows(plan, ctx: ExecutionContext) -> Iterator[List[object]]:
 
 
 def _run(op, ctx: ExecutionContext) -> Iterator[Row]:
-    op.actual_rows = 0
-    for row in _RUNNERS[type(op)](op, ctx):
-        op.actual_rows += 1
-        yield row
+    return _RUNNERS[type(op)](op, ctx)
 
 
 def _scan(op, ctx, candidates) -> Iterator[Row]:
-    matcher = pattern_matcher(op, op.pattern)
+    matcher = pattern_matcher(op.pattern)
     for row in _run(op.child, ctx):
         for node in candidates(row):
             if matcher is None or matcher(node, row, ctx):
@@ -86,7 +82,7 @@ def _run_label_scan(op, ctx) -> Iterator[Row]:
 
 
 def _run_property_seek(op, ctx) -> Iterator[Row]:
-    value_fn = compiled(op.value)
+    value_fn = compile_expression(op.value)
 
     def candidates(row: Row):
         value = value_fn(row, ctx)
@@ -99,7 +95,7 @@ def _run_property_seek(op, ctx) -> Iterator[Row]:
 
 def _run_expand(op, ctx) -> Iterator[Row]:
     rel = op.rel
-    to_matcher = pattern_matcher(op, op.to_pattern, attr="_to_matcher")
+    to_matcher = pattern_matcher(op.to_pattern)
     for row in _run(op.child, ctx):
         source = row.get(op.from_var)
         if source is None:
@@ -136,7 +132,7 @@ def _run_expand(op, ctx) -> Iterator[Row]:
 def _make_evaluator(op, row: Row, ctx: ExecutionContext):
     """The hop's pruning rules as a traversal evaluator: (include, expand)."""
     min_hops = op.rel.min_hops
-    prop_fns = rel_property_fns(op)
+    prop_fns = rel_property_fns(op.rel)
     excluded = set()
     for variable in op.exclude_rel_vars:
         value = row.get(variable)
@@ -177,7 +173,7 @@ def _order_scope(row: Row) -> Row:
 
 
 def _run_filter(op, ctx) -> Iterator[Row]:
-    predicate_fn = compiled(op.predicate)
+    predicate_fn = compile_expression(op.predicate)
     for row in _run(op.child, ctx):
         value = predicate_fn(_order_scope(row), ctx)
         if value is not None and value:
@@ -185,7 +181,7 @@ def _run_filter(op, ctx) -> Iterator[Row]:
 
 
 def _run_projection(op, ctx) -> Iterator[Row]:
-    item_fns = [(item.alias, compiled(item.expression)) for item in op.items]
+    item_fns = [(item.alias, compile_expression(item.expression)) for item in op.items]
     for row in _run(op.child, ctx):
         projected: Row = {alias: fn(row, ctx) for alias, fn in item_fns}
         if op.keep_source:
@@ -206,7 +202,7 @@ def _run_order_by(op, ctx) -> Iterator[Row]:
     rows = list(_run(op.child, ctx))
     # Stable multi-key sort: apply keys right-to-left.
     for item in reversed(op.order_items):
-        key_fn = compiled(item.expression)
+        key_fn = compile_expression(item.expression)
         rows.sort(
             key=lambda row, fn=key_fn: sort_key(fn(_order_scope(row), ctx)),
             reverse=not item.ascending,
@@ -216,14 +212,14 @@ def _run_order_by(op, ctx) -> Iterator[Row]:
 
 
 def _run_skip(op, ctx) -> Iterator[Row]:
-    count = require_non_negative_int(evaluate(op.count, {}, ctx), "SKIP")
+    count = require_non_negative_int(compile_expression(op.count)({}, ctx), "SKIP")
     for index, row in enumerate(_run(op.child, ctx)):
         if index >= count:
             yield row
 
 
 def _run_limit(op, ctx) -> Iterator[Row]:
-    count = require_non_negative_int(evaluate(op.count, {}, ctx), "LIMIT")
+    count = require_non_negative_int(compile_expression(op.count)({}, ctx), "LIMIT")
     if count == 0:
         # A write clause below still runs; only a read-only child is skipped.
         if any(type(below) in _WRITE_BODIES for below in op.child.walk()):
@@ -236,9 +232,9 @@ def _run_limit(op, ctx) -> Iterator[Row]:
 
 
 def _run_aggregate(op, ctx) -> Iterator[Row]:
-    group_fns = [(item.alias, compiled(item.expression)) for item in op.group_items]
+    group_fns = [(item.alias, compile_expression(item.expression)) for item in op.group_items]
     arg_fns = [
-        None if item.expression.star else compiled(item.expression.args[0])
+        None if item.expression.star else compile_expression(item.expression.args[0])
         for item in op.agg_items
     ]
 
@@ -267,15 +263,15 @@ def _run_aggregate(op, ctx) -> Iterator[Row]:
 def _run_write(op, ctx) -> Iterator[Row]:
     """Write clauses are eager: every input row is in hand before the first
     is applied, and every row is applied before the first is emitted."""
-    apply_row = _WRITE_BODIES[type(op)]
+    apply_row = _WRITE_BODIES[type(op)](op)
     rows = list(_run(op.child, ctx))
-    yield from [apply_row(op, dict(row), ctx) for row in rows]
+    yield from [apply_row(dict(row), ctx) for row in rows]
 
 
 _WRITE_BODIES = {
-    planner.CreateOp: apply_create,
-    planner.SetOp: apply_set,
-    planner.DeleteOp: apply_delete,
+    planner.CreateOp: create_body,
+    planner.SetOp: set_body,
+    planner.DeleteOp: delete_body,
 }
 
 _RUNNERS = {
