@@ -142,11 +142,6 @@ class GraphDatabase:
         """Whether this database runs the paper's MVCC engine (SI or SSI)."""
         return self._runtime.is_snapshot_isolation
 
-    @property
-    def transaction_gate(self) -> TransactionGate:
-        """The admission gate (the network server drains through it too)."""
-        return self._gate
-
     # ------------------------------------------------------------------
     # transactions
     # ------------------------------------------------------------------
@@ -156,10 +151,10 @@ class GraphDatabase:
     ) -> Transaction:
         """Start a transaction (the caller commits or rolls back explicitly).
 
-        ``deferrable`` (read-only serializable transactions only) overrides
-        the database's ``defer_readonly`` default: ``True`` blocks until a
-        safe snapshot is available and then runs fully untracked, ``False``
-        starts immediately under retroactive safe-snapshot validation.
+        ``deferrable`` (read-only serializable transactions only): ``True``
+        blocks until a safe snapshot is available and then runs fully
+        untracked; ``False`` or ``None`` starts immediately under retroactive
+        safe-snapshot validation.
 
         The transaction is registered with the database's drain gate: once
         ``close()`` has begun, new ``begin()`` calls raise

@@ -25,7 +25,7 @@ from repro.health import EngineHealth
 from repro.locking.lock_manager import LockManager
 from repro.locking.rc_manager import ReadCommittedEngine
 from repro.obs import MetricsRegistry, Observability
-from repro.query.cache import DEFAULT_QUERY_CACHE_SIZE
+from repro.query.cache import DEFAULT_QUERY_BATCH_SIZE, DEFAULT_QUERY_CACHE_SIZE
 
 __all__ = ["EngineRuntime", "coerce_isolation", "coerce_policy"]
 
@@ -81,12 +81,8 @@ class EngineRuntime:
         commit_stripes: int = DEFAULT_COMMIT_STRIPES,
         group_commit: bool = False,
         query_cache_size: int = DEFAULT_QUERY_CACHE_SIZE,
-        query_batch_size: int = 1024,
-        morsel_workers: int = 0,
-        morsel_threshold: int = 2048,
-        rc_eager_read_unlock: bool = True,
+        query_batch_size: int = DEFAULT_QUERY_BATCH_SIZE,
         safe_snapshots: bool = True,
-        defer_readonly: bool = False,
         tracing: bool = False,
         trace_sample_rate: float = 1.0,
         trace_ring_size: int = 256,
@@ -148,25 +144,17 @@ class EngineRuntime:
                 commit_stripes=commit_stripes,
                 query_cache_size=query_cache_size,
                 query_batch_size=query_batch_size,
-                morsel_workers=morsel_workers,
-                morsel_threshold=morsel_threshold,
                 safe_snapshots=safe_snapshots,
-                defer_readonly=defer_readonly,
                 obs=self.observability,
             )
         else:
             self.engine = ReadCommittedEngine(
                 self.store,
                 lock_manager=locks,
-                eager_read_unlock=rc_eager_read_unlock,
                 query_cache_size=query_cache_size,
+                query_batch_size=query_batch_size,
                 obs=self.observability,
             )
-            # The RC engine takes no executor knobs of its own; attach the
-            # shared query-executor configuration (morsels never apply — the
-            # eligibility check requires a multi-version snapshot reader).
-            self.engine.query_batch_size = max(1, int(query_batch_size))
-            self.engine.morsel_workers = 0
 
     # ------------------------------------------------------------------
     # views

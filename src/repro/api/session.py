@@ -50,6 +50,11 @@ class Session:
         read_only: bool = False,
         deferrable: Optional[bool] = None,
     ) -> None:
+        """``read_only`` and ``deferrable`` are the defaults of every
+        transaction the session starts, auto-commits included.
+        ``deferrable=True`` makes read-only serializable transactions wait
+        for a safe snapshot; ``None`` (the default) is ``False``.
+        """
         self._db = db
         self._read_only = bool(read_only)
         self._deferrable = deferrable
@@ -162,7 +167,7 @@ class Session:
         read_only = self._read_only or is_read_only_query(
             self._db.engine, query, parameters
         )
-        tx = self._db.begin(read_only=read_only)
+        tx = self._db.begin(read_only=read_only, deferrable=self._deferrable)
         try:
             result = tx.execute(query, parameters)
             result.consume()

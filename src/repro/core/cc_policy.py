@@ -1238,18 +1238,3 @@ class SerializableSnapshotPolicy(SnapshotWriteRulePolicy):
                 "entries_reclaimed": self._entries_reclaimed,
                 "safe_snapshots": self.safe_snapshot_statistics(),
             }
-
-
-def policy_for_isolation(
-    isolation,
-    lock_manager: LockManager,
-    conflict_policy: ConflictPolicy = ConflictPolicy.FIRST_UPDATER_WINS,
-) -> ConcurrencyControlPolicy:
-    """The default policy for an isolation level (engine constructor helper)."""
-    from repro.engine import IsolationLevel
-
-    if isolation is IsolationLevel.SERIALIZABLE:
-        return SerializableSnapshotPolicy(lock_manager, conflict_policy)
-    if isolation is IsolationLevel.SNAPSHOT:
-        return SnapshotWriteRulePolicy(lock_manager, conflict_policy)
-    return TwoPhaseLockingPolicy(lock_manager)

@@ -57,7 +57,11 @@ from repro.graph.properties import RESERVED_PROPERTY_PREFIX
 from repro.graph.store_manager import StoreManager
 from repro.locking.lock_manager import LockManager
 from repro.obs import Observability
-from repro.query.cache import DEFAULT_QUERY_CACHE_SIZE, QueryCaches
+from repro.query.cache import (
+    DEFAULT_QUERY_BATCH_SIZE,
+    DEFAULT_QUERY_CACHE_SIZE,
+    QueryCaches,
+)
 from repro.stats import CardinalityEpoch, CommitPipelineStats, EngineStats
 
 #: Reserved property carrying the commit timestamp of the persisted version
@@ -66,14 +70,6 @@ COMMIT_TS_PROPERTY = RESERVED_PROPERTY_PREFIX + "commit_ts"
 
 #: Default number of commit stripes (1 restores the seed's global mutex).
 DEFAULT_COMMIT_STRIPES = 16
-
-#: Default rows per :class:`~repro.query.executor.RowBatch` in the
-#: query executor (and the granularity of batched SIREAD registration).
-DEFAULT_QUERY_BATCH_SIZE = 1024
-
-#: Minimum *estimated* leaf-scan cardinality before the planner marks a scan
-#: for morsel-parallel execution (only consulted when ``morsel_workers`` > 1).
-DEFAULT_MORSEL_THRESHOLD = 2048
 
 #: Maximum nodes in the engine-level resolved-adjacency cache (entries for
 #: additional nodes are simply not stored; existing keys keep refreshing).
@@ -117,10 +113,7 @@ class SnapshotIsolationEngine(GraphEngine):
         commit_stripes: int = DEFAULT_COMMIT_STRIPES,
         query_cache_size: int = DEFAULT_QUERY_CACHE_SIZE,
         query_batch_size: int = DEFAULT_QUERY_BATCH_SIZE,
-        morsel_workers: int = 0,
-        morsel_threshold: int = DEFAULT_MORSEL_THRESHOLD,
         safe_snapshots: bool = True,
-        defer_readonly: bool = False,
         obs: Optional[Observability] = None,
     ) -> None:
         """Create an engine over an open store.
@@ -145,21 +138,14 @@ class SnapshotIsolationEngine(GraphEngine):
         (0 disables them).
 
         ``query_batch_size`` sets the rows-per-batch of the query
-        executor.  ``morsel_workers``
-        > 1 lets untracked read-only leaf scans split their id ranges into
-        that many morsels over a shared thread pool (0 — the default —
-        keeps scans single-threaded; the GIL makes parallel resolution pay
-        off only on free-threaded builds); ``morsel_threshold`` is the
-        estimated scan cardinality below which the planner never chooses
-        morsel execution.
+        executor.
 
         ``safe_snapshots`` (serializable only) gates read-only transactions
         PostgreSQL-style so the Fekete read-only-transaction anomaly cannot
         occur; disabling it restores the bare read-only optimisation (used
-        by the anomaly test harness).  ``defer_readonly`` makes read-only
-        serializable begins *deferrable* by default: ``begin`` blocks until
-        a safe snapshot is available instead of tracking the reader
-        optimistically (per-transaction override via ``begin(deferrable=)``).
+        by the anomaly test harness).  A read-only serializable begin that
+        should block until a safe snapshot asks for it per transaction with
+        ``begin(deferrable=True)``.
 
         ``obs`` is the observability bundle (metrics registry + transaction
         tracer + slow-query log) this engine reports into; a bare engine
@@ -206,11 +192,9 @@ class SnapshotIsolationEngine(GraphEngine):
         self._adjacency_stamp: Dict[int, int] = {}
         self._payload_cache: Dict[EntityKey, Tuple[int, Optional[object]]] = {}
         self._payload_stamp: Dict[EntityKey, int] = {}
-        #: Query-executor knobs (read by :mod:`repro.query` at execute
-        #: time and by the planner's morsel decision).
+        #: Rows per executor batch (read by :mod:`repro.query` when it
+        #: prepares a statement).
         self.query_batch_size = max(1, int(query_batch_size))
-        self.morsel_workers = max(0, int(morsel_workers))
-        self.morsel_threshold = max(1, int(morsel_threshold))
         if cc_policy is None:
             if isolation is IsolationLevel.SERIALIZABLE:
                 cc_policy = SerializableSnapshotPolicy(
@@ -219,7 +203,6 @@ class SnapshotIsolationEngine(GraphEngine):
             else:
                 cc_policy = SnapshotWriteRulePolicy(self.locks, conflict_policy)
         self.cc = cc_policy
-        self.defer_readonly = defer_readonly
         self.isolation_level = isolation
         self.gc = GarbageCollector(
             self.versions,
@@ -271,7 +254,8 @@ class SnapshotIsolationEngine(GraphEngine):
         — with ``deferrable=True`` — should block here and retake the
         snapshot until a safe one is available, after which the transaction
         runs completely untracked and can never interact with the
-        serializability machinery at all.
+        serializability machinery at all.  ``deferrable=None`` (the
+        default) means ``False``.
 
         A degraded engine fences write transactions here with
         :class:`~repro.errors.DatabaseReadOnlyError`; read-only transactions
@@ -283,8 +267,6 @@ class SnapshotIsolationEngine(GraphEngine):
         # Tracing starts before the oracle grant so the `begin` phase covers
         # the grant itself, the census and any safe-snapshot retake loop.
         trace = self.obs.tracer.maybe_start(0, read_only=read_only)
-        if deferrable is None:
-            deferrable = self.defer_readonly
         if not (read_only and self.cc.tracks_reads):
             txn_id, start_ts = self.oracle.begin_transaction()
             record = self.cc.begin_transaction(txn_id, start_ts, read_only=read_only)
@@ -299,7 +281,7 @@ class SnapshotIsolationEngine(GraphEngine):
         while True:
             txn_id, start_ts, census = self.oracle.begin_read_only_transaction()
             handle = self.cc.begin_read_only(
-                txn_id, start_ts, census, deferrable=deferrable
+                txn_id, start_ts, census, deferrable=bool(deferrable)
             )
             if handle is RETAKE_SNAPSHOT:
                 # A census member committed dangerously but has not yet
@@ -595,8 +577,8 @@ class SnapshotIsolationEngine(GraphEngine):
         them against the snapshot — the per-key function-call and
         lambda-allocation overhead of :meth:`read_committed_version` is paid
         only for keys whose chain is not cached.  Thread-safe with no shared
-        mutable state, so the vectorized executor's morsel workers call it
-        concurrently for disjoint id ranges of the same snapshot.
+        mutable state, so concurrent transactions may call it for the same
+        snapshot.
         """
         cache = self._payload_cache
         stamp = self._payload_stamp

@@ -94,8 +94,3 @@ class SnapshotIterator:
             if entity_id not in seen:
                 seen.add(entity_id)
                 yield EntityKey(kind, entity_id)
-
-
-def count_visible(iterator: Iterator[object]) -> int:
-    """Convenience helper used by statistics endpoints and tests."""
-    return sum(1 for _item in iterator)

@@ -213,8 +213,8 @@ class GraphEngine(abc.ABC):
         read-write transaction can render anomalous) is available, after
         which the transaction runs completely untracked; ``False`` starts
         immediately and lets the safe-snapshot machinery validate the
-        snapshot retroactively; ``None`` uses the engine default.  Engines
-        without the machinery ignore the flag.
+        snapshot retroactively, and so does ``None``.  Engines without the
+        machinery ignore the flag.
         """
 
     @abc.abstractmethod

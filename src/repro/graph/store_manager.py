@@ -630,11 +630,6 @@ class StoreManager:
             self.relationships.delete(rel_id)
             self.stats.relationship_deletes += 1
 
-    def relationship_exists(self, rel_id: int) -> bool:
-        """Whether the persistent store holds a relationship with this id."""
-        with self._lock:
-            return self.relationships.exists(rel_id)
-
     def iter_relationship_ids(self) -> Iterator[int]:
         """Relationship ids present in the persistent store, in id order."""
         with self._lock:

@@ -91,12 +91,6 @@ class IndexManager:
         """Node ids with property ``key`` = ``value``."""
         return self.node_properties.get(key, value)
 
-    def nodes_with_label_and_property(
-        self, label: str, key: str, value: PropertyValue
-    ) -> Set[int]:
-        """Node ids carrying ``label`` and property ``key`` = ``value``."""
-        return self.labels.get(label) & self.node_properties.get(key, value)
-
     def relationships_with_property(self, key: str, value: PropertyValue) -> Set[int]:
         """Relationship ids with property ``key`` = ``value``."""
         return self.relationship_properties.get(key, value)

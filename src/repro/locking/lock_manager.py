@@ -159,15 +159,13 @@ class LockManager:
     ) -> Iterator[None]:
         """A short shared lock scoped to exactly one read (RC's read path).
 
-        Cheaper than an :meth:`acquire`/:meth:`release` pair: the lock is
-        never registered in the per-transaction holder set (it cannot outlive
-        the ``with`` body, so commit-time ``release_all`` never needs to see
-        it) and the condition variable is only notified when another
-        transaction is actually waiting.  If the transaction already holds
-        the resource — e.g. a long exclusive endpoint lock taken by a
-        relationship create — the guard piggybacks on that lock and releases
-        nothing on exit; the seed's pair would have dropped the retained
-        exclusive lock here.
+        Unlike :meth:`acquire`, the lock is never registered in the
+        per-transaction holder set (it cannot outlive the ``with`` body, so
+        commit-time :meth:`release_all` never needs to see it) and the
+        condition variable is only notified when another transaction is
+        actually waiting.  If the transaction already holds the resource —
+        e.g. a long exclusive endpoint lock taken by a relationship create —
+        the guard piggybacks on that lock and releases nothing on exit.
 
         Waiting (a writer holds the entity exclusively) still goes through
         the wait-for graph, because a reader that blocks while its
@@ -250,19 +248,6 @@ class LockManager:
             return True
 
     # -- release ----------------------------------------------------------------
-
-    def release(self, txn_id: int, resource: EntityKey) -> None:
-        """Release one lock held by ``txn_id`` (no-op if it is not held)."""
-        with self._mutex:
-            entry = self._entries.get(resource)
-            if entry is None:
-                return
-            entry.holders.pop(txn_id, None)
-            held = self._held_by_txn.get(txn_id)
-            if held is not None:
-                held.discard(resource)
-            self._cleanup_entry(resource, entry)
-            self._released.notify_all()
 
     def release_all(self, txn_id: int) -> None:
         """Release every lock held by ``txn_id`` (commit/abort path)."""

@@ -18,7 +18,11 @@ from repro.index.index_manager import IndexManager
 from repro.locking.lock_manager import LockManager
 from repro.locking.rc_transaction import ReadCommittedTransaction
 from repro.obs import Observability
-from repro.query.cache import DEFAULT_QUERY_CACHE_SIZE, QueryCaches
+from repro.query.cache import (
+    DEFAULT_QUERY_BATCH_SIZE,
+    DEFAULT_QUERY_CACHE_SIZE,
+    QueryCaches,
+)
 from repro.stats import CardinalityEpoch, EngineStats
 
 __all__ = ["EngineStats", "ReadCommittedEngine"]
@@ -36,15 +40,14 @@ class ReadCommittedEngine(GraphEngine):
         lock_manager: Optional[LockManager] = None,
         index_manager: Optional[IndexManager] = None,
         lock_timeout: Optional[float] = None,
-        eager_read_unlock: bool = True,
         query_cache_size: int = DEFAULT_QUERY_CACHE_SIZE,
+        query_batch_size: int = DEFAULT_QUERY_BATCH_SIZE,
         obs: Optional[Observability] = None,
     ) -> None:
-        """``eager_read_unlock`` routes point reads through the lock manager's
-        short shared guard — one lock-table visit instead of two, no holder
-        bookkeeping, and no risk of a short read dropping a long lock the
-        transaction retains.  ``False`` restores the seed's acquire/release
-        pair (bench_e11 measures the difference).
+        """``query_cache_size`` sizes the parse and plan caches (0 disables
+        them) and ``query_batch_size`` sets the rows-per-batch of the query
+        executor, as for the MVCC engine.  Point reads take the lock
+        manager's short shared guard.
         """
         self.store = store
         self.locks = lock_manager or (
@@ -60,8 +63,8 @@ class ReadCommittedEngine(GraphEngine):
             # A caller-supplied index manager without an epoch still has to
             # drive plan-cache invalidation: adopt it into ours.
             self.indexes.stats_epoch = self.stats_epoch
-        self.eager_read_unlock = eager_read_unlock
         self.query_caches = QueryCaches(query_cache_size)
+        self.query_batch_size = max(1, int(query_batch_size))
         # Concurrency control as a policy object, mirroring the MVCC engine:
         # under two-phase locking every conflict the level prevents is
         # prevented by the lock manager itself, so the policy is a no-op —

@@ -66,22 +66,14 @@ class ReadCommittedTransaction(EngineTransaction):
     def _locked_read(self, key: EntityKey, reader):
         """Perform one read under a *short* shared lock (released immediately).
 
-        With the engine's ``eager_read_unlock`` (the default) the lock lives
-        inside :meth:`LockManager.shared_guard`: one lock-table visit, no
-        holder bookkeeping, release before the statement returns, and a read
-        of an entity the transaction already write-locked (e.g. an endpoint
-        node of a created relationship) piggybacks instead of — as the
-        legacy pair did — dropping the retained exclusive lock.
+        The lock lives inside :meth:`LockManager.shared_guard`: one
+        lock-table visit, no holder bookkeeping, release before the
+        statement returns, and a read of an entity the transaction already
+        write-locked (e.g. an endpoint node of a created relationship)
+        piggybacks on that lock instead of dropping it.
         """
-        locks = self._engine.locks
-        if getattr(self._engine, "eager_read_unlock", False):
-            with locks.shared_guard(self.txn_id, key):
-                return reader()
-        locks.acquire(self.txn_id, key, LockMode.SHARED)
-        try:
+        with self._engine.locks.shared_guard(self.txn_id, key):
             return reader()
-        finally:
-            locks.release(self.txn_id, key)
 
     def iter_nodes(self) -> Iterator[NodeData]:
         self.ensure_open()

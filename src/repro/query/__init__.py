@@ -10,8 +10,8 @@ Four stages:
   orders expansions by estimated fan-out,
 * :mod:`repro.query.executor` — the one operator runtime: the plan compiled
   once into a pipeline of vectorized batch-at-a-time operators (columnar
-  :class:`~repro.query.executor.RowBatch` pipelines with batched reads and
-  optional morsel-parallel scans) over the compiled expressions of
+  :class:`~repro.query.executor.RowBatch` pipelines with batched reads)
+  over the compiled expressions of
   :mod:`repro.query.expressions`.  All reads flow through one transaction
   (one snapshot under snapshot isolation); write clauses apply to their
   whole input before anything downstream runs,
@@ -116,8 +116,7 @@ def _prepare(engine, text: str, parameters: Mapping[str, object], key) -> Plan:
         caches.plan_missed()
         engine.obs.plan_cache_misses.inc()
     plan = plan_query(query, PlannerStatistics(engine), parameters)
-    prepare(plan, batch_size=getattr(engine, "query_batch_size", 1024),
-            morsel_workers=getattr(engine, "morsel_workers", 0), profile=query.profile)
+    prepare(plan, batch_size=engine.query_batch_size, profile=query.profile)
     if cached:
         caches.plan.put(key, plan)
     return plan

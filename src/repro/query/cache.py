@@ -34,6 +34,11 @@ from repro.query.parser import parse
 #: Default capacity of both query caches.
 DEFAULT_QUERY_CACHE_SIZE = 512
 
+#: Default rows per :class:`~repro.query.executor.RowBatch` in the query
+#: executor (and the granularity of batched SIREAD registration); both
+#: engines take it as ``query_batch_size``.
+DEFAULT_QUERY_BATCH_SIZE = 1024
+
 
 class _LruCache:
     """A small LRU map with hit/miss/eviction counters (the caller locks)."""

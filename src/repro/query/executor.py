@@ -24,16 +24,13 @@ round trip while that fits :data:`FRONTIER_PATH_BUDGET`; unbounded patterns
 and roots that outgrow it run the same emission loop lazily, one path's end
 node at a time.  ``tests/reference_executor.py`` holds an independent
 row-at-a-time implementation; ``tests/test_batch_equivalence.py`` pins this
-module against it.  Leaf scans the planner marked ``parallel`` split into
-morsels across a shared thread pool when the transaction is a plain snapshot
-reader (:func:`_morsel_transaction`).
+module against it.  The executor reads only through the public
+:class:`~repro.api.transaction.Transaction`; it never touches engine state.
 """
 
 from __future__ import annotations
 
-import threading
 from functools import partial
-from concurrent.futures import ThreadPoolExecutor
 from time import perf_counter
 from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
@@ -43,8 +40,6 @@ from repro.errors import (
     RelationshipNotFoundError,
 )
 from repro.api.transaction import Node, Relationship, Transaction
-from repro.core.si_transaction import SnapshotTransaction
-from repro.graph.entity import EntityKey, EntityKind, NodeData
 from repro.query import ast
 from repro.query.expressions import (
     Row,
@@ -186,12 +181,11 @@ _EMPTY_FROZENSET: frozenset = frozenset()
 # ---------------------------------------------------------------------------
 
 
-def prepare(plan: Plan, *, batch_size: int, morsel_workers: int,
-            profile: bool) -> None:
+def prepare(plan: Plan, *, batch_size: int, profile: bool) -> None:
     """Compile ``plan`` into its pipeline (``plan.pipeline``), once;
     ``profile`` builds the ``PROFILE`` variant, whose stages record their
     rows, batches and pull time on the operators of this plan."""
-    root = _Build(max(1, batch_size), morsel_workers, profile)(plan.root)
+    root = _Build(max(1, batch_size), profile)(plan.root)
     columns = plan.root.columns
 
     def pipeline(ctx: ExecutionContext) -> Iterator[Sequence[object]]:
@@ -217,11 +211,10 @@ def run_plan(plan: Plan, ctx: ExecutionContext) -> Iterator[Sequence[object]]:
 class _Build:
     """Builds the stages of one pipeline (the call builds an operator's)."""
 
-    __slots__ = ("batch_size", "morsel_workers", "profile")
+    __slots__ = ("batch_size", "profile")
 
-    def __init__(self, batch_size: int, morsel_workers: int, profile: bool) -> None:
+    def __init__(self, batch_size: int, profile: bool) -> None:
         self.batch_size = batch_size
-        self.morsel_workers = morsel_workers
         self.profile = profile
 
     def __call__(self, op) -> Stage:
@@ -373,95 +366,6 @@ def _column_fn(expression: ast.Expression) -> ColumnFn:
 
 
 # ---------------------------------------------------------------------------
-# Morsel-parallel leaf scans
-# ---------------------------------------------------------------------------
-
-#: Shared worker pool for morsel-parallel scans, created on first use.  One
-#: pool per process — morsels from concurrent queries interleave on it.
-_MORSEL_POOL: Optional[ThreadPoolExecutor] = None
-_MORSEL_POOL_LOCK = threading.Lock()
-
-
-def _morsel_pool(workers: int) -> ThreadPoolExecutor:
-    global _MORSEL_POOL
-    with _MORSEL_POOL_LOCK:
-        if _MORSEL_POOL is None:
-            _MORSEL_POOL = ThreadPoolExecutor(
-                max_workers=max(2, workers), thread_name_prefix="repro-morsel"
-            )
-        return _MORSEL_POOL
-
-
-def _morsel_transaction(ctx: ExecutionContext,
-                        workers: int) -> Optional[SnapshotTransaction]:
-    """The engine transaction, iff this scan may run across the morsel pool.
-
-    Eligible means: a multi-version snapshot transaction that is a *plain
-    snapshot reader* right now — no SSI read tracking (``cc_record``), no
-    pending safe-snapshot census, and no buffered writes.  Those three all
-    require per-read bookkeeping or a write overlay, which would have to be
-    synchronised across workers; the plain reader's visibility resolution
-    is completely lock-free and therefore trivially shareable.
-    """
-    if workers <= 1:
-        return None
-    etxn = getattr(ctx.tx, "_txn", None)
-    if not isinstance(etxn, SnapshotTransaction):
-        return None
-    if etxn.cc_record is not None or etxn._pending_reader is not None:
-        return None
-    if etxn._writes:
-        return None
-    return etxn
-
-
-def _morsel_nodes(ctx: ExecutionContext, etxn: SnapshotTransaction,
-                  workers: int, node_ids: Sequence[int]) -> List[Node]:
-    """Resolve many node payloads across the morsel pool, preserving order."""
-    keys = [EntityKey.node(node_id) for node_id in node_ids]
-    engine = etxn._engine
-    start_ts = etxn.snapshot.start_ts
-    etxn.reads_performed += len(keys)
-    if len(keys) < workers * 2:
-        payloads = engine.read_committed_versions(keys, start_ts)
-    else:
-        pool = _morsel_pool(workers)
-        chunk = (len(keys) + workers - 1) // workers
-        futures = [
-            pool.submit(
-                engine.read_committed_versions, keys[offset:offset + chunk],
-                start_ts,
-            )
-            for offset in range(0, len(keys), chunk)
-        ]
-        payloads = []
-        for future in futures:
-            payloads.extend(future.result())
-    tx = ctx.tx
-    return [Node(tx, data) for data in payloads if isinstance(data, NodeData)]
-
-
-def _all_committed_node_ids(etxn: SnapshotTransaction) -> List[int]:
-    """Candidate node ids in the order ``iter_nodes`` would visit them.
-
-    The eligible morsel transaction has no own writes, so candidates are
-    the cached version chains followed by the persistent store.
-    """
-    engine = etxn._engine
-    seen = set()
-    ids: List[int] = []
-    for key in engine.versions.keys():
-        if key.kind is EntityKind.NODE and key.entity_id not in seen:
-            seen.add(key.entity_id)
-            ids.append(key.entity_id)
-    for entity_id in engine.store.iter_node_ids():
-        if entity_id not in seen:
-            seen.add(entity_id)
-            ids.append(entity_id)
-    return ids
-
-
-# ---------------------------------------------------------------------------
 # Operators: each builder compiles one plan operator into its stage
 # ---------------------------------------------------------------------------
 
@@ -529,18 +433,10 @@ def _node_scan(op, build: _Build) -> Stage:
     child = build(op.child)
     emit = _scan_emitter(op, build)
     label = op.label if isinstance(op, LabelScan) else None
-    workers = build.morsel_workers if op.parallel else 0
 
     def node_scan(ctx: ExecutionContext) -> Iterator[RowBatch]:
         for in_batch, index, row in _input_rows(child, ctx):
-            etxn = _morsel_transaction(ctx, workers)
-            if etxn is not None:
-                ids = (
-                    _all_committed_node_ids(etxn) if label is None
-                    else sorted(etxn.find_nodes_by_label(label))
-                )
-                nodes = _morsel_nodes(ctx, etxn, workers, ids)
-            elif label is None:
+            if label is None:
                 nodes = ctx.tx.nodes()
             else:
                 nodes = ctx.tx.find_nodes(label=label)

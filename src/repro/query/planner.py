@@ -74,14 +74,6 @@ class PlannerStatistics:
         """Relationships of ``rel_type`` (O(1))."""
         return self._engine.count_relationships_of_type(rel_type)
 
-    def morsel_workers(self) -> int:
-        """Worker count for morsel-parallel scans (0 disables)."""
-        return getattr(self._engine, "morsel_workers", 0)
-
-    def morsel_threshold(self) -> int:
-        """Estimated-rows floor below which a scan stays single-threaded."""
-        return getattr(self._engine, "morsel_threshold", 2048)
-
 
 # ---------------------------------------------------------------------------
 # Plan operators
@@ -168,12 +160,9 @@ class AllNodesScan(PlanOperator):
         super().__init__(child, estimated_rows)
         self.variable = variable
         self.pattern = pattern
-        #: Set by the planner when the scan should be split into morsels
-        #: across the worker pool.
-        self.parallel = False
 
     def detail(self) -> str:
-        return self.variable + (" morsel" if self.parallel else "")
+        return self.variable
 
 
 class LabelScan(PlanOperator):
@@ -187,12 +176,9 @@ class LabelScan(PlanOperator):
         self.variable = variable
         self.label = label
         self.pattern = pattern
-        #: Set by the planner when the scan should be split into morsels
-        #: across the worker pool.
-        self.parallel = False
 
     def detail(self) -> str:
-        return f"{self.variable}:{self.label}" + (" morsel" if self.parallel else "")
+        return f"{self.variable}:{self.label}"
 
 
 class PropertyIndexSeek(PlanOperator):
@@ -691,17 +677,8 @@ class _Planner:
             label = node.labels[0] if node.labels else None
             return PropertyIndexSeek(op, variable, key, value_expr, label, node, estimated)
         if kind == "label":
-            scan: PlanOperator = LabelScan(op, variable, argument, node, estimated)
-        else:
-            scan = AllNodesScan(op, variable, node, estimated)
-        # Morsel-parallel leaf scans: worth splitting only when the engine
-        # has a worker pool and the cardinality stats promise enough rows to
-        # amortise the dispatch.  Surfaced in EXPLAIN via the scan detail.
-        scan.parallel = (
-            self.stats.morsel_workers() > 1
-            and estimated >= self.stats.morsel_threshold()
-        )
-        return scan
+            return LabelScan(op, variable, argument, node, estimated)
+        return AllNodesScan(op, variable, node, estimated)
 
     def _fanout(self, rel: ast.RelPattern) -> float:
         """Estimated neighbours per node for one hop of this pattern."""

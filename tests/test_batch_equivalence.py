@@ -4,8 +4,8 @@ The vectorized batch executor is the only runtime; the row-at-a-time
 operators in ``tests/reference_executor.py`` are the semantic reference.
 These tests pin them together: every read template of the E10 workload mix
 must return byte-identical rows (same values, same order) under batch sizes
-1, 2 and 1024, with and without morsel-parallel leaf scans — and the
-executor must preserve the snapshot-consistency and SSI-abort behaviour the
+1, 2 and 1024, with the default version cache and a tiny one, and with
+garbage collection off and after every commit — and the executor must preserve the snapshot-consistency and SSI-abort behaviour the
 reference exhibits, including for the plans the batch runtime rewrites
 (unbound-target expands and fused ``Expand -> count(r)`` aggregates) and
 for queries that read what they wrote.
@@ -24,24 +24,27 @@ from repro.errors import NodeNotFoundError
 from repro.query import executor
 from repro.workload import READ_TEMPLATES, build_social_graph, person_names_of
 
-#: Batch-executor configurations under test: every required batch size, each
-#: with morsel-parallel leaf scans off and forced on (two workers, every scan
-#: eligible).
+#: Batch-executor configurations under test: every required batch size, then
+#: each under MVCC settings that change where a read finds its version — a
+#: version cache far smaller than the graph (chains evicted and reloaded),
+#: and a garbage-collection pass after every commit (versions reclaimed while
+#: a snapshot that may still need them is open).
 BATCH_CONFIGS = [
     pytest.param({"query_batch_size": 1}, id="batch1"),
     pytest.param({"query_batch_size": 2}, id="batch2"),
     pytest.param({"query_batch_size": 1024}, id="batch1024"),
     pytest.param(
-        {"query_batch_size": 1, "morsel_workers": 2, "morsel_threshold": 1},
-        id="batch1-morsel",
+        {"query_batch_size": 2, "version_cache_capacity": 8},
+        id="batch2-small-version-cache",
     ),
     pytest.param(
-        {"query_batch_size": 2, "morsel_workers": 2, "morsel_threshold": 1},
-        id="batch2-morsel",
+        {"query_batch_size": 1, "gc_every_n_commits": 1},
+        id="batch1-gc-every-commit",
     ),
     pytest.param(
-        {"query_batch_size": 1024, "morsel_workers": 2, "morsel_threshold": 1},
-        id="batch1024-morsel",
+        {"query_batch_size": 1024, "version_cache_capacity": 8,
+         "gc_every_n_commits": 1},
+        id="batch1024-small-version-cache-gc-every-commit",
     ),
 ]
 

@@ -60,6 +60,38 @@ class TestConstruction:
         keywords = inspect.signature(EngineRuntime.__init__).parameters
         assert [name for name in options if name not in keywords] == []
 
+    def test_engine_runtime_options_census(self):
+        """Every construction option, by name: a new knob is a diff here."""
+        parameters = inspect.signature(EngineRuntime.__init__).parameters.values()
+        keywords = [p.name for p in parameters if p.kind is inspect.Parameter.KEYWORD_ONLY]
+        assert keywords == [
+            "isolation",
+            "conflict_policy",
+            "page_cache_pages",
+            "wal_enabled",
+            "wal_sync",
+            "lock_timeout",
+            "version_cache_capacity",
+            "gc_every_n_commits",
+            "commit_stripes",
+            "group_commit",
+            "query_cache_size",
+            "query_batch_size",
+            "safe_snapshots",
+            "tracing",
+            "trace_sample_rate",
+            "trace_ring_size",
+            "slow_query_seconds",
+            "slow_query_capacity",
+            "redact_parameters",
+            "metrics_registry",
+            "failpoints",
+        ]
+
+    def test_removed_option_is_rejected(self):
+        with pytest.raises(TypeError):
+            GraphDatabase.in_memory(morsel_workers=2)
+
 
 class TestMaintenance:
     def test_statistics_shape(self, any_db):

@@ -104,7 +104,6 @@ class TestIndexManager:
         manager.apply_node_change(None, created)
         assert manager.nodes_with_label("Person") == {1}
         assert manager.nodes_with_property("age", 30) == {1}
-        assert manager.nodes_with_label_and_property("Person", "name", "alice") == {1}
 
         updated = NodeData(1, {"Admin"}, {"name": "alice", "age": 31})
         manager.apply_node_change(created, updated)

@@ -78,7 +78,7 @@ class TestLockManager:
         assert locks.try_acquire(1, NODE_A, LockMode.EXCLUSIVE)
         assert not locks.try_acquire(2, NODE_A, LockMode.EXCLUSIVE)
         assert locks.stats.try_failures == 1
-        locks.release(1, NODE_A)
+        locks.release_all(1)
         assert locks.try_acquire(2, NODE_A, LockMode.EXCLUSIVE)
 
     def test_release_wakes_waiter(self):
@@ -110,8 +110,9 @@ class TestLockManager:
 
     def test_release_unheld_lock_is_noop(self):
         locks = LockManager()
-        locks.release(1, NODE_A)
+        locks.acquire(1, NODE_A, LockMode.SHARED)
         locks.release_all(99)
+        assert locks.holders_of(NODE_A) == {1: LockMode.SHARED}
 
     def test_deadlock_detected(self):
         locks = LockManager(default_timeout=5.0)

@@ -23,6 +23,23 @@ def test_query_modules_import_no_private_name_from_a_sibling():
     assert offenders == []
 
 
+def test_query_modules_import_nothing_from_the_core_engine():
+    """The query layer reads through ``repro.api.Transaction`` only."""
+    offenders = []
+    for path in sorted(QUERY.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            elif isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            else:
+                continue
+            for module in modules:
+                if module == "repro.core" or module.startswith("repro.core."):
+                    offenders.append(f"{path.name}:{node.lineno} {module}")
+    assert offenders == []
+
+
 def test_no_query_executor_switch_under_src():
     assert [
         str(path.relative_to(SRC))

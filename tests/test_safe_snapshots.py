@@ -329,16 +329,44 @@ class TestDeferrableMode:
         assert safe["retakes"] == 0
         db.close()
 
-    def test_defer_readonly_database_default(self):
-        db = GraphDatabase.in_memory(
-            isolation=IsolationLevel.SERIALIZABLE, defer_readonly=True
-        )
+    def test_deferrable_session_default(self):
+        db = GraphDatabase.in_memory(isolation=IsolationLevel.SERIALIZABLE)
         x, _y = _make_accounts(db)
+        session = db.session(deferrable=True)
         # No read-write transaction in flight: deferrable begin is immediate.
-        with db.transaction(read_only=True) as tx:
+        with session.begin(read_only=True) as tx:
             assert tx.get_node(x).get("balance") == 0
-        assert db.statistics()["safe_snapshots"]["immediate"] >= 1
-        assert db.execute("MATCH (a:Account) RETURN count(*) AS n").records()[0]["n"] == 2
+        assert db.statistics()["safe_snapshots"]["immediate"] == 1
+        result = session.execute("MATCH (a:Account) RETURN count(*) AS n")
+        assert result.records()[0]["n"] == 2
+        assert db.statistics()["safe_snapshots"]["immediate"] == 2
+        session.close()
+        db.close()
+
+    def test_deferrable_session_auto_commit_waits_for_a_safe_snapshot(self):
+        db = GraphDatabase.in_memory(isolation=IsolationLevel.SERIALIZABLE)
+        x, _y = _make_accounts(db)
+        writer = db.begin()
+        writer.set_node_property(x, "balance", 1)
+        done = threading.Event()
+        seen = {}
+        session = db.session(deferrable=True)
+
+        def report():
+            result = session.execute("MATCH (a:Account) RETURN count(*) AS n")
+            seen["n"] = result.records()[0]["n"]
+            done.set()
+
+        thread = threading.Thread(target=report)
+        thread.start()
+        assert not done.wait(0.3)  # the auto-commit is parked behind the writer
+        writer.commit()
+        assert done.wait(5.0)
+        thread.join(timeout=5.0)
+        assert not thread.is_alive()
+        assert seen["n"] == 2
+        assert db.statistics()["safe_snapshots"]["waits"] >= 1
+        session.close()
         db.close()
 
 
