@@ -186,21 +186,13 @@ class EngineRuntime:
         }
         if self.failpoints is not None:
             stats["failpoints"] = self.failpoints.stats()
+        stats["engine"] = self.engine.statistics()
         if isinstance(self.engine, SnapshotIsolationEngine):
-            stats["engine"] = self.engine.statistics()
             stats["object_cache"] = self.engine.versions.cache.stats.as_dict()
             # Safe-snapshot counters are load-bearing for benchmarks (retry
             # attribution), so they get a top-level alias too.
             stats["safe_snapshots"] = stats["engine"]["safe_snapshots"]
         else:
-            stats["engine"] = {
-                "transactions": dict(
-                    self.engine.stats.as_dict(),
-                    abort_reasons=self.engine.abort_reasons(),
-                ),
-                "concurrency_control": self.engine.cc.statistics(),
-                "cardinalities": self.engine.cardinalities(),
-            }
             stats["locks"] = self.engine.locks.stats.as_dict()
         return stats
 

@@ -43,11 +43,11 @@ from repro.graph.entity import Direction, NodeData, RelationshipData
 from repro.graph.properties import (
     RESERVED_PROPERTY_PREFIX,
     PropertyValue,
+    hashable_value,
     validate_properties,
     validate_property_key,
     validate_property_value,
 )
-from repro.index.property_index import hashable_value
 
 #: Anything accepted where a node is expected: a handle or a raw id.
 NodeLike = Union["Node", int]

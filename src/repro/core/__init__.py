@@ -11,14 +11,15 @@ described in Sections 3 and 4 of *"Snapshot Isolation for Neo4j"*:
   in the object cache,
 * :mod:`repro.core.visibility` — the read rule (latest commit timestamp not
   newer than the reader's start timestamp),
-* :mod:`repro.core.conflict` — the write rule (first-updater-wins, with
-  first-committer-wins available for the ablation experiment),
-* :mod:`repro.core.cc_policy` — the pluggable concurrency-control policies
-  (SI write rule, 2PL no-op, and Serializable Snapshot Isolation with
-  SIREAD/predicate-read tracking),
-* :mod:`repro.core.tombstone` — tombstone helpers for deleted entities,
+* :mod:`repro.core.conflict` — the write rule's two strategies
+  (first-updater-wins, with first-committer-wins available for the
+  ablation experiment),
+* :mod:`repro.core.cc_policy` — the concurrency-control policies: the SI
+  write rule, and Serializable Snapshot Isolation with SIREAD/predicate-read
+  tracking as its subclass,
 * :mod:`repro.core.versioned_index` — multi-versioned label / property /
-  type indexes and the adjacency map,
+  type indexes and the adjacency map (the read-committed engine reads them
+  too, at its newest commit),
 * :mod:`repro.core.versioned_iterator` — the enriched store iterator that
   merges cached versions and the transaction's own writes,
 * :mod:`repro.core.gc` — the timestamp-sorted, doubly-linked garbage
@@ -29,12 +30,7 @@ described in Sections 3 and 4 of *"Snapshot Isolation for Neo4j"*:
   transaction object and the engine tying everything together.
 """
 
-from repro.core.cc_policy import (
-    ConcurrencyControlPolicy,
-    SerializableSnapshotPolicy,
-    SnapshotWriteRulePolicy,
-    TwoPhaseLockingPolicy,
-)
+from repro.core.cc_policy import SerializableSnapshotPolicy, SnapshotWriteRulePolicy
 from repro.core.conflict import ConflictPolicy
 from repro.core.gc import GarbageCollector, GcStats, ThreadedVersionList
 from repro.core.si_manager import SnapshotIsolationEngine
@@ -46,13 +42,11 @@ from repro.core.version import Version, VersionChain
 from repro.core.version_store import VersionStore
 
 __all__ = [
-    "ConcurrencyControlPolicy",
     "ConflictPolicy",
     "GarbageCollector",
     "GcStats",
     "SerializableSnapshotPolicy",
     "SnapshotWriteRulePolicy",
-    "TwoPhaseLockingPolicy",
     "Snapshot",
     "SnapshotIsolationEngine",
     "SnapshotTransaction",

@@ -1,18 +1,12 @@
-"""Pluggable concurrency-control policies.
+"""The MVCC engine's concurrency-control policies.
 
-The transaction kernel used to hard-wire its conflict handling: the
-read-committed engine leaned entirely on two-phase locking, and the
-snapshot-isolation engine called the write-rule :class:`ConflictDetector`
-directly from its commit path.  This module turns concurrency control into a
-*strategy* the engine is configured with:
+The snapshot-isolation engine calls one policy object at fixed points of the
+transaction lifecycle.  There is one family of them:
 
-* :class:`TwoPhaseLockingPolicy` — the no-op policy for the read-committed
-  engine, where the lock manager already prevents every conflict the level
-  promises to prevent;
 * :class:`SnapshotWriteRulePolicy` — the paper's snapshot-isolation write
   rule (first-updater-wins via long write locks, or first-committer-wins at
-  validation), hosting the :class:`~repro.core.conflict.ConflictDetector`
-  that previously lived loose inside the engine; and
+  validation) and the root class, whose other hooks are the no-ops the
+  plain snapshot level needs; and
 * :class:`SerializableSnapshotPolicy` — Serializable Snapshot Isolation
   (Cahill et al., SIGMOD 2008): snapshot isolation plus tracking of
   rw-antidependencies through SIREAD-style read registrations, aborting a
@@ -56,15 +50,14 @@ the garbage collector with the snapshot watermark) drops everything older.
 
 from __future__ import annotations
 
-import abc
 import threading
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.core.conflict import ConflictDetector, ConflictPolicy
-from repro.errors import SerializationError, UnsafeSnapshotError
+from repro.core.conflict import ConflictPolicy
+from repro.errors import SerializationError, UnsafeSnapshotError, WriteWriteConflictError
 from repro.graph.entity import EntityKey, NodeData, RelationshipData
-from repro.index.property_index import hashable_value
-from repro.locking.lock_manager import LockManager
+from repro.graph.properties import hashable_value
+from repro.locking.lock_manager import LockManager, LockMode
 
 #: A committed change: (key, state before the commit, state after it).
 Change = Tuple[EntityKey, Optional[object], Optional[object]]
@@ -138,7 +131,7 @@ class SsiTransactionRecord:
         return self.commit_ts is not None and self.commit_ts > other_start_ts
 
 
-#: Sentinel returned by :meth:`ConcurrencyControlPolicy.begin_read_only` when
+#: Sentinel returned by :meth:`SnapshotWriteRulePolicy.begin_read_only` when
 #: the snapshot just granted is *already* unsafe — a census member committed
 #: (but has not yet published) carrying an out-edge to something that
 #: committed before this snapshot.  Nothing can be aborted to repair that, so
@@ -239,18 +232,126 @@ class PendingSafeSnapshot:
         self.event = threading.Event()
 
 
-class ConcurrencyControlPolicy(abc.ABC):
-    """Strategy interface the transaction engines program against.
+class SnapshotWriteRulePolicy:
+    """Snapshot isolation's write rule — and the root of the policy family.
 
-    Engines call the hooks at fixed points of the transaction lifecycle;
-    policies that do not care about a hook inherit the no-op.  ``tracks_reads``
-    tells the transaction layer whether the read path must register reads at
-    all — the flag keeps the snapshot-isolation fast path at a single
-    attribute test per read.
+    Section 3 of the paper: no two concurrent transactions may update the
+    same data item.  The paper reuses Neo4j's long write locks to realise
+    **first-updater-wins** (Section 4); **first-committer-wins** is here too
+    so the two can be compared in the ablation experiment (E3).
+
+    The engine calls every hook below at a fixed point of the transaction
+    lifecycle.  Besides the write rule they are no-ops, which
+    :class:`SerializableSnapshotPolicy` overrides.  ``tracks_reads`` tells
+    the transaction layer whether the read path must register reads at all
+    — the flag keeps the snapshot-isolation fast path at a single attribute
+    test per read.
     """
 
-    name: str = "abstract"
-    tracks_reads: bool = False
+    name = "si-write-rule"
+    tracks_reads = False
+
+    def __init__(
+        self,
+        lock_manager: LockManager,
+        conflict_policy: ConflictPolicy = ConflictPolicy.FIRST_UPDATER_WINS,
+    ) -> None:
+        self._locks = lock_manager
+        #: The write-write policy (first-updater-wins / first-committer-wins).
+        self.conflict_policy = conflict_policy
+        self._write_time_conflicts = 0
+        self._commit_time_conflicts = 0
+
+    # -- the write rule --------------------------------------------------------
+
+    def check_write(
+        self,
+        txn_id: int,
+        start_ts: int,
+        key: EntityKey,
+        record: Optional[SsiTransactionRecord],
+        read_newest_committed_ts: Callable[[], Optional[int]],
+    ) -> None:
+        """Check the write rule when a transaction first updates ``key``.
+
+        Under first-updater-wins the entity's long write lock is acquired
+        without waiting: if another active transaction already holds it, this
+        transaction is not the first updater and is rolled back immediately.
+        Having obtained the lock, a version committed by a concurrent
+        transaction (commit timestamp newer than our snapshot) is still a
+        conflict — the other updater already won by committing.
+
+        ``read_newest_committed_ts`` is deliberately a callable, evaluated
+        only *after* the long lock has been acquired.  This matters: versions
+        of ``key`` are only ever installed by a transaction holding its long
+        lock, so a timestamp read under the lock cannot race a concurrent
+        install — whereas a timestamp snapshotted before acquisition can go
+        stale while the previous holder finishes its commit, silently
+        admitting a lost update.
+
+        Under first-committer-wins nothing is checked here; validation happens
+        at commit time.
+        """
+        if self.conflict_policy is not ConflictPolicy.FIRST_UPDATER_WINS:
+            return
+        if not self._locks.try_acquire(txn_id, key, LockMode.EXCLUSIVE):
+            self._write_time_conflicts += 1
+            raise WriteWriteConflictError(
+                f"transaction {txn_id} is not the first updater of {key} "
+                "(another concurrent transaction holds its write lock)"
+            )
+        newest_committed_ts = read_newest_committed_ts()
+        if newest_committed_ts is not None and newest_committed_ts > start_ts:
+            self._write_time_conflicts += 1
+            raise WriteWriteConflictError(
+                f"transaction {txn_id} (start_ts={start_ts}) conflicts with a "
+                f"concurrent update of {key} committed at {newest_committed_ts}"
+            )
+
+    def validate_commit(
+        self,
+        txn_id: int,
+        start_ts: int,
+        record: Optional[SsiTransactionRecord],
+        writes: Dict[EntityKey, Optional[object]],
+        created: Set[EntityKey],
+        newest_committed_ts: Callable[[EntityKey], Optional[int]],
+    ) -> None:
+        """Commit-time validation, run under the engine's commit stripes.
+
+        Under first-committer-wins the transaction aborts if any entity it
+        updated has meanwhile been updated by a transaction that committed
+        after its snapshot was taken.
+        """
+        if self.conflict_policy is not ConflictPolicy.FIRST_COMMITTER_WINS:
+            return
+        for key in writes:
+            if key in created:
+                continue
+            committed_ts = newest_committed_ts(key)
+            if committed_ts is not None and committed_ts > start_ts:
+                self._commit_time_conflicts += 1
+                raise WriteWriteConflictError(
+                    f"transaction {txn_id} (start_ts={start_ts}) lost the commit "
+                    f"race for {key}: a concurrent update committed at {committed_ts}"
+                )
+
+    def release_locks(self, txn_id: int) -> None:
+        """Release every write lock held by a finished transaction."""
+        self._locks.release_all(txn_id)
+
+    def ww_conflict_stats(self) -> Dict[str, int]:
+        """Write-write conflict detections, by phase."""
+        return {
+            "write_time": self._write_time_conflicts,
+            "commit_time": self._commit_time_conflicts,
+        }
+
+    def statistics(self) -> Dict[str, object]:
+        """Policy-specific counters for the engine statistics surface."""
+        return {"policy": self.name, "conflict_policy": self.conflict_policy.value}
+
+    # -- hooks the SSI policy overrides ------------------------------------------
 
     def begin_transaction(
         self, txn_id: int, start_ts: int, *, read_only: bool = False
@@ -269,7 +370,7 @@ class ConcurrencyControlPolicy(abc.ABC):
         """Register a read-only transaction with its snapshot-time census.
 
         Returns ``None`` when the snapshot is safe from birth (the common
-        case, and always for policies without safe-snapshot gating), a
+        case, and always without safe-snapshot gating), a
         :class:`PendingSafeSnapshot` handle while the snapshot must be
         tracked, or :data:`RETAKE_SNAPSHOT` when the engine must retire the
         transaction and take a fresh snapshot.
@@ -277,34 +378,16 @@ class ConcurrencyControlPolicy(abc.ABC):
         return None
 
     def wait_for_safe_snapshot(
-        self, handle: "PendingSafeSnapshot", timeout: Optional[float] = None
+        self, handle: PendingSafeSnapshot, timeout: Optional[float] = None
     ) -> bool:
         """Block until ``handle`` resolves; True if it resolved safe."""
         return True
 
-    def upgrade_reader(self, handle: "PendingSafeSnapshot") -> None:
+    def upgrade_reader(self, handle: PendingSafeSnapshot) -> None:
         """Promote a pending reader's buffered reads to full SIREAD tracking."""
 
-    def finish_read_only(self, handle: "PendingSafeSnapshot") -> None:
+    def finish_read_only(self, handle: PendingSafeSnapshot) -> None:
         """Close out a tracked read-only transaction (its entry may outlive it)."""
-
-    def safe_snapshot_aborts(self) -> int:
-        """Writers aborted to protect a pending read-only snapshot."""
-        return 0
-
-    def safe_snapshot_statistics(self) -> Dict[str, int]:
-        """Safe-snapshot counters (zeros for policies without the machinery)."""
-        return dict(SafeSnapshotStats().as_dict(), pending=0)
-
-    def check_write(
-        self,
-        txn_id: int,
-        start_ts: int,
-        key: EntityKey,
-        record: Optional[SsiTransactionRecord],
-        read_newest_committed_ts: Callable[[], Optional[int]],
-    ) -> None:
-        """Write-time conflict rule (first write of ``key`` by the transaction)."""
 
     def register_reads(
         self,
@@ -316,20 +399,9 @@ class ConcurrencyControlPolicy(abc.ABC):
         every key in ``keys`` and every predicate in ``predicates``.
 
         The only read-registration entry point — a point read is a batch of
-        one — so policies with a tracker mutex pay one acquisition per batch
+        one — so a policy with a tracker mutex pays one acquisition per batch
         however many entities a scan or a traversal level touched.
         """
-
-    def validate_commit(
-        self,
-        txn_id: int,
-        start_ts: int,
-        record: Optional[SsiTransactionRecord],
-        writes: Dict[EntityKey, Optional[object]],
-        created: Set[EntityKey],
-        newest_committed_ts: Callable[[EntityKey], Optional[int]],
-    ) -> None:
-        """Commit-time validation, run under the engine's commit stripes."""
 
     def record_commit(
         self,
@@ -357,9 +429,6 @@ class ConcurrencyControlPolicy(abc.ABC):
         newest published commit timestamp at finish time; ``finish_seq`` the
         newest transaction id issued by then."""
 
-    def release_locks(self, txn_id: int) -> None:
-        """Release every lock the policy acquired for the transaction."""
-
     def reclaim(
         self,
         watermark: int,
@@ -382,102 +451,13 @@ class ConcurrencyControlPolicy(abc.ABC):
         """Number of aborts this policy issued for rw-antidependency cycles."""
         return 0
 
-    def ww_conflict_stats(self) -> Dict[str, int]:
-        """Write-write conflict detections, by phase (zeros for lock-based CC).
+    def safe_snapshot_aborts(self) -> int:
+        """Writers aborted to protect a pending read-only snapshot."""
+        return 0
 
-        Part of the interface so the engine statistics surface works for any
-        injected policy, not only those hosting a ``ConflictDetector``.
-        """
-        return {"write_time": 0, "commit_time": 0}
-
-    def statistics(self) -> Dict[str, object]:
-        """Policy-specific counters for the engine statistics surface."""
-        return {"policy": self.name}
-
-
-class TwoPhaseLockingPolicy(ConcurrencyControlPolicy):
-    """The read-committed engine's policy: conflict prevention is the lock
-    manager's job, so every hook is a no-op.
-
-    Existing behaviour is unchanged — short read locks and long write locks
-    already serialise conflicting accesses, and the anomalies read committed
-    permits are permitted on purpose.  The policy object exists so the engine
-    abstraction is uniform and the statistics surface (abort reasons, policy
-    name) has one shape across isolation levels.
-    """
-
-    name = "2pl"
-
-    def __init__(self, lock_manager: Optional[LockManager] = None) -> None:
-        self.locks = lock_manager
-
-    def release_locks(self, txn_id: int) -> None:
-        if self.locks is not None:
-            self.locks.release_all(txn_id)
-
-
-class SnapshotWriteRulePolicy(ConcurrencyControlPolicy):
-    """Snapshot isolation's write rule, extracted from the SI engine.
-
-    Hosts the :class:`~repro.core.conflict.ConflictDetector` (first-updater-
-    wins on the long write locks, or first-committer-wins at validation) that
-    the engine used to call directly; the engine now only talks to the policy
-    interface, which is what makes the SSI policy drop-in below.
-    """
-
-    name = "si-write-rule"
-
-    def __init__(
-        self,
-        lock_manager: LockManager,
-        conflict_policy: ConflictPolicy = ConflictPolicy.FIRST_UPDATER_WINS,
-    ) -> None:
-        self.detector = ConflictDetector(lock_manager, conflict_policy)
-
-    @property
-    def conflict_policy(self) -> ConflictPolicy:
-        """The write-write policy (first-updater-wins / first-committer-wins)."""
-        return self.detector.policy
-
-    def check_write(
-        self,
-        txn_id: int,
-        start_ts: int,
-        key: EntityKey,
-        record: Optional[SsiTransactionRecord],
-        read_newest_committed_ts: Callable[[], Optional[int]],
-    ) -> None:
-        self.detector.on_write(txn_id, start_ts, key, read_newest_committed_ts)
-
-    def validate_commit(
-        self,
-        txn_id: int,
-        start_ts: int,
-        record: Optional[SsiTransactionRecord],
-        writes: Dict[EntityKey, Optional[object]],
-        created: Set[EntityKey],
-        newest_committed_ts: Callable[[EntityKey], Optional[int]],
-    ) -> None:
-        for key in writes:
-            if key not in created:
-                self.detector.validate_at_commit(
-                    txn_id, start_ts, key, newest_committed_ts(key)
-                )
-
-    def release_locks(self, txn_id: int) -> None:
-        self.detector.release_locks(txn_id)
-
-    def ww_conflict_stats(self) -> Dict[str, int]:
-        return {
-            "write_time": self.detector.stats.write_time_conflicts,
-            "commit_time": self.detector.stats.commit_time_conflicts,
-        }
-
-    def statistics(self) -> Dict[str, object]:
-        return {
-            "policy": self.name,
-            "conflict_policy": self.detector.policy.value,
-        }
+    def safe_snapshot_statistics(self) -> Dict[str, int]:
+        """Safe-snapshot counters (zeros without the machinery)."""
+        return dict(SafeSnapshotStats().as_dict(), pending=0)
 
 
 # ---------------------------------------------------------------------------
@@ -856,9 +836,6 @@ class SerializableSnapshotPolicy(SnapshotWriteRulePolicy):
             # under, so it leaves every pending census without a gate check.
             self._rw_member_finished(txn_id)
 
-    def release_locks(self, txn_id: int) -> None:
-        self.detector.release_locks(txn_id)
-
     # -- write-time hooks -----------------------------------------------------
 
     def check_write(
@@ -1223,7 +1200,7 @@ class SerializableSnapshotPolicy(SnapshotWriteRulePolicy):
         with self._mutex:
             return {
                 "policy": self.name,
-                "conflict_policy": self.detector.policy.value,
+                "conflict_policy": self.conflict_policy.value,
                 "tracked_transactions": len(self._records),
                 "siread_keys": len(self._sireads),
                 "siread_entries": sum(len(h) for h in self._sireads.values()),

@@ -1,4 +1,4 @@
-"""The snapshot-isolation write rule.
+"""The snapshot-isolation write rule's two strategies.
 
 Section 3 of the paper: "The write rule states that no two concurrent
 transactions can update the same data item.  There are two ways to deal with
@@ -6,21 +6,12 @@ write-write conflicts, first-updater-wins that rollbacks the transaction that
 is not the first to update the data item and first-committer-wins that
 rollbacks the conflicting transaction that does not commit first."
 
-The paper's implementation reuses Neo4j's long write locks to realise
-**first-updater-wins** (Section 4); this module implements that policy and
-also first-committer-wins so the two can be compared in the ablation
-experiment (E3).
+The rule itself is :class:`~repro.core.cc_policy.SnapshotWriteRulePolicy`.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Callable, Optional
-
-from repro.errors import WriteWriteConflictError
-from repro.graph.entity import EntityKey
-from repro.locking.lock_manager import LockManager, LockMode
 
 
 class ConflictPolicy(enum.Enum):
@@ -28,97 +19,3 @@ class ConflictPolicy(enum.Enum):
 
     FIRST_UPDATER_WINS = "first_updater_wins"
     FIRST_COMMITTER_WINS = "first_committer_wins"
-
-
-@dataclass
-class ConflictStats:
-    """Counters describing detected write-write conflicts."""
-
-    write_time_conflicts: int = 0
-    commit_time_conflicts: int = 0
-
-    def total(self) -> int:
-        """Total number of conflicts detected."""
-        return self.write_time_conflicts + self.commit_time_conflicts
-
-
-class ConflictDetector:
-    """Implements both write-rule policies on top of the shared lock manager."""
-
-    def __init__(self, lock_manager: LockManager, policy: ConflictPolicy) -> None:
-        self._locks = lock_manager
-        self.policy = policy
-        self.stats = ConflictStats()
-
-    # -- write time (first-updater-wins) -----------------------------------------
-
-    def on_write(
-        self,
-        txn_id: int,
-        start_ts: int,
-        key: EntityKey,
-        read_newest_committed_ts: Callable[[], Optional[int]],
-    ) -> None:
-        """Check the write rule when a transaction first updates ``key``.
-
-        Under first-updater-wins the entity's long write lock is acquired
-        without waiting: if another active transaction already holds it, this
-        transaction is not the first updater and is rolled back immediately.
-        Having obtained the lock, a version committed by a concurrent
-        transaction (commit timestamp newer than our snapshot) is still a
-        conflict — the other updater already won by committing.
-
-        ``read_newest_committed_ts`` is deliberately a callable, evaluated
-        only *after* the long lock has been acquired.  This matters: versions
-        of ``key`` are only ever installed by a transaction holding its long
-        lock, so a timestamp read under the lock cannot race a concurrent
-        install — whereas a timestamp snapshotted before acquisition can go
-        stale while the previous holder finishes its commit, silently
-        admitting a lost update.
-
-        Under first-committer-wins nothing is checked here; validation happens
-        at commit time.
-        """
-        if self.policy is not ConflictPolicy.FIRST_UPDATER_WINS:
-            return
-        if not self._locks.try_acquire(txn_id, key, LockMode.EXCLUSIVE):
-            self.stats.write_time_conflicts += 1
-            raise WriteWriteConflictError(
-                f"transaction {txn_id} is not the first updater of {key} "
-                "(another concurrent transaction holds its write lock)"
-            )
-        newest_committed_ts = read_newest_committed_ts()
-        if newest_committed_ts is not None and newest_committed_ts > start_ts:
-            self.stats.write_time_conflicts += 1
-            raise WriteWriteConflictError(
-                f"transaction {txn_id} (start_ts={start_ts}) conflicts with a "
-                f"concurrent update of {key} committed at {newest_committed_ts}"
-            )
-
-    # -- commit time (first-committer-wins) -----------------------------------------
-
-    def validate_at_commit(
-        self,
-        txn_id: int,
-        start_ts: int,
-        key: EntityKey,
-        newest_committed_ts: Optional[int],
-    ) -> None:
-        """Check the write rule for one written entity at commit time.
-
-        Only used by first-committer-wins: the transaction aborts if any
-        entity it wrote has meanwhile been updated by a transaction that
-        committed after this transaction's snapshot was taken.
-        """
-        if self.policy is not ConflictPolicy.FIRST_COMMITTER_WINS:
-            return
-        if newest_committed_ts is not None and newest_committed_ts > start_ts:
-            self.stats.commit_time_conflicts += 1
-            raise WriteWriteConflictError(
-                f"transaction {txn_id} (start_ts={start_ts}) lost the commit race "
-                f"for {key}: a concurrent update committed at {newest_committed_ts}"
-            )
-
-    def release_locks(self, txn_id: int) -> None:
-        """Release every write lock held by a finished transaction."""
-        self._locks.release_all(txn_id)

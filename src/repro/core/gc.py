@@ -182,17 +182,18 @@ class GarbageCollector:
         indexes: VersionedIndexSet,
         gc_list: Optional[ThreadedVersionList] = None,
         *,
-        cc_policy=None,
+        policy=None,
     ) -> None:
-        """``cc_policy`` (a :class:`~repro.core.cc_policy.ConcurrencyControlPolicy`)
-        gets its :meth:`reclaim` hook driven with the same watermark as the
-        version reclamation, so SSI SIREAD entries and commit records are
-        dropped exactly when the snapshots that could still form edges with
-        them are gone."""
+        """``policy`` (the engine's
+        :class:`~repro.core.cc_policy.SnapshotWriteRulePolicy`) gets its
+        :meth:`reclaim` hook driven with the same watermark as the version
+        reclamation, so SSI SIREAD entries and commit records are dropped
+        exactly when the snapshots that could still form edges with them are
+        gone."""
         self.version_store = version_store
         self.oracle = oracle
         self.indexes = indexes
-        self.cc_policy = cc_policy
+        self.policy = policy
         self.gc_list = gc_list if gc_list is not None else ThreadedVersionList()
         self._lock = threading.Lock()
         self.total_stats = GcStats()
@@ -227,8 +228,8 @@ class GarbageCollector:
                 stats.index_intervals_examined,
                 stats.index_intervals_purged,
             ) = self.indexes.purge(stats.watermark)
-            if self.cc_policy is not None:
-                stats.cc_entries_reclaimed = self.cc_policy.reclaim(
+            if self.policy is not None:
+                stats.cc_entries_reclaimed = self.policy.reclaim(
                     stats.watermark,
                     quiescent=self.oracle.active_count() == 0,
                     oldest_active_txn_id=self.oracle.oldest_active_txn_id(),

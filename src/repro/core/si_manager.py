@@ -5,8 +5,9 @@ This is where the pieces of Section 4 of the paper meet:
 * transactions get their snapshot from the :class:`~repro.core.timestamps.TimestampOracle`,
 * reads resolve through version chains kept in the object cache
   (:class:`~repro.core.version_store.VersionStore`),
-* the write rule is enforced by the :class:`~repro.core.conflict.ConflictDetector`
-  reusing the long write locks (first-updater-wins),
+* the write rule is enforced by the
+  :class:`~repro.core.cc_policy.SnapshotWriteRulePolicy` reusing the long
+  write locks (first-updater-wins),
 * commit installs new versions, tags the multi-versioned indexes with the
   commit timestamp, threads superseded versions onto the garbage-collection
   list, and writes **only the newest committed version** of each entity to the
@@ -24,7 +25,6 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from repro.core.cc_policy import (
     RETAKE_SNAPSHOT,
     Change,
-    ConcurrencyControlPolicy,
     SerializableSnapshotPolicy,
     SnapshotWriteRulePolicy,
 )
@@ -34,26 +34,14 @@ from repro.core.si_transaction import SnapshotTransaction
 from repro.core.snapshot import Snapshot
 from repro.core.timestamps import TimestampOracle
 from repro.core.vacuum import VacuumCollector
-from repro.core.version import Version, VersionChain
+from repro.core.version import Version
 from repro.core.version_store import VersionStore, stripe_of
 from repro.core.visibility import resolve_payloads
 from repro.core.versioned_index import VersionedIndexSet
 from repro.engine import GraphEngine, IsolationLevel
 from repro.errors import WriteWriteConflictError
-from repro.graph.entity import (
-    EntityKey,
-    EntityKind,
-    NodeData,
-    RelationshipData,
-)
-from repro.graph.operations import (
-    DeleteNodeOp,
-    DeleteRelationshipOp,
-    StoreOperation,
-    WriteNodeOp,
-    WriteRelationshipOp,
-)
-from repro.graph.properties import RESERVED_PROPERTY_PREFIX
+from repro.graph.entity import EntityKey, EntityKind, RelationshipData
+from repro.graph.operations import build_store_operations
 from repro.graph.store_manager import StoreManager
 from repro.locking.lock_manager import LockManager
 from repro.obs import Observability
@@ -63,10 +51,6 @@ from repro.query.cache import (
     QueryCaches,
 )
 from repro.stats import CardinalityEpoch, CommitPipelineStats, EngineStats
-
-#: Reserved property carrying the commit timestamp of the persisted version
-#: (the extra property the paper adds to nodes and relationships).
-COMMIT_TS_PROPERTY = RESERVED_PROPERTY_PREFIX + "commit_ts"
 
 #: Default number of commit stripes (1 restores the seed's global mutex).
 DEFAULT_COMMIT_STRIPES = 16
@@ -90,12 +74,12 @@ SSI_RECLAIM_EVERY_N_COMMITS = 64
 class SnapshotIsolationEngine(GraphEngine):
     """Multi-version engine providing snapshot isolation (the paper's system).
 
-    The same engine also provides **serializable** isolation: concurrency
-    control is a pluggable :class:`~repro.core.cc_policy.ConcurrencyControlPolicy`,
-    and opening the engine with ``isolation=IsolationLevel.SERIALIZABLE``
-    swaps the plain write-rule policy for the SSI policy, which additionally
-    tracks rw-antidependencies from the read path and aborts transactions
-    that would complete a dangerous structure.
+    The same engine also provides **serializable** isolation: opening it
+    with ``isolation=IsolationLevel.SERIALIZABLE`` swaps the plain
+    write-rule policy (:class:`~repro.core.cc_policy.SnapshotWriteRulePolicy`)
+    for its SSI subclass, which additionally tracks rw-antidependencies from
+    the read path and aborts transactions that would complete a dangerous
+    structure.
     """
 
     isolation_level = IsolationLevel.SNAPSHOT
@@ -107,7 +91,6 @@ class SnapshotIsolationEngine(GraphEngine):
         lock_manager: Optional[LockManager] = None,
         conflict_policy: ConflictPolicy = ConflictPolicy.FIRST_UPDATER_WINS,
         isolation: IsolationLevel = IsolationLevel.SNAPSHOT,
-        cc_policy: Optional[ConcurrencyControlPolicy] = None,
         version_cache_capacity: int = 200_000,
         gc_every_n_commits: int = 0,
         commit_stripes: int = DEFAULT_COMMIT_STRIPES,
@@ -120,8 +103,7 @@ class SnapshotIsolationEngine(GraphEngine):
 
         ``isolation`` selects the concurrency-control policy: ``SNAPSHOT``
         enforces only the write rule, ``SERIALIZABLE`` adds SSI
-        rw-antidependency tracking.  ``cc_policy`` overrides the default
-        policy for the level (experiments can inject instrumented policies).
+        rw-antidependency tracking.
 
         ``gc_every_n_commits`` > 0 runs a garbage-collection pass automatically
         after every N version-installing commits; 0 leaves collection entirely
@@ -195,21 +177,19 @@ class SnapshotIsolationEngine(GraphEngine):
         #: Rows per executor batch (read by :mod:`repro.query` when it
         #: prepares a statement).
         self.query_batch_size = max(1, int(query_batch_size))
-        if cc_policy is None:
-            if isolation is IsolationLevel.SERIALIZABLE:
-                cc_policy = SerializableSnapshotPolicy(
-                    self.locks, conflict_policy, safe_snapshots=safe_snapshots
-                )
-            else:
-                cc_policy = SnapshotWriteRulePolicy(self.locks, conflict_policy)
-        self.cc = cc_policy
+        if isolation is IsolationLevel.SERIALIZABLE:
+            self.cc: SnapshotWriteRulePolicy = SerializableSnapshotPolicy(
+                self.locks, conflict_policy, safe_snapshots=safe_snapshots
+            )
+        else:
+            self.cc = SnapshotWriteRulePolicy(self.locks, conflict_policy)
         self.isolation_level = isolation
         self.gc = GarbageCollector(
             self.versions,
             self.oracle,
             self.indexes,
             ThreadedVersionList(),
-            cc_policy=self.cc,
+            policy=self.cc,
         )
         self.obs = obs if obs is not None else Observability()
         self.stats = EngineStats(self.obs.registry)
@@ -225,21 +205,15 @@ class SnapshotIsolationEngine(GraphEngine):
         # concurrent now, and unsynchronised `+=` loses increments.
         self._counter_lock = threading.Lock()
         self._commit_stripes = [threading.Lock() for _ in range(commit_stripes)]
-        self._bootstrap_indexes()
+        # Pre-existing entities are indexed at their persisted commit
+        # timestamps; new snapshots must cover everything already on disk.
+        persisted_ts = self.indexes.bootstrap(store)
+        if persisted_ts:
+            self.oracle.advance_to(persisted_ts)
 
     # ------------------------------------------------------------------
     # transaction lifecycle
     # ------------------------------------------------------------------
-
-    @property
-    def conflicts(self):
-        """The write-rule conflict detector (hosted by the CC policy).
-
-        ``None`` for injected policies outside the write-rule hierarchy; the
-        statistics surface goes through the policy interface instead of this
-        accessor, so such policies remain fully usable.
-        """
-        return getattr(self.cc, "detector", None)
 
     def begin(
         self, *, read_only: bool = False, deferrable: Optional[bool] = None
@@ -366,7 +340,7 @@ class SnapshotIsolationEngine(GraphEngine):
                 trace.finish("committed")
                 self.obs.tracer.record(trace)
             return
-        writes = self._effective_writes(txn)
+        writes = txn.effective_writes()
         # Fence before any version install: a writer committing after the
         # engine degraded must not publish in-memory versions that can never
         # be made durable (apply_batch fences again, for commits racing the
@@ -396,7 +370,7 @@ class SnapshotIsolationEngine(GraphEngine):
                     self._update_indexes(writes, old_states, commit_ts)
                     if trace is not None:
                         trace.mark("install")
-                    operations = self._build_store_operations(writes, commit_ts)
+                    operations = build_store_operations(writes, commit_ts)
                     try:
                         apply_seconds = self.store.apply_batch(txn.txn_id, operations)
                     except BaseException:
@@ -529,17 +503,7 @@ class SnapshotIsolationEngine(GraphEngine):
         self.cc.finish_transaction(txn.txn_id, txn.cc_record, committed=False)
         self.cc.release_locks(txn.txn_id)
         self.oracle.retire_transaction(txn.txn_id)
-        self.stats.record_abort()
-        reason = txn.abort_reason or "rollback"
-        if reason in self._io_abort_counts:
-            with self._counter_lock:
-                self._io_abort_counts[reason] += 1
-        self.obs.txn_abort_reasons.labels(reason=reason).inc()
-        trace = txn.trace
-        if trace is not None:
-            txn.trace = None
-            trace.finish("aborted", reason)
-            self.obs.tracer.record(trace)
+        self._record_abort(txn)
 
     # ------------------------------------------------------------------
     # read path
@@ -553,7 +517,7 @@ class SnapshotIsolationEngine(GraphEngine):
             if built_ts <= start_ts and \
                     self._payload_stamp.get(key, 0) <= built_ts:
                 return payload
-        chain = self.versions.get_or_load(key, lambda: self._load_persisted(key))
+        chain = self.versions.get_or_load(key, lambda: self.store.read_persisted(key))
         if chain is None:
             payload = None
         else:
@@ -597,7 +561,7 @@ class SnapshotIsolationEngine(GraphEngine):
         if not miss_keys:
             return results
         chains = self.versions.get_many(
-            miss_keys, lambda key: (lambda: self._load_persisted(key))
+            miss_keys, lambda key: (lambda: self.store.read_persisted(key))
         )
         publish = self._publish_entry
         for index, key, payload in zip(
@@ -668,7 +632,7 @@ class SnapshotIsolationEngine(GraphEngine):
 
     def newest_committed_ts(self, key: EntityKey) -> Optional[int]:
         """Commit timestamp of the newest committed version of ``key``."""
-        chain = self.versions.get_or_load(key, lambda: self._load_persisted(key))
+        chain = self.versions.get_or_load(key, lambda: self.store.read_persisted(key))
         if chain is None:
             return None
         newest = chain.newest()
@@ -677,9 +641,10 @@ class SnapshotIsolationEngine(GraphEngine):
     def check_write_conflict(self, txn: SnapshotTransaction, key: EntityKey) -> None:
         """Write-time conflict rule, delegated to the concurrency-control policy.
 
-        The newest committed timestamp is passed lazily so the detector reads
+        The newest committed timestamp is passed lazily so the policy reads
         it under the entity's long lock, after any concurrent committer of
-        this key has finished installing (see ``ConflictDetector.on_write``).
+        this key has finished installing (see
+        ``SnapshotWriteRulePolicy.check_write``).
         """
         self.cc.check_write(
             txn.txn_id,
@@ -690,14 +655,8 @@ class SnapshotIsolationEngine(GraphEngine):
         )
 
     # ------------------------------------------------------------------
-    # ids / lifecycle
+    # lifecycle
     # ------------------------------------------------------------------
-
-    def allocate_node_id(self) -> int:
-        return self.store.allocate_node_id()
-
-    def allocate_relationship_id(self) -> int:
-        return self.store.allocate_relationship_id()
 
     def close(self) -> None:
         """Run a final garbage-collection pass (the store is closed by the database)."""
@@ -719,7 +678,7 @@ class SnapshotIsolationEngine(GraphEngine):
             self.indexes,
             self.store,
             pause_commits=self.pause_commits,
-            cc_policy=self.cc,
+            policy=self.cc,
         )
 
     @contextlib.contextmanager
@@ -736,73 +695,15 @@ class SnapshotIsolationEngine(GraphEngine):
             yield
 
     # ------------------------------------------------------------------
-    # cardinality fast paths (query planner estimates)
-    # ------------------------------------------------------------------
-
-    def cardinality_epoch(self) -> int:
-        """Current statistics epoch (the plan cache's invalidation key)."""
-        return self.stats_epoch.epoch
-
-    def count_nodes_with_label(self, label: str) -> int:
-        """Nodes currently carrying ``label`` in O(1) (open-interval counter)."""
-        return self.indexes.node_labels.count(label)
-
-    def count_nodes_with_property(self, key: str, value) -> int:
-        """Nodes currently holding ``key`` = ``value`` in O(1)."""
-        return self.indexes.node_properties.count(key, value)
-
-    def count_relationships_of_type(self, rel_type: str) -> int:
-        """Relationships currently of ``rel_type`` in O(1)."""
-        return self.indexes.relationship_types.count(rel_type)
-
-    def count_relationships_with_property(self, key: str, value) -> int:
-        """Relationships currently holding ``key`` = ``value`` in O(1)."""
-        return self.indexes.relationship_properties.count(key, value)
-
-    def cardinalities(self) -> Dict[str, Dict[str, int]]:
-        """Per-label and per-type current cardinalities (stats surface)."""
-        return {
-            "node_labels": {
-                str(label): count
-                for label, count in sorted(
-                    self.indexes.node_labels.current_cardinalities().items()
-                )
-            },
-            "relationship_types": {
-                str(rel_type): count
-                for rel_type, count in sorted(
-                    self.indexes.relationship_types.current_cardinalities().items()
-                )
-            },
-        }
-
-    # ------------------------------------------------------------------
     # statistics
     # ------------------------------------------------------------------
 
-    def abort_reasons(self) -> Dict[str, int]:
-        """Abort counts broken down by cause (the statistics surface).
-
-        ``ww-conflict`` counts write-rule violations (every detection aborts
-        the transaction), ``rw-antidependency`` the SSI dangerous-structure
-        aborts (zero under plain snapshot isolation), ``safe-snapshot`` the
-        writers aborted to keep a concurrent read-only snapshot safe
-        (counted separately so benchmarks can attribute retries),
-        ``deadlock`` the lock-wait cycles and timeouts resolved by killing a
-        transaction, ``io-error`` the transactions killed by a storage-layer
-        failure, and ``degraded-mode`` the writers fenced off after the
-        engine entered degraded read-only mode.
-        """
+    def _policy_abort_counts(self) -> Dict[str, int]:
         ww_stats = self.cc.ww_conflict_stats()
-        with self._counter_lock:
-            io_counts = dict(self._io_abort_counts)
         return {
             "ww-conflict": ww_stats["write_time"] + ww_stats["commit_time"],
             "rw-antidependency": self.cc.rw_antidependency_aborts(),
             "safe-snapshot": self.cc.safe_snapshot_aborts(),
-            "deadlock": self.locks.stats.deadlocks + self.locks.stats.timeouts,
-            "io-error": io_counts["io-error"],
-            "degraded-mode": io_counts["degraded-mode"],
         }
 
     def statistics(self) -> Dict[str, object]:
@@ -837,16 +738,6 @@ class SnapshotIsolationEngine(GraphEngine):
     # ------------------------------------------------------------------
     # commit internals
     # ------------------------------------------------------------------
-
-    @staticmethod
-    def _effective_writes(txn: SnapshotTransaction) -> Dict[EntityKey, Optional[object]]:
-        """The write set minus entities created and deleted by the same transaction."""
-        created = txn.created_keys()
-        return {
-            key: payload
-            for key, payload in txn.pending_writes().items()
-            if not (payload is None and key in created)
-        }
 
     def _validate(
         self, txn: SnapshotTransaction, writes: Dict[EntityKey, Optional[object]]
@@ -906,7 +797,7 @@ class SnapshotIsolationEngine(GraphEngine):
 
     def _alive_in_latest(self, key: EntityKey) -> bool:
         """Whether the newest committed version of ``key`` is live (not deleted)."""
-        chain = self.versions.get_or_load(key, lambda: self._load_persisted(key))
+        chain = self.versions.get_or_load(key, lambda: self.store.read_persisted(key))
         if chain is None:
             return False
         newest = chain.newest()
@@ -914,7 +805,7 @@ class SnapshotIsolationEngine(GraphEngine):
 
     def _latest_committed_payload(self, key: EntityKey) -> Optional[object]:
         """Newest committed live payload of ``key`` (``None`` if absent/deleted)."""
-        chain = self.versions.get_or_load(key, lambda: self._load_persisted(key))
+        chain = self.versions.get_or_load(key, lambda: self.store.read_persisted(key))
         if chain is None:
             return None
         newest = chain.newest()
@@ -958,7 +849,7 @@ class SnapshotIsolationEngine(GraphEngine):
             payload_stamp[key] = commit_ts
             version = Version(key, payload, commit_ts)
             superseded = self.versions.install_committed(
-                key, version, lambda k=key: self._load_persisted(k)
+                key, version, lambda k=key: self.store.read_persisted(k)
             )
             old_states[key] = (
                 superseded.payload
@@ -992,10 +883,8 @@ class SnapshotIsolationEngine(GraphEngine):
         for key, payload in writes.items():
             old_state = old_states.get(key)
             payload_stamp[key] = commit_ts
-            if key.kind is EntityKind.NODE:
-                self.indexes.apply_node_change(payload, old_state, commit_ts)
-            else:
-                self.indexes.apply_relationship_change(payload, old_state, commit_ts)
+            self.indexes.apply_change(key, payload, old_state, commit_ts)
+            if key.kind is EntityKind.RELATIONSHIP:
                 state = payload if payload is not None else old_state
                 if state is not None:
                     stamp[state.start_node] = commit_ts
@@ -1011,10 +900,8 @@ class SnapshotIsolationEngine(GraphEngine):
         stamp = self._adjacency_stamp
         for key, payload in writes.items():
             old_state = old_states.get(key)
-            if key.kind is EntityKind.NODE:
-                self.indexes.apply_node_change(old_state, payload, commit_ts)
-            else:
-                self.indexes.apply_relationship_change(old_state, payload, commit_ts)
+            self.indexes.apply_change(key, old_state, payload, commit_ts)
+            if key.kind is EntityKind.RELATIONSHIP:
                 # Any relationship change (create, delete, property update)
                 # invalidates both endpoints' cached adjacency lists.  This
                 # runs before the commit is published, so no snapshot that
@@ -1023,80 +910,3 @@ class SnapshotIsolationEngine(GraphEngine):
                 if state is not None:
                     stamp[state.start_node] = commit_ts
                     stamp[state.end_node] = commit_ts
-
-    def _build_store_operations(
-        self, writes: Dict[EntityKey, Optional[object]], commit_ts: int
-    ) -> List[StoreOperation]:
-        """Persist only the newest committed version of each written entity."""
-        node_writes: List[StoreOperation] = []
-        rel_writes: List[StoreOperation] = []
-        rel_deletes: List[StoreOperation] = []
-        node_deletes: List[StoreOperation] = []
-        for key, payload in writes.items():
-            if key.kind is EntityKind.NODE:
-                if payload is None:
-                    node_deletes.append(DeleteNodeOp(key.entity_id))
-                else:
-                    node_writes.append(
-                        WriteNodeOp(payload.with_property(COMMIT_TS_PROPERTY, commit_ts))
-                    )
-            else:
-                if payload is None:
-                    rel_deletes.append(DeleteRelationshipOp(key.entity_id))
-                else:
-                    rel_writes.append(
-                        WriteRelationshipOp(
-                            payload.with_property(COMMIT_TS_PROPERTY, commit_ts)
-                        )
-                    )
-        return node_writes + rel_writes + rel_deletes + node_deletes
-
-    # ------------------------------------------------------------------
-    # persistence helpers
-    # ------------------------------------------------------------------
-
-    def _load_persisted(self, key: EntityKey) -> Optional[Tuple[object, int]]:
-        """Load an entity from the store, stripping the reserved SI properties."""
-        if key.kind is EntityKind.NODE:
-            data = self.store.read_node(key.entity_id)
-        else:
-            data = self.store.read_relationship(key.entity_id)
-        if data is None:
-            return None
-        commit_ts = data.properties.get(COMMIT_TS_PROPERTY, 0)
-        clean_props = {
-            prop_key: value
-            for prop_key, value in data.properties.items()
-            if not prop_key.startswith(RESERVED_PROPERTY_PREFIX)
-        }
-        return data.with_properties(clean_props), int(commit_ts)
-
-    # ------------------------------------------------------------------
-    # startup
-    # ------------------------------------------------------------------
-
-    def _bootstrap_indexes(self) -> None:
-        """Build the multi-versioned indexes from the persistent store.
-
-        Pre-existing entities are indexed with the commit timestamp persisted
-        in their reserved property (zero for data loaded outside the SI
-        engine), and the oracle is fast-forwarded past the largest persisted
-        timestamp so that new snapshots cover everything already on disk.
-        """
-        max_persisted_ts = 0
-        for node in self.store.iter_nodes():
-            loaded = self._load_persisted(EntityKey.node(node.node_id))
-            if loaded is None:
-                continue
-            clean, commit_ts = loaded
-            max_persisted_ts = max(max_persisted_ts, commit_ts)
-            self.indexes.apply_node_change(None, clean, commit_ts)
-        for relationship in self.store.iter_relationships():
-            loaded = self._load_persisted(EntityKey.relationship(relationship.rel_id))
-            if loaded is None:
-                continue
-            clean, commit_ts = loaded
-            max_persisted_ts = max(max_persisted_ts, commit_ts)
-            self.indexes.apply_relationship_change(None, clean, commit_ts)
-        if max_persisted_ts:
-            self.oracle.advance_to(max_persisted_ts)

@@ -4,7 +4,9 @@ A :class:`SnapshotTransaction` reads from the snapshot taken at its start
 timestamp (the read rule), keeps its uncommitted writes in a private write
 set (read-your-own-writes without exposing uncommitted data to others), and
 checks the write rule on every first update of an entity (first-updater-wins,
-via the engine's conflict detector).
+via the engine's write-rule policy).  The write set, its overlay on index
+results and adjacency lists, and commit/rollback are the shared
+:class:`~repro.engine.EngineTransaction` skeleton.
 
 Unlike the read-committed transaction it never takes read locks: the paper
 removes Neo4j's short read locks entirely because the version chains make
@@ -24,21 +26,12 @@ transaction and isolation level.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.snapshot import Snapshot
 from repro.core.versioned_iterator import SnapshotIterator
-from repro.engine import EngineTransaction, TransactionState
-from repro.errors import ReadOnlyTransactionError, classify_abort
-from repro.graph.entity import (
-    Direction,
-    EntityKey,
-    EntityKind,
-    NodeData,
-    RelationshipData,
-)
-from repro.graph.properties import PropertyValue
-from repro.index.property_index import hashable_value
+from repro.engine import EngineTransaction
+from repro.graph.entity import EntityKey, NodeData, RelationshipData
 
 
 class SnapshotTransaction(EngineTransaction):
@@ -53,9 +46,9 @@ class SnapshotTransaction(EngineTransaction):
         cc_record=None,
         safe_snapshot=None,
     ) -> None:
-        super().__init__(snapshot.txn_id, read_only=read_only)
-        self._engine = engine
+        super().__init__(engine, snapshot.txn_id, read_only=read_only)
         self.snapshot = snapshot
+        self._index_ts = snapshot.start_ts
         #: Concurrency-control record (SSI tracking; ``None`` under plain SI
         #: and for read-only serializable transactions, which register no
         #: reads and can never be aborted).
@@ -73,21 +66,12 @@ class SnapshotTransaction(EngineTransaction):
         #: dropped and the read path pays nothing again.
         self.safe_snapshot = safe_snapshot
         self._pending_reader = safe_snapshot
-        #: Private uncommitted versions: entity key -> new state (None = delete).
-        self._writes: Dict[EntityKey, Optional[object]] = {}
-        #: Keys created by this transaction (no committed predecessor).
-        self._created: Set[EntityKey] = set()
         #: Number of reads served (used by experiments).
         self.reads_performed = 0
         #: This transaction's lookups in the engine's shared adjacency
         #: entries (surfaced by :meth:`snapshot_cache_stats`).
         self.snapshot_cache_hits = 0
         self.snapshot_cache_misses = 0
-        #: Observability trace (set by the engine for sampled transactions).
-        self.trace = None
-        #: Classified cause when :meth:`commit` aborts (``None`` for explicit
-        #: rollbacks); feeds the labelled abort counter and the trace.
-        self.abort_reason: Optional[str] = None
 
     @property
     def start_ts(self) -> int:
@@ -243,109 +227,6 @@ class SnapshotTransaction(EngineTransaction):
             own_writes=self._writes,
         )
 
-    # -- index-backed predicate reads ---------------------------------------------
-
-    def find_nodes_by_label(self, label: str) -> Set[int]:
-        self.ensure_open()
-        self._note_reads(predicates=(("label", label),))
-        return self._nodes_with_label(label)
-
-    def find_nodes_by_property(self, key: str, value: PropertyValue) -> Set[int]:
-        self.ensure_open()
-        self._note_reads(predicates=(("node_prop", key, hashable_value(value)),))
-        return self._nodes_with_property(key, value)
-
-    def node_seek_candidates(
-        self, label: str, key: str, value: PropertyValue
-    ) -> Set[int]:
-        self.ensure_open()
-        self._note_reads(
-            predicates=(("label", label), ("node_prop", key, hashable_value(value)))
-        )
-        engine = self._engine
-        if engine.count_nodes_with_label(label) <= engine.count_nodes_with_property(
-            key, value
-        ):
-            return self._nodes_with_label(label)
-        return self._nodes_with_property(key, value)
-
-    def find_relationships_by_property(self, key: str, value: PropertyValue) -> Set[int]:
-        self.ensure_open()
-        self._note_reads(predicates=(("rel_prop", key, hashable_value(value)),))
-        return self._relationships_with_property(key, value)
-
-    def find_relationships_by_type(self, rel_type: str) -> Set[int]:
-        """Ids of visible relationships of ``rel_type`` (snapshot-consistent)."""
-        self.ensure_open()
-        self._note_reads(predicates=(("rel_type", rel_type),))
-        return self._relationships_of_type(rel_type)
-
-    def relationship_seek_candidates(
-        self, rel_type: str, key: str, value: PropertyValue
-    ) -> Set[int]:
-        self.ensure_open()
-        self._note_reads(
-            predicates=(("rel_type", rel_type), ("rel_prop", key, hashable_value(value)))
-        )
-        engine = self._engine
-        if engine.count_relationships_of_type(
-            rel_type
-        ) <= engine.count_relationships_with_property(key, value):
-            return self._relationships_of_type(rel_type)
-        return self._relationships_with_property(key, value)
-
-    # One index entry at this snapshot with the private write set overlaid;
-    # the callers above have registered the predicate(s) being evaluated.
-
-    def _nodes_with_label(self, label: str) -> Set[int]:
-        result = self._engine.indexes.node_labels.visible(label, self.snapshot.start_ts)
-        return self._overlay_nodes(result, lambda node: label in node.labels)
-
-    def _nodes_with_property(self, key: str, value: PropertyValue) -> Set[int]:
-        result = self._engine.indexes.node_properties.visible(
-            key, value, self.snapshot.start_ts
-        )
-        return self._overlay_nodes(result, lambda node: node.properties.get(key) == value)
-
-    def _relationships_with_property(self, key: str, value: PropertyValue) -> Set[int]:
-        result = self._engine.indexes.relationship_properties.visible(
-            key, value, self.snapshot.start_ts
-        )
-        return self._overlay_relationships(
-            result, lambda rel: rel.properties.get(key) == value
-        )
-
-    def _relationships_of_type(self, rel_type: str) -> Set[int]:
-        result = self._engine.indexes.relationship_types.visible(
-            rel_type, self.snapshot.start_ts
-        )
-        return self._overlay_relationships(result, lambda rel: rel.rel_type == rel_type)
-
-    def _overlay_nodes(self, result: Set[int], predicate) -> Set[int]:
-        """Overlay the private write set onto an index lookup result."""
-        for key, data in self._writes.items():
-            if key.kind is not EntityKind.NODE:
-                continue
-            if data is None:
-                result.discard(key.entity_id)
-            elif predicate(data):
-                result.add(key.entity_id)
-            else:
-                result.discard(key.entity_id)
-        return result
-
-    def _overlay_relationships(self, result: Set[int], predicate) -> Set[int]:
-        for key, data in self._writes.items():
-            if key.kind is not EntityKind.RELATIONSHIP:
-                continue
-            if data is None:
-                result.discard(key.entity_id)
-            elif predicate(data):
-                result.add(key.entity_id)
-            else:
-                result.discard(key.entity_id)
-        return result
-
     # -- traversal reads -------------------------------------------------------------
 
     def _committed_adjacency_many(
@@ -414,79 +295,6 @@ class SnapshotTransaction(EngineTransaction):
                 engine.store_adjacency_entry(node_id, start_ts, adjacency, candidates)
         return results  # type: ignore[return-value]
 
-    def _overlay_and_filter(
-        self,
-        node_id: int,
-        committed: Tuple[RelationshipData, ...],
-        direction: Direction,
-        wanted_types: Optional[Set[str]],
-    ) -> List[RelationshipData]:
-        """Write-set overlay + direction/type filter of one adjacency list."""
-        # Overlay the private write set: relationship endpoints are immutable,
-        # so an own write either replaces a committed entry (property update),
-        # adds a new one (create) or removes one (delete).
-        relationships: Sequence[RelationshipData] = committed
-        if self._writes:
-            merged: Dict[int, RelationshipData] = {
-                relationship.rel_id: relationship for relationship in committed
-            }
-            changed = False
-            for key, data in self._writes.items():
-                if key.kind is not EntityKind.RELATIONSHIP:
-                    continue
-                if data is None:
-                    if merged.pop(key.entity_id, None) is not None:
-                        changed = True
-                elif data.touches(node_id):
-                    merged[key.entity_id] = data
-                    changed = True
-            if changed:
-                relationships = [merged[rel_id] for rel_id in sorted(merged)]
-        # Adjacency candidates always touch the node, so BOTH never filters
-        # on direction — skip the per-relationship endpoint checks.
-        if direction is Direction.BOTH:
-            if wanted_types is None:
-                return list(relationships)
-            return [
-                relationship
-                for relationship in relationships
-                if relationship.rel_type in wanted_types
-            ]
-        result: List[RelationshipData] = []
-        for relationship in relationships:
-            if not direction.matches(node_id, relationship.start_node, relationship.end_node):
-                continue
-            if wanted_types is not None and relationship.rel_type not in wanted_types:
-                continue
-            result.append(relationship)
-        return result
-
-    def relationships_of(
-        self,
-        node_id: int,
-        direction: Direction = Direction.BOTH,
-        rel_types: Optional[Sequence[str]] = None,
-    ) -> List[RelationshipData]:
-        return self.relationships_of_many((node_id,), direction, rel_types)[0]
-
-    def relationships_of_many(
-        self,
-        node_ids: Sequence[int],
-        direction: Direction = Direction.BOTH,
-        rel_types: Optional[Sequence[str]] = None,
-    ) -> List[List[RelationshipData]]:
-        """Visible relationships of each node, resolved as one batch: the
-        write-set overlay and the direction/type filter applied to each
-        node's committed list (see :meth:`_committed_adjacency_many`)."""
-        self.ensure_open()
-        wanted_types = set(rel_types) if rel_types else None
-        return [
-            self._overlay_and_filter(node_id, committed, direction, wanted_types)
-            for node_id, committed in zip(
-                node_ids, self._committed_adjacency_many(node_ids)
-            )
-        ]
-
     # ------------------------------------------------------------------
     # writes (write rule, first-updater-wins)
     # ------------------------------------------------------------------
@@ -529,49 +337,6 @@ class SnapshotTransaction(EngineTransaction):
             # visible to any other transaction.
             return
         self._engine.check_write_conflict(self, key)
-
-    def _check_writable(self) -> None:
-        if self.read_only:
-            raise ReadOnlyTransactionError(
-                f"transaction {self.txn_id} was opened read-only"
-            )
-
-    # ------------------------------------------------------------------
-    # lifecycle
-    # ------------------------------------------------------------------
-
-    def commit(self) -> None:
-        self.ensure_open()
-        try:
-            self._engine.commit_transaction(self)
-            self.state = TransactionState.COMMITTED
-        except BaseException as exc:
-            self.abort_reason = classify_abort(exc)
-            self._engine.abort_transaction(self)
-            self.state = TransactionState.ABORTED
-            raise
-
-    def rollback(self) -> None:
-        if self.state is not TransactionState.ACTIVE:
-            return
-        self._engine.abort_transaction(self)
-        self.state = TransactionState.ABORTED
-
-    # ------------------------------------------------------------------
-    # commit support (used by the engine)
-    # ------------------------------------------------------------------
-
-    def pending_writes(self) -> Dict[EntityKey, Optional[object]]:
-        """The private write set (key -> new state, ``None`` for deletes)."""
-        return dict(self._writes)
-
-    def created_keys(self) -> Set[EntityKey]:
-        """Keys of entities created by this transaction."""
-        return set(self._created)
-
-    def has_writes(self) -> bool:
-        """Whether the transaction buffered any write."""
-        return bool(self._writes)
 
     # ------------------------------------------------------------------
     # shared-cache introspection

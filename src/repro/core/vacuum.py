@@ -69,18 +69,18 @@ class VacuumCollector:
         store: StoreManager,
         *,
         pause_commits: Optional[Callable[[], ContextManager[None]]] = None,
-        cc_policy=None,
+        policy=None,
     ) -> None:
         """``pause_commits`` is a callable returning a context manager that
         blocks the engine's commit path while held (the stop-the-world part).
-        ``cc_policy`` additionally has its SSI tracking state reclaimed with
+        ``policy`` additionally has its SSI tracking state reclaimed with
         the same watermark, mirroring the threaded collector.
         """
         self.version_store = version_store
         self.oracle = oracle
         self.indexes = indexes
         self.store = store
-        self.cc_policy = cc_policy
+        self.policy = policy
         self._pause_commits = pause_commits
         self._lock = threading.Lock()
         self.collections_run = 0
@@ -95,8 +95,8 @@ class VacuumCollector:
                 self._scan_chains(stats)
                 self._scan_store(stats)
                 self.indexes.purge(stats.watermark)
-                if self.cc_policy is not None:
-                    stats.cc_entries_reclaimed = self.cc_policy.reclaim(
+                if self.policy is not None:
+                    stats.cc_entries_reclaimed = self.policy.reclaim(
                         stats.watermark,
                         quiescent=self.oracle.active_count() == 0,
                         oldest_active_txn_id=self.oracle.oldest_active_txn_id(),

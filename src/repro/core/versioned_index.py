@@ -41,9 +41,8 @@ import threading
 from collections import deque
 from typing import Deque, Dict, Hashable, List, Mapping, Optional, Set, Tuple, Union
 
-from repro.graph.entity import NodeData, RelationshipData
-from repro.graph.properties import PropertyValue
-from repro.index.property_index import hashable_value
+from repro.graph.entity import EntityKey, EntityKind, NodeData, RelationshipData
+from repro.graph.properties import PropertyValue, hashable_value, split_commit_ts
 
 #: One membership interval: a bare ``created_ts`` while it is open,
 #: ``(created_ts, removed_ts)`` once closed.
@@ -528,6 +527,30 @@ class VersionedIndexSet:
             self.adjacency.add(new)
         if self.stats_epoch is not None:
             self.stats_epoch.record((old is None) - (new is None))
+
+    def apply_change(
+        self, key: EntityKey, old: Optional[object], new: Optional[object], commit_ts: int
+    ) -> None:
+        """Index maintenance for one committed change of either entity kind."""
+        if key.kind is EntityKind.NODE:
+            self.apply_node_change(old, new, commit_ts)  # type: ignore[arg-type]
+        else:
+            self.apply_relationship_change(old, new, commit_ts)  # type: ignore[arg-type]
+
+    def bootstrap(self, store) -> int:
+        """Index every persisted entity at the commit timestamp persisted with
+        it (zero for state written outside the MVCC engine); returns the
+        largest such timestamp, from which the owning engine's reads start."""
+        newest = 0
+        for node in store.iter_nodes():
+            clean, commit_ts = split_commit_ts(node)
+            newest = max(newest, commit_ts)
+            self.apply_node_change(None, clean, commit_ts)
+        for relationship in store.iter_relationships():
+            clean, commit_ts = split_commit_ts(relationship)
+            newest = max(newest, commit_ts)
+            self.apply_relationship_change(None, clean, commit_ts)
+        return newest
 
     def purge(self, watermark: int) -> Tuple[int, int]:
         """Purge every index; returns ``(examined, purged)`` interval counts."""

@@ -8,21 +8,33 @@ The repository ships two transaction engines over the same storage substrate:
 * :class:`repro.core.si_manager.SnapshotIsolationEngine` — the paper's
   multi-version concurrency control providing snapshot isolation.
 
-The public API (:mod:`repro.api`) is written against the abstract classes in
-this module so the two engines are interchangeable, which is what makes the
-experiment harness able to run identical workloads under both isolation
-levels.
+Both run over one substrate: the record store, the lock manager and the
+multi-versioned indexes of :mod:`repro.core.versioned_index`.  They differ
+only in the control layer — short shared read locks and in-place apply
+against version chains, a snapshot read rule and commit validation.  The
+classes in this module hold everything else once: the write set and its
+overlay on index results, commit/rollback, the smaller-entry seek choice,
+index cardinalities, id allocation and abort accounting.  The public API
+(:mod:`repro.api`) is written against them, so the two engines are
+interchangeable and the experiment harness runs identical workloads under
+every isolation level.
 """
 
 from __future__ import annotations
 
 import abc
 import enum
-from typing import Iterator, List, Optional, Sequence, Set
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.errors import TransactionClosedError
-from repro.graph.entity import Direction, NodeData, RelationshipData
-from repro.graph.properties import PropertyValue
+from repro.errors import ReadOnlyTransactionError, TransactionClosedError, classify_abort
+from repro.graph.entity import (
+    Direction,
+    EntityKey,
+    EntityKind,
+    NodeData,
+    RelationshipData,
+)
+from repro.graph.properties import PropertyValue, hashable_value
 
 
 class IsolationLevel(enum.Enum):
@@ -59,12 +71,32 @@ class EngineTransaction(abc.ABC):
     these and adds graph-model validation (endpoint checks, detach-delete,
     property validation).  Engine transactions therefore only deal in whole
     :class:`~repro.graph.entity.NodeData` / ``RelationshipData`` states.
+
+    A subclass supplies the committed side of every read — point reads,
+    scans, ``_committed_adjacency_many`` and the commit point
+    ``_index_ts`` that index lookups read at — and the write-time
+    concurrency control; this class overlays the private write set on all
+    of it.
     """
 
-    def __init__(self, txn_id: int, *, read_only: bool = False) -> None:
+    #: Commit point the versioned indexes are read at: the snapshot under
+    #: MVCC, the newest published commit under read committed.
+    _index_ts: int
+
+    def __init__(self, engine, txn_id: int, *, read_only: bool = False) -> None:
+        self._engine = engine
         self.txn_id = txn_id
         self.read_only = read_only
         self.state = TransactionState.ACTIVE
+        #: Buffered writes: entity key -> new state (``None`` buffers a delete).
+        self._writes: Dict[EntityKey, Optional[object]] = {}
+        #: Keys created by this transaction (no committed predecessor).
+        self._created: Set[EntityKey] = set()
+        #: Observability trace (set by the engine for sampled transactions).
+        self.trace = None
+        #: Classified cause when :meth:`commit` aborts (``None`` for explicit
+        #: rollbacks); feeds the labelled abort counter and the trace.
+        self.abort_reason: Optional[str] = None
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -80,15 +112,63 @@ class EngineTransaction(abc.ABC):
                 f"transaction {self.txn_id} is {self.state.value}"
             )
 
-    @abc.abstractmethod
     def commit(self) -> None:
         """Make the transaction's writes visible to others (or raise and abort)."""
+        self.ensure_open()
+        try:
+            self._engine.commit_transaction(self)
+            self.state = TransactionState.COMMITTED
+        except BaseException as exc:
+            self.abort_reason = classify_abort(exc)
+            self._engine.abort_transaction(self)
+            self.state = TransactionState.ABORTED
+            raise
 
-    @abc.abstractmethod
     def rollback(self) -> None:
         """Discard the transaction's writes."""
+        if self.state is not TransactionState.ACTIVE:
+            return
+        self._engine.abort_transaction(self)
+        self.state = TransactionState.ABORTED
+
+    def _check_writable(self) -> None:
+        if self.read_only:
+            raise ReadOnlyTransactionError(
+                f"transaction {self.txn_id} was opened read-only"
+            )
+
+    # -- commit support (used by the engine) ----------------------------------
+
+    def pending_writes(self) -> Dict[EntityKey, Optional[object]]:
+        """The buffered writes (key -> new state, ``None`` for deletes)."""
+        return dict(self._writes)
+
+    def created_keys(self) -> Set[EntityKey]:
+        """Keys of entities created by this transaction."""
+        return set(self._created)
+
+    def has_writes(self) -> bool:
+        """Whether the transaction buffered any write."""
+        return bool(self._writes)
+
+    def effective_writes(self) -> Dict[EntityKey, Optional[object]]:
+        """The write set minus entities created and deleted by this transaction."""
+        created = self._created
+        return {
+            key: payload
+            for key, payload in self._writes.items()
+            if not (payload is None and key in created)
+        }
 
     # -- reads ----------------------------------------------------------------
+
+    def _note_reads(
+        self,
+        keys: Sequence[EntityKey] = (),
+        predicates: Sequence[tuple] = (),
+    ) -> None:
+        """Read bookkeeping for the committed-state reads of one batch; only
+        a serializable transaction keeps any."""
 
     @abc.abstractmethod
     def read_node(self, node_id: int) -> Optional[NodeData]:
@@ -106,23 +186,32 @@ class EngineTransaction(abc.ABC):
     def iter_relationships(self) -> Iterator[RelationshipData]:
         """Every relationship visible to this transaction."""
 
-    @abc.abstractmethod
+    # -- index-backed predicate reads -------------------------------------------
+
     def find_nodes_by_label(self, label: str) -> Set[int]:
         """Ids of visible nodes carrying ``label``."""
+        self.ensure_open()
+        self._note_reads(predicates=(("label", label),))
+        return self._nodes_with_label(label)
 
-    @abc.abstractmethod
     def find_nodes_by_property(self, key: str, value: PropertyValue) -> Set[int]:
         """Ids of visible nodes with property ``key`` = ``value``."""
+        self.ensure_open()
+        self._note_reads(predicates=(("node_prop", key, hashable_value(value)),))
+        return self._nodes_with_property(key, value)
 
-    @abc.abstractmethod
     def find_relationships_by_property(self, key: str, value: PropertyValue) -> Set[int]:
         """Ids of visible relationships with property ``key`` = ``value``."""
+        self.ensure_open()
+        self._note_reads(predicates=(("rel_prop", key, hashable_value(value)),))
+        return self._relationships_with_property(key, value)
 
-    @abc.abstractmethod
     def find_relationships_by_type(self, rel_type: str) -> Set[int]:
         """Ids of visible relationships of type ``rel_type``."""
+        self.ensure_open()
+        self._note_reads(predicates=(("rel_type", rel_type),))
+        return self._relationships_of_type(rel_type)
 
-    @abc.abstractmethod
     def node_seek_candidates(
         self, label: str, key: str, value: PropertyValue
     ) -> Set[int]:
@@ -133,15 +222,128 @@ class EngineTransaction(abc.ABC):
         on the node states it reads, so the larger entry is never
         materialised.  Both predicates count as read.
         """
+        self.ensure_open()
+        self._note_reads(
+            predicates=(("label", label), ("node_prop", key, hashable_value(value)))
+        )
+        engine = self._engine
+        if engine.count_nodes_with_label(label) <= engine.count_nodes_with_property(
+            key, value
+        ):
+            return self._nodes_with_label(label)
+        return self._nodes_with_property(key, value)
 
-    @abc.abstractmethod
     def relationship_seek_candidates(
         self, rel_type: str, key: str, value: PropertyValue
     ) -> Set[int]:
         """Candidate ids for "of ``rel_type`` *and* ``key`` = ``value``"
         (see :meth:`node_seek_candidates`)."""
+        self.ensure_open()
+        self._note_reads(
+            predicates=(("rel_type", rel_type), ("rel_prop", key, hashable_value(value)))
+        )
+        engine = self._engine
+        if engine.count_relationships_of_type(
+            rel_type
+        ) <= engine.count_relationships_with_property(key, value):
+            return self._relationships_of_type(rel_type)
+        return self._relationships_with_property(key, value)
+
+    # One index entry at ``_index_ts`` with the private write set overlaid;
+    # the callers above have noted the predicate(s) being evaluated.
+
+    def _nodes_with_label(self, label: str) -> Set[int]:
+        result = self._engine.indexes.node_labels.visible(label, self._index_ts)
+        return self._overlay(result, EntityKind.NODE, lambda node: label in node.labels)
+
+    def _nodes_with_property(self, key: str, value: PropertyValue) -> Set[int]:
+        result = self._engine.indexes.node_properties.visible(key, value, self._index_ts)
+        return self._overlay(
+            result, EntityKind.NODE, lambda node: node.properties.get(key) == value
+        )
+
+    def _relationships_with_property(self, key: str, value: PropertyValue) -> Set[int]:
+        result = self._engine.indexes.relationship_properties.visible(
+            key, value, self._index_ts
+        )
+        return self._overlay(
+            result, EntityKind.RELATIONSHIP, lambda rel: rel.properties.get(key) == value
+        )
+
+    def _relationships_of_type(self, rel_type: str) -> Set[int]:
+        result = self._engine.indexes.relationship_types.visible(
+            rel_type, self._index_ts
+        )
+        return self._overlay(
+            result, EntityKind.RELATIONSHIP, lambda rel: rel.rel_type == rel_type
+        )
+
+    def _overlay(self, result: Set[int], kind: EntityKind, predicate) -> Set[int]:
+        """Overlay the private writes of ``kind`` onto an index lookup result."""
+        for key, data in self._writes.items():
+            if key.kind is kind:
+                if data is not None and predicate(data):
+                    result.add(key.entity_id)
+                else:
+                    result.discard(key.entity_id)
+        return result
+
+    # -- traversal reads ---------------------------------------------------------
 
     @abc.abstractmethod
+    def _committed_adjacency_many(
+        self, node_ids: Sequence[int]
+    ) -> List[Tuple[RelationshipData, ...]]:
+        """Committed relationships of each node as this transaction reads
+        them, by rel id (the private write set is overlaid by the caller)."""
+
+    def _overlay_and_filter(
+        self,
+        node_id: int,
+        committed: Tuple[RelationshipData, ...],
+        direction: Direction,
+        wanted_types: Optional[Set[str]],
+    ) -> List[RelationshipData]:
+        """Write-set overlay + direction/type filter of one adjacency list."""
+        # Overlay the private write set: relationship endpoints are immutable,
+        # so an own write either replaces a committed entry (property update),
+        # adds a new one (create) or removes one (delete).
+        relationships: Sequence[RelationshipData] = committed
+        if self._writes:
+            merged: Dict[int, RelationshipData] = {
+                relationship.rel_id: relationship for relationship in committed
+            }
+            changed = False
+            for key, data in self._writes.items():
+                if key.kind is not EntityKind.RELATIONSHIP:
+                    continue
+                if data is None:
+                    if merged.pop(key.entity_id, None) is not None:
+                        changed = True
+                elif data.touches(node_id):
+                    merged[key.entity_id] = data
+                    changed = True
+            if changed:
+                relationships = [merged[rel_id] for rel_id in sorted(merged)]
+        # Adjacency candidates always touch the node, so BOTH never filters
+        # on direction — skip the per-relationship endpoint checks.
+        if direction is Direction.BOTH:
+            if wanted_types is None:
+                return list(relationships)
+            return [
+                relationship
+                for relationship in relationships
+                if relationship.rel_type in wanted_types
+            ]
+        result: List[RelationshipData] = []
+        for relationship in relationships:
+            if not direction.matches(node_id, relationship.start_node, relationship.end_node):
+                continue
+            if wanted_types is not None and relationship.rel_type not in wanted_types:
+                continue
+            result.append(relationship)
+        return result
+
     def relationships_of(
         self,
         node_id: int,
@@ -149,6 +351,25 @@ class EngineTransaction(abc.ABC):
         rel_types: Optional[Sequence[str]] = None,
     ) -> List[RelationshipData]:
         """Visible relationships attached to ``node_id``."""
+        return self.relationships_of_many((node_id,), direction, rel_types)[0]
+
+    def relationships_of_many(
+        self,
+        node_ids: Sequence[int],
+        direction: Direction = Direction.BOTH,
+        rel_types: Optional[Sequence[str]] = None,
+    ) -> List[List[RelationshipData]]:
+        """Visible relationships of each node id, in order (batched expand):
+        the write-set overlay and the direction/type filter applied to each
+        node's committed list."""
+        self.ensure_open()
+        wanted_types = set(rel_types) if rel_types else None
+        return [
+            self._overlay_and_filter(node_id, committed, direction, wanted_types)
+            for node_id, committed in zip(
+                node_ids, self._committed_adjacency_many(node_ids)
+            )
+        ]
 
     # -- batch reads (vectorized executor) -----------------------------------
     #
@@ -165,18 +386,6 @@ class EngineTransaction(abc.ABC):
     ) -> List[Optional[RelationshipData]]:
         """The visible state of each relationship id, in order."""
         return [self.read_relationship(rel_id) for rel_id in rel_ids]
-
-    def relationships_of_many(
-        self,
-        node_ids: Sequence[int],
-        direction: Direction = Direction.BOTH,
-        rel_types: Optional[Sequence[str]] = None,
-    ) -> List[List[RelationshipData]]:
-        """Visible relationships of each node id, in order (batched expand)."""
-        return [
-            self.relationships_of(node_id, direction, rel_types)
-            for node_id in node_ids
-        ]
 
     # -- writes ----------------------------------------------------------------
 
@@ -198,7 +407,14 @@ class EngineTransaction(abc.ABC):
 
 
 class GraphEngine(abc.ABC):
-    """A concurrency-control engine bound to one storage substrate."""
+    """A concurrency-control engine bound to one storage substrate.
+
+    A subclass sets ``store``, ``locks``, ``indexes`` (a
+    :class:`~repro.core.versioned_index.VersionedIndexSet`),
+    ``stats_epoch``, ``stats``, ``obs``, ``_io_abort_counts`` and
+    ``_counter_lock``; the cardinality, id and abort-accounting methods
+    below work from those.
+    """
 
     isolation_level: IsolationLevel
 
@@ -218,16 +434,98 @@ class GraphEngine(abc.ABC):
         """
 
     @abc.abstractmethod
-    def allocate_node_id(self) -> int:
-        """Reserve a node id for an entity being created."""
-
-    @abc.abstractmethod
-    def allocate_relationship_id(self) -> int:
-        """Reserve a relationship id for an entity being created."""
-
-    @abc.abstractmethod
     def close(self) -> None:
         """Release engine resources (the store is closed by the database)."""
 
     def checkpoint(self) -> None:
         """Optional hook: flush engine state (default does nothing)."""
+
+    # -- ids ------------------------------------------------------------------
+
+    def allocate_node_id(self) -> int:
+        """Reserve a node id for an entity being created."""
+        return self.store.allocate_node_id()
+
+    def allocate_relationship_id(self) -> int:
+        """Reserve a relationship id for an entity being created."""
+        return self.store.allocate_relationship_id()
+
+    # -- cardinality fast paths (query planner estimates) ---------------------
+
+    def cardinality_epoch(self) -> int:
+        """Current statistics epoch (the plan cache's invalidation key)."""
+        return self.stats_epoch.epoch
+
+    def count_nodes_with_label(self, label: str) -> int:
+        """Nodes currently carrying ``label`` in O(1) (open-interval counter)."""
+        return self.indexes.node_labels.count(label)
+
+    def count_nodes_with_property(self, key: str, value) -> int:
+        """Nodes currently holding ``key`` = ``value`` in O(1)."""
+        return self.indexes.node_properties.count(key, value)
+
+    def count_relationships_of_type(self, rel_type: str) -> int:
+        """Relationships currently of ``rel_type`` in O(1)."""
+        return self.indexes.relationship_types.count(rel_type)
+
+    def count_relationships_with_property(self, key: str, value) -> int:
+        """Relationships currently holding ``key`` = ``value`` in O(1)."""
+        return self.indexes.relationship_properties.count(key, value)
+
+    def cardinalities(self) -> Dict[str, Dict[str, int]]:
+        """Per-label and per-type current cardinalities (stats surface)."""
+        return {
+            "node_labels": {
+                str(label): count
+                for label, count in sorted(
+                    self.indexes.node_labels.current_cardinalities().items()
+                )
+            },
+            "relationship_types": {
+                str(rel_type): count
+                for rel_type, count in sorted(
+                    self.indexes.relationship_types.current_cardinalities().items()
+                )
+            },
+        }
+
+    # -- abort accounting -----------------------------------------------------
+
+    def _policy_abort_counts(self) -> Dict[str, int]:
+        """Aborts the control layer issued: write-rule violations,
+        dangerous structures, safe-snapshot writer aborts (none under 2PL)."""
+        return {"ww-conflict": 0, "rw-antidependency": 0, "safe-snapshot": 0}
+
+    def abort_reasons(self) -> Dict[str, int]:
+        """Abort counts broken down by cause (the statistics surface).
+
+        ``ww-conflict`` counts write-rule violations (every detection aborts
+        the transaction), ``rw-antidependency`` the SSI dangerous-structure
+        aborts, ``safe-snapshot`` the writers aborted to keep a concurrent
+        read-only snapshot safe (counted separately so benchmarks can
+        attribute retries), ``deadlock`` the lock-wait cycles and timeouts
+        resolved by killing a transaction, ``io-error`` the transactions
+        killed by a storage-layer failure, and ``degraded-mode`` the writers
+        fenced off after the engine entered degraded read-only mode.
+        """
+        with self._counter_lock:
+            io_counts = dict(self._io_abort_counts)
+        return dict(
+            self._policy_abort_counts(),
+            deadlock=self.locks.stats.deadlocks + self.locks.stats.timeouts,
+            **io_counts,
+        )
+
+    def _record_abort(self, txn: EngineTransaction) -> None:
+        """Count an aborted transaction and close its trace."""
+        self.stats.record_abort()
+        reason = txn.abort_reason or "rollback"
+        if reason in self._io_abort_counts:
+            with self._counter_lock:
+                self._io_abort_counts[reason] += 1
+        self.obs.txn_abort_reasons.labels(reason=reason).inc()
+        trace = txn.trace
+        if trace is not None:
+            txn.trace = None
+            trace.finish("aborted", reason)
+            self.obs.tracer.record(trace)

@@ -12,11 +12,11 @@ replaying an operation is idempotent, which is all recovery needs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Union
+from typing import Any, Dict, List, Mapping, Optional, Union
 
 from repro.errors import WalError
-from repro.graph.entity import NodeData, RelationshipData
-from repro.graph.properties import PropertyValue
+from repro.graph.entity import EntityKey, EntityKind, NodeData, RelationshipData
+from repro.graph.properties import COMMIT_TS_PROPERTY, PropertyValue
 
 
 def _properties_to_payload(properties: Mapping[str, PropertyValue]) -> Dict[str, Any]:
@@ -92,6 +92,36 @@ class DeleteRelationshipOp:
 
 
 StoreOperation = Union[WriteNodeOp, DeleteNodeOp, WriteRelationshipOp, DeleteRelationshipOp]
+
+
+def build_store_operations(
+    writes: Mapping[EntityKey, Optional[object]], commit_ts: Optional[int] = None
+) -> List[StoreOperation]:
+    """Translate a committed write set (key -> new state, ``None`` for a
+    delete) into ordered store operations.
+
+    Nodes written, then relationships written, then relationships deleted,
+    then nodes deleted, so the store's structural constraints hold at every
+    point of the apply.  ``commit_ts``, when given, is persisted in each
+    written state's reserved commit-timestamp property.
+    """
+    node_writes: List[StoreOperation] = []
+    rel_writes: List[StoreOperation] = []
+    rel_deletes: List[StoreOperation] = []
+    node_deletes: List[StoreOperation] = []
+    for key, payload in writes.items():
+        if payload is not None and commit_ts is not None:
+            payload = payload.with_property(COMMIT_TS_PROPERTY, commit_ts)
+        if key.kind is EntityKind.NODE:
+            if payload is None:
+                node_deletes.append(DeleteNodeOp(key.entity_id))
+            else:
+                node_writes.append(WriteNodeOp(payload))
+        elif payload is None:
+            rel_deletes.append(DeleteRelationshipOp(key.entity_id))
+        else:
+            rel_writes.append(WriteRelationshipOp(payload))
+    return node_writes + rel_writes + rel_deletes + node_deletes
 
 
 def operation_from_payload(payload: Mapping[str, Any]) -> StoreOperation:

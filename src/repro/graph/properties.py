@@ -14,12 +14,16 @@ and are rejected at the public API boundary.
 from __future__ import annotations
 
 import sys
-from typing import Any, Dict, Iterable, List, Mapping, Tuple, Union
+from typing import Any, Dict, Hashable, Iterable, List, Mapping, Tuple, Union
 
 from repro.errors import InvalidPropertyValueError, ReservedNameError
 
 #: Prefix reserved for internal bookkeeping properties added by the MVCC layer.
 RESERVED_PROPERTY_PREFIX = "_si_"
+
+#: Reserved property carrying the commit timestamp of the persisted version
+#: (the extra property the paper adds to nodes and relationships).
+COMMIT_TS_PROPERTY = RESERVED_PROPERTY_PREFIX + "commit_ts"
 
 #: Scalar property types accepted by the store.
 ScalarValue = Union[bool, int, float, str]
@@ -134,6 +138,27 @@ def validate_properties(
             )
         validated[clean_key] = validate_property_value(value)
     return validated
+
+
+def hashable_value(value: PropertyValue) -> Hashable:
+    """Convert a property value into a hashable index key (arrays → tuples)."""
+    if isinstance(value, list):
+        return tuple(value)
+    return value
+
+
+def split_commit_ts(data):
+    """A stored entity state as ``(state without reserved properties,
+    commit_ts)`` — the persisted commit timestamp, 0 for state written by
+    the read-committed engine or loaded outside the MVCC engine."""
+    properties = data.properties
+    commit_ts = properties.get(COMMIT_TS_PROPERTY, 0)
+    clean = {
+        key: value
+        for key, value in properties.items()
+        if not key.startswith(RESERVED_PROPERTY_PREFIX)
+    }
+    return data.with_properties(clean), int(commit_ts)
 
 
 def properties_equal(

@@ -19,7 +19,7 @@ from __future__ import annotations
 import os
 import threading
 from time import perf_counter
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import (
     ConstraintViolationError,
@@ -32,7 +32,13 @@ from repro.errors import (
 )
 from repro.health import EngineHealth
 from repro.graph.dynamic_store import DynamicStore
-from repro.graph.entity import Direction, NodeData, RelationshipData
+from repro.graph.entity import (
+    Direction,
+    EntityKey,
+    EntityKind,
+    NodeData,
+    RelationshipData,
+)
 from repro.graph.node_store import NodeStore
 from repro.graph.operations import (
     DeleteNodeOp,
@@ -60,7 +66,7 @@ from repro.graph.recovery import (
     write_checkpoint_marker,
 )
 from repro.graph.wal import WriteAheadLog
-from repro.graph.properties import PropertyValue
+from repro.graph.properties import PropertyValue, split_commit_ts
 
 
 class StoreManagerStats:
@@ -608,6 +614,15 @@ class StoreManager:
                 end_node=record.end_node,
                 properties=properties,
             )
+
+    def read_persisted(self, key: EntityKey) -> Optional[Tuple[object, int]]:
+        """The stored state of ``key`` as ``(state without reserved
+        properties, commit_ts)``, or ``None`` — what both engines read."""
+        if key.kind is EntityKind.NODE:
+            data = self.read_node(key.entity_id)
+        else:
+            data = self.read_relationship(key.entity_id)
+        return None if data is None else split_commit_ts(data)
 
     def delete_relationship(
         self, rel_id: int, *, _log: bool = True, missing_ok: bool = False

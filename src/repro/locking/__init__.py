@@ -8,7 +8,9 @@ the paper starts from and then modifies:
 * the read-committed engine that uses *short* read locks and *long* write
   locks (:mod:`repro.locking.rc_manager`,
   :mod:`repro.locking.rc_transaction`) — the baseline whose unrepeatable and
-  phantom reads motivate the paper.
+  phantom reads motivate the paper.  It shares the MVCC engine's substrate
+  (store, versioned indexes, transaction skeleton) and keeps only the
+  control layer: short shared guards, long exclusive locks, in-place apply.
 
 The snapshot-isolation engine reuses the same lock manager, but only for its
 long write locks (the paper removes the short read locks entirely and turns

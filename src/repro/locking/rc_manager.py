@@ -1,8 +1,15 @@
 """Read-committed engine: Neo4j's stock transaction manager.
 
-Commits apply the transaction's buffered writes to the store in one batch and
-update the (unversioned) indexes; there is no validation phase because read
-committed permits the anomalies that validation would prevent.
+It runs over the MVCC engine's substrate — the record store, the lock
+manager and the multi-versioned indexes — and differs only in its control
+layer: reads take short shared guards, writes take long exclusive locks, and
+a commit applies the write set in place with no validation phase, because
+read committed permits the anomalies validation would prevent.
+
+Index lookups read at :attr:`ReadCommittedEngine.latest_seq`, the newest
+published commit.  A commit tags its index changes at ``latest_seq + 1``,
+publishes that sequence, then reclaims every closed interval at once: with no
+snapshots to serve, nothing older than the newest commit is ever read.
 """
 
 from __future__ import annotations
@@ -11,10 +18,11 @@ import itertools
 import threading
 from typing import Dict, Optional
 
+from repro.core.versioned_index import VersionedIndexSet
 from repro.engine import GraphEngine, IsolationLevel
-from repro.graph.entity import EntityKind, NodeData, RelationshipData
+from repro.graph.entity import EntityKey, EntityKind
+from repro.graph.operations import build_store_operations
 from repro.graph.store_manager import StoreManager
-from repro.index.index_manager import IndexManager
 from repro.locking.lock_manager import LockManager
 from repro.locking.rc_transaction import ReadCommittedTransaction
 from repro.obs import Observability
@@ -38,8 +46,6 @@ class ReadCommittedEngine(GraphEngine):
         store: StoreManager,
         *,
         lock_manager: Optional[LockManager] = None,
-        index_manager: Optional[IndexManager] = None,
-        lock_timeout: Optional[float] = None,
         query_cache_size: int = DEFAULT_QUERY_CACHE_SIZE,
         query_batch_size: int = DEFAULT_QUERY_BATCH_SIZE,
         obs: Optional[Observability] = None,
@@ -50,36 +56,20 @@ class ReadCommittedEngine(GraphEngine):
         manager's short shared guard.
         """
         self.store = store
-        self.locks = lock_manager or (
-            LockManager(default_timeout=lock_timeout) if lock_timeout else LockManager()
-        )
+        self.locks = lock_manager or LockManager()
         self.stats_epoch = CardinalityEpoch()
-        self.indexes = index_manager or IndexManager(stats_epoch=self.stats_epoch)
-        if index_manager is None:
-            self.indexes.rebuild(store)
-        elif self.indexes.stats_epoch is not None:
-            self.stats_epoch = self.indexes.stats_epoch
-        else:
-            # A caller-supplied index manager without an epoch still has to
-            # drive plan-cache invalidation: adopt it into ours.
-            self.indexes.stats_epoch = self.stats_epoch
+        self.indexes = VersionedIndexSet(stats_epoch=self.stats_epoch)
+        #: Newest published commit sequence, which index lookups read at.
+        #: It starts at the largest persisted commit timestamp so entries
+        #: bootstrapped from a store the MVCC engine wrote are visible.
+        self.latest_seq = self.indexes.bootstrap(store)
         self.query_caches = QueryCaches(query_cache_size)
         self.query_batch_size = max(1, int(query_batch_size))
-        # Concurrency control as a policy object, mirroring the MVCC engine:
-        # under two-phase locking every conflict the level prevents is
-        # prevented by the lock manager itself, so the policy is a no-op —
-        # it exists so the engine abstraction and the statistics surface
-        # (policy name, abort reasons) have one shape across levels.
-        # (Imported lazily: cc_policy sits in repro.core, which imports the
-        # lock manager from this package at module-initialisation time.)
-        from repro.core.cc_policy import TwoPhaseLockingPolicy
-
-        self.cc = TwoPhaseLockingPolicy(self.locks)
         self.obs = obs if obs is not None else Observability()
         self.stats = EngineStats(self.obs.registry)
         self._txn_ids = itertools.count(1)
         self._commit_lock = threading.Lock()
-        self._io_abort_lock = threading.Lock()
+        self._counter_lock = threading.Lock()
         self._io_abort_counts = {"io-error": 0, "degraded-mode": 0}
 
     # -- transaction lifecycle ---------------------------------------------
@@ -104,19 +94,19 @@ class ReadCommittedEngine(GraphEngine):
         return txn
 
     def commit_transaction(self, txn: ReadCommittedTransaction) -> None:
-        """Apply a transaction's writes to the store and indexes."""
-        trace = getattr(txn, "trace", None)
+        """Apply a transaction's writes to the store in place, then publish
+        them to the indexes."""
+        trace = txn.trace
         if trace is not None:
             trace.mark("read")
-        writes = txn.pending_writes()
+        writes = txn.effective_writes()
         if writes:
             with self._commit_lock:
                 if trace is not None:
                     trace.mark("stripe_wait")  # the 2PL engine's one "stripe"
-                old_states = self._capture_old_states(writes)
-                operations = txn.build_store_operations()
-                self.store.apply_batch(txn.txn_id, operations)
-                self._update_indexes(writes, old_states)
+                old_states = {key: self.read_committed(key) for key in writes}
+                self.store.apply_batch(txn.txn_id, build_store_operations(writes))
+                self._publish(writes, old_states)
             if trace is not None:
                 trace.mark("wal")
         self.locks.release_all(txn.txn_id)
@@ -126,88 +116,48 @@ class ReadCommittedEngine(GraphEngine):
             trace.finish("committed")
             self.obs.tracer.record(trace)
 
+    def _publish(
+        self,
+        writes: Dict[EntityKey, Optional[object]],
+        old_states: Dict[EntityKey, Optional[object]],
+    ) -> None:
+        """Tag the indexes at the next sequence, publish it, and reclaim
+        everything the commit closed (commit lock held)."""
+        indexes = self.indexes
+        seq = self.latest_seq + 1
+        for key, state in writes.items():
+            indexes.apply_change(key, old_states[key], state, seq)
+        self.latest_seq = seq
+        indexes.purge(seq)
+        for key, state in writes.items():
+            old_state = old_states[key]
+            if state is None and old_state is not None:
+                if key.kind is EntityKind.NODE:
+                    indexes.purge_node(old_state)
+                else:
+                    indexes.purge_relationship(old_state)
+
     def abort_transaction(self, txn: ReadCommittedTransaction) -> None:
         """Discard a transaction's writes and release its locks."""
         self.locks.release_all(txn.txn_id)
-        self.stats.record_abort()
-        reason = getattr(txn, "abort_reason", None) or "rollback"
-        if reason in self._io_abort_counts:
-            with self._io_abort_lock:
-                self._io_abort_counts[reason] += 1
-        self.obs.txn_abort_reasons.labels(reason=reason).inc()
-        trace = getattr(txn, "trace", None)
-        if trace is not None:
-            txn.trace = None
-            trace.finish("aborted", reason)
-            self.obs.tracer.record(trace)
+        self._record_abort(txn)
 
-    # -- cardinality fast paths (query planner estimates) ---------------------
+    def read_committed(self, key: EntityKey) -> Optional[object]:
+        """The stored state of ``key`` (reserved properties stripped)."""
+        persisted = self.store.read_persisted(key)
+        return None if persisted is None else persisted[0]
 
-    def cardinality_epoch(self) -> int:
-        """Current statistics epoch (the plan cache's invalidation key)."""
-        return self.stats_epoch.epoch
+    # -- statistics / lifecycle ------------------------------------------------
 
-    def count_nodes_with_label(self, label: str) -> int:
-        """Nodes currently carrying ``label`` in O(1) (no set copy)."""
-        return self.indexes.count_nodes_with_label(label)
-
-    def count_nodes_with_property(self, key: str, value) -> int:
-        """Nodes currently holding ``key`` = ``value`` in O(1)."""
-        return self.indexes.count_nodes_with_property(key, value)
-
-    def count_relationships_of_type(self, rel_type: str) -> int:
-        """Relationships currently of ``rel_type`` in O(1)."""
-        return self.indexes.count_relationships_of_type(rel_type)
-
-    def count_relationships_with_property(self, key: str, value) -> int:
-        """Relationships currently holding ``key`` = ``value`` in O(1)."""
-        return self.indexes.relationship_properties.count(key, value)
-
-    def cardinalities(self) -> Dict[str, Dict[str, int]]:
-        """Per-label and per-type cardinalities (stats surface)."""
-        return self.indexes.cardinalities()
-
-    def abort_reasons(self) -> Dict[str, int]:
-        """Abort counts by cause; 2PL adds only deadlock and IO-path victims."""
-        with self._io_abort_lock:
-            io_counts = dict(self._io_abort_counts)
+    def statistics(self) -> Dict[str, object]:
+        """The engine section of the database statistics."""
         return {
-            "ww-conflict": 0,
-            "rw-antidependency": 0,
-            "safe-snapshot": 0,
-            "deadlock": self.locks.stats.deadlocks + self.locks.stats.timeouts,
-            "io-error": io_counts["io-error"],
-            "degraded-mode": io_counts["degraded-mode"],
+            "transactions": dict(
+                self.stats.as_dict(), abort_reasons=self.abort_reasons()
+            ),
+            "concurrency_control": {"policy": "2pl"},
+            "cardinalities": self.cardinalities(),
         }
-
-    # -- ids ------------------------------------------------------------------
-
-    def allocate_node_id(self) -> int:
-        return self.store.allocate_node_id()
-
-    def allocate_relationship_id(self) -> int:
-        return self.store.allocate_relationship_id()
-
-    # -- lifecycle ---------------------------------------------------------------
 
     def close(self) -> None:
         """Release engine resources (nothing engine-specific to do here)."""
-
-    # -- internal -----------------------------------------------------------------
-
-    def _capture_old_states(self, writes) -> Dict:
-        old_states: Dict = {}
-        for key in writes:
-            if key.kind is EntityKind.NODE:
-                old_states[key] = self.store.read_node(key.entity_id)
-            else:
-                old_states[key] = self.store.read_relationship(key.entity_id)
-        return old_states
-
-    def _update_indexes(self, writes, old_states) -> None:
-        for key, new_state in writes.items():
-            old_state = old_states.get(key)
-            if key.kind is EntityKind.NODE:
-                self.indexes.apply_node_change(old_state, new_state)
-            else:
-                self.indexes.apply_relationship_change(old_state, new_state)

@@ -130,10 +130,8 @@ class CardinalityEpoch:
     (with an absolute floor so small databases re-plan promptly), the epoch
     advances and every cached plan silently expires on its next lookup.
 
-    Both engines use one instance: the read-committed
-    :class:`~repro.index.index_manager.IndexManager` and the SI
-    :class:`~repro.core.versioned_index.VersionedIndexSet` record into
-    whichever of the two the database wired in.
+    Each engine owns one instance, which its
+    :class:`~repro.core.versioned_index.VersionedIndexSet` records into.
     """
 
     def __init__(self, *, min_changes: int = 128, drift_fraction: float = 0.125) -> None:

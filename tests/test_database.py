@@ -33,7 +33,7 @@ class TestConstruction:
 
     def test_conflict_policy_accepts_string(self):
         db = GraphDatabase.in_memory(conflict_policy="first_committer_wins")
-        assert db.engine.conflicts.policy is ConflictPolicy.FIRST_COMMITTER_WINS
+        assert db.engine.cc.conflict_policy is ConflictPolicy.FIRST_COMMITTER_WINS
         db.close()
 
     def test_context_manager_closes(self):

@@ -6,13 +6,14 @@ from repro.engine import TransactionState
 from repro.errors import ReadOnlyTransactionError
 from repro.graph.entity import Direction, NodeData, RelationshipData
 from repro.graph.store_manager import StoreManager
+from repro.locking.lock_manager import LockManager
 from repro.locking.rc_manager import ReadCommittedEngine
 
 
 @pytest.fixture
 def engine():
     store = StoreManager(None)
-    rc = ReadCommittedEngine(store, lock_timeout=0.3)
+    rc = ReadCommittedEngine(store, lock_manager=LockManager(default_timeout=0.3))
     yield rc
     store.close()
 

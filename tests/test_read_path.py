@@ -470,16 +470,17 @@ class TestQueryCaches:
         assert "actual=1" in rendered
         db.close()
 
-    def test_rc_supplied_index_manager_is_wired_into_the_epoch(self):
-        from repro.index.index_manager import IndexManager
+    def test_rc_commits_drive_the_epoch(self):
         from repro.locking.rc_manager import ReadCommittedEngine
 
         store = StoreManager(None, reuse_entity_ids=True)
-        engine = ReadCommittedEngine(store, index_manager=IndexManager())
+        engine = ReadCommittedEngine(store)
         assert engine.indexes.stats_epoch is engine.stats_epoch
         before = engine.cardinality_epoch()
-        for index in range(300):
-            engine.indexes.apply_node_change(None, NodeData(index, {"L"}))
+        for _ in range(300):
+            txn = engine.begin()
+            txn.put_node(NodeData(engine.allocate_node_id(), {"L"}), create=True)
+            txn.commit()
         assert engine.cardinality_epoch() > before
         store.close()
 

@@ -3,9 +3,10 @@
 import pytest
 
 from repro.core.conflict import ConflictPolicy
-from repro.core.si_manager import COMMIT_TS_PROPERTY, SnapshotIsolationEngine
+from repro.core.si_manager import SnapshotIsolationEngine
 from repro.errors import WriteWriteConflictError
 from repro.graph.entity import EntityKey, NodeData, RelationshipData
+from repro.graph.properties import COMMIT_TS_PROPERTY
 from repro.graph.store_manager import StoreManager
 
 

@@ -614,31 +614,6 @@ class TestAbortReasonBreakdown:
             db.close()
 
 
-class TestPolicyInjection:
-    def test_injected_policy_without_detector_keeps_statistics_surface(self):
-        """The documented ``cc_policy=`` injection point must not assume a
-        ``ConflictDetector``-hosting policy."""
-        from repro.core.cc_policy import TwoPhaseLockingPolicy
-        from repro.core.si_manager import SnapshotIsolationEngine
-        from repro.graph.store_manager import StoreManager
-        from repro.locking.lock_manager import LockManager
-
-        store = StoreManager(None)
-        locks = LockManager()
-        engine = SnapshotIsolationEngine(
-            store, lock_manager=locks, cc_policy=TwoPhaseLockingPolicy(locks)
-        )
-        try:
-            stats = engine.statistics()
-            assert stats["transactions"]["abort_reasons"]["ww-conflict"] == 0
-            assert stats["conflicts"] == {"write_time": 0, "commit_time": 0}
-            assert engine.abort_reasons()["rw-antidependency"] == 0
-            assert engine.conflicts is None  # no detector behind this policy
-        finally:
-            engine.close()
-            store.close()
-
-
 class TestReadRegistrationOrder:
     def test_batch_edges_are_noted_in_read_order(self, monkeypatch):
         """White-box: a batch registers its fresh keys in the order they were

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.snapshot import Snapshot
-from repro.core.tombstone import chain_fully_deleted, is_tombstone, make_tombstone
 from repro.core.version import Version, VersionChain
 from repro.core.visibility import (
     payload_visible_from_store,
@@ -27,11 +26,9 @@ class TestVersion:
         assert not version(1, "x").is_tombstone
 
     def test_make_tombstone(self):
-        tomb = make_tombstone(KEY, 9)
+        tomb = Version(KEY, None, 9)
         assert tomb.is_tombstone and tomb.commit_ts == 9
-        assert is_tombstone(tomb)
-        assert not is_tombstone(None)
-        assert not is_tombstone(version(1, "x"))
+        assert not Version(KEY, NodeData(1), 9).is_tombstone
 
 
 class TestVersionChain:
@@ -115,21 +112,6 @@ class TestVisibilityHelpers:
         assert payload_visible_from_store(3, 4)
         assert payload_visible_from_store(4, 4)
         assert not payload_visible_from_store(5, 4)
-
-
-class TestTombstoneRetention:
-    def test_chain_fully_deleted(self):
-        chain = VersionChain(KEY)
-        chain.add_committed(version(2, "data"))
-        chain.add_committed(make_tombstone(KEY, 5))
-        assert not chain_fully_deleted(chain, watermark=4)
-        assert chain_fully_deleted(chain, watermark=5)
-        assert chain_fully_deleted(chain, watermark=9)
-
-    def test_live_chain_never_fully_deleted(self):
-        chain = VersionChain(KEY)
-        chain.add_committed(version(2, "data"))
-        assert not chain_fully_deleted(chain, watermark=100)
 
 
 class TestSnapshot:
