@@ -3,11 +3,12 @@
 
 Loads the benchmark suite's social graph (``benchmarks/suite/dataset.py``,
 2 000 persons by default) into an in-memory database, pins the process to one
-CPU, and times four of the suite's templates as whole transactions — begin,
+CPU, and times five of the suite's templates as whole transactions — begin,
 the statement, commit — two ways: through ``tx.execute`` with the template's
 text, and through the transaction API calls that do the same reads and
 writes (``find_nodes`` / ``expand_many`` / ``set_node_property`` /
-``create_relationship``).  Writes run through ``db.run_transaction`` like the
+``create_relationship``; ``friends_of_friends`` is two ``expand_many``
+levels with a visited set and a name set).  Writes run through ``db.run_transaction`` like the
 suite's writers.  The two arms alternate round by round; each round runs
 ``--ops`` transactions per arm and records the mean per transaction, and the
 table shows the median over ``--rounds`` rounds, the ratio and the
@@ -33,7 +34,7 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "benchmarks", "sui
 import dataset  # noqa: E402
 from repro import Direction, GraphDatabase  # noqa: E402
 
-TEMPLATES = ("point_lookup", "friends", "bump_score", "befriend")
+TEMPLATES = ("point_lookup", "friends", "friends_of_friends", "bump_score", "befriend")
 
 
 def _person(tx, name):
@@ -52,6 +53,25 @@ def raw_friends(tx, name, _other):
     )
 
 
+def raw_friends_of_friends(tx, name, _other):
+    root = _person(tx, name)
+    visited = {root.id}
+    names = {}
+    level = [root]
+    for _depth in range(2):
+        reached = []
+        for pairs in tx.expand_many(level, Direction.BOTH, ["KNOWS"]):
+            for _rel, friend in reversed(pairs):
+                if friend.id in visited:
+                    continue
+                visited.add(friend.id)
+                reached.append(friend)
+                if friend.has_label("Person"):
+                    names[friend["name"]] = None
+        level = reached
+    return [[friend] for friend in names]
+
+
 def raw_bump_score(tx, name, _other):
     person = _person(tx, name)
     tx.set_node_property(person, "score", person["score"] + 1)
@@ -64,6 +84,7 @@ def raw_befriend(tx, left, right):
 RAW = {
     "point_lookup": raw_point_lookup,
     "friends": raw_friends,
+    "friends_of_friends": raw_friends_of_friends,
     "bump_score": raw_bump_score,
     "befriend": raw_befriend,
 }
@@ -109,13 +130,17 @@ def main(argv=None) -> int:
     gc.freeze()
     rng = random.Random(args.seed)
     names = [person[0] for person in graph.persons]
-    # Both arms must return the same rows before either is timed.
-    for template in ("point_lookup", "friends"):
+    # Both arms must return the same rows before either is timed (the
+    # breadth-first raw walk finds friends of friends in another order).
+    for template in ("point_lookup", "friends", "friends_of_friends"):
         text = dataset.TEMPLATES[template][0]
         with db.transaction(read_only=True) as tx:
-            assert statement(text, ["name"])(tx, names[7], None) == \
-                RAW[template](tx, names[7], None), template
-    print(f"{'template':14s} {'tx.execute us':>14s} {'raw API us':>11s} "
+            rows = statement(text, ["name"])(tx, names[7], None)
+            raw = RAW[template](tx, names[7], None)
+            if template == "friends_of_friends":
+                rows, raw = sorted(rows), sorted(raw)
+            assert rows == raw, template
+    print(f"{'template':18s} {'tx.execute us':>14s} {'raw API us':>11s} "
           f"{'ratio':>6s} {'overhead us':>12s}")
     for template in TEMPLATES:
         text = dataset.TEMPLATES[template][0]
@@ -129,7 +154,7 @@ def main(argv=None) -> int:
                 means[arm].append(one_round(db, template, arms[arm], keys))
         cypher = statistics.median(means["statement"])
         raw = statistics.median(means["raw"])
-        print(f"{template:14s} {cypher:14.1f} {raw:11.1f} {cypher / raw:6.2f} "
+        print(f"{template:18s} {cypher:14.1f} {raw:11.1f} {cypher / raw:6.2f} "
               f"{cypher - raw:12.1f}", flush=True)
     db.close()
     return 0

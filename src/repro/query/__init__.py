@@ -90,11 +90,11 @@ def execute(tx, engine, text: str,
         return QueryResult(plan.columns, iter(()), ctx.stats, plan=plan)
     # ``run_plan`` is looked up per call so tests can route an execution
     # through the row-at-a-time reference executor.
-    rows = _observed_rows(
+    batches = _observed_rows(
         _executor.run_plan(plan, ctx), plan, ctx, obs, text, started
     )
     result = QueryResult(
-        plan.columns, rows, ctx.stats, plan=plan if query.profile else None
+        plan.columns, batches, ctx.stats, plan=plan if query.profile else None
     )
     if plan.has_writes or query.profile:
         # Writes are eager (Cypher semantics: every write clause has been
@@ -122,26 +122,34 @@ def _prepare(engine, text: str, parameters: Mapping[str, object], key) -> Plan:
     return plan
 
 
-def _observed_rows(rows, plan: Plan, ctx: ExecutionContext, obs, text: str,
+def _observed_rows(batches, plan: Plan, ctx: ExecutionContext, obs, text: str,
                    started: float):
-    """Wrap a row stream so the statement reports once, when it finishes.
+    """Wrap a stream of row batches so the statement reports once, when it
+    finishes.
 
     Finished means exhausted, failed, or closed: a lazy read whose consumer
     stops pulling and drops (or closes) the result is a ``read`` like any
-    other, timed to its last pulled row.  Each query instrument is updated
-    once, from totals kept here and in ``ctx``; the slow-query plan text is
-    only rendered for executions that crossed the threshold.
+    other, timed to the arrival of the batch its last handed row came in.
+    Its rows count as far as the caller was handed them:
+    :class:`~repro.query.result.QueryResult` takes each row out of the batch
+    list it received as it hands it over, so what is left in the last batch
+    was never handed.  Each query
+    instrument is updated once, from totals kept here and in ``ctx``; the
+    slow-query plan text is only rendered for executions that crossed the
+    threshold.
     """
     produced = 0
     failed = False
     finished = started
+    batch = ()
     try:
-        for row in rows:
-            produced += 1
+        for batch in batches:
+            produced += len(batch)
             finished = perf_counter()
-            yield row
+            yield batch
         finished = perf_counter()
     except GeneratorExit:
+        produced -= len(batch)
         raise
     except BaseException:
         failed = True

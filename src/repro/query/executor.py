@@ -22,9 +22,11 @@ later ``MATCH`` of it sees — depends neither on the batch size nor on a
 ``LIMIT`` above.  Variable-length expansion grows a whole frontier level per
 round trip while that fits :data:`FRONTIER_PATH_BUDGET`; unbounded patterns
 and roots that outgrow it run the same emission loop lazily, one path's end
-node at a time.  ``tests/reference_executor.py`` holds an independent
-row-at-a-time implementation; ``tests/test_batch_equivalence.py`` pins this
-module against it.  The executor reads only through the public
+node at a time.  A hop of at most two levels whose paths only feed a
+``DISTINCT`` walks node-id sets instead, one row per distinct end node
+(:func:`_distinct_endpoints`).  ``tests/reference_executor.py`` holds an
+independent row-at-a-time implementation; ``tests/test_batch_equivalence.py``
+pins this module against it.  The executor reads only through the public
 :class:`~repro.api.transaction.Transaction`; it never touches engine state.
 """
 
@@ -188,23 +190,24 @@ def prepare(plan: Plan, *, batch_size: int, profile: bool) -> None:
     root = _Build(max(1, batch_size), profile)(plan.root)
     columns = plan.root.columns
 
-    def pipeline(ctx: ExecutionContext) -> Iterator[Sequence[object]]:
+    def pipeline(ctx: ExecutionContext) -> Iterator[List[Sequence[object]]]:
         sizes = ctx.batch_sizes
         for batch in root(ctx):
             sizes.append(batch.size)
             if columns:
                 data = batch.data
                 size = batch.size
-                yield from zip(*[
+                yield list(zip(*[
                     data[name] if name in data else [None] * size
                     for name in columns
-                ])
+                ]))
 
     plan.pipeline = pipeline
 
 
-def run_plan(plan: Plan, ctx: ExecutionContext) -> Iterator[Sequence[object]]:
-    """Run a prepared plan: its result rows as value sequences, lazily."""
+def run_plan(plan: Plan, ctx: ExecutionContext) -> Iterator[List[Sequence[object]]]:
+    """Run a prepared plan: its result rows as value sequences, lazily, one
+    non-empty list of rows per batch."""
     return plan.pipeline(ctx)
 
 
@@ -348,6 +351,13 @@ def _column_fn(expression: ast.Expression) -> ColumnFn:
             column = batch.data.get(name)
             if column is None:
                 return per_row(batch, ctx)
+            try:
+                # Only node and relationship handles have ``data``: a column
+                # holding anything else (a null included) takes the checked
+                # loop below.
+                return [entity.data.properties.get(key) for entity in column]
+            except AttributeError:
+                pass
             values: List[object] = []
             append = values.append
             for entity in column:
@@ -515,6 +525,8 @@ def _expand(op: Expand, build: _Build) -> Stage:
     """A hop (or ``*m..n`` / ``*m..`` hop): every match of each input row.
     Under ``PROFILE`` a variable-length hop also records per depth ``[round
     trips, paths expanded]`` and how many roots it walked lazily."""
+    if op.distinct_endpoints:
+        return _distinct_endpoint_expand(op, build)
     child = build(op.child)
     matches = _var_length_matches if op.rel.var_length else _hop_matches
     to_matcher = pattern_matcher(op.to_pattern)
@@ -595,16 +607,18 @@ def _hop_matches(
 
 
 def _expand_output(in_batch: RowBatch, op: Expand, indexes: List[int],
-                   rels: List[object], nodes: List[Node]) -> RowBatch:
-    """Input rows replicated per expansion, with the hop's bindings appended."""
+                   rels: Optional[List[object]], nodes: List[Node]) -> RowBatch:
+    """Input rows replicated per expansion, with the hop's bindings appended
+    (``rels`` is ``None`` when the relationship variable is not bound)."""
     data = {
         name: [column[i] for i in indexes]
         for name, column in in_batch.data.items()
     }
     columns = in_batch.columns
-    if op.rel_var not in data:
-        columns = columns + (op.rel_var,)
-    data[op.rel_var] = rels
+    if rels is not None:
+        if op.rel_var not in data:
+            columns = columns + (op.rel_var,)
+        data[op.rel_var] = rels
     if not op.into and op.bind_target:
         if op.to_var not in data:
             columns = columns + (op.to_var,)
@@ -838,6 +852,161 @@ def _grow_frontier(
     return True
 
 
+def _distinct_endpoint_expand(op: Expand, build: _Build) -> Stage:
+    """``DistinctEndpointVarLengthExpand``: a hop of at most two levels whose
+    paths nobody sees (see the planner's ``_mark_distinct_endpoint_expands``)
+    — one row per distinct end node of each input row, in the order the
+    path walk would first reach it, with the relationship variable left
+    unbound.  Under ``PROFILE`` it records per depth ``[round trips, nodes
+    expanded]`` and the distinct end nodes reached."""
+    child = build(op.child)
+    to_matcher = pattern_matcher(op.to_pattern)
+    batch_size = build.batch_size
+    profiled = op if build.profile else None
+
+    def distinct_endpoint_expand(ctx: ExecutionContext) -> Iterator[RowBatch]:
+        if profiled is not None:
+            profiled.actual_levels = []
+            profiled.actual_endpoints = 0
+        for in_batch in child(ctx):
+            out_indexes: List[int] = []
+            out_nodes: List[Node] = []
+            for index, ends in _distinct_endpoints(
+                op, ctx, in_batch, to_matcher, profiled
+            ):
+                out_indexes += [index] * len(ends)
+                out_nodes += ends
+                while len(out_indexes) >= batch_size:
+                    yield _expand_output(
+                        in_batch, op, out_indexes[:batch_size], None,
+                        out_nodes[:batch_size],
+                    )
+                    del out_indexes[:batch_size], out_nodes[:batch_size]
+            if out_indexes:
+                yield _expand_output(in_batch, op, out_indexes, None, out_nodes)
+
+    return distinct_endpoint_expand
+
+
+def _distinct_endpoints(
+    op: Expand, ctx: ExecutionContext, in_batch: RowBatch, to_matcher,
+    profiled: Optional[Expand],
+) -> Iterator[Tuple[int, List[Node]]]:
+    """``(row index, end nodes)`` per input row: the distinct end nodes of
+    its ``*0..2`` / ``*1..2`` (or shorter) hop that match the far-end pattern.
+
+    The reads are level-synchronous over node-id sets: per depth, one
+    ``relationships_of_many`` for the batch's frontier nodes whose adjacency
+    has not been read yet and one point read of the far ends not read yet,
+    so a node reached by many paths is read once.  These are the
+    neighbourhoods the path walk reads (under SERIALIZABLE, the same SIREAD
+    keys and predicates), and a relationship whose far end is not visible
+    is skipped, as there.
+
+    Each row then walks its own ≤ 2 levels in the path walk's order —
+    pre-order, siblings in reverse adjacency order — keeping only the first
+    visit of each end node and expanding each depth-1 node once.  Every node
+    other than the start node is an end node of the pattern's trails exactly
+    when a walk reaches it; the start node is one only at depth 0, through a
+    self-loop at depth 1, or at depth 2 through a relationship other than
+    the one that left it — so depth 2 skips that one relationship, as the
+    path walk's isomorphism check does.  A depth-1 node reached again, through
+    a parallel relationship, adds nothing: its first expansion skipped only
+    the relationship it came by, and the one end node that skip can cost —
+    the start node — the parallel relationship reaches instead.
+    """
+    rel = op.rel
+    min_hops = rel.min_hops
+    max_hops = rel.max_hops
+    rel_types = rel.types or None
+    direction = op.direction
+    tx = ctx.tx
+    levels = profiled.actual_levels if profiled is not None else None
+    row = _RowView(in_batch.data)
+    indexes, sources = _expand_sources(op, in_batch)
+    # Every node id read so far for this batch -> its handle, or None when
+    # it is not visible; the roots as this transaction sees them now.
+    nodes: Dict[int, Optional[Node]] = dict.fromkeys(source.id for source in sources)
+    nodes.update((node.id, node) for node in tx.nodes_by_ids(list(nodes)))
+    roots: List[Tuple[int, int, frozenset]] = []
+    for index, source in zip(indexes, sources):
+        if nodes[source.id] is None:
+            raise NodeNotFoundError(source.id)
+        row.index = index
+        excluded = (
+            _excluded_rel_ids(op.exclude_rel_vars, row)
+            if op.exclude_rel_vars
+            else _EMPTY_FROZENSET
+        )
+        roots.append((index, source.id, excluded))
+    # Node id -> its (relationship id, far-end id) pairs, reverse adjacency order.
+    adjacency: Dict[int, List[Tuple[int, int]]] = {}
+
+    def read_level(depth: int, frontier) -> None:
+        unexpanded = [node_id for node_id in frontier if node_id not in adjacency]
+        if not unexpanded:
+            return
+        if levels is not None:
+            if depth == len(levels):
+                levels.append([0, 0])
+            levels[depth][0] += 1
+            levels[depth][1] += len(unexpanded)
+        far_ends: Dict[int, None] = {}
+        for node_id, relationships in zip(
+            unexpanded, tx.relationships_of_many(unexpanded, direction, rel_types)
+        ):
+            pairs = []
+            for relationship in reversed(relationships):
+                data = relationship.data
+                other = data.end_node if data.start_node == node_id else data.start_node
+                pairs.append((data.rel_id, other))
+                far_ends[other] = None
+            adjacency[node_id] = pairs
+        unread = [node_id for node_id in far_ends if node_id not in nodes]
+        if unread:
+            nodes.update(dict.fromkeys(unread))
+            nodes.update((node.id, node) for node in tx.nodes_by_ids(unread))
+
+    if max_hops:
+        read_level(0, dict.fromkeys(root_id for _index, root_id, _excluded in roots))
+    if max_hops == 2:
+        read_level(1, {
+            node_id: None
+            for _index, root_id, excluded in roots
+            for rel_id, node_id in adjacency[root_id]
+            if nodes[node_id] is not None and rel_id not in excluded
+        })
+    for index, root_id, excluded in roots:
+        row.index = index
+        found: Dict[int, None] = {}
+        if min_hops == 0:
+            found[root_id] = None
+        expanded = set()
+        for rel_id, first in adjacency.get(root_id, ()):
+            if rel_id in excluded or nodes[first] is None:
+                continue
+            if first not in found:
+                found[first] = None
+            if max_hops == 2 and first not in expanded:
+                expanded.add(first)
+                for second_rel_id, second in adjacency[first]:
+                    if (
+                        second in found
+                        or second_rel_id == rel_id
+                        or second_rel_id in excluded
+                        or nodes[second] is None
+                    ):
+                        continue
+                    found[second] = None
+        if profiled is not None:
+            profiled.actual_endpoints += len(found)
+        ends = [nodes[node_id] for node_id in found]
+        if to_matcher is not None:
+            ends = [end for end in ends if to_matcher(end, row, ctx)]
+        if ends:
+            yield index, ends
+
+
 # -- filters and projections -------------------------------------------------
 
 
@@ -888,12 +1057,12 @@ def _distinct(op: Distinct, build: _Build) -> Stage:
     def distinct(ctx: ExecutionContext) -> Iterator[RowBatch]:
         seen = set()
         for batch in child(ctx):
-            cols = [batch.data.get(name) for name in op.columns]
+            size = batch.size
+            keys = _group_keys(
+                [batch.data.get(name) or [None] * size for name in op.columns], size
+            )
             keep: List[int] = []
-            for index in range(batch.size):
-                key = tuple(
-                    freeze(col[index]) if col is not None else None for col in cols
-                )
+            for index, key in enumerate(keys):
                 if key not in seen:
                     seen.add(key)
                     keep.append(index)

@@ -234,6 +234,14 @@ class Expand(PlanOperator):
         #: time: every root of an unbounded hop, and each root of a bounded
         #: one that outgrew the frontier's path budget.
         self.actual_lazy_roots = 0
+        #: Set by the planner when only the hop's distinct end nodes can
+        #: reach the result (see ``_mark_distinct_endpoint_expands``): the
+        #: executor then walks node-id sets, not paths, and ``PROFILE``
+        #: counts the distinct end nodes it reached in ``actual_endpoints``
+        #: (``actual_levels`` then holds per depth ``[round trips, nodes
+        #: expanded]``).
+        self.distinct_endpoints = False
+        self.actual_endpoints = 0
         if rel.var_length:
             self.name = "VarLengthExpandInto" if into else "VarLengthExpand"
         else:
@@ -254,16 +262,17 @@ class Expand(PlanOperator):
         arrow_left = "<-" if self.rel.direction == "IN" else "-"
         arrow_right = "->" if self.rel.direction == "OUT" else "-"
         tags = "" if self.bind_target or self.into else " unbound-target"
-        if self.rel.var_length:
+        if self.rel.var_length and not self.distinct_endpoints:
             # How the executor runs the hop, decided by plan shape.
             tags += " lazy" if self.rel.max_hops is None else " frontier"
         if self.actual_levels:
-            trips = ",".join(str(trips) for trips, _paths in self.actual_levels)
-            paths = ",".join(str(paths) for _trips, paths in self.actual_levels)
-            tags += (
-                f" levels={len(self.actual_levels)} level-batches={trips}"
-                f" level-paths={paths}"
-            )
+            trips = ",".join(str(trips) for trips, _count in self.actual_levels)
+            counts = ",".join(str(count) for _trips, count in self.actual_levels)
+            tags += f" levels={len(self.actual_levels)} level-batches={trips}"
+            if self.distinct_endpoints:
+                tags += f" level-nodes={counts} endpoints={self.actual_endpoints}"
+            else:
+                tags += f" level-paths={counts}"
         if self.actual_lazy_roots:
             tags += f" lazy-roots={self.actual_lazy_roots}"
         return (
@@ -505,6 +514,7 @@ class _Planner:
                     columns = tuple(item.alias for item in clause.items)
         root = ProduceResults(op, columns, op.estimated_rows)
         self._prune_unbound_targets(root)
+        self._mark_distinct_endpoint_expands(root)
         return Plan(query, root)
 
     @staticmethod
@@ -534,6 +544,36 @@ class _Planner:
                 and not pattern.properties
             ):
                 op.bind_target = False
+
+    @staticmethod
+    def _mark_distinct_endpoint_expands(root: PlanOperator) -> None:
+        """Plan ``DistinctEndpointVarLengthExpand`` for hops whose paths
+        nobody sees.
+
+        Take a ``*0..2`` / ``*1..2`` (or shorter) hop with an anonymous
+        relationship and no relationship property map, whose only consumer —
+        past ``Filter`` and ``Projection``, which map each row on its own —
+        discards duplicates: ``Distinct``, or an ``Aggregate`` whose every
+        call is ``DISTINCT``.  Nothing can see its relationships (a later hop
+        of its MATCH, which would exclude them, would sit in between), so one
+        row per distinct end node gives the result of one row per path — in
+        the same order if each end node comes where a path first reaches it.
+        Up to two hops a walk that reuses a relationship can only end at the
+        start node, so the executor's set walk needs just one rule for that
+        node (see its ``_distinct_endpoints``).
+        """
+        for op in root.walk():
+            if isinstance(op, Aggregate):
+                if not all(item.expression.distinct for item in op.agg_items):
+                    continue
+            elif not isinstance(op, Distinct):
+                continue
+            below = op.child
+            while isinstance(below, (Filter, Projection)):
+                below = below.child
+            if isinstance(below, Expand) and _is_short_reachability_hop(below):
+                below.distinct_endpoints = True
+                below.name = "DistinctEndpointVarLengthExpand"
 
     # -- MATCH ------------------------------------------------------------------
 
@@ -818,6 +858,22 @@ class _Planner:
         for name in _free_variables(expression):
             if name not in bound:
                 raise QuerySyntaxError(f"unbound variable {name!r}")
+
+
+def _is_short_reachability_hop(op: Expand) -> bool:
+    """Whether a hop is a ``*0..2`` / ``*1..2`` (or shorter) step that binds
+    nothing but its far end: anonymous relationship, no property map, far
+    end not bound yet."""
+    rel = op.rel
+    return (
+        rel.var_length
+        and rel.variable is None
+        and not rel.properties
+        and not op.into
+        and rel.min_hops <= 1
+        and rel.max_hops is not None
+        and rel.max_hops <= 2
+    )
 
 
 def _rewrite_order_for_aggregate(

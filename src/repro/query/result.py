@@ -42,7 +42,7 @@ class Record:
 
     def __init__(self, columns: Sequence[str], values: Sequence[object]) -> None:
         self._columns = columns
-        self._values = list(values)
+        self._values = values
 
     def __getitem__(self, key) -> object:
         if isinstance(key, int):
@@ -95,12 +95,18 @@ class QueryResult:
     Iterable (lazily, unless the query wrote or the caller consumed it), with
     the result ``columns``, mutation ``stats`` and — for ``EXPLAIN`` — the
     ``plan`` tree with estimated vs. actual rows per operator.
+
+    The rows arrive a batch at a time, as non-empty lists of value
+    sequences.  A row is handed to the caller when it becomes a
+    :class:`Record`; until then it stays in the batch list it came in, which
+    is how the statement's observer (``repro.query._observed_rows``) counts
+    only the rows a dropped result had handed over.
     """
 
     def __init__(
         self,
         columns: Sequence[str],
-        rows: Iterator[List[object]],
+        batches: Iterator[List[Sequence[object]]],
         stats: QueryStatistics,
         plan=None,
     ) -> None:
@@ -108,31 +114,46 @@ class QueryResult:
         self.stats = stats
         #: The :class:`repro.query.planner.Plan` when EXPLAIN was requested.
         self.plan = plan
-        self._rows = rows
-        #: Records pulled so far (shared by every iterator over this result,
-        #: so a partial iteration followed by ``records()`` loses nothing).
+        self._batches = batches
+        #: Records handed over so far (shared by every iterator over this
+        #: result, so a partial iteration followed by ``records()`` loses
+        #: nothing).
         self._collected: List[Record] = []
+        #: The rows of the last batch not handed over yet, last row first.
+        self._pending: List[Sequence[object]] = []
         self._exhausted = False
 
     def __iter__(self) -> Iterator[Record]:
         index = 0
+        collected = self._collected
         while True:
-            while index < len(self._collected):
-                yield self._collected[index]
+            while index < len(collected):
+                yield collected[index]
                 index += 1
+            if self._pending:
+                collected.append(Record(self.columns, self._pending.pop()))
+                continue
             if self._exhausted:
                 return
-            try:
-                values = next(self._rows)
-            except StopIteration:
+            batch = next(self._batches, None)
+            if batch is None:
                 self._exhausted = True
                 return
-            self._collected.append(Record(self.columns, values))
+            batch.reverse()
+            self._pending = batch
 
     def consume(self) -> "QueryResult":
         """Drain the remaining rows into memory; returns ``self``."""
-        for _record in self:
-            pass
+        columns = self.columns
+        collected = self._collected
+        pending = self._pending
+        if pending:
+            collected.extend([Record(columns, values) for values in reversed(pending)])
+            pending.clear()
+        if not self._exhausted:
+            for batch in self._batches:
+                collected.extend([Record(columns, values) for values in batch])
+            self._exhausted = True
         return self
 
     def records(self) -> List[Record]:

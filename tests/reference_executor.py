@@ -53,12 +53,13 @@ def reference_executor():
         executor.run_plan = real
 
 
-def run_plan_rows(plan, ctx: ExecutionContext) -> Iterator[List[object]]:
-    """Run a plan row-at-a-time, yielding result rows as value lists (lazy)."""
+def run_plan_rows(plan, ctx: ExecutionContext) -> Iterator[List[List[object]]]:
+    """Run a plan row-at-a-time, yielding each result row as a value list in
+    a one-row list, ``run_plan``'s batch form (lazy)."""
     columns = plan.root.columns
     for row in _run(plan.root, ctx):
         if columns:
-            yield [row.get(column) for column in columns]
+            yield [[row.get(column) for column in columns]]
 
 
 def _run(op, ctx: ExecutionContext) -> Iterator[Row]:
