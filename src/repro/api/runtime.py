@@ -24,7 +24,7 @@ from repro.graph.store_manager import StoreManager
 from repro.health import EngineHealth
 from repro.locking.lock_manager import LockManager
 from repro.locking.rc_manager import ReadCommittedEngine
-from repro.obs import MetricsRegistry, Observability
+from repro.obs import Observability
 from repro.query.cache import DEFAULT_QUERY_BATCH_SIZE, DEFAULT_QUERY_CACHE_SIZE
 
 __all__ = ["EngineRuntime", "coerce_isolation", "coerce_policy"]
@@ -73,9 +73,7 @@ class EngineRuntime:
         isolation: Union[IsolationLevel, str] = IsolationLevel.SNAPSHOT,
         conflict_policy: Union[ConflictPolicy, str] = ConflictPolicy.FIRST_UPDATER_WINS,
         page_cache_pages: int = 4096,
-        wal_enabled: bool = True,
         wal_sync: bool = False,
-        lock_timeout: float = 10.0,
         version_cache_capacity: int = 200_000,
         gc_every_n_commits: int = 0,
         commit_stripes: int = DEFAULT_COMMIT_STRIPES,
@@ -85,20 +83,16 @@ class EngineRuntime:
         safe_snapshots: bool = True,
         tracing: bool = False,
         trace_sample_rate: float = 1.0,
-        trace_ring_size: int = 256,
         slow_query_seconds: Optional[float] = None,
         slow_query_capacity: int = 128,
         redact_parameters: bool = False,
-        metrics_registry: Optional[MetricsRegistry] = None,
         failpoints: Union[FailpointRegistry, Mapping[str, str], str, None] = None,
     ) -> None:
         self.isolation = coerce_isolation(isolation)
         self.failpoints = FailpointRegistry.from_config(failpoints)
         self.observability = Observability(
-            registry=metrics_registry,
             tracing=tracing,
             trace_sample_rate=trace_sample_rate,
-            trace_ring_size=trace_ring_size,
             slow_query_seconds=slow_query_seconds,
             slow_query_capacity=slow_query_capacity,
             redact_parameters=redact_parameters,
@@ -106,7 +100,6 @@ class EngineRuntime:
         self.store = StoreManager(
             path,
             page_cache_pages=page_cache_pages,
-            wal_enabled=wal_enabled,
             wal_sync=wal_sync,
             # Never recycle entity ids under MVCC: old versions of a deleted
             # entity may still be readable by open snapshots.
@@ -129,7 +122,7 @@ class EngineRuntime:
             lambda: 1 if health.is_degraded else 0
         )
         self.observability.health_source = health.as_dict
-        locks = LockManager(default_timeout=lock_timeout)
+        locks = LockManager()
         if self.isolation is not IsolationLevel.READ_COMMITTED:
             # SNAPSHOT and SERIALIZABLE share the MVCC engine; the isolation
             # level selects the concurrency-control policy (plain write rule

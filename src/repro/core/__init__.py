@@ -20,14 +20,16 @@ described in Sections 3 and 4 of *"Snapshot Isolation for Neo4j"*:
 * :mod:`repro.core.versioned_index` — multi-versioned label / property /
   type indexes and the adjacency map (the read-committed engine reads them
   too, at its newest commit),
-* :mod:`repro.core.versioned_iterator` — the enriched store iterator that
-  merges cached versions and the transaction's own writes,
 * :mod:`repro.core.gc` — the timestamp-sorted, doubly-linked garbage
   collection list and the collector that walks only reclaimable versions,
 * :mod:`repro.core.vacuum` — a PostgreSQL-style full-scan vacuum used as the
   garbage-collection baseline,
 * :mod:`repro.core.si_transaction` / :mod:`repro.core.si_manager` — the
-  transaction object and the engine tying everything together.
+  transaction object and the engine tying everything together.  The
+  paper's enriched store iterator is the shared read path of
+  :class:`repro.engine.EngineTransaction`: every read shape overlays the
+  transaction's own writes on one snapshot read of committed state, and a
+  scan enumerates the cached chains before the store's ids.
 """
 
 from repro.core.cc_policy import SerializableSnapshotPolicy, SnapshotWriteRulePolicy

@@ -509,40 +509,16 @@ class SnapshotIsolationEngine(GraphEngine):
     # read path
     # ------------------------------------------------------------------
 
-    def read_committed_version(self, key: EntityKey, start_ts: int) -> Optional[object]:
-        """The committed state of ``key`` visible at ``start_ts`` (read rule)."""
-        entry = self._payload_cache.get(key)
-        if entry is not None:
-            built_ts, payload = entry
-            if built_ts <= start_ts and \
-                    self._payload_stamp.get(key, 0) <= built_ts:
-                return payload
-        chain = self.versions.get_or_load(key, lambda: self.store.read_persisted(key))
-        if chain is None:
-            payload = None
-        else:
-            version = chain.visible_to(start_ts)
-            if version is None or version.is_tombstone:
-                payload = None
-            else:
-                payload = version.payload
-        self._publish_entry(
-            self._payload_cache, self._payload_stamp, PAYLOAD_CACHE_LIMIT,
-            key, (start_ts, payload),
-        )
-        return payload
-
     def read_committed_versions(
         self, keys: Sequence[EntityKey], start_ts: int
     ) -> List[Optional[object]]:
         """Batch read rule: the committed state of each key, in order.
 
-        One pass collects the resident chains lock-free, one pass resolves
-        them against the snapshot — the per-key function-call and
-        lambda-allocation overhead of :meth:`read_committed_version` is paid
-        only for keys whose chain is not cached.  Thread-safe with no shared
-        mutable state, so concurrent transactions may call it for the same
-        snapshot.
+        Keys with a valid shared payload entry are answered from it; one
+        pass collects the other keys' chains (lock-free when resident) and
+        one pass resolves them against the snapshot.  Thread-safe with no
+        shared mutable state, so concurrent transactions may call it for the
+        same snapshot.
         """
         cache = self._payload_cache
         stamp = self._payload_stamp
@@ -630,13 +606,27 @@ class SnapshotIsolationEngine(GraphEngine):
             node_id, (built_ts, read_keys, payloads),
         )
 
+    def committed_ids(self, kind: EntityKind) -> Iterator[int]:
+        """Cached chain keys first, then the store's ids: a deletion an old
+        snapshot predates is gone from the store but still in the chain."""
+        seen = set()
+        for key in self.versions.keys():
+            if key.kind is kind:
+                seen.add(key.entity_id)
+                yield key.entity_id
+        for entity_id in super().committed_ids(kind):
+            if entity_id not in seen:
+                yield entity_id
+
+    def _newest_version(self, key: EntityKey) -> Optional[Version]:
+        """The newest committed version of ``key`` (a tombstone if deleted)."""
+        chain = self.versions.get_or_load(key, lambda: self.store.read_persisted(key))
+        return None if chain is None else chain.newest()
+
     def newest_committed_ts(self, key: EntityKey) -> Optional[int]:
         """Commit timestamp of the newest committed version of ``key``."""
-        chain = self.versions.get_or_load(key, lambda: self.store.read_persisted(key))
-        if chain is None:
-            return None
-        newest = chain.newest()
-        return newest.commit_ts if newest is not None else None
+        newest = self._newest_version(key)
+        return None if newest is None else newest.commit_ts
 
     def check_write_conflict(self, txn: SnapshotTransaction, key: EntityKey) -> None:
         """Write-time conflict rule, delegated to the concurrency-control policy.
@@ -769,7 +759,7 @@ class SnapshotIsolationEngine(GraphEngine):
                         continue
                     if node_key in created:
                         continue
-                    if not self._alive_in_latest(node_key):
+                    if self._latest_committed_payload(node_key) is None:
                         raise WriteWriteConflictError(
                             f"transaction {txn.txn_id} creates relationship "
                             f"{payload.rel_id} against node {node_id}, which a "
@@ -788,27 +778,16 @@ class SnapshotIsolationEngine(GraphEngine):
             rel_key = EntityKey.relationship(rel_id)
             if rel_key in writes and writes[rel_key] is None:
                 continue
-            if self._alive_in_latest(rel_key):
+            if self._latest_committed_payload(rel_key) is not None:
                 raise WriteWriteConflictError(
                     f"transaction {txn.txn_id} deletes node {node_key.entity_id} "
                     f"but relationship {rel_id} still attaches to it in the "
                     "latest committed state"
                 )
 
-    def _alive_in_latest(self, key: EntityKey) -> bool:
-        """Whether the newest committed version of ``key`` is live (not deleted)."""
-        chain = self.versions.get_or_load(key, lambda: self.store.read_persisted(key))
-        if chain is None:
-            return False
-        newest = chain.newest()
-        return newest is not None and not newest.is_tombstone
-
     def _latest_committed_payload(self, key: EntityKey) -> Optional[object]:
         """Newest committed live payload of ``key`` (``None`` if absent/deleted)."""
-        chain = self.versions.get_or_load(key, lambda: self.store.read_persisted(key))
-        if chain is None:
-            return None
-        newest = chain.newest()
+        newest = self._newest_version(key)
         if newest is None or newest.is_tombstone:
             return None
         return newest.payload

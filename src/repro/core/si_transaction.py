@@ -4,9 +4,10 @@ A :class:`SnapshotTransaction` reads from the snapshot taken at its start
 timestamp (the read rule), keeps its uncommitted writes in a private write
 set (read-your-own-writes without exposing uncommitted data to others), and
 checks the write rule on every first update of an entity (first-updater-wins,
-via the engine's write-rule policy).  The write set, its overlay on index
-results and adjacency lists, and commit/rollback are the shared
-:class:`~repro.engine.EngineTransaction` skeleton.
+via the engine's write-rule policy).  The write set, its overlay on point
+reads, scans, index results and adjacency lists, and commit/rollback are the
+shared :class:`~repro.engine.EngineTransaction` skeleton; this class supplies
+the snapshot read of committed state under it.
 
 Unlike the read-committed transaction it never takes read locks: the paper
 removes Neo4j's short read locks entirely because the version chains make
@@ -26,12 +27,11 @@ transaction and isolation level.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.snapshot import Snapshot
-from repro.core.versioned_iterator import SnapshotIterator
 from repro.engine import EngineTransaction
-from repro.graph.entity import EntityKey, NodeData, RelationshipData
+from repro.graph.entity import EntityKey, RelationshipData
 
 
 class SnapshotTransaction(EngineTransaction):
@@ -66,8 +66,6 @@ class SnapshotTransaction(EngineTransaction):
         #: dropped and the read path pays nothing again.
         self.safe_snapshot = safe_snapshot
         self._pending_reader = safe_snapshot
-        #: Number of reads served (used by experiments).
-        self.reads_performed = 0
         #: This transaction's lookups in the engine's shared adjacency
         #: entries (surfaced by :meth:`snapshot_cache_stats`).
         self.snapshot_cache_hits = 0
@@ -81,17 +79,6 @@ class SnapshotTransaction(EngineTransaction):
     # ------------------------------------------------------------------
     # reads (read rule + read-your-own-writes)
     # ------------------------------------------------------------------
-
-    def _resolve(self, key: EntityKey) -> Optional[object]:
-        """Read path shared by point reads, scans and index lookups.
-
-        Own writes win; everything else is the committed state the snapshot
-        selects.
-        """
-        self.reads_performed += 1
-        if key in self._writes:
-            return self._writes[key]
-        return self._resolve_committed(key)
 
     def _note_reads(
         self,
@@ -137,95 +124,12 @@ class SnapshotTransaction(EngineTransaction):
             handle.record.read_keys.update(keys)
             handle.record.predicates.update(predicates)
 
-    def _resolve_committed(self, key: EntityKey) -> Optional[object]:
-        """Committed-state resolution: register the read, then apply the
-        engine's read rule.
-
-        Shared by point reads (:meth:`_resolve`, after the own-writes check)
-        and scans.  Own-write reads never reach this method and correctly
-        register nothing.
-        """
-        self._note_reads((key,))
-        return self._engine.read_committed_version(key, self.snapshot.start_ts)
-
-    # -- batch reads (vectorized executor) -----------------------------------
-
-    def _resolve_many(self, keys: Sequence[EntityKey]) -> List[Optional[object]]:
-        """Batch form of :meth:`_resolve`: own writes overlaid, then one
-        batched committed-state resolution for everything else."""
-        self.reads_performed += len(keys)
-        writes = self._writes
-        if not writes:
-            return self._resolve_committed_many(keys)
-        resolved: List[Optional[object]] = [None] * len(keys)
-        committed_keys: List[EntityKey] = []
-        committed_indexes: List[int] = []
-        for index, key in enumerate(keys):
-            if key in writes:
-                resolved[index] = writes[key]
-            else:
-                committed_indexes.append(index)
-                committed_keys.append(key)
-        if committed_keys:
-            for index, value in zip(
-                committed_indexes, self._resolve_committed_many(committed_keys)
-            ):
-                resolved[index] = value
-        return resolved
-
-    def _resolve_committed_many(self, keys: Sequence[EntityKey]) -> List[Optional[object]]:
-        """Batch committed-state resolution: the whole batch pays one read
-        registration and one engine-level chain-resolution pass — the same
-        SIREADs as :meth:`_resolve_committed` per key, just amortised."""
+    def _read_committed(self, keys: Sequence[EntityKey]) -> List[Optional[object]]:
+        """The read rule over one batch: register the reads, then resolve
+        every key against the snapshot in one engine-level pass.  Own-write
+        reads never reach this method and correctly register nothing."""
         self._note_reads(keys)
         return self._engine.read_committed_versions(keys, self.snapshot.start_ts)
-
-    def read_nodes_many(self, node_ids: Sequence[int]) -> List[Optional[NodeData]]:
-        self.ensure_open()
-        resolved = self._resolve_many([EntityKey.node(i) for i in node_ids])
-        return [
-            value if isinstance(value, NodeData) else None for value in resolved
-        ]
-
-    def read_relationships_many(
-        self, rel_ids: Sequence[int]
-    ) -> List[Optional[RelationshipData]]:
-        self.ensure_open()
-        resolved = self._resolve_many(
-            [EntityKey.relationship(i) for i in rel_ids]
-        )
-        return [
-            value if isinstance(value, RelationshipData) else None
-            for value in resolved
-        ]
-
-    def read_node(self, node_id: int) -> Optional[NodeData]:
-        self.ensure_open()
-        resolved = self._resolve(EntityKey.node(node_id))
-        return resolved if isinstance(resolved, NodeData) else None
-
-    def read_relationship(self, rel_id: int) -> Optional[RelationshipData]:
-        self.ensure_open()
-        resolved = self._resolve(EntityKey.relationship(rel_id))
-        return resolved if isinstance(resolved, RelationshipData) else None
-
-    def iter_nodes(self) -> Iterator[NodeData]:
-        self.ensure_open()
-        self._note_reads(predicates=(("all_nodes",),))
-        return self._iterator().nodes()
-
-    def iter_relationships(self) -> Iterator[RelationshipData]:
-        self.ensure_open()
-        self._note_reads(predicates=(("all_rels",),))
-        return self._iterator().relationships()
-
-    def _iterator(self) -> SnapshotIterator:
-        return SnapshotIterator(
-            self._engine.store,
-            self._engine.versions,
-            resolver=self._resolve,
-            own_writes=self._writes,
-        )
 
     # -- traversal reads -------------------------------------------------------------
 
@@ -268,7 +172,6 @@ class SnapshotTransaction(EngineTransaction):
                 misses.append((index, node_id, candidates))
             else:
                 adjacency, candidates = shared
-                self.reads_performed += len(adjacency)
                 results[index] = adjacency
             read_keys.extend(candidates)
         self.snapshot_cache_misses += len(misses)
@@ -290,7 +193,6 @@ class SnapshotTransaction(EngineTransaction):
                     if isinstance(payload, RelationshipData)
                 )
                 cursor += count
-                self.reads_performed += count
                 results[index] = adjacency
                 engine.store_adjacency_entry(node_id, start_ts, adjacency, candidates)
         return results  # type: ignore[return-value]

@@ -17,19 +17,5 @@ class Snapshot:
     txn_id: int
     start_ts: int
 
-    def includes(self, commit_ts: int) -> bool:
-        """Whether a version committed at ``commit_ts`` is inside this snapshot."""
-        return commit_ts <= self.start_ts
-
-    def is_concurrent_with(self, commit_ts: int) -> bool:
-        """Whether a commit at ``commit_ts`` happened after this snapshot began.
-
-        Concurrent commits are exactly the ones the write rule has to guard
-        against: a write-write conflict exists when another transaction
-        committed an update to the same entity with a commit timestamp the
-        snapshot does not include.
-        """
-        return commit_ts > self.start_ts
-
     def __str__(self) -> str:  # pragma: no cover - debugging aid
         return f"snapshot(txn={self.txn_id}, start_ts={self.start_ts})"

@@ -2,35 +2,15 @@
 
 "The read rule states that a transaction should observe the most recent
 committed version of each data item at the time the transaction started"
-(Section 3).  These helpers centralise that rule so the transaction, the
-enriched iterator and the multi-versioned indexes all apply it identically.
+(Section 3).  :func:`resolve_payloads` is that rule over a batch of version
+chains; the engine's committed read applies it for every read shape.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from repro.core.version import Version, VersionChain, VersionPayload
-
-
-def version_visible(version: Version, start_ts: int) -> bool:
-    """Whether one committed version is inside the snapshot at ``start_ts``."""
-    return version.commit_ts <= start_ts
-
-
-def resolve_chain(chain: Optional[VersionChain], start_ts: int) -> Optional[Version]:
-    """The version of a chain visible at ``start_ts`` (tombstones included)."""
-    if chain is None:
-        return None
-    return chain.visible_to(start_ts)
-
-
-def resolve_payload(chain: Optional[VersionChain], start_ts: int) -> VersionPayload:
-    """The entity state visible at ``start_ts``: data, or ``None`` if absent/deleted."""
-    version = resolve_chain(chain, start_ts)
-    if version is None or version.is_tombstone:
-        return None
-    return version.payload
+from repro.core.version import VersionChain, VersionPayload
 
 
 def resolve_payloads(
@@ -38,11 +18,10 @@ def resolve_payloads(
 ) -> List[VersionPayload]:
     """Apply the read rule to many chains at once (order-preserving).
 
-    The batch equivalent of :func:`resolve_payload`, used by the vectorized
-    executor's read path: one Python-level loop resolves a whole batch of
-    chains against the same snapshot instead of paying a function call per
-    entity.  ``visible_to`` is lock-free, so the loop never blocks however
-    large the batch.
+    Every snapshot read of committed state comes through here: one
+    Python-level loop resolves a whole batch of chains against the same
+    snapshot instead of paying a function call per entity.  ``visible_to``
+    is lock-free, so the loop never blocks however large the batch.
     """
     resolved: List[VersionPayload] = []
     append = resolved.append
@@ -56,15 +35,3 @@ def resolve_payloads(
         else:
             append(version.payload)
     return resolved
-
-
-def payload_visible_from_store(stored_commit_ts: int, start_ts: int) -> bool:
-    """Visibility of an entity loaded straight from the persistent store.
-
-    The paper adds the commit timestamp as an extra property on persisted
-    nodes and relationships; when the cache holds no chain for an entity the
-    persisted commit timestamp alone decides visibility (if it is newer than
-    the snapshot there cannot be any older version either, otherwise a chain
-    would still be pinned in the cache).
-    """
-    return stored_commit_ts <= start_ts

@@ -13,8 +13,9 @@ multi-versioned indexes of :mod:`repro.core.versioned_index`.  They differ
 only in the control layer — short shared read locks and in-place apply
 against version chains, a snapshot read rule and commit validation.  The
 classes in this module hold everything else once: the write set and its
-overlay on index results, commit/rollback, the smaller-entry seek choice,
-index cardinalities, id allocation and abort accounting.  The public API
+overlay on point reads, batch reads, scans and index results, the committed
+ids scans enumerate, commit/rollback, the smaller-entry seek choice, index
+cardinalities, id allocation and abort accounting.  The public API
 (:mod:`repro.api`) is written against them, so the two engines are
 interchangeable and the experiment harness runs identical workloads under
 every isolation level.
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import abc
 import enum
+import itertools
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import ReadOnlyTransactionError, TransactionClosedError, classify_abort
@@ -72,8 +74,8 @@ class EngineTransaction(abc.ABC):
     property validation).  Engine transactions therefore only deal in whole
     :class:`~repro.graph.entity.NodeData` / ``RelationshipData`` states.
 
-    A subclass supplies the committed side of every read — point reads,
-    scans, ``_committed_adjacency_many`` and the commit point
+    A subclass supplies the committed side of every read — one batch read
+    ``_read_committed``, ``_committed_adjacency_many`` and the commit point
     ``_index_ts`` that index lookups read at — and the write-time
     concurrency control; this class overlays the private write set on all
     of it.
@@ -161,6 +163,11 @@ class EngineTransaction(abc.ABC):
         }
 
     # -- reads ----------------------------------------------------------------
+    #
+    # Every read shape — point, batch, whole-store scan — is the private
+    # write set overlaid on one committed batch read, ``_read_committed``:
+    # the paper's store iterator "enriched ... to guarantee
+    # read-your-own-writes", written once for both engines.
 
     def _note_reads(
         self,
@@ -171,20 +178,91 @@ class EngineTransaction(abc.ABC):
         a serializable transaction keeps any."""
 
     @abc.abstractmethod
+    def _read_committed(self, keys: Sequence[EntityKey]) -> List[Optional[object]]:
+        """The committed state of each key as this transaction reads it, in
+        order (``None`` if absent or deleted): the one read of committed
+        state, which own-write reads never reach."""
+
+    def _read(self, keys: Sequence[EntityKey]) -> List[Optional[object]]:
+        """The state of each key visible to this transaction: own writes
+        win, and the rest is one committed batch."""
+        writes = self._writes
+        if not writes:
+            return self._read_committed(keys)
+        states: List[Optional[object]] = [None] * len(keys)
+        committed_keys: List[EntityKey] = []
+        committed_indexes: List[int] = []
+        for index, key in enumerate(keys):
+            if key in writes:
+                states[index] = writes[key]
+            else:
+                committed_indexes.append(index)
+                committed_keys.append(key)
+        if committed_keys:
+            for index, state in zip(
+                committed_indexes, self._read_committed(committed_keys)
+            ):
+                states[index] = state
+        return states
+
     def read_node(self, node_id: int) -> Optional[NodeData]:
         """The node state visible to this transaction, or ``None``."""
+        return self.read_nodes_many((node_id,))[0]
 
-    @abc.abstractmethod
     def read_relationship(self, rel_id: int) -> Optional[RelationshipData]:
         """The relationship state visible to this transaction, or ``None``."""
+        return self.read_relationships_many((rel_id,))[0]
 
-    @abc.abstractmethod
+    def read_nodes_many(self, node_ids: Sequence[int]) -> List[Optional[NodeData]]:
+        """The visible state of each node id, in order (``None`` if absent)."""
+        self.ensure_open()
+        return self._read(  # type: ignore[return-value]
+            [EntityKey.node(node_id) for node_id in node_ids]
+        )
+
+    def read_relationships_many(
+        self, rel_ids: Sequence[int]
+    ) -> List[Optional[RelationshipData]]:
+        """The visible state of each relationship id, in order."""
+        self.ensure_open()
+        return self._read(  # type: ignore[return-value]
+            [EntityKey.relationship(rel_id) for rel_id in rel_ids]
+        )
+
     def iter_nodes(self) -> Iterator[NodeData]:
         """Every node visible to this transaction (including its own writes)."""
+        self.ensure_open()
+        self._note_reads(predicates=(("all_nodes",),))
+        return self._scan(EntityKind.NODE)
 
-    @abc.abstractmethod
     def iter_relationships(self) -> Iterator[RelationshipData]:
         """Every relationship visible to this transaction."""
+        self.ensure_open()
+        self._note_reads(predicates=(("all_rels",),))
+        return self._scan(EntityKind.RELATIONSHIP)
+
+    def _scan(self, kind: EntityKind) -> Iterator:
+        """Own writes of ``kind`` first, then every committed id they do not
+        shadow, read ``query_batch_size`` keys at a time."""
+        seen: Set[int] = set()
+        for key, state in list(self._writes.items()):
+            if key.kind is kind:
+                seen.add(key.entity_id)
+                if state is not None:
+                    yield state
+        engine = self._engine
+        unshadowed = (
+            EntityKey(kind, entity_id)
+            for entity_id in engine.committed_ids(kind)
+            if entity_id not in seen
+        )
+        while True:
+            chunk = list(itertools.islice(unshadowed, engine.query_batch_size))
+            if not chunk:
+                return
+            for state in self._read(chunk):
+                if state is not None:
+                    yield state
 
     # -- index-backed predicate reads -------------------------------------------
 
@@ -371,22 +449,6 @@ class EngineTransaction(abc.ABC):
             )
         ]
 
-    # -- batch reads (vectorized executor) -----------------------------------
-    #
-    # Engines that can resolve a whole batch more cheaply than N point reads
-    # override these; the defaults simply loop, so every engine supports the
-    # batch API with unchanged semantics (locking behaviour included).
-
-    def read_nodes_many(self, node_ids: Sequence[int]) -> List[Optional[NodeData]]:
-        """The visible state of each node id, in order (``None`` if absent)."""
-        return [self.read_node(node_id) for node_id in node_ids]
-
-    def read_relationships_many(
-        self, rel_ids: Sequence[int]
-    ) -> List[Optional[RelationshipData]]:
-        """The visible state of each relationship id, in order."""
-        return [self.read_relationship(rel_id) for rel_id in rel_ids]
-
     # -- writes ----------------------------------------------------------------
 
     @abc.abstractmethod
@@ -411,9 +473,9 @@ class GraphEngine(abc.ABC):
 
     A subclass sets ``store``, ``locks``, ``indexes`` (a
     :class:`~repro.core.versioned_index.VersionedIndexSet`),
-    ``stats_epoch``, ``stats``, ``obs``, ``_io_abort_counts`` and
-    ``_counter_lock``; the cardinality, id and abort-accounting methods
-    below work from those.
+    ``query_batch_size``, ``stats_epoch``, ``stats``, ``obs``,
+    ``_io_abort_counts`` and ``_counter_lock``; the committed-id,
+    cardinality, id and abort-accounting methods below work from those.
     """
 
     isolation_level: IsolationLevel
@@ -449,6 +511,21 @@ class GraphEngine(abc.ABC):
     def allocate_relationship_id(self) -> int:
         """Reserve a relationship id for an entity being created."""
         return self.store.allocate_relationship_id()
+
+    # -- committed ids (scans) and totals (planner estimates) -----------------
+
+    def committed_ids(self, kind: EntityKind) -> Iterator[int]:
+        """Every id of ``kind`` a committed read may resolve: the one place
+        scans learn which entities the store holds."""
+        if kind is EntityKind.NODE:
+            return self.store.iter_node_ids()
+        return self.store.iter_relationship_ids()
+
+    def committed_count(self, kind: EntityKind) -> int:
+        """Entities of ``kind`` in the store (the planner's totals)."""
+        if kind is EntityKind.NODE:
+            return self.store.node_count()
+        return self.store.relationship_count()
 
     # -- cardinality fast paths (query planner estimates) ---------------------
 

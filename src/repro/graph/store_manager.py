@@ -126,7 +126,6 @@ class StoreManager:
         *,
         page_cache_pages: int = DEFAULT_PAGE_CAPACITY,
         page_size: int = DEFAULT_PAGE_SIZE,
-        wal_enabled: bool = True,
         wal_sync: bool = False,
         reuse_entity_ids: bool = True,
         group_commit: bool = False,
@@ -135,11 +134,11 @@ class StoreManager:
     ) -> None:
         """Open (or create) a graph store.
 
-        ``path`` is a directory; ``None`` keeps everything in memory.  With
-        ``wal_enabled`` every applied batch is logged before it touches the
-        stores and the log is replayed on the next open.  ``wal_sync``
-        controls whether commits fsync the log (off by default because the
-        benchmarks measure concurrency-control costs, not disk latency).
+        ``path`` is a directory; ``None`` keeps everything in memory.  Every
+        applied batch is logged before it touches the stores and the log is
+        replayed on the next open.  ``wal_sync`` controls whether commits
+        fsync the log (off by default because the benchmarks measure
+        concurrency-control costs, not disk latency).
         ``reuse_entity_ids`` is disabled by the multi-version engine so that
         node/relationship ids are never recycled while old versions of a
         deleted entity may still be readable by an open snapshot.
@@ -196,9 +195,8 @@ class StoreManager:
         self._load_tokens()
 
         wal_path = None if path is None else os.path.join(path, "wal.log")
-        self._wal_enabled = wal_enabled
         self.wal = WriteAheadLog(
-            wal_path if wal_enabled else None,
+            wal_path,
             sync_on_commit=wal_sync,
             failpoints=failpoints,
         )
@@ -206,8 +204,7 @@ class StoreManager:
         self._checkpoint_generation = (
             int(marker.get("generation", 0)) if marker else 0
         )
-        if wal_enabled:
-            self._recover()
+        self._recover()
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -225,7 +222,7 @@ class StoreManager:
 
     def wal_stats(self) -> Dict[str, object]:
         """Write-ahead-log counters (the database's ``statistics()["wal"]``)."""
-        return dict(self.wal.stats(), enabled=self._wal_enabled)
+        return self.wal.stats()
 
     def checkpoint(self) -> None:
         """Flush all dirty pages, persist the checkpoint marker, reset the WAL.
@@ -266,7 +263,7 @@ class StoreManager:
                 self._label_tokens.flush()
                 self._type_tokens.flush()
                 self._key_tokens.flush()
-                if self._path is not None and self._wal_enabled:
+                if self._path is not None:
                     write_checkpoint_marker(
                         self._path,
                         self._checkpoint_generation + 1,
@@ -408,17 +405,16 @@ class StoreManager:
                 fault = self._failpoints.hit("store.group_flush")
                 if fault is not None:
                     fault.raise_fault()
-            if self._wal_enabled:
-                payloads = [
-                    (entry.txn_id, operations_to_payloads(entry.operations))
-                    for entry in batch
-                ]
-                if obs is not None:
-                    wal_started = perf_counter()
-                    self.wal.append_commits(payloads)
-                    obs.wal_append_seconds.observe(perf_counter() - wal_started)
-                else:
-                    self.wal.append_commits(payloads)
+            payloads = [
+                (entry.txn_id, operations_to_payloads(entry.operations))
+                for entry in batch
+            ]
+            if obs is not None:
+                wal_started = perf_counter()
+                self.wal.append_commits(payloads)
+                obs.wal_append_seconds.observe(perf_counter() - wal_started)
+            else:
+                self.wal.append_commits(payloads)
         except BaseException as exc:  # noqa: BLE001 - re-raised in the owners
             if isinstance(exc, (WalError, SimulatedCrashError)) or not isinstance(
                 exc, Exception
@@ -436,9 +432,8 @@ class StoreManager:
                     self._apply_operation(operation)
                 self.stats.batches_applied += 1
             except BaseException as exc:  # noqa: BLE001 - re-raised in the owner
-                if self._wal_enabled:
-                    self.health.mark_degraded("store-apply-failed", exc)
-                    self._note_degraded_obs()
+                self.health.mark_degraded("store-apply-failed", exc)
+                self._note_degraded_obs()
                 entry.error = exc
             entry.apply_seconds = perf_counter() - apply_started
             if obs is not None:
@@ -470,7 +465,7 @@ class StoreManager:
         :meth:`PropertyStore.replace_chain` for the rule and its fall-through).
         """
         with self._lock:
-            if _log and self._wal_enabled:
+            if _log:
                 self.wal.append_commit(0, operations_to_payloads([WriteNodeOp(node)]))
             self.nodes.mark_id_used(node.node_id)
             record = self.nodes.read(node.node_id)
@@ -525,7 +520,7 @@ class StoreManager:
                 raise ConstraintViolationError(
                     f"node {node_id} still has relationships in the store"
                 )
-            if _log and self._wal_enabled:
+            if _log:
                 self.wal.append_commit(0, operations_to_payloads([DeleteNodeOp(node_id)]))
             self.nodes.free_labels(record.label_ref)
             self.properties.free_chain(record.first_prop)
@@ -567,7 +562,7 @@ class StoreManager:
         and type of a relationship are immutable, as in Neo4j.
         """
         with self._lock:
-            if _log and self._wal_enabled:
+            if _log:
                 self.wal.append_commit(
                     0, operations_to_payloads([WriteRelationshipOp(relationship)])
                 )
@@ -633,7 +628,7 @@ class StoreManager:
                 if missing_ok:
                     return
                 raise RelationshipNotFoundError(rel_id)
-            if _log and self._wal_enabled:
+            if _log:
                 self.wal.append_commit(
                     0, operations_to_payloads([DeleteRelationshipOp(rel_id)])
                 )

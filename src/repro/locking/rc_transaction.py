@@ -8,17 +8,18 @@ observe different committed values (unrepeatable reads) and repeated predicate
 scans can observe different result sets (phantom reads).  The anomaly
 experiments E1 and E2 measure exactly this.
 
-Everything else — the write set, its overlay on index results and adjacency
-lists, commit/rollback — is the shared :class:`~repro.engine.EngineTransaction`
-skeleton.
+Everything else — the write set, its overlay on point reads, scans, index
+results and adjacency lists, commit/rollback — is the shared
+:class:`~repro.engine.EngineTransaction` skeleton; this class supplies only
+the locked committed read under it.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.engine import EngineTransaction
-from repro.graph.entity import EntityKey, EntityKind, NodeData, RelationshipData
+from repro.graph.entity import EntityKey, RelationshipData
 from repro.locking.lock_manager import LockMode
 
 
@@ -34,57 +35,24 @@ class ReadCommittedTransaction(EngineTransaction):
     # reads
     # ------------------------------------------------------------------
 
-    def read_node(self, node_id: int) -> Optional[NodeData]:
-        self.ensure_open()
-        key = EntityKey.node(node_id)
-        if key in self._writes:
-            return self._writes[key]  # type: ignore[return-value]
-        return self._locked_read(key)  # type: ignore[return-value]
-
-    def read_relationship(self, rel_id: int) -> Optional[RelationshipData]:
-        self.ensure_open()
-        key = EntityKey.relationship(rel_id)
-        if key in self._writes:
-            return self._writes[key]  # type: ignore[return-value]
-        return self._locked_read(key)  # type: ignore[return-value]
-
-    def _locked_read(self, key: EntityKey) -> Optional[object]:
-        """Perform one read under a *short* shared lock (released immediately).
+    def _read_committed(self, keys: Sequence[EntityKey]) -> List[Optional[object]]:
+        """Read each key under a *short* shared lock (released immediately).
 
         The lock lives inside :meth:`LockManager.shared_guard`: one
-        lock-table visit, no holder bookkeeping, release before the
-        statement returns, and a read of an entity the transaction already
+        lock-table visit, no holder bookkeeping, release before the read
+        returns, and a read of an entity the transaction already
         write-locked (e.g. an endpoint node of a created relationship)
-        piggybacks on that lock instead of dropping it.
+        piggybacks on that lock instead of dropping it.  Point reads, seeks,
+        scans and adjacency all come here, so every one of them waits for an
+        uncommitted writer of the entity alike.
         """
-        with self._engine.locks.shared_guard(self.txn_id, key):
-            return self._engine.read_committed(key)
-
-    def iter_nodes(self) -> Iterator[NodeData]:
-        self.ensure_open()
-        return self._scan(EntityKind.NODE, self._engine.store.iter_node_ids())
-
-    def iter_relationships(self) -> Iterator[RelationshipData]:
-        self.ensure_open()
-        return self._scan(
-            EntityKind.RELATIONSHIP, self._engine.store.iter_relationship_ids()
-        )
-
-    def _scan(self, kind: EntityKind, stored_ids: Iterable[int]) -> Iterator:
-        """Own writes of ``kind`` first, then every stored entity they do not
-        shadow, read without a lock."""
-        seen = set()
-        for key, value in list(self._writes.items()):
-            if key.kind is kind:
-                seen.add(key.entity_id)
-                if value is not None:
-                    yield value
-        read_committed = self._engine.read_committed
-        for entity_id in stored_ids:
-            if entity_id not in seen:
-                data = read_committed(EntityKey(kind, entity_id))
-                if data is not None:
-                    yield data
+        engine = self._engine
+        shared_guard = engine.locks.shared_guard
+        states: List[Optional[object]] = []
+        for key in keys:
+            with shared_guard(self.txn_id, key):
+                states.append(engine.read_committed(key))
+        return states
 
     def _committed_adjacency_many(
         self, node_ids: Sequence[int]
@@ -92,17 +60,15 @@ class ReadCommittedTransaction(EngineTransaction):
         """Each node's adjacency candidates read one short lock at a time;
         candidates this transaction wrote are left to the overlay."""
         candidate_rel_ids = self._engine.indexes.adjacency.candidate_rel_ids
+        writes = self._writes
         results: List[Tuple[RelationshipData, ...]] = []
         for node_id in node_ids:
-            adjacency = []
-            for rel_id in sorted(candidate_rel_ids(node_id)):
-                key = EntityKey.relationship(rel_id)
-                if key in self._writes:
-                    continue
-                relationship = self._locked_read(key)
-                if relationship is not None:
-                    adjacency.append(relationship)
-            results.append(tuple(adjacency))
+            keys = [
+                EntityKey.relationship(rel_id)
+                for rel_id in sorted(candidate_rel_ids(node_id))
+            ]
+            committed = self._read_committed([key for key in keys if key not in writes])
+            results.append(tuple(state for state in committed if state is not None))
         return results
 
     # ------------------------------------------------------------------

@@ -21,7 +21,7 @@ import itertools
 from typing import List, Mapping, Optional, Set, Tuple
 
 from repro.errors import QueryExecutionError, QuerySyntaxError
-from repro.graph.entity import Direction
+from repro.graph.entity import Direction, EntityKind
 from repro.query import ast
 
 #: Anonymous variables get a prefix the lexer can never produce, so they can
@@ -41,7 +41,7 @@ _DIRECTIONS = {
 class PlannerStatistics:
     """Cardinality estimates backed by the engines' O(1) count fast paths.
 
-    Totals from the record stores are cached per planning pass; per-key
+    Committed totals are cached per planning pass; per-key
     counts hit the incrementally-maintained index counters directly.
     """
 
@@ -51,15 +51,15 @@ class PlannerStatistics:
         self._rel_total: Optional[int] = None
 
     def node_count(self) -> int:
-        """Total committed nodes (cached store scan)."""
+        """Total committed nodes (cached per planning pass)."""
         if self._node_total is None:
-            self._node_total = self._engine.store.node_count()
+            self._node_total = self._engine.committed_count(EntityKind.NODE)
         return self._node_total
 
     def relationship_count(self) -> int:
-        """Total committed relationships (cached store scan)."""
+        """Total committed relationships (cached per planning pass)."""
         if self._rel_total is None:
-            self._rel_total = self._engine.store.relationship_count()
+            self._rel_total = self._engine.committed_count(EntityKind.RELATIONSHIP)
         return self._rel_total
 
     def label_count(self, label: str) -> int:

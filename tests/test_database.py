@@ -68,9 +68,7 @@ class TestConstruction:
             "isolation",
             "conflict_policy",
             "page_cache_pages",
-            "wal_enabled",
             "wal_sync",
-            "lock_timeout",
             "version_cache_capacity",
             "gc_every_n_commits",
             "commit_stripes",
@@ -80,11 +78,9 @@ class TestConstruction:
             "safe_snapshots",
             "tracing",
             "trace_sample_rate",
-            "trace_ring_size",
             "slow_query_seconds",
             "slow_query_capacity",
             "redact_parameters",
-            "metrics_registry",
             "failpoints",
         ]
 

@@ -1,5 +1,6 @@
 """The query package keeps one executor: no private names cross its module
-boundaries, and the executor switch cannot grow back."""
+boundaries, and the executor switch cannot grow back.  Transactions and the
+query layer read committed state only through the engine's interface."""
 
 from __future__ import annotations
 
@@ -46,3 +47,38 @@ def test_no_query_executor_switch_under_src():
         for path in sorted(SRC.rglob("*.py"))
         if "query_executor" in path.read_text()
     ] == []
+
+
+#: Modules above the storage substrate: they reach committed state through
+#: ``_read_committed`` / ``committed_ids`` / ``committed_count``, never by
+#: touching the record store or the version store themselves.
+READ_LAYER = [
+    SRC / "repro" / "engine.py",
+    SRC / "repro" / "core" / "si_transaction.py",
+    SRC / "repro" / "locking" / "rc_transaction.py",
+    *sorted(QUERY.glob("*.py")),
+]
+
+
+def test_read_layer_touches_no_store_or_version_store():
+    """Only ``GraphEngine``'s own methods may use its ``self.store``."""
+    offenders = []
+    for path in READ_LAYER:
+        tree = ast.parse(path.read_text())
+        owned = {
+            id(node)
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef) and cls.name == "GraphEngine"
+            for node in ast.walk(cls)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "self"
+        }
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr in ("store", "versions")
+                and id(node) not in owned
+            ):
+                offenders.append(f"{path.relative_to(SRC)}:{node.lineno} .{node.attr}")
+    assert offenders == []

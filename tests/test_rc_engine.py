@@ -1,5 +1,7 @@
 """Integration tests for the read-committed baseline engine."""
 
+import threading
+
 import pytest
 
 from repro.engine import TransactionState
@@ -125,6 +127,40 @@ class TestReadCommittedSemantics:
         # was ever exposed).
         fresh = engine.begin(read_only=True)
         assert fresh.read_node(node_id).properties["balance"] == 100
+
+    def test_scan_and_seek_both_wait_for_an_uncommitted_writer(self, rc_db):
+        """Every RC read takes the short shared lock, whichever API call made
+        it: a whole-store scan queues behind a writer's exclusive lock exactly
+        as a label seek does, and both then read the committed value."""
+        with rc_db.transaction() as tx:
+            node_id = tx.create_node(["A"], {"v": 0}).id
+        writer = rc_db.transaction()
+        writer.set_node_property(node_id, "v", 1)
+
+        results = {}
+
+        def read(name, reader):
+            with rc_db.transaction(read_only=True) as tx:
+                results[name] = [node["v"] for node in reader(tx)]
+
+        readers = [
+            threading.Thread(target=read, args=("scan", lambda tx: list(tx.nodes()))),
+            threading.Thread(target=read, args=("seek", lambda tx: tx.find_nodes("A"))),
+        ]
+        for thread in readers:
+            thread.start()
+        try:
+            for thread in readers:
+                thread.join(0.3)
+            blocked = [thread.is_alive() for thread in readers]
+            read_before_commit = dict(results)
+        finally:
+            writer.commit()
+            for thread in readers:
+                thread.join(5)
+        assert blocked == [True, True]
+        assert read_before_commit == {}
+        assert results == {"scan": [1], "seek": [1]}
 
     def test_relationships_of_merges_own_writes(self, engine):
         node_a = create_node(engine)

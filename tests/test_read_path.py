@@ -169,9 +169,9 @@ class TestGcRacesCopyOnWriteChains:
             # every commit (and the automatic GC passes they trigger); go
             # through a fresh uncached resolution each time so the chain is
             # actually re-read.
-            resolved = engine.read_committed_version(
-                EntityKey.node(node_id), long_reader.snapshot.start_ts
-            )
+            resolved = engine.read_committed_versions(
+                [EntityKey.node(node_id)], long_reader.snapshot.start_ts
+            )[0]
             assert resolved.properties["value"] == 4
 
         # Garbage below the reader's snapshot was reclaimed while it lived...

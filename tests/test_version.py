@@ -2,14 +2,8 @@
 
 import pytest
 
-from repro.core.snapshot import Snapshot
 from repro.core.version import Version, VersionChain
-from repro.core.visibility import (
-    payload_visible_from_store,
-    resolve_chain,
-    resolve_payload,
-    version_visible,
-)
+from repro.core.visibility import resolve_payloads
 from repro.graph.entity import EntityKey, NodeData
 
 KEY = EntityKey.node(1)
@@ -87,38 +81,19 @@ class TestVersionChain:
 
 
 class TestVisibilityHelpers:
-    def test_version_visible(self):
-        assert version_visible(version(3), 5)
-        assert version_visible(version(5), 5)
-        assert not version_visible(version(6), 5)
-
-    def test_resolve_chain_and_payload(self):
+    def test_resolve_payloads(self):
         chain = VersionChain(KEY)
         chain.add_committed(version(2, "old"))
         chain.add_committed(version(4, "new"))
-        assert resolve_chain(None, 10) is None
-        assert resolve_chain(chain, 3).commit_ts == 2
-        assert resolve_payload(chain, 3).properties["value"] == "old"
-        assert resolve_payload(chain, 1) is None
+        old, missing = resolve_payloads([chain, None], 3)
+        assert old.properties["value"] == "old"
+        assert missing is None
+        assert resolve_payloads([chain], 4)[0].properties["value"] == "new"
+        assert resolve_payloads([chain], 1) == [None]
 
-    def test_resolve_payload_tombstone_is_none(self):
+    def test_resolve_payloads_tombstone_is_none(self):
         chain = VersionChain(KEY)
         chain.add_committed(version(2, "data"))
         chain.add_committed(version(4, None))
-        assert resolve_payload(chain, 5) is None
-        assert resolve_payload(chain, 3) is not None
-
-    def test_payload_visible_from_store(self):
-        assert payload_visible_from_store(3, 4)
-        assert payload_visible_from_store(4, 4)
-        assert not payload_visible_from_store(5, 4)
-
-
-class TestSnapshot:
-    def test_includes_and_concurrent(self):
-        snapshot = Snapshot(txn_id=1, start_ts=10)
-        assert snapshot.includes(10)
-        assert snapshot.includes(3)
-        assert not snapshot.includes(11)
-        assert snapshot.is_concurrent_with(11)
-        assert not snapshot.is_concurrent_with(10)
+        assert resolve_payloads([chain], 5) == [None]
+        assert resolve_payloads([chain], 3)[0] is not None
