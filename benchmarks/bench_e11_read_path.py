@@ -42,7 +42,7 @@ sys.path.insert(0, os.path.dirname(__file__))
 from repro import GraphDatabase, IsolationLevel, TransactionAbortedError
 from repro.api.traversal import two_step_neighbourhood
 from repro.core.version import Version, VersionChain
-from repro.graph.entity import EntityKey, NodeData
+from repro.graph.entity import NodeData, node_key
 from repro.workload import (
     QueryMix,
     READ_TEMPLATES,
@@ -78,7 +78,7 @@ _BASELINE_FILE = os.path.join(
 
 
 def _bench_chain_resolve(*, versions: int, resolutions: int) -> Dict[str, object]:
-    key = EntityKey.node(1)
+    key = node_key(1)
     chain = VersionChain(key)
     for index in range(versions):
         payload = NodeData(1, properties={"value": index})

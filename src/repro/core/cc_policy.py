@@ -55,7 +55,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tupl
 
 from repro.core.conflict import ConflictPolicy
 from repro.errors import SerializationError, UnsafeSnapshotError, WriteWriteConflictError
-from repro.graph.entity import EntityKey, NodeData, RelationshipData
+from repro.graph.entity import EntityKey, NodeData, RelationshipData, format_key
 from repro.graph.properties import hashable_value
 from repro.locking.lock_manager import LockManager, LockMode
 
@@ -297,7 +297,7 @@ class SnapshotWriteRulePolicy:
         if not self._locks.try_acquire(txn_id, key, LockMode.EXCLUSIVE):
             self._write_time_conflicts += 1
             raise WriteWriteConflictError(
-                f"transaction {txn_id} is not the first updater of {key} "
+                f"transaction {txn_id} is not the first updater of {format_key(key)} "
                 "(another concurrent transaction holds its write lock)"
             )
         newest_committed_ts = read_newest_committed_ts()
@@ -305,7 +305,7 @@ class SnapshotWriteRulePolicy:
             self._write_time_conflicts += 1
             raise WriteWriteConflictError(
                 f"transaction {txn_id} (start_ts={start_ts}) conflicts with a "
-                f"concurrent update of {key} committed at {newest_committed_ts}"
+                f"concurrent update of {format_key(key)} committed at {newest_committed_ts}"
             )
 
     def validate_commit(
@@ -333,7 +333,7 @@ class SnapshotWriteRulePolicy:
                 self._commit_time_conflicts += 1
                 raise WriteWriteConflictError(
                     f"transaction {txn_id} (start_ts={start_ts}) lost the commit "
-                    f"race for {key}: a concurrent update committed at {committed_ts}"
+                    f"race for {format_key(key)}: a concurrent update committed at {committed_ts}"
                 )
 
     def release_locks(self, txn_id: int) -> None:

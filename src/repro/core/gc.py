@@ -48,7 +48,7 @@ from repro.core.timestamps import TimestampOracle
 from repro.core.version import Version
 from repro.core.version_store import VersionStore
 from repro.core.versioned_index import VersionedIndexSet
-from repro.graph.entity import EntityKind, NodeData, RelationshipData
+from repro.graph.entity import NodeData, RelationshipData
 
 
 @dataclass

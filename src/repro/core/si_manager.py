@@ -40,7 +40,7 @@ from repro.core.visibility import resolve_payloads
 from repro.core.versioned_index import VersionedIndexSet
 from repro.engine import GraphEngine, IsolationLevel
 from repro.errors import WriteWriteConflictError
-from repro.graph.entity import EntityKey, EntityKind, RelationshipData
+from repro.graph.entity import REL_TAG, EntityKey, EntityKind, RelationshipData, key_id
 from repro.graph.operations import build_store_operations
 from repro.graph.store_manager import StoreManager
 from repro.locking.lock_manager import LockManager
@@ -462,11 +462,11 @@ class SnapshotIsolationEngine(GraphEngine):
         for key, payload in writes.items():
             indices.add(self._stripe_index(key))
             if isinstance(payload, RelationshipData) and key in created:
-                indices.add(self._stripe_index(EntityKey.node(payload.start_node)))
-                indices.add(self._stripe_index(EntityKey.node(payload.end_node)))
-            if payload is None and key.kind is EntityKind.NODE:
-                for rel_id in self.indexes.adjacency.candidate_rel_ids(key.entity_id):
-                    indices.add(self._stripe_index(EntityKey.relationship(rel_id)))
+                indices.add(self._stripe_index(payload.start_node))
+                indices.add(self._stripe_index(payload.end_node))
+            if payload is None and key < REL_TAG:
+                for rel_id in self.indexes.adjacency.candidate_rel_ids(key):
+                    indices.add(self._stripe_index(REL_TAG | rel_id))
         return sorted(indices)
 
     @contextlib.contextmanager
@@ -609,11 +609,13 @@ class SnapshotIsolationEngine(GraphEngine):
     def committed_ids(self, kind: EntityKind) -> Iterator[int]:
         """Cached chain keys first, then the store's ids: a deletion an old
         snapshot predates is gone from the store but still in the chain."""
+        tag = REL_TAG if kind is EntityKind.RELATIONSHIP else 0
         seen = set()
         for key in self.versions.keys():
-            if key.kind is kind:
-                seen.add(key.entity_id)
-                yield key.entity_id
+            if key & REL_TAG == tag:
+                entity_id = key_id(key)
+                seen.add(entity_id)
+                yield entity_id
         for entity_id in super().committed_ids(kind):
             if entity_id not in seen:
                 yield entity_id
@@ -753,34 +755,34 @@ class SnapshotIsolationEngine(GraphEngine):
         )
         for key, payload in writes.items():
             if isinstance(payload, RelationshipData) and key in created:
+                # A node's key is its id.
                 for node_id in (payload.start_node, payload.end_node):
-                    node_key = EntityKey.node(node_id)
-                    if node_key in writes and writes[node_key] is not None:
+                    if node_id in writes and writes[node_id] is not None:
                         continue
-                    if node_key in created:
+                    if node_id in created:
                         continue
-                    if self._latest_committed_payload(node_key) is None:
+                    if self._latest_committed_payload(node_id) is None:
                         raise WriteWriteConflictError(
                             f"transaction {txn.txn_id} creates relationship "
                             f"{payload.rel_id} against node {node_id}, which a "
                             "concurrent transaction has deleted"
                         )
-            if payload is None and key.kind is EntityKind.NODE:
+            if payload is None and key < REL_TAG:
                 self._validate_node_delete(txn, key, writes)
 
     def _validate_node_delete(
         self,
         txn: SnapshotTransaction,
-        node_key: EntityKey,
+        node_id: int,
         writes: Dict[EntityKey, Optional[object]],
     ) -> None:
-        for rel_id in self.indexes.adjacency.candidate_rel_ids(node_key.entity_id):
-            rel_key = EntityKey.relationship(rel_id)
+        for rel_id in self.indexes.adjacency.candidate_rel_ids(node_id):
+            rel_key = REL_TAG | rel_id
             if rel_key in writes and writes[rel_key] is None:
                 continue
             if self._latest_committed_payload(rel_key) is not None:
                 raise WriteWriteConflictError(
-                    f"transaction {txn.txn_id} deletes node {node_key.entity_id} "
+                    f"transaction {txn.txn_id} deletes node {node_id} "
                     f"but relationship {rel_id} still attaches to it in the "
                     "latest committed state"
                 )
@@ -863,7 +865,7 @@ class SnapshotIsolationEngine(GraphEngine):
             old_state = old_states.get(key)
             payload_stamp[key] = commit_ts
             self.indexes.apply_change(key, payload, old_state, commit_ts)
-            if key.kind is EntityKind.RELATIONSHIP:
+            if key >= REL_TAG:
                 state = payload if payload is not None else old_state
                 if state is not None:
                     stamp[state.start_node] = commit_ts
@@ -880,7 +882,7 @@ class SnapshotIsolationEngine(GraphEngine):
         for key, payload in writes.items():
             old_state = old_states.get(key)
             self.indexes.apply_change(key, old_state, payload, commit_ts)
-            if key.kind is EntityKind.RELATIONSHIP:
+            if key >= REL_TAG:
                 # Any relationship change (create, delete, property update)
                 # invalidates both endpoints' cached adjacency lists.  This
                 # runs before the commit is published, so no snapshot that

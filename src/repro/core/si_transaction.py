@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.snapshot import Snapshot
 from repro.engine import EngineTransaction
-from repro.graph.entity import EntityKey, RelationshipData
+from repro.graph.entity import REL_TAG, EntityKey, RelationshipData
 
 
 class SnapshotTransaction(EngineTransaction):
@@ -166,8 +166,7 @@ class SnapshotTransaction(EngineTransaction):
             shared = cached_adjacency(node_id, start_ts)
             if shared is None:
                 candidates = tuple(
-                    EntityKey.relationship(rel_id)
-                    for rel_id in sorted(candidate_rel_ids(node_id))
+                    REL_TAG | rel_id for rel_id in sorted(candidate_rel_ids(node_id))
                 )
                 misses.append((index, node_id, candidates))
             else:
@@ -218,14 +217,13 @@ class SnapshotTransaction(EngineTransaction):
     def delete_node(self, node_id: int) -> None:
         self.ensure_open()
         self._check_writable()
-        key = EntityKey.node(node_id)
-        self._register_write(key, create=False)
-        self._writes[key] = None
+        self._register_write(node_id, create=False)  # a node's key is its id
+        self._writes[node_id] = None
 
     def delete_relationship(self, rel_id: int) -> None:
         self.ensure_open()
         self._check_writable()
-        key = EntityKey.relationship(rel_id)
+        key = REL_TAG | rel_id
         self._register_write(key, create=False)
         self._writes[key] = None
 

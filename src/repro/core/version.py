@@ -31,7 +31,7 @@ from __future__ import annotations
 import threading
 from typing import List, Optional, Tuple, Union
 
-from repro.graph.entity import EntityKey, NodeData, RelationshipData
+from repro.graph.entity import EntityKey, NodeData, RelationshipData, format_key
 
 #: Payload type of a version (``None`` marks a tombstone).
 VersionPayload = Optional[Union[NodeData, RelationshipData]]
@@ -71,7 +71,7 @@ class Version:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "tombstone" if self.is_tombstone else "data"
-        return f"Version({self.key}, commit_ts={self.commit_ts}, {kind})"
+        return f"Version({format_key(self.key)}, commit_ts={self.commit_ts}, {kind})"
 
 
 class VersionChain:

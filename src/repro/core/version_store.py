@@ -24,7 +24,7 @@ import threading
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.version import Version, VersionChain, VersionPayload
-from repro.graph.entity import EntityKey, EntityKind
+from repro.graph.entity import REL_TAG, EntityKey, key_id
 from repro.graph.object_cache import ObjectCache
 
 #: A loader returns the persisted state and its commit timestamp, or ``None``.
@@ -46,8 +46,9 @@ def stripe_of(key: EntityKey, stripes: int) -> int:
     independent sequence, rotated half a ring so node i and relationship i
     usually differ).
     """
-    offset = stripes // 2 if key.kind is EntityKind.RELATIONSHIP else 0
-    return (key.entity_id + offset) % stripes
+    if key >= REL_TAG:
+        return (key_id(key) + stripes // 2) % stripes
+    return key % stripes
 
 
 class VersionStore:

@@ -41,7 +41,7 @@ import threading
 from collections import deque
 from typing import Deque, Dict, Hashable, List, Mapping, Optional, Set, Tuple, Union
 
-from repro.graph.entity import EntityKey, EntityKind, NodeData, RelationshipData
+from repro.graph.entity import REL_TAG, EntityKey, NodeData, RelationshipData
 from repro.graph.properties import PropertyValue, hashable_value, split_commit_ts
 
 #: One membership interval: a bare ``created_ts`` while it is open,
@@ -532,7 +532,7 @@ class VersionedIndexSet:
         self, key: EntityKey, old: Optional[object], new: Optional[object], commit_ts: int
     ) -> None:
         """Index maintenance for one committed change of either entity kind."""
-        if key.kind is EntityKind.NODE:
+        if key < REL_TAG:
             self.apply_node_change(old, new, commit_ts)  # type: ignore[arg-type]
         else:
             self.apply_relationship_change(old, new, commit_ts)  # type: ignore[arg-type]

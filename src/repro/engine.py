@@ -30,11 +30,13 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import ReadOnlyTransactionError, TransactionClosedError, classify_abort
 from repro.graph.entity import (
+    REL_TAG,
     Direction,
     EntityKey,
     EntityKind,
     NodeData,
     RelationshipData,
+    key_id,
 )
 from repro.graph.properties import PropertyValue, hashable_value
 
@@ -216,9 +218,8 @@ class EngineTransaction(abc.ABC):
     def read_nodes_many(self, node_ids: Sequence[int]) -> List[Optional[NodeData]]:
         """The visible state of each node id, in order (``None`` if absent)."""
         self.ensure_open()
-        return self._read(  # type: ignore[return-value]
-            [EntityKey.node(node_id) for node_id in node_ids]
-        )
+        # A node's key is its id.
+        return self._read(node_ids)  # type: ignore[return-value]
 
     def read_relationships_many(
         self, rel_ids: Sequence[int]
@@ -226,7 +227,7 @@ class EngineTransaction(abc.ABC):
         """The visible state of each relationship id, in order."""
         self.ensure_open()
         return self._read(  # type: ignore[return-value]
-            [EntityKey.relationship(rel_id) for rel_id in rel_ids]
+            [REL_TAG | rel_id for rel_id in rel_ids]
         )
 
     def iter_nodes(self) -> Iterator[NodeData]:
@@ -244,15 +245,16 @@ class EngineTransaction(abc.ABC):
     def _scan(self, kind: EntityKind) -> Iterator:
         """Own writes of ``kind`` first, then every committed id they do not
         shadow, read ``query_batch_size`` keys at a time."""
+        tag = REL_TAG if kind is EntityKind.RELATIONSHIP else 0
         seen: Set[int] = set()
         for key, state in list(self._writes.items()):
-            if key.kind is kind:
-                seen.add(key.entity_id)
+            if key & REL_TAG == tag:
+                seen.add(key_id(key))
                 if state is not None:
                     yield state
         engine = self._engine
         unshadowed = (
-            EntityKey(kind, entity_id)
+            tag | entity_id
             for entity_id in engine.committed_ids(kind)
             if entity_id not in seen
         )
@@ -358,12 +360,14 @@ class EngineTransaction(abc.ABC):
 
     def _overlay(self, result: Set[int], kind: EntityKind, predicate) -> Set[int]:
         """Overlay the private writes of ``kind`` onto an index lookup result."""
+        tag = REL_TAG if kind is EntityKind.RELATIONSHIP else 0
         for key, data in self._writes.items():
-            if key.kind is kind:
+            if key & REL_TAG == tag:
+                entity_id = key_id(key)
                 if data is not None and predicate(data):
-                    result.add(key.entity_id)
+                    result.add(entity_id)
                 else:
-                    result.discard(key.entity_id)
+                    result.discard(entity_id)
         return result
 
     # -- traversal reads ---------------------------------------------------------
@@ -393,13 +397,13 @@ class EngineTransaction(abc.ABC):
             }
             changed = False
             for key, data in self._writes.items():
-                if key.kind is not EntityKind.RELATIONSHIP:
+                if key < REL_TAG:
                     continue
                 if data is None:
-                    if merged.pop(key.entity_id, None) is not None:
+                    if merged.pop(key_id(key), None) is not None:
                         changed = True
                 elif data.touches(node_id):
-                    merged[key.entity_id] = data
+                    merged[data.rel_id] = data
                     changed = True
             if changed:
                 relationships = [merged[rel_id] for rel_id in sorted(merged)]

@@ -46,6 +46,10 @@ class WalError(StorageError):
     """The write-ahead log could not be appended to or read."""
 
 
+class IdSpaceExhaustedError(StorageError):
+    """An id allocator reached its bound and cannot hand out another id."""
+
+
 class InjectedFaultError(StorageError, OSError):
     """An IO error raised by an armed failpoint (see :mod:`repro.fault`).
 

@@ -19,7 +19,6 @@ Section 2 describes and that the snapshot-isolation layer builds on:
 
 from repro.graph.entity import (
     Direction,
-    EntityKey,
     EntityKind,
     NodeData,
     RelationshipData,
@@ -30,7 +29,6 @@ from repro.graph.store_manager import StoreManager
 
 __all__ = [
     "Direction",
-    "EntityKey",
     "EntityKind",
     "NodeData",
     "RelationshipData",

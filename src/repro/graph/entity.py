@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
-from typing import Dict, FrozenSet, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, Mapping, Tuple
 
 from repro.graph.properties import PropertyValue
 
@@ -48,60 +48,54 @@ class Direction(enum.Enum):
         return Direction.BOTH
 
 
-class EntityKey:
-    """Globally unique identity of a versioned entity: kind plus id.
+#: Entity keys are plain ints.  A node's key is its id; a relationship's key
+#: is its id with :data:`REL_TAG` set.  Every hot read-path dict and set — the
+#: version-store chain cache, the snapshot payload caches, write sets, lock
+#: tables, SIREAD sets and the SSI write registry — is keyed by them, so each
+#: probe hashes and compares in C instead of calling back into Python.  Ids
+#: of both kinds stay below :data:`MAX_ENTITY_ID` (the id allocators refuse
+#: to go further), so the tag bit is never part of an id: a node key and a
+#: relationship key never collide, and every node key orders before every
+#: relationship key.
+EntityKey = int
 
-    Hand-written rather than a frozen dataclass: these keys index every hot
-    read-path dict (the version-store chain cache, snapshot payload caches,
-    write sets, SIREAD sets), and the generated dataclass ``__hash__``
-    re-hashes an ``(enum, int)`` tuple on every probe.  Here the hash is
-    precomputed at construction as a plain int — node ids map to even
-    hashes, relationship ids to odd — so each probe costs one slot load.
-    Treat instances as immutable values, like the dataclasses around them.
-    """
+#: Tag bit marking a relationship key (``kind << 56 | id``).
+REL_TAG = 1 << 56
 
-    __slots__ = ("kind", "entity_id", "_hash")
+#: Exclusive upper bound for node and relationship ids.
+MAX_ENTITY_ID = REL_TAG
 
-    def __init__(self, kind: EntityKind, entity_id: int) -> None:
-        self.kind = kind
-        self.entity_id = entity_id
-        self._hash = (entity_id << 1) | (kind is EntityKind.RELATIONSHIP)
+_ID_MASK = REL_TAG - 1
 
-    def __hash__(self) -> int:
-        return self._hash
 
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, EntityKey):
-            return self.entity_id == other.entity_id and self.kind is other.kind
-        return NotImplemented
+def node_key(node_id: int) -> EntityKey:
+    """Key for a node id (the id itself)."""
+    return node_id
 
-    def __lt__(self, other: "EntityKey") -> bool:
-        return (self.kind, self.entity_id) < (other.kind, other.entity_id)
 
-    def __le__(self, other: "EntityKey") -> bool:
-        return (self.kind, self.entity_id) <= (other.kind, other.entity_id)
+def rel_key(rel_id: int) -> EntityKey:
+    """Key for a relationship id."""
+    return REL_TAG | rel_id
 
-    def __gt__(self, other: "EntityKey") -> bool:
-        return (self.kind, self.entity_id) > (other.kind, other.entity_id)
 
-    def __ge__(self, other: "EntityKey") -> bool:
-        return (self.kind, self.entity_id) >= (other.kind, other.entity_id)
+def is_rel_key(key: EntityKey) -> bool:
+    """Whether ``key`` names a relationship."""
+    return key >= REL_TAG
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"EntityKey(kind={self.kind!r}, entity_id={self.entity_id!r})"
 
-    def __str__(self) -> str:  # pragma: no cover - debugging aid
-        return f"{self.kind.value}:{self.entity_id}"
+def key_id(key: EntityKey) -> int:
+    """The node or relationship id inside ``key``."""
+    return key & _ID_MASK
 
-    @staticmethod
-    def node(node_id: int) -> "EntityKey":
-        """Key for a node id."""
-        return EntityKey(EntityKind.NODE, node_id)
 
-    @staticmethod
-    def relationship(rel_id: int) -> "EntityKey":
-        """Key for a relationship id."""
-        return EntityKey(EntityKind.RELATIONSHIP, rel_id)
+def key_kind(key: EntityKey) -> EntityKind:
+    """The kind of entity ``key`` names."""
+    return EntityKind.RELATIONSHIP if key >= REL_TAG else EntityKind.NODE
+
+
+def format_key(key: EntityKey) -> str:
+    """``"node:5"`` / ``"relationship:3"``: a key as diagnostics print it."""
+    return f"{key_kind(key).value}:{key & _ID_MASK}"
 
 
 def _freeze_properties(properties: Mapping[str, PropertyValue]) -> Dict[str, PropertyValue]:
@@ -130,7 +124,7 @@ class NodeData:
     @property
     def key(self) -> EntityKey:
         """Entity key of this node."""
-        return EntityKey.node(self.node_id)
+        return self.node_id
 
     def with_property(self, key: str, value: PropertyValue) -> "NodeData":
         """A copy of this node with one property set."""
@@ -173,7 +167,7 @@ class RelationshipData:
     @property
     def key(self) -> EntityKey:
         """Entity key of this relationship."""
-        return EntityKey.relationship(self.rel_id)
+        return REL_TAG | self.rel_id
 
     def other_node(self, node_id: int) -> int:
         """The endpoint that is not ``node_id``.
@@ -214,10 +208,6 @@ class RelationshipData:
     ) -> "RelationshipData":
         """A copy of this relationship with its property map replaced."""
         return replace(self, properties=dict(properties))
-
-
-#: Either kind of logical entity state.
-EntityData = Optional[object]
 
 
 def entity_key_of(data: object) -> EntityKey:

@@ -12,6 +12,9 @@ import threading
 from collections import deque
 from typing import Deque, Iterable, Set
 
+from repro.errors import IdSpaceExhaustedError
+from repro.graph.entity import MAX_ENTITY_ID
+
 
 class IdAllocator:
     """Thread-safe allocator of dense integer ids with reuse of freed ids.
@@ -19,6 +22,10 @@ class IdAllocator:
     Reuse can be disabled (``reuse=False``); the multi-version engine does
     this for node and relationship ids so that an id is never recycled while
     old versions of the deleted entity may still be read by an open snapshot.
+    Ids stay below :data:`~repro.graph.entity.MAX_ENTITY_ID`: node and
+    relationship ids must stay clear of the entity-key tag bit, so
+    allocating an id at the bound raises
+    :class:`~repro.errors.IdSpaceExhaustedError`.
     """
 
     def __init__(self, first_id: int = 0, *, reuse: bool = True) -> None:
@@ -39,6 +46,8 @@ class IdAllocator:
                 self._free_set.discard(recycled)
                 return recycled
             allocated = self._next_id
+            if allocated >= MAX_ENTITY_ID:
+                raise IdSpaceExhaustedError(f"no id left below {MAX_ENTITY_ID}")
             self._next_id += 1
             return allocated
 

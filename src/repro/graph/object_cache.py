@@ -2,9 +2,9 @@
 
 Section 4 of the paper keeps the version lists of nodes and relationships "in
 the Object Cache of Neo4j".  This module provides that cache: an LRU map from
-:class:`~repro.graph.entity.EntityKey` to an arbitrary cached object (the
-committed entity state under read committed, the version chain under snapshot
-isolation).
+an entity key (an int, see :mod:`repro.graph.entity`) to an arbitrary cached
+object (the committed entity state under read committed, the version chain
+under snapshot isolation).
 
 Entries can be *pinned* against eviction.  The MVCC layer pins every entry
 whose chain still holds more than the single persisted version, because those

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Union
 
 from repro.errors import WalError
-from repro.graph.entity import EntityKey, EntityKind, NodeData, RelationshipData
+from repro.graph.entity import REL_TAG, EntityKey, NodeData, RelationshipData, key_id
 from repro.graph.properties import COMMIT_TS_PROPERTY, PropertyValue
 
 
@@ -112,13 +112,13 @@ def build_store_operations(
     for key, payload in writes.items():
         if payload is not None and commit_ts is not None:
             payload = payload.with_property(COMMIT_TS_PROPERTY, commit_ts)
-        if key.kind is EntityKind.NODE:
+        if key < REL_TAG:
             if payload is None:
-                node_deletes.append(DeleteNodeOp(key.entity_id))
+                node_deletes.append(DeleteNodeOp(key))
             else:
                 node_writes.append(WriteNodeOp(payload))
         elif payload is None:
-            rel_deletes.append(DeleteRelationshipOp(key.entity_id))
+            rel_deletes.append(DeleteRelationshipOp(key_id(key)))
         else:
             rel_writes.append(WriteRelationshipOp(payload))
     return node_writes + rel_writes + rel_deletes + node_deletes

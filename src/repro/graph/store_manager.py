@@ -33,11 +33,12 @@ from repro.errors import (
 from repro.health import EngineHealth
 from repro.graph.dynamic_store import DynamicStore
 from repro.graph.entity import (
+    REL_TAG,
     Direction,
     EntityKey,
-    EntityKind,
     NodeData,
     RelationshipData,
+    key_id,
 )
 from repro.graph.node_store import NodeStore
 from repro.graph.operations import (
@@ -613,10 +614,10 @@ class StoreManager:
     def read_persisted(self, key: EntityKey) -> Optional[Tuple[object, int]]:
         """The stored state of ``key`` as ``(state without reserved
         properties, commit_ts)``, or ``None`` — what both engines read."""
-        if key.kind is EntityKind.NODE:
-            data = self.read_node(key.entity_id)
+        if key < REL_TAG:
+            data = self.read_node(key)
         else:
-            data = self.read_relationship(key.entity_id)
+            data = self.read_relationship(key_id(key))
         return None if data is None else split_commit_ts(data)
 
     def delete_relationship(

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Set
 
 from repro.errors import DeadlockError, LockTimeoutError
-from repro.graph.entity import EntityKey
+from repro.graph.entity import EntityKey, format_key
 from repro.locking.deadlock import WaitForGraph
 
 #: Default maximum time to wait for a lock before giving up, in seconds.
@@ -85,7 +85,7 @@ class LockManagerStats:
 
 
 class LockManager:
-    """Shared/exclusive lock table keyed by :class:`~repro.graph.entity.EntityKey`."""
+    """Shared/exclusive lock table keyed by entity key (see :mod:`repro.graph.entity`)."""
 
     def __init__(self, *, default_timeout: float = DEFAULT_LOCK_TIMEOUT) -> None:
         self._default_timeout = default_timeout
@@ -130,7 +130,7 @@ class LockManager:
                     self._wait_for.remove_waiter(txn_id)
                     raise DeadlockError(
                         f"transaction {txn_id} would deadlock waiting for "
-                        f"{sorted(conflicting)} on {resource}"
+                        f"{sorted(conflicting)} on {format_key(resource)}"
                     )
                 self._wait_for.add_waits(txn_id, conflicting)
                 if first_attempt:
@@ -141,7 +141,7 @@ class LockManager:
                     self.stats.timeouts += 1
                     self._wait_for.remove_waiter(txn_id)
                     raise LockTimeoutError(
-                        f"transaction {txn_id} timed out waiting for {resource}"
+                        f"transaction {txn_id} timed out waiting for {format_key(resource)}"
                     )
                 entry.waiter_count += 1
                 try:
@@ -197,7 +197,7 @@ class LockManager:
                         self._cleanup_entry(resource, entry)
                         raise DeadlockError(
                             f"transaction {txn_id} would deadlock waiting for "
-                            f"{sorted(conflicting)} on {resource}"
+                            f"{sorted(conflicting)} on {format_key(resource)}"
                         )
                     self._wait_for.add_waits(txn_id, conflicting)
                     if first_attempt:
@@ -209,7 +209,7 @@ class LockManager:
                         self._wait_for.remove_waiter(txn_id)
                         self._cleanup_entry(resource, entry)
                         raise LockTimeoutError(
-                            f"transaction {txn_id} timed out waiting for {resource}"
+                            f"transaction {txn_id} timed out waiting for {format_key(resource)}"
                         )
                     entry.waiter_count += 1
                     try:

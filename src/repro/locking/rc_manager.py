@@ -20,7 +20,7 @@ from typing import Dict, Optional
 
 from repro.core.versioned_index import VersionedIndexSet
 from repro.engine import GraphEngine, IsolationLevel
-from repro.graph.entity import EntityKey, EntityKind
+from repro.graph.entity import REL_TAG, EntityKey
 from repro.graph.operations import build_store_operations
 from repro.graph.store_manager import StoreManager
 from repro.locking.lock_manager import LockManager
@@ -132,7 +132,7 @@ class ReadCommittedEngine(GraphEngine):
         for key, state in writes.items():
             old_state = old_states[key]
             if state is None and old_state is not None:
-                if key.kind is EntityKind.NODE:
+                if key < REL_TAG:
                     indexes.purge_node(old_state)
                 else:
                     indexes.purge_relationship(old_state)

@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 from repro.engine import EngineTransaction
-from repro.graph.entity import EntityKey, RelationshipData
+from repro.graph.entity import REL_TAG, EntityKey, RelationshipData
 from repro.locking.lock_manager import LockMode
 
 
@@ -63,10 +63,7 @@ class ReadCommittedTransaction(EngineTransaction):
         writes = self._writes
         results: List[Tuple[RelationshipData, ...]] = []
         for node_id in node_ids:
-            keys = [
-                EntityKey.relationship(rel_id)
-                for rel_id in sorted(candidate_rel_ids(node_id))
-            ]
+            keys = [REL_TAG | rel_id for rel_id in sorted(candidate_rel_ids(node_id))]
             committed = self._read_committed([key for key in keys if key not in writes])
             results.append(tuple(state for state in committed if state is not None))
         return results
@@ -93,28 +90,27 @@ class ReadCommittedTransaction(EngineTransaction):
         if create:
             # Like Neo4j, creating a relationship write-locks both endpoint
             # nodes so they cannot be concurrently deleted.
-            locks.acquire(self.txn_id, EntityKey.node(relationship.start_node), LockMode.EXCLUSIVE)
-            locks.acquire(self.txn_id, EntityKey.node(relationship.end_node), LockMode.EXCLUSIVE)
+            locks.acquire(self.txn_id, relationship.start_node, LockMode.EXCLUSIVE)
+            locks.acquire(self.txn_id, relationship.end_node, LockMode.EXCLUSIVE)
             self._created.add(key)
         self._writes[key] = relationship
 
     def delete_node(self, node_id: int) -> None:
         self.ensure_open()
         self._check_writable()
-        key = EntityKey.node(node_id)
-        self._engine.locks.acquire(self.txn_id, key, LockMode.EXCLUSIVE)
-        self._writes[key] = None
+        self._engine.locks.acquire(self.txn_id, node_id, LockMode.EXCLUSIVE)
+        self._writes[node_id] = None
 
     def delete_relationship(self, rel_id: int) -> None:
         self.ensure_open()
         self._check_writable()
-        key = EntityKey.relationship(rel_id)
+        key = REL_TAG | rel_id
         locks = self._engine.locks
         locks.acquire(self.txn_id, key, LockMode.EXCLUSIVE)
         existing = self._writes.get(key)
         if existing is None:
             existing = self._engine.read_committed(key)
         if existing is not None:
-            locks.acquire(self.txn_id, EntityKey.node(existing.start_node), LockMode.EXCLUSIVE)
-            locks.acquire(self.txn_id, EntityKey.node(existing.end_node), LockMode.EXCLUSIVE)
+            locks.acquire(self.txn_id, existing.start_node, LockMode.EXCLUSIVE)
+            locks.acquire(self.txn_id, existing.end_node, LockMode.EXCLUSIVE)
         self._writes[key] = None

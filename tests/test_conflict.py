@@ -2,13 +2,14 @@
 
 import pytest
 
+from repro import GraphDatabase, IsolationLevel
 from repro.core.cc_policy import SnapshotWriteRulePolicy
 from repro.core.conflict import ConflictPolicy
 from repro.errors import WriteWriteConflictError
-from repro.graph.entity import EntityKey, NodeData
+from repro.graph.entity import NodeData, node_key
 from repro.locking.lock_manager import LockManager
 
-KEY = EntityKey.node(1)
+KEY = node_key(1)
 
 
 def check_write(policy, txn_id, newest_committed_ts):
@@ -82,3 +83,37 @@ class TestFirstCommitterWins:
         policy = self.make()
         policy.validate_commit(1, 5, None, {KEY: NodeData(1)}, {KEY}, lambda key: 8)
         assert policy.ww_conflict_stats()["commit_time"] == 0
+
+
+class TestConflictMessages:
+    """Conflict errors name the entity as ``kind:id``, never as a raw key."""
+
+    def test_first_updater_message(self):
+        policy = SnapshotWriteRulePolicy(LockManager(), ConflictPolicy.FIRST_UPDATER_WINS)
+        check_write(policy, 1, None)
+        with pytest.raises(WriteWriteConflictError, match=r"first updater of node:1 "):
+            check_write(policy, 2, None)
+
+    def test_concurrent_update_message(self):
+        policy = SnapshotWriteRulePolicy(LockManager(), ConflictPolicy.FIRST_UPDATER_WINS)
+        with pytest.raises(WriteWriteConflictError, match=r"update of node:1 committed at 8"):
+            check_write(policy, 1, 8)
+
+    def test_commit_race_message(self):
+        policy = SnapshotWriteRulePolicy(LockManager(), ConflictPolicy.FIRST_COMMITTER_WINS)
+        with pytest.raises(WriteWriteConflictError, match=r"race for node:1: "):
+            validate(policy, 50)
+
+    def test_ww_conflict_through_the_api_names_the_node(self):
+        db = GraphDatabase.in_memory(isolation=IsolationLevel.SNAPSHOT)
+        try:
+            with db.transaction() as tx:
+                node_id = tx.create_node(properties={"v": 0}).id
+            first = db.begin()
+            second = db.begin()
+            first.set_node_property(node_id, "v", 1)
+            with pytest.raises(WriteWriteConflictError, match=rf"\bnode:{node_id}\b"):
+                second.set_node_property(node_id, "v", 2)
+            first.commit()
+        finally:
+            db.close()

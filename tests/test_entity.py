@@ -1,26 +1,55 @@
 """Unit tests for the logical entity model."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.graph.entity import (
+    MAX_ENTITY_ID,
+    REL_TAG,
     Direction,
-    EntityKey,
     EntityKind,
     NodeData,
     RelationshipData,
     entity_key_of,
+    format_key,
+    is_rel_key,
+    key_id,
+    key_kind,
+    node_key,
+    rel_key,
 )
 
 
 class TestEntityKey:
     def test_factories(self):
-        assert EntityKey.node(5) == EntityKey(EntityKind.NODE, 5)
-        assert EntityKey.relationship(3) == EntityKey(EntityKind.RELATIONSHIP, 3)
+        assert node_key(5) == 5
+        assert rel_key(3) == REL_TAG | 3
+        assert key_kind(node_key(5)) is EntityKind.NODE
+        assert key_kind(rel_key(3)) is EntityKind.RELATIONSHIP
+        assert not is_rel_key(node_key(5)) and is_rel_key(rel_key(3))
 
     def test_hashable_and_ordered(self):
-        keys = {EntityKey.node(1), EntityKey.node(1), EntityKey.relationship(1)}
+        keys = {node_key(1), node_key(1), rel_key(1)}
         assert len(keys) == 2
-        assert sorted([EntityKey.node(2), EntityKey.node(1)])[0].entity_id == 1
+        assert key_id(sorted([node_key(2), node_key(1)])[0]) == 1
+
+    def test_mixed_kinds_sort_nodes_first(self):
+        # A key class comparing (kind, id) tuples raised TypeError here:
+        # EntityKind has no order.
+        assert sorted([rel_key(1), node_key(2)]) == [node_key(2), rel_key(1)]
+        assert max(node_key(MAX_ENTITY_ID - 1), rel_key(0)) == rel_key(0)
+
+    def test_format_key(self):
+        assert format_key(node_key(5)) == "node:5"
+        assert format_key(rel_key(3)) == "relationship:3"
+
+    @given(entity_id=st.integers(min_value=0, max_value=MAX_ENTITY_ID - 1))
+    def test_round_trip(self, entity_id):
+        node, rel = node_key(entity_id), rel_key(entity_id)
+        assert (key_kind(node), key_id(node)) == (EntityKind.NODE, entity_id)
+        assert (key_kind(rel), key_id(rel)) == (EntityKind.RELATIONSHIP, entity_id)
+        assert node != rel
+        assert len({node, rel}) == 2
 
 
 class TestDirection:
@@ -48,7 +77,7 @@ class TestNodeData:
         node = NodeData(1)
         assert node.labels == frozenset()
         assert dict(node.properties) == {}
-        assert node.key == EntityKey.node(1)
+        assert node.key == node_key(1)
 
     def test_immutable_and_freezes_arrays(self):
         node = NodeData(1, {"Person"}, {"tags": ["a", "b"]})
@@ -79,7 +108,7 @@ class TestNodeData:
 class TestRelationshipData:
     def test_key_and_endpoints(self):
         rel = RelationshipData(7, "KNOWS", 1, 2)
-        assert rel.key == EntityKey.relationship(7)
+        assert rel.key == rel_key(7)
         assert rel.endpoints() == (1, 2)
 
     def test_other_node(self):
@@ -106,8 +135,8 @@ class TestRelationshipData:
 
 class TestEntityKeyOf:
     def test_dispatch(self):
-        assert entity_key_of(NodeData(1)) == EntityKey.node(1)
-        assert entity_key_of(RelationshipData(2, "T", 0, 1)) == EntityKey.relationship(2)
+        assert entity_key_of(NodeData(1)) == node_key(1)
+        assert entity_key_of(RelationshipData(2, "T", 0, 1)) == rel_key(2)
 
     def test_rejects_other_types(self):
         with pytest.raises(TypeError):

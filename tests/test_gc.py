@@ -10,14 +10,14 @@ from repro.core.vacuum import VacuumCollector
 from repro.core.version import Version
 from repro.core.version_store import VersionStore
 from repro.core.versioned_index import VersionedIndexSet
-from repro.graph.entity import EntityKey, NodeData
+from repro.graph.entity import NodeData, key_id, node_key
 from repro.graph.store_manager import StoreManager
 
-KEY = EntityKey.node(1)
+KEY = node_key(1)
 
 
 def version(commit_ts, payload="x", key=KEY):
-    data = None if payload is None else NodeData(key.entity_id, properties={"v": payload})
+    data = None if payload is None else NodeData(key_id(key), properties={"v": payload})
     return Version(key, data, commit_ts)
 
 
@@ -109,7 +109,7 @@ class TestGarbageCollectorUnit:
 
     def test_tombstone_purges_whole_entity(self):
         store, oracle, indexes, collector = self.make()
-        node = NodeData(KEY.entity_id, {"Person"})
+        node = NodeData(key_id(KEY), {"Person"})
         indexes.apply_node_change(None, node, commit_ts=1)
         chain = store.ensure_chain(KEY)
         base = Version(KEY, node, 1)
@@ -158,13 +158,13 @@ class TestGcThroughEngine:
 
         # The long reader pins its snapshot: nothing can be reclaimed yet.
         assert engine.run_gc().versions_collected == 0
-        assert engine.versions.get_chain(EntityKey.node(node_id)).version_count() == 6
+        assert engine.versions.get_chain(node_key(node_id)).version_count() == 6
         assert long_reader.read_node(node_id).properties["value"] == 0
 
         long_reader.rollback()
         stats = engine.run_gc()
         assert stats.versions_collected == 5
-        assert engine.versions.get_chain(EntityKey.node(node_id)).version_count() == 1
+        assert engine.versions.get_chain(node_key(node_id)).version_count() == 1
         store.close()
 
 
@@ -211,7 +211,7 @@ class TestVacuumCollector:
         stats = vacuum.collect()
         assert stats.versions_collected == 2
         assert stats.entities_purged == 1
-        assert engine.versions.get_chain(EntityKey.node(node_id)) is None
+        assert engine.versions.get_chain(node_key(node_id)) is None
         store.close()
 
 

@@ -2,7 +2,10 @@
 
 import pytest
 
+from repro.errors import IdSpaceExhaustedError
+from repro.graph.entity import MAX_ENTITY_ID, key_kind, node_key, rel_key
 from repro.graph.id_allocator import IdAllocator
+from repro.graph.store_manager import StoreManager
 
 
 class TestIdAllocator:
@@ -88,3 +91,34 @@ class TestIdAllocator:
         allocator.free(0)
         allocator.free(1)
         assert allocator.in_use_estimate() == 3
+
+    def test_refuses_ids_at_the_entity_key_tag_bit(self):
+        allocator = IdAllocator()
+        allocator.mark_used(MAX_ENTITY_ID - 3)
+        assert allocator.allocate_many(2) == [MAX_ENTITY_ID - 2, MAX_ENTITY_ID - 1]
+        with pytest.raises(IdSpaceExhaustedError):
+            allocator.allocate()
+        assert allocator.high_water_mark == MAX_ENTITY_ID
+
+
+class TestEntityIdBound:
+    """Node and relationship ids stay below the entity-key tag bit, so a
+    node key can never equal a relationship key."""
+
+    @pytest.mark.parametrize("kind", ["node", "relationship"])
+    def test_allocation_stops_below_the_tag_bit(self, kind):
+        store = StoreManager(None)
+        try:
+            if kind == "node":
+                store.nodes.mark_id_used(MAX_ENTITY_ID - 2)
+                allocate, make_key = store.allocate_node_id, node_key
+            else:
+                store.relationships.mark_id_used(MAX_ENTITY_ID - 2)
+                allocate, make_key = store.allocate_relationship_id, rel_key
+            last = allocate()
+            assert last == MAX_ENTITY_ID - 1
+            assert key_kind(make_key(last)).value == kind
+            with pytest.raises(IdSpaceExhaustedError):
+                allocate()
+        finally:
+            store.close()

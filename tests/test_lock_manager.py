@@ -6,13 +6,13 @@ import time
 import pytest
 
 from repro.errors import DeadlockError, LockTimeoutError
-from repro.graph.entity import EntityKey
+from repro.graph.entity import node_key, rel_key
 from repro.locking.deadlock import WaitForGraph
 from repro.locking.lock_manager import LockManager, LockMode
 
 
-NODE_A = EntityKey.node(1)
-NODE_B = EntityKey.node(2)
+NODE_A = node_key(1)
+NODE_B = node_key(2)
 
 
 class TestLockModes:
@@ -66,6 +66,15 @@ class TestLockManager:
         locks.acquire(1, NODE_A, LockMode.EXCLUSIVE)
         with pytest.raises(LockTimeoutError):
             locks.acquire(2, NODE_A, LockMode.SHARED, timeout=0.05)
+
+    def test_conflict_messages_name_the_entity(self):
+        locks = LockManager(default_timeout=0.05)
+        locks.acquire(1, rel_key(3), LockMode.EXCLUSIVE)
+        with pytest.raises(LockTimeoutError, match="waiting for relationship:3$"):
+            locks.acquire(2, rel_key(3), LockMode.SHARED, timeout=0.05)
+        with pytest.raises(LockTimeoutError, match="waiting for relationship:3$"):
+            with locks.shared_guard(2, rel_key(3), timeout=0.05):
+                pass
 
     def test_same_transaction_reentrant(self):
         locks = LockManager()

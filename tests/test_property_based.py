@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from repro.core.version import Version, VersionChain
 from repro.core.versioned_index import VersionedEntrySet
 from repro.graph.dynamic_store import DynamicStore
-from repro.graph.entity import EntityKey, NodeData
+from repro.graph.entity import NodeData, node_key
 from repro.graph.id_allocator import IdAllocator
 from repro.graph.paging import InMemoryBackend, PageCache, PagedFile
 from repro.graph.property_store import PropertyStore, decode_array, encode_array
@@ -90,7 +90,7 @@ def test_id_allocator_never_hands_out_a_live_id(script):
     read_offset=st.integers(min_value=0, max_value=80),
 )
 def test_version_chain_visibility_matches_brute_force(commit_steps, read_offset):
-    key = EntityKey.node(1)
+    key = node_key(1)
     chain = VersionChain(key)
     commit_ts = 0
     all_versions = []

@@ -82,3 +82,29 @@ def test_read_layer_touches_no_store_or_version_store():
             ):
                 offenders.append(f"{path.relative_to(SRC)}:{node.lineno} .{node.attr}")
     assert offenders == []
+
+
+def test_entity_keys_are_plain_ints():
+    """An entity key is a packed int (``REL_TAG | id`` for relationships):
+    no module under ``src/repro`` defines a key class or builds a key by
+    calling one, so every dict/set probe on a key hashes and compares in C."""
+    from repro.graph import entity
+
+    assert entity.EntityKey is int
+    assert type(entity.node_key(1)) is int and type(entity.rel_key(1)) is int
+    offenders = []
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and node.name.endswith("Key"):
+                offenders.append(f"{path.relative_to(SRC)}:{node.lineno} class {node.name}")
+            elif isinstance(node, ast.Call):
+                func = node.func
+                if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+                    name = f"{func.value.id}.{func.attr}"
+                elif isinstance(func, ast.Name):
+                    name = func.id
+                else:
+                    continue
+                if name in ("EntityKey", "EntityKey.node", "EntityKey.relationship"):
+                    offenders.append(f"{path.relative_to(SRC)}:{node.lineno} {name}(")
+    assert offenders == []

@@ -16,16 +16,16 @@ import pytest
 from repro import GraphDatabase, IsolationLevel
 from repro.core.si_manager import SnapshotIsolationEngine
 from repro.core.version import Version, VersionChain
-from repro.graph.entity import Direction, EntityKey, NodeData
+from repro.graph.entity import Direction, NodeData, key_id, node_key
 from repro.graph.store_manager import StoreManager
 from repro.locking.lock_manager import LockManager, LockMode
 from repro.stats import CardinalityEpoch
 
-KEY = EntityKey.node(1)
+KEY = node_key(1)
 
 
 def _version(commit_ts, payload="x"):
-    data = None if payload is None else NodeData(KEY.entity_id, properties={"v": payload})
+    data = None if payload is None else NodeData(key_id(KEY), properties={"v": payload})
     return Version(KEY, data, commit_ts)
 
 
@@ -110,7 +110,7 @@ class TestInstallCommitted:
         base = _version(1, payload="old")
         store.install_committed(KEY, base, lambda: None)
         # Evict the chain by flooding the capacity-1 cache with another key.
-        other = EntityKey.node(2)
+        other = node_key(2)
         store.install_committed(
             other, Version(other, NodeData(2, properties={}), 2), lambda: None
         )
@@ -170,20 +170,20 @@ class TestGcRacesCopyOnWriteChains:
             # through a fresh uncached resolution each time so the chain is
             # actually re-read.
             resolved = engine.read_committed_versions(
-                [EntityKey.node(node_id)], long_reader.snapshot.start_ts
+                [node_key(node_id)], long_reader.snapshot.start_ts
             )[0]
             assert resolved.properties["value"] == 4
 
         # Garbage below the reader's snapshot was reclaimed while it lived...
         assert engine.gc.total_stats.versions_collected > collected_before
-        chain = engine.versions.get_chain(EntityKey.node(node_id))
+        chain = engine.versions.get_chain(node_key(node_id))
         retained = sorted(version.payload.properties["value"] for version in chain.snapshot())
         assert 4 in retained  # ...but its own version is still there,
         assert 0 not in retained  # and the pre-snapshot garbage is gone.
 
         long_reader.rollback()
         engine.run_gc()
-        assert engine.versions.get_chain(EntityKey.node(node_id)).version_count() == 1
+        assert engine.versions.get_chain(node_key(node_id)).version_count() == 1
         fresh = engine.begin(read_only=True)
         assert fresh.read_node(node_id).properties["value"] == 10
         fresh.rollback()
@@ -235,7 +235,7 @@ class TestSharedReadCache:
         db = GraphDatabase.in_memory()
         with db.transaction() as tx:
             alice = tx.create_node(["Person"], {"name": "Alice"})
-        key = EntityKey.node(alice.id)
+        key = node_key(alice.id)
         with db.transaction(read_only=True) as tx:
             for _ in range(5):
                 assert tx.get_node(alice.id).get("name") == "Alice"
@@ -249,7 +249,7 @@ class TestSharedReadCache:
         db = GraphDatabase.in_memory()
         with db.transaction() as tx:
             node = tx.create_node(["P"], {"v": "old"})
-        key = EntityKey.node(node.id)
+        key = node_key(node.id)
         old_reader = db.transaction(read_only=True)
         with db.transaction() as tx:
             tx.set_node_property(node, "v", "new")
@@ -277,7 +277,7 @@ class TestSharedReadCache:
         with db.transaction() as tx:
             node = tx.create_node(["P"], {"v": 1})
             other = tx.create_node(["P"], {"v": 1})
-        key = EntityKey.node(node.id)
+        key = node_key(node.id)
         long_reader = db.transaction(read_only=True)
         with db.transaction() as tx:
             tx.set_node_property(other, "v", 2)  # advances time, not ``node``
@@ -550,7 +550,7 @@ class TestRcEagerReadUnlock:
         tx = db.transaction()
         tx.create_relationship(a, b, "KNOWS")  # long-locks both endpoints
         engine = db.engine
-        key_a = EntityKey.node(a.id)
+        key_a = node_key(a.id)
         assert engine.locks.holders_of(key_a).get(tx.id) == LockMode.EXCLUSIVE
         tx.get_node(a.id)  # short read of an endpoint we hold exclusively
         assert engine.locks.holders_of(key_a).get(tx.id) == LockMode.EXCLUSIVE
@@ -559,14 +559,14 @@ class TestRcEagerReadUnlock:
 
     def test_shared_guard_releases_on_exit(self):
         manager = LockManager()
-        key = EntityKey.node(7)
+        key = node_key(7)
         with manager.shared_guard(1, key):
             assert manager.holders_of(key) == {1: LockMode.SHARED}
         assert manager.holders_of(key) == {}
 
     def test_shared_guard_blocks_behind_exclusive_writer(self):
         manager = LockManager()
-        key = EntityKey.node(9)
+        key = node_key(9)
         manager.acquire(100, key, LockMode.EXCLUSIVE)
         entered = threading.Event()
 

@@ -14,7 +14,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import GraphDatabase, IsolationLevel
-from repro.graph.entity import EntityKey, EntityKind, NodeData, RelationshipData
+from repro.graph.entity import (
+    NodeData,
+    RelationshipData,
+    is_rel_key,
+    key_id,
+    node_key,
+    rel_key,
+)
 
 LABELS = ("A", "B")
 TYPES = ("R", "S")
@@ -75,7 +82,7 @@ def apply_writes(db, txn, ops, nodes, rels):
     def delete_rel(rel_id):
         txn.delete_relationship(rel_id)
         rels[rel_id] = None
-        written.add(EntityKey.relationship(rel_id))
+        written.add(rel_key(rel_id))
 
     for op in ops:
         kind = op[0]
@@ -99,7 +106,7 @@ def apply_writes(db, txn, ops, nodes, rels):
                         delete_rel(rel_id)
                 txn.delete_node(node_id)
                 nodes[node_id] = None
-                written.add(EntityKey.node(node_id))
+                written.add(node_key(node_id))
         elif kind == "create_rel":
             start, end = pick(nodes, op[1]), pick(nodes, op[2])
             if start is not None:
@@ -142,7 +149,7 @@ def test_read_shapes_agree_with_model(isolation, graph, ops):
     db = GraphDatabase.in_memory(isolation=isolation)
     try:
         nodes, rels = build_graph(db, graph)
-        committed_node_keys = {EntityKey.node(node_id) for node_id in nodes}
+        committed_node_keys = {node_key(node_id) for node_id in nodes}
         with db.transaction() as tx:
             txn = tx.engine_transaction
             written = apply_writes(db, txn, ops, nodes, rels)
@@ -151,7 +158,7 @@ def test_read_shapes_agree_with_model(isolation, graph, ops):
             if record is not None:
                 # Reads the write set answers register nothing ...
                 txn.read_nodes_many(
-                    [key.entity_id for key in written if key.kind is EntityKind.NODE]
+                    [key_id(key) for key in written if not is_rel_key(key)]
                 )
                 assert record.read_keys == set() and record.predicates == set()
                 # ... and a consumed scan registers its predicate plus exactly

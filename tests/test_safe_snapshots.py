@@ -411,14 +411,14 @@ class TestSafeSnapshotMechanics:
         )
         from repro.locking.lock_manager import LockManager
 
-        from repro.graph.entity import EntityKey
+        from repro.graph.entity import node_key
 
         policy = SerializableSnapshotPolicy(LockManager())
         writer = policy.begin_transaction(1, 0)
         writer.out_commit_ts = 3  # out-edge to a commit at ts 3
         # The writer commits (no pending readers yet) but, as far as the
         # oracle census is concerned, is still unpublished.
-        policy.record_commit(writer, [(EntityKey.node(1), None, None)], 7)
+        policy.record_commit(writer, [(node_key(1), None, None)], 7)
         # Reader's snapshot (ts 3) covers the out-partner but not the writer.
         assert policy.begin_read_only(5, 3, (1,)) is RETAKE_SNAPSHOT
         # A snapshot predating the out-partner is not threatened.
@@ -435,12 +435,12 @@ class TestSafeSnapshotMechanics:
             RETAKE_SNAPSHOT,
             SerializableSnapshotPolicy,
         )
-        from repro.graph.entity import EntityKey
+        from repro.graph.entity import node_key
         from repro.locking.lock_manager import LockManager
 
         policy = SerializableSnapshotPolicy(LockManager())
         writer = policy.begin_transaction(3, 0)
-        policy.record_commit(writer, [(EntityKey.node(1), None, None)], 1)
+        policy.record_commit(writer, [(node_key(1), None, None)], 1)
         policy.reclaim(10, quiescent=True)  # prunes the finish record
         # A stale census naming the pruned member is ambiguous: retake.
         assert policy.begin_read_only(9, 5, (3,)) is RETAKE_SNAPSHOT
@@ -454,11 +454,11 @@ class TestSafeSnapshotMechanics:
             PendingSafeSnapshot,
             SerializableSnapshotPolicy,
         )
-        from repro.graph.entity import EntityKey
+        from repro.graph.entity import node_key
         from repro.locking.lock_manager import LockManager
 
         policy = SerializableSnapshotPolicy(LockManager())
-        key_a, key_b = EntityKey.node(1), EntityKey.node(2)
+        key_a, key_b = node_key(1), node_key(2)
         w1 = policy.begin_transaction(1, 0)
         policy.register_reads(w1, (key_b,))
         policy.record_commit(w1, [(key_a, None, None)], 1)  # w1 writes a

@@ -5,7 +5,7 @@ import pytest
 from repro.core.conflict import ConflictPolicy
 from repro.core.si_manager import SnapshotIsolationEngine
 from repro.errors import WriteWriteConflictError
-from repro.graph.entity import EntityKey, NodeData, RelationshipData
+from repro.graph.entity import NodeData, RelationshipData, node_key
 from repro.graph.properties import COMMIT_TS_PROPERTY
 from repro.graph.store_manager import StoreManager
 
@@ -243,7 +243,7 @@ class TestPersistence:
         assert stored.properties["value"] == 3
         assert stored.properties[COMMIT_TS_PROPERTY] == engine.oracle.latest_commit_ts
         # History lives only in the version chain, never in the store.
-        chain = engine.versions.get_chain(EntityKey.node(node_id))
+        chain = engine.versions.get_chain(node_key(node_id))
         assert chain.version_count() == 4
         pinner.rollback()
 

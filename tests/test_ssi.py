@@ -335,7 +335,7 @@ class TestSharedAdjacencyCacheTracksReads:
 
     @pytest.mark.parametrize("call", CALLS)
     def test_hit_registers_what_a_miss_registers(self, call):
-        from repro.graph.entity import EntityKey
+        from repro.graph.entity import rel_key
 
         db = GraphDatabase.in_memory(isolation=IsolationLevel.SERIALIZABLE)
         hub_id, deleted_rel_id = self._hub(db)
@@ -355,7 +355,7 @@ class TestSharedAdjacencyCacheTracksReads:
         assert warm_keys == cold_keys
         assert warm_predicates == cold_predicates == {("adjacency", hub_id)}
         # Every candidate is registered, not only the visible ones.
-        assert EntityKey.relationship(deleted_rel_id) in warm_keys
+        assert rel_key(deleted_rel_id) in warm_keys
         assert len(warm_keys) == 4
         db.close()
 
@@ -620,11 +620,11 @@ class TestReadRegistrationOrder:
         read (duplicates and held keys dropped), so which rw edge of a batch
         is noted first — and which pivot it dooms — is reproducible."""
         from repro.core.cc_policy import SerializableSnapshotPolicy
-        from repro.graph.entity import EntityKey
+        from repro.graph.entity import node_key
         from repro.locking.lock_manager import LockManager
 
         policy = SerializableSnapshotPolicy(LockManager())
-        keys = [EntityKey.node(node_id) for node_id in (9, 2, 7, 4)]
+        keys = [node_key(node_id) for node_id in (9, 2, 7, 4)]
         reader = policy.begin_transaction(1, 0)
         writers = {}
         for offset, key in enumerate(keys):

@@ -4,9 +4,9 @@ import pytest
 
 from repro.core.version import Version, VersionChain
 from repro.core.visibility import resolve_payloads
-from repro.graph.entity import EntityKey, NodeData
+from repro.graph.entity import NodeData, node_key
 
-KEY = EntityKey.node(1)
+KEY = node_key(1)
 
 
 def version(commit_ts, payload="payload"):

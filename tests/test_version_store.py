@@ -2,10 +2,10 @@
 
 from repro.core.version import Version, VersionChain
 from repro.core.version_store import VersionStore
-from repro.graph.entity import EntityKey, NodeData
+from repro.graph.entity import NodeData, node_key
 
-KEY = EntityKey.node(1)
-OTHER = EntityKey.node(2)
+KEY = node_key(1)
+OTHER = node_key(2)
 
 
 def payload(value):
@@ -70,7 +70,7 @@ class TestVersionStore:
         history.add_committed(Version(KEY, payload("new"), 2))
         # ...and many single-version chains to create pressure.
         for index in range(10, 30):
-            key = EntityKey.node(index)
+            key = node_key(index)
             chain = store.ensure_chain(key)
             chain.add_committed(Version(key, NodeData(index), 1))
         assert store.get_chain(KEY) is history
