@@ -13,12 +13,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.workload.anomaly import check_unrepeatable_read
-from repro.workload.generators import build_social_graph
-from repro.workload.operations import update_node_property
-from repro.workload.runner import ConcurrentWorkloadRunner, WorkerOutcome
-
-from bench_helpers import open_db, print_row
+from bench_helpers import open_db, print_row, run_workers
+from harness.anomaly import check_unrepeatable_read
+from harness.graphs import build_social_graph
 
 WORKERS = 6
 OPS_PER_WORKER = 40
@@ -30,22 +27,18 @@ def _run_experiment(isolation):
     graph = build_social_graph(db, people=60, avg_friends=3, seed=11)
     hot = graph.group("people")[:HOT_NODES]
 
-    def work(db, rng, worker_id, _iteration):
-        outcome = WorkerOutcome()
+    def work(rng, worker_id):
+        """Writers return None; readers return whether the re-read differed."""
         if worker_id % 2 == 0:
             with db.transaction() as tx:
-                update_node_property(tx, rng.choice(hot), "score", rng)
-        else:
-            with db.transaction(read_only=True) as tx:
-                outcome.anomalies.checks += 1
-                if check_unrepeatable_read(tx, rng.choice(hot), "score", delay_seconds=0.002):
-                    outcome.anomalies.unrepeatable_reads += 1
-        return outcome
+                node_id = rng.choice(hot)
+                score = int(tx.get_node(node_id).get("score", 0))
+                tx.set_node_property(node_id, "score", score + rng.randint(1, 5))
+            return None
+        with db.transaction(read_only=True) as tx:
+            return check_unrepeatable_read(tx, rng.choice(hot), "score", delay_seconds=0.002)
 
-    runner = ConcurrentWorkloadRunner(
-        db, workers=WORKERS, operations_per_worker=OPS_PER_WORKER, seed=5
-    )
-    result = runner.run(work)
+    result = run_workers(work, workers=WORKERS, ops_per_worker=OPS_PER_WORKER, seed=5)
     db.close()
     return result
 
@@ -53,12 +46,13 @@ def _run_experiment(isolation):
 @pytest.mark.benchmark(group="e1-unrepeatable-reads")
 def test_e1_unrepeatable_reads(benchmark, isolation):
     result = benchmark.pedantic(_run_experiment, args=(isolation,), rounds=1, iterations=1)
-    checks = max(1, result.anomalies.checks)
+    reads = [observed for observed in result.results if observed is not None]
+    unrepeatable_reads = sum(reads)
     row = {
         "isolation": isolation.value,
-        "reader_txns": result.anomalies.checks,
-        "unrepeatable_reads": result.anomalies.unrepeatable_reads,
-        "per_100_readers": round(100.0 * result.anomalies.unrepeatable_reads / checks, 2),
+        "reader_txns": len(reads),
+        "unrepeatable_reads": unrepeatable_reads,
+        "per_100_readers": round(100.0 * unrepeatable_reads / max(1, len(reads)), 2),
         "committed": result.committed,
         "aborted": result.aborted,
     }
@@ -66,4 +60,4 @@ def test_e1_unrepeatable_reads(benchmark, isolation):
     print_row("E1", row)
     # The qualitative claim must hold: SI never observes the anomaly.
     if isolation.value == "snapshot":
-        assert result.anomalies.unrepeatable_reads == 0
+        assert unrepeatable_reads == 0

@@ -12,12 +12,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.workload.anomaly import check_phantom_read
-from repro.workload.generators import build_social_graph
-from repro.workload.operations import delete_random_node, insert_labelled_node
-from repro.workload.runner import ConcurrentWorkloadRunner, WorkerOutcome
-
-from bench_helpers import open_db, print_row
+from bench_helpers import open_db, print_row, run_workers
+from harness.anomaly import check_phantom_read
+from harness.graphs import build_social_graph
 
 WORKERS = 6
 OPS_PER_WORKER = 30
@@ -28,25 +25,25 @@ def _run_experiment(isolation):
     graph = build_social_graph(db, people=40, avg_friends=2, seed=13)
     victims = list(graph.group("people"))
 
-    def work(db, rng, worker_id, _iteration):
-        outcome = WorkerOutcome()
+    def work(rng, worker_id):
+        """Writers insert or delete a Person and return None; readers
+        return whether the repeated label scan differed."""
         if worker_id % 2 == 0:
             with db.transaction() as tx:
                 if rng.random() < 0.6:
-                    insert_labelled_node(tx, "Person", rng)
+                    tx.create_node(
+                        ["Person"],
+                        {"payload": rng.randint(0, 1_000_000), "flag": rng.random() < 0.5},
+                    )
                 else:
-                    delete_random_node(tx, victims, rng)
-        else:
-            with db.transaction(read_only=True) as tx:
-                outcome.anomalies.checks += 1
-                if check_phantom_read(tx, label="Person", delay_seconds=0.002):
-                    outcome.anomalies.phantom_reads += 1
-        return outcome
+                    victim = rng.choice(victims)
+                    if tx.try_get_node(victim) is not None:
+                        tx.delete_node(victim, detach=True)
+            return None
+        with db.transaction(read_only=True) as tx:
+            return check_phantom_read(tx, label="Person", delay_seconds=0.002)
 
-    runner = ConcurrentWorkloadRunner(
-        db, workers=WORKERS, operations_per_worker=OPS_PER_WORKER, seed=17
-    )
-    result = runner.run(work)
+    result = run_workers(work, workers=WORKERS, ops_per_worker=OPS_PER_WORKER, seed=17)
     db.close()
     return result
 
@@ -54,16 +51,17 @@ def _run_experiment(isolation):
 @pytest.mark.benchmark(group="e2-phantom-reads")
 def test_e2_phantom_reads(benchmark, isolation):
     result = benchmark.pedantic(_run_experiment, args=(isolation,), rounds=1, iterations=1)
-    checks = max(1, result.anomalies.checks)
+    scans = [observed for observed in result.results if observed is not None]
+    phantom_reads = sum(scans)
     row = {
         "isolation": isolation.value,
-        "scan_txns": result.anomalies.checks,
-        "phantom_reads": result.anomalies.phantom_reads,
-        "per_100_scans": round(100.0 * result.anomalies.phantom_reads / checks, 2),
+        "scan_txns": len(scans),
+        "phantom_reads": phantom_reads,
+        "per_100_scans": round(100.0 * phantom_reads / max(1, len(scans)), 2),
         "committed": result.committed,
         "aborted": result.aborted,
     }
     benchmark.extra_info.update(row)
     print_row("E2", row)
     if isolation.value == "snapshot":
-        assert result.anomalies.phantom_reads == 0
+        assert phantom_reads == 0

@@ -16,11 +16,9 @@ from __future__ import annotations
 import pytest
 
 from repro import ConflictPolicy, IsolationLevel
-from repro.workload.generators import build_account_graph
-from repro.workload.operations import update_node_property
-from repro.workload.runner import ConcurrentWorkloadRunner, WorkerOutcome
 
-from bench_helpers import open_db, print_row
+from bench_helpers import open_db, print_row, run_workers
+from harness.graphs import build_account_graph
 
 WORKERS = 8
 OPS_PER_WORKER = 30
@@ -34,24 +32,14 @@ def _run(isolation, hot_set_size, policy=ConflictPolicy.FIRST_UPDATER_WINS):
     graph = build_account_graph(db, accounts=max(hot_set_size, 2), seed=23)
     hot = graph.group("accounts")[:hot_set_size]
 
-    def work(db, rng, _worker_id, _iteration):
+    def work(rng, _worker_id):
         with db.transaction() as tx:
-            update_node_property(tx, rng.choice(hot), "balance", rng)
-        return WorkerOutcome()
+            account = rng.choice(hot)
+            balance = int(tx.get_node(account).get("balance", 0))
+            tx.set_node_property(account, "balance", balance + rng.randint(1, 5))
 
-    runner = ConcurrentWorkloadRunner(
-        db, workers=WORKERS, operations_per_worker=OPS_PER_WORKER, seed=29
-    )
-    result = runner.run(work)
-    # Lost updates only make sense for read committed (SI aborts instead).
-    expected = result.committed
-    with db.transaction(read_only=True) as tx:
-        total_delta = sum(
-            int(tx.get_node(account).get("balance", 0)) - 1_000 for account in hot
-        )
+    result = run_workers(work, workers=WORKERS, ops_per_worker=OPS_PER_WORKER, seed=29)
     db.close()
-    result.extra["expected_increments"] = expected
-    result.extra["observed_delta"] = total_delta
     return result
 
 

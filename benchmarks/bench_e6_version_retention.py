@@ -13,9 +13,9 @@ from __future__ import annotations
 import pytest
 
 from repro import IsolationLevel
-from repro.workload.generators import build_social_graph
 
 from bench_helpers import open_db, print_row
+from harness.graphs import build_social_graph
 
 HOT_NODES = 10
 

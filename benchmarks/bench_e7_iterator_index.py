@@ -19,9 +19,9 @@ from __future__ import annotations
 import pytest
 
 from repro import IsolationLevel
-from repro.workload.generators import build_social_graph
 
 from bench_helpers import open_db, print_row
+from harness.graphs import build_social_graph
 
 PEOPLE = 300
 OWN_WRITES = 100

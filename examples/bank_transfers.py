@@ -1,6 +1,6 @@
 """Account transfers: lost updates, first-updater-wins retries, and write skew.
 
-Three things this example shows on a bank-style graph (Customer-[:OWNS]->Account):
+Three things this example shows on a set of ``Account`` nodes:
 
 1. Under read committed, concurrent read-modify-write transfers silently lose
    updates: the final total balance does not add up.
@@ -15,12 +15,11 @@ Run with::
     python examples/bank_transfers.py
 """
 
+import random
 import threading
 
 from repro import GraphDatabase, IsolationLevel, WriteWriteConflictError
 from repro.errors import TransactionAbortedError
-from repro.workload.anomaly import WriteSkewProbe
-from repro.workload.generators import build_account_graph
 
 ACCOUNTS = 20
 INITIAL_BALANCE = 1_000
@@ -39,8 +38,6 @@ def run_transfers(db, accounts, *, retry: bool) -> dict:
     lock = threading.Lock()
 
     def worker(worker_id: int) -> None:
-        import random
-
         rng = random.Random(worker_id)
         for _ in range(TRANSFERS_PER_WORKER):
             while True:
@@ -76,8 +73,11 @@ def demonstrate_transfers() -> None:
 
     for isolation in (IsolationLevel.READ_COMMITTED, IsolationLevel.SNAPSHOT):
         db = GraphDatabase.in_memory(isolation=isolation)
-        graph = build_account_graph(db, accounts=ACCOUNTS, initial_balance=INITIAL_BALANCE, seed=3)
-        accounts = graph.group("accounts")
+        with db.transaction() as tx:
+            accounts = [
+                tx.create_node(["Account"], {"number": i, "balance": INITIAL_BALANCE}).id
+                for i in range(ACCOUNTS)
+            ]
         outcome = run_transfers(db, accounts, retry=isolation is IsolationLevel.SNAPSHOT)
         final = total_balance(db, accounts)
         drift = final - expected_total
@@ -94,22 +94,28 @@ def demonstrate_write_skew() -> None:
     with db.transaction() as tx:
         account_a = tx.create_node(["Account"], {"balance": 60}).id
         account_b = tx.create_node(["Account"], {"balance": 60}).id
-    probe = WriteSkewProbe(account_a, account_b, withdraw_amount=80)
+    amount = 80
+
+    def withdraw(tx, source: int) -> None:
+        """Withdraw from ``source`` if the combined balance covers it."""
+        balances = {account: tx.get_node(account)["balance"] for account in (account_a, account_b)}
+        if sum(balances.values()) >= amount:
+            tx.set_node_property(source, "balance", balances[source] - amount)
 
     # Two concurrent transactions each read both balances (total 120 >= 80),
     # then withdraw from *different* accounts — no write-write conflict, both
     # commit, and the combined constraint is violated.
     t1 = db.begin()
     t2 = db.begin()
-    probe.withdraw(t1, account_a)
-    probe.withdraw(t2, account_b)
+    withdraw(t1, account_a)
+    withdraw(t2, account_b)
     t1.commit()
     t2.commit()
 
     with db.transaction(read_only=True) as tx:
         balance_a = tx.get_node(account_a)["balance"]
         balance_b = tx.get_node(account_b)["balance"]
-        violated = probe.constraint_violated(tx)
+    violated = balance_a + balance_b < 0
     print(f"  balances after both withdrawals: {balance_a} + {balance_b} = {balance_a + balance_b}"
           f"  -> constraint violated: {violated}")
     print("  (As the paper notes, many workloads — e.g. TPC-C — never trigger this anomaly.)")

@@ -16,21 +16,32 @@ Run with::
     python examples/two_step_traversal.py
 """
 
+import random
 import threading
 import time
 
 from repro import GraphDatabase, IsolationLevel
 from repro.api.traversal import two_step_neighbourhood
-from repro.workload.generators import build_social_graph
 
 PEOPLE = 120
+FRIENDSHIPS = PEOPLE * 5 // 2
 ALGORITHM_RUNS = 60
+
+
+def build_people(db: GraphDatabase) -> list:
+    """``PEOPLE`` Person nodes joined by random KNOWS edges; returns their ids."""
+    rng = random.Random(99)
+    with db.transaction() as tx:
+        people = [tx.create_node(["Person"], {"name": f"person-{i}"}).id for i in range(PEOPLE)]
+        for _ in range(FRIENDSHIPS):
+            left, right = rng.sample(people, 2)
+            tx.create_relationship(left, right, "KNOWS")
+    return people
 
 
 def run_scenario(isolation: IsolationLevel) -> dict:
     db = GraphDatabase.in_memory(isolation=isolation)
-    graph = build_social_graph(db, people=PEOPLE, avg_friends=5, seed=99)
-    people = list(graph.group("people"))
+    people = build_people(db)
     hubs = people[:10]
     stop = threading.Event()
     deleted = []

@@ -16,9 +16,11 @@ Run with::
     python examples/version_housekeeping.py
 """
 
-from repro import GraphDatabase, IsolationLevel
-from repro.workload.generators import build_social_graph
+import random
 
+from repro import GraphDatabase, IsolationLevel
+
+PEOPLE = 150
 UPDATES = 300
 HOT = 10
 
@@ -32,10 +34,24 @@ def describe(db, moment: str) -> None:
     print(f"  persistent nodes in the store          : {db.store.node_count()}")
 
 
+def build_people(db: GraphDatabase) -> list:
+    """``PEOPLE`` Person nodes joined by random KNOWS edges; returns their ids."""
+    rng = random.Random(5)
+    with db.transaction() as tx:
+        people = [
+            tx.create_node(["Person"], {"name": f"person-{i}", "score": 0}).id
+            for i in range(PEOPLE)
+        ]
+        for _ in range(PEOPLE * 3 // 2):
+            left, right = rng.sample(people, 2)
+            tx.create_relationship(left, right, "KNOWS")
+    return people
+
+
 def main() -> None:
     db = GraphDatabase.in_memory(isolation=IsolationLevel.SNAPSHOT)
-    graph = build_social_graph(db, people=150, avg_friends=3, seed=5)
-    hot = graph.group("people")[:HOT]
+    people = build_people(db)
+    hot = people[:HOT]
 
     describe(db, "After loading the graph")
 
@@ -48,7 +64,7 @@ def main() -> None:
         with db.transaction() as tx:
             node_id = hot[index % HOT]
             tx.set_node_property(node_id, "score", index)
-    victims = graph.group("people")[-5:]
+    victims = people[-5:]
     for victim in victims:
         with db.transaction() as tx:
             tx.delete_node(victim, detach=True)

@@ -14,9 +14,9 @@ graceful close/drain ordering.  The isolation level is chosen at open time:
 >>> with db.transaction() as tx:
 ...     alice = tx.create_node(labels=["Person"], properties={"name": "Alice"})
 
-The experiment harness opens two databases over identical workloads — one per
-isolation level — which is how the anomaly and throughput comparisons in
-EXPERIMENTS.md are produced.
+Opening one database per isolation level over identical transaction bodies
+is how the tests and benchmarks compare the engines' anomalies and
+throughput.
 """
 
 from __future__ import annotations
@@ -45,10 +45,7 @@ from repro.core.vacuum import VacuumCollector
 from repro.engine import IsolationLevel
 from repro.errors import ReproError, TransactionAbortedError
 from repro.query import is_read_only_query
-
-# Re-exported from its new home so existing imports keep working; the WAL's
-# bounded IO-retry loop shares the same backoff (see repro.retry).
-from repro.retry import jittered_backoff  # noqa: F401
+from repro.retry import jittered_backoff
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.api.session import Session
@@ -226,7 +223,7 @@ class GraphDatabase:
         ``fn`` returns (unless ``fn`` already closed it).  Because ``fn`` can
         run more than once it must not carry side effects outside the
         transaction.  ``on_retry(attempt, error)`` is invoked before each
-        backoff sleep (workload harnesses count retries through it).
+        backoff sleep (callers count retries through it).
         """
         if retries < 0:
             raise ValueError("retries must be >= 0")

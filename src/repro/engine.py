@@ -17,8 +17,8 @@ overlay on point reads, batch reads, scans and index results, the committed
 ids scans enumerate, commit/rollback, the smaller-entry seek choice, index
 cardinalities, id allocation and abort accounting.  The public API
 (:mod:`repro.api`) is written against them, so the two engines are
-interchangeable and the experiment harness runs identical workloads under
-every isolation level.
+interchangeable and the same transaction bodies run under every isolation
+level.
 """
 
 from __future__ import annotations

@@ -33,7 +33,7 @@ from repro.query.cache import (
 )
 from repro.stats import CardinalityEpoch, EngineStats
 
-__all__ = ["EngineStats", "ReadCommittedEngine"]
+__all__ = ["ReadCommittedEngine"]
 
 
 class ReadCommittedEngine(GraphEngine):

@@ -111,6 +111,8 @@ class _Sharded:
     Cell creation (first touch per thread) takes the instrument lock; every
     later operation is lock-free.  Cells of finished threads are retained —
     counters are cumulative, so their contributions must survive the thread.
+    A new thread that reuses a finished thread's ident takes over its cell
+    (idents are unique among live threads, so the old owner writes no more).
     """
 
     def __init__(self) -> None:
@@ -122,9 +124,10 @@ class _Sharded:
         try:
             return self._local.cell
         except AttributeError:
-            cell = self._new_cell()
             with self._cells_lock:
-                self._cells[threading.get_ident()] = cell
+                cell = self._cells.get(threading.get_ident())
+                if cell is None:
+                    cell = self._cells[threading.get_ident()] = self._new_cell()
             self._local.cell = cell
             return cell
 

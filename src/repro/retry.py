@@ -37,8 +37,8 @@ def jittered_backoff(
     cadence just re-collides them; the uniform draw over ``[cap/2, cap]``
     (the "equal jitter" scheme) de-synchronises the contenders while still
     guaranteeing a minimum gap for the winner to finish committing.  Shared
-    by :meth:`GraphDatabase.run_transaction`, the workload runner and the
-    write-ahead log's transient-IO retry loop.
+    by :meth:`GraphDatabase.run_transaction` and the write-ahead log's
+    transient-IO retry loop.
     """
     cap = min(max_seconds, base_seconds * (2 ** attempt))
     draw = rng.random() if rng is not None else random.random()

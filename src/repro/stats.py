@@ -2,9 +2,7 @@
 
 Both transaction engines (the read-committed baseline and the paper's
 snapshot-isolation engine) report the same transaction outcome counters, so
-the container lives here rather than in either engine's package.  The
-historical import location ``repro.locking.rc_manager.EngineStats`` is kept as
-a re-export for backward compatibility.
+the container lives here rather than in either engine's package.
 """
 
 from __future__ import annotations

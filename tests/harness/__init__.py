@@ -16,6 +16,13 @@ Two pieces, usable together or alone:
   exact global order in which those points execute, which makes anomalies
   like the Fekete read-only-transaction anomaly reproducible on demand
   instead of a flake.
+
+Beside them, imported by module path rather than re-exported here:
+
+* :mod:`tests.harness.graphs` — deterministic graph builders (social
+  network, chain, grid, accounts), created through the public API.
+* :mod:`tests.harness.anomaly` — in-transaction anomaly checkers and the
+  lost-update and write-skew probes.
 """
 
 from harness.history import History, RecordedTransaction, Recorder

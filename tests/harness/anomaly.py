@@ -1,64 +1,20 @@
-"""Anomaly checkers.
+"""Anomaly checkers and probes.
 
-Each checker runs entirely inside one transaction and reports whether the
-transaction observed the anomaly.  Run under read committed they reproduce the
-problems the paper's introduction describes; run under snapshot isolation they
-must never fire (except write skew, which snapshot isolation permits — the
-paper points this out explicitly).
+Each ``check_*`` function runs entirely inside one transaction and reports
+whether the transaction observed the anomaly.  Run under read committed they
+reproduce the problems the paper's introduction describes; run under snapshot
+isolation they must never fire.  The two probes script lost update and write
+skew; snapshot isolation permits write skew, as the paper points out.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set
+from typing import Callable, Optional, Sequence, Set
 
 from repro.api.transaction import Transaction
 from repro.graph.properties import PropertyValue
-
-
-@dataclass
-class AnomalyCounters:
-    """Counts of observed anomalies across a workload run."""
-
-    unrepeatable_reads: int = 0
-    phantom_reads: int = 0
-    lost_updates: int = 0
-    write_skew: int = 0
-    checks: int = 0
-
-    def merge(self, other: "AnomalyCounters") -> None:
-        """Fold another counter set into this one."""
-        self.unrepeatable_reads += other.unrepeatable_reads
-        self.phantom_reads += other.phantom_reads
-        self.lost_updates += other.lost_updates
-        self.write_skew += other.write_skew
-        self.checks += other.checks
-
-    def total(self) -> int:
-        """Total anomalies of any kind."""
-        return (
-            self.unrepeatable_reads
-            + self.phantom_reads
-            + self.lost_updates
-            + self.write_skew
-        )
-
-    def rate(self) -> float:
-        """Anomalies per check performed."""
-        return self.total() / self.checks if self.checks else 0.0
-
-    def as_dict(self) -> Dict[str, float]:
-        """Plain-dict view (used in benchmark result rows)."""
-        return {
-            "unrepeatable_reads": self.unrepeatable_reads,
-            "phantom_reads": self.phantom_reads,
-            "lost_updates": self.lost_updates,
-            "write_skew": self.write_skew,
-            "checks": self.checks,
-            "rate": round(self.rate(), 4),
-        }
 
 
 def check_unrepeatable_read(

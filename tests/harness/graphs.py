@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.api.database import GraphDatabase
+from repro import GraphDatabase
 
 #: First names used by the social-network generator (cycled with a suffix).
 _FIRST_NAMES = [

@@ -2,7 +2,7 @@
 
 The vectorized batch executor is the only runtime; the row-at-a-time
 operators in ``tests/reference_executor.py`` are the semantic reference.
-These tests pin them together: every read template of the E10 workload mix
+These tests pin them together: every read template of the social query mix
 must return byte-identical rows (same values, same order) under batch sizes
 1, 2 and 1024, with the default version cache and a tiny one, and with
 garbage collection off and after every commit — and the executor must preserve the snapshot-consistency and SSI-abort behaviour the
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import contextlib
 import random
+from typing import Callable, Dict, List, NamedTuple
 
 import pytest
 
@@ -22,7 +23,68 @@ from reference_executor import reference_executor
 from repro import GraphDatabase, IsolationLevel, TransactionAbortedError
 from repro.errors import NodeNotFoundError
 from repro.query import executor
-from repro.workload import READ_TEMPLATES, build_social_graph, person_names_of
+
+from harness.graphs import build_social_graph
+
+
+class QueryTemplate(NamedTuple):
+    """One parameterised read query and its parameter sampler."""
+
+    name: str
+    text: str
+    params: Callable[[random.Random, List[str]], Dict[str, object]]
+
+
+def _person_param(rng: random.Random, names: List[str]) -> Dict[str, object]:
+    return {"name": rng.choice(names)}
+
+
+#: The read mix over a social graph: a point lookup, a filtered scan, one-
+#: and two-hop traversals and two aggregates.
+READ_TEMPLATES = (
+    QueryTemplate(
+        "point_lookup",
+        "MATCH (p:Person {name: $name}) RETURN p.name, p.age",
+        _person_param,
+    ),
+    QueryTemplate(
+        "filtered_scan",
+        "MATCH (p:Person) WHERE p.age >= $min_age "
+        "RETURN p.name ORDER BY p.age DESC LIMIT 10",
+        lambda rng, names: {"min_age": rng.randint(20, 80)},
+    ),
+    QueryTemplate(
+        "friends",
+        "MATCH (p:Person {name: $name})-[:KNOWS]-(f:Person) "
+        "RETURN f.name ORDER BY f.name",
+        _person_param,
+    ),
+    QueryTemplate(
+        "friends_of_friends",
+        "MATCH (p:Person {name: $name})-[:KNOWS*1..2]-(f:Person) "
+        "WHERE f.name <> $name RETURN DISTINCT f.name",
+        _person_param,
+    ),
+    QueryTemplate(
+        "city_rollup",
+        "MATCH (p:Person)-[:LIVES_IN]->(c:City) "
+        "RETURN c.name AS city, count(p) AS residents ORDER BY residents DESC",
+        lambda rng, names: {},
+    ),
+    QueryTemplate(
+        "degree_rank",
+        "MATCH (p:Person)-[r:KNOWS]-() WITH p, count(r) AS degree "
+        "RETURN p.name, degree ORDER BY degree DESC LIMIT 5",
+        lambda rng, names: {},
+    ),
+)
+
+
+def person_names_of(db: GraphDatabase) -> List[str]:
+    """The ``name`` of every ``Person`` (to parameterise the templates)."""
+    with db.begin(read_only=True) as tx:
+        return [node.get("name") for node in tx.find_nodes(label="Person")]
+
 
 #: Batch-executor configurations under test: every required batch size, then
 #: each under MVCC settings that change where a read finds its version — a
@@ -86,7 +148,7 @@ def batch_config(request):
 
 
 class TestTemplateEquivalence:
-    """Every E10 read template, reference vs every batch configuration."""
+    """Every read template, reference vs every batch configuration."""
 
     @pytest.fixture(scope="class")
     def row_db(self):

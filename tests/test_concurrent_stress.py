@@ -19,7 +19,8 @@ from repro.errors import (
     TransactionAbortedError,
 )
 from repro.graph.recovery import check_store
-from repro.workload.generators import build_account_graph, build_social_graph
+
+from harness.graphs import build_account_graph, build_social_graph
 
 WORKERS = 4
 OPS = 30

@@ -28,7 +28,7 @@ import time
 import pytest
 
 from repro import GraphDatabase, IsolationLevel, TransactionAbortedError
-from repro.api.database import jittered_backoff
+from repro.retry import jittered_backoff
 
 from harness import History, Recorder
 

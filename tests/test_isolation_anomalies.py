@@ -8,7 +8,8 @@ isolation does not — except write skew, which SI is expected to permit.
 import pytest
 
 from repro import WriteWriteConflictError
-from repro.workload.anomaly import (
+
+from harness.anomaly import (
     LostUpdateProbe,
     WriteSkewProbe,
     check_phantom_read,

@@ -1,6 +1,7 @@
 """Metrics registry: instruments, labels, sharded merge, flattening."""
 
 import math
+import statistics
 import threading
 
 import pytest
@@ -12,7 +13,6 @@ from repro.obs.registry import (
     flatten_statistics,
     sanitize_metric_name,
 )
-from repro.workload.metrics import LatencyRecorder
 
 
 class TestCounter:
@@ -170,6 +170,15 @@ class TestShardedMerge:
         thread.join()
         assert counter.value() == 10.0
 
+    def test_counts_survive_thread_ident_reuse(self):
+        registry = MetricsRegistry()
+        counter = registry.counter("sequential_total")
+        for _ in range(20):
+            thread = threading.Thread(target=counter.inc)
+            thread.start()
+            thread.join()
+        assert counter.value() == 20.0
+
 
 class TestCollectorsAndSnapshot:
     def test_collector_output_in_snapshot(self):
@@ -218,29 +227,60 @@ class TestFlattening:
         assert sanitize_metric_name("9lives") == "_9lives"
 
 
-class TestLatencyRecorderRegression:
-    """The bench recorder pins the interpolated percentile definition."""
+class TestExactSampleHistogram:
+    """Exact-sample mode is the interpolated order statistic the E1-E9
+    benchmarks report through ``statistics.quantiles``."""
 
-    def test_percentiles_pinned(self):
-        recorder = LatencyRecorder()
-        recorder.extend([float(v) for v in range(1, 101)])
-        assert recorder.count() == 100
-        assert recorder.percentile(0.50) == pytest.approx(50.5)
-        assert recorder.percentile(0.95) == pytest.approx(95.05)
-        assert recorder.percentile(0.99) == pytest.approx(99.01)
-        assert recorder.mean() == pytest.approx(50.5)
+    def test_percentiles_match_statistics_quantiles_inclusive(self):
+        samples = [0.003, 0.001, 0.02, 0.0075, 0.5, 0.011, 0.0042, 0.09, 0.013]
+        histogram = Histogram(track_samples=True)
+        histogram.observe_many(samples)
+        cuts = statistics.quantiles(samples, n=100, method="inclusive")
+        assert histogram.percentile(0.50) == pytest.approx(cuts[49])
+        assert histogram.percentile(0.95) == pytest.approx(cuts[94])
+        assert histogram.percentile(0.99) == pytest.approx(cuts[98])
+        assert histogram.mean() == pytest.approx(statistics.fmean(samples))
 
-    def test_summary_matches_histogram_summary(self):
-        recorder = LatencyRecorder()
-        for value in (0.1, 0.2, 0.3):
-            recorder.record(value)
-        summary = recorder.summary()
-        assert summary["count"] == 3
-        assert summary["p50"] == pytest.approx(0.2)
-        assert summary["max"] == pytest.approx(0.3)
+    def test_empty_histogram_is_all_zeros(self):
+        histogram = Histogram(track_samples=True)
+        assert histogram.percentile(0.99) == 0.0
+        assert histogram.mean() == 0.0
+        assert histogram.samples() == []
+        assert set(histogram.summary().values()) == {0}
 
-    def test_empty_recorder_is_all_zeros(self):
-        recorder = LatencyRecorder()
-        assert recorder.percentile(0.99) == 0.0
-        assert recorder.mean() == 0.0
-        assert recorder.samples() == []
+    def test_observe_many_equals_observe(self):
+        values = [0.0004, 0.002, 0.002, 0.3, 7.0, 250.0]
+        for track_samples in (False, True):
+            one_by_one = Histogram(track_samples=track_samples)
+            for value in values:
+                one_by_one.observe(value)
+            batched = Histogram(track_samples=track_samples)
+            batched.observe_many(values)
+            assert batched.bucket_counts() == one_by_one.bucket_counts()
+            assert batched.count() == one_by_one.count() == len(values)
+            assert batched.sum() == pytest.approx(one_by_one.sum())
+            assert batched.samples() == one_by_one.samples()
+            assert batched.percentile(0.5) == pytest.approx(one_by_one.percentile(0.5))
+
+    def test_samples_merge_across_threads(self):
+        histogram = Histogram(track_samples=True)
+
+        def worker(offset):
+            for value in range(offset, 100, 4):
+                histogram.observe(float(value + 1))
+
+        threads = [threading.Thread(target=worker, args=(offset,)) for offset in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert sorted(histogram.samples()) == [float(value) for value in range(1, 101)]
+        assert histogram.percentile(0.95) == pytest.approx(95.05)
+        assert histogram.summary()["max"] == 100.0
+
+    @pytest.mark.parametrize("fraction", [-0.01, 1.01])
+    def test_percentile_rejects_fraction_outside_unit_interval(self, fraction):
+        histogram = Histogram(track_samples=True)
+        histogram.observe(1.0)
+        with pytest.raises(ValueError):
+            histogram.percentile(fraction)

@@ -21,7 +21,8 @@ from reference_executor import reference_executor
 from repro import GraphDatabase, IsolationLevel
 from repro import query as query_module
 from repro.query import cache, executor, expressions
-from repro.workload import build_social_graph, person_names_of
+
+from harness.graphs import build_social_graph
 
 FRIENDS = (
     "MATCH (p:Person {name: $name})-[:KNOWS]-(f:Person) "
@@ -39,6 +40,11 @@ def _social_db(**options) -> GraphDatabase:
     db = GraphDatabase.in_memory(**options)
     build_social_graph(db, people=40, avg_friends=4, seed=5)
     return db
+
+
+def person_names_of(db):
+    with db.begin(read_only=True) as tx:
+        return [node.get("name") for node in tx.find_nodes(label="Person")]
 
 
 def _sociable_names(db, count: int):

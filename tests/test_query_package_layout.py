@@ -1,11 +1,15 @@
 """The query package keeps one executor: no private names cross its module
 boundaries, and the executor switch cannot grow back.  Transactions and the
-query layer read committed state only through the engine's interface."""
+query layer read committed state only through the engine's interface.
+``src/repro`` holds the engine only: no workload harness, no test imports."""
 
 from __future__ import annotations
 
 import ast
+import importlib
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 QUERY = SRC / "repro" / "query"
@@ -107,4 +111,26 @@ def test_entity_keys_are_plain_ints():
                     continue
                 if name in ("EntityKey", "EntityKey.node", "EntityKey.relationship"):
                     offenders.append(f"{path.relative_to(SRC)}:{node.lineno} {name}(")
+    assert offenders == []
+
+
+def test_src_holds_the_engine_only():
+    """Graph builders, anomaly probes and workload drivers live beside the
+    tests and benchmarks that use them; nothing under ``src/repro`` reaches
+    back into ``tests/``."""
+    assert not (SRC / "repro" / "workload").exists()
+    with pytest.raises(ImportError):
+        importlib.import_module("repro.workload")
+    offenders = []
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            elif isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            else:
+                continue
+            for module in modules:
+                if module.split(".")[0] in ("harness", "tests"):
+                    offenders.append(f"{path.relative_to(SRC)}:{node.lineno} {module}")
     assert offenders == []

@@ -1,6 +1,7 @@
-"""Tests for the retrying transaction helper and the workload retry routing."""
+"""Tests for the retrying transaction helper and its backoff."""
 
 import random
+import threading
 
 import pytest
 
@@ -11,9 +12,9 @@ from repro import (
     TransactionAbortedError,
     WriteWriteConflictError,
 )
-from repro.api.database import jittered_backoff
-from repro.workload.anomaly import WriteSkewProbe
-from repro.workload.runner import ConcurrentWorkloadRunner, WorkerOutcome, transactional
+from repro.retry import jittered_backoff
+
+from harness.anomaly import WriteSkewProbe
 
 
 @pytest.fixture()
@@ -154,39 +155,80 @@ class TestJitteredBackoff:
         assert len(draws) > 1
 
 
-class TestRunnerRetryRouting:
-    def test_runner_retries_conflicts(self, db):
+class TestContendedRetries:
+    """Four threads increment one counter: no committed increment is lost."""
+
+    @pytest.mark.parametrize(
+        "isolation", [IsolationLevel.SNAPSHOT, IsolationLevel.SERIALIZABLE],
+        ids=["snapshot", "serializable"],
+    )
+    def test_contended_increments_all_commit(self, isolation):
+        db = GraphDatabase.in_memory(isolation=isolation)
         node_id = _make_counter(db)
+        commits = []
+        errors = []
 
-        def contended_increment(database, rng, worker_id, iteration):
-            with database.transaction() as tx:
-                value = tx.get_node(node_id).get("value")
-                tx.set_node_property(node_id, "value", value + 1)
-            return WorkerOutcome()
-
-        runner = ConcurrentWorkloadRunner(
-            db, workers=4, operations_per_worker=25, seed=11, retries=20
-        )
-        result = runner.run(contended_increment)
-        assert result.committed == 100
-        assert result.aborted == 0
-        with db.transaction(read_only=True) as tx:
-            assert tx.get_node(node_id).get("value") == 100
-
-    def test_transactional_adapter_reports_retries(self):
-        db = GraphDatabase.in_memory(isolation=IsolationLevel.SERIALIZABLE)
-        node_id = _make_counter(db)
-
-        def body(tx, rng, worker_id, iteration):
+        def increment(tx):
             value = tx.get_node(node_id).get("value")
             tx.set_node_property(node_id, "value", value + 1)
-            return WorkerOutcome()
 
-        runner = ConcurrentWorkloadRunner(
-            db, workers=4, operations_per_worker=25, seed=13
-        )
-        result = runner.run(transactional(body, retries=30))
-        assert result.committed == 100
+        def worker(seed):
+            rng = random.Random(seed)
+            try:
+                for _ in range(25):
+                    db.run_transaction(increment, retries=30, rng=rng)
+                    commits.append(1)
+            except BaseException as exc:  # noqa: BLE001 - re-raised below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        if errors:
+            raise errors[0]
+        assert len(commits) == 100
         with db.transaction(read_only=True) as tx:
             assert tx.get_node(node_id).get("value") == 100
+        db.close()
+
+    @pytest.mark.parametrize(
+        "isolation", [IsolationLevel.SNAPSHOT, IsolationLevel.SERIALIZABLE],
+        ids=["snapshot", "serializable"],
+    )
+    def test_unretried_increments_abort_instead_of_losing_updates(self, isolation):
+        db = GraphDatabase.in_memory(isolation=isolation)
+        node_id = _make_counter(db)
+        outcomes = []
+        errors = []
+        start = threading.Barrier(4)
+
+        def worker():
+            try:
+                start.wait()
+                for _ in range(10):
+                    try:
+                        with db.transaction() as tx:
+                            value = tx.get_node(node_id).get("value")
+                            tx.set_node_property(node_id, "value", value + 1)
+                    except TransactionAbortedError:
+                        outcomes.append("aborted")
+                    else:
+                        outcomes.append("committed")
+            except BaseException as exc:  # noqa: BLE001 - re-raised below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        if errors:
+            raise errors[0]
+        committed = outcomes.count("committed")
+        assert len(outcomes) == 40
+        assert committed >= 1
+        with db.transaction(read_only=True) as tx:
+            assert tx.get_node(node_id).get("value") == committed
         db.close()

@@ -19,7 +19,8 @@ from repro import (
     TransactionAbortedError,
 )
 from repro.graph.entity import Direction
-from repro.workload.anomaly import AnomalyCounters, WriteSkewProbe
+
+from harness.anomaly import WriteSkewProbe
 
 
 def _make_accounts(db, balance=100):
@@ -64,11 +65,9 @@ class TestWriteSkew:
             a, b = _make_accounts(db, balance=100)
             probe = WriteSkewProbe(a, b, withdraw_amount=150)
             committed = _run_skew_interleaving(db, probe)
-            anomalies = AnomalyCounters(checks=1)
             with db.transaction(read_only=True) as tx:
-                if probe.constraint_violated(tx):
-                    anomalies.write_skew += 1
-            counters[isolation] = (committed, anomalies.write_skew)
+                write_skew = int(probe.constraint_violated(tx))
+            counters[isolation] = (committed, write_skew)
             db.close()
         si_committed, si_skew = counters[IsolationLevel.SNAPSHOT]
         ssi_committed, ssi_skew = counters[IsolationLevel.SERIALIZABLE]

@@ -11,7 +11,8 @@ from repro.api.traversal import (
     two_step_neighbourhood,
 )
 from repro.graph.entity import Direction
-from repro.workload.generators import build_chain_graph, build_grid_graph
+
+from harness.graphs import build_chain_graph, build_grid_graph
 
 
 @pytest.fixture

@@ -1,23 +1,11 @@
-"""Tests for the workload package (generators, runner, metrics)."""
+"""Tests for the deterministic graph builders in ``harness.graphs``."""
 
-import pytest
-
-from repro.workload.anomaly import AnomalyCounters
-from repro.workload.generators import (
+from harness.graphs import (
     build_account_graph,
     build_chain_graph,
     build_grid_graph,
     build_social_graph,
 )
-from repro.workload.metrics import LatencyRecorder, WorkloadResult
-from repro.workload.operations import (
-    add_friendship,
-    scan_label,
-    transfer_between_accounts,
-    traverse_neighbourhood,
-    update_node_property,
-)
-from repro.workload.runner import ConcurrentWorkloadRunner, WorkerOutcome
 
 
 class TestGenerators:
@@ -59,114 +47,37 @@ class TestGenerators:
             assert owners
 
 
-class TestOperations:
-    def test_update_and_scan(self, si_db):
-        graph = build_social_graph(si_db, people=10, avg_friends=1, seed=3)
-        import random
-        rng = random.Random(1)
-        with si_db.transaction() as tx:
-            assert update_node_property(tx, graph.group("people")[0], "score", rng)
-            assert not update_node_property(tx, 10_000, "score", rng)
-        with si_db.transaction(read_only=True) as tx:
-            assert len(scan_label(tx, "Person")) == 10
-            assert traverse_neighbourhood(tx, graph.group("people")[0], depth=2) >= 1
+class TestOperationsOnGeneratedGraphs:
+    """Single-threaded reads and writes over the builders' graphs behave the
+    same under both engines."""
 
-    def test_transfer_and_friendship(self, si_db):
-        graph = build_account_graph(si_db, accounts=4, seed=4)
+    def test_label_scan_sees_every_person(self, any_db):
+        graph = build_social_graph(any_db, people=25, avg_friends=2, cities=2, seed=3)
+        with any_db.transaction(read_only=True) as tx:
+            found = sorted(node.id for node in tx.find_nodes(label="Person"))
+        assert found == sorted(graph.group("people"))
+
+    def test_neighbourhood_walk_reaches_every_friend(self, any_db):
+        graph = build_social_graph(any_db, people=20, avg_friends=3, cities=2, seed=4)
+        start = graph.group("people")[0]
+        with any_db.transaction(read_only=True) as tx:
+            friends = {
+                rel.other_node_id(start)
+                for rel in tx.relationships_of(start, rel_types=["KNOWS"])
+            }
+            reached = {node.id for node in tx.neighbours(start, rel_types=["KNOWS"])}
+        assert friends
+        assert reached == friends
+
+    def test_transfers_preserve_the_total_balance(self, any_db):
+        graph = build_account_graph(any_db, accounts=6, initial_balance=100, seed=5)
         accounts = graph.group("accounts")
-        with si_db.transaction() as tx:
-            assert transfer_between_accounts(tx, accounts[0], accounts[1], 100)
-            assert not transfer_between_accounts(tx, accounts[0], 99_999, 100)
-        with si_db.transaction(read_only=True) as tx:
-            assert tx.get_node(accounts[0])["balance"] == 900
-            assert tx.get_node(accounts[1])["balance"] == 1100
-        import random
-        with si_db.transaction() as tx:
-            assert add_friendship(tx, graph.group("customers"), random.Random(0)) is not None
-
-
-class TestMetrics:
-    def test_latency_recorder_percentiles(self):
-        recorder = LatencyRecorder()
-        recorder.extend([0.001 * value for value in range(1, 101)])
-        assert recorder.count() == 100
-        assert recorder.percentile(0.0) == pytest.approx(0.001)
-        assert recorder.percentile(1.0) == pytest.approx(0.1)
-        assert recorder.percentile(0.5) == pytest.approx(0.05, rel=0.05)
-        assert 0.0 < recorder.mean() < 0.1
-        summary = recorder.summary()
-        assert summary["count"] == 100 and summary["p95"] >= summary["p50"]
-
-    def test_empty_recorder(self):
-        recorder = LatencyRecorder()
-        assert recorder.percentile(0.5) == 0.0
-        assert recorder.mean() == 0.0
-
-    def test_workload_result_aggregation(self):
-        result = WorkloadResult(workers=2, duration_seconds=2.0)
-        result.merge_worker(operations=10, committed=8, aborted=2, conflicts=2,
-                            latencies=[0.01] * 10, anomalies=AnomalyCounters(phantom_reads=1, checks=5))
-        result.merge_worker(operations=10, committed=10, aborted=0)
-        assert result.operations == 20
-        assert result.committed == 18
-        assert result.throughput == pytest.approx(9.0)
-        assert result.abort_rate == pytest.approx(2 / 20)
-        assert result.anomalies.phantom_reads == 1
-        row = result.as_dict()
-        assert row["workers"] == 2 and "latency_p95" in row and "anomaly_rate" in row
-
-    def test_anomaly_counters(self):
-        counters = AnomalyCounters(unrepeatable_reads=1, checks=4)
-        counters.merge(AnomalyCounters(phantom_reads=2, checks=6))
-        assert counters.total() == 3
-        assert counters.rate() == pytest.approx(0.3)
-        assert counters.as_dict()["checks"] == 10
-
-
-class TestRunner:
-    def test_runner_aggregates_outcomes(self, si_db):
-        graph = build_social_graph(si_db, people=10, avg_friends=1, seed=7)
-        people = graph.group("people")
-
-        def work(db, rng, worker_id, iteration):
-            outcome = WorkerOutcome()
-            with db.transaction(read_only=True) as tx:
-                tx.get_node(rng.choice(people))
-            outcome.extra["reads"] = 1
-            return outcome
-
-        runner = ConcurrentWorkloadRunner(si_db, workers=3, operations_per_worker=5, seed=1)
-        result = runner.run(work)
-        assert result.operations == 15
-        assert result.committed == 15
-        assert result.aborted == 0
-        assert result.extra["reads"] == 15
-        assert result.latencies.count() == 15
-        assert result.duration_seconds > 0
-
-    def test_runner_counts_conflicts_instead_of_crashing(self, si_db):
-        with si_db.transaction() as tx:
-            hot = tx.create_node(["Counter"], {"value": 0}).id
-
-        def work(db, rng, worker_id, iteration):
-            with db.transaction() as tx:
-                node = tx.get_node(hot)
-                tx.set_node_property(hot, "value", int(node["value"]) + 1)
-            return WorkerOutcome()
-
-        runner = ConcurrentWorkloadRunner(si_db, workers=4, operations_per_worker=10, seed=2)
-        result = runner.run(work)
-        assert result.committed + result.aborted == 40
-        assert result.conflicts == result.aborted
-
-    def test_runner_propagates_programming_errors(self, si_db):
-        def work(db, rng, worker_id, iteration):
-            raise ValueError("bug in the work function")
-
-        runner = ConcurrentWorkloadRunner(si_db, workers=2, operations_per_worker=1, seed=3)
-        with pytest.raises(ValueError):
-            runner.run(work)
-
-    def test_runner_requires_workers(self, si_db):
-        with pytest.raises(ValueError):
-            ConcurrentWorkloadRunner(si_db, workers=0)
+        for source, target in zip(accounts, accounts[1:] + accounts[:1]):
+            with any_db.transaction() as tx:
+                from_balance = tx.get_node(source)["balance"]
+                to_balance = tx.get_node(target)["balance"]
+                tx.set_node_property(source, "balance", from_balance - 30)
+                tx.set_node_property(target, "balance", to_balance + 30)
+        with any_db.transaction(read_only=True) as tx:
+            balances = [tx.get_node(account)["balance"] for account in accounts]
+        assert balances == [100] * 6
