@@ -4,9 +4,11 @@
 Runs ``benchmarks/suite/run.py`` on ``oltp_ssi`` and on ``oltp_si``
 (byte-identical op streams; the only difference is the SSI tracker) and fails
 when ``read_ops_per_s(oltp_ssi) / read_ops_per_s(oltp_si)`` is below the
-floor.  The ratio was ~0.7 while tracked readers were kept off the shared
-adjacency cache and paid one tracker visit per key, and measures ~0.8 with
-set-at-a-time traversal reads.  One 3-second pair on a shared runner is
+floor.  Over ten 12-second pairs on a 2-CPU host the per-pair ratio had
+median 0.74 (quartiles 0.72-0.76) with the global SIREAD and write-registry
+tables, and median 0.93 (quartiles 0.89-0.99, with the order of the two runs
+alternating) once each tracked transaction owned its read set; the floor
+was raised from 0.6 to 0.7 then.  One 3-second pair on a shared runner is
 noisy (12-second runs of this suite spread by tens of percent), so a pair
 below the floor is repeated and only ``ROUNDS`` low pairs in a row fail: a
 real regression is low every time, a noisy neighbour is not.  This is the
@@ -22,7 +24,7 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SECONDS = 3
-FLOOR = 0.6
+FLOOR = 0.7
 ROUNDS = 3
 
 

@@ -13,21 +13,27 @@ transaction lifecycle.  There is one family of them:
   transaction whenever committing it would complete a *dangerous structure*
   (two consecutive rw-edges whose pivot cannot be aborted any more).
 
-The SSI tracker works on three registries, all guarded by one mutex so the
-reader-side and writer-side checks are pairwise atomic (whichever of the two
-critical sections runs second is guaranteed to observe the other's
-registration — the store/load ordering that makes the edge detection
-race-free without putting locks on the MVCC read path itself):
+The SSI tracker keeps no global index of reads or writes.  Each tracked
+transaction's :class:`SsiTransactionRecord` owns its read set: the entity
+keys it read and the predicates it evaluated (label scans, property lookups,
+relationship-type scans, whole-store iterations, adjacency expansions), fed a
+batch at a time by
+:meth:`~repro.core.si_transaction.SnapshotTransaction._note_reads`.  Each
+commit owns its footprint in the *commit log*: the keys it wrote and the
+predicates whose membership it changed (:func:`predicates_of`), which is what
+catches phantoms.  An rw-antidependency between a reader and a concurrent
+commit is then two set-disjointness tests, made by whichever side arrives
+second:
 
-* ``sireads``: entity key -> records that point-read it (fed, a batch at a
-  time, by :meth:`~repro.core.si_transaction.SnapshotTransaction._note_reads`,
-  which covers point reads, adjacency expansions and index lookups);
-* ``predicates``: per-record predicate reads (label scans, property
-  lookups, relationship-type scans, whole-store iterations, adjacency
-  expansions) against which committed changes are matched for phantoms; and
-* a ``write registry`` plus ``commit log`` of recently committed changes,
-  consulted by *readers* so an edge is found no matter which side finishes
-  registering first.
+* a **reader** registering a batch adds it to its own sets and scans the
+  commit log for entries committed after its snapshot that meet the batch;
+* a **writer** committing scans the tracked records for concurrent readers
+  whose sets meet its footprint, and appends its entry to the log.
+
+One mutex makes each side a single critical section, so whichever of reader
+and writer runs second sees the other's half — the reader's keys already in
+its set, or the writer's entry already in the log — and no edge is missed,
+without putting a lock on the MVCC read path itself.
 
 Read-only transactions are the paper's — and PostgreSQL's — fast path: they
 register nothing, cost nothing, and can never be aborted, because a
@@ -51,11 +57,14 @@ the garbage collector with the snapshot watermark) drops everything older.
 from __future__ import annotations
 
 import threading
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    AbstractSet, Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Optional,
+    Sequence, Set, Tuple,
+)
 
 from repro.core.conflict import ConflictPolicy
 from repro.errors import SerializationError, UnsafeSnapshotError, WriteWriteConflictError
-from repro.graph.entity import EntityKey, NodeData, RelationshipData, format_key
+from repro.graph.entity import EntityKey, NodeData, format_key
 from repro.graph.properties import hashable_value
 from repro.locking.lock_manager import LockManager, LockMode
 
@@ -120,6 +129,11 @@ class SsiTransactionRecord:
         #: committing with an out-edge to a transaction that committed
         #: *before* the reader's snapshot.
         self.out_commit_ts: Optional[float] = None
+        #: The read set.  Once the record is registered with the tracker,
+        #: these sets are mutated only under its mutex (by the owning
+        #: thread), where writers also scan them; the owning thread's dedup
+        #: reads them outside it, which is safe because no other thread
+        #: mutates them.
         self.read_keys: Set[EntityKey] = set()
         self.predicates: Set[Predicate] = set()
 
@@ -133,7 +147,7 @@ class SsiTransactionRecord:
 
 #: Sentinel returned by :meth:`SnapshotWriteRulePolicy.begin_read_only` when
 #: the snapshot just granted is *already* unsafe — a census member committed
-#: (but has not yet published) carrying an out-edge to something that
+#: (but the snapshot cannot see it yet) carrying an out-edge to something that
 #: committed before this snapshot.  Nothing can be aborted to repair that, so
 #: the engine must retire the transaction and take a fresh snapshot.
 RETAKE_SNAPSHOT = object()
@@ -170,15 +184,7 @@ class SafeSnapshotStats:
         self.writer_aborts = 0
 
     def as_dict(self) -> Dict[str, int]:
-        return {
-            "immediate": self.immediate,
-            "tracked": self.tracked,
-            "became_safe": self.became_safe,
-            "waits": self.waits,
-            "retakes": self.retakes,
-            "upgrades": self.upgrades,
-            "writer_aborts": self.writer_aborts,
-        }
+        return {name: getattr(self, name) for name in self.__slots__}
 
 
 class PendingSafeSnapshot:
@@ -443,7 +449,7 @@ class SnapshotWriteRulePolicy:
         lets writeless committed records (which never fall below the commit-
         timestamp watermark on their own) be dropped once every active
         transaction began after they finished.  Returns the number of entries
-        dropped (records, SIREAD entries, registry rows).
+        dropped (records, read-set entries, commit-log entries).
         """
         return 0
 
@@ -465,59 +471,43 @@ class SnapshotWriteRulePolicy:
 # ---------------------------------------------------------------------------
 
 
-class _CommitLogEntry:
-    """One committed transaction's changes, kept for reader-side matching."""
+class _CommitLogEntry(NamedTuple):
+    """One committed transaction's footprint, kept for reader-side matching:
+    the keys it wrote and the predicates whose membership it changed."""
 
-    __slots__ = ("commit_ts", "record", "changes")
-
-    def __init__(self, commit_ts: int, record: SsiTransactionRecord,
-                 changes: Tuple[Change, ...]) -> None:
-        self.commit_ts = commit_ts
-        self.record = record
-        self.changes = changes
+    commit_ts: int
+    record: SsiTransactionRecord
+    keys: FrozenSet[EntityKey]
+    moved: FrozenSet[Predicate]
 
 
-def predicate_matches(predicate: Predicate, state: Optional[object]) -> bool:
-    """Whether an entity state is a member of a predicate's result set."""
-    if state is None:
-        return False
-    kind = predicate[0]
-    if kind == "label":
-        return isinstance(state, NodeData) and predicate[1] in state.labels
-    if kind == "node_prop":
-        return (
-            isinstance(state, NodeData)
-            and predicate[1] in state.properties
-            and hashable_value(state.properties[predicate[1]]) == predicate[2]
-        )
-    if kind == "rel_prop":
-        return (
-            isinstance(state, RelationshipData)
-            and predicate[1] in state.properties
-            and hashable_value(state.properties[predicate[1]]) == predicate[2]
-        )
-    if kind == "rel_type":
-        return isinstance(state, RelationshipData) and state.rel_type == predicate[1]
-    if kind == "all_nodes":
-        return isinstance(state, NodeData)
-    if kind == "all_rels":
-        return isinstance(state, RelationshipData)
-    if kind == "adjacency":
-        return isinstance(state, RelationshipData) and state.touches(predicate[1])
-    raise ValueError(f"unknown predicate kind {kind!r}")
+_NO_PREDICATES: FrozenSet[Predicate] = frozenset()
+_DOOMED = "was marked for abort by a concurrent committer (dangerous structure)"
 
 
-def predicate_membership_changed(
-    predicate: Predicate, old: Optional[object], new: Optional[object]
-) -> bool:
-    """Whether a committed change moved an entity into or out of a predicate.
+def predicates_of(state: Optional[object]) -> FrozenSet[Predicate]:
+    """Every predicate whose result set contains an entity state.
 
-    Only membership changes matter: a change that leaves an entity inside the
-    predicate's result set (say, an unrelated property update on a node the
-    reader's label scan returned) is already covered by the point-read SIREAD
-    the reader registered when it resolved the entity itself.
+    A change from ``old`` to ``new`` moves an entity into or out of exactly
+    ``predicates_of(old) ^ predicates_of(new)``.  Only membership changes
+    matter: a change that leaves an entity inside a predicate's result set
+    (say, an unrelated property update on a node a label scan returned) is
+    already covered by the key the reader registered when it resolved the
+    entity itself.
     """
-    return predicate_matches(predicate, old) != predicate_matches(predicate, new)
+    if state is None:
+        return _NO_PREDICATES
+    if isinstance(state, NodeData):
+        found: List[Predicate] = [("all_nodes",)]
+        found.extend([("label", label) for label in state.labels])
+        kind = "node_prop"
+    else:
+        found = [("all_rels",), ("rel_type", state.rel_type),
+                 ("adjacency", state.start_node), ("adjacency", state.end_node)]
+        kind = "rel_prop"
+    found.extend([(kind, key, hashable_value(value))
+                  for key, value in state.properties.items()])
+    return frozenset(found)
 
 
 class SerializableSnapshotPolicy(SnapshotWriteRulePolicy):
@@ -586,15 +576,10 @@ class SerializableSnapshotPolicy(SnapshotWriteRulePolicy):
         #: A still-active member can never sit below the floor: pruning
         #: only drops ids beneath the oldest active transaction.
         self._finished_floor = 0
-        #: Active and recently-committed tracked transactions by id.
+        #: Active and recently-committed tracked transactions by id, in
+        #: registration order (writers scan them in that order).
         self._records: Dict[int, SsiTransactionRecord] = {}
-        #: entity key -> records holding a SIREAD on it.
-        self._sireads: Dict[EntityKey, Set[SsiTransactionRecord]] = {}
-        #: Records with at least one registered predicate read.
-        self._predicate_readers: Set[SsiTransactionRecord] = set()
-        #: entity key -> [(commit_ts, committed writer record)].
-        self._write_registry: Dict[EntityKey, List[Tuple[int, SsiTransactionRecord]]] = {}
-        #: Recently committed change sets, for reader-side predicate checks.
+        #: Recently committed footprints, for reader-side edge detection.
         self._commit_log: List[_CommitLogEntry] = []
         #: Lifetime counters.
         self._rw_aborts = 0
@@ -637,10 +622,10 @@ class SerializableSnapshotPolicy(SnapshotWriteRulePolicy):
         snapshot grant (the snapshot is safe from birth and the reader runs
         the free untracked path), a :class:`PendingSafeSnapshot` handle
         otherwise, or :data:`RETAKE_SNAPSHOT` when a census member already
-        committed dangerously but has not yet published — the one window
-        where neither the reader nor the writer can be protected, so the
-        reader must take a fresh snapshot (the publish completes within the
-        committer's critical section, making the retake loop short).
+        committed dangerously but the snapshot cannot see its commit yet —
+        the one window where neither the reader nor the writer can be
+        protected, so the reader must take a fresh snapshot (the commit
+        becomes visible once it and every older commit have published).
         """
         if not self.safe_snapshots:
             return None
@@ -662,8 +647,8 @@ class SerializableSnapshotPolicy(SnapshotWriteRulePolicy):
                     # census member (its commits will be gated).
                     live.add(member)
                 elif finished_out_ts is not None and finished_out_ts <= start_ts:
-                    # Committed with a dangerous out-edge but not yet
-                    # published (else the snapshot would cover its writes
+                    # Committed with a dangerous out-edge but invisible to
+                    # this snapshot (else it would cover the member's writes
                     # and no rw-edge out of the reader could form): nothing
                     # can be aborted to protect this snapshot any more.
                     self._safe_stats.retakes += 1
@@ -705,9 +690,8 @@ class SerializableSnapshotPolicy(SnapshotWriteRulePolicy):
             with self._safe_mutex:
                 self._safe_stats.upgrades += 1
             self._records[record.txn_id] = record
-            buffered_keys, buffered_predicates = record.read_keys, record.predicates
-            record.read_keys, record.predicates = set(), set()
-            self._register_locked(record, buffered_keys, buffered_predicates)
+            # The whole buffer is fresh: adding it to itself is a no-op.
+            self._register_locked(record, record.read_keys, record.predicates)
 
     def finish_read_only(self, handle: PendingSafeSnapshot) -> None:
         """Close out a tracked reader; its census entry may outlive it.
@@ -723,22 +707,17 @@ class SerializableSnapshotPolicy(SnapshotWriteRulePolicy):
             with self._mutex:
                 self._purge_record(handle.record)
 
-    def _rw_member_finished(
+    def _member_finished_locked(
         self, txn_id: int, out_commit_ts: Optional[float] = None
     ) -> None:
-        """One read-write transaction ended: update the pending censuses.
+        """One read-write transaction ended: update the pending censuses
+        (``_safe_mutex`` held).
 
         ``out_commit_ts`` records the danger the member finished with (only
         a *commit* carrying an out-edge is dangerous; aborts and writeless
         commits pass ``None``) so a census taken after this moment can still
         judge the member (see :meth:`begin_read_only`).
         """
-        with self._safe_mutex:
-            self._member_finished_locked(txn_id, out_commit_ts)
-
-    def _member_finished_locked(
-        self, txn_id: int, out_commit_ts: Optional[float]
-    ) -> None:
         self._finished_rw[txn_id] = out_commit_ts
         if not self._pending_safe:
             return
@@ -819,7 +798,8 @@ class SerializableSnapshotPolicy(SnapshotWriteRulePolicy):
                 return  # went through record_commit; retained until reclaim
             if not committed:
                 self._purge_record(record)
-                self._rw_member_finished(txn_id)
+                with self._safe_mutex:
+                    self._member_finished_locked(txn_id)
                 return
             # Committed without writes: the record's SIREADs must survive
             # until no concurrent writer can commit any more.  The half-step
@@ -834,7 +814,8 @@ class SerializableSnapshotPolicy(SnapshotWriteRulePolicy):
             record.finish_seq = finish_seq
             # A writeless transaction wrote nothing a reader could have read
             # under, so it leaves every pending census without a gate check.
-            self._rw_member_finished(txn_id)
+            with self._safe_mutex:
+                self._member_finished_locked(txn_id)
 
     # -- write-time hooks -----------------------------------------------------
 
@@ -860,23 +841,16 @@ class SerializableSnapshotPolicy(SnapshotWriteRulePolicy):
     ) -> None:
         """Register a whole read batch under one tracker-mutex acquisition.
 
-        The dedup — within the batch and against what the record already
-        holds — runs outside the mutex: only the owning thread mutates
-        ``read_keys`` and ``predicates``.  So a batch of repeat reads (cache
-        hits included) costs one set probe per key and never touches the
-        lock, and the mutex is held only for the genuinely new registrations.
-        It keeps the order the reads were made in, so which edge of a batch
-        is noted first — and hence which pivot gets doomed — is reproducible.
+        The dedup against what the record already holds runs outside the
+        mutex: only the owning thread mutates ``read_keys`` and
+        ``predicates``.  So a batch of repeat reads (cache hits included)
+        costs two C-level set differences and never touches the lock, and
+        the mutex is held only for the genuinely new registrations.
         """
-        read_keys = record.read_keys
-        if len(keys) == 1:  # a point read: no batch to dedup
-            fresh_keys = () if keys[0] in read_keys else keys
-        else:
-            fresh_keys = [key for key in dict.fromkeys(keys) if key not in read_keys]
-        fresh_predicates: Sequence[Predicate] = ()
-        if predicates:
-            held = record.predicates
-            fresh_predicates = [p for p in dict.fromkeys(predicates) if p not in held]
+        fresh_keys = set(keys) - record.read_keys
+        fresh_predicates = (
+            set(predicates) - record.predicates if predicates else _NO_PREDICATES
+        )
         if not fresh_keys and not fresh_predicates:
             return
         if record.doomed:
@@ -887,48 +861,22 @@ class SerializableSnapshotPolicy(SnapshotWriteRulePolicy):
     def _register_locked(
         self,
         record: SsiTransactionRecord,
-        keys: Iterable[EntityKey],
-        predicates: Iterable[Predicate],
+        keys: AbstractSet[EntityKey],
+        predicates: AbstractSet[Predicate],
     ) -> None:
-        """Add SIREADs and predicate reads the record does not hold yet and
-        run the reader-side half of the race-free edge detection (mutex held).
-
-        A writer that already committed a newer version of a key — or a
-        change moving an entity into or out of a predicate — was concurrent
-        with the reader, so the reader read "under" its write: an rw edge out
-        of the reader.  Registration and this check are one critical section,
-        so whichever of reader and writer runs second sees the other.
-        """
+        """Add fresh reads to the record's read set, then note an rw edge to
+        every logged commit newer than its snapshot whose footprint meets
+        them: one per writer, in commit-log order (mutex held).  Such a
+        commit was concurrent, so the reader read "under" its write.
+        ``isdisjoint`` iterates the smaller of its two sets."""
+        record.read_keys |= keys
+        record.predicates |= predicates
         start_ts = record.start_ts
-        if keys:
-            read_keys = record.read_keys
-            sireads = self._sireads
-            write_registry = self._write_registry
-            for key in keys:
-                read_keys.add(key)
-                holders = sireads.get(key)
-                if holders is None:
-                    sireads[key] = {record}
-                else:
-                    holders.add(record)
-                for commit_ts, writer in write_registry.get(key, ()):
-                    if writer is not record and commit_ts > start_ts:
-                        self._note_edge(record, writer, acting=record)
-        if predicates:
-            self._predicate_readers.add(record)
-            # Select the concurrent commits once per batch, not per predicate.
-            concurrent = [
-                entry for entry in self._commit_log
-                if entry.commit_ts > start_ts and entry.record is not record
-            ]
-            registered = record.predicates
-            for predicate in predicates:
-                registered.add(predicate)
-                for entry in concurrent:
-                    for _key, old, new in entry.changes:
-                        if predicate_membership_changed(predicate, old, new):
-                            self._note_edge(record, entry.record, acting=record)
-                            break
+        for entry in self._commit_log:
+            if entry.commit_ts > start_ts and entry.record is not record and (
+                not entry.keys.isdisjoint(keys) or not entry.moved.isdisjoint(predicates)
+            ):
+                self._note_edge(record, entry.record, acting=record)
 
     # -- commit-time hooks -----------------------------------------------------
 
@@ -944,8 +892,7 @@ class SerializableSnapshotPolicy(SnapshotWriteRulePolicy):
         if record is not None:
             with self._mutex:
                 if record.doomed:
-                    self._raise_rw_abort(record, "was marked for abort by a "
-                                         "concurrent committer (dangerous structure)")
+                    self._raise_rw_abort(record, _DOOMED)
                 if record.in_conflict and record.out_conflict:
                     self._raise_rw_abort(record, "is the pivot of a dangerous structure")
         super().validate_commit(
@@ -969,11 +916,22 @@ class SerializableSnapshotPolicy(SnapshotWriteRulePolicy):
         """
         if record is None:
             return
+        keys = frozenset([key for key, _old, _new in changes])
+        moved = _NO_PREDICATES.union(
+            *[predicates_of(old) ^ predicates_of(new) for _key, old, new in changes]
+        )
         with self._mutex:
             if record.doomed:
-                self._raise_rw_abort(record, "was marked for abort by a "
-                                     "concurrent committer (dangerous structure)")
-            readers = self._conflicting_readers(record, changes)
+                self._raise_rw_abort(record, _DOOMED)
+            # The concurrent transactions that read state this commit
+            # overwrites, in registration order.
+            start_ts = record.start_ts
+            readers = [
+                reader for reader in self._records.values()
+                if (not reader.read_keys.isdisjoint(keys)
+                    or not reader.predicates.isdisjoint(moved))
+                and reader is not record and reader.concurrent_at(start_ts)
+            ]
             if readers and record.out_conflict:
                 # Committing would make this transaction the pivot.
                 self._raise_rw_abort(record, "is the pivot of a dangerous structure")
@@ -997,32 +955,7 @@ class SerializableSnapshotPolicy(SnapshotWriteRulePolicy):
             record.finished = True
             record.committed = True
             record.commit_ts = commit_ts
-            frozen = tuple(changes)
-            for key, _old, _new in frozen:
-                self._write_registry.setdefault(key, []).append((commit_ts, record))
-            self._commit_log.append(_CommitLogEntry(commit_ts, record, frozen))
-
-    def _conflicting_readers(
-        self, record: SsiTransactionRecord, changes: Sequence[Change]
-    ) -> List[SsiTransactionRecord]:
-        """Concurrent transactions that read state these changes overwrite."""
-        readers: Set[SsiTransactionRecord] = set()
-        for key, _old, _new in changes:
-            for reader in self._sireads.get(key, ()):
-                if reader is not record and reader.concurrent_at(record.start_ts):
-                    readers.add(reader)
-        for reader in self._predicate_readers:
-            if reader is record or reader in readers:
-                continue
-            if not reader.concurrent_at(record.start_ts):
-                continue
-            if any(
-                predicate_membership_changed(predicate, old, new)
-                for _key, old, new in changes
-                for predicate in reader.predicates
-            ):
-                readers.add(reader)
-        return list(readers)
+            self._commit_log.append(_CommitLogEntry(commit_ts, record, keys, moved))
 
     # -- edge bookkeeping ------------------------------------------------------
 
@@ -1078,8 +1011,7 @@ class SerializableSnapshotPolicy(SnapshotWriteRulePolicy):
 
     def _abort_doomed(self, record: SsiTransactionRecord) -> None:
         with self._mutex:
-            self._raise_rw_abort(record, "was marked for abort by a "
-                                 "concurrent committer (dangerous structure)")
+            self._raise_rw_abort(record, _DOOMED)
 
     def _raise_rw_abort(self, record: SsiTransactionRecord, why: str) -> None:
         self._rw_aborts += 1
@@ -1096,18 +1028,20 @@ class SerializableSnapshotPolicy(SnapshotWriteRulePolicy):
         quiescent: bool = False,
         oldest_active_txn_id: Optional[int] = None,
     ) -> int:
-        """Drop SIREADs, registry rows and records no snapshot can still need.
+        """Drop records and commit-log entries no snapshot can still need.
 
         A committed record matters only to transactions concurrent with it,
         and every active transaction's start timestamp is at least the
         watermark — so ``commit_ts <= watermark`` (or a fully quiescent
-        engine) makes the record, its SIREADs and its registry entries
+        engine) makes the record, its read set and its commit-log entry
         unreachable.  *Writeless* committed records carry a pseudo commit
         timestamp half a step above the watermark of their finish, which a
         pure-read workload would never advance past; those fall back to the
         begin-ordered transaction id: once every active transaction's id
         exceeds the record's finish sequence, nothing overlapping it can
-        still exist.  Active records are never touched.
+        still exist.  Active records are never touched.  Returns the number
+        of entries dropped: records, the keys and predicates of their read
+        sets, and commit-log entries.
         """
         dropped = 0
         with self._mutex:
@@ -1127,17 +1061,6 @@ class SerializableSnapshotPolicy(SnapshotWriteRulePolicy):
                 if collectable:
                     dropped += 1 + len(record.read_keys) + len(record.predicates)
                     self._purge_record(record)
-            for key in list(self._write_registry):
-                entries = self._write_registry[key]
-                kept = [
-                    (ts, rec) for ts, rec in entries
-                    if not (quiescent or ts <= watermark)
-                ]
-                dropped += len(entries) - len(kept)
-                if kept:
-                    self._write_registry[key] = kept
-                else:
-                    del self._write_registry[key]
             before = len(self._commit_log)
             self._commit_log = [
                 entry for entry in self._commit_log
@@ -1169,17 +1092,10 @@ class SerializableSnapshotPolicy(SnapshotWriteRulePolicy):
         return dropped
 
     def _purge_record(self, record: SsiTransactionRecord) -> None:
-        """Remove one record and its SIREAD entries (mutex held)."""
+        """Stop tracking one record and drop its read set (mutex held)."""
         self._records.pop(record.txn_id, None)
-        for key in record.read_keys:
-            holders = self._sireads.get(key)
-            if holders is not None:
-                holders.discard(record)
-                if not holders:
-                    del self._sireads[key]
         record.read_keys.clear()
         record.predicates.clear()
-        self._predicate_readers.discard(record)
         record.finished = True
 
     # -- statistics ------------------------------------------------------------
@@ -1197,17 +1113,21 @@ class SerializableSnapshotPolicy(SnapshotWriteRulePolicy):
             )
 
     def statistics(self) -> Dict[str, object]:
+        """Tracker sizes and lifetime counters.  ``rw_edges_observed`` counts
+        an edge once per (reader, writer) pair a commit finds and once per
+        (read batch, writer) pair a read finds, however many of the batch's
+        keys the writer wrote."""
         with self._mutex:
+            read_sets = [record.read_keys for record in self._records.values()]
             return {
                 "policy": self.name,
                 "conflict_policy": self.conflict_policy.value,
                 "tracked_transactions": len(self._records),
-                "siread_keys": len(self._sireads),
-                "siread_entries": sum(len(h) for h in self._sireads.values()),
-                "predicate_readers": len(self._predicate_readers),
-                "write_registry_entries": sum(
-                    len(entries) for entries in self._write_registry.values()
-                ),
+                "siread_keys": len(set().union(*read_sets)),
+                "siread_entries": sum(map(len, read_sets)),
+                "predicate_readers": sum(
+                    1 for record in self._records.values() if record.predicates),
+                "write_registry_entries": sum(len(entry.keys) for entry in self._commit_log),
                 "commit_log_entries": len(self._commit_log),
                 "rw_edges_observed": self._edges_observed,
                 "rw_antidependency_aborts": self._rw_aborts,

@@ -187,7 +187,7 @@ class GarbageCollector:
         """``policy`` (the engine's
         :class:`~repro.core.cc_policy.SnapshotWriteRulePolicy`) gets its
         :meth:`reclaim` hook driven with the same watermark as the version
-        reclamation, so SSI SIREAD entries and commit records are dropped
+        reclamation, so SSI read sets and commit-log footprints are dropped
         exactly when the snapshots that could still form edges with them are
         gone."""
         self.version_store = version_store

@@ -63,11 +63,11 @@ ADJACENCY_CACHE_LIMIT = 16_384
 #: admission policy as the adjacency cache).
 PAYLOAD_CACHE_LIMIT = 65_536
 
-#: Under SSI, reclaim the policy's tracking state (SIREADs, commit log,
-#: write registry) every N version-installing commits, independently of the
-#: version GC cadence.  Without this a long-running serializable database
-#: that never runs GC would grow its commit log without bound and pay an
-#: ever-longer predicate scan per read.
+#: Under SSI, reclaim the policy's tracking state (finished transactions'
+#: read sets and the commit log) every N version-installing commits,
+#: independently of the version GC cadence.  Without this a long-running
+#: serializable database that never runs GC would grow its commit log
+#: without bound and pay an ever-longer log scan per read batch.
 SSI_RECLAIM_EVERY_N_COMMITS = 64
 
 
@@ -258,9 +258,10 @@ class SnapshotIsolationEngine(GraphEngine):
                 txn_id, start_ts, census, deferrable=bool(deferrable)
             )
             if handle is RETAKE_SNAPSHOT:
-                # A census member committed dangerously but has not yet
-                # published; its publication completes within its commit
-                # critical section, so the fresh snapshot covers it.
+                # A census member committed dangerously but new snapshots
+                # cannot see its commit yet; it becomes visible once it and
+                # every older commit have published, and a fresh snapshot
+                # then covers it.
                 self.oracle.retire_transaction(txn_id)
                 retakes += 1
                 continue

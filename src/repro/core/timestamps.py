@@ -19,7 +19,10 @@ not-yet-published commit timestamps (a min-heap) and exposes as the *snapshot
 watermark* only the largest timestamp below which every commit has been
 published.  A slow committer therefore pins the snapshot watermark — later
 commits stay invisible to new snapshots until the gap closes — which is
-exactly what prevents a torn snapshot.
+exactly what prevents a torn snapshot.  It also keeps the writer of such a
+published-but-invisible commit in the read-only census (see
+:meth:`TimestampOracle.begin_read_only_transaction`) until the gap closes:
+a snapshot that cannot see a commit is concurrent with its writer.
 
 The price of a scalar watermark is that a new snapshot can briefly lag
 commits that are already fully published (even the beginning transaction's
@@ -61,6 +64,11 @@ class TimestampOracle:
         #: that committed before the new snapshot (the precondition of the
         #: read-only-transaction anomaly).
         self._active_read_write: Set[int] = set()
+        #: Read-write transactions whose commit published ahead of an older
+        #: pending one: commit timestamp -> txn id.  New snapshots do not
+        #: see these commits yet, so the writers are still concurrent with
+        #: them and stay in every census until the watermark covers them.
+        self._published_invisible: Dict[int, int] = {}
         #: Newest transaction id handed out (ids are begin-ordered).
         self._newest_txn_id = 0
         #: Lifetime counters for statistics.
@@ -91,7 +99,8 @@ class TimestampOracle:
         """Start a read-only transaction; returns ``(txn_id, start_ts, census)``.
 
         The census is the set of read-write transactions in flight at the
-        instant the snapshot is granted, taken atomically under the oracle
+        instant the snapshot is granted — writers whose published commit the
+        snapshot cannot see included — taken atomically under the oracle
         lock — a writer beginning or finishing after the grant is, by
         construction, either in the census or provably unable to threaten
         this snapshot (see the safe-snapshot tracker in
@@ -105,7 +114,8 @@ class TimestampOracle:
             start_ts = self._latest_visible_ts
             self._active[txn_id] = start_ts
             self.transactions_started += 1
-            return txn_id, start_ts, tuple(self._active_read_write)
+            census = (*self._active_read_write, *self._published_invisible.values())
+            return txn_id, start_ts, census
 
     def issue_commit_timestamp(self) -> int:
         """Reserve the next commit timestamp for a committing transaction.
@@ -131,6 +141,8 @@ class TimestampOracle:
             self._mark_published(commit_ts)
             self._active.pop(txn_id, None)
             self._active_read_write.discard(txn_id)
+            if commit_ts > self._latest_visible_ts:
+                self._published_invisible[commit_ts] = txn_id
 
     def advance_to(self, commit_ts: int) -> None:
         """Fast-forward the oracle to at least ``commit_ts``.
@@ -185,9 +197,12 @@ class TimestampOracle:
         below this value has finished — which is how the SSI policy decides a
         committed *writeless* record (whose pseudo commit timestamp never
         falls below the watermark on its own) can no longer overlap anything.
+        A writer whose published commit new snapshots cannot see yet counts
+        as active: it is still in the read-only censuses.
         """
         with self._lock:
-            return min(self._active) if self._active else None
+            ids = [*self._active, *self._published_invisible.values()]
+            return min(ids) if ids else None
 
     def active_start_timestamps(self) -> Dict[int, int]:
         """Snapshot of the active transactions (txn id -> start timestamp)."""
@@ -231,5 +246,6 @@ class TimestampOracle:
         while self._pending_commits and self._pending_commits[0] in self._published_ahead:
             ts = heapq.heappop(self._pending_commits)
             self._published_ahead.discard(ts)
+            self._published_invisible.pop(ts, None)
             if ts > self._latest_visible_ts:
                 self._latest_visible_ts = ts

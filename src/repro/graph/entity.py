@@ -51,7 +51,7 @@ class Direction(enum.Enum):
 #: Entity keys are plain ints.  A node's key is its id; a relationship's key
 #: is its id with :data:`REL_TAG` set.  Every hot read-path dict and set — the
 #: version-store chain cache, the snapshot payload caches, write sets, lock
-#: tables, SIREAD sets and the SSI write registry — is keyed by them, so each
+#: tables, SSI read sets and commit footprints — is keyed by them, so each
 #: probe hashes and compares in C instead of calling back into Python.  Ids
 #: of both kinds stay below :data:`MAX_ENTITY_ID` (the id allocators refuse
 #: to go further), so the tag bit is never part of an id: a node key and a

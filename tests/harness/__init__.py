@@ -23,6 +23,8 @@ Beside them, imported by module path rather than re-exported here:
   network, chain, grid, accounts), created through the public API.
 * :mod:`tests.harness.anomaly` — in-transaction anomaly checkers and the
   lost-update and write-skew probes.
+* :mod:`tests.harness.predicates` — the reference semantics of the SSI
+  tracker's predicate reads.
 """
 
 from harness.history import History, RecordedTransaction, Recorder

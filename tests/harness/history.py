@@ -320,6 +320,13 @@ class RecordingContext:
             return None
         return node if prop is None else node.get(prop)
 
+    def scan(self, label: str) -> list:
+        """Every node carrying ``label`` (one label scan), each recorded as
+        a read."""
+        nodes = self.tx.find_nodes(label=label)
+        self.reads.update(node.id for node in nodes if node.id not in self.writes)
+        return nodes
+
     def write(self, node_id: int, prop: str, value) -> None:
         self.tx.set_node_property(node_id, prop, value)
         self.writes.add(node_id)

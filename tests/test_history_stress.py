@@ -12,6 +12,12 @@ isolation level's *promised* guarantee:
 * ``SNAPSHOT`` — no cycle with fewer than two rw-antidependency edges
   (write skew is allowed and does occur; lost updates and the like are not).
 
+Under ``SERIALIZABLE`` worker 0 also runs a *long reader*, three times
+spread over its run, beside the other workers' small transactions: one
+read-write transaction that label-scans ``STRESS_TXN_BUDGET`` filler nodes
+plus the accounts and then writes their total to a summary node — a large
+read set that the small writers' commits keep meeting.
+
 Budget knobs (the nightly CI job raises them):
 
 * ``STRESS_TXN_BUDGET`` — committed transactions per isolation level
@@ -37,6 +43,9 @@ THREADS = int(os.environ.get("STRESS_THREADS", "4"))
 SEED = int(os.environ.get("STRESS_SEED", "1337"))
 ACCOUNTS = 16
 MAX_RETRIES = 60
+#: Filler nodes in the long reader's scan (50 000 in the nightly job).
+LONG_READER_NODES = TXN_BUDGET
+LONG_READER_ROUNDS = 3
 
 
 def _run_with_retries(recorder, db, name, fn, *, read_only=False, rng=None):
@@ -49,7 +58,7 @@ def _run_with_retries(recorder, db, name, fn, *, read_only=False, rng=None):
     raise AssertionError(f"{name} aborted {MAX_RETRIES} times in a row")
 
 
-def _stress(db, history):
+def _stress(db, history, *, long_reader=False):
     import random
 
     with db.transaction() as tx:
@@ -59,14 +68,30 @@ def _stress(db, history):
             ).id
             for i in range(ACCOUNTS)
         ]
+        summary = tx.create_node(labels=["Summary"], properties={"total": 0}).id
+    if long_reader:
+        for start in range(0, LONG_READER_NODES, 5000):
+            with db.transaction() as tx:
+                for _ in range(min(5000, LONG_READER_NODES - start)):
+                    tx.create_node(labels=["Account"], properties={"balance": 0})
     recorder = Recorder(history)
     per_thread = TXN_BUDGET // THREADS
     failures = []
+    long_at = {per_thread * k // LONG_READER_ROUNDS for k in range(LONG_READER_ROUNDS)}
+
+    def scan_then_write(ctx):
+        total = sum(node.get("balance") for node in ctx.scan("Account"))
+        ctx.write(summary, "total", total)
 
     def worker(worker_id):
         rng = random.Random(SEED + worker_id)
+        long_rng = random.Random(SEED - 1)
         try:
             for i in range(per_thread):
+                if long_reader and worker_id == 0 and i in long_at:
+                    _run_with_retries(
+                        recorder, db, f"long-{i}", scan_then_write, rng=long_rng
+                    )
                 roll = rng.random()
                 name = f"w{worker_id}-{i}"
                 if roll < 0.70:
@@ -143,18 +168,32 @@ def _check(db, history, isolation):
 def test_stress_history_meets_promised_guarantee(isolation):
     db = GraphDatabase.in_memory(isolation=isolation, gc_every_n_commits=256)
     history = History()
+    serializable = isolation is IsolationLevel.SERIALIZABLE
     try:
-        _stress(db, history)
+        _stress(db, history, long_reader=serializable)
         # The setup transaction is recorded implicitly as version 0 of every
         # account (reads resolve to INITIAL); the workers' commits are all
         # in the history.
         assert len(history) >= TXN_BUDGET - THREADS  # integer-division slack
         _check(db, history, isolation)
-        if isolation is IsolationLevel.SERIALIZABLE:
+        if serializable:
             safe = db.statistics()["safe_snapshots"]
             observers = safe["immediate"] + safe["tracked"]
             assert observers > 0  # the safe-snapshot path really ran
             assert safe["tracked"] > 0  # including non-empty censuses
+            long_reads = {
+                index for index, txn in enumerate(history.committed)
+                if txn.name.startswith("long-")
+            }
+            assert len(long_reads) == LONG_READER_ROUNDS
+            assert all(
+                len(history.committed[index].reads) >= LONG_READER_NODES
+                for index in long_reads
+            )
+            assert any(
+                kind == "rw" and (src in long_reads or dst in long_reads)
+                for src, dst, kind in history.edges()
+            )
     finally:
         db.close()
 

@@ -424,6 +424,43 @@ class TestSafeSnapshotMechanics:
         # A snapshot predating the out-partner is not threatened.
         assert policy.begin_read_only(6, 2, (1,)) is None
 
+    def test_writer_published_ahead_of_an_older_commit_stays_in_census(self):
+        """White-box: a commit that publishes while an older one is still
+        installing stays invisible to new snapshots, so its writer is still
+        concurrent with them.  It must stay in their census — and, having
+        committed dangerously, force a retake — until the watermark covers
+        it (regression: it left the census at publication, and the nightly
+        history stress found read-only-anomaly cycles through it)."""
+        from repro.core.cc_policy import (
+            RETAKE_SNAPSHOT,
+            SerializableSnapshotPolicy,
+        )
+        from repro.core.timestamps import TimestampOracle
+        from repro.graph.entity import node_key
+        from repro.locking.lock_manager import LockManager
+
+        oracle = TimestampOracle()
+        policy = SerializableSnapshotPolicy(LockManager())
+        partner_id, _ = oracle.begin_transaction()
+        oracle.publish_commit(partner_id, oracle.issue_commit_timestamp())
+        slow_id, _ = oracle.begin_transaction()
+        fast_id, fast_start = oracle.begin_transaction()
+        slow_ts = oracle.issue_commit_timestamp()
+        fast_ts = oracle.issue_commit_timestamp()
+        fast = policy.begin_transaction(fast_id, fast_start)
+        fast.out_commit_ts = 1  # an rw edge out to the partner's commit
+        policy.record_commit(fast, [(node_key(1), None, None)], fast_ts)
+        oracle.publish_commit(fast_id, fast_ts)  # ahead of slow_ts
+        reader_id, start_ts, census = oracle.begin_read_only_transaction()
+        assert start_ts < fast_ts and fast_id in census
+        assert oracle.oldest_active_txn_id() == slow_id
+        assert policy.begin_read_only(reader_id, start_ts, census) is RETAKE_SNAPSHOT
+        oracle.retire_transaction(reader_id)
+        oracle.publish_commit(slow_id, slow_ts)  # the gap closes
+        reader_id, start_ts, census = oracle.begin_read_only_transaction()
+        assert start_ts == fast_ts and census == ()
+        assert oracle.oldest_active_txn_id() == reader_id
+
     def test_census_member_pruned_before_registration_forces_retake(self):
         """White-box: a reader can be granted its census, lose the GIL, and
         register only after the member finished AND its finish record was

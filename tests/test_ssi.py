@@ -10,6 +10,8 @@ Covers the tentpole guarantees of the SSI policy:
 * SIREAD tracking state is reclaimed by garbage collection.
 """
 
+import threading
+
 import pytest
 
 from repro import (
@@ -161,6 +163,21 @@ class TestPhantomPrevention:
             t2.commit()
         with db.transaction(read_only=True) as tx:
             assert len(tx.find_nodes(label="Pending")) == 1
+        db.close()
+
+    def test_scan_after_a_concurrent_insert_is_caught_reader_side(self):
+        """The insert commits before the reader scans, so only the reader's
+        own registration can find the edge — through the predicate alone,
+        since the two share no key."""
+        db = GraphDatabase.in_memory(isolation=IsolationLevel.SERIALIZABLE)
+        with db.transaction() as tx:
+            tx.create_node(labels=["Seed"])
+        reader = db.begin()
+        with db.transaction() as tx:
+            tx.create_node(labels=["Pending"])
+        assert reader.find_nodes(label="Pending") == []
+        assert reader.engine_transaction.cc_record.out_conflict
+        reader.commit()  # a single rw edge is no dangerous structure
         db.close()
 
     def test_phantom_permitted_under_snapshot(self):
@@ -613,35 +630,90 @@ class TestAbortReasonBreakdown:
             db.close()
 
 
-class TestReadRegistrationOrder:
-    def test_batch_edges_are_noted_in_read_order(self, monkeypatch):
-        """White-box: a batch registers its fresh keys in the order they were
-        read (duplicates and held keys dropped), so which rw edge of a batch
-        is noted first — and which pivot it dooms — is reproducible."""
+class _CountingLock:
+    """A tracker mutex that counts its acquisitions."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self.acquisitions = 0
+
+    def __enter__(self):
+        self._lock.acquire()
+        self.acquisitions += 1
+        return self
+
+    def __exit__(self, *exc_info):
+        self._lock.release()
+
+
+class TestEdgeOrder:
+    """White-box: which rw edge is noted first — and hence which pivot gets
+    doomed — is reproducible.  A read batch notes its edges in commit-log
+    order, one per writer; a commit notes its readers in registration
+    order."""
+
+    def test_batch_edges_are_noted_in_commit_log_order(self, monkeypatch):
         from repro.core.cc_policy import SerializableSnapshotPolicy
         from repro.graph.entity import node_key
         from repro.locking.lock_manager import LockManager
 
         policy = SerializableSnapshotPolicy(LockManager())
         keys = [node_key(node_id) for node_id in (9, 2, 7, 4)]
+        pair = [node_key(5), node_key(6)]
         reader = policy.begin_transaction(1, 0)
         writers = {}
         for offset, key in enumerate(keys):
             writer = policy.begin_transaction(10 + offset, 0)
             policy.record_commit(writer, [(key, None, None)], 1 + offset)
             writers[writer] = key
+        both = policy.begin_transaction(20, 0)  # one writer of two keys
+        policy.record_commit(both, [(key, None, None) for key in pair], 5)
+        writers[both] = "pair"
         noted = []
         monkeypatch.setattr(
             policy, "_note_edge",
             lambda source, target, acting: noted.append(writers[target]),
         )
-        policy.register_reads(reader, (keys[2],))  # the point-read fast path
+        mutex = _CountingLock()
+        monkeypatch.setattr(policy, "_mutex", mutex)
+        policy.register_reads(reader, (keys[2],))  # a point read
+        assert noted == [keys[2]]
         policy.register_reads(
-            reader, [keys[3], keys[2], keys[0], keys[3], keys[1]]
+            reader, [keys[3], pair[1], keys[2], keys[0], keys[3], pair[0], keys[1]]
         )
-        assert noted == [keys[2], keys[3], keys[0], keys[1]]
-        policy.register_reads(reader, keys)  # all held: no mutex visit, no edge
-        assert len(noted) == 4 and reader.read_keys == set(keys)
+        # Commit-log order, not read order; the two-key writer once.
+        assert noted == [keys[2], keys[0], keys[1], keys[3], "pair"]
+        assert mutex.acquisitions == 2
+        policy.register_reads(reader, keys + pair)  # all held
+        assert len(noted) == 5  # no edge ...
+        assert mutex.acquisitions == 2  # ... and no mutex visit
+        assert reader.read_keys == set(keys + pair)
+
+    def test_commit_notes_its_readers_in_registration_order(self, monkeypatch):
+        from repro.core.cc_policy import SerializableSnapshotPolicy
+        from repro.graph.entity import NodeData, node_key
+        from repro.locking.lock_manager import LockManager
+
+        policy = SerializableSnapshotPolicy(LockManager())
+        key = node_key(3)
+        readers = {
+            txn_id: policy.begin_transaction(txn_id, 0) for txn_id in (7, 3, 8, 5)
+        }
+        policy.register_reads(readers[7], (key,))
+        policy.register_reads(readers[3], predicates=(("label", "Account"),))
+        policy.register_reads(readers[8], (node_key(4),))  # no conflict
+        policy.register_reads(readers[5], (key,))
+        writer = policy.begin_transaction(9, 0)
+        noted = []
+        monkeypatch.setattr(
+            policy, "_note_edge",
+            lambda source, target, acting, writer_commit_ts: noted.append(
+                (source.txn_id, target.txn_id)
+            ),
+        )
+        created = NodeData(3, labels={"Account"})  # a phantom for reader 3
+        policy.record_commit(writer, [(key, None, created)], 1)
+        assert noted == [(7, 9), (3, 9), (5, 9)]
 
 
 class TestSerializableIsStillSnapshot:
