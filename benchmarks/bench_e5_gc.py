@@ -18,6 +18,7 @@ from repro import IsolationLevel
 
 from bench_helpers import open_db, print_row
 from harness.graphs import build_social_graph
+from harness.vacuum import VacuumCollector
 
 DEAD_VERSIONS = 300
 
@@ -67,7 +68,7 @@ def test_e5_vacuum_gc(benchmark, nodes):
     db = open_db(IsolationLevel.SNAPSHOT)
     graph = build_social_graph(db, people=nodes, avg_friends=2, seed=41)
     _prepare(db, graph, DEAD_VERSIONS)
-    vacuum = db.create_vacuum_collector()
+    vacuum = VacuumCollector(db.engine)
 
     stats = benchmark.pedantic(vacuum.collect, rounds=1, iterations=1)
     row = {

@@ -7,9 +7,10 @@ paper:
   store only ever holds the newest committed version;
 * a long-running reader pins the watermark, so history (and tombstones of
   deleted entities) is retained for exactly as long as it might be read;
-* the threaded-list garbage collector reclaims precisely the dead versions,
-  while the PostgreSQL-style vacuum baseline re-scans the whole database to
-  find the same garbage.
+* the threaded-list garbage collector reclaims precisely the dead versions:
+  a pass examines only the versions it collects.  Experiment E5
+  (``benchmarks/bench_e5_gc.py``) compares that with a PostgreSQL-style
+  vacuum, which re-scans the whole database to find the same garbage.
 
 Run with::
 
@@ -80,21 +81,11 @@ def main() -> None:
 
     long_reader.rollback()
     stats = db.run_gc()
-    print(f"\nGC after the reader finished: collected {stats.versions_collected} versions, "
+    print(f"\nGC after the reader finished: examined {stats.versions_examined} versions "
+          f"to collect {stats.versions_collected}, "
           f"purged {stats.entities_purged} deleted entities, "
           f"in {stats.duration_seconds * 1000:.2f} ms")
     describe(db, "\nAfter garbage collection")
-
-    # Compare with the stop-the-world vacuum baseline on a fresh pile of garbage.
-    for index in range(UPDATES // 2):
-        with db.transaction() as tx:
-            tx.set_node_property(hot[index % HOT], "score", -index)
-    vacuum = db.create_vacuum_collector()
-    vacuum_stats = vacuum.collect()
-    print(f"\nVacuum baseline on the same kind of garbage: examined "
-          f"{vacuum_stats.versions_examined} versions and {vacuum_stats.store_records_scanned} "
-          f"store records to collect {vacuum_stats.versions_collected} "
-          f"({vacuum_stats.duration_seconds * 1000:.2f} ms, commits stalled while it ran)")
     db.close()
 
 

@@ -21,14 +21,12 @@ throughput.
 
 from __future__ import annotations
 
-import contextlib
 import random
 import threading
 import time
 from typing import (
     TYPE_CHECKING,
     Callable,
-    ContextManager,
     Dict,
     List,
     Mapping,
@@ -41,9 +39,8 @@ from repro.api.runtime import EngineRuntime
 from repro.api.transaction import Transaction
 from repro.core.gc import GcStats
 from repro.core.si_manager import SnapshotIsolationEngine
-from repro.core.vacuum import VacuumCollector
 from repro.engine import IsolationLevel
-from repro.errors import ReproError, TransactionAbortedError
+from repro.errors import TransactionAbortedError
 from repro.query import is_read_only_query
 from repro.retry import jittered_backoff
 
@@ -310,24 +307,6 @@ class GraphDatabase:
         if isinstance(self.engine, SnapshotIsolationEngine):
             return self.engine.run_gc()
         return None
-
-    def create_vacuum_collector(self) -> VacuumCollector:
-        """A PostgreSQL-style vacuum bound to this database (SI engines only)."""
-        if not isinstance(self.engine, SnapshotIsolationEngine):
-            raise ReproError("vacuum collection only applies to snapshot isolation")
-        return self.engine.create_vacuum_collector()
-
-    def pause_commits(self) -> ContextManager[None]:
-        """Block every committer while the returned context manager is held.
-
-        Under snapshot isolation this acquires all commit stripes (what the
-        stop-the-world vacuum uses); the read-committed engine has no sharded
-        pipeline, so pausing is a no-op there.
-        """
-        self._ensure_open()
-        if isinstance(self.engine, SnapshotIsolationEngine):
-            return self.engine.pause_commits()
-        return contextlib.nullcontext()
 
     def checkpoint(self) -> None:
         """Flush dirty pages and truncate the write-ahead log."""

@@ -80,7 +80,6 @@ class EngineRuntime:
         group_commit: bool = False,
         query_cache_size: int = DEFAULT_QUERY_CACHE_SIZE,
         query_batch_size: int = DEFAULT_QUERY_BATCH_SIZE,
-        safe_snapshots: bool = True,
         tracing: bool = False,
         trace_sample_rate: float = 1.0,
         slow_query_seconds: Optional[float] = None,
@@ -137,7 +136,6 @@ class EngineRuntime:
                 commit_stripes=commit_stripes,
                 query_cache_size=query_cache_size,
                 query_batch_size=query_batch_size,
-                safe_snapshots=safe_snapshots,
                 obs=self.observability,
             )
         else:

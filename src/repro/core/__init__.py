@@ -21,9 +21,9 @@ described in Sections 3 and 4 of *"Snapshot Isolation for Neo4j"*:
   type indexes and the adjacency map (the read-committed engine reads them
   too, at its newest commit),
 * :mod:`repro.core.gc` — the timestamp-sorted, doubly-linked garbage
-  collection list and the collector that walks only reclaimable versions,
-* :mod:`repro.core.vacuum` — a PostgreSQL-style full-scan vacuum used as the
-  garbage-collection baseline,
+  collection list and the collector that walks only reclaimable versions
+  (experiment E5 compares it with a PostgreSQL-style full-scan vacuum that
+  lives beside the tests, in ``tests/harness/vacuum.py``),
 * :mod:`repro.core.si_transaction` / :mod:`repro.core.si_manager` — the
   transaction object and the engine tying everything together.  The
   paper's enriched store iterator is the shared read path of
@@ -39,7 +39,6 @@ from repro.core.si_manager import SnapshotIsolationEngine
 from repro.core.si_transaction import SnapshotTransaction
 from repro.core.snapshot import Snapshot
 from repro.core.timestamps import TimestampOracle
-from repro.core.vacuum import VacuumCollector
 from repro.core.version import Version, VersionChain
 from repro.core.version_store import VersionStore
 
@@ -54,7 +53,6 @@ __all__ = [
     "SnapshotTransaction",
     "ThreadedVersionList",
     "TimestampOracle",
-    "VacuumCollector",
     "Version",
     "VersionChain",
     "VersionStore",

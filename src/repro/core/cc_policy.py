@@ -541,15 +541,8 @@ class SerializableSnapshotPolicy(SnapshotWriteRulePolicy):
         self,
         lock_manager: LockManager,
         conflict_policy: ConflictPolicy = ConflictPolicy.FIRST_UPDATER_WINS,
-        *,
-        safe_snapshots: bool = True,
     ) -> None:
         super().__init__(lock_manager, conflict_policy)
-        #: Safe-snapshot gating for read-only transactions (PostgreSQL-style).
-        #: Disabling it restores the bare read-only optimisation, which
-        #: admits the Fekete read-only-transaction anomaly — kept as a knob
-        #: so the anomaly is reproducible on demand by the test harness.
-        self.safe_snapshots = safe_snapshots
         self._mutex = threading.Lock()
         #: The safe-snapshot tracker has its own mutex so read-only begins
         #: and finishes never contend with the (SIREAD-heavy) main tracker
@@ -627,8 +620,6 @@ class SerializableSnapshotPolicy(SnapshotWriteRulePolicy):
         protected, so the reader must take a fresh snapshot (the commit
         becomes visible once it and every older commit have published).
         """
-        if not self.safe_snapshots:
-            return None
         missing = object()
         with self._safe_mutex:
             live: Set[int] = set()

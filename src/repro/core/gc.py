@@ -23,8 +23,8 @@ each version in sorted position (a near-tail walk, O(1) amortised) rather
 than relying on append order.  A collection pass therefore pops from the
 head only while ``reclaim_ts <= watermark`` and never looks at a version
 that must be retained — the property the paper claims for its threaded
-list, and the property benchmark E5 compares against the full-scan vacuum
-baseline.
+list, and the property benchmark E5 compares against a full-scan vacuum
+(its baseline lives beside the tests, in ``tests/harness/vacuum.py``).
 
 The versioned indexes keep the same promise for their membership intervals:
 each shard threads an interval onto a queue ordered by ``removed_ts`` when it

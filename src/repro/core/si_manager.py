@@ -33,7 +33,6 @@ from repro.core.gc import GarbageCollector, GcStats, ThreadedVersionList
 from repro.core.si_transaction import SnapshotTransaction
 from repro.core.snapshot import Snapshot
 from repro.core.timestamps import TimestampOracle
-from repro.core.vacuum import VacuumCollector
 from repro.core.version import Version
 from repro.core.version_store import VersionStore, stripe_of
 from repro.core.visibility import resolve_payloads
@@ -96,7 +95,6 @@ class SnapshotIsolationEngine(GraphEngine):
         commit_stripes: int = DEFAULT_COMMIT_STRIPES,
         query_cache_size: int = DEFAULT_QUERY_CACHE_SIZE,
         query_batch_size: int = DEFAULT_QUERY_BATCH_SIZE,
-        safe_snapshots: bool = True,
         obs: Optional[Observability] = None,
     ) -> None:
         """Create an engine over an open store.
@@ -122,11 +120,10 @@ class SnapshotIsolationEngine(GraphEngine):
         ``query_batch_size`` sets the rows-per-batch of the query
         executor.
 
-        ``safe_snapshots`` (serializable only) gates read-only transactions
+        Under ``SERIALIZABLE``, read-only transactions are always gated
         PostgreSQL-style so the Fekete read-only-transaction anomaly cannot
-        occur; disabling it restores the bare read-only optimisation (used
-        by the anomaly test harness).  A read-only serializable begin that
-        should block until a safe snapshot asks for it per transaction with
+        occur.  A read-only serializable begin that should block until a
+        safe snapshot asks for it per transaction with
         ``begin(deferrable=True)``.
 
         ``obs`` is the observability bundle (metrics registry + transaction
@@ -179,7 +176,7 @@ class SnapshotIsolationEngine(GraphEngine):
         self.query_batch_size = max(1, int(query_batch_size))
         if isolation is IsolationLevel.SERIALIZABLE:
             self.cc: SnapshotWriteRulePolicy = SerializableSnapshotPolicy(
-                self.locks, conflict_policy, safe_snapshots=safe_snapshots
+                self.locks, conflict_policy
             )
         else:
             self.cc = SnapshotWriteRulePolicy(self.locks, conflict_policy)
@@ -471,14 +468,8 @@ class SnapshotIsolationEngine(GraphEngine):
         return sorted(indices)
 
     @contextlib.contextmanager
-    def _acquire_stripes(
-        self, indices: List[int], *, count_stats: bool = True
-    ) -> Iterator[None]:
-        """Hold the given commit stripes, acquired in sorted index order.
-
-        ``count_stats=False`` keeps non-commit callers (the vacuum's
-        stop-the-world pause) out of the per-commit contention counters.
-        """
+    def _acquire_stripes(self, indices: List[int]) -> Iterator[None]:
+        """Hold the given commit stripes, acquired in sorted index order."""
         acquired: List[threading.Lock] = []
         waits = 0
         try:
@@ -488,8 +479,7 @@ class SnapshotIsolationEngine(GraphEngine):
                     waits += 1
                     lock.acquire()
                 acquired.append(lock)
-            if count_stats:
-                self.commit_pipeline_stats.record_commit(len(acquired), waits)
+            self.commit_pipeline_stats.record_commit(len(acquired), waits)
             yield
         finally:
             for lock in reversed(acquired):
@@ -662,30 +652,6 @@ class SnapshotIsolationEngine(GraphEngine):
     def run_gc(self) -> GcStats:
         """Run one pass of the threaded-list garbage collector."""
         return self.gc.collect()
-
-    def create_vacuum_collector(self) -> VacuumCollector:
-        """A PostgreSQL-style full-scan collector bound to this engine (for E5)."""
-        return VacuumCollector(
-            self.versions,
-            self.oracle,
-            self.indexes,
-            self.store,
-            pause_commits=self.pause_commits,
-            policy=self.cc,
-        )
-
-    @contextlib.contextmanager
-    def pause_commits(self) -> Iterator[None]:
-        """Block the commit path while held (used by the stop-the-world vacuum).
-
-        Acquires every commit stripe in index order, so it queues behind (and
-        then excludes) all committers regardless of which stripes they use.
-        """
-        with self._acquire_stripes(
-            list(range(len(self._commit_stripes))), count_stats=False
-        ):
-            self.commit_pipeline_stats.record_pause()
-            yield
 
     # ------------------------------------------------------------------
     # statistics

@@ -143,10 +143,6 @@ class EngineTransaction(abc.ABC):
 
     # -- commit support (used by the engine) ----------------------------------
 
-    def pending_writes(self) -> Dict[EntityKey, Optional[object]]:
-        """The buffered writes (key -> new state, ``None`` for deletes)."""
-        return dict(self._writes)
-
     def created_keys(self) -> Set[EntityKey]:
         """Keys of entities created by this transaction."""
         return set(self._created)

@@ -6,10 +6,10 @@ an entity key (an int, see :mod:`repro.graph.entity`) to an arbitrary cached
 object (the committed entity state under read committed, the version chain
 under snapshot isolation).
 
-Entries can be *pinned* against eviction.  The MVCC layer pins every entry
-whose chain still holds more than the single persisted version, because those
-in-memory versions are the only copy (the store only ever has the newest
-committed version).
+An ``evictable`` predicate keeps entries resident under pressure.  The MVCC
+layer uses it for every entry whose chain still holds more than the single
+persisted version, because those in-memory versions are the only copy (the
+store only ever has the newest committed version).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Iterator, Optional, Tuple
 
 from repro.graph.entity import EntityKey
 
@@ -48,7 +48,7 @@ class ObjectCacheStats:
 
 
 class ObjectCache:
-    """Thread-safe LRU cache keyed by entity key, with pinning."""
+    """Thread-safe LRU cache keyed by entity key."""
 
     def __init__(
         self,
@@ -56,7 +56,7 @@ class ObjectCache:
         *,
         evictable: Optional[Callable[[EntityKey, Any], bool]] = None,
     ) -> None:
-        """Create a cache holding at most ``capacity`` unpinned entries.
+        """Create a cache holding at most ``capacity`` evictable entries.
 
         ``evictable`` is an optional predicate consulted before evicting an
         entry; returning ``False`` keeps the entry resident even under
@@ -69,12 +69,11 @@ class ObjectCache:
         self._evictable = evictable
         self._lock = threading.RLock()
         self._entries: "OrderedDict[EntityKey, Any]" = OrderedDict()
-        self._pinned: Set[EntityKey] = set()
         self.stats = ObjectCacheStats()
 
     @property
     def capacity(self) -> int:
-        """Maximum number of unpinned resident entries."""
+        """Maximum number of evictable resident entries."""
         return self._capacity
 
     def __len__(self) -> int:
@@ -123,47 +122,15 @@ class ObjectCache:
             self.stats.inserts += 1
             self._evict_if_needed()
 
-    def get_or_create(self, key: EntityKey, factory: Callable[[], Any]) -> Any:
-        """Return the cached object, creating it with ``factory`` on a miss."""
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                self._entries.move_to_end(key)
-                self.stats.hits += 1
-                return entry
-            self.stats.misses += 1
-            entry = factory()
-            self._entries[key] = entry
-            self.stats.inserts += 1
-            self._evict_if_needed()
-            return entry
-
     def invalidate(self, key: EntityKey) -> None:
         """Drop the entry for ``key`` (no-op if absent)."""
         with self._lock:
             self._entries.pop(key, None)
-            self._pinned.discard(key)
 
     def clear(self) -> None:
-        """Drop every entry (pinned ones included)."""
+        """Drop every entry (non-evictable ones included)."""
         with self._lock:
             self._entries.clear()
-            self._pinned.clear()
-
-    def pin(self, key: EntityKey) -> None:
-        """Protect ``key`` from eviction until :meth:`unpin` is called."""
-        with self._lock:
-            self._pinned.add(key)
-
-    def unpin(self, key: EntityKey) -> None:
-        """Allow ``key`` to be evicted again."""
-        with self._lock:
-            self._pinned.discard(key)
-
-    def pinned_count(self) -> int:
-        """Number of pinned entries."""
-        with self._lock:
-            return len(self._pinned)
 
     def items(self) -> Iterator[Tuple[EntityKey, Any]]:
         """Snapshot of the cache contents (key, value) pairs."""
@@ -181,12 +148,10 @@ class ObjectCache:
         excess = len(self._entries) - self._capacity
         if excess <= 0:
             return
-        # Walk the LRU order only as far as needed; pinned and non-evictable
-        # entries are skipped, and nothing is deleted while iterating.
+        # Walk the LRU order only as far as needed; non-evictable entries
+        # are skipped, and nothing is deleted while iterating.
         victims = []
         for key, value in self._entries.items():
-            if key in self._pinned:
-                continue
             if self._evictable is not None and not self._evictable(key, value):
                 continue
             victims.append(key)

@@ -277,11 +277,6 @@ class StoreManager:
                 self._note_degraded_obs()
                 raise
 
-    def checkpoint_generation(self) -> int:
-        """Number of checkpoints this directory has completed (0 when fresh)."""
-        with self._lock:
-            return self._checkpoint_generation
-
     def close(self) -> None:
         """Checkpoint (when healthy) and close every store file.
 

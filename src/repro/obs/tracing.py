@@ -119,10 +119,6 @@ class TxnTrace:
             return 0.0
         return self.finished_at - self.started_at
 
-    def phase_seconds(self, phase: str) -> float:
-        """Total time attributed to ``phase`` (0.0 if never marked)."""
-        return sum(seconds for name, seconds in self._phases if name == phase)
-
     def as_dict(self) -> Dict[str, object]:
         """JSON-able summary of the whole trace."""
         return {
@@ -193,14 +189,6 @@ class TraceRecorder:
         """Register a callable invoked with every finished trace."""
         with self._ring_lock:
             self._sinks.append(sink)
-
-    def remove_sink(self, sink: Callable[[TxnTrace], None]) -> None:
-        """Unregister a sink (no-op if absent)."""
-        with self._ring_lock:
-            try:
-                self._sinks.remove(sink)
-            except ValueError:
-                pass
 
     def recent(self, limit: Optional[int] = None) -> List[TxnTrace]:
         """The most recent traces, oldest first."""

@@ -86,7 +86,6 @@ class CommitPipelineStats:
         self._lock = threading.Lock()
         self.stripe_acquisitions = 0
         self.stripe_waits = 0
-        self.commit_pauses = 0
         self.max_stripes_per_commit = 0
 
     def record_commit(self, stripe_count: int, waits: int) -> None:
@@ -101,18 +100,12 @@ class CommitPipelineStats:
             if stripe_count > self.max_stripes_per_commit:
                 self.max_stripes_per_commit = stripe_count
 
-    def record_pause(self) -> None:
-        """Record one stop-the-world commit pause."""
-        with self._lock:
-            self.commit_pauses += 1
-
     def as_dict(self) -> Dict[str, int]:
         """Plain-dict view of the counters."""
         with self._lock:
             return {
                 "stripe_acquisitions": self.stripe_acquisitions,
                 "stripe_waits": self.stripe_waits,
-                "commit_pauses": self.commit_pauses,
                 "max_stripes_per_commit": self.max_stripes_per_commit,
             }
 

@@ -25,6 +25,8 @@ Beside them, imported by module path rather than re-exported here:
   lost-update and write-skew probes.
 * :mod:`tests.harness.predicates` — the reference semantics of the SSI
   tracker's predicate reads.
+* :mod:`tests.harness.vacuum` — the PostgreSQL-style stop-the-world vacuum
+  that experiment E5 compares with the threaded GC list.
 """
 
 from harness.history import History, RecordedTransaction, Recorder

@@ -1,4 +1,4 @@
-"""Vacuum-style garbage collection (the comparison baseline).
+"""Vacuum-style garbage collection (the comparison baseline of experiment E5).
 
 Section 4 of the paper motivates the threaded GC list by contrast with
 PostgreSQL: "in PostgreSQL this process, called vacuum process, stops the
@@ -10,9 +10,13 @@ obsolete versions."
 *every* version chain in the cache **and** every record in the persistent
 node and relationship stores (touching all pages through the page cache),
 deciding for each version whether it is obsolete — instead of visiting only
-the versions already known to be reclaimable.  When given the engine's commit
-pause hook it also performs the scan stop-the-world, so experiment E5 can
+the versions already known to be reclaimable.  It runs the scan
+stop-the-world by holding every commit stripe of the engine, so E5 can
 measure both the CPU cost and the induced commit stall.
+
+The engine does not know this collector exists; it reaches into the
+snapshot-isolation engine's version store, oracle, indexes, store, policy
+and commit stripes.
 """
 
 from __future__ import annotations
@@ -21,14 +25,10 @@ import contextlib
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, ContextManager, Dict, Optional
 
-from repro.core.timestamps import TimestampOracle
+from repro.core.si_manager import SnapshotIsolationEngine
 from repro.core.version import Version, VersionChain
-from repro.core.version_store import VersionStore
-from repro.core.versioned_index import VersionedIndexSet
 from repro.graph.entity import NodeData, RelationshipData
-from repro.graph.store_manager import StoreManager
 
 
 @dataclass
@@ -44,68 +44,57 @@ class VacuumStats:
     cc_entries_reclaimed: int = 0
     duration_seconds: float = 0.0
 
-    def as_dict(self) -> Dict[str, float]:
-        """Plain-dict view of the counters."""
-        return {
-            "watermark": self.watermark,
-            "chains_scanned": self.chains_scanned,
-            "versions_examined": self.versions_examined,
-            "versions_collected": self.versions_collected,
-            "store_records_scanned": self.store_records_scanned,
-            "entities_purged": self.entities_purged,
-            "cc_entries_reclaimed": self.cc_entries_reclaimed,
-            "duration_seconds": self.duration_seconds,
-        }
-
 
 class VacuumCollector:
     """Full-scan, stop-the-world garbage collector (PostgreSQL-style baseline)."""
 
-    def __init__(
-        self,
-        version_store: VersionStore,
-        oracle: TimestampOracle,
-        indexes: VersionedIndexSet,
-        store: StoreManager,
-        *,
-        pause_commits: Optional[Callable[[], ContextManager[None]]] = None,
-        policy=None,
-    ) -> None:
-        """``pause_commits`` is a callable returning a context manager that
-        blocks the engine's commit path while held (the stop-the-world part).
-        ``policy`` additionally has its SSI tracking state reclaimed with
-        the same watermark, mirroring the threaded collector.
+    def __init__(self, engine: SnapshotIsolationEngine) -> None:
+        """Bind the collector to a snapshot-isolation engine.
+
+        The engine's concurrency-control policy has its tracking state
+        reclaimed with the same watermark, mirroring the threaded collector.
         """
-        self.version_store = version_store
-        self.oracle = oracle
-        self.indexes = indexes
-        self.store = store
-        self.policy = policy
-        self._pause_commits = pause_commits
+        self.engine = engine
+        self.version_store = engine.versions
+        self.oracle = engine.oracle
+        self.indexes = engine.indexes
+        self.store = engine.store
+        self.policy = engine.cc
         self._lock = threading.Lock()
         self.collections_run = 0
 
     def collect(self) -> VacuumStats:
         """Run one full-scan vacuum pass and return its statistics."""
         with self._lock:
-            pause = self._pause_commits() if self._pause_commits is not None else contextlib.nullcontext()
             started = time.perf_counter()
             stats = VacuumStats(watermark=self.oracle.watermark())
-            with pause:
+            with self._commits_paused():
                 self._scan_chains(stats)
                 self._scan_store(stats)
                 self.indexes.purge(stats.watermark)
-                if self.policy is not None:
-                    stats.cc_entries_reclaimed = self.policy.reclaim(
-                        stats.watermark,
-                        quiescent=self.oracle.active_count() == 0,
-                        oldest_active_txn_id=self.oracle.oldest_active_txn_id(),
-                    )
+                stats.cc_entries_reclaimed = self.policy.reclaim(
+                    stats.watermark,
+                    quiescent=self.oracle.active_count() == 0,
+                    oldest_active_txn_id=self.oracle.oldest_active_txn_id(),
+                )
             stats.duration_seconds = time.perf_counter() - started
             self.collections_run += 1
             return stats
 
     # -- internal -----------------------------------------------------------------
+
+    @contextlib.contextmanager
+    def _commits_paused(self):
+        """Hold every commit stripe, in index order, like a committer would.
+
+        Taking them in the committers' order means the pause queues behind
+        in-flight commits instead of deadlocking with them, and then
+        excludes every committer whatever stripes it needs.
+        """
+        with contextlib.ExitStack() as held:
+            for stripe in self.engine._commit_stripes:
+                held.enter_context(stripe)
+            yield
 
     def _scan_chains(self, stats: VacuumStats) -> None:
         """Examine every version of every chain (the expensive part)."""

@@ -7,8 +7,8 @@ Covers the properties the refactor must preserve and the new ones it adds:
 * a committer stalled mid-install pins the snapshot watermark — later commits
   stay invisible to new snapshots until the gap closes (no torn snapshots),
 * ``commit_stripes=1`` degenerates to the seed's fully-serialised behaviour,
-* ``pause_commits`` (the stop-the-world vacuum hook) still excludes every
-  committer, and
+* the vacuum baseline (``harness.vacuum``) still stops the world: it holds
+  every commit stripe for its whole pass, and
 * group commit coalesces concurrent committers into fewer WAL flushes without
   losing any batch.
 """
@@ -23,6 +23,8 @@ from repro import GraphDatabase, IsolationLevel, WriteWriteConflictError
 from repro.core.si_manager import SnapshotIsolationEngine
 from repro.graph.entity import NodeData
 from repro.graph.store_manager import StoreManager
+
+from harness.vacuum import VacuumCollector
 
 ACCOUNTS = 16
 INITIAL_BALANCE = 100
@@ -205,36 +207,74 @@ class TestWatermarkPublication:
         store.close()
 
 
-class TestPauseCommits:
-    def test_pause_blocks_every_committer(self, si_db):
-        with si_db.transaction() as tx:
-            node_id = tx.create_node(labels=["Hot"], properties={"n": 0}).id
-        committed = threading.Event()
-
-        def commit_under_pause():
-            with si_db.transaction() as tx:
-                tx.set_node_property(node_id, "n", 1)
-            committed.set()
-
-        with si_db.pause_commits():
-            thread = threading.Thread(target=commit_under_pause, daemon=True)
-            thread.start()
-            assert not committed.wait(timeout=0.3)
-        assert committed.wait(timeout=10.0)
-        thread.join(timeout=10.0)
-        stats = si_db.statistics()
-        assert stats["engine"]["commit_pipeline"]["commit_pauses"] == 1
-
-    def test_vacuum_still_stops_the_world(self, si_db):
+class TestVacuumStopsTheWorld:
+    @pytest.mark.parametrize("stripes", [1, 16])
+    def test_commit_started_during_a_pass_waits_for_it(self, stripes):
+        si_db = GraphDatabase.in_memory(
+            isolation=IsolationLevel.SNAPSHOT, commit_stripes=stripes
+        )
         with si_db.transaction() as tx:
             node_id = tx.create_node(labels=["Hot"], properties={"n": 0}).id
         for value in range(3):
             with si_db.transaction() as tx:
                 tx.set_node_property(node_id, "n", value)
-        vacuum = si_db.create_vacuum_collector()
+        vacuum = VacuumCollector(si_db.engine)
+        committed = threading.Event()
+        committed_during_pass = []
+
+        def commit():
+            with si_db.transaction() as tx:
+                tx.set_node_property(node_id, "n", 99)
+            committed.set()
+
+        scan_store = vacuum._scan_store
+
+        def scan_store_beside_a_committer(stats):
+            # Still inside the pass, with every stripe held.
+            thread = threading.Thread(target=commit, daemon=True)
+            thread.start()
+            committed_during_pass.append(committed.wait(timeout=0.3))
+            scan_store(stats)
+            committed_during_pass.append(committed.is_set())
+
+        vacuum._scan_store = scan_store_beside_a_committer
         stats = vacuum.collect()
-        assert stats.versions_collected >= 1
-        assert si_db.statistics()["engine"]["commit_pipeline"]["commit_pauses"] == 1
+        assert committed_during_pass == [False, False]
+        assert stats.versions_collected == 3
+        assert committed.wait(timeout=10.0)
+        with si_db.transaction() as tx:
+            assert tx.get_node(node_id).get("n") == 99
+        si_db.close()
+
+    def test_pass_waits_for_a_commit_mid_install(self):
+        store = _StallingStore()
+        engine = SnapshotIsolationEngine(store, commit_stripes=16)
+        setup = engine.begin()
+        node_id = engine.allocate_node_id()
+        setup.put_node(NodeData(node_id, {"A"}, {"value": 0}), create=True)
+        setup.commit()
+
+        slow = engine.begin()
+        slow.put_node(NodeData(node_id, {"A"}, {"value": 1}))
+        store.stall_txn_id = slow.txn_id
+        slow_thread = threading.Thread(target=slow.commit, daemon=True)
+        slow_thread.start()
+        assert store.stalled.wait(timeout=10.0)
+
+        vacuum = VacuumCollector(engine)
+        passes = []
+        vacuum_thread = threading.Thread(
+            target=lambda: passes.append(vacuum.collect()), daemon=True
+        )
+        vacuum_thread.start()
+        # The installing commit holds its stripe: the pass cannot start.
+        vacuum_thread.join(timeout=0.3)
+        assert vacuum_thread.is_alive() and passes == []
+        store.release.set()
+        slow_thread.join(timeout=10.0)
+        vacuum_thread.join(timeout=10.0)
+        assert len(passes) == 1 and passes[0].chains_scanned >= 1
+        store.close()
 
 
 class TestGroupCommit:

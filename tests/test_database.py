@@ -75,7 +75,6 @@ class TestConstruction:
             "group_commit",
             "query_cache_size",
             "query_batch_size",
-            "safe_snapshots",
             "tracing",
             "trace_sample_rate",
             "slow_query_seconds",
@@ -84,9 +83,12 @@ class TestConstruction:
             "failpoints",
         ]
 
-    def test_removed_option_is_rejected(self):
+    @pytest.mark.parametrize(
+        "option", [{"morsel_workers": 2}, {"safe_snapshots": False}]
+    )
+    def test_removed_option_is_rejected(self, option):
         with pytest.raises(TypeError):
-            GraphDatabase.in_memory(morsel_workers=2)
+            GraphDatabase.in_memory(**option)
 
 
 class TestMaintenance:
@@ -100,9 +102,6 @@ class TestMaintenance:
     def test_run_gc_only_for_snapshot(self, si_db, rc_db):
         assert si_db.run_gc() is not None
         assert rc_db.run_gc() is None
-        with pytest.raises(ReproError):
-            rc_db.create_vacuum_collector()
-        assert si_db.create_vacuum_collector() is not None
 
     def test_checkpoint(self, any_db):
         with any_db.transaction() as tx:

@@ -6,12 +6,13 @@ from repro import GraphDatabase, IsolationLevel
 from repro.core.gc import GarbageCollector, ThreadedVersionList
 from repro.core.si_manager import SnapshotIsolationEngine
 from repro.core.timestamps import TimestampOracle
-from repro.core.vacuum import VacuumCollector
 from repro.core.version import Version
 from repro.core.version_store import VersionStore
 from repro.core.versioned_index import VersionedIndexSet
 from repro.graph.entity import NodeData, key_id, node_key
 from repro.graph.store_manager import StoreManager
+
+from harness.vacuum import VacuumCollector
 
 KEY = node_key(1)
 
@@ -186,7 +187,7 @@ class TestVacuumCollector:
                 writer.put_node(current.with_property("value", value))
             writer.commit()
 
-        vacuum = engine.create_vacuum_collector()
+        vacuum = VacuumCollector(engine)
         stats = vacuum.collect()
         # Full scan: every chain and every persistent record was examined.
         assert stats.chains_scanned >= 10
@@ -207,8 +208,7 @@ class TestVacuumCollector:
         deleter.delete_node(node_id)
         deleter.commit()
 
-        vacuum = VacuumCollector(engine.versions, engine.oracle, engine.indexes, store)
-        stats = vacuum.collect()
+        stats = VacuumCollector(engine).collect()
         assert stats.versions_collected == 2
         assert stats.entities_purged == 1
         assert engine.versions.get_chain(node_key(node_id)) is None
@@ -288,7 +288,7 @@ class TestDeletedEntitiesLeaveTheIndexes:
         db = GraphDatabase.in_memory(isolation=IsolationLevel.SNAPSHOT)
         reader, nodes, rels = self._delete_half(db)
         collect = (
-            db.run_gc if collector == "threaded" else db.create_vacuum_collector().collect
+            db.run_gc if collector == "threaded" else VacuumCollector(db.engine).collect
         )
         indexes = db.engine.indexes
         # The pinned reader still finds the deleted entities through the indexes.

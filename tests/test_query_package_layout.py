@@ -1,7 +1,8 @@
 """The query package keeps one executor: no private names cross its module
 boundaries, and the executor switch cannot grow back.  Transactions and the
 query layer read committed state only through the engine's interface.
-``src/repro`` holds the engine only: no workload harness, no test imports."""
+``src/repro`` holds the engine only: no workload harness, no vacuum
+baseline, no test imports."""
 
 from __future__ import annotations
 
@@ -10,6 +11,10 @@ import importlib
 from pathlib import Path
 
 import pytest
+
+from repro import GraphDatabase
+from repro.core.si_manager import SnapshotIsolationEngine
+from repro.graph.object_cache import ObjectCache
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 QUERY = SRC / "repro" / "query"
@@ -115,12 +120,18 @@ def test_entity_keys_are_plain_ints():
 
 
 def test_src_holds_the_engine_only():
-    """Graph builders, anomaly probes and workload drivers live beside the
-    tests and benchmarks that use them; nothing under ``src/repro`` reaches
-    back into ``tests/``."""
+    """Graph builders, anomaly probes, workload drivers and the vacuum
+    baseline live beside the tests and benchmarks that use them; nothing
+    under ``src/repro`` reaches back into ``tests/``, and the engine has no
+    hook that exists only for a baseline."""
     assert not (SRC / "repro" / "workload").exists()
-    with pytest.raises(ImportError):
-        importlib.import_module("repro.workload")
+    for module in ("repro.workload", "repro.core.vacuum"):
+        with pytest.raises(ImportError):
+            importlib.import_module(module)
+    for engine_class in (GraphDatabase, SnapshotIsolationEngine):
+        for name in ("create_vacuum_collector", "pause_commits"):
+            assert not hasattr(engine_class, name), (engine_class, name)
+    assert not hasattr(ObjectCache, "pin")
     offenders = []
     for path in sorted((SRC / "repro").rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):

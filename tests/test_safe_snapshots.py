@@ -4,10 +4,10 @@ The Fekete/O'Neil/O'Neil read-only-transaction anomaly, reproduced
 *deterministically* with the schedule-controlled stepper and proven closed
 by safe-snapshot gating:
 
-* under ``SNAPSHOT`` (and under ``SERIALIZABLE`` with gating disabled, i.e.
-  the bare PR-4 read-only fast path) the anomaly is present — the recorded
-  history's DSG has a cycle through the read-only transaction;
-* under ``SERIALIZABLE`` with gating (the default) the threatening writer is
+* under ``SNAPSHOT`` (and under ``SERIALIZABLE`` with the census step
+  patched out, i.e. the bare read-only fast path) the anomaly is present —
+  the recorded history's DSG has a cycle through the read-only transaction;
+* under ``SERIALIZABLE`` with gating (always on) the threatening writer is
   aborted with :class:`UnsafeSnapshotError` — **never the reader** — in
   non-deferrable mode, and in deferrable mode the reader blocks at begin,
   retakes its snapshot, and observes a fully consistent state while every
@@ -36,6 +36,7 @@ from repro import (
     SerializationError,
     UnsafeSnapshotError,
 )
+from repro.obs import flatten_statistics
 
 from harness import History, Recorder, Stepper
 from harness.stepper import ABORTED, COMMITTED
@@ -109,11 +110,11 @@ class TestFeketeAnomalyPresent:
         assert stepper.history.find_si_forbidden_cycle() is None
         db.close()
 
-    def test_present_under_serializable_with_gating_disabled(self):
-        """The PR-4 bare read-only fast path admits the anomaly (the gap)."""
-        db = GraphDatabase.in_memory(
-            isolation=IsolationLevel.SERIALIZABLE, safe_snapshots=False
-        )
+    def test_present_under_serializable_with_gating_disabled(self, monkeypatch):
+        """The bare read-only fast path admits the anomaly (the gap): every
+        read-only begin is treated as safe from birth, untracked."""
+        db = GraphDatabase.in_memory(isolation=IsolationLevel.SERIALIZABLE)
+        monkeypatch.setattr(db.engine.cc, "begin_read_only", lambda *args, **kwargs: None)
         x, y = _make_accounts(db)
         seen = {}
         stepper = Stepper(db)
@@ -528,6 +529,23 @@ class TestSafeSnapshotMechanics:
 
     def test_unsafe_snapshot_error_is_retryable(self):
         assert issubclass(UnsafeSnapshotError, SerializationError)
+
+    @pytest.mark.parametrize(
+        "isolation", [IsolationLevel.SNAPSHOT, IsolationLevel.SERIALIZABLE]
+    )
+    def test_statistics_keep_every_counter_under_its_flat_name(self, isolation):
+        """The benchmark suite reads these as ``repro_stat_safe_snapshots_*``;
+        both MVCC levels report every one, zeros where nothing is gated."""
+        db = GraphDatabase.in_memory(isolation=isolation)
+        names = {
+            "immediate", "tracked", "became_safe", "waits",
+            "retakes", "upgrades", "writer_aborts", "pending",
+        }
+        stats = db.statistics()
+        assert set(stats["safe_snapshots"]) == names
+        flat = flatten_statistics(stats)
+        assert {f"repro_stat_safe_snapshots_{name}" for name in names} <= set(flat)
+        db.close()
 
 
 class TestHandleTurningSafeBetweenBatchReads:

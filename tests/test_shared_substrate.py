@@ -301,7 +301,6 @@ class TestConstructorCensus:
             "commit_stripes",
             "query_cache_size",
             "query_batch_size",
-            "safe_snapshots",
             "obs",
         ]
 

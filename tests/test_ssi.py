@@ -23,6 +23,7 @@ from repro import (
 from repro.graph.entity import Direction
 
 from harness.anomaly import WriteSkewProbe
+from harness.vacuum import VacuumCollector
 
 
 def _make_accounts(db, balance=100):
@@ -585,8 +586,7 @@ class TestSireadReclamation:
         a, _b = _make_accounts(db)
         with db.transaction() as tx:
             tx.set_node_property(a, "balance", tx.get_node(a).get("balance") - 1)
-        vacuum = db.create_vacuum_collector()
-        stats = vacuum.collect()
+        stats = VacuumCollector(db.engine).collect()
         assert stats.cc_entries_reclaimed > 0
         assert db.statistics()["engine"]["concurrency_control"]["siread_entries"] == 0
         db.close()
