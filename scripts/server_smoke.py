@@ -7,9 +7,11 @@ The script is the deployment acceptance test:
    (database on disk, ``/metrics`` exporter on);
 2. run 8 concurrent clients with per-session isolation requests spread over
    all three levels and a mixed read/write load, retrying retryable aborts;
-3. scrape ``/metrics`` and assert the server instruments are exported;
-4. SIGTERM the server mid-load and assert it exits 0 (graceful drain);
-5. reopen the store directory and assert every *acked* commit is durable.
+3. read the server's thread count from ``/proc`` and assert a connection
+   costs at most one thread;
+4. scrape ``/metrics`` and assert the server instruments are exported;
+5. SIGTERM the server mid-load and assert it exits 0 (graceful drain);
+6. reopen the store directory and assert every *acked* commit is durable.
 
 Exits non-zero with a diagnostic on any violation.  Usage::
 
@@ -32,6 +34,9 @@ from repro.errors import ProtocolError, ReproError, ServerError
 CLIENTS = 8
 WARMUP_ACKS = 40  # drain fires only after this much load is in flight
 ISOLATION_MIX = ["read_committed", "snapshot", "serializable", None]
+# Server threads that are not connection threads: main, acceptor, and the
+# metrics exporter's serving thread.
+BASE_THREADS = 3
 
 
 def fail(message):
@@ -74,6 +79,14 @@ def start_server(db_path):
         proc.kill()
         fail("server did not report its listening/metrics addresses")
     return proc, address, metrics_url
+
+
+def thread_count(pid):
+    with open(f"/proc/{pid}/status", encoding="ascii") as handle:
+        for line in handle:
+            if line.startswith("Threads:"):
+                return int(line.split()[1])
+    raise RuntimeError(f"no Threads line for pid {pid}")
 
 
 def worker(tid, address, acked, acked_lock, stop_reasons):
@@ -140,6 +153,15 @@ def main():
         else:
             proc.kill()
             fail(f"load never ramped up: {stop_reasons}")
+
+        threads_mid_load = thread_count(proc.pid)
+        if threads_mid_load > CLIENTS + BASE_THREADS:
+            proc.kill()
+            fail(
+                f"server runs {threads_mid_load} threads for {CLIENTS} clients; "
+                f"at most {CLIENTS + BASE_THREADS} expected"
+            )
+        print(f"thread count ok ({threads_mid_load} for {CLIENTS} clients)")
 
         with urllib.request.urlopen(f"{metrics_url}/metrics", timeout=10) as response:
             metrics = response.read().decode()

@@ -23,7 +23,6 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import (
     ConstraintViolationError,
-    DatabaseReadOnlyError,
     EntityNotFoundError,
     NodeNotFoundError,
     RelationshipNotFoundError,

@@ -4,9 +4,9 @@
   frames, the value codec for graph entities, and the error mapping.
 * :mod:`repro.server.session` — server-side sessions: HELLO negotiation
   (auth, isolation, read-only), admission limits, request dispatch.
-* :mod:`repro.server.server` — :class:`GraphServer`: the asyncio front end
-  with a worker pool for engine calls and a graceful drain that never drops
-  an acked commit.
+* :mod:`repro.server.server` — :class:`GraphServer`: an acceptor thread and
+  one thread per connection that reads, runs and answers each request
+  inline, with a graceful drain that never drops an acked commit.
 
 Serve a database embedded::
 

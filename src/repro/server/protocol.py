@@ -21,7 +21,6 @@ dataclasses the client library hands back.
 
 from __future__ import annotations
 
-import asyncio
 import json
 import socket
 import struct
@@ -41,7 +40,6 @@ __all__ = [
     "decode_payload",
     "read_frame",
     "write_frame",
-    "read_frame_async",
     "encode_value",
     "decode_value",
     "error_payload",
@@ -137,13 +135,6 @@ def decode_payload(body: bytes) -> dict:
     return payload
 
 
-def _check_length(length: int, max_frame_bytes: int) -> None:
-    if length > max_frame_bytes:
-        raise ProtocolError(
-            f"frame of {length} bytes exceeds the {max_frame_bytes}-byte limit"
-        )
-
-
 def write_frame(sock: socket.socket, payload: dict) -> None:
     """Send one message over a blocking socket."""
     sock.sendall(encode_frame(payload))
@@ -161,7 +152,10 @@ def read_frame(
     if header is None:
         return None
     (length,) = _LENGTH.unpack(header)
-    _check_length(length, max_frame_bytes)
+    if length > max_frame_bytes:
+        raise ProtocolError(
+            f"frame of {length} bytes exceeds the {max_frame_bytes}-byte limit"
+        )
     body = _recv_exactly(sock, length, eof_ok=False)
     return decode_payload(body)
 
@@ -180,26 +174,6 @@ def _recv_exactly(
         chunks.append(chunk)
         remaining -= len(chunk)
     return b"".join(chunks)
-
-
-async def read_frame_async(
-    reader: asyncio.StreamReader,
-    max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
-) -> Optional[dict]:
-    """Read one message from an asyncio stream; ``None`` on clean EOF."""
-    try:
-        header = await reader.readexactly(_LENGTH.size)
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
-            return None
-        raise ProtocolError("connection closed mid-frame") from exc
-    (length,) = _LENGTH.unpack(header)
-    _check_length(length, max_frame_bytes)
-    try:
-        body = await reader.readexactly(length)
-    except asyncio.IncompleteReadError as exc:
-        raise ProtocolError("connection closed mid-frame") from exc
-    return decode_payload(body)
 
 
 # ---------------------------------------------------------------------------

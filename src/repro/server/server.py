@@ -1,42 +1,51 @@
-"""The network front end: an asyncio socket server over one database.
+"""The network front end: a thread-per-connection socket server over one database.
 
 Architecture
 ------------
 
-The engine is synchronous and thread-based, so the server splits the work:
+The engine is synchronous and thread-based, and so is the front end:
 
-* an **asyncio event loop** (on a dedicated background thread) owns every
-  socket — accepting connections, framing, and the drain machinery — which
-  is the cheap way to hold hundreds of mostly-idle connections;
-* a **worker thread pool** runs the actual database work.  Each connection
-  has at most one in-flight request (the protocol is strictly
-  request/response), so a session's transactions are only ever touched from
-  one worker at a time and need no extra locking.
+* one **acceptor thread** owns the listening socket and starts a thread for
+  each accepted connection;
+* each **connection thread** reads a frame, runs
+  :meth:`~repro.server.session.ServerSession.handle` and writes the answer,
+  all inline on blocking sockets.  The protocol is strictly
+  request/response, so a session's transactions are only ever touched from
+  its own connection thread and need no extra locking, and a request
+  crosses no thread on its way through the server.
+
+Connection threads are bounded: at most ``max_connections + 1`` are live
+(the one beyond the session limit is there to answer an over-limit HELLO
+with :class:`~repro.errors.ConnectionLimitError`); while every slot is
+taken the acceptor stops accepting and new peers wait in the listen
+backlog.  A peer that does not complete HELLO within
+:data:`HANDSHAKE_TIMEOUT` seconds is disconnected, so silent sockets cannot
+hold slots for long.
 
 Graceful drain (``shutdown()``, or SIGTERM under ``serve_forever()``):
 
-1. the listener stops accepting and the session manager rejects new HELLOs
-   with :class:`~repro.errors.ServerDrainingError` (retryable — clients can
-   reconnect elsewhere);
-2. the health view flips to ``draining`` so ``/healthz`` answers 503;
-3. every in-flight request runs to completion and its response is written —
-   an acked commit is always durable — after which each connection gets one
-   final ``ServerDrainingError`` frame and is closed (open explicit
-   transactions roll back: they were never acked);
-4. connections that ignore the deadline are cancelled, leftover sessions are
-   force-closed, and (by default) the database itself is drained and closed
-   through the same transaction gate.
+1. the session manager rejects new HELLOs with
+   :class:`~repro.errors.ServerDrainingError` (retryable — clients can
+   reconnect elsewhere), the health view flips to ``draining`` so
+   ``/healthz`` answers 503, and the listener is closed;
+2. the read side of every live connection is shut down: an idle connection
+   wakes at once with EOF, while an in-flight request runs to completion
+   and its response is written — an acked commit is always durable; each
+   connection then gets one final ``ServerDrainingError`` frame and is
+   closed (open explicit transactions roll back: they were never acked);
+3. connections still busy when ``drain_timeout`` expires are cut off,
+   leftover sessions are force-closed, and (by default) the database
+   itself is drained and closed through the same transaction gate.
 """
 
 from __future__ import annotations
 
-import asyncio
-import concurrent.futures
 import contextlib
-import os
 import signal
+import socket
 import threading
-from typing import TYPE_CHECKING, Optional, Tuple, Union
+import time
+from typing import TYPE_CHECKING, Dict, Optional, Tuple, Union
 
 from repro.errors import ProtocolError, ReproError, ServerDrainingError
 from repro.server import protocol
@@ -45,7 +54,14 @@ from repro.server.session import AuthHook, ServerSession, SessionManager
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api.database import GraphDatabase
 
-__all__ = ["GraphServer"]
+__all__ = ["GraphServer", "HANDSHAKE_TIMEOUT"]
+
+#: Seconds a new connection gets to deliver its HELLO before it is closed.
+HANDSHAKE_TIMEOUT = 10.0
+
+#: Pause after a failed ``accept`` (out of file descriptors, say) before
+#: the acceptor tries again.
+_ACCEPT_RETRY_DELAY = 0.1
 
 
 class GraphServer:
@@ -61,7 +77,6 @@ class GraphServer:
         max_connections: int = 64,
         max_frame_bytes: int = protocol.DEFAULT_MAX_FRAME_BYTES,
         drain_timeout: float = 5.0,
-        request_threads: Optional[int] = None,
     ) -> None:
         """``port=0`` binds an ephemeral port (read it from :attr:`address`
         after :meth:`start`).  ``auth`` is a shared-secret string or a
@@ -69,21 +84,18 @@ class GraphServer:
         self._db = db
         self._host = host
         self._port = port
+        self._max_connections = max_connections
         self._max_frame_bytes = max_frame_bytes
         self._drain_timeout = drain_timeout
         self.sessions = SessionManager(db, auth=auth, max_sessions=max_connections)
-        workers = request_threads or min(32, (os.cpu_count() or 4) + 4)
-        self._executor = concurrent.futures.ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="repro-server"
-        )
-        self._thread: Optional[threading.Thread] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._drain_event: Optional[asyncio.Event] = None
-        self._started = threading.Event()
-        self._startup_error: Optional[BaseException] = None
+        self._listener: Optional[socket.socket] = None
         self._address: Optional[Tuple[str, int]] = None
-        self._shutdown_lock = threading.Lock()
-        self._shut_down = False
+        self._acceptor: Optional[threading.Thread] = None
+        # Guards the live-connection map and the drain flag; the acceptor
+        # waits on it for a free slot.
+        self._lock = threading.Condition()
+        self._connections: Dict[socket.socket, threading.Thread] = {}
+        self._draining = False
         self._stop_serving = threading.Event()
 
     # ------------------------------------------------------------------
@@ -95,16 +107,20 @@ class GraphServer:
 
         Raises the bind error (port in use, bad host) in the calling thread.
         """
-        if self._thread is not None:
+        if self._acceptor is not None:
             raise ReproError("the server has already been started")
-        self._thread = threading.Thread(
-            target=self._run_loop, name="repro-server-loop", daemon=True
+        family, _, _, _, address = socket.getaddrinfo(
+            self._host, self._port, type=socket.SOCK_STREAM
+        )[0]
+        self._listener = socket.create_server(address, family=family)
+        self._address = self._listener.getsockname()[:2]
+        self._acceptor = threading.Thread(
+            target=self._accept_loop,
+            args=(self._listener,),
+            name="repro-server-accept",
+            daemon=True,
         )
-        self._thread.start()
-        self._started.wait()
-        if self._startup_error is not None:
-            self._thread.join()
-            raise self._startup_error
+        self._acceptor.start()
         return self
 
     def shutdown(
@@ -120,21 +136,15 @@ class GraphServer:
         alone — only a database on its way out should report ``draining``).
         """
         timeout = self._drain_timeout if drain_timeout is None else drain_timeout
-        with self._shutdown_lock:
-            first = not self._shut_down
-            self._shut_down = True
+        with self._lock:
+            first = not self._draining
+            self._draining = True
+            self._lock.notify_all()
         if first:
             self.sessions.start_draining()
             if close_database:
                 self._db.store.health.mark_draining("server drain")
-            if self._loop is not None and self._drain_event is not None:
-                with contextlib.suppress(RuntimeError):
-                    self._loop.call_soon_threadsafe(self._drain_event.set)
-            if self._thread is not None:
-                # The loop waits up to the drain window itself; the extra
-                # second covers teardown bookkeeping.
-                self._thread.join(timeout=timeout + 1.0)
-            self._executor.shutdown(wait=True)
+            self._drain(timeout)
             self._stop_serving.set()
         if close_database and not self._db.is_closed:
             self._db.close()
@@ -145,7 +155,7 @@ class GraphServer:
         Installs signal handlers, so it must run on the main thread; this is
         what ``python -m repro.server`` sits in.
         """
-        if self._thread is None:
+        if self._acceptor is None:
             self.start()
 
         def _request_stop(signum, frame):  # noqa: ARG001 - signal signature
@@ -162,7 +172,7 @@ class GraphServer:
         self.shutdown()
 
     def __enter__(self) -> "GraphServer":
-        return self.start() if self._thread is None else self
+        return self.start() if self._acceptor is None else self
 
     def __exit__(self, exc_type, exc_value, traceback) -> None:
         self.shutdown()
@@ -190,8 +200,8 @@ class GraphServer:
 
     @property
     def is_running(self) -> bool:
-        """Whether the serving thread is alive."""
-        return self._thread is not None and self._thread.is_alive()
+        """Whether the acceptor thread is alive."""
+        return self._acceptor is not None and self._acceptor.is_alive()
 
     @property
     def is_draining(self) -> bool:
@@ -199,150 +209,129 @@ class GraphServer:
         return self.sessions.is_draining
 
     # ------------------------------------------------------------------
-    # event loop
+    # acceptor and drain
     # ------------------------------------------------------------------
 
-    def _run_loop(self) -> None:
-        try:
-            asyncio.run(self._main())
-        except BaseException as exc:  # pragma: no cover - defensive
-            if not self._started.is_set():
-                self._startup_error = exc
-                self._started.set()
-        finally:
-            self._stop_serving.set()
-
-    async def _main(self) -> None:
-        self._loop = asyncio.get_running_loop()
-        self._drain_event = asyncio.Event()
-        connections: set = set()
-        try:
-            server = await asyncio.start_server(
-                lambda r, w: self._track(connections, r, w),
-                self._host,
-                self._port,
-            )
-        except OSError as exc:
-            self._startup_error = exc
-            self._started.set()
-            return
-        self._address = server.sockets[0].getsockname()[:2]
-        self._started.set()
-        async with server:
-            await self._drain_event.wait()
-            server.close()
-            await server.wait_closed()
-            # In-flight requests get the drain window to finish and be
-            # acked; each handler then sends its final draining frame.
-            if connections:
-                _, pending = await asyncio.wait(
-                    connections, timeout=self._drain_timeout
+    def _accept_loop(self, listener: socket.socket) -> None:
+        with listener:
+            while True:
+                with self._lock:
+                    while (
+                        len(self._connections) > self._max_connections
+                        and not self._draining
+                    ):
+                        self._lock.wait()
+                    if self._draining:
+                        return
+                try:
+                    conn, _ = listener.accept()
+                except OSError:
+                    # The drain shut the listener down, or the process is
+                    # short of descriptors and the next accept may succeed.
+                    if self._draining:
+                        return
+                    time.sleep(_ACCEPT_RETRY_DELAY)
+                    continue
+                thread = threading.Thread(
+                    target=self._serve_connection,
+                    args=(conn,),
+                    name="repro-server-conn",
+                    daemon=True,
                 )
-                for task in pending:
-                    task.cancel()
-                if pending:
-                    await asyncio.wait(pending, timeout=1.0)
-        # Anything cancelled above skipped its own cleanup.
+                with self._lock:
+                    self._connections[conn] = thread
+                    thread.start()
+
+    def _drain(self, timeout: float) -> None:
+        deadline = time.monotonic() + timeout
+        if self._listener is not None and self._acceptor is not None:
+            _shutdown_socket(self._listener, socket.SHUT_RDWR)
+            self._acceptor.join()
+        # The acceptor is gone, so this is every connection there will be.
+        with self._lock:
+            live = list(self._connections.items())
+        for conn, _ in live:
+            _shutdown_socket(conn, socket.SHUT_RD)
+        for _, thread in live:
+            thread.join(max(0.0, deadline - time.monotonic()))
+        stragglers = [(conn, thread) for conn, thread in live if thread.is_alive()]
+        for conn, _ in stragglers:
+            _shutdown_socket(conn, socket.SHUT_RDWR)
+        for _, thread in stragglers:
+            thread.join(max(0.0, deadline + 1.0 - time.monotonic()))
         self.sessions.close_all()
 
-    async def _track(self, connections: set, reader, writer) -> None:
-        task = asyncio.current_task()
-        connections.add(task)
-        try:
-            await self._serve_connection(reader, writer)
-        finally:
-            connections.discard(task)
+    # ------------------------------------------------------------------
+    # connection threads
+    # ------------------------------------------------------------------
 
-    async def _serve_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
+    def _serve_connection(self, conn: socket.socket) -> None:
         session: Optional[ServerSession] = None
         try:
-            session = await self._open_session(reader, writer)
-            if session is None:
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            conn.settimeout(HANDSHAKE_TIMEOUT)
+            hello = protocol.read_frame(conn, self._max_frame_bytes)
+            if hello is None:
+                self._hang_up(conn)
                 return
-            await self._request_loop(session, reader, writer)
+            conn.settimeout(None)
+            try:
+                session = self.sessions.open_session(hello)
+            except ReproError as exc:
+                _try_send(conn, protocol.error_response(exc))
+                return
+            protocol.write_frame(conn, session.hello_response())
+            while True:
+                # Once the drain has begun, answer nothing new.
+                request = (
+                    None
+                    if self._draining
+                    else protocol.read_frame(conn, self._max_frame_bytes)
+                )
+                if request is None:
+                    self._hang_up(conn)
+                    return
+                protocol.write_frame(conn, session.handle(request))
+                if request.get("op") == "goodbye":
+                    return
         except ProtocolError as exc:
-            await self._try_send(writer, protocol.error_response(exc))
-        except (ConnectionError, asyncio.CancelledError):
-            # Peer vanished, or the drain deadline cancelled us; the
-            # finally-block below still retires the session (open
-            # transactions roll back — they were never acked).
+            _try_send(conn, protocol.error_response(exc))
+        except OSError:
+            # Peer vanished, the handshake timed out, or the drain deadline
+            # cut the connection off; the finally-block still retires the
+            # session (open transactions roll back — they were never acked).
             pass
         finally:
-            if session is not None:
-                await self._in_worker(session.close)
-            writer.close()
-            with contextlib.suppress(Exception):
-                await writer.wait_closed()
+            try:
+                if session is not None:
+                    session.close()
+            finally:
+                # Free the slot even if the rollback failed, or the acceptor
+                # could wait for it forever.
+                conn.close()
+                with self._lock:
+                    del self._connections[conn]
+                    self._lock.notify_all()
 
-    async def _open_session(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> Optional[ServerSession]:
-        hello = await protocol.read_frame_async(reader, self._max_frame_bytes)
-        if hello is None:
-            return None
-        try:
-            session = await self._in_worker(self.sessions.open_session, hello)
-        except ReproError as exc:
-            await self._try_send(writer, protocol.error_response(exc))
-            return None
-        await self._send(writer, session.hello_response())
-        return session
+    def _hang_up(self, conn: socket.socket) -> None:
+        """End a connection at EOF: a drain owes the peer one last frame."""
+        if self._draining:
+            _try_send(
+                conn,
+                protocol.error_response(
+                    ServerDrainingError(
+                        "the server is draining for shutdown; no further "
+                        "requests will be served on this connection"
+                    )
+                ),
+            )
 
-    async def _request_loop(
-        self,
-        session: ServerSession,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
-        assert self._drain_event is not None
-        while True:
-            request = await self._next_request(reader)
-            if request is None:
-                if not self._drain_event.is_set():
-                    return  # clean EOF from the peer
-                await self._try_send(
-                    writer, protocol.error_response(self._draining_error())
-                )
-                return
-            response = await self._in_worker(session.handle, request)
-            await self._send(writer, response)
-            if request.get("op") == "goodbye":
-                return
 
-    async def _next_request(self, reader: asyncio.StreamReader) -> Optional[dict]:
-        """One frame, or ``None`` on EOF *or* drain — whichever comes first."""
-        assert self._drain_event is not None
-        if self._drain_event.is_set():
-            return None
-        read = asyncio.ensure_future(
-            protocol.read_frame_async(reader, self._max_frame_bytes)
-        )
-        drain = asyncio.ensure_future(self._drain_event.wait())
-        done, _ = await asyncio.wait({read, drain}, return_when=asyncio.FIRST_COMPLETED)
-        if read in done:
-            drain.cancel()
-            return read.result()
-        read.cancel()
-        with contextlib.suppress(asyncio.CancelledError, ProtocolError):
-            await read
-        return None
+def _try_send(conn: socket.socket, payload: dict) -> None:
+    with contextlib.suppress(OSError):
+        protocol.write_frame(conn, payload)
 
-    def _draining_error(self) -> ServerDrainingError:
-        return ServerDrainingError(
-            "the server is draining for shutdown; no further requests will "
-            "be served on this connection"
-        )
 
-    async def _in_worker(self, fn, *args):
-        assert self._loop is not None
-        return await self._loop.run_in_executor(self._executor, fn, *args)
-
-    async def _send(self, writer: asyncio.StreamWriter, payload: dict) -> None:
-        writer.write(protocol.encode_frame(payload))
-        await writer.drain()
-
-    async def _try_send(self, writer: asyncio.StreamWriter, payload: dict) -> None:
-        with contextlib.suppress(Exception):
-            await self._send(writer, payload)
+def _shutdown_socket(conn: socket.socket, how: int) -> None:
+    with contextlib.suppress(OSError):
+        conn.shutdown(how)

@@ -17,10 +17,10 @@ negotiates the session's parameters:
 * **deferrable** — forwarded to the safe-snapshot machinery for read-only
   serializable transactions.
 
-Request handling is synchronous by design: the engine is thread-based, so
-the asyncio front end runs :meth:`ServerSession.handle` on a worker thread,
-one in-flight request per connection (the protocol is strictly
-request/response, which is what makes session-scoped transactions safe).
+Request handling is synchronous by design: the engine is thread-based, and
+each connection's own thread runs :meth:`ServerSession.handle`, one request
+at a time (the protocol is strictly request/response, which is what makes
+session-scoped transactions safe).
 """
 
 from __future__ import annotations

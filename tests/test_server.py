@@ -14,6 +14,7 @@ import time
 
 import pytest
 
+import repro.server.server as server_module
 from repro import GraphDatabase, IsolationLevel
 from repro.client import GraphClient, RemoteNode, RemotePath, RemoteRelationship
 from repro.errors import (
@@ -159,6 +160,37 @@ class TestAdmission:
             assert wait_until(lambda: srv.sessions.active_count() == 0)
             with connect(srv) as second:
                 second.execute("RETURN 1")
+
+    def test_connection_threads_are_bounded(self, monkeypatch):
+        monkeypatch.setattr(server_module, "HANDSHAKE_TIMEOUT", 0.3)
+        max_connections = 2
+
+        def connection_threads():
+            return sum(
+                thread.name.startswith("repro-server-conn")
+                for thread in threading.enumerate()
+            )
+
+        db = GraphDatabase.in_memory()
+        with GraphServer(db, port=0, max_connections=max_connections) as srv:
+            # Peers that connect and never say HELLO.
+            silent = [
+                socket.create_connection(srv.address, timeout=5) for _ in range(6)
+            ]
+            try:
+                peak = 0
+                deadline = time.monotonic() + 1.5
+                while time.monotonic() < deadline:
+                    peak = max(peak, connection_threads())
+                    time.sleep(0.01)
+                assert 0 < peak <= max_connections + 1
+                # Every silent peer has been timed out by now.
+                assert wait_until(lambda: connection_threads() == 0)
+                with connect(srv, timeout=5) as client:
+                    assert client.execute("RETURN 1").single() == [1]
+            finally:
+                for sock in silent:
+                    sock.close()
 
     def test_first_message_must_be_hello(self, server):
         raw = socket.create_connection(server.address, timeout=5)
@@ -419,6 +451,40 @@ class TestConcurrentClients:
             reopened.close()
         missing = set(acked) - durable
         assert not missing, f"acked commits lost in drain: {sorted(missing)}"
+
+    def test_drain_answers_an_idle_connection_and_rolls_it_back(self, tmp_path):
+        path = str(tmp_path / "db")
+        db = GraphDatabase.open(path)
+        drain_timeout = 2.0
+        srv = GraphServer(db, port=0, drain_timeout=drain_timeout).start()
+        raw = socket.create_connection(srv.address, timeout=10)
+        try:
+            for request in (
+                {"op": "hello", "protocol": protocol.PROTOCOL_VERSION},
+                {"op": "begin"},
+                {"op": "execute", "query": "CREATE (:Uncommitted)"},
+            ):
+                protocol.write_frame(raw, request)
+                assert protocol.read_frame(raw)["ok"] is True
+            # The client now sits idle inside its open transaction, and the
+            # server side is back in its blocking read.
+            time.sleep(0.2)
+            started = time.monotonic()
+            srv.shutdown()
+            assert time.monotonic() - started < drain_timeout + 1.0
+            final = protocol.read_frame(raw)
+            assert final["ok"] is False
+            assert final["error"]["code"] == "ServerDrainingError"
+            assert protocol.read_frame(raw) is None
+        finally:
+            raw.close()
+        assert db.is_closed
+        reopened = GraphDatabase.open(path)
+        try:
+            with reopened.begin(read_only=True) as tx:
+                assert list(tx.find_nodes(label="Uncommitted")) == []
+        finally:
+            reopened.close()
 
     def test_draining_server_rejects_new_sessions(self, tmp_path):
         db = GraphDatabase.open(str(tmp_path / "db"))
