@@ -8,7 +8,6 @@ first block.  This mirrors Neo4j's dynamic string/array stores.
 
 from __future__ import annotations
 
-import threading
 from typing import Iterator, List, Optional, Tuple
 
 from repro.errors import RecordNotInUseError
@@ -25,7 +24,6 @@ class DynamicStore:
             paged_file, DynamicRecord, store_name
         )
         self._allocator = IdAllocator()
-        self._lock = threading.RLock()
         self._allocator.rebuild(self._records.used_ids())
 
     @property
@@ -43,21 +41,20 @@ class DynamicStore:
         chunks = [payload[i:i + chunk_size] for i in range(0, len(payload), chunk_size)]
         if not chunks:
             chunks = [b""]
-        with self._lock:
-            block_ids = [self._allocator.allocate() for _ in chunks]
-            for index, chunk in enumerate(chunks):
-                next_block = block_ids[index + 1] if index + 1 < len(block_ids) else NULL_REF
-                record = DynamicRecord(
-                    in_use=True,
-                    length=len(chunk),
-                    next_block=next_block,
-                    payload=chunk,
-                )
-                self._records.write(block_ids[index], record)
-            return block_ids[0]
+        block_ids = [self._allocator.allocate() for _ in chunks]
+        for index, chunk in enumerate(chunks):
+            next_block = block_ids[index + 1] if index + 1 < len(block_ids) else NULL_REF
+            record = DynamicRecord(
+                in_use=True,
+                length=len(chunk),
+                next_block=next_block,
+                payload=chunk,
+            )
+            self._records.write(block_ids[index], record)
+        return block_ids[0]
 
     def _iter_chain(self, first_block: int) -> Iterator[Tuple[int, DynamicRecord]]:
-        """Yield ``(block_id, record)`` along a chain (caller holds the lock).
+        """Yield ``(block_id, record)`` along a chain.
 
         Raises :class:`RecordNotInUseError` at a block that is not in use or
         that closes a cycle; everything yielded before that is sound.
@@ -80,11 +77,10 @@ class DynamicStore:
 
     def read_bytes(self, first_block: int) -> bytes:
         """Read back the byte string starting at ``first_block``."""
-        with self._lock:
-            return b"".join(
-                record.payload[:record.length]
-                for _, record in self._iter_chain(first_block)
-            )
+        return b"".join(
+            record.payload[:record.length]
+            for _, record in self._iter_chain(first_block)
+        )
 
     def chain_block_ids(self, first_block: int) -> List[int]:
         """In-use block ids reachable from ``first_block`` (consistency checker).
@@ -92,12 +88,11 @@ class DynamicStore:
         Stops quietly where :meth:`read_bytes` would raise.
         """
         block_ids: List[int] = []
-        with self._lock:
-            try:
-                for block_id, _ in self._iter_chain(first_block):
-                    block_ids.append(block_id)
-            except UNREADABLE:
-                pass
+        try:
+            for block_id, _ in self._iter_chain(first_block):
+                block_ids.append(block_id)
+        except UNREADABLE:
+            pass
         return block_ids
 
     def free_chain(self, first_block: int) -> int:
@@ -106,24 +101,22 @@ class DynamicStore:
             return 0
         freed = 0
         block_id = first_block
-        with self._lock:
-            while block_id != NULL_REF:
-                record = self._records.read(block_id)
-                if not record.in_use:
-                    break
-                next_block = record.next_block
-                self._records.mark_not_in_use(block_id)
-                self._allocator.free(block_id)
-                freed += 1
-                block_id = next_block
+        while block_id != NULL_REF:
+            record = self._records.read(block_id)
+            if not record.in_use:
+                break
+            next_block = record.next_block
+            self._records.mark_not_in_use(block_id)
+            self._allocator.free(block_id)
+            freed += 1
+            block_id = next_block
         return freed
 
     def rewrite_chain(self, first_block: Optional[int], payload: bytes) -> int:
         """Replace an existing chain with a new payload, returning the new head."""
-        with self._lock:
-            if first_block is not None and first_block != NULL_REF:
-                self.free_chain(first_block)
-            return self.write_bytes(payload)
+        if first_block is not None and first_block != NULL_REF:
+            self.free_chain(first_block)
+        return self.write_bytes(payload)
 
     def blocks_in_use(self) -> int:
         """Number of in-use blocks (linear scan, used by tests and stats)."""

@@ -9,7 +9,6 @@ by the node identifier).
 from __future__ import annotations
 
 import struct
-import threading
 from typing import Iterator, List
 
 from repro.graph.dynamic_store import DynamicStore
@@ -34,7 +33,6 @@ class NodeStore:
         )
         self._labels = label_store
         self._allocator = IdAllocator(reuse=reuse_ids)
-        self._lock = threading.RLock()
         self._allocator.rebuild(self._records.used_ids())
 
     @property

@@ -13,13 +13,19 @@ Two byte-level backends are provided:
 * :class:`FileBackend` — a real file opened with ``os.open``.
 
 :class:`PageCache` is a shared LRU cache of fixed-size pages keyed by
-``(file_id, page_number)``.  :class:`PagedFile` exposes byte-range reads and
-writes on top of it, transparently spanning page boundaries.
+``(file_id, page_number)``, guarded by one lock.  :class:`PagedFile` exposes
+two kinds of access on top of it: fixed-size records unpacked from and packed
+into a cached page in place with a precompiled ``struct.Struct``
+(:meth:`PagedFile.unpack` / :meth:`PagedFile.pack`, the record stores' path),
+and byte-range reads and writes that span page boundaries (store headers, and
+the one record slot per page that straddles a boundary).  Hits, misses, dirty
+pages and ``page_writes`` are counted the same way on both.
 """
 
 from __future__ import annotations
 
 import os
+import struct
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -246,6 +252,30 @@ class PageCache:
             page = self._get_page(file_id, page_no)
             return bytes(page[offset_in_page:offset_in_page + length])
 
+    def unpack_from(
+        self, file_id: int, page_no: int, offset_in_page: int, codec: struct.Struct
+    ) -> tuple:
+        """Unpack one record straight from a cached page (no byte copy)."""
+        with self._lock:
+            return codec.unpack_from(self._get_page(file_id, page_no), offset_in_page)
+
+    def pack_into(
+        self,
+        file_id: int,
+        page_no: int,
+        offset_in_page: int,
+        codec: struct.Struct,
+        fields: tuple,
+    ) -> None:
+        """Pack one record straight into a cached page and mark it dirty.
+
+        The caller guarantees the record fits inside the page.
+        """
+        with self._lock:
+            codec.pack_into(self._get_page(file_id, page_no), offset_in_page, *fields)
+            self._dirty[(file_id, page_no)] = True
+            self.stats.page_writes += 1
+
     def write_into_page(
         self, file_id: int, page_no: int, offset_in_page: int, data: bytes
     ) -> None:
@@ -322,13 +352,17 @@ class PageCache:
 
 
 class PagedFile:
-    """Byte-range reads and writes over a backend, going through a page cache."""
+    """Byte-range and record reads and writes over a backend, through a page cache.
+
+    Not locked itself: the page cache's lock makes each page access atomic,
+    and the store latch above serialises writers.
+    """
 
     def __init__(self, backend: ByteBackend, page_cache: PageCache) -> None:
         self._backend = backend
         self._cache = page_cache
+        self._page_size = page_cache.page_size
         self._file_id = page_cache.register_backend(backend)
-        self._lock = threading.RLock()
         self._size = backend.size()
         self._closed = False
 
@@ -339,20 +373,42 @@ class PagedFile:
 
     def size(self) -> int:
         """Logical size in bytes (highest byte ever written + 1)."""
-        with self._lock:
-            return self._size
+        return self._size
+
+    def unpack(self, offset: int, codec: struct.Struct) -> tuple:
+        """Unpack the ``codec.size``-byte record at ``offset``.
+
+        A record inside one page is unpacked in place on the cached page; only
+        one that straddles a page boundary is first copied out byte-range-wise.
+        """
+        self._check_open()
+        page_no, in_page = divmod(offset, self._page_size)
+        if in_page + codec.size <= self._page_size:
+            return self._cache.unpack_from(self._file_id, page_no, in_page, codec)
+        return codec.unpack(self.read(offset, codec.size))
+
+    def pack(self, offset: int, codec: struct.Struct, fields: tuple) -> None:
+        """Pack ``fields`` as the ``codec.size``-byte record at ``offset``.
+
+        In place on the cached page, unless the record straddles a page
+        boundary (then it is packed to bytes and written byte-range-wise).
+        """
+        self._check_open()
+        page_no, in_page = divmod(offset, self._page_size)
+        if in_page + codec.size > self._page_size:
+            self.write(offset, codec.pack(*fields))
+            return
+        self._cache.pack_into(self._file_id, page_no, in_page, codec, fields)
+        end = offset + codec.size
+        if end > self._size:
+            self._size = end
 
     def read(self, offset: int, length: int) -> bytes:
         """Read ``length`` bytes starting at ``offset`` (zero padded past EOF)."""
         self._check_open()
         if length <= 0:
             return b""
-        page_size = self._cache.page_size
-        page_no, in_page = divmod(offset, page_size)
-        if in_page + length <= page_size:
-            # One record inside one page — all but the reads that straddle a
-            # page boundary — copies the record's bytes, not the page's.
-            return self._cache.read_from_page(self._file_id, page_no, in_page, length)
+        page_size = self._page_size
         chunks = []
         remaining = length
         position = offset
@@ -371,7 +427,7 @@ class PagedFile:
         self._check_open()
         if not data:
             return
-        page_size = self._cache.page_size
+        page_size = self._page_size
         position = offset
         index = 0
         while index < len(data):
@@ -382,8 +438,7 @@ class PagedFile:
             )
             position += take
             index += take
-        with self._lock:
-            self._size = max(self._size, offset + len(data))
+        self._size = max(self._size, offset + len(data))
 
     def flush(self) -> None:
         """Write back dirty pages and sync the backend."""

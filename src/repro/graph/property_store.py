@@ -10,7 +10,6 @@ strings and arrays), mirroring Neo4j's short-string optimisation.
 from __future__ import annotations
 
 import struct
-import threading
 from typing import Dict, Iterator, List, Tuple
 
 from repro.errors import InvalidPropertyValueError, StoreCorruptionError
@@ -115,7 +114,6 @@ class PropertyStore:
         )
         self._values = value_store
         self._allocator = IdAllocator()
-        self._lock = threading.RLock()
         self._allocator.rebuild(self._records.used_ids())
 
     @property
@@ -200,26 +198,25 @@ class PropertyStore:
         """
         if not properties:
             return NULL_REF
-        with self._lock:
-            items = sorted(properties.items())
-            record_ids = [self._allocator.allocate() for _ in items]
-            for index, (key_id, value) in enumerate(items):
-                value_type, data = self._encode_value(value)
-                record = PropertyRecord(
-                    in_use=True,
-                    key_id=key_id,
-                    value_type=value_type,
-                    inline_value=self._store_value(value_type, data),
-                    prev_prop=record_ids[index - 1] if index > 0 else NULL_REF,
-                    next_prop=(
-                        record_ids[index + 1] if index + 1 < len(record_ids) else NULL_REF
-                    ),
-                )
-                self._records.write(record_ids[index], record)
-            return record_ids[0]
+        items = sorted(properties.items())
+        record_ids = [self._allocator.allocate() for _ in items]
+        for index, (key_id, value) in enumerate(items):
+            value_type, data = self._encode_value(value)
+            record = PropertyRecord(
+                in_use=True,
+                key_id=key_id,
+                value_type=value_type,
+                inline_value=self._store_value(value_type, data),
+                prev_prop=record_ids[index - 1] if index > 0 else NULL_REF,
+                next_prop=(
+                    record_ids[index + 1] if index + 1 < len(record_ids) else NULL_REF
+                ),
+            )
+            self._records.write(record_ids[index], record)
+        return record_ids[0]
 
     def _iter_chain(self, first_prop: int) -> Iterator[Tuple[int, PropertyRecord]]:
-        """Yield ``(record_id, record)`` along a chain (caller holds the lock).
+        """Yield ``(record_id, record)`` along a chain.
 
         Raises :class:`StoreCorruptionError` at a record that is not in use or
         that closes a cycle; everything yielded before that is sound.
@@ -242,27 +239,25 @@ class PropertyStore:
 
     def read_chain(self, first_prop: int) -> Dict[int, PropertyValue]:
         """Read a property chain back into a ``{key_id: value}`` map."""
-        with self._lock:
-            return {
-                record.key_id: self._decode_value(record.value_type, record.inline_value)
-                for _, record in self._iter_chain(first_prop)
-            }
+        return {
+            record.key_id: self._decode_value(record.value_type, record.inline_value)
+            for _, record in self._iter_chain(first_prop)
+        }
 
     def free_chain(self, first_prop: int) -> int:
         """Free a property chain (and any dynamic values it references)."""
         freed = 0
         record_id = first_prop
-        with self._lock:
-            while record_id != NULL_REF:
-                record = self._records.read(record_id)
-                if not record.in_use:
-                    break
-                self._free_value(record.value_type, record.inline_value)
-                next_prop = record.next_prop
-                self._records.mark_not_in_use(record_id)
-                self._allocator.free(record_id)
-                freed += 1
-                record_id = next_prop
+        while record_id != NULL_REF:
+            record = self._records.read(record_id)
+            if not record.in_use:
+                break
+            self._free_value(record.value_type, record.inline_value)
+            next_prop = record.next_prop
+            self._records.mark_not_in_use(record_id)
+            self._allocator.free(record_id)
+            freed += 1
+            record_id = next_prop
         return freed
 
     def replace_chain(self, first_prop: int, properties: Dict[int, PropertyValue]) -> int:
@@ -280,27 +275,26 @@ class PropertyStore:
         """
         if first_prop == NULL_REF:
             return self.write_chain(properties)
-        with self._lock:
-            try:
-                stored = list(self._iter_chain(first_prop))
-            except UNREADABLE:
-                stored = None
-            if (
-                stored is None
-                or len(stored) != len(properties)
-                or {record.key_id for _, record in stored} != properties.keys()
-            ):
-                self.free_chain(first_prop)
-                return self.write_chain(properties)
-            for record_id, record in stored:
-                value_type, data = self._encode_value(properties[record.key_id])
-                if self._holds_value(record, value_type, data):
-                    continue
-                self._free_value(record.value_type, record.inline_value)
-                record.value_type = value_type
-                record.inline_value = self._store_value(value_type, data)
-                self._records.write(record_id, record)
-            return first_prop
+        try:
+            stored = list(self._iter_chain(first_prop))
+        except UNREADABLE:
+            stored = None
+        if (
+            stored is None
+            or len(stored) != len(properties)
+            or {record.key_id for _, record in stored} != properties.keys()
+        ):
+            self.free_chain(first_prop)
+            return self.write_chain(properties)
+        for record_id, record in stored:
+            value_type, data = self._encode_value(properties[record.key_id])
+            if self._holds_value(record, value_type, data):
+                continue
+            self._free_value(record.value_type, record.inline_value)
+            record.value_type = value_type
+            record.inline_value = self._store_value(value_type, data)
+            self._records.write(record_id, record)
+        return first_prop
 
     def chain_footprint(self, first_prop: int) -> Tuple[List[int], List[int]]:
         """In-use ``(record ids, dynamic block ids)`` reachable from a chain head.
@@ -310,16 +304,15 @@ class PropertyStore:
         """
         record_ids: List[int] = []
         block_ids: List[int] = []
-        with self._lock:
-            try:
-                for record_id, record in self._iter_chain(first_prop):
-                    record_ids.append(record_id)
-                    if record.value_type in _DYNAMIC_TYPES:
-                        block_ids.extend(
-                            self._values.chain_block_ids(_block_ref(record.inline_value))
-                        )
-            except UNREADABLE:
-                pass
+        try:
+            for record_id, record in self._iter_chain(first_prop):
+                record_ids.append(record_id)
+                if record.value_type in _DYNAMIC_TYPES:
+                    block_ids.extend(
+                        self._values.chain_block_ids(_block_ref(record.inline_value))
+                    )
+        except UNREADABLE:
+            pass
         return record_ids, block_ids
 
     def records_in_use(self) -> int:

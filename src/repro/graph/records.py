@@ -29,12 +29,22 @@ Record layouts (little-endian):
 
 ``TokenRecord`` (16 bytes)
     one interned token name, stored as a pointer into a dynamic store.
+
+Each record class carries a precompiled ``struct.Struct`` (``CODEC``) that
+spans the whole slot, zero padding included, plus ``fields()`` /
+``from_fields()`` to go between a record and the codec's tuple.
+:class:`RecordStore` unpacks a record straight from the cached page and packs
+it straight into it, under the page cache's one lock; only a record that
+straddles a page boundary goes through a byte copy.  The 16-byte store header
+makes that one slot per page for the 32- and 64-byte records (32-byte id 127,
+64-byte id 63, and every 128th or 64th id after them); 16-byte token records
+never straddle.  ``pack()`` / ``unpack()`` give the same bytes for tests and
+tools.
 """
 
 from __future__ import annotations
 
 import struct
-import threading
 from dataclasses import dataclass
 from typing import Generic, Iterator, List, Optional, Type, TypeVar
 
@@ -60,8 +70,27 @@ STORE_MAGIC = b"RPRO"
 STORE_FORMAT_VERSION = 1
 
 
-@dataclass
-class NodeRecord:
+class _Record:
+    """``pack()`` / ``unpack()`` for a record class with ``CODEC``,
+    ``fields()`` and ``from_fields()``."""
+
+    __slots__ = ()
+
+    def pack(self) -> bytes:
+        return self.CODEC.pack(*self.fields())
+
+    @classmethod
+    def unpack(cls, data: bytes):
+        """Decode one record; a short buffer is a corrupt store."""
+        try:
+            fields = cls.CODEC.unpack_from(data)
+        except struct.error as exc:
+            raise StoreCorruptionError(f"cannot decode {cls.__name__}: {exc}") from exc
+        return cls.from_fields(fields)
+
+
+@dataclass(slots=True)
+class NodeRecord(_Record):
     """One slot in the node store."""
 
     in_use: bool = False
@@ -69,37 +98,20 @@ class NodeRecord:
     first_prop: int = NULL_REF
     label_ref: int = NULL_REF
 
-    FORMAT = "<Bqqq"
-    RECORD_SIZE = 32
+    CODEC = struct.Struct("<Bqqq7x")
+    RECORD_SIZE = CODEC.size
 
-    def pack(self) -> bytes:
-        data = struct.pack(
-            self.FORMAT,
-            1 if self.in_use else 0,
-            self.first_rel,
-            self.first_prop,
-            self.label_ref,
-        )
-        return data.ljust(self.RECORD_SIZE, b"\x00")
+    def fields(self) -> tuple:
+        return (1 if self.in_use else 0, self.first_rel, self.first_prop, self.label_ref)
 
     @classmethod
-    def unpack(cls, data: bytes) -> "NodeRecord":
-        try:
-            in_use, first_rel, first_prop, label_ref = struct.unpack_from(
-                cls.FORMAT, data
-            )
-        except struct.error as exc:
-            raise StoreCorruptionError(f"cannot decode node record: {exc}") from exc
-        return cls(
-            in_use=bool(in_use),
-            first_rel=first_rel,
-            first_prop=first_prop,
-            label_ref=label_ref,
-        )
+    def from_fields(cls, fields: tuple) -> "NodeRecord":
+        in_use, first_rel, first_prop, label_ref = fields
+        return cls(bool(in_use), first_rel, first_prop, label_ref)
 
 
-@dataclass
-class RelationshipRecord:
+@dataclass(slots=True)
+class RelationshipRecord(_Record):
     """One slot in the relationship store.
 
     ``start_prev`` / ``start_next`` link this record into the relationship
@@ -117,12 +129,11 @@ class RelationshipRecord:
     end_next: int = NULL_REF
     first_prop: int = NULL_REF
 
-    FORMAT = "<Bqqiqqqqq"
-    RECORD_SIZE = 64
+    CODEC = struct.Struct("<Bqqiqqqqq3x")
+    RECORD_SIZE = CODEC.size
 
-    def pack(self) -> bytes:
-        data = struct.pack(
-            self.FORMAT,
+    def fields(self) -> tuple:
+        return (
             1 if self.in_use else 0,
             self.start_node,
             self.end_node,
@@ -133,42 +144,14 @@ class RelationshipRecord:
             self.end_next,
             self.first_prop,
         )
-        return data.ljust(self.RECORD_SIZE, b"\x00")
 
     @classmethod
-    def unpack(cls, data: bytes) -> "RelationshipRecord":
-        try:
-            fields = struct.unpack_from(cls.FORMAT, data)
-        except struct.error as exc:
-            raise StoreCorruptionError(
-                f"cannot decode relationship record: {exc}"
-            ) from exc
-        (
-            in_use,
-            start_node,
-            end_node,
-            type_id,
-            start_prev,
-            start_next,
-            end_prev,
-            end_next,
-            first_prop,
-        ) = fields
-        return cls(
-            in_use=bool(in_use),
-            start_node=start_node,
-            end_node=end_node,
-            type_id=type_id,
-            start_prev=start_prev,
-            start_next=start_next,
-            end_prev=end_prev,
-            end_next=end_next,
-            first_prop=first_prop,
-        )
+    def from_fields(cls, fields: tuple) -> "RelationshipRecord":
+        return cls(bool(fields[0]), *fields[1:])
 
 
-@dataclass
-class PropertyRecord:
+@dataclass(slots=True)
+class PropertyRecord(_Record):
     """One slot in the property store (a link in an entity's property chain)."""
 
     in_use: bool = False
@@ -178,44 +161,28 @@ class PropertyRecord:
     prev_prop: int = NULL_REF
     next_prop: int = NULL_REF
 
-    FORMAT = "<BiB8sqq"
-    RECORD_SIZE = 32
+    # ``8s`` pads a short inline value with zero bytes and truncates a long one.
+    CODEC = struct.Struct("<BiB8sqq2x")
+    RECORD_SIZE = CODEC.size
 
-    def pack(self) -> bytes:
-        inline = self.inline_value.ljust(8, b"\x00")[:8]
-        data = struct.pack(
-            self.FORMAT,
+    def fields(self) -> tuple:
+        return (
             1 if self.in_use else 0,
             self.key_id,
             self.value_type,
-            inline,
+            self.inline_value,
             self.prev_prop,
             self.next_prop,
         )
-        return data.ljust(self.RECORD_SIZE, b"\x00")
 
     @classmethod
-    def unpack(cls, data: bytes) -> "PropertyRecord":
-        try:
-            in_use, key_id, value_type, inline, prev_prop, next_prop = (
-                struct.unpack_from(cls.FORMAT, data)
-            )
-        except struct.error as exc:
-            raise StoreCorruptionError(
-                f"cannot decode property record: {exc}"
-            ) from exc
-        return cls(
-            in_use=bool(in_use),
-            key_id=key_id,
-            value_type=value_type,
-            inline_value=inline,
-            prev_prop=prev_prop,
-            next_prop=next_prop,
-        )
+    def from_fields(cls, fields: tuple) -> "PropertyRecord":
+        in_use, key_id, value_type, inline, prev_prop, next_prop = fields
+        return cls(bool(in_use), key_id, value_type, inline, prev_prop, next_prop)
 
 
-@dataclass
-class DynamicRecord:
+@dataclass(slots=True)
+class DynamicRecord(_Record):
     """One block of a chained variable-length value."""
 
     in_use: bool = False
@@ -226,59 +193,39 @@ class DynamicRecord:
     HEADER_FORMAT = "<BIq"
     RECORD_SIZE = 64
     PAYLOAD_SIZE = RECORD_SIZE - struct.calcsize(HEADER_FORMAT)
+    CODEC = struct.Struct(f"{HEADER_FORMAT}{PAYLOAD_SIZE}s")
 
-    def pack(self) -> bytes:
-        payload = self.payload.ljust(self.PAYLOAD_SIZE, b"\x00")[: self.PAYLOAD_SIZE]
-        header = struct.pack(
-            self.HEADER_FORMAT,
-            1 if self.in_use else 0,
-            self.length,
-            self.next_block,
-        )
-        return header + payload
+    def fields(self) -> tuple:
+        return (1 if self.in_use else 0, self.length, self.next_block, self.payload)
 
     @classmethod
-    def unpack(cls, data: bytes) -> "DynamicRecord":
-        try:
-            in_use, length, next_block = struct.unpack_from(cls.HEADER_FORMAT, data)
-        except struct.error as exc:
-            raise StoreCorruptionError(f"cannot decode dynamic record: {exc}") from exc
-        header_size = struct.calcsize(cls.HEADER_FORMAT)
-        payload = data[header_size:header_size + cls.PAYLOAD_SIZE][:length]
+    def from_fields(cls, fields: tuple) -> "DynamicRecord":
+        in_use, length, next_block, payload = fields
         if length > cls.PAYLOAD_SIZE:
             raise StoreCorruptionError(
                 f"dynamic record claims {length} payload bytes, "
                 f"maximum is {cls.PAYLOAD_SIZE}"
             )
-        return cls(
-            in_use=bool(in_use),
-            length=length,
-            next_block=next_block,
-            payload=payload,
-        )
+        return cls(bool(in_use), length, next_block, payload[:length])
 
 
-@dataclass
-class TokenRecord:
+@dataclass(slots=True)
+class TokenRecord(_Record):
     """One interned token (label, relationship type or property key) name."""
 
     in_use: bool = False
     name_ref: int = NULL_REF
 
-    FORMAT = "<Bq"
-    RECORD_SIZE = 16
+    CODEC = struct.Struct("<Bq7x")
+    RECORD_SIZE = CODEC.size
 
-    def pack(self) -> bytes:
-        data = struct.pack(self.FORMAT, 1 if self.in_use else 0, self.name_ref)
-        return data.ljust(self.RECORD_SIZE, b"\x00")
+    def fields(self) -> tuple:
+        return (1 if self.in_use else 0, self.name_ref)
 
     @classmethod
-    def unpack(cls, data: bytes) -> "TokenRecord":
-        try:
-            in_use, name_ref = struct.unpack_from(cls.FORMAT, data)
-        except struct.error as exc:
-            raise StoreCorruptionError(f"cannot decode token record: {exc}") from exc
-        return cls(in_use=bool(in_use), name_ref=name_ref)
+    def from_fields(cls, fields: tuple) -> "TokenRecord":
+        in_use, name_ref = fields
+        return cls(bool(in_use), name_ref)
 
 
 RecordT = TypeVar(
@@ -292,6 +239,10 @@ class RecordStore(Generic[RecordT]):
     The record id determines the byte offset directly — exactly the property
     of Neo4j's store files that Section 2 of the paper points out ("whose
     position is determined by the node identifier").
+
+    Unlocked: a record read or write is atomic under the page cache's lock,
+    and the store manager's latch serialises the writers, which also keeps
+    the high-water mark exact.
     """
 
     def __init__(
@@ -299,9 +250,10 @@ class RecordStore(Generic[RecordT]):
     ) -> None:
         self._file = paged_file
         self._record_class = record_class
+        self._codec: struct.Struct = record_class.CODEC
+        self._from_fields = record_class.from_fields
         self._record_size: int = record_class.RECORD_SIZE
         self._name = store_name
-        self._lock = threading.RLock()
         self._high_water = self._infer_high_water()
         self._ensure_header()
 
@@ -317,24 +269,25 @@ class RecordStore(Generic[RecordT]):
 
     def high_water_mark(self) -> int:
         """One past the highest record id ever written."""
-        with self._lock:
-            return self._high_water
+        return self._high_water
 
     def read(self, record_id: int) -> RecordT:
         """Read the record at ``record_id`` (never-written slots read as not in use)."""
         if record_id < 0:
             raise ValueError(f"record id must be non-negative, got {record_id}")
-        data = self._file.read(self._offset(record_id), self._record_size)
-        return self._record_class.unpack(data)
+        return self._from_fields(
+            self._file.unpack(STORE_HEADER_SIZE + record_id * self._record_size, self._codec)
+        )
 
     def write(self, record_id: int, record: RecordT) -> None:
         """Write ``record`` into slot ``record_id``."""
         if record_id < 0:
             raise ValueError(f"record id must be non-negative, got {record_id}")
-        self._file.write(self._offset(record_id), record.pack())
-        with self._lock:
-            if record_id >= self._high_water:
-                self._high_water = record_id + 1
+        self._file.pack(
+            STORE_HEADER_SIZE + record_id * self._record_size, self._codec, record.fields()
+        )
+        if record_id >= self._high_water:
+            self._high_water = record_id + 1
 
     def mark_not_in_use(self, record_id: int) -> None:
         """Clear the in-use flag of a slot (the rest of the bytes are kept).

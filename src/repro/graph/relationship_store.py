@@ -8,7 +8,6 @@ relationships of this node" without an index.
 
 from __future__ import annotations
 
-import threading
 from typing import Iterator
 
 from repro.graph.id_allocator import IdAllocator
@@ -30,7 +29,6 @@ class RelationshipStore:
             paged_file, RelationshipRecord, store_name
         )
         self._allocator = IdAllocator(reuse=reuse_ids)
-        self._lock = threading.RLock()
         self._allocator.rebuild(self._records.used_ids())
 
     @property

@@ -47,7 +47,6 @@ from repro.graph.operations import (
     WriteNodeOp,
     WriteRelationshipOp,
     operations_from_payloads,
-    operations_to_payloads,
 )
 from repro.graph.paging import (
     DEFAULT_PAGE_CAPACITY,
@@ -66,7 +65,7 @@ from repro.graph.recovery import (
     write_checkpoint_marker,
 )
 from repro.graph.wal import WriteAheadLog
-from repro.graph.properties import PropertyValue, split_commit_ts
+from repro.graph.properties import COMMIT_TS_PROPERTY, PropertyValue, split_commit_ts
 
 
 class StoreManagerStats:
@@ -104,14 +103,16 @@ class StoreManagerStats:
 
 
 class _PendingCommit:
-    """One committer's batch waiting in the group-commit queue."""
+    """One committer's batch on its way to the log and the record stores."""
 
     __slots__ = ("txn_id", "operations", "done", "error", "apply_seconds")
 
     def __init__(self, txn_id: int, operations: List[StoreOperation]) -> None:
         self.txn_id = txn_id
         self.operations = operations
-        self.done = threading.Event()
+        #: Set, under the store latch, once the batch was flushed (or failed);
+        #: a group-commit follower reads it after taking the latch.
+        self.done = False
         self.error: Optional[BaseException] = None
         #: Time its operations took to reach the record stores.
         self.apply_seconds = 0.0
@@ -358,7 +359,7 @@ class StoreManager:
             with self._group_gate:
                 self._group_pending.append(entry)
             with self._lock:
-                if not entry.done.is_set():
+                if not entry.done:
                     with self._group_gate:
                         drained = self._group_pending
                         self._group_pending = []
@@ -376,8 +377,8 @@ class StoreManager:
         """Apply a group of batches under the store latch (caller holds it).
 
         Never raises directly: failures are recorded per entry and re-raised
-        in each owning committer's thread, so followers waiting on their
-        event are always released.  A failed WAL append fails the whole group
+        in each owning committer's thread, so every follower finds its entry
+        done.  A failed WAL append fails the whole group
         (nothing was made durable).  After a durable append the batches are
         independent: each one is applied regardless of another batch's apply
         failure and is attributed only its own error — skipping an innocent
@@ -400,16 +401,16 @@ class StoreManager:
                 fault = self._failpoints.hit("store.group_flush")
                 if fault is not None:
                     fault.raise_fault()
-            payloads = [
-                (entry.txn_id, operations_to_payloads(entry.operations))
+            encoded = [
+                (entry.txn_id, [operation.encode() for operation in entry.operations])
                 for entry in batch
             ]
             if obs is not None:
                 wal_started = perf_counter()
-                self.wal.append_commits(payloads)
+                self.wal.append_commits(encoded)
                 obs.wal_append_seconds.observe(perf_counter() - wal_started)
             else:
-                self.wal.append_commits(payloads)
+                self.wal.append_commits(encoded)
         except BaseException as exc:  # noqa: BLE001 - re-raised in the owners
             if isinstance(exc, (WalError, SimulatedCrashError)) or not isinstance(
                 exc, Exception
@@ -418,7 +419,7 @@ class StoreManager:
                 self._note_degraded_obs()
             for entry in batch:
                 entry.error = exc
-                entry.done.set()
+                entry.done = True
             return
         for entry in batch:
             apply_started = perf_counter()
@@ -433,17 +434,22 @@ class StoreManager:
             entry.apply_seconds = perf_counter() - apply_started
             if obs is not None:
                 obs.store_apply_seconds.observe(entry.apply_seconds)
-            entry.done.set()
+            entry.done = True
+        # An in-memory log can never be replayed: once its batches are in
+        # the stores, its bytes are dead weight.
+        if self._path is None:
+            self.wal.forget()
 
     def _apply_operation(self, operation: StoreOperation) -> None:
+        """Apply one logged operation (caller holds the store latch)."""
         if isinstance(operation, WriteNodeOp):
-            self.write_node(operation.node, _log=False)
+            self._write_node(operation.node, operation.commit_ts)
         elif isinstance(operation, DeleteNodeOp):
-            self.delete_node(operation.node_id, _log=False, missing_ok=True)
+            self._delete_node(operation.node_id, missing_ok=True)
         elif isinstance(operation, WriteRelationshipOp):
-            self.write_relationship(operation.relationship, _log=False)
+            self._write_relationship(operation.relationship, operation.commit_ts)
         elif isinstance(operation, DeleteRelationshipOp):
-            self.delete_relationship(operation.rel_id, _log=False, missing_ok=True)
+            self._delete_relationship(operation.rel_id, missing_ok=True)
         else:  # pragma: no cover - exhaustive over StoreOperation
             raise TypeError(f"unknown store operation {operation!r}")
 
@@ -451,34 +457,37 @@ class StoreManager:
     # nodes
     # ------------------------------------------------------------------
 
-    def write_node(self, node: NodeData, *, _log: bool = True) -> None:
-        """Create or overwrite a node's persistent state.
+    def write_node(self, node: NodeData) -> None:
+        """Log, then create or overwrite, a node's persistent state."""
+        with self._lock:
+            self.wal.append_commit(0, [WriteNodeOp(node).encode()])
+            self._write_node(node, None)
+
+    def _write_node(self, node: NodeData, commit_ts: Optional[int]) -> None:
+        """Create or overwrite a node's persistent state (caller holds the latch).
 
         An overwrite costs what changed: the label block and every property
         record whose value is unchanged are left alone, and the node record is
         rewritten only when one of its references moved (see
         :meth:`PropertyStore.replace_chain` for the rule and its fall-through).
         """
-        with self._lock:
-            if _log:
-                self.wal.append_commit(0, operations_to_payloads([WriteNodeOp(node)]))
-            self.nodes.mark_id_used(node.node_id)
-            record = self.nodes.read(node.node_id)
-            created = not record.in_use
-            if created:
-                record = NodeRecord(in_use=True)
-            label_ref = self.nodes.replace_labels(
-                record.label_ref,
-                [self.tokens.labels.get_or_create(label) for label in node.labels],
-            )
-            first_prop = self.properties.replace_chain(
-                record.first_prop, self._encode_property_keys(node.properties)
-            )
-            if created or (label_ref, first_prop) != (record.label_ref, record.first_prop):
-                record.label_ref = label_ref
-                record.first_prop = first_prop
-                self.nodes.write(node.node_id, record)
-            self.stats.node_writes += 1
+        self.nodes.mark_id_used(node.node_id)
+        record = self.nodes.read(node.node_id)
+        created = not record.in_use
+        if created:
+            record = NodeRecord(in_use=True)
+        label_id = self.tokens.labels.get_or_create
+        label_ref = self.nodes.replace_labels(
+            record.label_ref, [label_id(label) for label in node.labels]
+        )
+        first_prop = self.properties.replace_chain(
+            record.first_prop, self._encode_property_keys(node.properties, commit_ts)
+        )
+        if created or (label_ref, first_prop) != (record.label_ref, record.first_prop):
+            record.label_ref = label_ref
+            record.first_prop = first_prop
+            self.nodes.write(node.node_id, record)
+        self.stats.node_writes += 1
 
     def read_node(self, node_id: int) -> Optional[NodeData]:
         """Read a node's persistent state, or ``None`` if the slot is unused."""
@@ -497,30 +506,33 @@ class StoreManager:
             )
             return NodeData(node_id=node_id, labels=labels, properties=properties)
 
-    def delete_node(
-        self, node_id: int, *, _log: bool = True, missing_ok: bool = False
-    ) -> None:
-        """Delete a node's persistent state.
+    def delete_node(self, node_id: int, *, missing_ok: bool = False) -> None:
+        """Log, then delete, a node's persistent state.
 
         The node must have no relationships left in the store; higher layers
         are responsible for detach semantics.
         """
         with self._lock:
-            if not self.nodes.exists(node_id):
-                if missing_ok:
-                    return
-                raise NodeNotFoundError(node_id)
-            record = self.nodes.read(node_id)
-            if record.first_rel != NULL_REF:
-                raise ConstraintViolationError(
-                    f"node {node_id} still has relationships in the store"
-                )
-            if _log:
-                self.wal.append_commit(0, operations_to_payloads([DeleteNodeOp(node_id)]))
-            self.nodes.free_labels(record.label_ref)
-            self.properties.free_chain(record.first_prop)
-            self.nodes.delete(node_id)
-            self.stats.node_deletes += 1
+            self._delete_node(node_id, missing_ok=missing_ok, log=True)
+
+    def _delete_node(self, node_id: int, *, missing_ok: bool, log: bool = False) -> None:
+        """Delete a node's persistent state (caller holds the latch); with
+        ``log``, append the delete to the log once it is known to apply."""
+        if not self.nodes.exists(node_id):
+            if missing_ok:
+                return
+            raise NodeNotFoundError(node_id)
+        record = self.nodes.read(node_id)
+        if record.first_rel != NULL_REF:
+            raise ConstraintViolationError(
+                f"node {node_id} still has relationships in the store"
+            )
+        if log:
+            self.wal.append_commit(0, [DeleteNodeOp(node_id).encode()])
+        self.nodes.free_labels(record.label_ref)
+        self.properties.free_chain(record.first_prop)
+        self.nodes.delete(node_id)
+        self.stats.node_deletes += 1
 
     def node_exists(self, node_id: int) -> bool:
         """Whether the persistent store holds a node with this id."""
@@ -549,42 +561,44 @@ class StoreManager:
     # relationships
     # ------------------------------------------------------------------
 
-    def write_relationship(self, relationship: RelationshipData, *, _log: bool = True) -> None:
-        """Create or overwrite a relationship's persistent state.
+    def write_relationship(self, relationship: RelationshipData) -> None:
+        """Log, then create or overwrite, a relationship's persistent state."""
+        with self._lock:
+            self.wal.append_commit(0, [WriteRelationshipOp(relationship).encode()])
+            self._write_relationship(relationship, None)
+
+    def _write_relationship(
+        self, relationship: RelationshipData, commit_ts: Optional[int]
+    ) -> None:
+        """Create or overwrite a relationship's persistent state (caller
+        holds the latch).
 
         For an existing relationship only the property chain is replaced
         (in place where the key set is unchanged, as for nodes); the endpoints
         and type of a relationship are immutable, as in Neo4j.
         """
-        with self._lock:
-            if _log:
-                self.wal.append_commit(
-                    0, operations_to_payloads([WriteRelationshipOp(relationship)])
-                )
-            self.relationships.mark_id_used(relationship.rel_id)
-            record = self.relationships.read(relationship.rel_id)
-            encoded_props = self._encode_property_keys(relationship.properties)
-            if record.in_use:
-                first_prop = self.properties.replace_chain(
-                    record.first_prop, encoded_props
-                )
-                if first_prop != record.first_prop:
-                    record.first_prop = first_prop
-                    self.relationships.write(relationship.rel_id, record)
-            else:
-                self._require_node(relationship.start_node)
-                self._require_node(relationship.end_node)
-                record = RelationshipRecord(
-                    in_use=True,
-                    start_node=relationship.start_node,
-                    end_node=relationship.end_node,
-                    type_id=self.tokens.relationship_types.get_or_create(
-                        relationship.rel_type
-                    ),
-                    first_prop=self.properties.write_chain(encoded_props),
-                )
-                self._link_into_chains(relationship.rel_id, record)
-            self.stats.relationship_writes += 1
+        self.relationships.mark_id_used(relationship.rel_id)
+        record = self.relationships.read(relationship.rel_id)
+        encoded_props = self._encode_property_keys(relationship.properties, commit_ts)
+        if record.in_use:
+            first_prop = self.properties.replace_chain(record.first_prop, encoded_props)
+            if first_prop != record.first_prop:
+                record.first_prop = first_prop
+                self.relationships.write(relationship.rel_id, record)
+        else:
+            self._require_node(relationship.start_node)
+            self._require_node(relationship.end_node)
+            record = RelationshipRecord(
+                in_use=True,
+                start_node=relationship.start_node,
+                end_node=relationship.end_node,
+                type_id=self.tokens.relationship_types.get_or_create(
+                    relationship.rel_type
+                ),
+                first_prop=self.properties.write_chain(encoded_props),
+            )
+            self._link_into_chains(relationship.rel_id, record)
+        self.stats.relationship_writes += 1
 
     def read_relationship(self, rel_id: int) -> Optional[RelationshipData]:
         """Read a relationship's persistent state, or ``None`` if unused."""
@@ -614,26 +628,29 @@ class StoreManager:
             data = self.read_relationship(key_id(key))
         return None if data is None else split_commit_ts(data)
 
-    def delete_relationship(
-        self, rel_id: int, *, _log: bool = True, missing_ok: bool = False
-    ) -> None:
-        """Delete a relationship, unlinking it from both endpoint chains."""
+    def delete_relationship(self, rel_id: int, *, missing_ok: bool = False) -> None:
+        """Log, then delete, a relationship, unlinking it from both endpoint chains."""
         with self._lock:
-            if not self.relationships.exists(rel_id):
-                if missing_ok:
-                    return
-                raise RelationshipNotFoundError(rel_id)
-            if _log:
-                self.wal.append_commit(
-                    0, operations_to_payloads([DeleteRelationshipOp(rel_id)])
-                )
-            record = self.relationships.read(rel_id)
-            self._unlink_from_chain(rel_id, record, record.start_node)
-            if record.end_node != record.start_node:
-                self._unlink_from_chain(rel_id, record, record.end_node)
-            self.properties.free_chain(record.first_prop)
-            self.relationships.delete(rel_id)
-            self.stats.relationship_deletes += 1
+            self._delete_relationship(rel_id, missing_ok=missing_ok, log=True)
+
+    def _delete_relationship(
+        self, rel_id: int, *, missing_ok: bool, log: bool = False
+    ) -> None:
+        """Delete a relationship (caller holds the latch); ``log`` as for
+        :meth:`_delete_node`."""
+        if not self.relationships.exists(rel_id):
+            if missing_ok:
+                return
+            raise RelationshipNotFoundError(rel_id)
+        if log:
+            self.wal.append_commit(0, [DeleteRelationshipOp(rel_id).encode()])
+        record = self.relationships.read(rel_id)
+        self._unlink_from_chain(rel_id, record, record.start_node)
+        if record.end_node != record.start_node:
+            self._unlink_from_chain(rel_id, record, record.end_node)
+        self.properties.free_chain(record.first_prop)
+        self.relationships.delete(rel_id)
+        self.stats.relationship_deletes += 1
 
     def iter_relationship_ids(self) -> Iterator[int]:
         """Relationship ids present in the persistent store, in id order."""
@@ -753,13 +770,23 @@ class StoreManager:
     # property key translation
     # ------------------------------------------------------------------
 
-    def _encode_property_keys(self, properties) -> Dict[int, PropertyValue]:
-        return {
-            self.tokens.property_keys.get_or_create(key): (
-                list(value) if isinstance(value, tuple) else value
-            )
+    def _encode_property_keys(
+        self, properties, commit_ts: Optional[int]
+    ) -> Dict[int, PropertyValue]:
+        """A property map keyed by key token id, with ``commit_ts`` (when
+        given) as the reserved commit-timestamp property.
+
+        The timestamp's key is interned after the state's own keys, as when
+        it was the last entry of the state's property map.
+        """
+        key_id = self.tokens.property_keys.get_or_create
+        encoded = {
+            key_id(key): list(value) if isinstance(value, tuple) else value
             for key, value in properties.items()
         }
+        if commit_ts is not None:
+            encoded[key_id(COMMIT_TS_PROPERTY)] = commit_ts
+        return encoded
 
     def _decode_property_keys(self, properties: Dict[int, PropertyValue]) -> Dict[str, PropertyValue]:
         return {

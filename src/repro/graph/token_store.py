@@ -9,7 +9,6 @@ variable length.
 from __future__ import annotations
 
 import sys
-import threading
 from typing import List, Tuple
 
 from repro.errors import StoreCorruptionError
@@ -32,7 +31,6 @@ class TokenStore:
             paged_file, TokenRecord, store_name
         )
         self._names = name_store
-        self._lock = threading.RLock()
 
     @property
     def name(self) -> str:
@@ -47,25 +45,23 @@ class TokenStore:
         which case the existing record is simply overwritten with the same
         name).
         """
-        with self._lock:
-            name_ref = self._names.write_bytes(token_name.encode("utf-8"))
-            record = TokenRecord(in_use=True, name_ref=name_ref)
-            self._records.write(token_id, record)
+        name_ref = self._names.write_bytes(token_name.encode("utf-8"))
+        record = TokenRecord(in_use=True, name_ref=name_ref)
+        self._records.write(token_id, record)
 
     def load_all(self) -> List[Tuple[int, str]]:
         """Read back every token as ``(token_id, name)`` in id order."""
         tokens: List[Tuple[int, str]] = []
-        with self._lock:
-            for token_id, record in self._records.iter_used_records():
-                if record.name_ref == NULL_REF:
-                    raise StoreCorruptionError(
-                        f"{self.name}: token {token_id} has no name reference"
-                    )
-                # Intern at the store boundary: a name read back from disk is
-                # the same object as the one the registry hands out, so
-                # property/label lookups hash and compare by identity.
-                name = sys.intern(self._names.read_bytes(record.name_ref).decode("utf-8"))
-                tokens.append((token_id, name))
+        for token_id, record in self._records.iter_used_records():
+            if record.name_ref == NULL_REF:
+                raise StoreCorruptionError(
+                    f"{self.name}: token {token_id} has no name reference"
+                )
+            # Intern at the store boundary: a name read back from disk is
+            # the same object as the one the registry hands out, so
+            # property/label lookups hash and compare by identity.
+            name = sys.intern(self._names.read_bytes(record.name_ref).decode("utf-8"))
+            tokens.append((token_id, name))
         tokens.sort()
         return tokens
 

@@ -80,7 +80,14 @@ class TokenRegistry:
         flowing through the registry becomes *the* canonical object for that
         spelling, so hot-path dict lookups and equality checks on property
         keys, labels and relationship types short-circuit on identity.
+
+        A known name costs one dict probe: names only ever enter the map
+        after validation and never leave it, and a lone ``dict.get`` needs no
+        lock.
         """
+        token_id = self._by_name.get(name)
+        if token_id is not None:
+            return token_id
         name = sys.intern(name) if type(name) is str else name
         self._check_name(name)
         with self._lock:

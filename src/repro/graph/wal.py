@@ -22,7 +22,7 @@ import struct
 import threading
 import time
 import zlib
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
 from repro.errors import SimulatedCrashError, WalError
 from repro.retry import (
@@ -34,8 +34,14 @@ from repro.retry import (
 
 _ENTRY_MAGIC = 0xA5
 _HEADER_FORMAT = "<BBqI"
-_HEADER_SIZE = struct.calcsize(_HEADER_FORMAT)
-_CRC_SIZE = 4
+_HEADER = struct.Struct(_HEADER_FORMAT)
+_HEADER_SIZE = _HEADER.size
+_CRC = struct.Struct("<I")
+_CRC_SIZE = _CRC.size
+
+#: One operation handed to :meth:`WriteAheadLog.append_commits`: its encoded
+#: JSON bytes, or a mapping to encode.
+OperationEntry = Union[bytes, Mapping[str, Any]]
 
 
 class LogRecordType:
@@ -99,30 +105,33 @@ class WriteAheadLog:
 
     # -- appending -----------------------------------------------------------
 
-    def append_commit(self, txn_id: int, operation_payloads: List[Dict[str, Any]]) -> None:
+    def append_commit(self, txn_id: int, operations: List[OperationEntry]) -> None:
         """Durably record one committed batch of logical operations."""
-        self.append_commits([(txn_id, operation_payloads)])
+        self.append_commits([(txn_id, operations)])
 
-    def append_commits(
-        self, batches: List[Tuple[int, List[Dict[str, Any]]]]
-    ) -> None:
+    def append_commits(self, batches: List[Tuple[int, List[OperationEntry]]]) -> None:
         """Durably record several committed batches with one write and fsync.
 
         This is the group-commit entry point: each batch keeps its own
         BEGIN/OPERATION/COMMIT framing (replay is unchanged), but the frames
         of all batches are concatenated into a single append and covered by a
         single fsync, amortising the disk round trip across the group.
+
+        An operation arrives as its encoded JSON bytes (what the store's
+        operations write, see :mod:`repro.graph.operations`) or as a plain
+        mapping, which is encoded here the same way.
         """
         if not batches:
             return
         frames: List[bytes] = []
-        for txn_id, operation_payloads in batches:
+        for txn_id, operations in batches:
             frames.append(self._frame(LogRecordType.BEGIN, txn_id, b""))
-            for payload in operation_payloads:
-                encoded = json.dumps(
-                    payload, separators=(",", ":"), sort_keys=True
-                ).encode("utf-8")
-                frames.append(self._frame(LogRecordType.OPERATION, txn_id, encoded))
+            for operation in operations:
+                if not isinstance(operation, bytes):
+                    operation = json.dumps(
+                        operation, separators=(",", ":"), sort_keys=True
+                    ).encode("utf-8")
+                frames.append(self._frame(LogRecordType.OPERATION, txn_id, operation))
             frames.append(self._frame(LogRecordType.COMMIT, txn_id, b""))
         data = b"".join(frames)
         with self._lock:
@@ -134,6 +143,18 @@ class WriteAheadLog:
             obs.wal_bytes.inc(len(data))
             if synced:
                 obs.wal_fsyncs.inc()
+
+    def forget(self) -> None:
+        """Drop an in-memory log's bytes; a no-op for a log on disk.
+
+        For a store that lives in memory: once a group is applied its log
+        bytes can never be replayed (nothing outlives the process), so
+        keeping them only grows memory.  The append counters keep counting.
+        """
+        with self._lock:
+            if self._path is None:
+                self._memory_buffer.clear()
+                self._size = 0
 
     def _append_durably(self, data: bytes) -> bool:
         """Append ``data`` and (optionally) fsync, retrying transient errors.
@@ -342,9 +363,9 @@ class WriteAheadLog:
     # -- internal -----------------------------------------------------------
 
     def _frame(self, entry_type: int, txn_id: int, payload: bytes) -> bytes:
-        header = struct.pack(_HEADER_FORMAT, _ENTRY_MAGIC, entry_type, txn_id, len(payload))
-        crc = zlib.crc32(header[1:] + payload) & 0xFFFFFFFF
-        return header + payload + struct.pack("<I", crc)
+        header = _HEADER.pack(_ENTRY_MAGIC, entry_type, txn_id, len(payload))
+        crc = zlib.crc32(payload, zlib.crc32(header[1:]))
+        return b"".join((header, payload, _CRC.pack(crc)))
 
     def _append_bytes(self, data: bytes) -> None:
         if self._fd is not None:

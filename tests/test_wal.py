@@ -101,3 +101,43 @@ class TestWriteAheadLogOnDisk:
         assert list(reopened.replay()) == [[{"op": "keep"}]]
         reopened.close()
         assert before > 0
+
+
+class TestInMemoryStoreLog:
+    """An in-memory store drops its log bytes once a group is applied.
+
+    Nothing can replay a log that dies with the process, so keeping the
+    bytes only grew memory (~200 B per commit, for the life of the store).
+    The append counters keep counting what was logged.
+    """
+
+    def test_log_stays_below_one_group_while_counters_grow(self):
+        from repro import GraphDatabase
+
+        db = GraphDatabase.in_memory()
+        try:
+            with db.transaction() as tx:
+                node_id = tx.create_node(["Counter"], {"value": 0}).id
+            appended_before = db.store.wal_stats()["bytes_appended"]
+            for value in range(1, 2001):
+                last_group = db.store.wal_stats()["bytes_appended"]
+                with db.transaction() as tx:
+                    tx.set_node_property(node_id, "value", value)
+            appended = db.store.wal_stats()["bytes_appended"]
+            one_group = appended - last_group
+            assert one_group > 0
+            assert db.store.wal.size_bytes() < one_group
+            assert appended - appended_before >= 200_000
+        finally:
+            db.close()
+
+    def test_on_disk_store_keeps_its_log_until_checkpoint(self, tmp_path):
+        from repro import GraphDatabase
+
+        db = GraphDatabase.open(str(tmp_path / "db"))
+        try:
+            with db.transaction() as tx:
+                tx.create_node(["Counter"], {"value": 0})
+            assert db.store.wal.size_bytes() == db.store.wal_stats()["bytes_appended"]
+        finally:
+            db.close()
