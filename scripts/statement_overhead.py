@@ -4,16 +4,21 @@
 Loads the benchmark suite's social graph (``benchmarks/suite/dataset.py``,
 2 000 persons by default) into an in-memory database, pins the process to one
 CPU, and times five of the suite's templates as whole transactions — begin,
-the statement, commit — two ways: through ``tx.execute`` with the template's
-text, and through the transaction API calls that do the same reads and
-writes (``find_nodes`` / ``expand_many`` / ``set_node_property`` /
+the statement, commit — through ``tx.execute`` with the template's text and
+through the transaction API calls that do the same reads and writes
+(``find_nodes`` / ``expand_many`` / ``set_node_property`` /
 ``create_relationship``; ``friends_of_friends`` is two ``expand_many``
-levels with a visited set and a name set).  Writes run through ``db.run_transaction`` like the
-suite's writers.  The two arms alternate round by round; each round runs
-``--ops`` transactions per arm and records the mean per transaction, and the
-table shows the median over ``--rounds`` rounds, the ratio and the
-difference.  The ratio is the "statement ≤ 2× raw" number of the fixed
-statement cost; it is a measurement, not a gate.  Usage::
+levels with a visited set and a name set).  The three read templates get a
+third arm, the engine floor: the same reads through the state-returning
+batch reads (``find_node_states`` / ``expand_states_many``), with no handle
+and no Cypher.  All arms must return equal rows before any is timed.
+Writes run through ``db.run_transaction`` like the suite's writers.  The
+arms alternate round by round; each round runs ``--ops`` transactions per
+arm and records the mean per transaction, and the table shows the median
+over ``--rounds`` rounds, the statement/raw and statement/floor ratios and
+the statement's overhead over the raw API.  The first ratio is the
+"statement ≤ 2× raw" number of the fixed statement cost; neither is a gate.
+Usage::
 
     python3 scripts/statement_overhead.py [--rounds 40] [--ops 100]
 """
@@ -90,6 +95,50 @@ RAW = {
 }
 
 
+def _person_state(tx, name):
+    return tx.find_node_states(label="Person", key="name", value=name)[0]
+
+
+def floor_point_lookup(tx, name, _other):
+    person = _person_state(tx, name).properties
+    return [[person["name"], person["age"]]]
+
+
+def floor_friends(tx, name, _other):
+    pairs = tx.expand_states_many(
+        [_person_state(tx, name).node_id], Direction.BOTH, ["KNOWS"]
+    )[0]
+    return sorted(
+        [friend.properties["name"]] for _rel, friend in pairs if "Person" in friend.labels
+    )
+
+
+def floor_friends_of_friends(tx, name, _other):
+    root = _person_state(tx, name).node_id
+    visited = {root}
+    names = {}
+    level = [root]
+    for _depth in range(2):
+        reached = []
+        for pairs in tx.expand_states_many(level, Direction.BOTH, ["KNOWS"]):
+            for _rel, friend in reversed(pairs):
+                if friend.node_id in visited:
+                    continue
+                visited.add(friend.node_id)
+                reached.append(friend.node_id)
+                if "Person" in friend.labels:
+                    names[friend.properties["name"]] = None
+        level = reached
+    return [[friend] for friend in names]
+
+
+FLOOR = {
+    "point_lookup": floor_point_lookup,
+    "friends": floor_friends,
+    "friends_of_friends": floor_friends_of_friends,
+}
+
+
 def statement(text, names):
     def run(tx, first, second):
         return [record.values() for record in tx.execute(text, dict(zip(names, (first, second))))]
@@ -130,22 +179,26 @@ def main(argv=None) -> int:
     gc.freeze()
     rng = random.Random(args.seed)
     names = [person[0] for person in graph.persons]
-    # Both arms must return the same rows before either is timed (the
-    # breadth-first raw walk finds friends of friends in another order).
-    for template in ("point_lookup", "friends", "friends_of_friends"):
+    # Every arm must return the same rows before any is timed (the
+    # breadth-first walks find friends of friends in another order).
+    for template in FLOOR:
         text = dataset.TEMPLATES[template][0]
-        with db.transaction(read_only=True) as tx:
-            rows = statement(text, ["name"])(tx, names[7], None)
-            raw = RAW[template](tx, names[7], None)
+        for name in names[:50]:
+            with db.transaction(read_only=True) as tx:
+                rows = statement(text, ["name"])(tx, name, None)
+                raw = RAW[template](tx, name, None)
+                floor = FLOOR[template](tx, name, None)
             if template == "friends_of_friends":
-                rows, raw = sorted(rows), sorted(raw)
-            assert rows == raw, template
+                rows, raw, floor = sorted(rows), sorted(raw), sorted(floor)
+            assert rows == raw == floor, template
     print(f"{'template':18s} {'tx.execute us':>14s} {'raw API us':>11s} "
-          f"{'ratio':>6s} {'overhead us':>12s}")
+          f"{'floor us':>9s} {'stmt/raw':>9s} {'stmt/floor':>11s} {'overhead us':>12s}")
     for template in TEMPLATES:
         text = dataset.TEMPLATES[template][0]
         params = ["left", "right"] if template == "befriend" else ["name"]
         arms = {"statement": statement(text, params), "raw": RAW[template]}
+        if template in FLOOR:
+            arms["floor"] = FLOOR[template]
         means = {arm: [] for arm in arms}
         for round_ in range(args.rounds):
             keys = [tuple(rng.sample(names, 2)) for _ in range(args.ops)]
@@ -154,7 +207,12 @@ def main(argv=None) -> int:
                 means[arm].append(one_round(db, template, arms[arm], keys))
         cypher = statistics.median(means["statement"])
         raw = statistics.median(means["raw"])
-        print(f"{template:18s} {cypher:14.1f} {raw:11.1f} {cypher / raw:6.2f} "
+        if "floor" in means:
+            floor = statistics.median(means["floor"])
+            floor_cells = f"{floor:9.1f} {cypher / raw:9.2f} {cypher / floor:11.2f}"
+        else:
+            floor_cells = f"{'-':>9s} {cypher / raw:9.2f} {'-':>11s}"
+        print(f"{template:18s} {cypher:14.1f} {raw:11.1f} {floor_cells} "
               f"{cypher - raw:12.1f}", flush=True)
     db.close()
     return 0

@@ -246,6 +246,10 @@ class Relationship:
         self._tx.delete_relationship(self)
 
 
+def _state_node_id(data: NodeData) -> int:
+    return data.node_id
+
+
 def _node_id(node: NodeLike) -> int:
     return node.id if isinstance(node, Node) else int(node)
 
@@ -375,8 +379,102 @@ class Transaction:
 
     def nodes(self) -> Iterator[Node]:
         """Every node visible to this transaction."""
-        for data in self._txn.iter_nodes():
+        for data in self.all_node_states():
             yield Node(self, data)
+
+    # -- state reads: the engine's immutable states, no handles ----------------
+    #
+    # The handle-returning reads (``find_nodes``, ``nodes_by_ids``,
+    # ``relationships_of_many``, ``expand_many``) wrap these, so there is one
+    # read path and one SIREAD registration per read either way.  The query
+    # executor reads only through these and builds a handle only where a
+    # value leaves its statement.
+
+    def all_node_states(self) -> Iterator[NodeData]:
+        """The state of every node visible to this transaction (what
+        :meth:`nodes` wraps)."""
+        return self._txn.iter_nodes()
+
+    def node_states(self, node_ids: Sequence[int]) -> List[Optional[NodeData]]:
+        """The visible state of each node id, in input order, ``None`` where
+        a node is not visible: one engine-level batch read (one
+        SIREAD-registration visit under serializable isolation)."""
+        return self._txn.read_nodes_many(node_ids)
+
+    def find_node_states(
+        self,
+        label: Optional[str] = None,
+        key: Optional[str] = None,
+        value: Optional[PropertyValue] = None,
+    ) -> List[NodeData]:
+        """The states :meth:`find_nodes` returns handles on, same order."""
+        if key is None and value is not None:
+            raise ValueError("find_nodes with a property value requires a key")
+        if label is None and key is None:
+            return sorted(self.all_node_states(), key=_state_node_id)
+        if key is not None and value is None:
+            raise ValueError("find_nodes with a property key requires a value")
+        if label is not None and key is not None:
+            candidates = self._txn.node_seek_candidates(label, key, value)
+            wanted = hashable_value(value)
+            return [
+                data
+                for data in self._txn.read_nodes_many(sorted(candidates))
+                if data is not None
+                and label in data.labels
+                and hashable_value(data.properties.get(key)) == wanted
+            ]
+        if label is not None:
+            ids = self._txn.find_nodes_by_label(label)
+        else:
+            ids = self._txn.find_nodes_by_property(key, value)
+        return [
+            data for data in self._txn.read_nodes_many(sorted(ids)) if data is not None
+        ]
+
+    def relationship_states_of_many(
+        self,
+        node_ids: Sequence[int],
+        direction: Direction = Direction.BOTH,
+        rel_types: Optional[Sequence[str]] = None,
+    ) -> List[List[RelationshipData]]:
+        """The visible relationship states of each node id, in adjacency
+        order, resolved as one batch (what :meth:`relationships_of_many`
+        wraps)."""
+        return self._txn.relationships_of_many(node_ids, direction, rel_types)
+
+    def expand_states_many(
+        self,
+        node_ids: Sequence[int],
+        direction: Direction = Direction.BOTH,
+        rel_types: Optional[Sequence[str]] = None,
+    ) -> List[List[Tuple[RelationshipData, NodeData]]]:
+        """One-hop expansion of many node ids as states (what
+        :meth:`expand_many` wraps): per node, the ``(relationship,
+        neighbour)`` pairs in adjacency order, relationships whose far end
+        is not visible skipped.  The adjacency of every node resolves in one
+        engine visit, and each distinct neighbour is read once for the whole
+        batch (one batched point read; under serializable isolation, one
+        SIREAD-registration visit each)."""
+        adjacency = self._txn.relationships_of_many(node_ids, direction, rel_types)
+        others: List[List[int]] = [
+            [data.other_node(node_id) for data in data_list]
+            for node_id, data_list in zip(node_ids, adjacency)
+        ]
+        distinct = list(dict.fromkeys(other for row in others for other in row))
+        neighbours = {
+            data.node_id: data
+            for data in self._txn.read_nodes_many(distinct)
+            if data is not None
+        }
+        return [
+            [
+                (data, neighbours[other])
+                for data, other in zip(data_list, row)
+                if other in neighbours
+            ]
+            for data_list, row in zip(adjacency, others)
+        ]
 
     def find_nodes(
         self,
@@ -396,27 +494,7 @@ class Transaction:
         states this transaction sees, own writes included — so the larger
         entry (typically the whole label set) is never materialised.
         """
-        if key is None and value is not None:
-            raise ValueError("find_nodes with a property value requires a key")
-        if label is None and key is None:
-            return sorted(self.nodes(), key=lambda node: node.id)
-        if key is not None and value is None:
-            raise ValueError("find_nodes with a property key requires a value")
-        if label is not None and key is not None:
-            candidates = self._txn.node_seek_candidates(label, key, value)
-            wanted = hashable_value(value)
-            return [
-                Node(self, data)
-                for data in self._txn.read_nodes_many(sorted(candidates))
-                if data is not None
-                and label in data.labels
-                and hashable_value(data.properties.get(key)) == wanted
-            ]
-        if label is not None:
-            ids = self._txn.find_nodes_by_label(label)
-        else:
-            ids = self._txn.find_nodes_by_property(key, value)
-        return self.nodes_by_ids(sorted(ids))
+        return [Node(self, data) for data in self.find_node_states(label, key, value)]
 
     def nodes_by_ids(self, node_ids: Sequence[int]) -> List[Node]:
         """Handles for the visible nodes among ``node_ids``, in input order.
@@ -427,9 +505,7 @@ class Transaction:
         executor's scans are built on this.
         """
         return [
-            Node(self, data)
-            for data in self._txn.read_nodes_many(node_ids)
-            if data is not None
+            Node(self, data) for data in self.node_states(node_ids) if data is not None
         ]
 
     def set_node_property(self, node: NodeLike, key: str, value: PropertyValue) -> Node:
@@ -602,11 +678,10 @@ class Transaction:
         one predicate-registration visit for the batch); this wraps the
         results in handles, preserving per-node order.
         """
-        node_ids = [_node_id(node) for node in nodes]
         return [
             [Relationship(self, data) for data in data_list]
-            for data_list in self._txn.relationships_of_many(
-                node_ids, direction, rel_types
+            for data_list in self.relationship_states_of_many(
+                [_node_id(node) for node in nodes], direction, rel_types
             )
         ]
 
@@ -654,27 +729,20 @@ class Transaction:
         batch (one batched point read; under serializable isolation, one
         SIREAD-registration visit each).  :meth:`expand`, the traversal
         framework and the query executor's expand operators are all built
-        on this.
+        on this; it wraps :meth:`expand_states_many`, one handle per distinct
+        neighbour.
         """
-        node_ids = [_node_id(node) for node in nodes]
-        adjacency = self._txn.relationships_of_many(node_ids, direction, rel_types)
-        others: List[List[int]] = [
-            [data.other_node(node_id) for data in data_list]
-            for node_id, data_list in zip(node_ids, adjacency)
-        ]
-        distinct = list(dict.fromkeys(other for row in others for other in row))
-        neighbours = {
-            data.node_id: Node(self, data)
-            for data in self._txn.read_nodes_many(distinct)
-            if data is not None
-        }
+        pairs_of = self.expand_states_many(
+            [_node_id(node) for node in nodes], direction, rel_types
+        )
+        handles: Dict[int, Node] = {}
+        for pairs in pairs_of:
+            for _data, other in pairs:
+                if other.node_id not in handles:
+                    handles[other.node_id] = Node(self, other)
         return [
-            [
-                (Relationship(self, data), neighbours[other])
-                for data, other in zip(data_list, row)
-                if other in neighbours
-            ]
-            for data_list, row in zip(adjacency, others)
+            [(Relationship(self, data), handles[other.node_id]) for data, other in pairs]
+            for pairs in pairs_of
         ]
 
     def neighbours(

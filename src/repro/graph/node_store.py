@@ -33,7 +33,11 @@ class NodeStore:
         )
         self._labels = label_store
         self._allocator = IdAllocator(reuse=reuse_ids)
-        self._allocator.rebuild(self._records.used_ids())
+        used = self._records.used_ids()
+        self._allocator.rebuild(used)
+        #: In-use records, counted on open and kept by :meth:`create` and
+        #: :meth:`delete` (the store manager calls both under its latch).
+        self._in_use = len(used)
 
     @property
     def name(self) -> str:
@@ -68,6 +72,11 @@ class NodeStore:
         """Write the raw record for ``node_id``."""
         self._records.write(node_id, record)
 
+    def create(self, node_id: int, record: NodeRecord) -> None:
+        """Write the first in-use record of ``node_id`` (its slot was free)."""
+        self._records.write(node_id, record)
+        self._in_use += 1
+
     def exists(self, node_id: int) -> bool:
         """Whether the slot for ``node_id`` is in use."""
         if node_id < 0 or node_id >= self._records.high_water_mark():
@@ -78,14 +87,15 @@ class NodeStore:
         """Clear the record slot (label/property chains are freed by the caller)."""
         self._records.mark_not_in_use(node_id)
         self._allocator.free(node_id)
+        self._in_use -= 1
 
     def iter_used_ids(self) -> Iterator[int]:
         """Yield every node id whose record is in use, in id order."""
         return self._records.iter_used_ids()
 
     def count(self) -> int:
-        """Number of in-use node records (linear scan)."""
-        return self._records.count_in_use()
+        """Number of in-use node records (O(1): kept, not scanned)."""
+        return self._in_use
 
     # -- label chains ---------------------------------------------------------
 

@@ -29,7 +29,11 @@ class RelationshipStore:
             paged_file, RelationshipRecord, store_name
         )
         self._allocator = IdAllocator(reuse=reuse_ids)
-        self._allocator.rebuild(self._records.used_ids())
+        used = self._records.used_ids()
+        self._allocator.rebuild(used)
+        #: In-use records, counted on open and kept by :meth:`create` and
+        #: :meth:`delete` (the store manager calls both under its latch).
+        self._in_use = len(used)
 
     @property
     def name(self) -> str:
@@ -64,6 +68,11 @@ class RelationshipStore:
         """Write the raw record for ``rel_id``."""
         self._records.write(rel_id, record)
 
+    def create(self, rel_id: int, record: RelationshipRecord) -> None:
+        """Write the first in-use record of ``rel_id`` (its slot was free)."""
+        self._records.write(rel_id, record)
+        self._in_use += 1
+
     def exists(self, rel_id: int) -> bool:
         """Whether the slot for ``rel_id`` is in use."""
         if rel_id < 0 or rel_id >= self._records.high_water_mark():
@@ -74,14 +83,15 @@ class RelationshipStore:
         """Clear the record slot (chain unlinking is done by the store manager)."""
         self._records.mark_not_in_use(rel_id)
         self._allocator.free(rel_id)
+        self._in_use -= 1
 
     def iter_used_ids(self) -> Iterator[int]:
         """Yield every relationship id whose record is in use, in id order."""
         return self._records.iter_used_ids()
 
     def count(self) -> int:
-        """Number of in-use relationship records (linear scan)."""
-        return self._records.count_in_use()
+        """Number of in-use relationship records (O(1): kept, not scanned)."""
+        return self._in_use
 
     # -- lifecycle -------------------------------------------------------------
 

@@ -486,7 +486,10 @@ class StoreManager:
         if created or (label_ref, first_prop) != (record.label_ref, record.first_prop):
             record.label_ref = label_ref
             record.first_prop = first_prop
-            self.nodes.write(node.node_id, record)
+            if created:
+                self.nodes.create(node.node_id, record)
+            else:
+                self.nodes.write(node.node_id, record)
         self.stats.node_writes += 1
 
     def read_node(self, node_id: int) -> Optional[NodeData]:
@@ -553,9 +556,9 @@ class StoreManager:
                 yield node
 
     def node_count(self) -> int:
-        """Number of nodes in the persistent store."""
-        with self._lock:
-            return self.nodes.count()
+        """Number of nodes in the persistent store: a kept count, read
+        without the latch (one int; the planner's estimate, not a census)."""
+        return self.nodes.count()
 
     # ------------------------------------------------------------------
     # relationships
@@ -666,9 +669,9 @@ class StoreManager:
                 yield relationship
 
     def relationship_count(self) -> int:
-        """Number of relationships in the persistent store."""
-        with self._lock:
-            return self.relationships.count()
+        """Number of relationships in the persistent store (as
+        :meth:`node_count`)."""
+        return self.relationships.count()
 
     def node_relationship_ids(
         self, node_id: int, direction: Direction = Direction.BOTH
@@ -744,7 +747,7 @@ class StoreManager:
                 self.relationships.write(old_first, neighbour)
             node_record.first_rel = rel_id
             self.nodes.write(node_id, node_record)
-        self.relationships.write(rel_id, record)
+        self.relationships.create(rel_id, record)
 
     def _unlink_from_chain(
         self, rel_id: int, record: RelationshipRecord, node_id: int

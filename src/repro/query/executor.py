@@ -1,22 +1,42 @@
 """The query executor: vectorized, batch-at-a-time plan operators, prepared once.
 
-:func:`prepare` compiles a plan into a *pipeline*: per operator, a stage
-``stage(ctx)`` yielding :class:`RowBatch` objects, closed over what does not
-change between executions (child stage, compiled expressions and pattern
-matchers, batch size).  A cached plan is therefore a prepared statement: an
-execution builds an :class:`ExecutionContext` (transaction, parameters,
-statistics) and pulls the pipeline — nothing is looked up, compiled or
-written on the shared plan, and no stage captures a transaction or a
-parameter value.  Per-operator accounting is built in only for ``PROFILE``,
-whose plan belongs to that one execution.
+:func:`prepare` compiles a plan into a *pipeline*, closed over what does not
+change between executions (compiled expressions, batch size).  A cached
+plan is therefore a prepared statement: an execution builds an
+:class:`ExecutionContext` (transaction, parameters, statistics) and pulls
+the pipeline — nothing is looked up, compiled or written on the shared
+plan, and no stage captures a transaction or a parameter value.
 
-Batches are columnar (one list per bound variable, never empty), expressions
-apply per batch, and reads are batched end to end: ``read_nodes_many`` /
-``relationships_of_many`` resolve a batch's version chains in one engine
-visit, and under SERIALIZABLE one tracker visit registers its SIREADs.
-Every read goes through the query's transaction, so a query, however long
-it is iterated, observes one snapshot.  Read operators are pull-based and
-lazy (``LIMIT 10`` over a large scan pulls one batch); **write clauses are
+**Rows carry engine states.**  Batches are columnar (one list per bound
+variable, never empty), and an entity column holds the engine's immutable
+:class:`~repro.graph.entity.NodeData` / ``RelationshipData``, read through
+the state-returning batch reads of :class:`~repro.api.transaction.Transaction`
+(``find_node_states``, ``node_states``, ``relationship_states_of_many``,
+``expand_states_many``): one engine visit per batch, and under SERIALIZABLE
+one tracker visit registers its SIREADs, as through the handle-returning
+reads those wrap.  A :class:`~repro.api.transaction.Node` /
+``Relationship`` handle is built only where a value leaves the statement
+(:func:`edge_value`: a returned column, or inside a returned list) or where
+a write clause calls the transaction API; equality, ``DISTINCT``, grouping
+and ``ORDER BY`` key an entity by its kind and id, as handles do.
+
+**Row-wise chains are fused.**  A *source* operator (scan, seek, expand,
+sort, aggregate, write clause) is a stage ``stage(ctx)`` yielding
+:class:`RowBatch` objects.  The maximal chain of row-wise operators above
+it — ``Filter``, ``Projection``, ``Distinct``, ``Skip``/``Limit``,
+``ProduceResults``, with the pattern check of the node the source binds
+(:func:`_node_check`) at its bottom — runs as one loop over the source's
+batches (:func:`_fused`): each operator is a *piece* whose step takes a
+batch and returns the batch it passes on (``None``: no row left), called
+in turn with no generator or pull of its own in between.  ``PROFILE``
+composes the same pieces with a counting boundary after each operator
+(:func:`_counted`), so every operator reports its own rows, batches and
+time; no operator has a second implementation.
+
+Expressions apply per batch, and every read goes through the query's
+transaction, so a query, however long it is iterated, observes one
+snapshot.  Read operators are pull-based and lazy (``LIMIT 10`` over a
+large scan pulls until the batch that fills it); **write clauses are
 pipeline breakers** (:func:`_write`), so what a query changes — and what a
 later ``MATCH`` of it sees — depends neither on the batch size nor on a
 ``LIMIT`` above.  Variable-length expansion grows a whole frontier level per
@@ -27,12 +47,14 @@ node at a time.  A hop of at most two levels whose paths only feed a
 (:func:`_distinct_endpoints`).  ``tests/reference_executor.py`` holds an
 independent row-at-a-time implementation; ``tests/test_batch_equivalence.py``
 pins this module against it.  The executor reads only through the public
-:class:`~repro.api.transaction.Transaction`; it never touches engine state.
+:class:`~repro.api.transaction.Transaction`; it never reaches into the
+engine.
 """
 
 from __future__ import annotations
 
 from functools import partial
+from itertools import islice
 from time import perf_counter
 from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
@@ -42,15 +64,18 @@ from repro.errors import (
     RelationshipNotFoundError,
 )
 from repro.api.transaction import Node, Relationship, Transaction
+from repro.graph.entity import NodeData, RelationshipData
 from repro.query import ast
 from repro.query.expressions import (
+    ENTITY_TYPES,
     Row,
     SCALAR_FUNCTIONS,
     arithmetic,
     compare,
+    compare_column,
     compile_expression,
     freeze,
-    pattern_matcher,
+    freeze_all,
     rel_property_fns,
     require_non_negative_int,
     sort_key,
@@ -73,7 +98,6 @@ from repro.query.planner import (
     PropertyIndexSeek,
     SetOp,
     Skip,
-    SOURCE_ROW_KEY,
 )
 from repro.query.result import QueryStatistics
 
@@ -186,19 +210,20 @@ _EMPTY_FROZENSET: frozenset = frozenset()
 def prepare(plan: Plan, *, batch_size: int, profile: bool) -> None:
     """Compile ``plan`` into its pipeline (``plan.pipeline``), once;
     ``profile`` builds the ``PROFILE`` variant, whose stages record their
-    rows, batches and pull time on the operators of this plan."""
+    rows, batches and time on the operators of this plan."""
     root = _Build(max(1, batch_size), profile)(plan.root)
     columns = plan.root.columns
 
     def pipeline(ctx: ExecutionContext) -> Iterator[List[Sequence[object]]]:
         sizes = ctx.batch_sizes
+        tx = ctx.tx
         for batch in root(ctx):
             sizes.append(batch.size)
             if columns:
                 data = batch.data
                 size = batch.size
                 yield list(zip(*[
-                    data[name] if name in data else [None] * size
+                    _at_edge(data[name], tx) if name in data else [None] * size
                     for name in columns
                 ]))
 
@@ -211,6 +236,38 @@ def run_plan(plan: Plan, ctx: ExecutionContext) -> Iterator[List[Sequence[object
     return plan.pipeline(ctx)
 
 
+#: Values that are or may hold graph entities.
+_EDGE_TYPES = frozenset((NodeData, RelationshipData, list))
+
+
+def _at_edge(column: List[object], tx: Transaction) -> List[object]:
+    """A returned column as the caller sees it (:func:`edge_value`); one
+    C-level type scan when it holds no entity."""
+    if _EDGE_TYPES.isdisjoint(map(type, column)):
+        return column
+    return [edge_value(value, tx) for value in column]
+
+
+def edge_value(value: object, tx: Transaction) -> object:
+    """A value leaving its statement: an entity state becomes the API handle
+    on it (inside a list too); anything else is itself."""
+    kind = type(value)
+    if kind is NodeData:
+        return Node(tx, value)
+    if kind is RelationshipData:
+        return Relationship(tx, value)
+    if kind is list:
+        return [edge_value(item, tx) for item in value]
+    return value
+
+
+#: A row-wise operator compiled for a fused chain: ``piece(ctx, halt)``
+#: starts one execution of it and returns its ``step(batch)``, which returns
+#: the batch it passes on (``None`` when no row is left).  A piece appends
+#: to ``halt`` when nothing more should be pulled (a satisfied ``LIMIT``).
+Piece = Callable[[ExecutionContext, List[bool]], Callable[[RowBatch], Optional[RowBatch]]]
+
+
 class _Build:
     """Builds the stages of one pipeline (the call builds an operator's)."""
 
@@ -221,13 +278,95 @@ class _Build:
         self.profile = profile
 
     def __call__(self, op) -> Stage:
+        """``op``'s stage: a source operator's own, under the maximal chain
+        of row-wise operators from ``op`` down, fused into one loop."""
+        profile = self.profile
+        pieces: List[Piece] = []  # from the top down
+        while type(op) in _PIECES:
+            piece = _PIECES[type(op)](op, self)
+            if profile:
+                pieces.append(_counted(op, piece or (lambda ctx, halt: _identity)))
+            elif piece is not None:
+                pieces.append(piece)
+            op = op.child
         stage = _BUILDERS[type(op)](op, self)
-        return _profiled(op, stage) if self.profile else stage
+        check = _source_check(op)
+        if check is not None:
+            pieces.append(_counted(op, check, source=True) if profile else check)
+        if profile:
+            stage = _profiled(op, stage)
+        return _fused(stage, pieces) if pieces else stage
+
+
+def _fused(source: Stage, pieces: List[Piece]) -> Stage:
+    """A chain of row-wise operators over ``source`` as one stage: one loop
+    over the source's batches, each batch passed up through every piece as
+    plain calls, with no generator or pull of their own in between.
+    The pieces start top-down (a ``SKIP``/``LIMIT`` count is evaluated in
+    the order the operators' own stages would have started), and none below
+    a ``LIMIT 0`` starts at all."""
+
+    def fused(ctx: ExecutionContext) -> Iterator[RowBatch]:
+        halt: List[bool] = []
+        steps = []
+        for piece in pieces:
+            steps.append(piece(ctx, halt))
+            if halt:
+                return
+        steps.reverse()
+        batches = source(ctx)
+        while not halt:
+            batch = next(batches, None)
+            if batch is None:
+                return
+            for step in steps:
+                batch = step(batch)
+                if batch is None:
+                    break
+            else:
+                yield batch
+
+    return fused
+
+
+def _identity(batch: RowBatch) -> RowBatch:
+    """The step of an operator with no per-row work (``ProduceResults``),
+    used only where ``PROFILE`` counts its rows."""
+    return batch
+
+
+def _counted(op, piece: Piece, *, source: bool = False) -> Piece:
+    """``PROFILE``'s counting boundary after one operator's piece: its rows,
+    batches and (the piece's own) time.  After a source operator's check
+    (``source``) it takes what the check drops off the rows and batches the
+    source's stage counted."""
+
+    def counted_piece(ctx: ExecutionContext, halt: List[bool]):
+        op.actual_rows = op.actual_batches = 0
+        op.actual_time_seconds = 0.0
+        step = piece(ctx, halt)
+
+        def counted(batch: RowBatch) -> Optional[RowBatch]:
+            started = perf_counter()
+            out = step(batch)
+            op.actual_time_seconds += perf_counter() - started
+            if source:
+                op.actual_rows -= batch.size - (0 if out is None else out.size)
+                op.actual_batches -= out is None
+            elif out is not None:
+                op.actual_rows += out.size
+                op.actual_batches += 1
+            return out
+
+        return counted
+
+    return counted_piece
 
 
 def _profiled(op, stage: Stage) -> Stage:
-    """``PROFILE``: count the operator's rows and batches and time every pull
-    (inclusive — children are pulled from inside it)."""
+    """``PROFILE``: count a source operator's rows and batches and time
+    every pull of its stage (inclusive — children are pulled from inside
+    it)."""
 
     def profiled(ctx: ExecutionContext) -> Iterator[RowBatch]:
         op.actual_rows = op.actual_batches = 0
@@ -265,30 +404,6 @@ def _slice(batch: RowBatch, start: int, stop: int) -> RowBatch:
     return RowBatch(batch.columns, data, stop - start)
 
 
-def _scoped_rows(batch: RowBatch) -> Iterator[Row]:
-    """Per-row evaluation scopes, overlaying the ORDER BY source bindings.
-
-    ORDER BY / WHERE scope: when a projection kept its pre-projection rows
-    under ``SOURCE_ROW_KEY``, aliases overlay the source bindings (alias
-    wins).  Without a source column this yields a
-    single reusable :class:`_RowView` — no dict copies at all.
-    """
-    data = batch.data
-    source_column = data.get(SOURCE_ROW_KEY)
-    if source_column is not None:
-        names = [name for name in batch.columns if name != SOURCE_ROW_KEY]
-        for index in range(batch.size):
-            merged = dict(source_column[index])
-            for name in names:
-                merged[name] = data[name][index]
-            yield merged
-    else:
-        view = _RowView(data)
-        for index in range(batch.size):
-            view.index = index
-            yield view
-
-
 # ---------------------------------------------------------------------------
 # Batch expressions
 # ---------------------------------------------------------------------------
@@ -312,6 +427,14 @@ def _column_fn(expression: ast.Expression) -> ColumnFn:
         apply = compare if kind is ast.Comparison else arithmetic
         op = expression.op
         left = _column_fn(expression.left)
+        if kind is ast.Comparison and type(expression.right) in (ast.Literal, ast.Parameter):
+            constant = compile_expression(expression.right)
+
+            def against_constant(batch: RowBatch, ctx: ExecutionContext) -> List[object]:
+                values = left(batch, ctx)
+                return compare_column(op, values, constant(_EMPTY_ROW, ctx))
+
+            return against_constant
         right = _column_fn(expression.right)
         return lambda batch, ctx: [
             apply(op, lhs, rhs) for lhs, rhs in zip(left(batch, ctx), right(batch, ctx))
@@ -331,7 +454,14 @@ def _column_fn(expression: ast.Expression) -> ColumnFn:
     row_fn = compile_expression(expression)
 
     def per_row(batch: RowBatch, ctx: ExecutionContext) -> List[object]:
-        return [row_fn(scope, ctx) for scope in _scoped_rows(batch)]
+        # One reusable view over every column of the batch (a kept ORDER BY
+        # source's bindings included — see _projection), no dict per row.
+        view = _RowView(batch.data)
+        values = []
+        for index in range(batch.size):
+            view.index = index
+            values.append(row_fn(view, ctx))
+        return values
 
     if kind is ast.Variable:
         name = expression.name
@@ -352,17 +482,17 @@ def _column_fn(expression: ast.Expression) -> ColumnFn:
             if column is None:
                 return per_row(batch, ctx)
             try:
-                # Only node and relationship handles have ``data``: a column
-                # holding anything else (a null included) takes the checked
-                # loop below.
-                return [entity.data.properties.get(key) for entity in column]
+                # Only entity states have ``properties``: a column holding
+                # anything else (a null included) takes the checked loop
+                # below.
+                return [entity.properties.get(key) for entity in column]
             except AttributeError:
                 pass
             values: List[object] = []
             append = values.append
             for entity in column:
-                if isinstance(entity, (Node, Relationship)):
-                    append(entity.data.properties.get(key))
+                if isinstance(entity, ENTITY_TYPES):
+                    append(entity.properties.get(key))
                 elif entity is None:
                     append(None)
                 else:
@@ -418,22 +548,19 @@ def _bind_column(in_batch: RowBatch, index: int, variable: str,
 
 
 def _scan_emitter(op, build: _Build):
-    """``emit(ctx, in_batch, index, nodes, row)``: bind the scanned nodes that
-    match the operator's pattern to its variable, in batch-size chunks."""
+    """``emit(in_batch, index, nodes)``: bind the scanned node states to the
+    operator's variable, in batch-size chunks, pulling ``nodes`` lazily.
+    The pattern's labels and properties are checked by the piece above
+    (:func:`_node_check`)."""
     variable = op.variable
-    matcher = pattern_matcher(op.pattern)
     batch_size = build.batch_size
 
-    def emit(ctx, in_batch, index, nodes, row) -> Iterator[RowBatch]:
-        matched: List[Node] = []
-        for node in nodes:
-            if matcher is None or matcher(node, row, ctx):
-                matched.append(node)
-                if len(matched) >= batch_size:
-                    yield _bind_column(in_batch, index, variable, matched)
-                    matched = []
-        if matched:
-            yield _bind_column(in_batch, index, variable, matched)
+    def emit(in_batch, index, nodes) -> Iterator[RowBatch]:
+        nodes = iter(nodes)
+        chunk = list(islice(nodes, batch_size))
+        while chunk:
+            yield _bind_column(in_batch, index, variable, chunk)
+            chunk = list(islice(nodes, batch_size)) if len(chunk) == batch_size else None
 
     return emit
 
@@ -445,12 +572,12 @@ def _node_scan(op, build: _Build) -> Stage:
     label = op.label if isinstance(op, LabelScan) else None
 
     def node_scan(ctx: ExecutionContext) -> Iterator[RowBatch]:
-        for in_batch, index, row in _input_rows(child, ctx):
+        for in_batch, index, _row in _input_rows(child, ctx):
             if label is None:
-                nodes = ctx.tx.nodes()
+                nodes = ctx.tx.all_node_states()
             else:
-                nodes = ctx.tx.find_nodes(label=label)
-            yield from emit(ctx, in_batch, index, nodes, row)
+                nodes = ctx.tx.find_node_states(label=label)
+            yield from emit(in_batch, index, nodes)
 
     return node_scan
 
@@ -465,55 +592,120 @@ def _property_seek(op: PropertyIndexSeek, build: _Build) -> Stage:
     def property_seek(ctx: ExecutionContext) -> Iterator[RowBatch]:
         for in_batch, index, row in _input_rows(child, ctx):
             value = value_fn(row, ctx)
-            if value is None:
+            # A stored array is a tuple, so a list never equals one (the
+            # index, which keys arrays as tuples, would still find it).
+            if value is None or isinstance(value, list):
                 continue
-            nodes = ctx.tx.find_nodes(label=label, key=key, value=value)
-            yield from emit(ctx, in_batch, index, nodes, row)
+            nodes = ctx.tx.find_node_states(label=label, key=key, value=value)
+            yield from emit(in_batch, index, nodes)
 
     return property_seek
+
+
+def _source_check(op) -> Optional[Piece]:
+    """The piece checking the node pattern a source operator binds: a scan's
+    or seek's node, or an expand's far end (a far end bound earlier, for
+    ``into``, is checked on its binding)."""
+    if isinstance(op, PropertyIndexSeek) and op.label is not None:
+        # A labelled seek checks the states it read for its label and, with
+        # ``==``, its key (list values it drops): check the rest only.
+        return _node_check(
+            op.variable,
+            [label for label in op.pattern.labels if label != op.label],
+            [entry for entry in op.pattern.properties if entry[1] is not op.value],
+        )
+    if isinstance(op, (AllNodesScan, LabelScan, PropertyIndexSeek)):
+        return _node_check(op.variable, op.pattern.labels, op.pattern.properties)
+    if isinstance(op, Expand) and op.bind_target:
+        return _node_check(op.to_var, op.to_pattern.labels, op.to_pattern.properties)
+    return None
+
+
+def _node_check(variable: str, labels: Sequence[str],
+                properties: Sequence[Tuple[str, ast.Expression]]) -> Optional[Piece]:
+    """A node pattern's labels, then its property map key by key, as the
+    first piece of the chain above the operator that binds ``variable``:
+    whole-column checks on the states, each key's expected value evaluated
+    only for the rows that passed the checks before it (what a per-node
+    check would evaluate).  ``None`` when there is nothing to check."""
+    labels = frozenset(labels)
+    properties = [(key, _column_fn(expression)) for key, expression in properties]
+    if not labels and not properties:
+        return None
+
+    def piece(ctx: ExecutionContext, halt: List[bool]):
+        def check(batch: RowBatch) -> Optional[RowBatch]:
+            if labels:
+                keep = [
+                    i for i, node in enumerate(batch.data[variable])
+                    if labels <= node.labels
+                ]
+                if len(keep) < batch.size:
+                    if not keep:
+                        return None
+                    batch = _take(batch, keep)
+            for key, wanted_fn in properties:
+                keep = [
+                    i for i, (node, wanted) in enumerate(
+                        zip(batch.data[variable], wanted_fn(batch, ctx))
+                    )
+                    if wanted is not None and node.properties.get(key) == wanted
+                ]
+                if len(keep) < batch.size:
+                    if not keep:
+                        return None
+                    batch = _take(batch, keep)
+            return batch
+
+        return check
+
+    return piece
 
 
 # -- expand ------------------------------------------------------------------
 
 
-def _expand_sources(op: Expand, in_batch: RowBatch) -> Tuple[List[int], List[Node]]:
-    """Row indexes and source nodes of the batch rows an expand starts from."""
+def _expand_sources(op: Expand, in_batch: RowBatch) -> Tuple[List[int], List[int]]:
+    """Row indexes and source node ids of the batch rows an expand starts
+    from."""
     from_var = op.from_var
     source_column = in_batch.data.get(from_var)
     if source_column is None:
         raise QueryExecutionError(f"unbound variable {from_var!r}")
     indexes: List[int] = []
-    sources: List[Node] = []
+    sources: List[int] = []
     for index, source in enumerate(source_column):
         if source is None:
             continue
-        if not isinstance(source, Node):
+        if type(source) is not NodeData:
             raise QueryExecutionError(
                 f"cannot expand from {from_var!r}: not a node"
             )
         indexes.append(index)
-        sources.append(source)
+        sources.append(source.node_id)
     return indexes, sources
 
 
 def _excluded_rel_ids(variables: Sequence[str], row: Row) -> frozenset:
     """Ids of the relationships earlier hops of the pattern already bound."""
+    if not variables:
+        return _EMPTY_FROZENSET
     excluded = set()
     for variable in variables:
         value = row.get(variable)
-        if isinstance(value, Relationship):
-            excluded.add(value.id)
+        if isinstance(value, RelationshipData):
+            excluded.add(value.rel_id)
         elif isinstance(value, (list, tuple)):
             for item in value:
-                if isinstance(item, Relationship):
-                    excluded.add(item.id)
+                if isinstance(item, RelationshipData):
+                    excluded.add(item.rel_id)
     return frozenset(excluded)
 
 
-def _has_properties(relationship: Relationship, rel_prop_fns, row: Row,
+def _has_properties(relationship: RelationshipData, rel_prop_fns, row: Row,
                     ctx: ExecutionContext) -> bool:
     """Whether ``relationship`` matches the hop's property map."""
-    properties = relationship.data.properties
+    properties = relationship.properties
     for key, value_fn in rel_prop_fns:
         wanted = value_fn(row, ctx)
         if wanted is None or properties.get(key) != wanted:
@@ -529,7 +721,6 @@ def _expand(op: Expand, build: _Build) -> Stage:
         return _distinct_endpoint_expand(op, build)
     child = build(op.child)
     matches = _var_length_matches if op.rel.var_length else _hop_matches
-    to_matcher = pattern_matcher(op.to_pattern)
     rel_prop_fns = rel_property_fns(op.rel)
     batch_size = build.batch_size
     profiled = op if build.profile and op.rel.var_length else None
@@ -541,9 +732,9 @@ def _expand(op: Expand, build: _Build) -> Stage:
         for in_batch in child(ctx):
             out_indexes: List[int] = []
             out_rels: List[object] = []
-            out_nodes: List[Node] = []
+            out_nodes: List[NodeData] = []
             for index, rels, end in matches(
-                op, ctx, in_batch, to_matcher, rel_prop_fns, profiled
+                op, ctx, in_batch, rel_prop_fns, profiled
             ):
                 out_indexes.append(index)
                 out_rels.append(rels)
@@ -558,9 +749,8 @@ def _expand(op: Expand, build: _Build) -> Stage:
 
 
 def _hop_matches(
-    op: Expand, ctx: ExecutionContext, in_batch: RowBatch, to_matcher,
-    rel_prop_fns, _profiled,
-) -> Iterator[Tuple[int, Relationship, Optional[Node]]]:
+    op: Expand, ctx: ExecutionContext, in_batch: RowBatch, rel_prop_fns, _profiled,
+) -> Iterator[Tuple[int, RelationshipData, Optional[NodeData]]]:
     """``(row index, relationship, neighbour)`` of every single-hop match of
     one input batch, each row's in reverse adjacency order: a single hop is
     the one-level case of the var-length walk, which pops its stack LIFO."""
@@ -569,45 +759,39 @@ def _hop_matches(
         return
     rel_types = op.rel.types or None
     if op.bind_target:
-        expanded = ctx.tx.expand_many(sources, op.direction, rel_types)
+        expanded = ctx.tx.expand_states_many(sources, op.direction, rel_types)
     else:
         # Nothing downstream can observe the far-end node (anonymous terminal
         # target, no label/property checks), so skip the neighbour reads and
         # pair each relationship with a placeholder.
         expanded = [
             [(relationship, None) for relationship in relationships]
-            for relationships in ctx.tx.relationships_of_many(
+            for relationships in ctx.tx.relationship_states_of_many(
                 sources, op.direction, rel_types
             )
         ]
     row = _RowView(in_batch.data)
     for index, pairs in zip(source_indexes, expanded):
         row.index = index
-        excluded = (
-            _excluded_rel_ids(op.exclude_rel_vars, row)
-            if op.exclude_rel_vars
-            else _EMPTY_FROZENSET
-        )
+        excluded = _excluded_rel_ids(op.exclude_rel_vars, row)
         target_id: Optional[int] = None
         if op.into:
             bound_target = row.get(op.to_var)
-            if not isinstance(bound_target, Node):
+            if type(bound_target) is not NodeData:
                 continue
-            target_id = bound_target.id
+            target_id = bound_target.node_id
         for relationship, neighbour in reversed(pairs):
-            if relationship.id in excluded or (
+            if relationship.rel_id in excluded or (
                 rel_prop_fns and not _has_properties(relationship, rel_prop_fns, row, ctx)
             ):
                 continue
-            if target_id is not None and neighbour.id != target_id:
-                continue
-            if to_matcher is not None and not to_matcher(neighbour, row, ctx):
+            if target_id is not None and neighbour.node_id != target_id:
                 continue
             yield index, relationship, neighbour
 
 
 def _expand_output(in_batch: RowBatch, op: Expand, indexes: List[int],
-                   rels: Optional[List[object]], nodes: List[Node]) -> RowBatch:
+                   rels: Optional[List[object]], nodes: List[NodeData]) -> RowBatch:
     """Input rows replicated per expansion, with the hop's bindings appended
     (``rels`` is ``None`` when the relationship variable is not bound)."""
     data = {
@@ -641,12 +825,12 @@ class _PathForest:
 
     __slots__ = ("roots", "row", "parent", "rel", "rel_id", "node", "children")
 
-    def __init__(self, root_rows: List[int], root_nodes: List[Node]) -> None:
+    def __init__(self, root_rows: List[int], root_nodes: List[NodeData]) -> None:
         roots = len(root_rows)
         self.roots = roots
         self.row = list(root_rows)
         self.parent = [-1] * roots
-        self.rel: List[Optional[Relationship]] = [None] * roots
+        self.rel: List[Optional[RelationshipData]] = [None] * roots
         self.rel_id = [-1] * roots
         self.node = list(root_nodes)
         self.children: List[List[int]] = [[] for _ in range(roots)]
@@ -673,7 +857,7 @@ def _extend_path(forest: _PathForest, path: int, pairs, excluded: frozenset,
     index = forest.row[path]
     children = forest.children[path]
     for relationship, neighbour in pairs:
-        rel_id = relationship.id
+        rel_id = relationship.rel_id
         if rel_id in excluded:
             continue
         ancestor = path
@@ -693,9 +877,9 @@ def _extend_path(forest: _PathForest, path: int, pairs, excluded: frozenset,
 
 
 def _var_length_matches(
-    op: Expand, ctx: ExecutionContext, in_batch: RowBatch, to_matcher,
-    rel_prop_fns, profiled: Optional[Expand],
-) -> Iterator[Tuple[int, List[Relationship], Node]]:
+    op: Expand, ctx: ExecutionContext, in_batch: RowBatch, rel_prop_fns,
+    profiled: Optional[Expand],
+) -> Iterator[Tuple[int, List[RelationshipData], NodeData]]:
     """``(row index, path relationships, end node)`` of every match of one
     input batch, lazily, in depth-first order: pre-order, siblings in
     reverse adjacency order.
@@ -714,38 +898,34 @@ def _var_length_matches(
     max_hops = rel.max_hops
     rel_types = rel.types or None
     direction = op.direction
-    expand_many = ctx.tx.expand_many
+    expand_many = ctx.tx.expand_states_many
     levels = profiled.actual_levels if profiled is not None else None
     row = _RowView(in_batch.data)
     indexes, sources = _expand_sources(op, in_batch)
     # Start from the roots as this transaction sees them now, not from the
-    # (possibly stale) handles bound upstream.
+    # (possibly stale) states bound upstream.
+    distinct = list(dict.fromkeys(sources))
     visible = {
-        node.id: node
-        for node in ctx.tx.nodes_by_ids(
-            list(dict.fromkeys(source.id for source in sources))
-        )
+        node_id: node
+        for node_id, node in zip(distinct, ctx.tx.node_states(distinct))
+        if node is not None
     }
     root_rows: List[int] = []
-    root_nodes: List[Node] = []
+    root_nodes: List[NodeData] = []
     excluded_of: Dict[int, frozenset] = {}
     target_of: Dict[int, int] = {}
     for index, source in zip(indexes, sources):
         row.index = index
         if op.into:
             bound_target = row.get(op.to_var)
-            if not isinstance(bound_target, Node):
+            if type(bound_target) is not NodeData:
                 continue
-            target_of[index] = bound_target.id
-        if source.id not in visible:
-            raise NodeNotFoundError(source.id)
-        excluded_of[index] = (
-            _excluded_rel_ids(op.exclude_rel_vars, row)
-            if op.exclude_rel_vars
-            else _EMPTY_FROZENSET
-        )
+            target_of[index] = bound_target.node_id
+        if source not in visible:
+            raise NodeNotFoundError(source)
+        excluded_of[index] = _excluded_rel_ids(op.exclude_rel_vars, row)
         root_rows.append(index)
-        root_nodes.append(visible[source.id])
+        root_nodes.append(visible[source])
     start = 0
     step = 1 if max_hops is None else len(root_rows)
     while start < len(root_rows):
@@ -778,12 +958,8 @@ def _var_length_matches(
                 if lazy:
                     forest.truncate(path + 1)
                 end = path_node[path]
-                if (
-                    hops >= min_hops
-                    and (target_id is None or end.id == target_id)
-                    and (to_matcher is None or to_matcher(end, row, ctx))
-                ):
-                    relationships: List[Relationship] = []
+                if hops >= min_hops and (target_id is None or end.node_id == target_id):
+                    relationships: List[RelationshipData] = []
                     link = path
                     while link >= roots:
                         relationships.append(path_rel[link])
@@ -793,7 +969,7 @@ def _var_length_matches(
                 if lazy and (max_hops is None or hops < max_hops):
                     _extend_path(
                         forest, path,
-                        expand_many([end], direction, rel_types)[0],
+                        expand_many([end.node_id], direction, rel_types)[0],
                         excluded_of[index], rel_prop_fns, row, ctx,
                     )
                 for child in path_children[path]:
@@ -821,7 +997,7 @@ def _grow_frontier(
     max_hops = rel.max_hops
     rel_types = rel.types or None
     direction = op.direction
-    expand_many = ctx.tx.expand_many
+    expand_many = ctx.tx.expand_states_many
     budget = FRONTIER_PATH_BUDGET
     path_row = forest.row
     path_node = forest.node
@@ -833,16 +1009,14 @@ def _grow_frontier(
                 levels.append([0, 0])
             levels[depth][0] += 1
             levels[depth][1] += len(frontier)
-        ends = {path_node[path].id: path_node[path] for path in frontier}
-        pairs_of = dict(
-            zip(ends, expand_many(list(ends.values()), direction, rel_types))
-        )
+        ends = list(dict.fromkeys(path_node[path].node_id for path in frontier))
+        pairs_of = dict(zip(ends, expand_many(ends, direction, rel_types)))
         grown: List[int] = []
         for path in frontier:
             index = path_row[path]
             row.index = index
             grown.extend(_extend_path(
-                forest, path, pairs_of[path_node[path].id], excluded_of[index],
+                forest, path, pairs_of[path_node[path].node_id], excluded_of[index],
                 rel_prop_fns, row, ctx,
             ))
             if len(path_row) > budget:
@@ -860,7 +1034,6 @@ def _distinct_endpoint_expand(op: Expand, build: _Build) -> Stage:
     unbound.  Under ``PROFILE`` it records per depth ``[round trips, nodes
     expanded]`` and the distinct end nodes reached."""
     child = build(op.child)
-    to_matcher = pattern_matcher(op.to_pattern)
     batch_size = build.batch_size
     profiled = op if build.profile else None
 
@@ -870,10 +1043,8 @@ def _distinct_endpoint_expand(op: Expand, build: _Build) -> Stage:
             profiled.actual_endpoints = 0
         for in_batch in child(ctx):
             out_indexes: List[int] = []
-            out_nodes: List[Node] = []
-            for index, ends in _distinct_endpoints(
-                op, ctx, in_batch, to_matcher, profiled
-            ):
+            out_nodes: List[NodeData] = []
+            for index, ends in _distinct_endpoints(op, ctx, in_batch, profiled):
                 out_indexes += [index] * len(ends)
                 out_nodes += ends
                 while len(out_indexes) >= batch_size:
@@ -889,14 +1060,15 @@ def _distinct_endpoint_expand(op: Expand, build: _Build) -> Stage:
 
 
 def _distinct_endpoints(
-    op: Expand, ctx: ExecutionContext, in_batch: RowBatch, to_matcher,
+    op: Expand, ctx: ExecutionContext, in_batch: RowBatch,
     profiled: Optional[Expand],
-) -> Iterator[Tuple[int, List[Node]]]:
+) -> Iterator[Tuple[int, List[NodeData]]]:
     """``(row index, end nodes)`` per input row: the distinct end nodes of
-    its ``*0..2`` / ``*1..2`` (or shorter) hop that match the far-end pattern.
+    its ``*0..2`` / ``*1..2`` (or shorter) hop (the far-end pattern is the
+    chain's check).
 
     The reads are level-synchronous over node-id sets: per depth, one
-    ``relationships_of_many`` for the batch's frontier nodes whose adjacency
+    ``relationship_states_of_many`` for the batch's frontier nodes whose adjacency
     has not been read yet and one point read of the far ends not read yet,
     so a node reached by many paths is read once.  These are the
     neighbourhoods the path walk reads (under SERIALIZABLE, the same SIREAD
@@ -924,21 +1096,16 @@ def _distinct_endpoints(
     levels = profiled.actual_levels if profiled is not None else None
     row = _RowView(in_batch.data)
     indexes, sources = _expand_sources(op, in_batch)
-    # Every node id read so far for this batch -> its handle, or None when
+    # Every node id read so far for this batch -> its state, or None when
     # it is not visible; the roots as this transaction sees them now.
-    nodes: Dict[int, Optional[Node]] = dict.fromkeys(source.id for source in sources)
-    nodes.update((node.id, node) for node in tx.nodes_by_ids(list(nodes)))
+    distinct = list(dict.fromkeys(sources))
+    nodes: Dict[int, Optional[NodeData]] = dict(zip(distinct, tx.node_states(distinct)))
     roots: List[Tuple[int, int, frozenset]] = []
     for index, source in zip(indexes, sources):
-        if nodes[source.id] is None:
-            raise NodeNotFoundError(source.id)
+        if nodes[source] is None:
+            raise NodeNotFoundError(source)
         row.index = index
-        excluded = (
-            _excluded_rel_ids(op.exclude_rel_vars, row)
-            if op.exclude_rel_vars
-            else _EMPTY_FROZENSET
-        )
-        roots.append((index, source.id, excluded))
+        roots.append((index, source, _excluded_rel_ids(op.exclude_rel_vars, row)))
     # Node id -> its (relationship id, far-end id) pairs, reverse adjacency order.
     adjacency: Dict[int, List[Tuple[int, int]]] = {}
 
@@ -951,21 +1118,21 @@ def _distinct_endpoints(
                 levels.append([0, 0])
             levels[depth][0] += 1
             levels[depth][1] += len(unexpanded)
-        far_ends: Dict[int, None] = {}
         for node_id, relationships in zip(
-            unexpanded, tx.relationships_of_many(unexpanded, direction, rel_types)
+            unexpanded, tx.relationship_states_of_many(unexpanded, direction, rel_types)
         ):
-            pairs = []
-            for relationship in reversed(relationships):
-                data = relationship.data
-                other = data.end_node if data.start_node == node_id else data.start_node
-                pairs.append((data.rel_id, other))
-                far_ends[other] = None
-            adjacency[node_id] = pairs
-        unread = [node_id for node_id in far_ends if node_id not in nodes]
+            adjacency[node_id] = [
+                (data.rel_id, data.end_node if data.start_node == node_id else data.start_node)
+                for data in reversed(relationships)
+            ]
+        unread = list(dict.fromkeys([
+            other
+            for node_id in unexpanded
+            for _rel_id, other in adjacency[node_id]
+            if other not in nodes
+        ]))
         if unread:
-            nodes.update(dict.fromkeys(unread))
-            nodes.update((node.id, node) for node in tx.nodes_by_ids(unread))
+            nodes.update(zip(unread, tx.node_states(unread)))
 
     if max_hops:
         read_level(0, dict.fromkeys(root_id for _index, root_id, _excluded in roots))
@@ -977,7 +1144,6 @@ def _distinct_endpoints(
             if nodes[node_id] is not None and rel_id not in excluded
         })
     for index, root_id, excluded in roots:
-        row.index = index
         found: Dict[int, None] = {}
         if min_hops == 0:
             found[root_id] = None
@@ -1000,78 +1166,76 @@ def _distinct_endpoints(
                     found[second] = None
         if profiled is not None:
             profiled.actual_endpoints += len(found)
-        ends = [nodes[node_id] for node_id in found]
-        if to_matcher is not None:
-            ends = [end for end in ends if to_matcher(end, row, ctx)]
-        if ends:
-            yield index, ends
+        if found:
+            yield index, [nodes[node_id] for node_id in found]
 
 
 # -- filters and projections -------------------------------------------------
 
 
-def _filter(op: Filter, build: _Build) -> Stage:
-    child = build(op.child)
+def _filter(op: Filter, build: _Build) -> Piece:
     predicate = _column_fn(op.predicate)
 
-    def filter_(ctx: ExecutionContext) -> Iterator[RowBatch]:
-        for batch in child(ctx):
-            values = predicate(batch, ctx)
+    def piece(ctx: ExecutionContext, halt: List[bool]):
+        def filter_(batch: RowBatch) -> Optional[RowBatch]:
             keep = [
-                index for index, value in enumerate(values)
+                index for index, value in enumerate(predicate(batch, ctx))
                 if value is not None and value
             ]
             if len(keep) == batch.size:
-                yield batch
-            elif keep:
-                yield _take(batch, keep)
+                return batch
+            return _take(batch, keep) if keep else None
 
-    return filter_
+        return filter_
+
+    return piece
 
 
-def _projection(op: Projection, build: _Build) -> Stage:
-    child = build(op.child)
+def _projection(op: Projection, build: _Build) -> Piece:
+    """A projection's aliases.  Under ``ORDER BY`` (``keep_source``) the
+    pre-projection bindings an alias does not shadow stay in the batch's
+    data, outside its ``columns``: the ORDER BY scope is the source with the
+    aliases over it, read column-wise, and the sort drops them."""
     items = [(item.alias, _column_fn(item.expression)) for item in op.items]
     keep_source = op.keep_source
     columns = tuple(alias for alias, _fn in items)
-    if keep_source:
-        columns += (SOURCE_ROW_KEY,)
 
-    def projection(ctx: ExecutionContext) -> Iterator[RowBatch]:
-        for batch in child(ctx):
+    def piece(ctx: ExecutionContext, halt: List[bool]):
+        def projection(batch: RowBatch) -> RowBatch:
             data = {alias: fn(batch, ctx) for alias, fn in items}
             if keep_source:
-                # The pre-projection rows, as dicts: the ORDER BY scope.
-                data[SOURCE_ROW_KEY] = [
-                    {name: batch.data[name][index] for name in batch.columns}
-                    for index in range(batch.size)
-                ]
-            yield RowBatch(columns, data, batch.size)
+                for name, column in batch.data.items():
+                    data.setdefault(name, column)
+            return RowBatch(columns, data, batch.size)
 
-    return projection
+        return projection
+
+    return piece
 
 
-def _distinct(op: Distinct, build: _Build) -> Stage:
-    child = build(op.child)
+def _distinct(op: Distinct, build: _Build) -> Piece:
+    names = op.columns
 
-    def distinct(ctx: ExecutionContext) -> Iterator[RowBatch]:
+    def piece(ctx: ExecutionContext, halt: List[bool]):
         seen = set()
-        for batch in child(ctx):
+
+        def distinct(batch: RowBatch) -> Optional[RowBatch]:
             size = batch.size
             keys = _group_keys(
-                [batch.data.get(name) or [None] * size for name in op.columns], size
+                [batch.data.get(name) or [None] * size for name in names], size
             )
             keep: List[int] = []
             for index, key in enumerate(keys):
                 if key not in seen:
                     seen.add(key)
                     keep.append(index)
-            if len(keep) == batch.size:
-                yield batch
-            elif keep:
-                yield _take(batch, keep)
+            if len(keep) == size:
+                return batch
+            return _take(batch, keep) if keep else None
 
-    return distinct
+        return distinct
+
+    return piece
 
 
 def _order_by(op: OrderBy, build: _Build) -> Stage:
@@ -1091,9 +1255,7 @@ def _order_by(op: OrderBy, build: _Build) -> Stage:
                 key_columns[slot].extend(
                     sort_key(value) for value in key_fn(batch, ctx)
                 )
-        out_columns = tuple(
-            name for name in batches[0].columns if name != SOURCE_ROW_KEY
-        )
+        out_columns = batches[0].columns
         flat: Dict[str, List[object]] = {name: [] for name in out_columns}
         for batch in batches:
             for name in out_columns:
@@ -1118,54 +1280,59 @@ def _order_by(op: OrderBy, build: _Build) -> Stage:
     return order_by
 
 
-def _skip(op: Skip, build: _Build) -> Stage:
-    child = build(op.child)
+def _skip(op: Skip, build: _Build) -> Piece:
     count_fn = compile_expression(op.count)
 
-    def skip(ctx: ExecutionContext) -> Iterator[RowBatch]:
+    def piece(ctx: ExecutionContext, halt: List[bool]):
         count = require_non_negative_int(count_fn(_EMPTY_ROW, ctx), "SKIP")
         skipped = 0
-        for batch in child(ctx):
+
+        def skip(batch: RowBatch) -> Optional[RowBatch]:
+            nonlocal skipped
             if skipped >= count:
-                yield batch
-                continue
+                return batch
             if skipped + batch.size <= count:
                 skipped += batch.size
-                continue
+                return None
             start = count - skipped
             skipped = count
-            yield _slice(batch, start, batch.size)
+            return _slice(batch, start, batch.size)
 
-    return skip
+        return skip
+
+    return piece
 
 
-def _limit(op: Limit, build: _Build) -> Stage:
-    child = build(op.child)
+def _limit(op: Limit, build: _Build) -> Piece:
     count_fn = compile_expression(op.count)
     # Not pulling the child is only an optimisation over a read-only
     # subtree; a write clause below still has to run.
     drain = any(isinstance(below, _WRITE_OPERATORS) for below in op.child.walk())
 
-    def limit(ctx: ExecutionContext) -> Iterator[RowBatch]:
-        count = require_non_negative_int(count_fn(_EMPTY_ROW, ctx), "LIMIT")
-        if count == 0:
-            if drain:
-                for _batch in child(ctx):
-                    pass
-            return
-        produced = 0
-        for batch in child(ctx):
-            remaining = count - produced
-            if batch.size <= remaining:
-                produced += batch.size
-                yield batch
-                if produced >= count:
-                    return
-            else:
-                yield _slice(batch, 0, remaining)
-                return
+    def piece(ctx: ExecutionContext, halt: List[bool]):
+        remaining = require_non_negative_int(count_fn(_EMPTY_ROW, ctx), "LIMIT")
+        if remaining == 0:
+            if not drain:
+                halt.append(True)
+            return _drop
 
-    return limit
+        def limit(batch: RowBatch) -> RowBatch:
+            nonlocal remaining
+            if batch.size < remaining:
+                remaining -= batch.size
+                return batch
+            # This batch fills the limit: nothing more is pulled.
+            halt.append(True)
+            return batch if batch.size == remaining else _slice(batch, 0, remaining)
+
+        return limit
+
+    return piece
+
+
+def _drop(batch: RowBatch) -> None:
+    """``LIMIT 0`` above a write clause: every row is pulled, none passed on."""
+    return None
 
 
 # -- aggregation ---------------------------------------------------------------
@@ -1248,7 +1415,7 @@ class Accumulator:
 def _group_keys(group_columns: List[List[object]], size: int) -> List[object]:
     """Each row's hashable group key (one column: the frozen value itself)."""
     if len(group_columns) == 1:
-        return [freeze(value) for value in group_columns[0]]
+        return freeze_all(group_columns[0])
     if group_columns:
         return [tuple(freeze(value) for value in row) for row in zip(*group_columns)]
     return [()] * size
@@ -1485,8 +1652,8 @@ def create_body(op: CreateOp) -> WriteBody:
                     start, end = handles[index + 1], handles[index]
                 properties = properties_of(row, ctx)
                 relationship = ctx.tx.create_relationship(
-                    start, end, rel_pattern.types[0], properties
-                )
+                    start.node_id, end.node_id, rel_pattern.types[0], properties
+                ).data
                 ctx.stats.relationships_created += 1
                 ctx.stats.properties_set += len(properties)
                 if rel_pattern.variable is not None:
@@ -1497,16 +1664,16 @@ def create_body(op: CreateOp) -> WriteBody:
 
 
 def _create_or_reuse_node(node_pattern: ast.NodePattern, properties_of,
-                          row: Row, ctx: ExecutionContext) -> Node:
+                          row: Row, ctx: ExecutionContext) -> NodeData:
     if node_pattern.variable is not None and node_pattern.variable in row:
         existing = row[node_pattern.variable]
-        if not isinstance(existing, Node):
+        if type(existing) is not NodeData:
             raise QueryExecutionError(
                 f"CREATE expected {node_pattern.variable!r} to be a node"
             )
         return existing
     properties = properties_of(row, ctx)
-    node = ctx.tx.create_node(node_pattern.labels, properties)
+    node = ctx.tx.create_node(node_pattern.labels, properties).data
     ctx.stats.nodes_created += 1
     ctx.stats.labels_added += len(node_pattern.labels)
     ctx.stats.properties_set += len(properties)
@@ -1516,7 +1683,8 @@ def _create_or_reuse_node(node_pattern: ast.NodePattern, properties_of,
 
 
 def set_body(op: SetOp) -> WriteBody:
-    """``SET``: apply the clause's items to one row, rebinding the handles."""
+    """``SET``: apply the clause's items to one row through the transaction
+    API, rebinding the written entity's new state."""
     items = [
         (item, compile_expression(item.value)
          if isinstance(item, ast.SetProperty) else None)
@@ -1524,29 +1692,38 @@ def set_body(op: SetOp) -> WriteBody:
     ]
 
     def set_(row: Row, ctx: ExecutionContext) -> Row:
+        tx = ctx.tx
         for item, value_fn in items:
             target = row.get(item.variable)
             if target is None:
                 continue
             if value_fn is not None:
-                if not isinstance(target, (Node, Relationship)):
+                if not isinstance(target, ENTITY_TYPES):
                     raise QueryExecutionError(
                         f"SET target {item.variable!r} is not a node or relationship"
                     )
                 value = value_fn(row, ctx)
-                if value is None:
-                    refreshed = target.remove_property(item.key)
+                key = item.key
+                if type(target) is NodeData:
+                    refreshed = (
+                        tx.remove_node_property(target.node_id, key) if value is None
+                        else tx.set_node_property(target.node_id, key, value)
+                    ).data
                 else:
-                    refreshed = target.set_property(item.key, value)
+                    refreshed = (
+                        tx.remove_relationship_property(target.rel_id, key)
+                        if value is None
+                        else tx.set_relationship_property(target.rel_id, key, value)
+                    ).data
                 ctx.stats.properties_set += 1
             else:
-                if not isinstance(target, Node):
+                if type(target) is not NodeData:
                     raise QueryExecutionError(
                         f"SET label target {item.variable!r} is not a node"
                     )
                 refreshed = target
                 for label in item.labels:
-                    refreshed = refreshed.add_label(label)
+                    refreshed = tx.add_label(refreshed.node_id, label).data
                     ctx.stats.labels_added += 1
             _rebind_entity(row, refreshed)
         return row
@@ -1555,21 +1732,20 @@ def set_body(op: SetOp) -> WriteBody:
 
 
 def _rebind_entity(row: Row, refreshed) -> None:
-    """Replace *every* binding of the refreshed entity with the new handle.
+    """Replace *every* binding of the refreshed entity with its new state.
 
-    Handles cache immutable entity state, and two variables can name the same
+    A row holds immutable entity states, and two variables can name the same
     node (``MATCH (a), (b) ... SET a.x = 1 RETURN b.x``); updating only the
     assigned variable would leave the siblings reading stale values.
     """
-    kind = Node if isinstance(refreshed, Node) else Relationship
+    kind = type(refreshed)
+    key = freeze(refreshed)
     for variable, value in row.items():
-        if isinstance(value, kind) and value.id == refreshed.id:
+        if type(value) is kind and freeze(value) == key:
             row[variable] = refreshed
         elif isinstance(value, list):
             row[variable] = [
-                refreshed
-                if isinstance(item, kind) and item.id == refreshed.id
-                else item
+                refreshed if type(item) is kind and freeze(item) == key else item
                 for item in value
             ]
 
@@ -1583,17 +1759,21 @@ def delete_body(op: DeleteOp) -> WriteBody:
     def delete(row: Row, ctx: ExecutionContext) -> Row:
         for variable in variables:
             for entity in _flatten_entities(row.get(variable)):
-                if isinstance(entity, Node):
+                if type(entity) is NodeData:
+                    node_id = entity.node_id
                     try:
-                        attached = len(ctx.tx.relationships_of(entity)) if detach else 0
-                        ctx.tx.delete_node(entity, detach=detach)
+                        attached = (
+                            ctx.tx.count_relationships_of_many([node_id])[0]
+                            if detach else 0
+                        )
+                        ctx.tx.delete_node(node_id, detach=detach)
                     except NodeNotFoundError:
                         continue
                     ctx.stats.nodes_deleted += 1
                     ctx.stats.relationships_deleted += attached
-                elif isinstance(entity, Relationship):
+                elif type(entity) is RelationshipData:
                     try:
-                        ctx.tx.delete_relationship(entity)
+                        ctx.tx.delete_relationship(entity.rel_id)
                     except RelationshipNotFoundError:
                         continue
                     ctx.stats.relationships_deleted += 1
@@ -1616,19 +1796,25 @@ def _flatten_entities(value: object):
         yield value
 
 
+#: The row-wise operators: fused into the chain above a source (None: no
+#: per-row work, a counting boundary only under ``PROFILE``).
+_PIECES: Dict[type, Callable[[object, _Build], Optional[Piece]]] = {
+    ProduceResults: lambda op, build: None,
+    Filter: _filter,
+    Projection: _projection,
+    Distinct: _distinct,
+    Skip: _skip,
+    Limit: _limit,
+}
+
+#: The source operators: each pulls its child (if any) through a stage.
 _BUILDERS = {
     Argument: _argument,
-    ProduceResults: lambda op, build: build(op.child),
     AllNodesScan: _node_scan,
     LabelScan: _node_scan,
     PropertyIndexSeek: _property_seek,
     Expand: _expand,
-    Filter: _filter,
-    Projection: _projection,
-    Distinct: _distinct,
     OrderBy: _order_by,
-    Skip: _skip,
-    Limit: _limit,
     Aggregate: _aggregate,
     CreateOp: partial(_write, body_of=create_body),
     SetOp: partial(_write, body_of=set_body),

@@ -11,14 +11,22 @@ The executor's operators evaluate whole columns where that cannot change
 Cypher's per-row error behaviour and call these closures everywhere else;
 the value helpers (:func:`compare`, :func:`arithmetic`, :func:`sort_key`,
 :func:`freeze`) are what both forms share.
+
+Inside a statement a node or relationship value is the engine's immutable
+state (:class:`~repro.graph.entity.NodeData` /
+:class:`~repro.graph.entity.RelationshipData`), not an API handle: the
+executor builds handles only where a value leaves the statement.  Equality,
+``DISTINCT``, grouping and ordering key an entity by its kind and id, as
+handles do, so two states of one entity (read committed can read two) are
+one value.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import QueryExecutionError
-from repro.api.transaction import Node, Relationship
+from repro.graph.entity import NodeData, RelationshipData
 from repro.query import ast
 
 if TYPE_CHECKING:
@@ -30,6 +38,18 @@ Row = Dict[str, object]
 
 #: A compiled expression: called once per row, returns the expression value.
 CompiledExpression = Callable[[Row, "ExecutionContext"], object]
+
+#: The value types of graph entities inside a statement.
+ENTITY_TYPES = (NodeData, RelationshipData)
+
+#: Values whose equality is not plain ``==``: entities (equal by id) and the
+#: lists that may hold them.
+_KEYED_TYPES = frozenset((NodeData, RelationshipData, list))
+
+#: Tags of the id keys :func:`freeze` gives entities; no query value can
+#: hold these objects, so a key never equals a user value.
+_NODE_TAG = object()
+_REL_TAG = object()
 
 
 def compile_expression(expression: ast.Expression) -> CompiledExpression:
@@ -69,7 +89,7 @@ def compile_expression(expression: ast.Expression) -> CompiledExpression:
         key = expression.key
         if isinstance(expression.entity, ast.Variable):
             # The overwhelmingly common shape (``n.prop``): skip the generic
-            # entity closure and read the handle's immutable data directly.
+            # entity closure and read the state's properties directly.
             variable = expression.entity.name
 
             def direct_property_fn(row: Row, ctx: ExecutionContext) -> object:
@@ -81,8 +101,8 @@ def compile_expression(expression: ast.Expression) -> CompiledExpression:
                     ) from None
                 if entity is None:
                     return None
-                if isinstance(entity, (Node, Relationship)):
-                    return entity.data.properties.get(key)
+                if isinstance(entity, ENTITY_TYPES):
+                    return entity.properties.get(key)
                 raise QueryExecutionError(
                     f"cannot read property {key!r} of {type(entity).__name__}"
                 )
@@ -94,8 +114,8 @@ def compile_expression(expression: ast.Expression) -> CompiledExpression:
             entity = entity_fn(row, ctx)
             if entity is None:
                 return None
-            if isinstance(entity, (Node, Relationship)):
-                return entity.data.properties.get(key)
+            if isinstance(entity, ENTITY_TYPES):
+                return entity.properties.get(key)
             raise QueryExecutionError(
                 f"cannot read property {key!r} of {type(entity).__name__}"
             )
@@ -200,9 +220,13 @@ def compare(op: str, left: object, right: object) -> Optional[bool]:
         return None
     try:
         if op == "=":
-            return left == right
+            return left == right or (
+                type(left) in _KEYED_TYPES and _equal_by_id(left, right)
+            )
         if op == "<>":
-            return left != right
+            return left != right and not (
+                type(left) in _KEYED_TYPES and _equal_by_id(left, right)
+            )
         if op == "<":
             return left < right
         if op == "<=":
@@ -216,6 +240,8 @@ def compare(op: str, left: object, right: object) -> Optional[bool]:
     if op == "IN":
         if not isinstance(right, (list, tuple)):
             raise QueryExecutionError("IN requires a list on its right-hand side")
+        if type(left) in _KEYED_TYPES:
+            return any(_equal_by_id(left, item) for item in right)
         return left in right
     if op in ("STARTS WITH", "ENDS WITH", "CONTAINS"):
         if not isinstance(left, str) or not isinstance(right, str):
@@ -226,6 +252,33 @@ def compare(op: str, left: object, right: object) -> Optional[bool]:
             return left.endswith(right)
         return right in left
     raise QueryExecutionError(f"unknown comparison operator {op!r}")
+
+
+def compare_column(op: str, values: List[object], right: object) -> List[object]:
+    """:func:`compare` of every value against one right-hand value.  An
+    ``=`` / ``<>`` that meets no entity or list is one comprehension with no
+    call per value."""
+    if (op == "=" or op == "<>") and right is not None \
+            and type(right) not in _KEYED_TYPES \
+            and _KEYED_TYPES.isdisjoint(map(type, values)):
+        if op == "=":
+            return [None if value is None else value == right for value in values]
+        return [None if value is None else value != right for value in values]
+    return [compare(op, value, right) for value in values]
+
+
+def _equal_by_id(left: object, right: object) -> bool:
+    """``left == right`` with entities equal by kind and id, inside lists
+    too (two states of one entity are one value)."""
+    kind = type(left)
+    if kind is list:
+        return type(right) is list and len(left) == len(right) \
+            and all(map(_equal_by_id, left, right))
+    if kind is NodeData:
+        return type(right) is NodeData and left.node_id == right.node_id
+    if kind is RelationshipData:
+        return type(right) is RelationshipData and left.rel_id == right.rel_id
+    return left == right
 
 
 def arithmetic(op: str, left: object, right: object) -> object:
@@ -310,20 +363,22 @@ def _compile_function(call: ast.FunctionCall) -> CompiledExpression:
 
 
 def _fn_id(value: object) -> object:
-    if isinstance(value, (Node, Relationship)):
-        return value.id
+    if isinstance(value, NodeData):
+        return value.node_id
+    if isinstance(value, RelationshipData):
+        return value.rel_id
     raise QueryExecutionError("id() requires a node or relationship")
 
 
 def _fn_labels(value: object) -> object:
-    if isinstance(value, Node):
+    if isinstance(value, NodeData):
         return sorted(value.labels)
     raise QueryExecutionError("labels() requires a node")
 
 
 def _fn_type(value: object) -> object:
-    if isinstance(value, Relationship):
-        return value.type
+    if isinstance(value, RelationshipData):
+        return value.rel_type
     raise QueryExecutionError("type() requires a relationship")
 
 
@@ -346,9 +401,25 @@ def _is_truthy(value: object) -> bool:
 
 
 def freeze(value: object) -> object:
-    if isinstance(value, list):
+    """A hashable key equal for equal values: lists become tuples and an
+    entity becomes its kind and id, so ``DISTINCT`` and grouping key
+    entities by id."""
+    kind = type(value)
+    if kind is NodeData:
+        return (_NODE_TAG, value.node_id)
+    if kind is RelationshipData:
+        return (_REL_TAG, value.rel_id)
+    if kind is list:
         return tuple(freeze(item) for item in value)
     return value
+
+
+def freeze_all(values: List[object]) -> List[object]:
+    """:func:`freeze` of every value: the list itself (one C-level type
+    scan) when no value is an entity or a list."""
+    if _KEYED_TYPES.isdisjoint(map(type, values)):
+        return values
+    return [freeze(value) for value in values]
 
 
 _TYPE_ORDER_NUMBER = 0
@@ -367,8 +438,10 @@ def sort_key(value: object):
         return (_TYPE_ORDER_NUMBER, float(value))
     if isinstance(value, str):
         return (_TYPE_ORDER_STRING, value)
-    if isinstance(value, (Node, Relationship)):
-        return (_TYPE_ORDER_OTHER, str(value.id))
+    if isinstance(value, NodeData):
+        return (_TYPE_ORDER_OTHER, str(value.node_id))
+    if isinstance(value, RelationshipData):
+        return (_TYPE_ORDER_OTHER, str(value.rel_id))
     return (_TYPE_ORDER_OTHER, repr(value))
 
 
@@ -379,35 +452,8 @@ def require_non_negative_int(value: object, what: str) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Pattern property maps
+# Relationship property maps
 # ---------------------------------------------------------------------------
-
-
-def pattern_matcher(pattern: ast.NodePattern):
-    """A compiled node-pattern check (labels, then the property map), or
-    ``None`` for the empty pattern — every node matches, so callers can skip
-    the call entirely."""
-    labels = tuple(pattern.labels)
-    prop_fns = tuple(
-        (key, compile_expression(expression))
-        for key, expression in pattern.properties
-    )
-    if not labels and not prop_fns:
-        return None
-
-    def matches(node: Node, row: Row, ctx: ExecutionContext) -> bool:
-        data = node.data
-        for label in labels:
-            if label not in data.labels:
-                return False
-        properties = data.properties
-        for key, value_fn in prop_fns:
-            wanted = value_fn(row, ctx)
-            if wanted is None or properties.get(key) != wanted:
-                return False
-        return True
-
-    return matches
 
 
 def rel_property_fns(rel: ast.RelPattern) -> Tuple[Tuple[str, CompiledExpression], ...]:

@@ -6,6 +6,12 @@ query iterated slowly still reads every row through the transaction it was
 started in (one snapshot under snapshot isolation).  Write queries are
 drained eagerly by :func:`repro.query.execute` before the result is handed
 back, matching Cypher's eager-write semantics.
+
+A result is the statement's edge: inside the executor an entity is the
+engine's immutable state, and a node or relationship in a record — a
+column, or an item of a returned list — arrives here already as a
+:class:`~repro.api.transaction.Node` / ``Relationship`` handle on the
+transaction that ran the query (built as its batch left the pipeline).
 """
 
 from __future__ import annotations

@@ -6,9 +6,14 @@ rows, in this module's order, with the same statistics, at every batch
 size.  It shares with production what defines a *value* — the compiled
 expressions, the aggregate fold, the per-row body of each write clause —
 and nothing that decides which rows exist or in which order: scans pull the
-transaction's iterators, expansion (variable-length included) runs on
+transaction's iterators, node patterns are checked node by node
+(:func:`pattern_matcher`), expansion (variable-length included) runs on
 :class:`repro.api.traversal.TraversalDescription` with its own pruning
 evaluator, and write clauses apply to every input row before emitting.
+
+Values are what production's rows hold: an entity is the engine state of
+the handle this module read (``handle.data``), and a result value becomes a
+handle again through :func:`repro.query.executor.edge_value`, as it leaves.
 
 Nothing under ``src/`` imports this module; tests route one ``execute`` call
 through it with :func:`reference_executor`.
@@ -19,22 +24,22 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Dict, Iterator, List, Tuple
 
-from repro.api.transaction import Node, Relationship
 from repro.api.traversal import Order, Path, TraversalDescription, Uniqueness
 from repro.errors import QueryExecutionError
 from repro.query import executor, planner
+from repro.graph.entity import NodeData, RelationshipData
 from repro.query.executor import (
     Accumulator,
     ExecutionContext,
     create_body,
     delete_body,
+    edge_value,
     set_body,
 )
 from repro.query.expressions import (
     Row,
     compile_expression,
     freeze,
-    pattern_matcher,
     rel_property_fns,
     require_non_negative_int,
     sort_key,
@@ -59,19 +64,42 @@ def run_plan_rows(plan, ctx: ExecutionContext) -> Iterator[List[List[object]]]:
     columns = plan.root.columns
     for row in _run(plan.root, ctx):
         if columns:
-            yield [[row.get(column) for column in columns]]
+            yield [[edge_value(row.get(column), ctx.tx) for column in columns]]
 
 
 def _run(op, ctx: ExecutionContext) -> Iterator[Row]:
     return _RUNNERS[type(op)](op, ctx)
 
 
+def pattern_matcher(pattern):
+    """A node pattern as a per-node check (labels, then the property map,
+    each expected value evaluated in the input row), or ``None`` for the
+    empty pattern."""
+    labels = tuple(pattern.labels)
+    prop_fns = tuple(
+        (key, compile_expression(expression)) for key, expression in pattern.properties
+    )
+    if not labels and not prop_fns:
+        return None
+
+    def matches(node: NodeData, row: Row, ctx: ExecutionContext) -> bool:
+        if any(label not in node.labels for label in labels):
+            return False
+        for key, value_fn in prop_fns:
+            wanted = value_fn(row, ctx)
+            if wanted is None or node.properties.get(key) != wanted:
+                return False
+        return True
+
+    return matches
+
+
 def _scan(op, ctx, candidates) -> Iterator[Row]:
     matcher = pattern_matcher(op.pattern)
     for row in _run(op.child, ctx):
         for node in candidates(row):
-            if matcher is None or matcher(node, row, ctx):
-                yield {**row, op.variable: node}
+            if matcher is None or matcher(node.data, row, ctx):
+                yield {**row, op.variable: node.data}
 
 
 def _run_all_nodes_scan(op, ctx) -> Iterator[Row]:
@@ -101,12 +129,12 @@ def _run_expand(op, ctx) -> Iterator[Row]:
         source = row.get(op.from_var)
         if source is None:
             continue
-        if not isinstance(source, Node):
+        if not isinstance(source, NodeData):
             raise QueryExecutionError(
                 f"cannot expand from {op.from_var!r}: not a node"
             )
         target = row.get(op.to_var) if op.into else None
-        if op.into and not isinstance(target, Node):
+        if op.into and not isinstance(target, NodeData):
             continue
         description = TraversalDescription(
             order=Order.DEPTH_FIRST,
@@ -117,14 +145,14 @@ def _run_expand(op, ctx) -> Iterator[Row]:
             uniqueness=Uniqueness.NONE,
             evaluator=_make_evaluator(op, row, ctx),
         )
-        for path in description.traverse(ctx.tx, source):
-            end = path.end_node
-            if target is not None and end.id != target.id:
+        for path in description.traverse(ctx.tx, source.node_id):
+            end = path.end_node.data
+            if target is not None and end.node_id != target.node_id:
                 continue
             if to_matcher is not None and not to_matcher(end, row, ctx):
                 continue
-            rels = path.relationships
-            new_row = {**row, op.rel_var: list(rels) if rel.var_length else rels[-1]}
+            rels = [relationship.data for relationship in path.relationships]
+            new_row = {**row, op.rel_var: rels if rel.var_length else rels[-1]}
             if not op.into:
                 new_row[op.to_var] = end
             yield new_row
@@ -138,8 +166,8 @@ def _make_evaluator(op, row: Row, ctx: ExecutionContext):
     for variable in op.exclude_rel_vars:
         value = row.get(variable)
         for item in value if isinstance(value, (list, tuple)) else [value]:
-            if isinstance(item, Relationship):
-                excluded.add(item.id)
+            if isinstance(item, RelationshipData):
+                excluded.add(item.rel_id)
 
     def evaluator(path: Path) -> Tuple[bool, bool]:
         if path.length == 0:

@@ -94,6 +94,8 @@ def person_names_of(db: GraphDatabase) -> List[str]:
 BATCH_CONFIGS = [
     pytest.param({"query_batch_size": 1}, id="batch1"),
     pytest.param({"query_batch_size": 2}, id="batch2"),
+    pytest.param({"query_batch_size": 3}, id="batch3"),
+    pytest.param({"query_batch_size": 4}, id="batch4"),
     pytest.param({"query_batch_size": 1024}, id="batch1024"),
     pytest.param(
         {"query_batch_size": 2, "version_cache_capacity": 8},

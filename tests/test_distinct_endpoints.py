@@ -58,7 +58,7 @@ def _operators(db: GraphDatabase, text: str, **parameters) -> list:
     ]),
     excluded_key=st.integers(0, 3),
     own_writes=st.sampled_from([None, "delete", "create"]),
-    batch_size=st.sampled_from([1, 2, 1024]),
+    batch_size=st.sampled_from([1, 2, 3, 4, 1024]),
 )
 def test_distinct_endpoints_match_the_path_walk(
     hops, direction, types, keys, marked, edges, source, target, returns,

@@ -209,6 +209,13 @@ def test_array_valued_seek_accepts_a_tuple(db):
     with db.begin(read_only=True) as tx:
         assert [n.id for n in tx.find_nodes("Tagged", "tags", ("a", "b"))] == [node.id]
         assert [n.id for n in tx.find_nodes("Tagged", "tags", ["a", "b"])] == [node.id]
+        # A pattern's ``=`` compares the stored array (a tuple) with the
+        # parameter: a tuple matches, a list does not, seek plan or not.
+        for text in ("MATCH (n:Tagged {tags: $tags}) RETURN id(n)",
+                     "MATCH (n {tags: $tags}) RETURN id(n)"):
+            assert "PropertyIndexSeek" in tx.execute("EXPLAIN " + text, tags=("a",)).render_plan()
+            assert tx.execute(text, tags=("a", "b")).values() == [node.id]
+            assert tx.execute(text, tags=["a", "b"]).values() == []
 
 
 class TestSeekTouchesOnlyTheSmallSide:

@@ -151,7 +151,6 @@ class TestCacheHitDoesNoPreparation:
             (query_module, "plan_query"),
             (expressions, "compile_expression"),
             (executor, "compile_expression"),
-            (executor, "pattern_matcher"),
             (executor, "rel_property_fns"),
         ):
             counter.spy(module, name)
@@ -160,8 +159,7 @@ class TestCacheHitDoesNoPreparation:
             for text in texts:
                 db.execute(text, name=names[0])
             assert set(counter.calls) == {
-                "parse", "plan_query", "compile_expression", "pattern_matcher",
-                "rel_property_fns",
+                "parse", "plan_query", "compile_expression", "rel_property_fns",
             }
             counter.calls.clear()
             for name in names[1:4]:
