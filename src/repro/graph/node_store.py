@@ -1,9 +1,9 @@
 """Node store: fixed-size node records plus the label chains they reference.
 
-A node record holds the head of the node's relationship chain, the head of its
-property chain and a reference to a dynamic-store chain containing the node's
-label token ids (Section 2 of the paper: the node file position is determined
-by the node identifier).
+A node record holds the number of relationships that name the node, the head
+of its property chain and a reference to a dynamic-store chain containing the
+node's label token ids (Section 2 of the paper: the node file position is
+determined by the node identifier).
 """
 
 from __future__ import annotations

@@ -130,7 +130,7 @@ class WriteRelationshipOp:
 
 @dataclass(frozen=True)
 class DeleteRelationshipOp:
-    """Remove a relationship record (unlinking it from both endpoint chains)."""
+    """Remove a relationship record (and its count on each endpoint)."""
 
     rel_id: int
 

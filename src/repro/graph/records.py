@@ -9,14 +9,15 @@ and writes one record type through a :class:`~repro.graph.paging.PagedFile`.
 Record layouts (little-endian):
 
 ``NodeRecord`` (32 bytes)
-    ``in_use``, ``first_rel`` (head of the node's relationship chain),
-    ``first_prop`` (head of the property chain), ``label_ref`` (dynamic-store
-    chain holding the node's label token ids).
+    ``in_use``, ``rel_count`` (in-use relationships that name the node, a
+    self-loop once), ``first_prop`` (head of the property chain),
+    ``label_ref`` (dynamic-store chain holding the node's label token ids).
 
-``RelationshipRecord`` (64 bytes)
-    ``in_use``, ``start_node``, ``end_node``, ``type_id`` and the four chain
-    pointers Neo4j uses to thread each relationship into the relationship
-    chains of both of its endpoint nodes, plus ``first_prop``.
+``RelationshipRecord`` (32 bytes)
+    ``in_use``, ``start_node``, ``end_node``, ``type_id`` and ``first_prop``.
+    Neo4j also threads each relationship into per-node chains; here every
+    adjacency read is answered by the in-memory adjacency index, so the
+    record keeps only what the relationship is.
 
 ``PropertyRecord`` (32 bytes)
     ``in_use``, ``key_id``, ``value_type``, an 8-byte inline value slot (or a
@@ -66,8 +67,9 @@ STORE_HEADER_SIZE = 16
 #: Magic number identifying a repro record store file.
 STORE_MAGIC = b"RPRO"
 
-#: On-disk format version, bumped when any record layout changes.
-STORE_FORMAT_VERSION = 1
+#: On-disk format version, bumped when any record layout changes; a store
+#: file of another version is refused on open.
+STORE_FORMAT_VERSION = 2
 
 
 class _Record:
@@ -94,7 +96,7 @@ class NodeRecord(_Record):
     """One slot in the node store."""
 
     in_use: bool = False
-    first_rel: int = NULL_REF
+    rel_count: int = 0
     first_prop: int = NULL_REF
     label_ref: int = NULL_REF
 
@@ -102,34 +104,25 @@ class NodeRecord(_Record):
     RECORD_SIZE = CODEC.size
 
     def fields(self) -> tuple:
-        return (1 if self.in_use else 0, self.first_rel, self.first_prop, self.label_ref)
+        return (1 if self.in_use else 0, self.rel_count, self.first_prop, self.label_ref)
 
     @classmethod
     def from_fields(cls, fields: tuple) -> "NodeRecord":
-        in_use, first_rel, first_prop, label_ref = fields
-        return cls(bool(in_use), first_rel, first_prop, label_ref)
+        in_use, rel_count, first_prop, label_ref = fields
+        return cls(bool(in_use), rel_count, first_prop, label_ref)
 
 
 @dataclass(slots=True)
 class RelationshipRecord(_Record):
-    """One slot in the relationship store.
-
-    ``start_prev`` / ``start_next`` link this record into the relationship
-    chain of its start node; ``end_prev`` / ``end_next`` into the chain of its
-    end node (for self-loops only the start-side pointers are used).
-    """
+    """One slot in the relationship store."""
 
     in_use: bool = False
     start_node: int = NULL_REF
     end_node: int = NULL_REF
     type_id: int = NULL_REF
-    start_prev: int = NULL_REF
-    start_next: int = NULL_REF
-    end_prev: int = NULL_REF
-    end_next: int = NULL_REF
     first_prop: int = NULL_REF
 
-    CODEC = struct.Struct("<Bqqiqqqqq3x")
+    CODEC = struct.Struct("<Bqqiq3x")
     RECORD_SIZE = CODEC.size
 
     def fields(self) -> tuple:
@@ -138,16 +131,13 @@ class RelationshipRecord(_Record):
             self.start_node,
             self.end_node,
             self.type_id,
-            self.start_prev,
-            self.start_next,
-            self.end_prev,
-            self.end_next,
             self.first_prop,
         )
 
     @classmethod
     def from_fields(cls, fields: tuple) -> "RelationshipRecord":
-        return cls(bool(fields[0]), *fields[1:])
+        in_use, start_node, end_node, type_id, first_prop = fields
+        return cls(bool(in_use), start_node, end_node, type_id, first_prop)
 
 
 @dataclass(slots=True)

@@ -1,9 +1,10 @@
 """Relationship store: fixed-size relationship records.
 
 Each record stores the source and destination node ids (Section 2 of the
-paper) plus the four chain pointers that thread the relationship into the
-relationship chains of both endpoints, which is how Neo4j answers "give me the
-relationships of this node" without an index.
+paper), the type token and the head of the property chain.  Neo4j also threads
+each relationship into per-node chains to answer "give me the relationships of
+this node"; here the in-memory adjacency index answers that, so no record
+points at another relationship.
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ class RelationshipStore:
         return self._records.read(rel_id).in_use
 
     def delete(self, rel_id: int) -> None:
-        """Clear the record slot (chain unlinking is done by the store manager)."""
+        """Clear the record slot (endpoint counts are kept by the store manager)."""
         self._records.mark_not_in_use(rel_id)
         self._allocator.free(rel_id)
         self._in_use -= 1

@@ -4,8 +4,9 @@ Everything above this module (transaction managers, indexes, the MVCC layer)
 speaks :class:`~repro.graph.entity.NodeData` and
 :class:`~repro.graph.entity.RelationshipData`; this module translates those
 logical entities into record writes across the node, relationship, property,
-dynamic and token stores, maintains the per-node relationship chains, logs
-every mutation to the write-ahead log, and replays the log on startup.
+dynamic and token stores, keeps each node's count of relationships (the guard
+against deleting a node a relationship still names), logs every mutation to
+the write-ahead log, and replays the log on startup.
 
 The snapshot-isolation layer relies on one property of this class that the
 paper calls out explicitly in Section 4: **only the most recent committed
@@ -23,7 +24,6 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import (
     ConstraintViolationError,
-    EntityNotFoundError,
     NodeNotFoundError,
     RelationshipNotFoundError,
     SimulatedCrashError,
@@ -33,7 +33,6 @@ from repro.health import EngineHealth
 from repro.graph.dynamic_store import DynamicStore
 from repro.graph.entity import (
     REL_TAG,
-    Direction,
     EntityKey,
     NodeData,
     RelationshipData,
@@ -56,7 +55,7 @@ from repro.graph.paging import (
     open_backend,
 )
 from repro.graph.property_store import PropertyStore
-from repro.graph.records import NULL_REF, RelationshipRecord, NodeRecord
+from repro.graph.records import RelationshipRecord, NodeRecord
 from repro.graph.relationship_store import RelationshipStore
 from repro.graph.token_store import TokenStore
 from repro.graph.tokens import TokenSet
@@ -526,7 +525,7 @@ class StoreManager:
                 return
             raise NodeNotFoundError(node_id)
         record = self.nodes.read(node_id)
-        if record.first_rel != NULL_REF:
+        if record.rel_count:
             raise ConstraintViolationError(
                 f"node {node_id} still has relationships in the store"
             )
@@ -578,29 +577,38 @@ class StoreManager:
 
         For an existing relationship only the property chain is replaced
         (in place where the key set is unchanged, as for nodes); the endpoints
-        and type of a relationship are immutable, as in Neo4j.
+        and type of a relationship are immutable, as in Neo4j.  A create
+        checks both endpoints before it writes anything, then counts itself
+        once on each distinct endpoint; it writes no other relationship.
         """
         self.relationships.mark_id_used(relationship.rel_id)
         record = self.relationships.read(relationship.rel_id)
-        encoded_props = self._encode_property_keys(relationship.properties, commit_ts)
         if record.in_use:
-            first_prop = self.properties.replace_chain(record.first_prop, encoded_props)
+            first_prop = self.properties.replace_chain(
+                record.first_prop,
+                self._encode_property_keys(relationship.properties, commit_ts),
+            )
             if first_prop != record.first_prop:
                 record.first_prop = first_prop
                 self.relationships.write(relationship.rel_id, record)
         else:
-            self._require_node(relationship.start_node)
-            self._require_node(relationship.end_node)
+            start, end = relationship.start_node, relationship.end_node
+            self._require_node(start)
+            self._require_node(end)
             record = RelationshipRecord(
                 in_use=True,
-                start_node=relationship.start_node,
-                end_node=relationship.end_node,
+                start_node=start,
+                end_node=end,
                 type_id=self.tokens.relationship_types.get_or_create(
                     relationship.rel_type
                 ),
-                first_prop=self.properties.write_chain(encoded_props),
+                first_prop=self.properties.write_chain(
+                    self._encode_property_keys(relationship.properties, commit_ts)
+                ),
             )
-            self._link_into_chains(relationship.rel_id, record)
+            self.relationships.create(relationship.rel_id, record)
+            for node_id in {start, end}:
+                self._add_to_rel_count(node_id, 1)
         self.stats.relationship_writes += 1
 
     def read_relationship(self, rel_id: int) -> Optional[RelationshipData]:
@@ -632,7 +640,7 @@ class StoreManager:
         return None if data is None else split_commit_ts(data)
 
     def delete_relationship(self, rel_id: int, *, missing_ok: bool = False) -> None:
-        """Log, then delete, a relationship, unlinking it from both endpoint chains."""
+        """Log, then delete, a relationship."""
         with self._lock:
             self._delete_relationship(rel_id, missing_ok=missing_ok, log=True)
 
@@ -648,9 +656,8 @@ class StoreManager:
         if log:
             self.wal.append_commit(0, [DeleteRelationshipOp(rel_id).encode()])
         record = self.relationships.read(rel_id)
-        self._unlink_from_chain(rel_id, record, record.start_node)
-        if record.end_node != record.start_node:
-            self._unlink_from_chain(rel_id, record, record.end_node)
+        for node_id in {record.start_node, record.end_node}:
+            self._add_to_rel_count(node_id, -1)
         self.properties.free_chain(record.first_prop)
         self.relationships.delete(rel_id)
         self.stats.relationship_deletes += 1
@@ -673,101 +680,14 @@ class StoreManager:
         :meth:`node_count`)."""
         return self.relationships.count()
 
-    def node_relationship_ids(
-        self, node_id: int, direction: Direction = Direction.BOTH
-    ) -> List[int]:
-        """Relationship ids attached to ``node_id``, found by walking its chain."""
-        with self._lock:
-            if not self.nodes.exists(node_id):
-                raise NodeNotFoundError(node_id)
-            result: List[int] = []
-            rel_id = self.nodes.read(node_id).first_rel
-            guard = 0
-            while rel_id != NULL_REF:
-                record = self.relationships.read(rel_id)
-                if direction.matches(node_id, record.start_node, record.end_node):
-                    result.append(rel_id)
-                rel_id = self._chain_next(record, node_id)
-                guard += 1
-                if guard > self.relationships.high_water_mark() + 1:
-                    raise EntityNotFoundError("relationship chain", node_id)
-            return result
-
-    def node_degree(self, node_id: int, direction: Direction = Direction.BOTH) -> int:
-        """Number of relationships attached to ``node_id``."""
-        return len(self.node_relationship_ids(node_id, direction))
-
-    # ------------------------------------------------------------------
-    # chain helpers
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def _chain_next(record: RelationshipRecord, node_id: int) -> int:
-        if record.start_node == node_id:
-            return record.start_next
-        return record.end_next
-
-    @staticmethod
-    def _chain_prev(record: RelationshipRecord, node_id: int) -> int:
-        if record.start_node == node_id:
-            return record.start_prev
-        return record.end_prev
-
-    @staticmethod
-    def _set_chain_next(record: RelationshipRecord, node_id: int, value: int) -> None:
-        if record.start_node == node_id:
-            record.start_next = value
-        else:
-            record.end_next = value
-
-    @staticmethod
-    def _set_chain_prev(record: RelationshipRecord, node_id: int, value: int) -> None:
-        if record.start_node == node_id:
-            record.start_prev = value
-        else:
-            record.end_prev = value
-
-    def _link_into_chains(self, rel_id: int, record: RelationshipRecord) -> None:
-        """Insert a new relationship at the head of both endpoint chains."""
-        endpoints = [record.start_node]
-        if record.end_node != record.start_node:
-            endpoints.append(record.end_node)
-        for node_id in endpoints:
-            node_record = self.nodes.read(node_id)
-            old_first = node_record.first_rel
-            if node_id == record.start_node:
-                record.start_prev = NULL_REF
-                record.start_next = old_first
-            else:
-                record.end_prev = NULL_REF
-                record.end_next = old_first
-            if old_first != NULL_REF:
-                neighbour = self.relationships.read(old_first)
-                self._set_chain_prev(neighbour, node_id, rel_id)
-                self.relationships.write(old_first, neighbour)
-            node_record.first_rel = rel_id
-            self.nodes.write(node_id, node_record)
-        self.relationships.create(rel_id, record)
-
-    def _unlink_from_chain(
-        self, rel_id: int, record: RelationshipRecord, node_id: int
-    ) -> None:
-        """Remove ``rel_id`` from one endpoint's relationship chain."""
-        prev_id = self._chain_prev(record, node_id)
-        next_id = self._chain_next(record, node_id)
-        if prev_id == NULL_REF:
-            node_record = self.nodes.read(node_id)
-            if node_record.first_rel == rel_id:
-                node_record.first_rel = next_id
-                self.nodes.write(node_id, node_record)
-        else:
-            prev_record = self.relationships.read(prev_id)
-            self._set_chain_next(prev_record, node_id, next_id)
-            self.relationships.write(prev_id, prev_record)
-        if next_id != NULL_REF:
-            next_record = self.relationships.read(next_id)
-            self._set_chain_prev(next_record, node_id, prev_id)
-            self.relationships.write(next_id, next_record)
+    def _add_to_rel_count(self, node_id: int, delta: int) -> None:
+        """Move an in-use node's relationship count by ``delta``, never below
+        zero: replay over a torn page image can find a count that missed the
+        create its delete now undoes."""
+        record = self.nodes.read(node_id)
+        if record.in_use and record.rel_count + delta >= 0:
+            record.rel_count += delta
+            self.nodes.write(node_id, record)
 
     # ------------------------------------------------------------------
     # property key translation

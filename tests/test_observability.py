@@ -130,7 +130,8 @@ class TestTransactionTracing:
         with db.transaction() as tx:
             tx.create_node(["Person"])
         sink.close()
-        lines = [json.loads(line) for line in open(path, encoding="utf-8")]
+        with open(path, encoding="utf-8") as handle:
+            lines = [json.loads(line) for line in handle]
         assert lines and lines[-1]["outcome"] == "committed"
         assert "wal" in lines[-1]["phases"]
         db.close()

@@ -31,7 +31,7 @@ def _record(record_class, record_id):
     if record_class is NodeRecord:
         return NodeRecord(True, n + 1, n + 2, n + 3)
     if record_class is RelationshipRecord:
-        return RelationshipRecord(True, n, n + 1, n % 7, n + 2, -1, n + 3, n + 4, n + 5)
+        return RelationshipRecord(True, n, n + 1, n % 7, n + 5)
     if record_class is PropertyRecord:
         return PropertyRecord(True, n % 50, 2, n.to_bytes(8, "little"), n - 1, n + 1)
     if record_class is DynamicRecord:
@@ -70,7 +70,7 @@ RECORD_CLASSES = [NodeRecord, RelationshipRecord, PropertyRecord, DynamicRecord,
 
 def test_straddling_slots_are_where_the_header_puts_them():
     assert _straddles(NodeRecord, 127) and not _straddles(NodeRecord, 126)
-    assert _straddles(RelationshipRecord, 63) and not _straddles(RelationshipRecord, 64)
+    assert _straddles(RelationshipRecord, 127) and not _straddles(RelationshipRecord, 128)
     assert _straddles(PropertyRecord, 255) and _straddles(DynamicRecord, 127)
     assert not any(_straddles(TokenRecord, i) for i in _ids_around_boundaries(TokenRecord))
 

@@ -22,7 +22,7 @@ def make_store(record_class, name="test"):
 
 class TestRecordRoundTrips:
     def test_node_record(self):
-        record = NodeRecord(in_use=True, first_rel=12, first_prop=34, label_ref=56)
+        record = NodeRecord(in_use=True, rel_count=12, first_prop=34, label_ref=56)
         packed = record.pack()
         assert len(packed) == NodeRecord.RECORD_SIZE
         assert NodeRecord.unpack(packed) == record
@@ -31,7 +31,8 @@ class TestRecordRoundTrips:
         packed = NodeRecord().pack()
         restored = NodeRecord.unpack(packed)
         assert not restored.in_use
-        assert restored.first_rel == NULL_REF
+        assert restored.rel_count == 0
+        assert restored.first_prop == NULL_REF
 
     def test_relationship_record(self):
         record = RelationshipRecord(
@@ -39,13 +40,9 @@ class TestRecordRoundTrips:
             start_node=1,
             end_node=2,
             type_id=3,
-            start_prev=4,
-            start_next=5,
-            end_prev=6,
-            end_next=7,
             first_prop=8,
         )
-        assert len(record.pack()) == RelationshipRecord.RECORD_SIZE
+        assert len(record.pack()) == RelationshipRecord.RECORD_SIZE == 32
         assert RelationshipRecord.unpack(record.pack()) == record
 
     def test_property_record(self):
@@ -88,8 +85,8 @@ class TestRecordStore:
 
     def test_write_read_roundtrip(self):
         store = make_store(NodeRecord)
-        store.write(3, NodeRecord(in_use=True, first_rel=9))
-        assert store.read(3).first_rel == 9
+        store.write(3, NodeRecord(in_use=True, rel_count=9))
+        assert store.read(3).rel_count == 9
         assert store.high_water_mark() == 4
 
     def test_negative_id_rejected(self):
@@ -114,7 +111,8 @@ class TestRecordStore:
         assert store.used_ids() == [0, 2, 5]
 
     def test_records_straddle_page_boundaries(self):
-        # Page size 256 with 64-byte relationship records: 4 records per page.
+        # Page size 256, 32-byte relationship records and the 16-byte
+        # header: id 7 straddles the first page boundary.
         store = make_store(RelationshipRecord)
         for record_id in range(10):
             store.write(
@@ -129,4 +127,4 @@ class TestRecordStore:
         paged = PagedFile(InMemoryBackend(), cache)
         RecordStore(paged, NodeRecord, "first")
         with pytest.raises(StoreCorruptionError):
-            RecordStore(paged, RelationshipRecord, "second")
+            RecordStore(paged, DynamicRecord, "second")

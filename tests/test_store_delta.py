@@ -29,6 +29,7 @@ import shutil
 import pytest
 
 from repro import GraphDatabase, IsolationLevel
+from repro.errors import ConstraintViolationError
 from repro.graph.entity import NodeData, RelationshipData
 from repro.graph.operations import WriteNodeOp, WriteRelationshipOp
 from repro.graph.recovery import check_store
@@ -143,6 +144,15 @@ class _Model:
                 self._write_node(
                     store, "recreate_node", node_id, frozenset(["Person"]), properties
                 )
+        elif roll < 0.34 and attached:
+            # The guard: a node a relationship still names is not deleted,
+            # and the refused delete leaves its record as it was.
+            node_id = rng.choice(sorted(attached))
+            self.ops.append(("delete_attached_node", node_id))
+            before = store.nodes.read(node_id)
+            with pytest.raises(ConstraintViolationError):
+                store.delete_node(node_id)
+            assert store.nodes.read(node_id) == before
         elif roll < 0.50 and self.rels:
             rel_id = rng.choice(sorted(self.rels))
             rel_type, start, end, properties = self.rels[rel_id]

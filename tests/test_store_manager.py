@@ -1,16 +1,25 @@
 """Unit and integration tests for the store manager (persistence layer)."""
 
+import os
+import shutil
+import struct
+
 import pytest
 
-from repro.errors import ConstraintViolationError, NodeNotFoundError, RelationshipNotFoundError
-from repro.graph.entity import Direction, NodeData, RelationshipData
+from repro.errors import (
+    ConstraintViolationError,
+    NodeNotFoundError,
+    RelationshipNotFoundError,
+    StoreCorruptionError,
+)
+from repro.graph.entity import NodeData, RelationshipData
 from repro.graph.operations import (
     DeleteNodeOp,
     DeleteRelationshipOp,
     WriteNodeOp,
     WriteRelationshipOp,
 )
-from repro.graph.records import NULL_REF
+from repro.graph.records import NULL_REF, STORE_MAGIC
 from repro.graph.recovery import check_store
 from repro.graph.store_manager import StoreManager
 
@@ -21,6 +30,11 @@ def node(node_id, labels=(), **props):
 
 def rel(rel_id, rel_type, start, end, **props):
     return RelationshipData(rel_id, rel_type, start, end, props)
+
+
+def rel_counts(store, node_count):
+    """Stored relationship count of nodes ``0 .. node_count - 1``."""
+    return [store.nodes.read(node_id).rel_count for node_id in range(node_count)]
 
 
 class TestNodes:
@@ -90,7 +104,12 @@ class TestRelationships:
     def test_create_requires_existing_endpoints(self, store):
         store.write_node(node(0))
         with pytest.raises(NodeNotFoundError):
-            store.write_relationship(rel(0, "KNOWS", 0, 99))
+            store.write_relationship(rel(0, "KNOWS", 0, 99, since=2016))
+        # Refused before anything was written: no token, property or count.
+        assert store.tokens.relationship_types.maybe_id("KNOWS") is None
+        assert store.tokens.property_keys.maybe_id("since") is None
+        assert store.properties.records_in_use() == 0
+        assert store.nodes.read(0).rel_count == 0
 
     def test_update_replaces_properties_only(self, store):
         self.setup_nodes(store)
@@ -98,35 +117,53 @@ class TestRelationships:
         store.write_relationship(rel(0, "KNOWS", 0, 1, weight=0.5))
         loaded = store.read_relationship(0)
         assert loaded.properties == {"weight": 0.5}
-        assert store.node_degree(0) == 1
+        assert rel_counts(store, 4) == [1, 1, 0, 0]
 
-    def test_chains_collect_all_relationships(self, store):
+    def test_counts_tally_every_relationship(self, store):
         self.setup_nodes(store)
         store.write_relationship(rel(0, "KNOWS", 0, 1))
         store.write_relationship(rel(1, "KNOWS", 0, 2))
         store.write_relationship(rel(2, "KNOWS", 3, 0))
-        assert sorted(store.node_relationship_ids(0)) == [0, 1, 2]
-        assert store.node_degree(0, Direction.OUTGOING) == 2
-        assert store.node_degree(0, Direction.INCOMING) == 1
+        assert rel_counts(store, 4) == [3, 1, 1, 1]
+        assert check_store(store).consistent
 
     def test_self_loop(self, store):
         self.setup_nodes(store)
         store.write_relationship(rel(0, "SELF", 2, 2))
-        assert store.node_relationship_ids(2) == [0]
-        assert store.node_degree(2, Direction.OUTGOING) == 1
+        assert rel_counts(store, 4) == [0, 0, 1, 0]
+        assert check_store(store).consistent
         store.delete_relationship(0)
-        assert store.node_relationship_ids(2) == []
+        assert rel_counts(store, 4) == [0, 0, 0, 0]
+        store.delete_node(2)
 
-    def test_delete_unlinks_from_both_chains(self, store):
+    def test_delete_decrements_both_endpoints(self, store):
         self.setup_nodes(store)
         for rel_id, (a, b) in enumerate([(0, 1), (0, 2), (1, 2)]):
             store.write_relationship(rel(rel_id, "KNOWS", a, b))
+        assert rel_counts(store, 4) == [2, 2, 2, 0]
         store.delete_relationship(1)
-        assert sorted(store.node_relationship_ids(0)) == [0]
-        assert sorted(store.node_relationship_ids(2)) == [2]
+        assert rel_counts(store, 4) == [1, 2, 1, 0]
         assert store.read_relationship(1) is None
         report = check_store(store)
         assert report.consistent, report.errors
+
+    def test_apply_writes_no_other_relationship(self, store, monkeypatch):
+        self.setup_nodes(store, count=2)
+        store.write_relationship(rel(0, "KNOWS", 0, 1))
+        written = []
+        for name in ("write", "create"):
+            original = getattr(store.relationships, name)
+            monkeypatch.setattr(
+                store.relationships, name,
+                lambda rel_id, record, _original=original: (
+                    written.append(rel_id), _original(rel_id, record)
+                ),
+            )
+        store.write_relationship(rel(1, "KNOWS", 1, 0))
+        store.write_relationship(rel(1, "KNOWS", 1, 0, since=2016))
+        store.delete_relationship(1)
+        assert set(written) == {1}
+        assert rel_counts(store, 2) == [1, 1]
 
     def test_delete_missing_relationship(self, store):
         with pytest.raises(RelationshipNotFoundError):
@@ -140,7 +177,7 @@ class TestRelationships:
             for right in range(left + 1, 10, 2):
                 store.write_relationship(rel(rel_id, "LINK", left, right))
                 rel_id += 1
-        # Delete every third relationship and verify chain integrity.
+        # Delete every third relationship and verify the endpoint counts.
         for victim in range(0, rel_id, 3):
             store.delete_relationship(victim)
         report = check_store(store)
@@ -162,6 +199,20 @@ class TestRelationships:
         report = check_store(store)
         assert report.consistent, report.errors
         assert (report.leaked_property_records, report.leaked_dynamic_blocks) == (2, 3)
+
+    def test_checker_reports_a_count_that_disagrees_with_the_census(self, store):
+        self.setup_nodes(store, count=2)
+        store.write_relationship(rel(0, "KNOWS", 0, 1))
+        record = store.nodes.read(0)
+        record.rel_count = 5
+        store.nodes.write(0, record)
+        assert check_store(store).errors == ["node 0 counts 5 relationships, 1 name it"]
+
+    def test_checker_reports_a_relationship_naming_a_missing_node(self, store):
+        self.setup_nodes(store, count=2)
+        store.write_relationship(rel(0, "KNOWS", 0, 1))
+        store.nodes.delete(1)  # the record file alone, past the manager's guard
+        assert check_store(store).errors == ["relationship 0 references missing node 1"]
 
 
 class TestBatchesAndStats:
@@ -226,6 +277,42 @@ class TestPersistenceAndRecovery:
         report = check_store(recovered)
         assert report.consistent, report.errors
         recovered.close()
+
+    def test_replay_over_a_stale_node_page_keeps_counts_whole(self, disk_db_path, tmp_path):
+        store = StoreManager(disk_db_path)
+        store.apply_batch(1, [WriteNodeOp(node(0)), WriteNodeOp(node(1))])
+        store.checkpoint()
+        store.apply_batch(2, [WriteRelationshipOp(rel(0, "KNOWS", 0, 1))])
+        # The relationship page reaches the file, the node page (counts 1)
+        # does not: replay's create finds the relationship in use and leaves
+        # the counts at 0, so its delete must not take them below 0.
+        store.relationships.flush()
+        store.apply_batch(3, [DeleteRelationshipOp(0), DeleteNodeOp(0)])
+        crash = str(tmp_path / "crash")
+        shutil.copytree(disk_db_path, crash)
+        store.close()
+
+        recovered = StoreManager(crash)
+        try:
+            assert recovered.stats.batches_replayed == 2
+            assert list(recovered.iter_node_ids()) == [1]
+            assert recovered.nodes.read(1).rel_count == 0
+            assert check_store(recovered).consistent
+        finally:
+            recovered.close()
+
+    def test_format_1_store_is_refused(self, disk_db_path):
+        store = StoreManager(disk_db_path)
+        store.write_node(node(0))
+        store.write_node(node(1))
+        store.write_relationship(rel(0, "KNOWS", 0, 1))
+        store.close()
+        # A format-1 relationship file: 64-byte records with chain pointers,
+        # which must never be read as 32-byte ones.
+        with open(os.path.join(disk_db_path, "relationship.store"), "r+b") as handle:
+            handle.write(struct.pack("<4sII", STORE_MAGIC, 1, 64))
+        with pytest.raises(StoreCorruptionError, match="format version 1"):
+            StoreManager(disk_db_path)
 
     def test_new_ids_after_reopen_do_not_collide(self, disk_db_path):
         store = StoreManager(disk_db_path)
