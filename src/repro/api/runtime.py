@@ -121,6 +121,10 @@ class EngineRuntime:
             lambda: 1 if health.is_degraded else 0
         )
         self.observability.health_source = health.as_dict
+        store = self.store
+        self.observability.store_apply_backlog.set_function(
+            lambda: store.backlog_size
+        )
         locks = LockManager()
         if self.isolation is not IsolationLevel.READ_COMMITTED:
             # SNAPSHOT and SERIALIZABLE share the MVCC engine; the isolation

@@ -10,8 +10,8 @@ This is where the pieces of Section 4 of the paper meet:
   write locks (first-updater-wins),
 * commit installs new versions, tags the multi-versioned indexes with the
   commit timestamp, threads superseded versions onto the garbage-collection
-  list, and writes **only the newest committed version** of each entity to the
-  persistent store, and
+  list, and logs the batch; the persistent store catches up later and writes
+  **only the newest committed version** of each entity, and
 * garbage collection reclaims exactly the versions no active snapshot can
   still read.
 """
@@ -289,8 +289,11 @@ class SnapshotIsolationEngine(GraphEngine):
             txn.trace = trace
         return txn
 
-    def commit_transaction(self, txn: SnapshotTransaction) -> None:
-        """Commit: validate the write rule, install versions, persist, publish.
+    def commit_transaction(self, txn: SnapshotTransaction) -> bool:
+        """Commit: validate the write rule, install versions, log, publish.
+
+        Returns whether the store's backlog is due a catch-up, which the
+        caller runs once this has released everything.
 
         The critical section is sharded: the transaction acquires, in sorted
         order (deadlock-free), only the commit stripes covering its write set
@@ -337,7 +340,7 @@ class SnapshotIsolationEngine(GraphEngine):
                 trace.mark("publish")
                 trace.finish("committed")
                 self.obs.tracer.record(trace)
-            return
+            return False
         writes = txn.effective_writes()
         # Fence before any version install: a writer committing after the
         # engine degraded must not publish in-memory versions that can never
@@ -370,9 +373,9 @@ class SnapshotIsolationEngine(GraphEngine):
                         trace.mark("install")
                     operations = build_store_operations(writes, commit_ts)
                     try:
-                        apply_seconds = self.store.apply_batch(txn.txn_id, operations)
+                        catch_up_due = self.store.apply_batch(txn.txn_id, operations)
                     except BaseException:
-                        # The batch never became durable, but publish_commit
+                        # The batch was never logged, but publish_commit
                         # below still advances the watermark past commit_ts —
                         # anything left installed would become visible to
                         # every later snapshot while recovery would drop it.
@@ -388,7 +391,6 @@ class SnapshotIsolationEngine(GraphEngine):
                     if trace is not None:
                         trace.mark("wal")
                         trace.annotate("writes", len(writes))
-                        trace.annotate("apply_us", round(apply_seconds * 1e6, 1))
                 finally:
                     # Publish unconditionally so a failed install can never
                     # wedge the snapshot watermark (store operations are not
@@ -420,6 +422,7 @@ class SnapshotIsolationEngine(GraphEngine):
             trace.mark("publish")
             trace.finish("committed")
             self.obs.tracer.record(trace)
+        return catch_up_due
 
     def _reclaim_cc_state(self) -> int:
         """One opportunistic pass over the CC policy's tracking state."""
@@ -816,13 +819,14 @@ class SnapshotIsolationEngine(GraphEngine):
         old_states: Dict[EntityKey, Optional[object]],
         commit_ts: int,
     ) -> None:
-        """Unwind version installs and index deltas after a failed durable apply.
+        """Unwind version installs and index deltas after a failed log append.
 
         Index deltas are cancelled by applying the inverse change at the same
         timestamp, which collapses the membership interval to the empty
         ``[ts, ts)``.  The written chains are dropped outright rather than
-        surgically trimmed: readers rebuild them from the page store, which
-        reflects exactly the durably applied batches.  GC-list entries
+        surgically trimmed: readers rebuild them from the store, which (once
+        it has caught up with its backlog, as a read of a queued key makes
+        it) reflects exactly the logged batches.  GC-list entries
         registered by the forward install are left behind on purpose — the
         reclaim pass tolerates versions whose chain no longer holds them.
         """

@@ -6,10 +6,12 @@ mapping entity keys to :class:`~repro.core.version.VersionChain` objects.
 
 Eviction policy: a chain is only evictable when it holds exactly one
 non-tombstone version, because that single version is guaranteed to be the
-one persisted in the store (the store keeps only the newest committed
-version) and can therefore be reloaded on demand.  Chains with history — the
-versions the persistent store does *not* have — are pinned in memory until
-garbage collection shrinks them back to one version.
+one the store holds (the store keeps only the newest committed version;
+when that version is still queued for the record files, the store catches
+up before it answers the reload) and can therefore be reloaded on demand.
+Chains with history — the versions the persistent store does *not* have —
+are pinned in memory until garbage collection shrinks them back to one
+version.
 
 Locking: the get-or-load path needs a lock only to keep two concurrent
 loaders of the *same* key from installing two chains.  The lock is therefore

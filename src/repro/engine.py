@@ -120,13 +120,18 @@ class EngineTransaction(abc.ABC):
         """Make the transaction's writes visible to others (or raise and abort)."""
         self.ensure_open()
         try:
-            self._engine.commit_transaction(self)
+            catch_up_due = self._engine.commit_transaction(self)
             self.state = TransactionState.COMMITTED
         except BaseException as exc:
             self.abort_reason = classify_abort(exc)
             self._engine.abort_transaction(self)
             self.state = TransactionState.ABORTED
             raise
+        if catch_up_due:
+            # Published and unlocked: the record stores catch up on this
+            # thread.  A failure degrades the store and raises here; the
+            # commit stands.
+            self._engine.catch_up_store()
 
     def rollback(self) -> None:
         """Discard the transaction's writes."""
@@ -501,6 +506,11 @@ class GraphEngine(abc.ABC):
 
     def checkpoint(self) -> None:
         """Optional hook: flush engine state (default does nothing)."""
+
+    def catch_up_store(self) -> int:
+        """Apply the store's logged backlog to its record files (run by a
+        committer whose commit reported it due); returns the batch count."""
+        return self.store.catch_up()
 
     # -- ids ------------------------------------------------------------------
 

@@ -77,6 +77,11 @@ class WriteNodeOp:
 
     op_name = "write_node"
 
+    @property
+    def key(self) -> EntityKey:
+        """The key of the entity the operation writes or deletes."""
+        return self.node.node_id
+
     def encode(self) -> bytes:
         node = self.node
         return (
@@ -97,6 +102,11 @@ class DeleteNodeOp:
 
     op_name = "delete_node"
 
+    @property
+    def key(self) -> EntityKey:
+        """The key of the entity the operation writes or deletes."""
+        return self.node_id
+
     def encode(self) -> bytes:
         return b'{"node_id":%d,"op":"delete_node"}' % self.node_id
 
@@ -112,6 +122,11 @@ class WriteRelationshipOp:
     commit_ts: Optional[int] = None
 
     op_name = "write_relationship"
+
+    @property
+    def key(self) -> EntityKey:
+        """The key of the entity the operation writes or deletes."""
+        return REL_TAG | self.relationship.rel_id
 
     def encode(self) -> bytes:
         rel = self.relationship
@@ -135,6 +150,11 @@ class DeleteRelationshipOp:
     rel_id: int
 
     op_name = "delete_relationship"
+
+    @property
+    def key(self) -> EntityKey:
+        """The key of the entity the operation writes or deletes."""
+        return REL_TAG | self.rel_id
 
     def encode(self) -> bytes:
         return b'{"op":"delete_relationship","rel_id":%d}' % self.rel_id

@@ -127,7 +127,9 @@ class ConsistencyChecker:
         self._store = store
 
     def check(self) -> ConsistencyReport:
-        """Run all checks and return a report."""
+        """Catch the store up with its backlog, run all checks and return a
+        report."""
+        self._store.catch_up()
         report = ConsistencyReport()
         census = self._check_relationships(report)
         self._check_nodes(report, census)

@@ -8,6 +8,12 @@ dynamic and token stores, keeps each node's count of relationships (the guard
 against deleting a node a relationship still names), logs every mutation to
 the write-ahead log, and replays the log on startup.
 
+A commit only logs: :meth:`StoreManager.apply_batch` appends the batch to the
+log and queues it.  The record stores catch up later, in commit order and
+writing only the newest queued state of a key — at a checkpoint, when the
+backlog reaches :data:`CATCH_UP_BATCHES`, and before any store read that
+depends on a queued batch.
+
 The snapshot-isolation layer relies on one property of this class that the
 paper calls out explicitly in Section 4: **only the most recent committed
 version of an entity is ever written to the persistent store** — the store
@@ -20,12 +26,11 @@ from __future__ import annotations
 import os
 import threading
 from time import perf_counter
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.errors import (
     ConstraintViolationError,
     NodeNotFoundError,
-    RelationshipNotFoundError,
     SimulatedCrashError,
     WalError,
 )
@@ -66,15 +71,27 @@ from repro.graph.recovery import (
 from repro.graph.wal import WriteAheadLog
 from repro.graph.properties import COMMIT_TS_PROPERTY, PropertyValue, split_commit_ts
 
+#: Logged batches the record stores may lag behind before the committer whose
+#: batch reaches the bound catches them up (after it has published).
+CATCH_UP_BATCHES = 4096
+
+_WRITES = (WriteNodeOp, WriteRelationshipOp)
+
 
 class StoreManagerStats:
-    """Mutation counters used by the persistence experiment (E8) and tests."""
+    """Mutation counters used by the persistence experiment (E8) and tests.
+
+    ``batches_applied`` counts batches logged by :meth:`StoreManager.apply_batch`
+    (the commits); the write and delete counters count record-store applies,
+    and ``writes_skipped`` the queued writes a later one superseded.
+    """
 
     def __init__(self) -> None:
         self.node_writes = 0
         self.relationship_writes = 0
         self.node_deletes = 0
         self.relationship_deletes = 0
+        self.writes_skipped = 0
         self.batches_applied = 0
         self.batches_replayed = 0
         self.group_flushes = 0
@@ -92,6 +109,7 @@ class StoreManagerStats:
             "relationship_writes": self.relationship_writes,
             "node_deletes": self.node_deletes,
             "relationship_deletes": self.relationship_deletes,
+            "writes_skipped": self.writes_skipped,
             "batches_applied": self.batches_applied,
             "batches_replayed": self.batches_replayed,
             "entity_writes": self.entity_writes(),
@@ -102,9 +120,9 @@ class StoreManagerStats:
 
 
 class _PendingCommit:
-    """One committer's batch on its way to the log and the record stores."""
+    """One committer's batch on its way to the log and the backlog."""
 
-    __slots__ = ("txn_id", "operations", "done", "error", "apply_seconds")
+    __slots__ = ("txn_id", "operations", "done", "error")
 
     def __init__(self, txn_id: int, operations: List[StoreOperation]) -> None:
         self.txn_id = txn_id
@@ -113,8 +131,6 @@ class _PendingCommit:
         #: a group-commit follower reads it after taking the latch.
         self.done = False
         self.error: Optional[BaseException] = None
-        #: Time its operations took to reach the record stores.
-        self.apply_seconds = 0.0
 
 
 class StoreManager:
@@ -164,6 +180,18 @@ class StoreManager:
         self._group_gate = threading.Lock()
         self._group_pending: List[_PendingCommit] = []
         self.stats = StoreManagerStats()
+        # The backlog: logged operations the record stores have not caught
+        # up with, in commit order, plus what apply_batch's checks and the
+        # reads need to know about them (all guarded by the latch).
+        self._backlog: List[StoreOperation] = []
+        self._backlog_batches = 0
+        #: Key -> position of its last queued operation.
+        self._queued: Dict[EntityKey, int] = {}
+        #: Positions of writes a later queued write of the same key replaces.
+        self._superseded: Set[int] = set()
+        #: Node id -> queued change of its relationship count.
+        self._rel_delta: Dict[int, int] = {}
+        self._apply_failed = False
         #: Observability bundle (set by the database); when present, the
         #: commit flush path times WAL appends into its latency histogram.
         self.obs = None
@@ -225,10 +253,11 @@ class StoreManager:
         return self.wal.stats()
 
     def checkpoint(self) -> None:
-        """Flush all dirty pages, persist the checkpoint marker, reset the WAL.
+        """Catch up, flush all dirty pages, persist the checkpoint marker,
+        reset the WAL.
 
-        The three steps are strictly ordered so that a crash at *any* point
-        is repaired by WAL replay on the next open:
+        The three steps after the catch-up are strictly ordered so that a
+        crash at *any* point is repaired by WAL replay on the next open:
 
         1. every store file is flushed and fsynced (crash after: the WAL is
            still intact, replay re-applies — harmless, replay is idempotent);
@@ -250,6 +279,7 @@ class StoreManager:
                     fault = self._failpoints.hit("store.checkpoint")
                     if fault is not None:
                         fault.raise_fault()
+                self._catch_up()
                 self.page_cache.flush()
                 if self._failpoints is not None:
                     fault = self._failpoints.hit("store.flush")
@@ -329,26 +359,31 @@ class StoreManager:
         return self.relationships.allocate_id()
 
     # ------------------------------------------------------------------
-    # batched application (the commit path)
+    # the commit path: log, queue, catch up
     # ------------------------------------------------------------------
 
-    def apply_batch(self, txn_id: int, operations: List[StoreOperation]) -> float:
-        """Log and apply one committed transaction's store operations.
+    def apply_batch(self, txn_id: int, operations: List[StoreOperation]) -> bool:
+        """Log one committed transaction's store operations and queue them
+        for the record stores.
 
-        Returns the seconds the record-store apply of this batch took (the
-        part of the call that is neither the WAL append nor a latch wait).
+        The batch is durable once this returns; the record stores catch up
+        later (:meth:`catch_up`).  Returns whether the backlog has reached
+        :data:`CATCH_UP_BATCHES`: the caller then catches up once it holds
+        nothing another committer waits for.
 
-        The write-ahead log entry is appended before any store file is
-        touched, so a crash in the middle of application is repaired by
-        replay on the next open.
+        A batch that would not apply after everything logged before it — a
+        relationship create whose endpoint is not in use, a node delete
+        while a relationship still names the node — is refused with the
+        error its apply would raise, and nothing of it is logged.  So every
+        logged batch applies, at catch-up and at replay alike.
 
         Without group commit each batch takes the store latch on its own.
         With group commit the batch joins the pending queue; the first
-        committer through the latch flushes the entire queue (its own batch
-        included) and later committers find their entry already flushed.
+        committer through the latch logs the entire queue (its own batch
+        included) and later committers find their entry already done.
         """
         if not operations:
-            return 0.0
+            return False
         self.health.ensure_writable()
         entry = _PendingCommit(txn_id, operations)
         if not self._group_commit:
@@ -370,29 +405,18 @@ class StoreManager:
                     self._flush_batches(drained)
         if entry.error is not None:
             raise entry.error
-        return entry.apply_seconds
+        return self._backlog_batches >= CATCH_UP_BATCHES
 
     def _flush_batches(self, batch: List[_PendingCommit]) -> None:
-        """Apply a group of batches under the store latch (caller holds it).
+        """Log a group of batches and queue them (caller holds the latch).
 
         Never raises directly: failures are recorded per entry and re-raised
         in each owning committer's thread, so every follower finds its entry
-        done.  A failed WAL append fails the whole group
-        (nothing was made durable).  After a durable append the batches are
-        independent: each one is applied regardless of another batch's apply
-        failure and is attributed only its own error — skipping an innocent
-        follower's operations would leave the store behind its own durable
-        log entry.  As in the seed's single-batch path, an apply failure
-        after the durable append leaves the store to be repaired by WAL
-        replay on the next open.
-
-        Unrecoverable failures additionally flip the engine into degraded
-        read-only mode: a failed WAL append after the retry budget (or a
-        simulated crash) means durability can no longer be promised, and a
-        failed store apply after a *durable* append means a later checkpoint
-        would truncate operations out of the log that never reached the
-        store files.  Either way the safe continuation is "stop writing,
-        keep serving snapshot reads, repair by replay on the next open".
+        done.  A batch that would not apply is refused on its own; the rest
+        share one WAL append, and a failed append fails all of them (nothing
+        was made durable).  An unrecoverable append failure (after the retry
+        budget, or a simulated crash) also flips the engine into degraded
+        read-only mode: durability can no longer be promised.
         """
         obs = self.obs
         try:
@@ -400,9 +424,20 @@ class StoreManager:
                 fault = self._failpoints.hit("store.group_flush")
                 if fault is not None:
                     fault.raise_fault()
+            admitted: List[_PendingCommit] = []
+            live: Dict[EntityKey, object] = {}
+            counts: Dict[int, int] = {}
+            for entry in batch:
+                entry.error = self._refusal(entry.operations, live, counts)
+                if entry.error is None:
+                    admitted.append(entry)
+                else:
+                    entry.done = True
+            if not admitted:
+                return
             encoded = [
                 (entry.txn_id, [operation.encode() for operation in entry.operations])
-                for entry in batch
+                for entry in admitted
             ]
             if obs is not None:
                 wal_started = perf_counter()
@@ -417,50 +452,193 @@ class StoreManager:
                 self.health.mark_degraded("wal-append-failed", exc)
                 self._note_degraded_obs()
             for entry in batch:
-                entry.error = exc
-                entry.done = True
+                if not entry.done:
+                    entry.error = exc
+                    entry.done = True
             return
-        for entry in batch:
-            apply_started = perf_counter()
-            try:
-                for operation in entry.operations:
-                    self._apply_operation(operation)
-                self.stats.batches_applied += 1
-            except BaseException as exc:  # noqa: BLE001 - re-raised in the owner
-                self.health.mark_degraded("store-apply-failed", exc)
-                self._note_degraded_obs()
-                entry.error = exc
-            entry.apply_seconds = perf_counter() - apply_started
-            if obs is not None:
-                obs.store_apply_seconds.observe(entry.apply_seconds)
+        for entry in admitted:
+            self._enqueue(entry.operations)
+            self.stats.batches_applied += 1
             entry.done = True
-        # An in-memory log can never be replayed: once its batches are in
-        # the stores, its bytes are dead weight.
+        rel_delta = self._rel_delta
+        for node_id, delta in counts.items():
+            rel_delta[node_id] = rel_delta.get(node_id, 0) + delta
+        # An in-memory log can never be replayed: the queued operations hold
+        # the states, and the log bytes are dead weight.
         if self._path is None:
             self.wal.forget()
+
+    def _refusal(
+        self,
+        operations: List[StoreOperation],
+        live: Dict[EntityKey, object],
+        counts: Dict[int, int],
+    ) -> Optional[Exception]:
+        """The error ``operations`` would raise when applied after the
+        backlog and after the batches of this group before them, or ``None``.
+
+        ``live`` and ``counts`` hold those earlier batches' effects: the
+        state of each key they touched (``None`` once deleted, a
+        relationship's endpoints, ``True`` for a node) and each node's
+        change of relationship count.  An accepted batch adds its own.
+        """
+        own_live: Dict[EntityKey, object] = {}
+        own_counts: Dict[int, int] = {}
+
+        def state(key: EntityKey) -> object:
+            if key in own_live:
+                return own_live[key]
+            if key in live:
+                return live[key]
+            return self._logged_state(key)
+
+        for operation in operations:
+            key = operation.key
+            if isinstance(operation, WriteNodeOp):
+                own_live[key] = True
+            elif isinstance(operation, WriteRelationshipOp):
+                if state(key) is None:
+                    rel = operation.relationship
+                    for node_id in (rel.start_node, rel.end_node):
+                        if state(node_id) is None:
+                            return NodeNotFoundError(node_id)
+                    ends = own_live[key] = frozenset((rel.start_node, rel.end_node))
+                    for node_id in ends:
+                        own_counts[node_id] = own_counts.get(node_id, 0) + 1
+            elif isinstance(operation, DeleteRelationshipOp):
+                ends = state(key)
+                if ends is not None:
+                    for node_id in ends:
+                        own_counts[node_id] = own_counts.get(node_id, 0) - 1
+                    own_live[key] = None
+            elif state(key) is not None:  # DeleteNodeOp
+                record = self.nodes.read(key)
+                rel_count = (
+                    (record.rel_count if record.in_use else 0)
+                    + self._rel_delta.get(key, 0)
+                    + counts.get(key, 0)
+                    + own_counts.get(key, 0)
+                )
+                if rel_count > 0:
+                    return ConstraintViolationError(
+                        f"node {key} still has relationships in the store"
+                    )
+                own_live[key] = None
+        live.update(own_live)
+        for node_id, delta in own_counts.items():
+            counts[node_id] = counts.get(node_id, 0) + delta
+        return None
+
+    def _logged_state(self, key: EntityKey) -> object:
+        """``key``'s state after every logged batch, as :meth:`_refusal`
+        tracks it: the last queued operation on the key, else the stores."""
+        position = self._queued.get(key)
+        if position is not None:
+            operation = self._backlog[position]
+            if isinstance(operation, WriteNodeOp):
+                return True
+            if isinstance(operation, WriteRelationshipOp):
+                rel = operation.relationship
+                return frozenset((rel.start_node, rel.end_node))
+            return None
+        if key < REL_TAG:
+            return True if self.nodes.exists(key) else None
+        record = self.relationships.read(key_id(key))
+        return frozenset((record.start_node, record.end_node)) if record.in_use else None
+
+    def _enqueue(self, operations: List[StoreOperation]) -> None:
+        """Queue one logged batch (caller holds the latch).  A write whose
+        key's last queued operation is also a write supersedes that one."""
+        backlog = self._backlog
+        queued = self._queued
+        for operation in operations:
+            key = operation.key
+            previous = queued.get(key)
+            if (
+                previous is not None
+                and isinstance(operation, _WRITES)
+                and isinstance(backlog[previous], _WRITES)
+            ):
+                self._superseded.add(previous)
+            queued[key] = len(backlog)
+            backlog.append(operation)
+        self._backlog_batches += 1
+
+    @property
+    def backlog_size(self) -> int:
+        """Logged batches the record stores have not caught up with."""
+        return self._backlog_batches
+
+    def catch_up(self) -> int:
+        """Apply every queued batch to the record stores, in commit order;
+        returns how many batches that was.
+
+        A superseded write is skipped when its key is already in use in the
+        stores (a create always applies, so operations queued between the
+        two find the entity).  Takes only the store latch, so any caller may
+        run it.  A failure part-way marks the store degraded and raises
+        here; from then on a read that needs the backlog is refused.
+        """
+        with self._lock:
+            return self._catch_up()
+
+    def _catch_up(self) -> int:
+        """:meth:`catch_up` with the latch held."""
+        backlog = self._backlog
+        if not backlog:
+            return 0
+        if self._apply_failed:
+            # The stores stopped part-way through the backlog; only replay
+            # on the next open knows where.
+            self.health.ensure_writable()
+        started = perf_counter()
+        superseded = self._superseded
+        skipped = 0
+        try:
+            for position, operation in enumerate(backlog):
+                if position in superseded and self._in_use(operation.key):
+                    skipped += 1
+                    continue
+                self._apply_operation(operation)
+        except BaseException as exc:  # noqa: BLE001 - degrade, then surface
+            self._apply_failed = True
+            self.health.mark_degraded("store-apply-failed", exc)
+            self._note_degraded_obs()
+            raise
+        batches = self._backlog_batches
+        self._backlog = []
+        self._backlog_batches = 0
+        self._queued = {}
+        self._superseded = set()
+        self._rel_delta = {}
+        self.stats.writes_skipped += skipped
+        obs = self.obs
+        if obs is not None:
+            obs.store_apply_seconds.observe(perf_counter() - started)
+            obs.store_apply_skipped.inc(skipped)
+        return batches
+
+    def _in_use(self, key: EntityKey) -> bool:
+        if key < REL_TAG:
+            return self.nodes.exists(key)
+        return self.relationships.exists(key_id(key))
 
     def _apply_operation(self, operation: StoreOperation) -> None:
         """Apply one logged operation (caller holds the store latch)."""
         if isinstance(operation, WriteNodeOp):
             self._write_node(operation.node, operation.commit_ts)
         elif isinstance(operation, DeleteNodeOp):
-            self._delete_node(operation.node_id, missing_ok=True)
+            self._delete_node(operation.node_id)
         elif isinstance(operation, WriteRelationshipOp):
             self._write_relationship(operation.relationship, operation.commit_ts)
         elif isinstance(operation, DeleteRelationshipOp):
-            self._delete_relationship(operation.rel_id, missing_ok=True)
+            self._delete_relationship(operation.rel_id)
         else:  # pragma: no cover - exhaustive over StoreOperation
             raise TypeError(f"unknown store operation {operation!r}")
 
     # ------------------------------------------------------------------
     # nodes
     # ------------------------------------------------------------------
-
-    def write_node(self, node: NodeData) -> None:
-        """Log, then create or overwrite, a node's persistent state."""
-        with self._lock:
-            self.wal.append_commit(0, [WriteNodeOp(node).encode()])
-            self._write_node(node, None)
 
     def _write_node(self, node: NodeData, commit_ts: Optional[int]) -> None:
         """Create or overwrite a node's persistent state (caller holds the latch).
@@ -496,6 +674,8 @@ class StoreManager:
         if node_id < 0:
             return None
         with self._lock:
+            if node_id in self._queued:
+                self._catch_up()
             record = self.nodes.read(node_id)
             if not record.in_use:
                 return None
@@ -508,29 +688,17 @@ class StoreManager:
             )
             return NodeData(node_id=node_id, labels=labels, properties=properties)
 
-    def delete_node(self, node_id: int, *, missing_ok: bool = False) -> None:
-        """Log, then delete, a node's persistent state.
-
-        The node must have no relationships left in the store; higher layers
-        are responsible for detach semantics.
-        """
-        with self._lock:
-            self._delete_node(node_id, missing_ok=missing_ok, log=True)
-
-    def _delete_node(self, node_id: int, *, missing_ok: bool, log: bool = False) -> None:
-        """Delete a node's persistent state (caller holds the latch); with
-        ``log``, append the delete to the log once it is known to apply."""
+    def _delete_node(self, node_id: int) -> None:
+        """Delete a node's persistent state, if present (caller holds the
+        latch).  The node must have no relationships left in the store;
+        higher layers are responsible for detach semantics."""
         if not self.nodes.exists(node_id):
-            if missing_ok:
-                return
-            raise NodeNotFoundError(node_id)
+            return
         record = self.nodes.read(node_id)
         if record.rel_count:
             raise ConstraintViolationError(
                 f"node {node_id} still has relationships in the store"
             )
-        if log:
-            self.wal.append_commit(0, [DeleteNodeOp(node_id).encode()])
         self.nodes.free_labels(record.label_ref)
         self.properties.free_chain(record.first_prop)
         self.nodes.delete(node_id)
@@ -539,11 +707,14 @@ class StoreManager:
     def node_exists(self, node_id: int) -> bool:
         """Whether the persistent store holds a node with this id."""
         with self._lock:
+            if node_id in self._queued:
+                self._catch_up()
             return self.nodes.exists(node_id)
 
     def iter_node_ids(self) -> Iterator[int]:
         """Node ids present in the persistent store, in id order."""
         with self._lock:
+            self._catch_up()
             ids = list(self.nodes.iter_used_ids())
         return iter(ids)
 
@@ -555,19 +726,16 @@ class StoreManager:
                 yield node
 
     def node_count(self) -> int:
-        """Number of nodes in the persistent store: a kept count, read
-        without the latch (one int; the planner's estimate, not a census)."""
+        """Number of nodes in the persistent store: a kept count (one int;
+        the planner's estimate, not a census), read without the latch when
+        nothing is queued."""
+        if self._backlog:
+            self.catch_up()
         return self.nodes.count()
 
     # ------------------------------------------------------------------
     # relationships
     # ------------------------------------------------------------------
-
-    def write_relationship(self, relationship: RelationshipData) -> None:
-        """Log, then create or overwrite, a relationship's persistent state."""
-        with self._lock:
-            self.wal.append_commit(0, [WriteRelationshipOp(relationship).encode()])
-            self._write_relationship(relationship, None)
 
     def _write_relationship(
         self, relationship: RelationshipData, commit_ts: Optional[int]
@@ -616,6 +784,8 @@ class StoreManager:
         if rel_id < 0:
             return None
         with self._lock:
+            if REL_TAG | rel_id in self._queued:
+                self._catch_up()
             record = self.relationships.read(rel_id)
             if not record.in_use:
                 return None
@@ -639,22 +809,10 @@ class StoreManager:
             data = self.read_relationship(key_id(key))
         return None if data is None else split_commit_ts(data)
 
-    def delete_relationship(self, rel_id: int, *, missing_ok: bool = False) -> None:
-        """Log, then delete, a relationship."""
-        with self._lock:
-            self._delete_relationship(rel_id, missing_ok=missing_ok, log=True)
-
-    def _delete_relationship(
-        self, rel_id: int, *, missing_ok: bool, log: bool = False
-    ) -> None:
-        """Delete a relationship (caller holds the latch); ``log`` as for
-        :meth:`_delete_node`."""
+    def _delete_relationship(self, rel_id: int) -> None:
+        """Delete a relationship, if present (caller holds the latch)."""
         if not self.relationships.exists(rel_id):
-            if missing_ok:
-                return
-            raise RelationshipNotFoundError(rel_id)
-        if log:
-            self.wal.append_commit(0, [DeleteRelationshipOp(rel_id).encode()])
+            return
         record = self.relationships.read(rel_id)
         for node_id in {record.start_node, record.end_node}:
             self._add_to_rel_count(node_id, -1)
@@ -665,6 +823,7 @@ class StoreManager:
     def iter_relationship_ids(self) -> Iterator[int]:
         """Relationship ids present in the persistent store, in id order."""
         with self._lock:
+            self._catch_up()
             ids = list(self.relationships.iter_used_ids())
         return iter(ids)
 
@@ -678,6 +837,8 @@ class StoreManager:
     def relationship_count(self) -> int:
         """Number of relationships in the persistent store (as
         :meth:`node_count`)."""
+        if self._backlog:
+            self.catch_up()
         return self.relationships.count()
 
     def _add_to_rel_count(self, node_id: int, delta: int) -> None:
@@ -733,10 +894,13 @@ class StoreManager:
     def _recover(self) -> None:
         """Replay committed write-ahead-log batches left over from a crash.
 
-        Replay is idempotent (writes overwrite, deletes tolerate absence), so
-        a crash *during* recovery simply replays the same prefix again on the
-        next open — the ``recovery.replay`` failpoint (hit once per committed
-        batch) exists exactly to prove that in tests.
+        Replayed batches join the backlog and reach the stores through the
+        commit path's own catch-up (at the bound, and at the checkpoint that
+        ends recovery).  Replay is idempotent (writes overwrite, deletes
+        tolerate absence), so a crash *during* recovery simply replays the
+        same prefix again on the next open — the ``recovery.replay``
+        failpoint (hit once per committed batch) exists exactly to prove
+        that in tests.
         """
         replayed = 0
         for payloads in self.wal.replay():
@@ -744,10 +908,10 @@ class StoreManager:
                 fault = self._failpoints.hit("recovery.replay")
                 if fault is not None:
                     fault.raise_fault()
-            operations = operations_from_payloads(payloads)
-            for operation in operations:
-                self._apply_operation(operation)
+            self._enqueue(operations_from_payloads(payloads))
             replayed += 1
+            if self._backlog_batches >= CATCH_UP_BATCHES:
+                self._catch_up()
         self.stats.batches_replayed = replayed
         if replayed:
             self.checkpoint()

@@ -93,19 +93,22 @@ class ReadCommittedEngine(GraphEngine):
             txn.trace = trace
         return txn
 
-    def commit_transaction(self, txn: ReadCommittedTransaction) -> None:
-        """Apply a transaction's writes to the store in place, then publish
-        them to the indexes."""
+    def commit_transaction(self, txn: ReadCommittedTransaction) -> bool:
+        """Log a transaction's writes to the store, then publish them to the
+        indexes; returns whether the store's backlog is due a catch-up."""
         trace = txn.trace
         if trace is not None:
             trace.mark("read")
         writes = txn.effective_writes()
+        catch_up_due = False
         if writes:
             with self._commit_lock:
                 if trace is not None:
                     trace.mark("stripe_wait")  # the 2PL engine's one "stripe"
                 old_states = {key: self.read_committed(key) for key in writes}
-                self.store.apply_batch(txn.txn_id, build_store_operations(writes))
+                catch_up_due = self.store.apply_batch(
+                    txn.txn_id, build_store_operations(writes)
+                )
                 self._publish(writes, old_states)
             if trace is not None:
                 trace.mark("wal")
@@ -115,6 +118,7 @@ class ReadCommittedEngine(GraphEngine):
             trace.mark("publish")
             trace.finish("committed")
             self.obs.tracer.record(trace)
+        return catch_up_due
 
     def _publish(
         self,

@@ -123,8 +123,16 @@ class Observability:
         )
         self.store_apply_seconds = reg.histogram(
             "repro_store_apply_seconds",
-            "Record-store apply of one committed batch, after its WAL append "
-            "(seconds)",
+            "Record-store catch-up: one apply of the queued batches (seconds)",
+        )
+        self.store_apply_backlog = reg.gauge(
+            "repro_store_apply_backlog",
+            "Logged batches the record stores have not caught up with",
+        )
+        self.store_apply_skipped = reg.counter(
+            "repro_store_apply_skipped_total",
+            "Queued writes not applied: a later queued write of the same key "
+            "superseded them",
         )
         self.wal_fsyncs = reg.counter(
             "repro_wal_fsyncs_total", "WAL fsync calls"

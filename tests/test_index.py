@@ -3,6 +3,8 @@ drives them: each commit tags its changes at the next sequence number,
 readers look up at the newest published sequence, and every closed
 interval is purged at once because no snapshot can still need it."""
 
+from harness.store import apply
+
 from repro.core.versioned_index import (
     VersionedIndexSet,
     VersionedLabelIndex,
@@ -10,6 +12,7 @@ from repro.core.versioned_index import (
     VersionedRelationshipTypeIndex,
 )
 from repro.graph.entity import NodeData, RelationshipData
+from repro.graph.operations import WriteNodeOp, WriteRelationshipOp
 from repro.graph.properties import hashable_value
 from repro.graph.store_manager import StoreManager
 
@@ -149,9 +152,14 @@ class TestIndexManager:
 
     def test_rebuild_from_store(self):
         store = StoreManager(None)
-        store.write_node(NodeData(0, {"Person"}, {"name": "a"}))
-        store.write_node(NodeData(1, {"Person"}, {"name": "b"}))
-        store.write_relationship(RelationshipData(0, "KNOWS", 0, 1, {"w": 1}))
+        # Queued, not applied: the bootstrap's scan catches the store up.
+        apply(
+            store,
+            WriteNodeOp(NodeData(0, {"Person"}, {"name": "a"})),
+            WriteNodeOp(NodeData(1, {"Person"}, {"name": "b"})),
+            WriteRelationshipOp(RelationshipData(0, "KNOWS", 0, 1, {"w": 1})),
+            catch_up=False,
+        )
         indexes = VersionedIndexSet()
         newest = indexes.bootstrap(store)
         assert newest == 0

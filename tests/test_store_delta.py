@@ -1,13 +1,15 @@
 """Delta-apply of overwrites to the record stores.
 
-``StoreManager.write_node`` / ``write_relationship`` rewrite only what an
-overwrite changed (``PropertyStore.replace_chain``); anything structural — or
-unreadable, as after a crash — falls through to free-and-write-fresh.  Three
-angles:
+A node or relationship overwrite rewrites only what it changed
+(``PropertyStore.replace_chain``); anything structural — or unreadable, as
+after a crash — falls through to free-and-write-fresh.  Three angles:
 
 * a seeded differential test against a dict model, with the store's own
   accounting (consistency check, leak counts, records in use) checked after
-  every step;
+  every step.  Batches are logged through ``StoreManager.apply_batch`` and
+  reach the records at catch-ups at random points (and at the reads of the
+  checks), several writes of one key in a backlog included; a crash image
+  copied after a random step must reopen to the model of that step;
 * a deterministic page-write count for a one-property ``SET`` through the
   whole stack;
 * recovery over torn page images, where the stored chains a replayed
@@ -27,11 +29,17 @@ import random
 import shutil
 
 import pytest
+from harness.store import apply
 
 from repro import GraphDatabase, IsolationLevel
 from repro.errors import ConstraintViolationError
 from repro.graph.entity import NodeData, RelationshipData
-from repro.graph.operations import WriteNodeOp, WriteRelationshipOp
+from repro.graph.operations import (
+    DeleteNodeOp,
+    DeleteRelationshipOp,
+    WriteNodeOp,
+    WriteRelationshipOp,
+)
 from repro.graph.recovery import check_store
 from repro.graph.store_manager import StoreManager
 
@@ -112,8 +120,23 @@ class _Model:
         self.nodes = {}  # node_id -> (labels, properties)
         self.rels = {}  # rel_id -> (type, start, end, properties)
         self.ops = []  # what was done, for the failure artifact
+        self.txn_id = 0
+
+    def frozen(self):
+        """A copy that later steps leave alone (the state a crash image holds)."""
+        copy = _Model(self.seed)
+        copy.nodes, copy.rels = dict(self.nodes), dict(self.rels)
+        return copy
 
     def step(self, store):
+        """One to four logged batches, with catch-ups at random points."""
+        for _ in range(self.rng.randint(1, 4)):
+            self._batch(store)
+            if self.rng.random() < 0.25:
+                self.ops.append(("catch_up",))
+                store.catch_up()
+
+    def _batch(self, store):
         rng = self.rng
         roll = rng.random()
         attached = {n for _, start, end, _ in self.rels.values() for n in (start, end)}
@@ -122,66 +145,77 @@ class _Model:
             node_id = store.allocate_node_id()
             labels = frozenset(rng.sample(LABELS, rng.randint(0, 2)))
             properties = {key: _random_value(rng) for key in rng.sample(KEYS, 3)}
-            self._write_node(store, "create_node", node_id, labels, properties)
+            self._commit(store, [self._write_node("create_node", node_id, labels, properties)])
         elif roll < 0.16 and len(self.nodes) >= 2:
             rel_id = store.allocate_relationship_id()
             start, end = rng.choice(sorted(self.nodes)), rng.choice(sorted(self.nodes))
             properties = {key: _random_value(rng) for key in rng.sample(KEYS, 2)}
-            self._write_rel(store, "create_rel", rel_id, "KNOWS", start, end, properties)
+            self._commit(
+                store, [self._write_rel("create_rel", rel_id, "KNOWS", start, end, properties)]
+            )
         elif roll < 0.22 and self.rels:
             rel_id = rng.choice(sorted(self.rels))
             self.ops.append(("delete_rel", rel_id))
-            store.delete_relationship(rel_id)
             del self.rels[rel_id]
+            self._commit(store, [DeleteRelationshipOp(rel_id)])
         elif roll < 0.30 and free_nodes:
-            # Delete, then recreate the same id with an unrelated state.
+            # Delete, then (in the same batch) recreate the same id with an
+            # unrelated state.
             node_id = rng.choice(free_nodes)
             self.ops.append(("delete_node", node_id))
-            store.delete_node(node_id)
             del self.nodes[node_id]
+            operations = [DeleteNodeOp(node_id)]
             if rng.random() < 0.7:
                 properties = {key: _random_value(rng) for key in rng.sample(KEYS, 2)}
-                self._write_node(
-                    store, "recreate_node", node_id, frozenset(["Person"]), properties
+                operations.append(
+                    self._write_node("recreate_node", node_id, frozenset(["Person"]), properties)
                 )
+            self._commit(store, operations)
         elif roll < 0.34 and attached:
-            # The guard: a node a relationship still names is not deleted,
-            # and the refused delete leaves its record as it was.
+            # The guard: a node a relationship still names is not deleted;
+            # the refused batch is not logged and leaves the record alone.
             node_id = rng.choice(sorted(attached))
             self.ops.append(("delete_attached_node", node_id))
             before = store.nodes.read(node_id)
+            logged = store.wal.appended_batches
             with pytest.raises(ConstraintViolationError):
-                store.delete_node(node_id)
+                store.apply_batch(self.txn_id, [DeleteNodeOp(node_id)])
             assert store.nodes.read(node_id) == before
+            assert store.wal.appended_batches == logged
         elif roll < 0.50 and self.rels:
+            # One to three overwrites of a relationship in one batch.
             rel_id = rng.choice(sorted(self.rels))
             rel_type, start, end, properties = self.rels[rel_id]
-            what, _, properties = _mutate(rng, (), properties)
-            self._write_rel(store, what, rel_id, rel_type, start, end, properties)
+            operations = []
+            for _ in range(rng.choice((1, 1, 2, 3))):
+                what, _, properties = _mutate(rng, (), properties)
+                operations.append(self._write_rel(what, rel_id, rel_type, start, end, properties))
+            self._commit(store, operations)
         else:
+            # As above, for a node.
             node_id = rng.choice(sorted(self.nodes))
-            what, labels, properties = _mutate(rng, *self.nodes[node_id])
-            self._write_node(store, what, node_id, labels, properties)
+            labels, properties = self.nodes[node_id]
+            operations = []
+            for _ in range(rng.choice((1, 1, 2, 3))):
+                what, labels, properties = _mutate(rng, labels, properties)
+                operations.append(self._write_node(what, node_id, labels, properties))
+            self._commit(store, operations)
 
-    def _write_node(self, store, what, node_id, labels, properties):
+    def _commit(self, store, operations):
+        self.txn_id += 1
+        store.apply_batch(self.txn_id, operations)
+
+    def _write_node(self, what, node_id, labels, properties):
         self.ops.append((what, "node", node_id, sorted(labels), properties))
         data = NodeData(node_id, labels, properties)
-        # Both doors into the one overwrite routine: the direct write and the
-        # commit path's batch apply.
-        if self.rng.random() < 0.5:
-            store.write_node(data)
-        else:
-            store.apply_batch(1, [WriteNodeOp(data)])
         self.nodes[node_id] = (labels, dict(data.properties))
+        return WriteNodeOp(data)
 
-    def _write_rel(self, store, what, rel_id, rel_type, start, end, properties):
+    def _write_rel(self, what, rel_id, rel_type, start, end, properties):
         self.ops.append((what, "rel", rel_id, rel_type, start, end, properties))
         data = RelationshipData(rel_id, rel_type, start, end, properties)
-        if self.rng.random() < 0.5:
-            store.write_relationship(data)
-        else:
-            store.apply_batch(1, [WriteRelationshipOp(data)])
         self.rels[rel_id] = (rel_type, start, end, dict(data.properties))
+        return WriteRelationshipOp(data)
 
     def assert_matches(self, store):
         assert sorted(store.iter_node_ids()) == sorted(self.nodes)
@@ -222,10 +256,18 @@ class _Model:
 def test_random_overwrites_match_a_dict_model(tmp_path, sequence):
     model = _Model(BASE_SEED * 1_000 + sequence)
     path = str(tmp_path / "store")
+    crash = str(tmp_path / "crash")
+    # The crash image is copied after this step, its backlog possibly not
+    # caught up: reopening it must find exactly the model of that moment.
+    crash_after = random.Random(model.seed).randrange(OPS_PER_SEQUENCE)
+    crashed = None
     store = StoreManager(path)
     try:
-        for _ in range(OPS_PER_SEQUENCE):
+        for step in range(OPS_PER_SEQUENCE):
             model.step(store)
+            if step == crash_after:
+                shutil.copytree(path, crash)
+                crashed = model.frozen()
             model.assert_matches(store)
             model.assert_accounted(store)
         # What was applied in place must also be what a reopen finds.
@@ -233,6 +275,10 @@ def test_random_overwrites_match_a_dict_model(tmp_path, sequence):
         store = StoreManager(path)
         model.assert_matches(store)
         model.assert_accounted(store)
+        store.close()
+        store = StoreManager(crash)
+        crashed.assert_matches(store)
+        crashed.assert_accounted(store)
     except BaseException as exc:
         model.dump(exc)
         raise
@@ -247,10 +293,12 @@ def test_one_property_set_dirties_two_property_records():
             tx.execute(
                 "CREATE (:Person {id: 1, name: 'a-name-too-long-to-inline', score: 0})"
             )
+        db.store.catch_up()
         stats = db.store.page_cache.stats
         writes_before = stats.page_writes
         with db.transaction() as tx:
             tx.execute("MATCH (p:Person {id: 1}) SET p.score = 7")
+        db.store.catch_up()
         # ``score`` and ``__commit_ts`` — no node, label or dynamic record.
         assert stats.page_writes - writes_before == 2
         (node_id,) = db.store.iter_node_ids()
@@ -292,25 +340,25 @@ def test_replay_over_a_torn_image_recovers_the_acked_state(tmp_path, flushed, st
         node_id: _person(node_id, id=node_id, name=f"person-number-{node_id}", score=0, rank=1)
         for node_id in range(3)
     }
-    store.apply_batch(1, [WriteNodeOp(node) for node in acked.values()])
+    apply(store, *(WriteNodeOp(node) for node in acked.values()))
     store.checkpoint()
 
-    def commit(txn_id, node):
-        store.apply_batch(txn_id, [WriteNodeOp(node)])
+    def commit(node):
+        apply(store, WriteNodeOp(node))
         acked[node.node_id] = node
 
     # A structural rewrite of node 0 (two keys go, the label stays): its four
     # property records are freed and two of them re-used at once.
-    commit(2, _person(0, id=0, score=5))
+    commit(_person(0, id=0, score=5))
     # A create that takes the record ids the rewrite left free — and a label
     # block that did not exist at the checkpoint.
-    commit(3, _person(store.allocate_node_id(), id=3, name="person-number-3", score=0, rank=1))
+    commit(_person(store.allocate_node_id(), id=3, name="person-number-3", score=0, rank=1))
     # A value-only rewrite of node 1, applied in place.
-    commit(4, _person(1, id=1, name="person-number-1", score=9, rank=1))
+    commit(_person(1, id=1, name="person-number-1", score=9, rank=1))
     if strand_a_head:
         # Node 2 loses every property: the head its checkpoint-time record
         # names is freed and stays free — for replay's create to take.
-        commit(5, _person(2))
+        commit(_person(2))
 
     # The crash leaves some files at their latest state and the rest as of
     # the checkpoint (``labels.dyn`` is never flushed here).  With the node
