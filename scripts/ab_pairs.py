@@ -18,10 +18,15 @@ median of the suite's fixed calibration loop, in µs; a noisy neighbour shows
 there first).
 
 For each end-to-end metric of ``BENCHMARK.json`` the table gives each side's
-median [first quartile, third quartile], how many pairs the change won (a
-tie counts for neither side) and whether the gain rule holds: the change
-wins at least nine tenths of the pairs, and its median beats the parent's by
-more than the distance between the parent's quartiles.
+median [first quartile, third quartile], the change's median over the
+parent's (``ratio``), how many pairs the change won (a tie counts for
+neither side), whether the gain rule holds — the change wins at least nine
+tenths of the pairs, and its median beats the parent's by more than the
+distance between the parent's quartiles — and the bound rule: ``past
+bound`` when the change's median is worse than the parent's by more than
+the metric's ``bound`` in ``BENCHMARK.json`` (a regression the benchmark
+refuses), ``ok`` otherwise.  Every metric past its bound is listed again
+under the table.
 
 A run that reports ``correct: false`` or any failed operation is flagged,
 and then the exit code is 1.  ``--smoke`` passes ``--smoke`` to ``run.py``
@@ -100,6 +105,14 @@ def gain_rule(parent: List[float], change: List[float], better: str) -> Tuple[in
     return wins, wins >= WIN_SHARE * len(parent) and gain > p_q3 - p_q1
 
 
+def past_bound(parent_median: float, change_median: float, better: str,
+               bound: float) -> bool:
+    """Whether the change's median is worse than the parent's by more than
+    ``bound``, a share of the parent's median."""
+    worse = parent_median - change_median if better == "higher" else change_median - parent_median
+    return worse > bound * abs(parent_median)
+
+
 def main(argv: List[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="git revision to compare against")
@@ -135,7 +148,8 @@ def main(argv: List[str] | None = None) -> int:
         spec = json.load(handle)
     print(f"\n{args.workload}, seed {args.seed}, {args.pairs} pairs, parent {args.parent}")
     print(f"{'metric':22s} {'parent median [q1, q3]':>32s} {'change median [q1, q3]':>32s} "
-          f"{'change':>8s} {'wins':>6s} gain rule")
+          f"{'change':>8s} {'ratio':>7s} {'wins':>6s} {'gain rule':9s} bound")
+    regressions = []
     for metric in spec["end_to_end"]:
         name = metric["name"]
         parent = [run["metrics"][name]["value"] for run in runs["parent"]]
@@ -145,10 +159,18 @@ def main(argv: List[str] | None = None) -> int:
             q1, median, q3 = quartiles(sample)
             cells.append(f"{median:.5g} [{q1:.5g}, {q3:.5g}]")
         base = quartiles(parent)[1]
-        moved = (quartiles(change)[1] - base) / base if base else 0.0
+        median = quartiles(change)[1]
+        moved = (median - base) / base if base else 0.0
+        ratio = f"{median / base:7.3f}" if base else f"{'n/a':>7s}"
         wins, holds = gain_rule(parent, change, metric["better"])
-        print(f"{name:22s} {cells[0]:>32s} {cells[1]:>32s} {moved:+8.1%} "
-              f"{wins:>3d}/{len(parent):<2d} {'holds' if holds else 'no'}")
+        past = past_bound(base, median, metric["better"], metric["bound"])
+        if past:
+            regressions.append(f"{name}: {moved:+.1%} against a {metric['bound']:.1%} bound")
+        print(f"{name:22s} {cells[0]:>32s} {cells[1]:>32s} {moved:+8.1%} {ratio} "
+              f"{wins:>3d}/{len(parent):<2d} {'holds' if holds else 'no':9s} "
+              f"{'past bound' if past else 'ok'}")
+    for line in regressions:
+        print(f"PAST BOUND {line}")
     for line in flagged:
         print(f"FLAGGED {line}")
     return 1 if flagged else 0

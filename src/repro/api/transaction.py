@@ -154,7 +154,7 @@ class Node:
 
     def degree(self, direction: Direction = Direction.BOTH) -> int:
         """Number of attached relationships."""
-        return len(self._tx.relationships_of(self, direction))
+        return self._tx.degree(self, direction)
 
 
 class Relationship:
@@ -388,7 +388,9 @@ class Transaction:
     # ``relationships_of_many``, ``expand_many``) wrap these, so there is one
     # read path and one SIREAD registration per read either way.  The query
     # executor reads only through these and builds a handle only where a
-    # value leaves its statement.
+    # value leaves its statement.  ``topology_of_many`` reads the relation
+    # alone — which relationships attach, not their states — for every
+    # expand that never reads a relationship.
 
     def all_node_states(self) -> Iterator[NodeData]:
         """The state of every node visible to this transaction (what
@@ -431,6 +433,19 @@ class Transaction:
         return [
             data for data in self._txn.read_nodes_many(sorted(ids)) if data is not None
         ]
+
+    def topology_of_many(
+        self,
+        node_ids: Sequence[int],
+        direction: Direction = Direction.BOTH,
+        rel_types: Optional[Sequence[str]] = None,
+    ) -> List[List[Tuple[int, int]]]:
+        """The visible ``(relationship id, far-end node id)`` pairs of each
+        node id, in adjacency order (a self-loop once, its far end the node
+        itself): one batched read of the versioned adjacency index, no
+        relationship state resolved (under serializable isolation, one
+        adjacency predicate per node and no SIREAD)."""
+        return self._txn.topology_many(node_ids, direction, rel_types)
 
     def relationship_states_of_many(
         self,
@@ -560,15 +575,15 @@ class Transaction:
         """
         node_id = _node_id(node)
         self._require_node_data(node_id)
-        attached = self._txn.relationships_of(node_id)
+        attached = self._txn.topology_many((node_id,))[0]
         if attached:
             if not detach:
                 raise ConstraintViolationError(
                     f"node {node_id} still has {len(attached)} relationship(s); "
                     "use detach=True to delete them too"
                 )
-            for relationship in attached:
-                self._txn.delete_relationship(relationship.rel_id)
+            for rel_id, _other in attached:
+                self._txn.delete_relationship(rel_id)
         self._txn.delete_node(node_id)
 
     # ------------------------------------------------------------------
@@ -691,17 +706,12 @@ class Transaction:
         direction: Direction = Direction.BOTH,
         rel_types: Optional[Sequence[str]] = None,
     ) -> List[int]:
-        """Visible-relationship count of each node, resolved as one batch.
-
-        Same reads (and, under SSI, the same predicate/SIREAD registration)
-        as :meth:`relationships_of_many`, but callers that only need the
-        degree skip the per-relationship handle wrapping.
-        """
-        node_ids = [_node_id(node) for node in nodes]
+        """Visible-relationship count of each node, as one topology read
+        (:meth:`topology_of_many`): a degree needs no relationship state."""
         return [
-            len(data_list)
-            for data_list in self._txn.relationships_of_many(
-                node_ids, direction, rel_types
+            len(pairs)
+            for pairs in self._txn.topology_many(
+                [_node_id(node) for node in nodes], direction, rel_types
             )
         ]
 
@@ -762,7 +772,7 @@ class Transaction:
 
     def degree(self, node: NodeLike, direction: Direction = Direction.BOTH) -> int:
         """Number of visible relationships attached to ``node``."""
-        return len(self.relationships_of(node, direction))
+        return self.count_relationships_of_many((node,), direction)[0]
 
     def set_relationship_property(
         self, relationship: RelationshipLike, key: str, value: PropertyValue

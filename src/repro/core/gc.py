@@ -29,7 +29,8 @@ list, and the property benchmark E5 compares against a full-scan vacuum
 The versioned indexes keep the same promise for their membership intervals:
 each shard threads an interval onto a queue ordered by ``removed_ts`` when it
 closes, and ``indexes.purge(watermark)`` at the end of a pass pops that queue
-the way ``pop_reclaimable`` pops this list.  A pass therefore costs the
+the way ``pop_reclaimable`` pops this list, and so does the adjacency
+index for its ``[created_ts, removed_ts)`` entries.  A pass therefore costs the
 versions and intervals it reclaims — :attr:`GcStats.versions_examined` and
 :attr:`GcStats.index_intervals_examined` count exactly those — however many
 the store and the indexes hold.  Purging a deleted entity needs no index
@@ -48,7 +49,6 @@ from repro.core.timestamps import TimestampOracle
 from repro.core.version import Version
 from repro.core.version_store import VersionStore
 from repro.core.versioned_index import VersionedIndexSet
-from repro.graph.entity import NodeData, RelationshipData
 
 
 @dataclass
@@ -258,25 +258,16 @@ class GarbageCollector:
         if not removed:
             return 0
         if not version.is_tombstone:
-            # If this payload-carrying version is being dropped because the
-            # entity was deleted, remove its traces from the adjacency map
-            # while the payload is still at hand.
-            if newest is not None and newest.is_tombstone:
-                self._purge_entity_payload(version, stats)
+            # The entity's last state goes because it was deleted: its index
+            # intervals and adjacency entries closed at the tombstone's
+            # timestamp, and this pass's index purge pops them.
+            if newest is not None and newest.is_tombstone and version.payload is not None:
+                stats.entities_purged += 1
         else:
             # The tombstone is the last thing to go; forget the chain.
             if chain.is_empty():
                 self.version_store.remove_chain(version.key)
         return 1
-
-    def _purge_entity_payload(self, version: Version, stats: GcStats) -> None:
-        payload = version.payload
-        if isinstance(payload, NodeData):
-            self.indexes.purge_node(payload)
-            stats.entities_purged += 1
-        elif isinstance(payload, RelationshipData):
-            self.indexes.purge_relationship(payload)
-            stats.entities_purged += 1
 
     def _accumulate(self, stats: GcStats) -> None:
         self.collections_run += 1

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import contextlib
 import threading
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.core.cc_policy import (
     RETAKE_SNAPSHOT,
@@ -54,12 +54,8 @@ from repro.stats import CardinalityEpoch, CommitPipelineStats, EngineStats
 #: Default number of commit stripes (1 restores the seed's global mutex).
 DEFAULT_COMMIT_STRIPES = 16
 
-#: Maximum nodes in the engine-level resolved-adjacency cache (entries for
-#: additional nodes are simply not stored; existing keys keep refreshing).
-ADJACENCY_CACHE_LIMIT = 16_384
-
-#: Maximum entries in the engine-level resolved-payload cache (same
-#: admission policy as the adjacency cache).
+#: Maximum entries in the engine-level resolved-payload cache (entries for
+#: additional keys are simply not stored; existing keys keep refreshing).
 PAYLOAD_CACHE_LIMIT = 65_536
 
 #: Under SSI, reclaim the policy's tracking state (finished transactions'
@@ -68,6 +64,12 @@ PAYLOAD_CACHE_LIMIT = 65_536
 #: serializable database that never runs GC would grow its commit log
 #: without bound and pay an ever-longer log scan per read batch.
 SSI_RECLAIM_EVERY_N_COMMITS = 64
+
+
+def _no_persisted_state() -> None:
+    """The store loader of a key its transaction created (see
+    :meth:`SnapshotIsolationEngine._install_versions`)."""
+    return None
 
 
 class SnapshotIsolationEngine(GraphEngine):
@@ -145,30 +147,20 @@ class SnapshotIsolationEngine(GraphEngine):
             stripes=commit_stripes, stats_epoch=self.stats_epoch
         )
         self.query_caches = QueryCaches(query_cache_size)
-        #: Engine-level cache of resolved committed state, shared across
-        #: transactions and isolation levels — the one layer between a
-        #: transaction and the version chains.  Two entry kinds, each a
-        #: tuple led by the snapshot it was resolved at:
-        #: ``node -> (built_ts, read_keys, payloads)`` (a node's visible
-        #: relationships *plus the SIREAD keys that reading them implies*:
-        #: the key of every adjacency candidate, visible or not) and
-        #: ``key -> (built_ts, payload)``.  The one rule: an entry is valid
-        #: for a snapshot ``S`` iff ``built_ts <= S`` and the key's stamp
-        #: ``<= built_ts``.  ``_adjacency_stamp`` is bumped by every
-        #: relationship change touching the node and ``_payload_stamp`` by
-        #: every version install for the key, inside the commit critical
-        #: section *before* the commit is published — so a snapshot that can
-        #: see a change can never validate an entry predating it, and
-        #: in-flight commits fail validation conservatively.  A valid entry
-        #: is a pure function of ``(key, snapshot)``: SIREAD/predicate
-        #: registration happens in the transaction layer before the engine
-        #: is asked, and an adjacency hit hands a tracking (SSI) reader the
-        #: exact keys the resolving path would have registered, so sharing
-        #: never skips read tracking.  Admission: :meth:`_publish_entry`.
-        self._adjacency_payloads: Dict[
-            int, Tuple[int, Tuple[EntityKey, ...], Sequence[object]]
-        ] = {}
-        self._adjacency_stamp: Dict[int, int] = {}
+        #: Engine-level cache of resolved committed payloads, shared across
+        #: transactions — the one layer between a transaction and the
+        #: version chains: ``key -> (built_ts, payload)``, the state of
+        #: ``key`` resolved at snapshot ``built_ts``.  An entry is valid for
+        #: a snapshot ``S`` iff ``built_ts <= S`` and the key's stamp
+        #: ``<= built_ts``.  ``_payload_stamp`` is bumped by every version
+        #: install for the key, inside the commit critical section *before*
+        #: the commit is published — so a snapshot that can see a change can
+        #: never validate an entry predating it, and in-flight commits fail
+        #: validation conservatively.  A valid entry is a pure function of
+        #: ``(key, snapshot)``; SIREAD registration happens in the
+        #: transaction layer before the engine is asked.  Admission:
+        #: :meth:`_publish_entry`.  Adjacency needs no cache: the versioned
+        #: adjacency index answers it at any snapshot.
         self._payload_cache: Dict[EntityKey, Tuple[int, Optional[object]]] = {}
         self._payload_stamp: Dict[EntityKey, int] = {}
         #: Rows per executor batch (read by :mod:`repro.query` when it
@@ -342,6 +334,7 @@ class SnapshotIsolationEngine(GraphEngine):
                 self.obs.tracer.record(trace)
             return False
         writes = txn.effective_writes()
+        created = txn.created_keys()
         # Fence before any version install: a writer committing after the
         # engine degraded must not publish in-memory versions that can never
         # be made durable (apply_batch fences again, for commits racing the
@@ -352,12 +345,12 @@ class SnapshotIsolationEngine(GraphEngine):
                 fault = self._failpoints.hit("commit.stripe_acquire")
                 if fault is not None:
                     fault.raise_fault()
-            stripe_set = self._commit_stripe_set(txn, writes)
+            stripe_set = self._commit_stripe_set(writes, created)
             with self._acquire_stripes(stripe_set):
                 if trace is not None:
                     trace.mark("stripe_wait")
                     trace.annotate("stripes", len(stripe_set))
-                self._validate(txn, writes)
+                self._validate(txn, writes, created)
                 changes = self._collect_changes(writes) if self.cc.tracks_reads else ()
                 commit_ts = self.oracle.issue_commit_timestamp()
                 try:
@@ -367,11 +360,11 @@ class SnapshotIsolationEngine(GraphEngine):
                     self.cc.record_commit(txn.cc_record, changes, commit_ts)
                     if trace is not None:
                         trace.mark("validate")
-                    old_states = self._install_versions(txn, writes, commit_ts)
+                    old_states = self._install_versions(writes, created, commit_ts)
                     self._update_indexes(writes, old_states, commit_ts)
                     if trace is not None:
                         trace.mark("install")
-                    operations = build_store_operations(writes, commit_ts)
+                    operations = build_store_operations(writes, commit_ts, created)
                     try:
                         catch_up_due = self.store.apply_batch(txn.txn_id, operations)
                     except BaseException:
@@ -445,7 +438,7 @@ class SnapshotIsolationEngine(GraphEngine):
         return stripe_of(key, len(self._commit_stripes))
 
     def _commit_stripe_set(
-        self, txn: SnapshotTransaction, writes: Dict[EntityKey, Optional[object]]
+        self, writes: Dict[EntityKey, Optional[object]], created: Set[EntityKey]
     ) -> List[int]:
         """Sorted stripe indices a committing transaction must hold.
 
@@ -458,7 +451,6 @@ class SnapshotIsolationEngine(GraphEngine):
         computed must itself hold the node's stripe, so it serialises with us
         and is re-read by :meth:`_validate_node_delete` under our stripes.
         """
-        created = txn.created_keys()
         indices = set()
         for key, payload in writes.items():
             indices.add(self._stripe_index(key))
@@ -538,13 +530,13 @@ class SnapshotIsolationEngine(GraphEngine):
             misses, miss_keys, resolve_payloads(chains, start_ts)
         ):
             results[index] = payload
-            publish(cache, stamp, PAYLOAD_CACHE_LIMIT, key, (start_ts, payload))
+            publish(cache, stamp, key, start_ts, payload)
         return results
 
     @staticmethod
-    def _publish_entry(cache, stamps, limit: int, key, entry: tuple) -> None:
-        """Admit ``entry`` (``built_ts`` first) for ``key`` into a shared
-        read cache — the one admission check of both entry kinds.
+    def _publish_entry(cache, stamps, key, built_ts: int, payload) -> None:
+        """Admit ``payload``, resolved for ``key`` at snapshot ``built_ts``,
+        into the shared payload cache.
 
         Dropped when it is invalid at birth (a change its snapshot cannot
         see already stamped the key) or a valid entry stands that already
@@ -554,51 +546,16 @@ class SnapshotIsolationEngine(GraphEngine):
         the two, so it serves every snapshot that one served and the
         builder's own as well.
         """
-        built_ts = entry[0]
         stamp = stamps.get(key, 0)
         if stamp > built_ts:
             return
         standing = cache.get(key)
         if standing is None:
-            if len(cache) >= limit:
+            if len(cache) >= PAYLOAD_CACHE_LIMIT:
                 return
         elif stamp <= standing[0] <= built_ts:
             return
-        cache[key] = entry
-
-    def cached_committed_adjacency(
-        self, node_id: int, start_ts: int
-    ) -> Optional[Tuple[Sequence[object], Tuple[EntityKey, ...]]]:
-        """``(payloads, read_keys)`` of ``node_id`` if cached and valid at
-        ``start_ts``: built at or before it, and no relationship change
-        touching the node since the build.
-
-        ``read_keys`` is the key of *every* adjacency candidate, visible or
-        not, which is what a resolving miss registers as SIREADs.  A
-        tracking caller registers those keys plus the ``("adjacency",
-        node_id)`` predicate; an untracked one ignores them.
-        """
-        entry = self._adjacency_payloads.get(node_id)
-        if entry is None:
-            return None
-        built_ts, read_keys, payloads = entry
-        if built_ts > start_ts or self._adjacency_stamp.get(node_id, 0) > built_ts:
-            return None
-        return payloads, read_keys
-
-    def store_adjacency_entry(
-        self,
-        node_id: int,
-        built_ts: int,
-        payloads: Sequence[object],
-        read_keys: Tuple[EntityKey, ...],
-    ) -> None:
-        """Publish the adjacency of ``node_id`` as resolved from all its
-        candidates (``read_keys``) at snapshot ``built_ts``."""
-        self._publish_entry(
-            self._adjacency_payloads, self._adjacency_stamp, ADJACENCY_CACHE_LIMIT,
-            node_id, (built_ts, read_keys, payloads),
-        )
+        cache[key] = (built_ts, payload)
 
     def committed_ids(self, kind: EntityKind) -> Iterator[int]:
         """Cached chain keys first, then the store's ids: a deletion an old
@@ -702,7 +659,10 @@ class SnapshotIsolationEngine(GraphEngine):
     # ------------------------------------------------------------------
 
     def _validate(
-        self, txn: SnapshotTransaction, writes: Dict[EntityKey, Optional[object]]
+        self,
+        txn: SnapshotTransaction,
+        writes: Dict[EntityKey, Optional[object]],
+        created: Set[EntityKey],
     ) -> None:
         """Commit-time checks run under the commit mutex.
 
@@ -714,7 +674,6 @@ class SnapshotIsolationEngine(GraphEngine):
         already committed, and a node cannot be deleted while a concurrently
         committed relationship still attaches to it.
         """
-        created = txn.created_keys()
         self.cc.validate_commit(
             txn.txn_id,
             txn.start_ts,
@@ -780,8 +739,8 @@ class SnapshotIsolationEngine(GraphEngine):
 
     def _install_versions(
         self,
-        txn: SnapshotTransaction,
         writes: Dict[EntityKey, Optional[object]],
+        created: Set[EntityKey],
         commit_ts: int,
     ) -> Dict[EntityKey, Optional[object]]:
         """Install committed versions into the chains; returns superseded payloads.
@@ -790,6 +749,12 @@ class SnapshotIsolationEngine(GraphEngine):
         under the key's stripe lock and re-inserts the chain — never through
         the lock-free read hit path, whose un-promoted chains can be evicted
         mid-install (see that method's docstring).
+
+        A key in ``created`` is installed without reading the
+        store: its id came fresh from the allocator, which hands out an id
+        again only once a catch-up has applied its delete — so the store
+        holds no state for it and the backlog no operation on it.  (A chain
+        still cached for a reused id is found by the install as before.)
         """
         old_states: Dict[EntityKey, Optional[object]] = {}
         payload_stamp = self._payload_stamp
@@ -800,7 +765,11 @@ class SnapshotIsolationEngine(GraphEngine):
             payload_stamp[key] = commit_ts
             version = Version(key, payload, commit_ts)
             superseded = self.versions.install_committed(
-                key, version, lambda k=key: self.store.read_persisted(k)
+                key,
+                version,
+                _no_persisted_state
+                if key in created
+                else (lambda k=key: self.store.read_persisted(k)),
             )
             old_states[key] = (
                 superseded.payload
@@ -830,17 +799,10 @@ class SnapshotIsolationEngine(GraphEngine):
         registered by the forward install are left behind on purpose — the
         reclaim pass tolerates versions whose chain no longer holds them.
         """
-        stamp = self._adjacency_stamp
         payload_stamp = self._payload_stamp
         for key, payload in writes.items():
-            old_state = old_states.get(key)
             payload_stamp[key] = commit_ts
-            self.indexes.apply_change(key, payload, old_state, commit_ts)
-            if key >= REL_TAG:
-                state = payload if payload is not None else old_state
-                if state is not None:
-                    stamp[state.start_node] = commit_ts
-                    stamp[state.end_node] = commit_ts
+            self.indexes.apply_change(key, payload, old_states.get(key), commit_ts)
             self.versions.remove_chain(key)
 
     def _update_indexes(
@@ -849,16 +811,9 @@ class SnapshotIsolationEngine(GraphEngine):
         old_states: Dict[EntityKey, Optional[object]],
         commit_ts: int,
     ) -> None:
-        stamp = self._adjacency_stamp
+        """Tag every index with the commit's changes, the adjacency index
+        included: a relationship create opens an entry under each endpoint
+        and a delete closes them.  This runs before the commit is
+        published, so a snapshot that can see the commit sees its entries."""
         for key, payload in writes.items():
-            old_state = old_states.get(key)
-            self.indexes.apply_change(key, old_state, payload, commit_ts)
-            if key >= REL_TAG:
-                # Any relationship change (create, delete, property update)
-                # invalidates both endpoints' cached adjacency lists.  This
-                # runs before the commit is published, so no snapshot that
-                # can see the change validates a stale entry.
-                state = payload if payload is not None else old_state
-                if state is not None:
-                    stamp[state.start_node] = commit_ts
-                    stamp[state.end_node] = commit_ts
+            self.indexes.apply_change(key, old_states.get(key), payload, commit_ts)

@@ -19,19 +19,19 @@ from the read rule itself and read-your-own-writes from overlaying the
 private write set on every answer; neither needs a memo.  What this layer
 keeps is *bookkeeping* — the write set and, for tracked serializable
 transactions, the SIREAD/predicate registration done in :meth:`_note_reads`
-before the engine is asked.  *Resolved state* (payloads and per-node
-adjacency lists) lives only in the engine's shared, stamp-validated cache
-(:mod:`repro.core.si_manager`), under one validity rule for every
-transaction and isolation level.
+before the engine is asked.  Resolved payloads live only in the engine's
+shared, stamp-validated payload cache (:mod:`repro.core.si_manager`); an
+adjacency is read from the versioned adjacency index at the snapshot, which
+needs no cache at all.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.core.snapshot import Snapshot
 from repro.engine import EngineTransaction
-from repro.graph.entity import REL_TAG, EntityKey, RelationshipData
+from repro.graph.entity import REL_TAG, Direction, EntityKey, NodeData, RelationshipData
 
 
 class SnapshotTransaction(EngineTransaction):
@@ -66,10 +66,12 @@ class SnapshotTransaction(EngineTransaction):
         #: dropped and the read path pays nothing again.
         self.safe_snapshot = safe_snapshot
         self._pending_reader = safe_snapshot
-        #: This transaction's lookups in the engine's shared adjacency
-        #: entries (surfaced by :meth:`snapshot_cache_stats`).
-        self.snapshot_cache_hits = 0
-        self.snapshot_cache_misses = 0
+        #: Nodes whose adjacency this transaction read from the versioned
+        #: adjacency index, and how many of those reads went on to resolve
+        #: the relationships' versions (surfaced by
+        #: :meth:`snapshot_cache_stats`).
+        self.topology_reads = 0
+        self.resolved_expands = 0
 
     @property
     def start_ts(self) -> int:
@@ -133,68 +135,35 @@ class SnapshotTransaction(EngineTransaction):
 
     # -- traversal reads -------------------------------------------------------------
 
-    def _committed_adjacency_many(
-        self, node_ids: Sequence[int]
-    ) -> List[Tuple[RelationshipData, ...]]:
-        """Snapshot-visible committed relationships of each node, by rel id.
+    def _committed_topology_many(
+        self,
+        node_ids: Sequence[int],
+        direction: Direction,
+        wanted_types: Optional[FrozenSet[str]],
+    ) -> List[List[Tuple[int, int]]]:
+        """The relation at the snapshot, straight from the versioned
+        adjacency index: no relationship version is resolved.
 
-        A resolved list is a pure function of (node, snapshot): a candidate
-        added to the global adjacency index by a later committer resolves to
-        a version newer than this snapshot (invisible), and GC never reclaims
-        a version an active snapshot can still select.  So it is served from
-        the engine's shared entry for the node — payloads + the SIREAD keys
-        that reading them implies; valid iff ``built_ts <= S`` and the node's
-        stamp ``<= built_ts`` — or by resolving every adjacency candidate,
-        which publishes such an entry.
-
-        Hit or miss, the reads reported are the same: the key of every
-        candidate relationship plus the ``("adjacency", node)`` predicate (a
-        concurrent committer attaching or detaching a relationship here must
-        form an rw edge even though the new relationship id was never
-        point-read) — in one bookkeeping visit for the whole batch.
+        The one read reported is the ``("adjacency", node)`` predicate per
+        node — a concurrent committer attaching or detaching a relationship
+        here forms an rw edge with it, and a relationship property update,
+        which cannot change the answer, does not.
         """
-        if not node_ids:
-            return []
-        engine = self._engine
-        start_ts = self.snapshot.start_ts
-        results: List[Optional[Tuple[RelationshipData, ...]]] = [None] * len(node_ids)
-        read_keys: List[EntityKey] = []
-        misses: List[Tuple[int, int, Tuple[EntityKey, ...]]] = []
-        cached_adjacency = engine.cached_committed_adjacency
-        candidate_rel_ids = engine.indexes.adjacency.candidate_rel_ids
-        for index, node_id in enumerate(node_ids):
-            shared = cached_adjacency(node_id, start_ts)
-            if shared is None:
-                candidates = tuple(
-                    REL_TAG | rel_id for rel_id in sorted(candidate_rel_ids(node_id))
-                )
-                misses.append((index, node_id, candidates))
-            else:
-                adjacency, candidates = shared
-                results[index] = adjacency
-            read_keys.extend(candidates)
-        self.snapshot_cache_misses += len(misses)
-        self.snapshot_cache_hits += len(node_ids) - len(misses)
-        self._note_reads(
-            read_keys, [("adjacency", node_id) for node_id in node_ids]
+        if self._track_reads or self._pending_reader is not None:
+            self._note_reads(predicates=[("adjacency", node_id) for node_id in node_ids])
+        self.topology_reads += len(node_ids)
+        return self._engine.indexes.adjacency.visible_many(
+            node_ids, self.snapshot.start_ts, direction, wanted_types
         )
-        if misses:
-            resolved = engine.read_committed_versions(
-                [key for _index, _node_id, candidates in misses for key in candidates],
-                start_ts,
-            )
-            cursor = 0
-            for index, node_id, candidates in misses:
-                count = len(candidates)
-                adjacency = tuple(
-                    payload
-                    for payload in resolved[cursor:cursor + count]
-                    if isinstance(payload, RelationshipData)
-                )
-                cursor += count
-                results[index] = adjacency
-                engine.store_adjacency_entry(node_id, start_ts, adjacency, candidates)
-        return results  # type: ignore[return-value]
+
+    def relationships_of_many(
+        self,
+        node_ids: Sequence[int],
+        direction: Direction = Direction.BOTH,
+        rel_types: Optional[Sequence[str]] = None,
+    ) -> List[List[RelationshipData]]:
+        self.resolved_expands += len(node_ids)
+        return super().relationships_of_many(node_ids, direction, rel_types)
 
     # ------------------------------------------------------------------
     # writes (write rule, first-updater-wins)
@@ -239,13 +208,14 @@ class SnapshotTransaction(EngineTransaction):
         self._engine.check_write_conflict(self, key)
 
     # ------------------------------------------------------------------
-    # shared-cache introspection
+    # read-path introspection
     # ------------------------------------------------------------------
 
     def snapshot_cache_stats(self) -> Dict[str, int]:
-        """How many of this transaction's adjacency lookups the engine's
-        shared entries answered (``hits``) or had to resolve (``misses``)."""
+        """How this transaction's expands were answered: ``hits`` counts the
+        node adjacencies the versioned adjacency index answered alone,
+        ``misses`` those that also resolved relationship versions."""
         return {
-            "hits": self.snapshot_cache_hits,
-            "misses": self.snapshot_cache_misses,
+            "hits": self.topology_reads - self.resolved_expands,
+            "misses": self.resolved_expands,
         }

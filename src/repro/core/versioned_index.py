@@ -33,20 +33,70 @@ Every operation costs what it touches, not what the index holds:
   retained, and every open one, is never visited.  A deleted entity needs no
   separate sweep: the delete closes all of its intervals at the tombstone's
   timestamp, so the pass that reclaims the tombstone pops them too.
+
+The adjacency index (:class:`AdjacencyIndex`) versions the relation the same
+way: one ``[created_ts, removed_ts)`` entry per relationship endpoint, so an
+expand that reads no relationship property answers from it alone.
 """
 
 from __future__ import annotations
 
+import bisect
+import sys
 import threading
 from collections import deque
-from typing import Deque, Dict, Hashable, List, Mapping, Optional, Set, Tuple, Union
+from operator import itemgetter
+from typing import (
+    Deque,
+    Dict,
+    FrozenSet,
+    Hashable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
-from repro.graph.entity import REL_TAG, EntityKey, NodeData, RelationshipData
+from repro.graph.entity import REL_TAG, Direction, EntityKey, NodeData, RelationshipData
 from repro.graph.properties import PropertyValue, hashable_value, split_commit_ts
 
 #: One membership interval: a bare ``created_ts`` while it is open,
 #: ``(created_ts, removed_ts)`` once closed.
 _Interval = Union[int, Tuple[int, int]]
+
+#: One adjacency entry: ``(rel_id, other, flags, created_ts, removed_ts)``
+#: (see :class:`AdjacencyIndex`).
+_AdjacencyEntry = Tuple[int, int, int, int, int]
+#: ``removed_ts`` of an entry no delete has closed: past every timestamp.
+_OPEN = sys.maxsize
+#: Entry flags: the relationship leaves the node (it is the start node),
+#: enters it (the end node), or both (a self-loop).
+_OUT, _IN = 1, 2
+_BOTH = _OUT | _IN
+_DIRECTION_FLAGS = {
+    Direction.OUTGOING: _OUT,
+    Direction.INCOMING: _IN,
+    Direction.BOTH: _BOTH,
+}
+_rel_id_of = itemgetter(0)
+
+
+def _thread_closed(closed: Deque[tuple], item: tuple) -> None:
+    """Thread a closed interval onto a purge queue in ``removed_ts`` order.
+
+    Commits finish installing out of timestamp order under the sharded
+    pipeline, so the queue is nearly sorted rather than sorted by
+    construction; walking back from the tail finds the slot in O(1)
+    amortised (the disorder is bounded by the number of concurrently
+    installing commits), as ``ThreadedVersionList.append`` does.
+    """
+    position = len(closed)
+    while position and closed[position - 1][0] > item[0]:
+        position -= 1
+    closed.insert(position, item)
 
 
 def _covers(held: Union[Tuple[int, int], List[_Interval]], start_ts: int) -> bool:
@@ -229,17 +279,7 @@ class _VersionedKeyedIndex:
             entry = shard.entries.get(index_key)
             if entry is None or not entry.mark_removed(entity_id, commit_ts):
                 return
-            # Thread the closed interval in ``removed_ts`` order.  Commits
-            # finish installing out of timestamp order under the sharded
-            # pipeline, so the queue is nearly sorted rather than sorted by
-            # construction; walking back from the tail finds the slot in O(1)
-            # amortised (the disorder is bounded by the number of concurrently
-            # installing commits), as ``ThreadedVersionList.append`` does.
-            closed = shard.closed
-            position = len(closed)
-            while position and closed[position - 1][0] > commit_ts:
-                position -= 1
-            closed.insert(position, (commit_ts, index_key, entity_id))
+            _thread_closed(shard.closed, (commit_ts, index_key, entity_id))
 
     def _visible(self, index_key: Hashable, start_ts: int) -> Set[int]:
         shard = self._shard_of(index_key)
@@ -397,75 +437,249 @@ class VersionedRelationshipTypeIndex(_VersionedKeyedIndex):
         return self.count_current(rel_type)
 
 
-class AdjacencyIndex:
-    """node id -> relationship ids that have (or recently had) that endpoint.
+class _Bucket:
+    """One node's entries of one relationship type, in rel-id order.
 
-    Visibility is *not* encoded here: a lookup returns candidate relationship
-    ids and the caller resolves each against its snapshot.  Entries are only
-    removed when a relationship is fully purged by garbage collection, so a
-    snapshot older than a relationship delete still finds the candidate and
-    resolves it to the pre-delete version.
+    Immutable: every change builds a new bucket, so a reader needs no lock.
+    ``pairs`` holds the ``(rel_id, other)`` of every entry, index-aligned
+    with ``entries``.  ``settled_ts`` is the newest ``created_ts`` while no
+    entry is closed, and :data:`_OPEN` otherwise: a snapshot at or past it
+    sees every entry, so ``pairs`` is its answer without a visibility test.
+    ``all_flags`` / ``any_flags`` (the AND and OR of the entries' flags)
+    answer a direction filter the same way when every entry, or none,
+    leaves the node that way; after a purge they may be stale, only ever
+    conservatively (a superset's AND and OR).
+    """
+
+    __slots__ = ("entries", "pairs", "settled_ts", "closed", "all_flags", "any_flags")
+
+    def __init__(self, entries: Tuple[_AdjacencyEntry, ...],
+                 pairs: Tuple[Tuple[int, int], ...], settled_ts: int, closed: int,
+                 all_flags: int, any_flags: int) -> None:
+        self.entries = entries
+        self.pairs = pairs
+        self.settled_ts = settled_ts
+        self.closed = closed
+        self.all_flags = all_flags
+        self.any_flags = any_flags
+
+    def visible(self, start_ts: int, wanted: int) -> List[Tuple[int, int]]:
+        """The pairs visible at ``start_ts`` that leave the node ``wanted``."""
+        if self.settled_ts <= start_ts:
+            if wanted == _BOTH or self.all_flags & wanted:
+                return list(self.pairs)
+            if not self.any_flags & wanted:
+                return []
+            return [
+                (rel_id, other)
+                for rel_id, other, flags, _created, _removed in self.entries
+                if flags & wanted
+            ]
+        return [
+            (rel_id, other)
+            for rel_id, other, flags, created, removed in self.entries
+            if created <= start_ts < removed and flags & wanted
+        ]
+
+
+def _with_entry(bucket: Optional[_Bucket], entry: _AdjacencyEntry) -> _Bucket:
+    """``bucket`` with a new open entry, kept in rel-id order."""
+    rel_id, other, flags, created_ts, _removed = entry
+    if bucket is None:
+        return _Bucket((entry,), ((rel_id, other),), created_ts, 0, flags, flags)
+    entries, pairs = bucket.entries, bucket.pairs
+    if entries[-1][0] <= rel_id:
+        entries, pairs = entries + (entry,), pairs + ((rel_id, other),)
+    else:
+        at = bisect.bisect_right(entries, rel_id, key=_rel_id_of)
+        entries = entries[:at] + (entry,) + entries[at:]
+        pairs = pairs[:at] + ((rel_id, other),) + pairs[at:]
+    settled_ts = max(bucket.settled_ts, created_ts) if not bucket.closed else _OPEN
+    return _Bucket(entries, pairs, settled_ts, bucket.closed,
+                   bucket.all_flags & flags, bucket.any_flags | flags)
+
+
+def _position(entries: Tuple[_AdjacencyEntry, ...], rel_id: int, removed_ts: int) -> int:
+    """Index of ``rel_id``'s entry with ``removed_ts`` (-1 if none)."""
+    at = bisect.bisect_left(entries, rel_id, key=_rel_id_of)
+    while at < len(entries) and entries[at][0] == rel_id:
+        if entries[at][4] == removed_ts:
+            return at
+        at += 1
+    return -1
+
+
+class AdjacencyIndex:
+    """node id -> the relationships attached to it, versioned.
+
+    Relationship topology never changes after a create — only properties
+    are versioned — so one entry per ``(node, relationship)`` answers an
+    expand at any snapshot without resolving a relationship version.  An
+    entry is the tuple ``(rel_id, other, flags, created_ts, removed_ts)``:
+    ``other`` is the far endpoint (the node itself for a self-loop),
+    ``flags`` says which way it leaves the node (:data:`_OUT`, :data:`_IN`,
+    both for a self-loop, which has one entry) and the interval
+    ``[created_ts, removed_ts)`` is its lifetime, ``removed_ts`` being
+    :data:`_OPEN` until a delete closes it — PostgreSQL's xmin/xmax.  A
+    node's entries are grouped by relationship type into :class:`_Bucket`
+    objects, each in rel-id order, so a typed expand touches only its
+    types' entries.
+
+    A node's ``type -> bucket`` map and its buckets are never mutated once
+    published: a change builds new ones under the node's stripe lock and
+    swaps the map in one assignment, so readers take no lock.  A snapshot
+    never sees an entry a commit it cannot see is adding, since that
+    commit's timestamp lies past the snapshot.  Closing an entry threads
+    ``(removed_ts, node_id, rel_type, rel_id)`` onto its stripe's queue,
+    ordered by ``removed_ts``, and :meth:`purge` pops only the head entries
+    at or below the watermark — the keyed indexes' purge, for the relation.
     """
 
     def __init__(self, stripes: int = 16) -> None:
         if stripes < 1:
             raise ValueError("the adjacency index needs at least one lock stripe")
         self._locks = [threading.RLock() for _ in range(stripes)]
-        self._shards: List[Dict[int, Set[int]]] = [{} for _ in range(stripes)]
+        self._shards: List[Dict[int, Dict[str, _Bucket]]] = [{} for _ in range(stripes)]
+        self._closed: List[Deque[Tuple[int, int, str, int]]] = [
+            deque() for _ in range(stripes)
+        ]
 
-    def _shard_index(self, node_id: int) -> int:
-        return node_id % len(self._shards)
+    def add(self, relationship: RelationshipData, commit_ts: int) -> None:
+        """Open an entry under each endpoint for a relationship created at
+        ``commit_ts``."""
+        rel_id, rel_type = relationship.rel_id, relationship.rel_type
+        start, end = relationship.start_node, relationship.end_node
+        if start == end:
+            self._insert(start, rel_type, (rel_id, start, _OUT | _IN, commit_ts, _OPEN))
+            return
+        self._insert(start, rel_type, (rel_id, end, _OUT, commit_ts, _OPEN))
+        self._insert(end, rel_type, (rel_id, start, _IN, commit_ts, _OPEN))
 
-    def add(self, relationship: RelationshipData) -> None:
-        """Register a committed relationship under both endpoints.
-
-        Each endpoint's entry lives in its own stripe and is updated
-        independently; readers of one node's candidates only need that node's
-        stripe to be consistent.
-        """
-        for node_id in {relationship.start_node, relationship.end_node}:
-            index = self._shard_index(node_id)
-            with self._locks[index]:
-                self._shards[index].setdefault(node_id, set()).add(relationship.rel_id)
-
-    def discard(self, relationship: RelationshipData) -> None:
-        """Remove a fully purged relationship from both endpoints."""
-        for node_id in {relationship.start_node, relationship.end_node}:
-            index = self._shard_index(node_id)
-            with self._locks[index]:
-                members = self._shards[index].get(node_id)
-                if members is not None:
-                    members.discard(relationship.rel_id)
-                    if not members:
-                        del self._shards[index][node_id]
-
-    def drop_node(self, node_id: int) -> None:
-        """Forget a fully purged node."""
-        index = self._shard_index(node_id)
+    def _insert(self, node_id: int, rel_type: str, entry: _AdjacencyEntry) -> None:
+        index = node_id % len(self._shards)
+        shard = self._shards[index]
         with self._locks[index]:
-            self._shards[index].pop(node_id, None)
+            buckets = dict(shard.get(node_id, ()))
+            buckets[rel_type] = _with_entry(buckets.get(rel_type), entry)
+            shard[node_id] = buckets
 
-    def candidate_rel_ids(self, node_id: int) -> Set[int]:
-        """Candidate relationship ids touching ``node_id`` (copy)."""
-        index = self._shard_index(node_id)
-        with self._locks[index]:
-            return set(self._shards[index].get(node_id, ()))
+    def remove(self, relationship: RelationshipData, commit_ts: int) -> None:
+        """Close the open entries of a relationship deleted at ``commit_ts``."""
+        rel_id, rel_type = relationship.rel_id, relationship.rel_type
+        for node_id in {relationship.start_node, relationship.end_node}:
+            index = node_id % len(self._shards)
+            shard = self._shards[index]
+            with self._locks[index]:
+                buckets = shard.get(node_id)
+                bucket = buckets.get(rel_type) if buckets else None
+                at = -1 if bucket is None else _position(bucket.entries, rel_id, _OPEN)
+                if at < 0:
+                    continue
+                entries = bucket.entries
+                closed = entries[:at] + (entries[at][:4] + (commit_ts,),) + entries[at + 1:]
+                buckets = dict(buckets)
+                buckets[rel_type] = _Bucket(closed, bucket.pairs, _OPEN, bucket.closed + 1,
+                                            bucket.all_flags, bucket.any_flags)
+                shard[node_id] = buckets
+                _thread_closed(self._closed[index], (commit_ts, node_id, rel_type, rel_id))
+
+    def purge(self, watermark: int) -> Tuple[int, int]:
+        """Drop the entries closed at or below ``watermark``; returns
+        ``(examined, purged)`` as the keyed indexes' purge does."""
+        examined = purged = 0
+        for index, closed in enumerate(self._closed):
+            shard = self._shards[index]
+            with self._locks[index]:
+                while closed and closed[0][0] <= watermark:
+                    removed_ts, node_id, rel_type, rel_id = closed.popleft()
+                    examined += 1
+                    buckets = shard.get(node_id)
+                    bucket = buckets.get(rel_type) if buckets else None
+                    at = -1 if bucket is None else _position(bucket.entries, rel_id, removed_ts)
+                    if at < 0:
+                        continue
+                    purged += 1
+                    buckets = dict(buckets)
+                    entries = bucket.entries[:at] + bucket.entries[at + 1:]
+                    if entries:
+                        remaining = bucket.closed - 1
+                        buckets[rel_type] = _Bucket(
+                            entries, bucket.pairs[:at] + bucket.pairs[at + 1:],
+                            max(entry[3] for entry in entries) if not remaining else _OPEN,
+                            remaining, bucket.all_flags, bucket.any_flags,
+                        )
+                    else:
+                        del buckets[rel_type]
+                    if buckets:
+                        shard[node_id] = buckets
+                    else:
+                        del shard[node_id]
+        return examined, purged
+
+    def visible_many(
+        self,
+        node_ids: Sequence[int],
+        start_ts: int,
+        direction: Direction,
+        rel_types: Optional[FrozenSet[str]],
+    ) -> List[List[Tuple[int, int]]]:
+        """The ``(rel_id, other)`` pairs of each node visible at ``start_ts``,
+        in rel-id order, leaving the node in ``direction`` with a type in
+        ``rel_types`` (any type when ``None``).  Lock-free (see the class
+        docstring)."""
+        shards = self._shards
+        stripes = len(shards)
+        wanted = _DIRECTION_FLAGS[direction]
+        only = next(iter(rel_types)) if rel_types is not None and len(rel_types) == 1 else None
+        result: List[List[Tuple[int, int]]] = []
+        append = result.append
+        for node_id in node_ids:
+            buckets = shards[node_id % stripes].get(node_id)
+            if not buckets:
+                append([])
+            elif only is not None:
+                bucket = buckets.get(only)
+                if bucket is None:
+                    append([])
+                elif bucket.settled_ts <= start_ts and (
+                    wanted == _BOTH or bucket.all_flags & wanted
+                ):
+                    append(list(bucket.pairs))
+                else:
+                    append(bucket.visible(start_ts, wanted))
+            else:
+                parts = [
+                    bucket.visible(start_ts, wanted)
+                    for rel_type, bucket in buckets.items()
+                    if rel_types is None or rel_type in rel_types
+                ]
+                if len(parts) == 1:
+                    append(parts[0])
+                else:
+                    append(sorted(pair for part in parts for pair in part))
+        return result
+
+    def candidate_rel_ids(self, node_id: int) -> List[int]:
+        """Ids of every relationship with an entry under ``node_id``, open or
+        not yet purged, in id order: what the read-committed engine reads
+        under short locks and what commit validation checks."""
+        buckets = self._shards[node_id % len(self._shards)].get(node_id, {})
+        return sorted({
+            entry[0] for bucket in buckets.values() for entry in bucket.entries
+        })
 
     def node_count(self) -> int:
-        """Number of nodes with at least one candidate relationship."""
-        total = 0
-        for index, shard in enumerate(self._shards):
-            with self._locks[index]:
-                total += len(shard)
-        return total
+        """Number of nodes holding at least one entry."""
+        return sum(len(shard) for shard in self._shards)
 
     def entry_count(self) -> int:
-        """Total number of (node, relationship) entries."""
-        total = 0
-        for index, shard in enumerate(self._shards):
-            with self._locks[index]:
-                total += sum(len(members) for members in shard.values())
-        return total
+        """Total number of (node, relationship) entries, closed ones included."""
+        return sum(
+            len(bucket.entries)
+            for shard in self._shards
+            for buckets in list(shard.values())
+            for bucket in buckets.values()
+        )
 
 
 class VersionedIndexSet:
@@ -524,7 +738,9 @@ class VersionedIndexSet:
         )
         self.relationship_types.apply_relationship_change(old, new, commit_ts)
         if old is None and new is not None:
-            self.adjacency.add(new)
+            self.adjacency.add(new, commit_ts)
+        elif old is not None and new is None:
+            self.adjacency.remove(old, commit_ts)
         if self.stats_epoch is not None:
             self.stats_epoch.record((old is None) - (new is None))
 
@@ -553,34 +769,29 @@ class VersionedIndexSet:
         return newest
 
     def purge(self, watermark: int) -> Tuple[int, int]:
-        """Purge every index; returns ``(examined, purged)`` interval counts."""
+        """Purge every index, the adjacency index included; returns
+        ``(examined, purged)`` interval counts.
+
+        A deleted entity needs nothing more: its delete closed every
+        interval and adjacency entry it held at the tombstone's timestamp,
+        so the pass that reclaims the tombstone pops them all.
+        """
         examined = purged = 0
         for index in (
             self.node_labels,
             self.node_properties,
             self.relationship_properties,
             self.relationship_types,
+            self.adjacency,
         ):
             index_examined, index_purged = index.purge(watermark)
             examined += index_examined
             purged += index_purged
         return examined, purged
 
-    def purge_node(self, node: NodeData) -> None:
-        """Forget a fully garbage-collected node's adjacency entry.
-
-        Its index intervals were all closed by the delete, at the tombstone's
-        timestamp; the :meth:`purge` of the same pass reclaims them.
-        """
-        self.adjacency.drop_node(node.node_id)
-
-    def purge_relationship(self, relationship: RelationshipData) -> None:
-        """Forget a fully garbage-collected relationship's adjacency entries
-        (its index intervals go the way :meth:`purge_node` describes)."""
-        self.adjacency.discard(relationship)
-
     def interval_count(self) -> int:
-        """Total intervals across all indexes (memory metric for E6)."""
+        """Total intervals across the keyed indexes (memory metric for E6;
+        the adjacency index counts its entries in ``entry_count``)."""
         return (
             self.node_labels.interval_count()
             + self.node_properties.interval_count()

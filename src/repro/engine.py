@@ -26,7 +26,7 @@ from __future__ import annotations
 import abc
 import enum
 import itertools
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import ReadOnlyTransactionError, TransactionClosedError, classify_abort
 from repro.graph.entity import (
@@ -77,10 +77,10 @@ class EngineTransaction(abc.ABC):
     :class:`~repro.graph.entity.NodeData` / ``RelationshipData`` states.
 
     A subclass supplies the committed side of every read — one batch read
-    ``_read_committed``, ``_committed_adjacency_many`` and the commit point
-    ``_index_ts`` that index lookups read at — and the write-time
-    concurrency control; this class overlays the private write set on all
-    of it.
+    ``_read_committed``, one topology read ``_committed_topology_many`` and
+    the commit point ``_index_ts`` that index lookups read at — and the
+    write-time concurrency control; this class overlays the private write
+    set on all of it.
     """
 
     #: Commit point the versioned indexes are read at: the snapshot under
@@ -372,60 +372,75 @@ class EngineTransaction(abc.ABC):
         return result
 
     # -- traversal reads ---------------------------------------------------------
+    #
+    # A relationship's type and endpoints never change after its create, so
+    # which relationships attach to a node is a question about the relation,
+    # not about relationship versions: ``topology_many`` answers it with
+    # ``(rel_id, other)`` pairs.  An expand that needs the relationships
+    # themselves resolves only the pairs' keys (``relationships_of_many``).
 
     @abc.abstractmethod
-    def _committed_adjacency_many(
-        self, node_ids: Sequence[int]
-    ) -> List[Tuple[RelationshipData, ...]]:
-        """Committed relationships of each node as this transaction reads
-        them, by rel id (the private write set is overlaid by the caller)."""
-
-    def _overlay_and_filter(
+    def _committed_topology_many(
         self,
-        node_id: int,
-        committed: Tuple[RelationshipData, ...],
+        node_ids: Sequence[int],
         direction: Direction,
-        wanted_types: Optional[Set[str]],
-    ) -> List[RelationshipData]:
-        """Write-set overlay + direction/type filter of one adjacency list."""
-        # Overlay the private write set: relationship endpoints are immutable,
-        # so an own write either replaces a committed entry (property update),
-        # adds a new one (create) or removes one (delete).
-        relationships: Sequence[RelationshipData] = committed
-        if self._writes:
-            merged: Dict[int, RelationshipData] = {
-                relationship.rel_id: relationship for relationship in committed
-            }
-            changed = False
-            for key, data in self._writes.items():
-                if key < REL_TAG:
-                    continue
-                if data is None:
-                    if merged.pop(key_id(key), None) is not None:
-                        changed = True
-                elif data.touches(node_id):
-                    merged[data.rel_id] = data
+        wanted_types: Optional[FrozenSet[str]],
+    ) -> List[List[Tuple[int, int]]]:
+        """Committed ``(rel_id, other)`` pairs of each node as this
+        transaction reads them, filtered by direction and type, by rel id
+        (the private write set is overlaid by the caller)."""
+
+    def topology_many(
+        self,
+        node_ids: Sequence[int],
+        direction: Direction = Direction.BOTH,
+        rel_types: Optional[Sequence[str]] = None,
+    ) -> List[List[Tuple[int, int]]]:
+        """The visible ``(rel_id, other)`` pairs of each node id, in rel-id
+        order: ``other`` is the far endpoint (the node itself for a
+        self-loop, listed once).  One batched read of the relation with the
+        private write set overlaid; no relationship state is resolved."""
+        self.ensure_open()
+        wanted_types = frozenset(rel_types) if rel_types else None
+        committed = self._committed_topology_many(node_ids, direction, wanted_types)
+        if not self._writes:
+            return committed
+        own = [(key, data) for key, data in self._writes.items() if key >= REL_TAG]
+        if not own:
+            return committed
+        return [
+            self._overlay_topology(node_id, pairs, own, direction, wanted_types)
+            for node_id, pairs in zip(node_ids, committed)
+        ]
+
+    @staticmethod
+    def _overlay_topology(
+        node_id: int,
+        pairs: List[Tuple[int, int]],
+        own: List[Tuple[EntityKey, Optional[RelationshipData]]],
+        direction: Direction,
+        wanted_types: Optional[FrozenSet[str]],
+    ) -> List[Tuple[int, int]]:
+        """One node's committed pairs with the private relationship writes
+        overlaid: an own delete removes a pair, an own create adds one, and
+        a property update changes nothing (endpoints and type are
+        immutable)."""
+        merged = dict(pairs)
+        changed = False
+        for key, data in own:
+            rel_id = key_id(key)
+            if data is None:
+                if rel_id in merged:
+                    del merged[rel_id]
                     changed = True
-            if changed:
-                relationships = [merged[rel_id] for rel_id in sorted(merged)]
-        # Adjacency candidates always touch the node, so BOTH never filters
-        # on direction — skip the per-relationship endpoint checks.
-        if direction is Direction.BOTH:
-            if wanted_types is None:
-                return list(relationships)
-            return [
-                relationship
-                for relationship in relationships
-                if relationship.rel_type in wanted_types
-            ]
-        result: List[RelationshipData] = []
-        for relationship in relationships:
-            if not direction.matches(node_id, relationship.start_node, relationship.end_node):
-                continue
-            if wanted_types is not None and relationship.rel_type not in wanted_types:
-                continue
-            result.append(relationship)
-        return result
+            elif (
+                rel_id not in merged
+                and direction.matches(node_id, data.start_node, data.end_node)
+                and (wanted_types is None or data.rel_type in wanted_types)
+            ):
+                merged[rel_id] = data.other_node(node_id)
+                changed = True
+        return sorted(merged.items()) if changed else pairs
 
     def relationships_of(
         self,
@@ -442,16 +457,21 @@ class EngineTransaction(abc.ABC):
         direction: Direction = Direction.BOTH,
         rel_types: Optional[Sequence[str]] = None,
     ) -> List[List[RelationshipData]]:
-        """Visible relationships of each node id, in order (batched expand):
-        the write-set overlay and the direction/type filter applied to each
-        node's committed list."""
-        self.ensure_open()
-        wanted_types = set(rel_types) if rel_types else None
+        """Visible relationships of each node id, in rel-id order (batched
+        expand): one topology read, then one batch read of just the visible,
+        type-matching relationships it named (own writes win)."""
+        topology = self.topology_many(node_ids, direction, rel_types)
+        keys = list(dict.fromkeys(
+            REL_TAG | rel_id for pairs in topology for rel_id, _other in pairs
+        ))
+        states = dict(zip(keys, self._read(keys)))
         return [
-            self._overlay_and_filter(node_id, committed, direction, wanted_types)
-            for node_id, committed in zip(
-                node_ids, self._committed_adjacency_many(node_ids)
-            )
+            [
+                state
+                for state in (states[REL_TAG | rel_id] for rel_id, _other in pairs)
+                if state is not None
+            ]
+            for pairs in topology
         ]
 
     # -- writes ----------------------------------------------------------------

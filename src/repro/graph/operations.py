@@ -21,9 +21,9 @@ replaying an operation is idempotent, which is all recovery needs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _json_string
-from typing import Any, List, Mapping, Optional, Union
+from typing import AbstractSet, Any, List, Mapping, Optional, Union
 
 from repro.errors import WalError
 from repro.graph.entity import REL_TAG, EntityKey, NodeData, RelationshipData, key_id
@@ -69,11 +69,14 @@ class WriteNodeOp:
     """Create or overwrite a node with the given logical state.
 
     ``commit_ts``, when set, is stored as the node's reserved commit-timestamp
-    property.
+    property.  ``created`` is what the committer knows: ``True`` for a
+    create, ``False`` for an overwrite of a live node, ``None`` (replay,
+    direct writes) when the store must look.  It is not logged.
     """
 
     node: NodeData
     commit_ts: Optional[int] = None
+    created: Optional[bool] = field(default=None, compare=False)
 
     op_name = "write_node"
 
@@ -115,11 +118,12 @@ class DeleteNodeOp:
 class WriteRelationshipOp:
     """Create or overwrite a relationship with the given logical state.
 
-    ``commit_ts`` as for :class:`WriteNodeOp`.
+    ``commit_ts`` and ``created`` as for :class:`WriteNodeOp`.
     """
 
     relationship: RelationshipData
     commit_ts: Optional[int] = None
+    created: Optional[bool] = field(default=None, compare=False)
 
     op_name = "write_relationship"
 
@@ -164,7 +168,9 @@ StoreOperation = Union[WriteNodeOp, DeleteNodeOp, WriteRelationshipOp, DeleteRel
 
 
 def build_store_operations(
-    writes: Mapping[EntityKey, Optional[object]], commit_ts: Optional[int] = None
+    writes: Mapping[EntityKey, Optional[object]],
+    commit_ts: Optional[int] = None,
+    created: Optional[AbstractSet[EntityKey]] = None,
 ) -> List[StoreOperation]:
     """Translate a committed write set (key -> new state, ``None`` for a
     delete) into ordered store operations.
@@ -173,7 +179,10 @@ def build_store_operations(
     then nodes deleted, so the store's structural constraints hold at every
     point of the apply.  ``commit_ts``, when given, rides on each write, to
     be persisted as the written state's reserved commit-timestamp property.
+    ``created``, when given, is every written key the batch creates; each
+    other write then overwrites a live entity (the ops' ``created`` flag).
     """
+    known = created is not None
     node_writes: List[StoreOperation] = []
     rel_writes: List[StoreOperation] = []
     rel_deletes: List[StoreOperation] = []
@@ -183,11 +192,15 @@ def build_store_operations(
             if payload is None:
                 node_deletes.append(DeleteNodeOp(key))
             else:
-                node_writes.append(WriteNodeOp(payload, commit_ts))
+                node_writes.append(
+                    WriteNodeOp(payload, commit_ts, key in created if known else None)
+                )
         elif payload is None:
             rel_deletes.append(DeleteRelationshipOp(key_id(key)))
         else:
-            rel_writes.append(WriteRelationshipOp(payload, commit_ts))
+            rel_writes.append(
+                WriteRelationshipOp(payload, commit_ts, key in created if known else None)
+            )
     return node_writes + rel_writes + rel_deletes + node_deletes
 
 

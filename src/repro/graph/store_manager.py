@@ -191,6 +191,10 @@ class StoreManager:
         self._superseded: Set[int] = set()
         #: Node id -> queued change of its relationship count.
         self._rel_delta: Dict[int, int] = {}
+        #: Queued change of the node and relationship totals: creates minus
+        #: deletes of the batches the commit path admitted.
+        self._queued_nodes = 0
+        self._queued_relationships = 0
         self._apply_failed = False
         #: Observability bundle (set by the database); when present, the
         #: commit flush path times WAL appends into its latency histogram.
@@ -427,8 +431,9 @@ class StoreManager:
             admitted: List[_PendingCommit] = []
             live: Dict[EntityKey, object] = {}
             counts: Dict[int, int] = {}
+            totals = [0, 0]
             for entry in batch:
-                entry.error = self._refusal(entry.operations, live, counts)
+                entry.error = self._refusal(entry.operations, live, counts, totals)
                 if entry.error is None:
                     admitted.append(entry)
                 else:
@@ -463,6 +468,8 @@ class StoreManager:
         rel_delta = self._rel_delta
         for node_id, delta in counts.items():
             rel_delta[node_id] = rel_delta.get(node_id, 0) + delta
+        self._queued_nodes += totals[0]
+        self._queued_relationships += totals[1]
         # An in-memory log can never be replayed: the queued operations hold
         # the states, and the log bytes are dead weight.
         if self._path is None:
@@ -473,17 +480,20 @@ class StoreManager:
         operations: List[StoreOperation],
         live: Dict[EntityKey, object],
         counts: Dict[int, int],
+        totals: List[int],
     ) -> Optional[Exception]:
         """The error ``operations`` would raise when applied after the
         backlog and after the batches of this group before them, or ``None``.
 
-        ``live`` and ``counts`` hold those earlier batches' effects: the
-        state of each key they touched (``None`` once deleted, a
-        relationship's endpoints, ``True`` for a node) and each node's
-        change of relationship count.  An accepted batch adds its own.
+        ``live``, ``counts`` and ``totals`` hold those earlier batches'
+        effects: the state of each key they touched (``None`` once deleted,
+        a relationship's endpoints, ``True`` for a node), each node's change
+        of relationship count, and the change of the node and relationship
+        totals.  An accepted batch adds its own.
         """
         own_live: Dict[EntityKey, object] = {}
         own_counts: Dict[int, int] = {}
+        nodes = rels = 0
 
         def state(key: EntityKey) -> object:
             if key in own_live:
@@ -492,12 +502,22 @@ class StoreManager:
                 return live[key]
             return self._logged_state(key)
 
+        def creates(operation) -> bool:
+            # A committer that knows says so: its creates hold fresh ids,
+            # which the stores and the backlog know nothing of (an id is
+            # handed out again only once a catch-up applied its delete).
+            if operation.created is None:
+                return state(operation.key) is None
+            return operation.created
+
         for operation in operations:
             key = operation.key
             if isinstance(operation, WriteNodeOp):
+                if creates(operation):
+                    nodes += 1
                 own_live[key] = True
             elif isinstance(operation, WriteRelationshipOp):
-                if state(key) is None:
+                if creates(operation):
                     rel = operation.relationship
                     for node_id in (rel.start_node, rel.end_node):
                         if state(node_id) is None:
@@ -505,12 +525,14 @@ class StoreManager:
                     ends = own_live[key] = frozenset((rel.start_node, rel.end_node))
                     for node_id in ends:
                         own_counts[node_id] = own_counts.get(node_id, 0) + 1
+                    rels += 1
             elif isinstance(operation, DeleteRelationshipOp):
                 ends = state(key)
                 if ends is not None:
                     for node_id in ends:
                         own_counts[node_id] = own_counts.get(node_id, 0) - 1
                     own_live[key] = None
+                    rels -= 1
             elif state(key) is not None:  # DeleteNodeOp
                 record = self.nodes.read(key)
                 rel_count = (
@@ -524,9 +546,12 @@ class StoreManager:
                         f"node {key} still has relationships in the store"
                     )
                 own_live[key] = None
+                nodes -= 1
         live.update(own_live)
         for node_id, delta in own_counts.items():
             counts[node_id] = counts.get(node_id, 0) + delta
+        totals[0] += nodes
+        totals[1] += rels
         return None
 
     def _logged_state(self, key: EntityKey) -> object:
@@ -611,6 +636,7 @@ class StoreManager:
         self._queued = {}
         self._superseded = set()
         self._rel_delta = {}
+        self._queued_nodes = self._queued_relationships = 0
         self.stats.writes_skipped += skipped
         obs = self.obs
         if obs is not None:
@@ -726,12 +752,12 @@ class StoreManager:
                 yield node
 
     def node_count(self) -> int:
-        """Number of nodes in the persistent store: a kept count (one int;
-        the planner's estimate, not a census), read without the latch when
-        nothing is queued."""
-        if self._backlog:
-            self.catch_up()
-        return self.nodes.count()
+        """Number of nodes once the backlog is caught up: the records' kept
+        count plus the backlog's queued creates minus its deletes (the
+        planner's estimate, not a census).  Reads two ints, without the
+        latch and without catching up — during a catch-up it may count the
+        part already applied twice."""
+        return self.nodes.count() + self._queued_nodes
 
     # ------------------------------------------------------------------
     # relationships
@@ -835,11 +861,9 @@ class StoreManager:
                 yield relationship
 
     def relationship_count(self) -> int:
-        """Number of relationships in the persistent store (as
+        """Number of relationships once the backlog is caught up (as
         :meth:`node_count`)."""
-        if self._backlog:
-            self.catch_up()
-        return self.relationships.count()
+        return self.relationships.count() + self._queued_relationships
 
     def _add_to_rel_count(self, node_id: int, delta: int) -> None:
         """Move an in-use node's relationship count by ``delta``, never below

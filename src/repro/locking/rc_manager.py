@@ -20,7 +20,7 @@ from typing import Dict, Optional
 
 from repro.core.versioned_index import VersionedIndexSet
 from repro.engine import GraphEngine, IsolationLevel
-from repro.graph.entity import REL_TAG, EntityKey
+from repro.graph.entity import EntityKey
 from repro.graph.operations import build_store_operations
 from repro.graph.store_manager import StoreManager
 from repro.locking.lock_manager import LockManager
@@ -106,8 +106,9 @@ class ReadCommittedEngine(GraphEngine):
                 if trace is not None:
                     trace.mark("stripe_wait")  # the 2PL engine's one "stripe"
                 old_states = {key: self.read_committed(key) for key in writes}
+                created = {key for key, old_state in old_states.items() if old_state is None}
                 catch_up_due = self.store.apply_batch(
-                    txn.txn_id, build_store_operations(writes)
+                    txn.txn_id, build_store_operations(writes, created=created)
                 )
                 self._publish(writes, old_states)
             if trace is not None:
@@ -133,13 +134,6 @@ class ReadCommittedEngine(GraphEngine):
             indexes.apply_change(key, old_states[key], state, seq)
         self.latest_seq = seq
         indexes.purge(seq)
-        for key, state in writes.items():
-            old_state = old_states[key]
-            if state is None and old_state is not None:
-                if key < REL_TAG:
-                    indexes.purge_node(old_state)
-                else:
-                    indexes.purge_relationship(old_state)
 
     def abort_transaction(self, txn: ReadCommittedTransaction) -> None:
         """Discard a transaction's writes and release its locks."""

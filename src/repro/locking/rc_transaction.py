@@ -16,10 +16,10 @@ the locked committed read under it.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.engine import EngineTransaction
-from repro.graph.entity import REL_TAG, EntityKey, RelationshipData
+from repro.graph.entity import REL_TAG, Direction, EntityKey, RelationshipData
 from repro.locking.lock_manager import LockMode
 
 
@@ -54,18 +54,31 @@ class ReadCommittedTransaction(EngineTransaction):
                 states.append(engine.read_committed(key))
         return states
 
-    def _committed_adjacency_many(
-        self, node_ids: Sequence[int]
-    ) -> List[Tuple[RelationshipData, ...]]:
-        """Each node's adjacency candidates read one short lock at a time;
-        candidates this transaction wrote are left to the overlay."""
+    def _committed_topology_many(
+        self,
+        node_ids: Sequence[int],
+        direction: Direction,
+        wanted_types: Optional[FrozenSet[str]],
+    ) -> List[List[Tuple[int, int]]]:
+        """Each node's adjacency candidates read one short lock at a time,
+        then filtered; candidates this transaction wrote are left to the
+        overlay."""
         candidate_rel_ids = self._engine.indexes.adjacency.candidate_rel_ids
         writes = self._writes
-        results: List[Tuple[RelationshipData, ...]] = []
+        results: List[List[Tuple[int, int]]] = []
         for node_id in node_ids:
-            keys = [REL_TAG | rel_id for rel_id in sorted(candidate_rel_ids(node_id))]
-            committed = self._read_committed([key for key in keys if key not in writes])
-            results.append(tuple(state for state in committed if state is not None))
+            keys = [
+                key
+                for key in (REL_TAG | rel_id for rel_id in candidate_rel_ids(node_id))
+                if key not in writes
+            ]
+            results.append([
+                (state.rel_id, state.other_node(node_id))
+                for state in self._read_committed(keys)
+                if state is not None
+                and direction.matches(node_id, state.start_node, state.end_node)
+                and (wanted_types is None or state.rel_type in wanted_types)
+            ])
         return results
 
     # ------------------------------------------------------------------

@@ -14,7 +14,10 @@ the state-returning batch reads of :class:`~repro.api.transaction.Transaction`
 (``find_node_states``, ``node_states``, ``relationship_states_of_many``,
 ``expand_states_many``): one engine visit per batch, and under SERIALIZABLE
 one tracker visit registers its SIREADs, as through the handle-returning
-reads those wrap.  A :class:`~repro.api.transaction.Node` /
+reads those wrap.  A hop that never reads a relationship — the planner's
+topology hops, distinct-endpoint walks and fused ``count(r)`` — reads only
+the relation (``topology_of_many``): relationship ids and far ends, with no
+relationship state resolved, and binds the bare id.  A :class:`~repro.api.transaction.Node` /
 ``Relationship`` handle is built only where a value leaves the statement
 (:func:`edge_value`: a returned column, or inside a returned list) or where
 a write clause calls the transaction API; equality, ``DISTINCT``, grouping
@@ -687,13 +690,16 @@ def _expand_sources(op: Expand, in_batch: RowBatch) -> Tuple[List[int], List[int
 
 
 def _excluded_rel_ids(variables: Sequence[str], row: Row) -> frozenset:
-    """Ids of the relationships earlier hops of the pattern already bound."""
+    """Ids of the relationships earlier hops of the pattern already bound
+    (a topology hop binds the bare id)."""
     if not variables:
         return _EMPTY_FROZENSET
     excluded = set()
     for variable in variables:
         value = row.get(variable)
-        if isinstance(value, RelationshipData):
+        if type(value) is int:
+            excluded.add(value)
+        elif isinstance(value, RelationshipData):
             excluded.add(value.rel_id)
         elif isinstance(value, (list, tuple)):
             for item in value:
@@ -750,25 +756,33 @@ def _expand(op: Expand, build: _Build) -> Stage:
 
 def _hop_matches(
     op: Expand, ctx: ExecutionContext, in_batch: RowBatch, rel_prop_fns, _profiled,
-) -> Iterator[Tuple[int, RelationshipData, Optional[NodeData]]]:
+) -> Iterator[Tuple[int, object, Optional[NodeData]]]:
     """``(row index, relationship, neighbour)`` of every single-hop match of
     one input batch, each row's in reverse adjacency order: a single hop is
-    the one-level case of the var-length walk, which pops its stack LIFO."""
+    the one-level case of the var-length walk, which pops its stack LIFO.
+    A topology hop (``bind_rel`` cleared) yields the relationship's id."""
     source_indexes, sources = _expand_sources(op, in_batch)
     if not sources:
         return
     rel_types = op.rel.types or None
+    tx = ctx.tx
     if op.bind_target:
-        expanded = ctx.tx.expand_states_many(sources, op.direction, rel_types)
-    else:
+        expand_many = tx.expand_states_many if op.bind_rel else _topology_expand(tx)
+        expanded = expand_many(sources, op.direction, rel_types)
+    elif op.bind_rel:
         # Nothing downstream can observe the far-end node (anonymous terminal
         # target, no label/property checks), so skip the neighbour reads and
         # pair each relationship with a placeholder.
         expanded = [
             [(relationship, None) for relationship in relationships]
-            for relationships in ctx.tx.relationship_states_of_many(
+            for relationships in tx.relationship_states_of_many(
                 sources, op.direction, rel_types
             )
+        ]
+    else:
+        expanded = [
+            [(rel_id, None) for rel_id, _other in pairs]
+            for pairs in tx.topology_of_many(sources, op.direction, rel_types)
         ]
     row = _RowView(in_batch.data)
     for index, pairs in zip(source_indexes, expanded):
@@ -781,13 +795,40 @@ def _hop_matches(
                 continue
             target_id = bound_target.node_id
         for relationship, neighbour in reversed(pairs):
-            if relationship.rel_id in excluded or (
+            if (excluded and _rel_id(relationship) in excluded) or (
                 rel_prop_fns and not _has_properties(relationship, rel_prop_fns, row, ctx)
             ):
                 continue
             if target_id is not None and neighbour.node_id != target_id:
                 continue
             yield index, relationship, neighbour
+
+
+def _rel_id(relationship) -> int:
+    """The id of a bound relationship: a state, or a topology hop's bare id."""
+    return relationship if type(relationship) is int else relationship.rel_id
+
+
+def _topology_expand(tx: Transaction):
+    """An ``expand_states_many`` for hops that never read a relationship:
+    per node, ``(relationship id, neighbour state)`` pairs in adjacency
+    order — one topology read, then one point read of the distinct far
+    ends, a relationship whose far end is not visible skipped."""
+
+    def expand_many(node_ids, direction, rel_types):
+        topology = tx.topology_of_many(node_ids, direction, rel_types)
+        distinct = list(dict.fromkeys(
+            other for pairs in topology for _rel_id, other in pairs
+        ))
+        neighbours = {
+            node.node_id: node for node in tx.node_states(distinct) if node is not None
+        }
+        return [
+            [(rel_id, neighbours[other]) for rel_id, other in pairs if other in neighbours]
+            for pairs in topology
+        ]
+
+    return expand_many
 
 
 def _expand_output(in_batch: RowBatch, op: Expand, indexes: List[int],
@@ -857,7 +898,7 @@ def _extend_path(forest: _PathForest, path: int, pairs, excluded: frozenset,
     index = forest.row[path]
     children = forest.children[path]
     for relationship, neighbour in pairs:
-        rel_id = relationship.rel_id
+        rel_id = _rel_id(relationship)
         if rel_id in excluded:
             continue
         ancestor = path
@@ -865,7 +906,7 @@ def _extend_path(forest: _PathForest, path: int, pairs, excluded: frozenset,
             ancestor = path_parent[ancestor]
         if ancestor >= roots:
             continue  # relationship already on this path
-        if _has_properties(relationship, rel_prop_fns, row, ctx):
+        if not rel_prop_fns or _has_properties(relationship, rel_prop_fns, row, ctx):
             children.append(len(path_parent))
             forest.row.append(index)
             path_parent.append(path)
@@ -898,7 +939,7 @@ def _var_length_matches(
     max_hops = rel.max_hops
     rel_types = rel.types or None
     direction = op.direction
-    expand_many = ctx.tx.expand_states_many
+    expand_many = ctx.tx.expand_states_many if op.bind_rel else _topology_expand(ctx.tx)
     levels = profiled.actual_levels if profiled is not None else None
     row = _RowView(in_batch.data)
     indexes, sources = _expand_sources(op, in_batch)
@@ -997,7 +1038,7 @@ def _grow_frontier(
     max_hops = rel.max_hops
     rel_types = rel.types or None
     direction = op.direction
-    expand_many = ctx.tx.expand_states_many
+    expand_many = ctx.tx.expand_states_many if op.bind_rel else _topology_expand(ctx.tx)
     budget = FRONTIER_PATH_BUDGET
     path_row = forest.row
     path_node = forest.node
@@ -1068,12 +1109,12 @@ def _distinct_endpoints(
     chain's check).
 
     The reads are level-synchronous over node-id sets: per depth, one
-    ``relationship_states_of_many`` for the batch's frontier nodes whose adjacency
-    has not been read yet and one point read of the far ends not read yet,
-    so a node reached by many paths is read once.  These are the
-    neighbourhoods the path walk reads (under SERIALIZABLE, the same SIREAD
-    keys and predicates), and a relationship whose far end is not visible
-    is skipped, as there.
+    ``topology_of_many`` for the batch's frontier nodes whose adjacency has
+    not been read yet and one point read of the far ends not read yet, so a
+    node reached by many paths is read once.  These are the neighbourhoods
+    the path walk reads (under SERIALIZABLE, the same adjacency predicates;
+    no relationship is resolved, so no relationship SIREAD), and a
+    relationship whose far end is not visible is skipped, as there.
 
     Each row then walks its own ≤ 2 levels in the path walk's order —
     pre-order, siblings in reverse adjacency order — keeping only the first
@@ -1118,13 +1159,10 @@ def _distinct_endpoints(
                 levels.append([0, 0])
             levels[depth][0] += 1
             levels[depth][1] += len(unexpanded)
-        for node_id, relationships in zip(
-            unexpanded, tx.relationship_states_of_many(unexpanded, direction, rel_types)
+        for node_id, pairs in zip(
+            unexpanded, tx.topology_of_many(unexpanded, direction, rel_types)
         ):
-            adjacency[node_id] = [
-                (data.rel_id, data.end_node if data.start_node == node_id else data.start_node)
-                for data in reversed(relationships)
-            ]
+            adjacency[node_id] = pairs[::-1]
         unread = list(dict.fromkeys([
             other
             for node_id in unexpanded
@@ -1443,9 +1481,9 @@ def _fuses_expand_count(op: Aggregate) -> bool:
     """Whether ``Expand -> Aggregate(count(r))`` folds into adjacency-length
     sums: an unbound-target single hop whose rows exist only to be counted
     by plain ``count(rel_var)`` aggregates grouped on pre-expand variables.
-    The counts come from the same adjacency reads the expand would make, so
-    SI visibility and SSI predicate registration are untouched, and a source
-    with an empty adjacency produces no row, as the expand would."""
+    The counts are the lengths of one topology read (a count needs no
+    relationship state), and a source with an empty adjacency produces no
+    row, as the expand would."""
     child = op.child
     if not isinstance(child, Expand):
         return False
@@ -1484,7 +1522,10 @@ def _fused_expand_count(op: Aggregate, build: _Build) -> Stage:
             source_indexes, sources = _expand_sources(expand, in_batch)
             if not sources:
                 continue
-            counts = ctx.tx.count_relationships_of_many(sources, direction, rel_types)
+            counts = [
+                len(pairs)
+                for pairs in ctx.tx.topology_of_many(sources, direction, rel_types)
+            ]
             group_columns = [fn(in_batch, ctx) for fn in group_fns]
             keys = _group_keys(group_columns, in_batch.size)
             for index, count in zip(source_indexes, counts):

@@ -227,6 +227,13 @@ class Expand(PlanOperator):
         #: (``-[r:KNOWS]-()``): the executor then skips the neighbour
         #: node reads entirely — the result cannot depend on them.
         self.bind_target = True
+        #: Whether the hop's relationship states must be materialised.  The
+        #: planner clears this on hops whose relationship is anonymous and
+        #: has no property map (see ``_mark_topology_expands``): the executor then reads only the
+        #: relation — which relationships attach, and their far ends — and
+        #: binds relationship ids, which only later hops' exclusion and the
+        #: path walk's isomorphism check read.
+        self.bind_rel = True
         #: ``PROFILE`` of a variable-length hop: per depth, ``[round trips,
         #: paths expanded]`` of the executor's frontier levels.
         self.actual_levels: Optional[List[List[int]]] = None
@@ -262,6 +269,8 @@ class Expand(PlanOperator):
         arrow_left = "<-" if self.rel.direction == "IN" else "-"
         arrow_right = "->" if self.rel.direction == "OUT" else "-"
         tags = "" if self.bind_target or self.into else " unbound-target"
+        if not self.bind_rel:
+            tags += " topology"
         if self.rel.var_length and not self.distinct_endpoints:
             # How the executor runs the hop, decided by plan shape.
             tags += " lazy" if self.rel.max_hops is None else " frontier"
@@ -515,7 +524,22 @@ class _Planner:
         root = ProduceResults(op, columns, op.estimated_rows)
         self._prune_unbound_targets(root)
         self._mark_distinct_endpoint_expands(root)
+        self._mark_topology_expands(root)
         return Plan(query, root)
+
+    @staticmethod
+    def _mark_topology_expands(root: PlanOperator) -> None:
+        """Clear ``bind_rel`` on hops that never need a relationship state:
+        an anonymous relationship with no property map.  Its variable is
+        one no user expression can name, so it escapes only into the
+        exclusion sets of later hops of its MATCH and a path walk's
+        isomorphism check, which need nothing but the id.  A named variable
+        counts as escaping.  (Distinct-endpoint hops and the fused
+        ``Expand -> count(r)`` read the relation whatever this says.)
+        """
+        for op in root.walk():
+            if isinstance(op, Expand) and op.rel.variable is None and not op.rel.properties:
+                op.bind_rel = False
 
     @staticmethod
     def _prune_unbound_targets(root: PlanOperator) -> None:

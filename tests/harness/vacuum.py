@@ -28,7 +28,6 @@ from dataclasses import dataclass
 
 from repro.core.si_manager import SnapshotIsolationEngine
 from repro.core.version import Version, VersionChain
-from repro.graph.entity import NodeData, RelationshipData
 
 
 @dataclass
@@ -135,12 +134,8 @@ class VacuumCollector:
         return any(v.commit_ts <= watermark for v in newer)
 
     def _maybe_purge(self, chain: VersionChain, version: Version, stats: VacuumStats) -> None:
+        """Count a deleted entity whose last state goes (its index intervals
+        and adjacency entries go with the pass's index purge)."""
         newest = chain.newest()
-        payload = version.payload
-        if newest is not None and newest.is_tombstone and payload is not None:
-            if isinstance(payload, NodeData):
-                self.indexes.purge_node(payload)
-                stats.entities_purged += 1
-            elif isinstance(payload, RelationshipData):
-                self.indexes.purge_relationship(payload)
-                stats.entities_purged += 1
+        if newest is not None and newest.is_tombstone and version.payload is not None:
+            stats.entities_purged += 1

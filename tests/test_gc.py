@@ -295,7 +295,9 @@ class TestDeletedEntitiesLeaveTheIndexes:
         collect()
         assert [n.id for n in reader.find_nodes("Temp", "city", 0)] == [nodes[2], nodes[4]]
         assert len(reader.find_relationships(rel_type="KNOWS")) == 5
+        assert [rel.id for rel in reader.relationships_of(nodes[1])] == rels[:2]
         assert indexes.interval_count() == (6 * 4 - 1) + 5 * 2
+        assert indexes.adjacency.entry_count() == 5 * 2
         reader.rollback()
         collect()
         survivors, surviving_rels = set(nodes[3:]), set(rels[3:])
@@ -305,8 +307,9 @@ class TestDeletedEntitiesLeaveTheIndexes:
         assert self._entities_held(indexes.relationship_properties) == surviving_rels
         assert indexes.interval_count() == 3 * 4 + 2 * 2
         for node_id in nodes[:3]:
-            assert indexes.adjacency.candidate_rel_ids(node_id) == set()
-        assert indexes.adjacency.candidate_rel_ids(nodes[3]) == {rels[3]}
+            assert indexes.adjacency.candidate_rel_ids(node_id) == []
+        assert indexes.adjacency.candidate_rel_ids(nodes[3]) == [rels[3]]
+        assert indexes.adjacency.entry_count() == 2 * 2
         assert all(not shard.closed for shard in indexes.node_labels._shards)
         db.close()
 

@@ -143,12 +143,14 @@ class TestIndexManager:
         _publish(indexes, 1, None, created)
         assert indexes.relationship_properties.visible("since", 2016, 1) == {5}
         assert indexes.relationship_types.visible("KNOWS", 1) == {5}
-        assert indexes.adjacency.candidate_rel_ids(1) == {5}
+        assert indexes.adjacency.candidate_rel_ids(1) == [5]
+        # The delete closes the adjacency entries and the same commit's
+        # purge drops them: no separate per-relationship purge.
         _publish(indexes, 2, created, None)
-        indexes.purge_relationship(created)
         assert indexes.relationship_properties.visible("since", 2016, 2) == set()
         assert indexes.relationship_types.visible("KNOWS", 2) == set()
-        assert indexes.adjacency.candidate_rel_ids(1) == set()
+        assert indexes.adjacency.candidate_rel_ids(1) == []
+        assert indexes.adjacency.entry_count() == 0
 
     def test_rebuild_from_store(self):
         store = StoreManager(None)
@@ -173,6 +175,5 @@ class TestIndexManager:
         node = NodeData(1, {"Person"})
         _publish(indexes, 1, None, node)
         _publish(indexes, 2, node, None)
-        indexes.purge_node(node)
         assert indexes.node_labels.visible("Person", 2) == set()
         assert indexes.interval_count() == 0

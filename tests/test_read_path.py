@@ -401,7 +401,8 @@ class TestSharedReadCache:
                 assert read() == expected
         assert not doomed_rels and not doomed_spokes
         stats = reader.engine_transaction.snapshot_cache_stats()
-        # No entry a newer snapshot built can serve this one.
+        # Every expansion here resolves its relationships: each one is read
+        # again from the adjacency index and the version chains.
         assert stats["hits"] == warm["hits"] and stats["misses"] > warm["misses"]
         # GC ran after every commit, held back only by this reader.
         held = db.statistics()["engine"]["gc"]

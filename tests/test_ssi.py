@@ -281,7 +281,7 @@ class TestPhantomPrevention:
             hub = tx.create_node(labels=["Hub"])
             s1 = tx.create_node()
             s2 = tx.create_node()
-        if warm:  # the shared adjacency cache answers both cap-checks below
+        if warm:  # an earlier reader has read the hub's relation
             with db.transaction() as tx:
                 assert tx.degree(hub.id) == 0
         t1 = db.begin()
@@ -289,6 +289,7 @@ class TestPhantomPrevention:
         assert t1.degree(hub.id) == 0  # adjacency predicate read
         assert t2.degree(hub.id) == 0
         if warm:
+            # A degree reads the relation alone: nothing is resolved.
             assert t2.engine_transaction.snapshot_cache_stats()["misses"] == 0
         t1.create_relationship(s1.id, hub.id, "LINK")
         t2.create_relationship(s2.id, hub.id, "LINK")
@@ -298,14 +299,14 @@ class TestPhantomPrevention:
         db.close()
 
 
-class TestSharedAdjacencyCacheTracksReads:
-    """The engine's adjacency cache serves tracked readers: a hit registers
-    exactly the SIREADs and predicates a resolving miss registers."""
+class TestExpandsRegisterTheRelationOnly:
+    """A tracked reader's expands register the ``("adjacency", node)``
+    predicate; one that resolves relationships adds their keys — only the
+    visible, type-matching ones it returns — and a topology read adds none."""
 
-    #: ``None`` is the raw committed list as the engine transaction hands it
-    #: to the overlay (read here after the transaction has written
-    #: something, so the overlay runs too); the rest are ``(direction.value,
-    #: types)`` filtered calls over the same shared entry.
+    #: ``None`` reads the list after the transaction has written something,
+    #: so the write-set overlay runs too; the rest are ``(direction.value,
+    #: types)`` filtered calls.
     CALLS = [
         pytest.param(None, id="raw"),
         pytest.param(("both", None), id="both"),
@@ -317,7 +318,7 @@ class TestSharedAdjacencyCacheTracksReads:
     @staticmethod
     def _hub(db):
         """A hub with relationships both ways, two types, and one deleted
-        relationship (still an adjacency candidate, no longer visible)."""
+        relationship (its adjacency entry closed, no longer visible)."""
         with db.transaction() as tx:
             hub = tx.create_node(["Hub"])
             spokes = [tx.create_node(["Spoke"]) for _ in range(4)]
@@ -332,7 +333,7 @@ class TestSharedAdjacencyCacheTracksReads:
     @staticmethod
     def _expand(db, hub_id, call):
         """One tracked expansion; returns (rel ids, SIREAD keys, predicates,
-        cache stats)."""
+        read-path stats)."""
         tx = db.begin()
         try:
             if call is None:
@@ -351,93 +352,72 @@ class TestSharedAdjacencyCacheTracksReads:
             tx.rollback()
 
     @pytest.mark.parametrize("call", CALLS)
-    def test_hit_registers_what_a_miss_registers(self, call):
+    def test_resolving_expand_registers_the_keys_it_returns(self, call):
         from repro.graph.entity import rel_key
 
         db = GraphDatabase.in_memory(isolation=IsolationLevel.SERIALIZABLE)
         hub_id, deleted_rel_id = self._hub(db)
-        engine = db.engine
-        start_ts = engine.oracle.latest_commit_ts
-        assert engine.cached_committed_adjacency(hub_id, start_ts) is None
-        cold_rels, cold_keys, cold_predicates, cold_stats = self._expand(
-            db, hub_id, call
-        )
-        assert cold_stats == {"hits": 0, "misses": 1}
-        assert engine.cached_committed_adjacency(hub_id, start_ts) is not None
-        warm_rels, warm_keys, warm_predicates, warm_stats = self._expand(
-            db, hub_id, call
-        )
-        assert warm_stats == {"hits": 1, "misses": 0}
-        assert warm_rels == cold_rels and deleted_rel_id not in warm_rels
-        assert warm_keys == cold_keys
-        assert warm_predicates == cold_predicates == {("adjacency", hub_id)}
-        # Every candidate is registered, not only the visible ones.
-        assert rel_key(deleted_rel_id) in warm_keys
-        assert len(warm_keys) == 4
+        rels, keys, predicates, stats = self._expand(db, hub_id, call)
+        assert stats == {"hits": 0, "misses": 1}
+        assert deleted_rel_id not in rels
+        assert keys == {rel_key(rel_id) for rel_id in rels}
+        assert predicates == {("adjacency", hub_id)}
+        again = self._expand(db, hub_id, call)
+        assert again[:3] == (rels, keys, predicates)
         db.close()
 
-    def test_filtered_calls_share_the_one_raw_entry(self):
-        """Whichever call resolves first publishes the entry every other
-        ``(direction, types)`` call then filters."""
+    def test_filtered_calls_read_one_relation(self):
         db = GraphDatabase.in_memory(isolation=IsolationLevel.SERIALIZABLE)
         hub_id, _deleted = self._hub(db)
-        _rels, cold_keys, _predicates, cold_stats = self._expand(
-            db, hub_id, ("incoming", ("LIKES",))
-        )
-        assert cold_stats["misses"] == 1
         sizes = {}
-        for call in (None, ("both", None), ("outgoing", None), ("both", ("KNOWS",))):
-            rels, keys, predicates, stats = self._expand(db, hub_id, call)
-            assert stats == {"hits": 1, "misses": 0}
-            assert keys == cold_keys and predicates == {("adjacency", hub_id)}
+        for call in (None, ("both", None), ("outgoing", None), ("both", ("KNOWS",)),
+                     ("incoming", ("LIKES",))):
+            rels, keys, predicates, _stats = self._expand(db, hub_id, call)
+            assert len(keys) == len(rels) and predicates == {("adjacency", hub_id)}
             sizes[call] = len(rels)
         assert sizes == {
             None: 3, ("both", None): 3, ("outgoing", None): 1, ("both", ("KNOWS",)): 2,
+            ("incoming", ("LIKES",)): 1,
         }
         db.close()
 
-    def test_entry_invalidated_by_a_commit_falls_back_to_resolving(self):
+    def test_topology_read_registers_only_the_predicate(self):
         db = GraphDatabase.in_memory(isolation=IsolationLevel.SERIALIZABLE)
         hub_id, _deleted = self._hub(db)
-        call = ("both", None)
-        self._expand(db, hub_id, call)  # warm
-        with db.transaction() as tx:
-            tx.create_relationship(hub_id, tx.create_node(), "KNOWS")
-        rels, keys, _predicates, stats = self._expand(db, hub_id, call)
-        assert len(rels) == 4 and len(keys) == 5
-        assert stats["misses"] > 0  # the stale entry failed validation
+        tx = db.begin()
+        try:
+            assert tx.degree(hub_id) == 3
+            assert tx.count_relationships_of_many([hub_id], Direction.OUTGOING) == [1]
+            record = tx.engine_transaction.cc_record
+            assert set(record.read_keys) == set()
+            assert set(record.predicates) == {("adjacency", hub_id)}
+            assert tx.engine_transaction.snapshot_cache_stats() == {"hits": 2, "misses": 0}
+        finally:
+            tx.rollback()
         db.close()
 
-    def test_stale_build_is_not_published(self):
-        """White-box: a build that cannot see the newest change to the node
-        is dropped and displaces nothing; neither does a build a standing
-        valid entry already serves."""
+    def test_each_snapshot_reads_its_own_relation(self):
+        """No cache to invalidate: a reader begun before a commit keeps the
+        relation it began with, and one begun after sees the commit."""
         db = GraphDatabase.in_memory(isolation=IsolationLevel.SERIALIZABLE)
         hub_id, _deleted = self._hub(db)
-        engine = db.engine
-        stale_ts = engine.oracle.latest_commit_ts
-        self._expand(db, hub_id, ("both", None))
-        entry = engine._adjacency_payloads[hub_id]
+        early = db.begin(read_only=True)
+        assert early.degree(hub_id) == 3
         with db.transaction() as tx:
             tx.create_relationship(hub_id, tx.create_node(), "KNOWS")
-        latest_ts = engine.oracle.latest_commit_ts
-        engine.store_adjacency_entry(hub_id, stale_ts, (), ())
-        assert engine._adjacency_payloads[hub_id] is entry
-        assert engine.cached_committed_adjacency(hub_id, latest_ts) is None
-        self._expand(db, hub_id, ("both", None))
-        fresh = engine._adjacency_payloads[hub_id]
-        assert fresh is not entry and fresh[0] == latest_ts
-        engine.store_adjacency_entry(hub_id, latest_ts, (), ())
-        assert engine._adjacency_payloads[hub_id] is fresh
+        rels, keys, _predicates, _stats = self._expand(db, hub_id, ("both", None))
+        assert len(rels) == 4 and len(keys) == 4
+        assert early.degree(hub_id) == 3
+        early.rollback()
         db.close()
 
     @pytest.mark.parametrize("writer_first", [False, True],
                              ids=["reader-registers-first", "writer-commits-first"])
-    def test_warm_var_length_reader_still_conflicts_with_befriend(
-        self, writer_first, monkeypatch
-    ):
-        """A tracked 2-hop reader served from warm caches keeps its rw edge
-        to a concurrent ``befriend`` on a 1-hop neighbour."""
+    def test_var_length_reader_still_conflicts_with_befriend(self, writer_first):
+        """A tracked 2-hop reader, reading the relation alone, keeps its rw
+        edge to a concurrent ``befriend`` on a 1-hop neighbour."""
+        from repro.graph.entity import REL_TAG
+
         db = GraphDatabase.in_memory(isolation=IsolationLevel.SERIALIZABLE)
         db.execute(
             "CREATE (:Person {name: 'p'})-[:KNOWS]->(:Person {name: 'n1'})"
@@ -452,19 +432,10 @@ class TestSharedAdjacencyCacheTracksReads:
             "MATCH (a:Person {name: 'n1'}), (b:Person {name: 'z'}) "
             "CREATE (a)-[:KNOWS]->(b)"
         )
-        with db.transaction() as tx:  # warm the shared caches
-            assert len(tx.execute(fof).rows()) == 2
 
         def edges():
             return db.statistics()["engine"]["concurrency_control"]["rw_edges_observed"]
 
-        resolved = []  # nodes whose adjacency candidates had to be resolved
-        adjacency = db.engine.indexes.adjacency
-        candidate_rel_ids = adjacency.candidate_rel_ids
-        monkeypatch.setattr(
-            adjacency, "candidate_rel_ids",
-            lambda node_id: resolved.append(node_id) or candidate_rel_ids(node_id),
-        )
         before = edges()
         reader = db.begin()
         if writer_first:
@@ -472,8 +443,9 @@ class TestSharedAdjacencyCacheTracksReads:
                 tx.execute(befriend)
         assert sorted(reader.execute(fof).rows()) == [["n1"], ["n2"]]
         record = reader.engine_transaction.cc_record
+        # Both levels read the relation: no relationship key was registered.
+        assert not any(key >= REL_TAG for key in record.read_keys)
         if not writer_first:
-            assert resolved == []  # both levels came from the shared cache
             assert not record.out_conflict
             with db.transaction() as tx:
                 tx.execute(befriend)

@@ -15,9 +15,13 @@ import threading
 import pytest
 
 from repro import GraphDatabase, IsolationLevel
+from repro.core.si_manager import SnapshotIsolationEngine
 from repro.errors import TransactionAbortedError
 from repro.graph import store_manager
+from repro.graph.entity import EntityKind, NodeData, RelationshipData, rel_key
+from repro.graph.properties import COMMIT_TS_PROPERTY
 from repro.graph.recovery import check_store
+from repro.graph.store_manager import StoreManager
 
 
 def _create(db, **properties):
@@ -121,6 +125,113 @@ def test_a_crash_image_with_a_backlog_reopens_with_every_commit(tmp_path):
         assert _read(recovered, other) == {"score": -1}
     finally:
         recovered.close()
+
+
+@pytest.mark.parametrize(
+    "isolation",
+    [IsolationLevel.SNAPSHOT, IsolationLevel.SERIALIZABLE, IsolationLevel.READ_COMMITTED],
+)
+def test_counts_include_the_backlog_without_catching_up(isolation):
+    """The planner's totals count the backlog's queued creates and deletes;
+    reading them applies nothing."""
+    db = GraphDatabase.in_memory(isolation=isolation)
+    try:
+        with db.transaction() as tx:
+            a, b, c = (tx.create_node(["Person"], {"n": index}) for index in range(3))
+            ab = tx.create_relationship(a, b, "KNOWS")
+            tx.create_relationship(b, c, "KNOWS")
+        db.store.catch_up()
+        with db.transaction() as tx:
+            d = tx.create_node(["Person"], {"n": 3})
+            tx.create_relationship(a, d, "KNOWS")
+            tx.create_relationship(d, d, "SELF")
+        with db.transaction() as tx:
+            tx.delete_relationship(ab)
+            tx.set_node_property(b, "n", 10)
+        with db.transaction() as tx:
+            tx.delete_node(c, detach=True)
+        with db.transaction() as tx:
+            tx.create_node(["Temp"])
+        with db.transaction() as tx:  # created and deleted in one backlog
+            gone = tx.create_node(["Temp"])
+        with db.transaction() as tx:
+            tx.delete_node(gone)
+        # Read-committed reads catch the store up: its backlog is the last
+        # commit's alone.
+        backlog = db.store.backlog_size
+        assert backlog == (1 if isolation is IsolationLevel.READ_COMMITTED else 6)
+        engine = db.engine
+        counts = (engine.committed_count(EntityKind.NODE),
+                  engine.committed_count(EntityKind.RELATIONSHIP))
+        assert counts == (4, 2)  # a, b, d and one Temp node; a-d and the self-loop
+        assert db.store.backlog_size == backlog
+        db.store.catch_up()
+        assert (db.store.nodes.count(), db.store.relationships.count()) == counts
+        assert (db.store.node_count(), db.store.relationship_count()) == counts
+    finally:
+        db.close()
+
+
+@pytest.mark.parametrize("collect_first", [True, False], ids=["chain-purged", "chain-held"])
+def test_a_create_on_a_reused_id_reads_nothing_stale(collect_first):
+    """With id reuse on, a catch-up that applies a delete frees the id and
+    the next create gets it.  That create installs without reading the
+    store: the store holds nothing for the id and the backlog no operation
+    on it — whether GC has purged the deleted relationship's chain or a
+    reader still holds it."""
+    store = StoreManager(None, reuse_entity_ids=True)
+    engine = SnapshotIsolationEngine(store)
+    try:
+        tx = engine.begin()
+        a, b, c = (engine.allocate_node_id() for _ in range(3))
+        for node_id in (a, b, c):
+            tx.put_node(NodeData(node_id, {"P"}), create=True)
+        old = RelationshipData(engine.allocate_relationship_id(), "KNOWS", a, b, {"w": 1})
+        tx.put_relationship(old, create=True)
+        tx.commit()
+        pinned = None if collect_first else engine.begin(read_only=True)
+        deleter = engine.begin()
+        deleter.delete_relationship(old.rel_id)
+        deleter.commit()
+        reads = []  # engine loads and the commit check's store lookups
+        read_persisted, logged_state = store.read_persisted, store._logged_state
+        store.read_persisted = lambda key: reads.append(key) or read_persisted(key)
+        store._logged_state = lambda key: reads.append(key) or logged_state(key)
+        store.catch_up()  # applies the delete: the id is free again
+        engine.run_gc()
+        key = rel_key(old.rel_id)
+        assert (engine.versions.get_chain(key) is None) == collect_first
+        rel_id = engine.allocate_relationship_id()
+        assert rel_id == old.rel_id
+        new = RelationshipData(rel_id, "LIKES", a, c, {"w": 2})
+        creator = engine.begin()
+        creator.put_relationship(new, create=True)
+        creator.commit()
+        assert key not in reads
+        chain = engine.versions.get_chain(key)
+        assert chain.newest().payload == new
+        if collect_first:
+            assert len(chain) == 1
+        else:
+            # A reader begun before the delete still reads the old state.
+            assert len(chain) == 3
+            assert pinned.read_relationship(rel_id) == old
+            assert pinned.relationships_of(a) == [old]
+            pinned.rollback()
+            engine.run_gc()
+            assert len(engine.versions.get_chain(key)) == 1
+        reader = engine.begin(read_only=True)
+        assert reader.read_relationship(rel_id) == new
+        assert reader.relationships_of(a) == [new]
+        assert reader.relationships_of(b) == []
+        reader.rollback()
+        store.catch_up()
+        assert store.read_relationship(rel_id) == RelationshipData(
+            rel_id, "LIKES", a, c, {"w": 2, COMMIT_TS_PROPERTY: creator.commit_ts}
+        )
+        assert [store.nodes.read(node_id).rel_count for node_id in (a, b, c)] == [1, 0, 1]
+    finally:
+        store.close()
 
 
 def test_the_bound_catches_up_after_the_commit(monkeypatch):

@@ -8,7 +8,7 @@ from repro.core.versioned_index import (
     VersionedPropertyIndex,
     VersionedRelationshipTypeIndex,
 )
-from repro.graph.entity import NodeData, RelationshipData
+from repro.graph.entity import Direction, NodeData, RelationshipData
 
 
 class TestVersionedEntrySet:
@@ -233,28 +233,87 @@ class TestAdjacencyIndex:
     def test_add_and_candidates(self):
         adjacency = AdjacencyIndex()
         rel = RelationshipData(9, "KNOWS", 1, 2)
-        adjacency.add(rel)
-        assert adjacency.candidate_rel_ids(1) == {9}
-        assert adjacency.candidate_rel_ids(2) == {9}
-        assert adjacency.candidate_rel_ids(3) == set()
+        adjacency.add(rel, commit_ts=1)
+        assert adjacency.candidate_rel_ids(1) == [9]
+        assert adjacency.candidate_rel_ids(2) == [9]
+        assert adjacency.candidate_rel_ids(3) == []
         assert adjacency.node_count() == 2
         assert adjacency.entry_count() == 2
 
     def test_self_loop_counted_once_per_node(self):
         adjacency = AdjacencyIndex()
-        adjacency.add(RelationshipData(5, "SELF", 3, 3))
-        assert adjacency.candidate_rel_ids(3) == {5}
+        adjacency.add(RelationshipData(5, "SELF", 3, 3), commit_ts=1)
+        assert adjacency.candidate_rel_ids(3) == [5]
+        for direction in Direction:
+            assert adjacency.visible_many([3], 1, direction, None) == [[(5, 3)]]
 
-    def test_discard_and_drop_node(self):
+    def test_visible_within_the_entry_interval(self):
         adjacency = AdjacencyIndex()
         rel = RelationshipData(9, "KNOWS", 1, 2)
-        adjacency.add(rel)
-        adjacency.discard(rel)
-        assert adjacency.candidate_rel_ids(1) == set()
-        adjacency.add(rel)
-        adjacency.drop_node(1)
-        assert adjacency.candidate_rel_ids(1) == set()
-        assert adjacency.candidate_rel_ids(2) == {9}
+        adjacency.add(rel, commit_ts=3)
+        adjacency.remove(rel, commit_ts=7)
+        both = Direction.BOTH
+        assert adjacency.visible_many([1, 2], 2, both, None) == [[], []]
+        assert adjacency.visible_many([1, 2], 3, both, None) == [[(9, 2)], [(9, 1)]]
+        assert adjacency.visible_many([1, 2], 6, both, None) == [[(9, 2)], [(9, 1)]]
+        assert adjacency.visible_many([1, 2], 7, both, None) == [[], []]
+
+    def test_direction_and_type_filters(self):
+        adjacency = AdjacencyIndex()
+        adjacency.add(RelationshipData(1, "KNOWS", 10, 11), commit_ts=1)
+        adjacency.add(RelationshipData(2, "LIKES", 12, 10), commit_ts=1)
+        adjacency.add(RelationshipData(3, "KNOWS", 13, 10), commit_ts=1)
+
+        def visible(direction, types=None):
+            return adjacency.visible_many([10], 1, direction, types)[0]
+
+        assert visible(Direction.BOTH) == [(1, 11), (2, 12), (3, 13)]
+        assert visible(Direction.OUTGOING) == [(1, 11)]
+        assert visible(Direction.INCOMING) == [(2, 12), (3, 13)]
+        assert visible(Direction.BOTH, frozenset({"KNOWS"})) == [(1, 11), (3, 13)]
+        assert visible(Direction.INCOMING, frozenset({"LIKES", "OTHER"})) == [(2, 12)]
+
+    def test_entries_stay_in_rel_id_order(self):
+        """Commits install out of id order under the sharded pipeline; a
+        node's entries (what an expand returns) stay sorted by rel id."""
+        adjacency = AdjacencyIndex()
+        for rel_id in (5, 2, 9, 1, 7):
+            adjacency.add(RelationshipData(rel_id, "KNOWS", 0, rel_id + 100), commit_ts=1)
+        pairs = adjacency.visible_many([0], 1, Direction.BOTH, None)[0]
+        assert [rel_id for rel_id, _other in pairs] == [1, 2, 5, 7, 9]
+
+    def test_remove_then_purge_by_watermark(self):
+        """A delete closes both endpoints' entries; the purge drops them once
+        the watermark reaches the delete, and a node left with no entry is
+        forgotten — what ``discard`` and ``drop_node`` used to do."""
+        adjacency = AdjacencyIndex()
+        rel = RelationshipData(9, "KNOWS", 1, 2)
+        adjacency.add(rel, commit_ts=1)
+        adjacency.remove(rel, commit_ts=4)
+        assert adjacency.candidate_rel_ids(1) == [9]  # an older snapshot reads it
+        assert adjacency.purge(watermark=3) == (0, 0)
+        assert adjacency.purge(watermark=4) == (2, 2)
+        assert adjacency.candidate_rel_ids(1) == adjacency.candidate_rel_ids(2) == []
+        assert adjacency.node_count() == adjacency.entry_count() == 0
+        assert adjacency.purge(watermark=10) == (0, 0)
+
+    def test_reused_id_keeps_both_lifetimes(self):
+        """An id handed out again while the old relationship's entry is still
+        held: one closed and one open entry, each visible in its interval."""
+        adjacency = AdjacencyIndex()
+        old = RelationshipData(4, "KNOWS", 1, 2)
+        new = RelationshipData(4, "LIKES", 1, 3)
+        adjacency.add(old, commit_ts=1)
+        adjacency.remove(old, commit_ts=3)
+        adjacency.add(new, commit_ts=5)
+        both = Direction.BOTH
+        assert adjacency.visible_many([1], 2, both, None) == [[(4, 2)]]
+        assert adjacency.visible_many([1], 4, both, None) == [[]]
+        assert adjacency.visible_many([1], 5, both, None) == [[(4, 3)]]
+        assert adjacency.candidate_rel_ids(1) == [4]
+        assert adjacency.purge(watermark=5) == (2, 2)
+        assert adjacency.visible_many([1], 5, both, None) == [[(4, 3)]]
+        assert adjacency.entry_count() == 2
 
 
 class TestVersionedIndexSet:
@@ -269,7 +328,8 @@ class TestVersionedIndexSet:
         assert indexes.node_properties.visible("name", "alice", 1) == {1}
         assert indexes.relationship_properties.visible("since", 2016, 2) == {7}
         assert indexes.relationship_types.visible("KNOWS", 2) == {7}
-        assert indexes.adjacency.candidate_rel_ids(1) == {7}
+        assert indexes.adjacency.candidate_rel_ids(1) == [7]
+        assert indexes.adjacency.visible_many([1], 2, Direction.BOTH, None) == [[(7, 2)]]
         assert indexes.interval_count() == 4
 
     def test_purge_entities(self):
@@ -278,16 +338,15 @@ class TestVersionedIndexSet:
         rel = RelationshipData(7, "KNOWS", 1, 2, {"since": 2016})
         indexes.apply_node_change(None, alice, commit_ts=1)
         indexes.apply_relationship_change(None, rel, commit_ts=1)
-        # What a delete + GC pass does: the delete closes every interval, the
-        # pass drops the adjacency entries and pops the closed intervals.
+        # What a delete + GC pass does: the delete closes every interval and
+        # adjacency entry, the pass pops them all off the purge queues.
         indexes.apply_relationship_change(rel, None, commit_ts=3)
         indexes.apply_node_change(alice, None, commit_ts=3)
-        indexes.purge_relationship(rel)
-        indexes.purge_node(alice)
-        assert indexes.adjacency.candidate_rel_ids(1) == set()
-        assert indexes.adjacency.candidate_rel_ids(2) == set()
+        assert indexes.adjacency.candidate_rel_ids(1) == [7]
         assert indexes.node_labels.visible("Person", 2) == {1}
-        assert indexes.purge(watermark=3) == (4, 4)
+        assert indexes.purge(watermark=3) == (4 + 2, 4 + 2)
+        assert indexes.adjacency.candidate_rel_ids(1) == []
+        assert indexes.adjacency.candidate_rel_ids(2) == []
         assert indexes.interval_count() == 0
         assert indexes.node_labels.visible("Person", 5) == set()
         assert indexes.relationship_types.visible("KNOWS", 5) == set()
