@@ -45,7 +45,6 @@ import bisect
 import sys
 import threading
 from collections import deque
-from operator import itemgetter
 from typing import (
     Deque,
     Dict,
@@ -67,21 +66,19 @@ from repro.graph.properties import PropertyValue, hashable_value, split_commit_t
 #: ``(created_ts, removed_ts)`` once closed.
 _Interval = Union[int, Tuple[int, int]]
 
-#: One adjacency entry: ``(rel_id, other, flags, created_ts, removed_ts)``
-#: (see :class:`AdjacencyIndex`).
-_AdjacencyEntry = Tuple[int, int, int, int, int]
 #: ``removed_ts`` of an entry no delete has closed: past every timestamp.
 _OPEN = sys.maxsize
 #: Entry flags: the relationship leaves the node (it is the start node),
 #: enters it (the end node), or both (a self-loop).
 _OUT, _IN = 1, 2
 _BOTH = _OUT | _IN
+#: Ints per adjacency entry in a bucket's flat ``data`` tuple.
+_STRIDE = 5
 _DIRECTION_FLAGS = {
     Direction.OUTGOING: _OUT,
     Direction.INCOMING: _IN,
     Direction.BOTH: _BOTH,
 }
-_rel_id_of = itemgetter(0)
 
 
 def _thread_closed(closed: Deque[tuple], item: tuple) -> None:
@@ -437,75 +434,57 @@ class VersionedRelationshipTypeIndex(_VersionedKeyedIndex):
         return self.count_current(rel_type)
 
 
-class _Bucket:
-    """One node's entries of one relationship type, in rel-id order.
+#: One node's entries of one relationship type, in rel-id order: the tuple
+#: ``(data, settled_ts, closed, all_flags, any_flags, pairs)``.  ``data``
+#: holds the entries flat, :data:`_STRIDE` ints each — ``rel_id, other,
+#: flags, created_ts, removed_ts`` — so storing an entry allocates nothing
+#: the cyclic garbage collector keeps counting (a bulk load is all
+#: appends).  ``settled_ts`` is the newest ``created_ts`` while no entry is
+#: closed (``closed`` counts them), and :data:`_OPEN` otherwise: a snapshot
+#: at or past it sees every entry without a visibility test.  ``all_flags``
+#: / ``any_flags`` (the AND and OR of the entries' flags) answer a direction
+#: filter the same way when every entry, or none, leaves the node that way;
+#: after a purge they may be stale, only ever conservatively (a superset's
+#: AND and OR).  ``pairs`` is every entry's ``(rel_id, other)``, built by
+#: the first read that needs it (``None`` until then) and kept up by later
+#: appends: what a settled read returns.
+_Bucket = Tuple[Tuple[int, ...], int, int, int, int, Optional[Tuple[Tuple[int, int], ...]]]
 
-    Immutable: every change builds a new bucket, so a reader needs no lock.
-    ``pairs`` holds the ``(rel_id, other)`` of every entry, index-aligned
-    with ``entries``.  ``settled_ts`` is the newest ``created_ts`` while no
-    entry is closed, and :data:`_OPEN` otherwise: a snapshot at or past it
-    sees every entry, so ``pairs`` is its answer without a visibility test.
-    ``all_flags`` / ``any_flags`` (the AND and OR of the entries' flags)
-    answer a direction filter the same way when every entry, or none,
-    leaves the node that way; after a purge they may be stale, only ever
-    conservatively (a superset's AND and OR).
-    """
 
-    __slots__ = ("entries", "pairs", "settled_ts", "closed", "all_flags", "any_flags")
-
-    def __init__(self, entries: Tuple[_AdjacencyEntry, ...],
-                 pairs: Tuple[Tuple[int, int], ...], settled_ts: int, closed: int,
-                 all_flags: int, any_flags: int) -> None:
-        self.entries = entries
-        self.pairs = pairs
-        self.settled_ts = settled_ts
-        self.closed = closed
-        self.all_flags = all_flags
-        self.any_flags = any_flags
-
-    def visible(self, start_ts: int, wanted: int) -> List[Tuple[int, int]]:
-        """The pairs visible at ``start_ts`` that leave the node ``wanted``."""
-        if self.settled_ts <= start_ts:
-            if wanted == _BOTH or self.all_flags & wanted:
-                return list(self.pairs)
-            if not self.any_flags & wanted:
-                return []
-            return [
-                (rel_id, other)
-                for rel_id, other, flags, _created, _removed in self.entries
-                if flags & wanted
-            ]
+def _bucket_visible(bucket: _Bucket, start_ts: int, wanted: int) -> List[Tuple[int, int]]:
+    """The ``(rel_id, other)`` pairs of ``bucket`` visible at ``start_ts``
+    that leave the node ``wanted``."""
+    data, settled_ts, _closed, all_flags, any_flags, pairs = bucket
+    if settled_ts <= start_ts:
+        if wanted == _BOTH or all_flags & wanted:
+            return list(pairs or zip(data[0::_STRIDE], data[1::_STRIDE]))
+        if not any_flags & wanted:
+            return []
         return [
             (rel_id, other)
-            for rel_id, other, flags, created, removed in self.entries
-            if created <= start_ts < removed and flags & wanted
+            for rel_id, other, flags in zip(
+                data[0::_STRIDE], data[1::_STRIDE], data[2::_STRIDE]
+            )
+            if flags & wanted
         ]
+    return [
+        (rel_id, other)
+        for rel_id, other, flags, created, removed in zip(
+            data[0::_STRIDE], data[1::_STRIDE], data[2::_STRIDE],
+            data[3::_STRIDE], data[4::_STRIDE],
+        )
+        if created <= start_ts < removed and flags & wanted
+    ]
 
 
-def _with_entry(bucket: Optional[_Bucket], entry: _AdjacencyEntry) -> _Bucket:
-    """``bucket`` with a new open entry, kept in rel-id order."""
-    rel_id, other, flags, created_ts, _removed = entry
-    if bucket is None:
-        return _Bucket((entry,), ((rel_id, other),), created_ts, 0, flags, flags)
-    entries, pairs = bucket.entries, bucket.pairs
-    if entries[-1][0] <= rel_id:
-        entries, pairs = entries + (entry,), pairs + ((rel_id, other),)
-    else:
-        at = bisect.bisect_right(entries, rel_id, key=_rel_id_of)
-        entries = entries[:at] + (entry,) + entries[at:]
-        pairs = pairs[:at] + ((rel_id, other),) + pairs[at:]
-    settled_ts = max(bucket.settled_ts, created_ts) if not bucket.closed else _OPEN
-    return _Bucket(entries, pairs, settled_ts, bucket.closed,
-                   bucket.all_flags & flags, bucket.any_flags | flags)
-
-
-def _position(entries: Tuple[_AdjacencyEntry, ...], rel_id: int, removed_ts: int) -> int:
-    """Index of ``rel_id``'s entry with ``removed_ts`` (-1 if none)."""
-    at = bisect.bisect_left(entries, rel_id, key=_rel_id_of)
-    while at < len(entries) and entries[at][0] == rel_id:
-        if entries[at][4] == removed_ts:
+def _bucket_find(data: Tuple[int, ...], rel_id: int, removed_ts: int) -> int:
+    """Offset in ``data`` of ``rel_id``'s entry closed at ``removed_ts`` (or
+    open, with :data:`_OPEN`); -1 if there is none."""
+    at = bisect.bisect_left(data[0::_STRIDE], rel_id) * _STRIDE
+    while at < len(data) and data[at] == rel_id:
+        if data[at + 4] == removed_ts:
             return at
-        at += 1
+        at += _STRIDE
     return -1
 
 
@@ -515,30 +494,30 @@ class AdjacencyIndex:
     Relationship topology never changes after a create — only properties
     are versioned — so one entry per ``(node, relationship)`` answers an
     expand at any snapshot without resolving a relationship version.  An
-    entry is the tuple ``(rel_id, other, flags, created_ts, removed_ts)``:
-    ``other`` is the far endpoint (the node itself for a self-loop),
-    ``flags`` says which way it leaves the node (:data:`_OUT`, :data:`_IN`,
-    both for a self-loop, which has one entry) and the interval
-    ``[created_ts, removed_ts)`` is its lifetime, ``removed_ts`` being
+    entry holds the relationship's id, its far endpoint (the node itself
+    for a self-loop), flags for which way it leaves the node (:data:`_OUT`,
+    :data:`_IN`, both for a self-loop, which has one entry) and the interval
+    ``[created_ts, removed_ts)`` of its lifetime, ``removed_ts`` being
     :data:`_OPEN` until a delete closes it — PostgreSQL's xmin/xmax.  A
-    node's entries are grouped by relationship type into :class:`_Bucket`
-    objects, each in rel-id order, so a typed expand touches only its
-    types' entries.
+    node's entries are grouped by relationship type into buckets
+    (:data:`_Bucket`), each in rel-id order, so a typed expand touches only
+    its types' entries.
 
-    A node's ``type -> bucket`` map and its buckets are never mutated once
-    published: a change builds new ones under the node's stripe lock and
-    swaps the map in one assignment, so readers take no lock.  A snapshot
-    never sees an entry a commit it cannot see is adding, since that
-    commit's timestamp lies past the snapshot.  Closing an entry threads
-    ``(removed_ts, node_id, rel_type, rel_id)`` onto its stripe's queue,
-    ordered by ``removed_ts``, and :meth:`purge` pops only the head entries
-    at or below the watermark — the keyed indexes' purge, for the relation.
+    Buckets are immutable tuples: a change builds a new one under the
+    node's stripe lock and swaps it into the node's ``type -> bucket`` map
+    in one assignment (a change that adds or drops a type swaps in a new
+    map instead), so readers take no lock.  A snapshot never sees an entry
+    a commit it cannot see is adding, since that commit's timestamp lies
+    past the snapshot.  Closing an entry threads ``(removed_ts, node_id,
+    rel_type, rel_id)`` onto its stripe's queue, ordered by ``removed_ts``,
+    and :meth:`purge` pops only the head entries at or below the watermark —
+    the keyed indexes' purge, for the relation.
     """
 
     def __init__(self, stripes: int = 16) -> None:
         if stripes < 1:
             raise ValueError("the adjacency index needs at least one lock stripe")
-        self._locks = [threading.RLock() for _ in range(stripes)]
+        self._locks = [threading.Lock() for _ in range(stripes)]
         self._shards: List[Dict[int, Dict[str, _Bucket]]] = [{} for _ in range(stripes)]
         self._closed: List[Deque[Tuple[int, int, str, int]]] = [
             deque() for _ in range(stripes)
@@ -546,22 +525,44 @@ class AdjacencyIndex:
 
     def add(self, relationship: RelationshipData, commit_ts: int) -> None:
         """Open an entry under each endpoint for a relationship created at
-        ``commit_ts``."""
-        rel_id, rel_type = relationship.rel_id, relationship.rel_type
+        ``commit_ts``: the commit path's one adjacency cost per endpoint."""
         start, end = relationship.start_node, relationship.end_node
         if start == end:
-            self._insert(start, rel_type, (rel_id, start, _OUT | _IN, commit_ts, _OPEN))
-            return
-        self._insert(start, rel_type, (rel_id, end, _OUT, commit_ts, _OPEN))
-        self._insert(end, rel_type, (rel_id, start, _IN, commit_ts, _OPEN))
+            self._open(start, relationship, start, _BOTH, commit_ts)
+        else:
+            self._open(start, relationship, end, _OUT, commit_ts)
+            self._open(end, relationship, start, _IN, commit_ts)
 
-    def _insert(self, node_id: int, rel_type: str, entry: _AdjacencyEntry) -> None:
+    def _open(self, node_id: int, relationship: RelationshipData, other: int,
+              flags: int, commit_ts: int, stride: int = _STRIDE) -> None:
+        rel_id, rel_type = relationship.rel_id, relationship.rel_type
+        entry = (rel_id, other, flags, commit_ts, _OPEN)
         index = node_id % len(self._shards)
         shard = self._shards[index]
         with self._locks[index]:
-            buckets = dict(shard.get(node_id, ()))
-            buckets[rel_type] = _with_entry(buckets.get(rel_type), entry)
-            shard[node_id] = buckets
+            buckets = shard.get(node_id)
+            bucket = None if buckets is None else buckets.get(rel_type)
+            if bucket is None:
+                # Adding a key to a map a reader may be iterating is not
+                # safe; swapping a value (below) is.
+                buckets = dict(buckets or ())
+                buckets[rel_type] = (entry, commit_ts, 0, flags, flags, None)
+                shard[node_id] = buckets
+                return
+            data, settled_ts, closed, all_flags, any_flags, pairs = bucket
+            if data[-stride] <= rel_id:
+                data += entry
+                if pairs is not None:
+                    pairs += ((rel_id, other),)
+            else:
+                at = bisect.bisect_right(data[0::stride], rel_id) * stride
+                data = data[:at] + entry + data[at:]
+                pairs = None
+            # settled_ts stays _OPEN while an entry is closed.
+            buckets[rel_type] = (
+                data, commit_ts if commit_ts > settled_ts else settled_ts,
+                closed, all_flags & flags, any_flags | flags, pairs,
+            )
 
     def remove(self, relationship: RelationshipData, commit_ts: int) -> None:
         """Close the open entries of a relationship deleted at ``commit_ts``."""
@@ -572,45 +573,45 @@ class AdjacencyIndex:
             with self._locks[index]:
                 buckets = shard.get(node_id)
                 bucket = buckets.get(rel_type) if buckets else None
-                at = -1 if bucket is None else _position(bucket.entries, rel_id, _OPEN)
+                if bucket is None:
+                    continue
+                data, _settled_ts, closed, all_flags, any_flags, pairs = bucket
+                at = _bucket_find(data, rel_id, _OPEN)
                 if at < 0:
                     continue
-                entries = bucket.entries
-                closed = entries[:at] + (entries[at][:4] + (commit_ts,),) + entries[at + 1:]
-                buckets = dict(buckets)
-                buckets[rel_type] = _Bucket(closed, bucket.pairs, _OPEN, bucket.closed + 1,
-                                            bucket.all_flags, bucket.any_flags)
-                shard[node_id] = buckets
+                data = data[:at + 4] + (commit_ts,) + data[at + _STRIDE:]
+                buckets[rel_type] = (data, _OPEN, closed + 1, all_flags, any_flags, pairs)
                 _thread_closed(self._closed[index], (commit_ts, node_id, rel_type, rel_id))
 
     def purge(self, watermark: int) -> Tuple[int, int]:
         """Drop the entries closed at or below ``watermark``; returns
         ``(examined, purged)`` as the keyed indexes' purge does."""
         examined = purged = 0
-        for index, closed in enumerate(self._closed):
+        for index, queue in enumerate(self._closed):
             shard = self._shards[index]
             with self._locks[index]:
-                while closed and closed[0][0] <= watermark:
-                    removed_ts, node_id, rel_type, rel_id = closed.popleft()
+                while queue and queue[0][0] <= watermark:
+                    removed_ts, node_id, rel_type, rel_id = queue.popleft()
                     examined += 1
                     buckets = shard.get(node_id)
                     bucket = buckets.get(rel_type) if buckets else None
-                    at = -1 if bucket is None else _position(bucket.entries, rel_id, removed_ts)
+                    if bucket is None:
+                        continue
+                    data, _settled_ts, closed, all_flags, any_flags, _pairs = bucket
+                    at = _bucket_find(data, rel_id, removed_ts)
                     if at < 0:
                         continue
                     purged += 1
-                    buckets = dict(buckets)
-                    entries = bucket.entries[:at] + bucket.entries[at + 1:]
-                    if entries:
-                        remaining = bucket.closed - 1
-                        buckets[rel_type] = _Bucket(
-                            entries, bucket.pairs[:at] + bucket.pairs[at + 1:],
-                            max(entry[3] for entry in entries) if not remaining else _OPEN,
-                            remaining, bucket.all_flags, bucket.any_flags,
+                    if len(data) > _STRIDE:
+                        data = data[:at] + data[at + _STRIDE:]
+                        closed -= 1
+                        settled_ts = _OPEN if closed else max(data[3::_STRIDE])
+                        buckets[rel_type] = (
+                            data, settled_ts, closed, all_flags, any_flags, None
                         )
-                    else:
+                    elif len(buckets) > 1:
+                        buckets = dict(buckets)
                         del buckets[rel_type]
-                    if buckets:
                         shard[node_id] = buckets
                     else:
                         del shard[node_id]
@@ -641,15 +642,17 @@ class AdjacencyIndex:
                 bucket = buckets.get(only)
                 if bucket is None:
                     append([])
-                elif bucket.settled_ts <= start_ts and (
-                    wanted == _BOTH or bucket.all_flags & wanted
-                ):
-                    append(list(bucket.pairs))
+                elif bucket[1] <= start_ts and (wanted == _BOTH or bucket[3] & wanted):
+                    # Settled, and every entry leaves the node as wanted.
+                    pairs = bucket[5]
+                    if pairs is None:
+                        pairs = self._pairs_of(node_id, only, bucket)
+                    append(list(pairs))
                 else:
-                    append(bucket.visible(start_ts, wanted))
+                    append(_bucket_visible(bucket, start_ts, wanted))
             else:
                 parts = [
-                    bucket.visible(start_ts, wanted)
+                    _bucket_visible(bucket, start_ts, wanted)
                     for rel_type, bucket in buckets.items()
                     if rel_types is None or rel_type in rel_types
                 ]
@@ -659,13 +662,25 @@ class AdjacencyIndex:
                     append(sorted(pair for part in parts for pair in part))
         return result
 
+    def _pairs_of(self, node_id: int, rel_type: str, bucket: _Bucket) -> Tuple[Tuple[int, int], ...]:
+        """Build ``bucket``'s ``pairs`` and keep them in it, unless a writer
+        has replaced the bucket meanwhile."""
+        data = bucket[0]
+        pairs = tuple(zip(data[0::_STRIDE], data[1::_STRIDE]))
+        index = node_id % len(self._shards)
+        with self._locks[index]:
+            buckets = self._shards[index].get(node_id)
+            if buckets is not None and buckets.get(rel_type) is bucket:
+                buckets[rel_type] = bucket[:5] + (pairs,)
+        return pairs
+
     def candidate_rel_ids(self, node_id: int) -> List[int]:
         """Ids of every relationship with an entry under ``node_id``, open or
         not yet purged, in id order: what the read-committed engine reads
         under short locks and what commit validation checks."""
         buckets = self._shards[node_id % len(self._shards)].get(node_id, {})
         return sorted({
-            entry[0] for bucket in buckets.values() for entry in bucket.entries
+            rel_id for bucket in buckets.values() for rel_id in bucket[0][0::_STRIDE]
         })
 
     def node_count(self) -> int:
@@ -675,10 +690,10 @@ class AdjacencyIndex:
     def entry_count(self) -> int:
         """Total number of (node, relationship) entries, closed ones included."""
         return sum(
-            len(bucket.entries)
+            len(bucket[0]) // _STRIDE
             for shard in self._shards
             for buckets in list(shard.values())
-            for bucket in buckets.values()
+            for bucket in list(buckets.values())
         )
 
 
