@@ -739,15 +739,18 @@ def _expand(op: Expand, build: _Build) -> Stage:
             out_indexes: List[int] = []
             out_rels: List[object] = []
             out_nodes: List[NodeData] = []
-            for index, rels, end in matches(
+            for index, rels, ends in matches(
                 op, ctx, in_batch, rel_prop_fns, profiled
             ):
-                out_indexes.append(index)
-                out_rels.append(rels)
-                out_nodes.append(end)
-                if len(out_indexes) >= batch_size:
-                    yield _expand_output(in_batch, op, out_indexes, out_rels, out_nodes)
-                    out_indexes, out_rels, out_nodes = [], [], []
+                out_indexes += [index] * len(rels)
+                out_rels += rels
+                out_nodes += ends
+                while len(out_indexes) >= batch_size:
+                    yield _expand_output(
+                        in_batch, op, out_indexes[:batch_size], out_rels[:batch_size],
+                        out_nodes[:batch_size],
+                    )
+                    del out_indexes[:batch_size], out_rels[:batch_size], out_nodes[:batch_size]
             if out_indexes:
                 yield _expand_output(in_batch, op, out_indexes, out_rels, out_nodes)
 
@@ -756,11 +759,11 @@ def _expand(op: Expand, build: _Build) -> Stage:
 
 def _hop_matches(
     op: Expand, ctx: ExecutionContext, in_batch: RowBatch, rel_prop_fns, _profiled,
-) -> Iterator[Tuple[int, object, Optional[NodeData]]]:
-    """``(row index, relationship, neighbour)`` of every single-hop match of
-    one input batch, each row's in reverse adjacency order: a single hop is
-    the one-level case of the var-length walk, which pops its stack LIFO.
-    A topology hop (``bind_rel`` cleared) yields the relationship's id."""
+) -> Iterator[Tuple[int, List[object], List[Optional[NodeData]]]]:
+    """``(row index, relationships, neighbours)`` of each input row with a
+    single-hop match, the matches in reverse adjacency order: a single hop
+    is the one-level case of the var-length walk, which pops its stack LIFO.
+    A topology hop (``bind_rel`` cleared) gives each relationship's id."""
     source_indexes, sources = _expand_sources(op, in_batch)
     if not sources:
         return
@@ -784,24 +787,32 @@ def _hop_matches(
             [(rel_id, None) for rel_id, _other in pairs]
             for pairs in tx.topology_of_many(sources, op.direction, rel_types)
         ]
+    filtered = op.exclude_rel_vars or op.into or rel_prop_fns
     row = _RowView(in_batch.data)
     for index, pairs in zip(source_indexes, expanded):
-        row.index = index
-        excluded = _excluded_rel_ids(op.exclude_rel_vars, row)
-        target_id: Optional[int] = None
-        if op.into:
-            bound_target = row.get(op.to_var)
-            if type(bound_target) is not NodeData:
+        if not pairs:
+            continue
+        if filtered:
+            row.index = index
+            excluded = _excluded_rel_ids(op.exclude_rel_vars, row)
+            target_id: Optional[int] = None
+            if op.into:
+                bound_target = row.get(op.to_var)
+                if type(bound_target) is not NodeData:
+                    continue
+                target_id = bound_target.node_id
+            pairs = [
+                (relationship, neighbour)
+                for relationship, neighbour in pairs
+                if not (excluded and _rel_id(relationship) in excluded)
+                and (target_id is None or neighbour.node_id == target_id)
+                and (not rel_prop_fns
+                     or _has_properties(relationship, rel_prop_fns, row, ctx))
+            ]
+            if not pairs:
                 continue
-            target_id = bound_target.node_id
-        for relationship, neighbour in reversed(pairs):
-            if (excluded and _rel_id(relationship) in excluded) or (
-                rel_prop_fns and not _has_properties(relationship, rel_prop_fns, row, ctx)
-            ):
-                continue
-            if target_id is not None and neighbour.node_id != target_id:
-                continue
-            yield index, relationship, neighbour
+        pairs = pairs[::-1]
+        yield index, [relationship for relationship, _ in pairs], [node for _, node in pairs]
 
 
 def _rel_id(relationship) -> int:
@@ -920,10 +931,11 @@ def _extend_path(forest: _PathForest, path: int, pairs, excluded: frozenset,
 def _var_length_matches(
     op: Expand, ctx: ExecutionContext, in_batch: RowBatch, rel_prop_fns,
     profiled: Optional[Expand],
-) -> Iterator[Tuple[int, List[RelationshipData], NodeData]]:
-    """``(row index, path relationships, end node)`` of every match of one
-    input batch, lazily, in depth-first order: pre-order, siblings in
-    reverse adjacency order.
+) -> Iterator[Tuple[int, List[List[RelationshipData]], List[NodeData]]]:
+    """``(row index, [path relationships], [end node])`` of every match of
+    one input batch (the shape :func:`_hop_matches` yields per row),
+    lazily, in depth-first order: pre-order, siblings in reverse adjacency
+    order.
 
     A bounded pattern's roots grow together as one frontier
     (:func:`_grow_frontier`) while that fits :data:`FRONTIER_PATH_BUDGET`,
@@ -1006,7 +1018,7 @@ def _var_length_matches(
                         relationships.append(path_rel[link])
                         link = path_parent[link]
                     relationships.reverse()
-                    yield index, relationships, end
+                    yield index, [relationships], [end]
                 if lazy and (max_hops is None or hops < max_hops):
                     _extend_path(
                         forest, path,
