@@ -464,6 +464,8 @@ class EngineTransaction(abc.ABC):
         keys = list(dict.fromkeys(
             REL_TAG | rel_id for pairs in topology for rel_id, _other in pairs
         ))
+        if not keys:
+            return [[] for _pairs in topology]
         states = dict(zip(keys, self._read(keys)))
         return [
             [

@@ -257,3 +257,81 @@ def test_a_property_update_meets_only_a_resolving_reader(resolving):
         assert (_rw_edges(db) > before) == resolving
     finally:
         db.close()
+
+
+# -- concurrency: lock-free readers beside striped writers -------------------------
+
+
+def test_concurrent_writers_keep_every_snapshot_consistent():
+    """Writers attach and detach relationships at one hub two at a time,
+    from more threads than cores, while readers and a collector run:
+    every snapshot must see an even degree whose topology read and
+    resolved expand agree, and at the end the index must hold exactly the
+    relationships the writers' commits left (a lost update breaks it)."""
+    import sys
+    import threading
+
+    from repro.errors import RelationshipNotFoundError, TransactionAbortedError
+
+    db = GraphDatabase.in_memory(isolation=IsolationLevel.SNAPSHOT)
+    with db.transaction() as tx:
+        hub = tx.create_node(["Hub"]).id
+        spokes = [tx.create_node(["Spoke"]).id for _ in range(8)]
+    live: Dict[int, List[int]] = {spoke: [] for spoke in spokes}
+    failures: List[str] = []
+    stop = threading.Event()
+
+    def writer(spoke: int, rounds: int) -> None:
+        rng = random.Random(spoke)
+        for _ in range(rounds):
+            try:
+                with db.transaction() as tx:
+                    if live[spoke] and rng.random() < 0.4:
+                        for rel_id in live[spoke][-2:]:
+                            tx.delete_relationship(rel_id)
+                        kept = live[spoke][:-2]
+                    else:
+                        made = [tx.create_relationship(spoke, hub, "LINK").id,
+                                tx.create_relationship(hub, spoke, "LINK").id]
+                        kept = live[spoke] + made
+                live[spoke] = kept
+            except (TransactionAbortedError, RelationshipNotFoundError):
+                # A snapshot can begin before this writer's last commit is
+                # covered (an older commit was still installing): skip.
+                pass
+
+    def reader() -> None:
+        while not stop.is_set():
+            with db.transaction(read_only=True) as tx:
+                pairs = tx.topology_of_many([hub])[0]
+                resolved = tx.relationships_of(hub)
+                if len(pairs) % 2 or [rel.id for rel in resolved] != [p[0] for p in pairs]:
+                    failures.append(f"torn snapshot: {pairs}")
+
+    def collector() -> None:
+        while not stop.is_set():
+            db.run_gc()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        writers = [threading.Thread(target=writer, args=(spoke, 40)) for spoke in spokes]
+        others = [threading.Thread(target=reader) for _ in range(3)]
+        others.append(threading.Thread(target=collector))
+        for thread in writers + others:
+            thread.start()
+        for thread in writers:
+            thread.join(timeout=60)
+        stop.set()
+        for thread in others:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in writers + others)
+    finally:
+        sys.setswitchinterval(interval)
+    assert failures == []
+    expected = sorted(rel_id for rels in live.values() for rel_id in rels)
+    with db.transaction(read_only=True) as tx:
+        assert [rel_id for rel_id, _other in tx.topology_of_many([hub])[0]] == expected
+    db.run_gc()
+    assert db.engine.indexes.adjacency.entry_count() == 2 * len(expected)
+    db.close()
