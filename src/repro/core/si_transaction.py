@@ -66,12 +66,6 @@ class SnapshotTransaction(EngineTransaction):
         #: dropped and the read path pays nothing again.
         self.safe_snapshot = safe_snapshot
         self._pending_reader = safe_snapshot
-        #: Nodes whose adjacency this transaction read from the versioned
-        #: adjacency index, and how many of those reads went on to resolve
-        #: the relationships' versions (surfaced by
-        #: :meth:`snapshot_cache_stats`).
-        self.topology_reads = 0
-        self.resolved_expands = 0
 
     @property
     def start_ts(self) -> int:
@@ -151,19 +145,9 @@ class SnapshotTransaction(EngineTransaction):
         """
         if self._track_reads or self._pending_reader is not None:
             self._note_reads(predicates=[("adjacency", node_id) for node_id in node_ids])
-        self.topology_reads += len(node_ids)
         return self._engine.indexes.adjacency.visible_many(
             node_ids, self.snapshot.start_ts, direction, wanted_types
         )
-
-    def relationships_of_many(
-        self,
-        node_ids: Sequence[int],
-        direction: Direction = Direction.BOTH,
-        rel_types: Optional[Sequence[str]] = None,
-    ) -> List[List[RelationshipData]]:
-        self.resolved_expands += len(node_ids)
-        return super().relationships_of_many(node_ids, direction, rel_types)
 
     # ------------------------------------------------------------------
     # writes (write rule, first-updater-wins)
@@ -212,10 +196,7 @@ class SnapshotTransaction(EngineTransaction):
     # ------------------------------------------------------------------
 
     def snapshot_cache_stats(self) -> Dict[str, int]:
-        """How this transaction's expands were answered: ``hits`` counts the
-        node adjacencies the versioned adjacency index answered alone,
-        ``misses`` those that also resolved relationship versions."""
-        return {
-            "hits": self.topology_reads - self.resolved_expands,
-            "misses": self.resolved_expands,
-        }
+        """Hits and misses of the per-snapshot adjacency cache, which is
+        gone: expands read the versioned adjacency index, so both are 0.
+        Kept so that callers of the earlier read-path statistics still run."""
+        return {"hits": 0, "misses": 0}

@@ -703,8 +703,8 @@ def _excluded_rel_ids(variables: Sequence[str], row: Row) -> frozenset:
             excluded.add(value.rel_id)
         elif isinstance(value, (list, tuple)):
             for item in value:
-                if isinstance(item, RelationshipData):
-                    excluded.add(item.rel_id)
+                if type(item) is int or isinstance(item, RelationshipData):
+                    excluded.add(_rel_id(item))
     return frozenset(excluded)
 
 

@@ -459,6 +459,18 @@ VAR_LENGTH_QUERIES = [
         id="excludes-earlier-hop-relationship",
     ),
     pytest.param(
+        "MATCH (s:N {k: 'a'})-[*1..1]-(m)-[]-(x) RETURN m.k, x.k", {},
+        id="anonymous-var-length-then-hop",
+    ),
+    pytest.param(
+        "MATCH (s:N {k: 'c'})-[:KNOWS*1..2]-(m)-[:KNOWS]-(x) RETURN m.k, x.k", {},
+        id="anonymous-typed-var-length-then-typed-hop",
+    ),
+    pytest.param(
+        "MATCH (s:N {k: 'a'})-[*1..2]-(m)-[:KNOWS*1..2]-(x) RETURN m.k, x.k", {},
+        id="anonymous-var-length-then-var-length",
+    ),
+    pytest.param(
         "MATCH (s:N {k: 'c'})-[:KNOWS*1..3]-(x) RETURN x.k LIMIT 3", {},
         id="limit-above-bounded",
     ),

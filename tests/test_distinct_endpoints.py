@@ -152,6 +152,7 @@ NOT_ELIGIBLE = [
     pytest.param("MATCH (s:V)-[*1..]-(x) RETURN DISTINCT x.k", id="unbounded"),
     pytest.param("MATCH (s:V)-[*1..2 {w: 1}]-(x) RETURN DISTINCT x.k", id="rel-props"),
     pytest.param("MATCH (s:V)-[*1..2]-(x)-[:A]-(y) RETURN DISTINCT y.k", id="later-hop"),
+    pytest.param("MATCH (s:V {i: 0})-[*1..1]-(x)-[]-(y) RETURN y.i", id="later-untyped-hop"),
     pytest.param("MATCH (s:V)-[*1..2]-(x) RETURN count(x) AS n", id="count-not-distinct"),
     pytest.param(
         "MATCH (s:V)-[*1..2]-(x) RETURN count(DISTINCT x) AS a, count(x) AS b",
@@ -192,6 +193,9 @@ def test_every_other_shape_keeps_the_path_walk(small_db, text):
     names = _operators(small_db, text)
     assert OPERATOR not in names
     assert any(name.startswith("VarLengthExpand") for name in names)
+    rows = small_db.execute(text).rows()
+    with reference_executor():
+        assert small_db.execute(text).rows() == rows
 
 
 def test_a_path_variable_does_not_parse():

@@ -288,9 +288,9 @@ class TestPhantomPrevention:
         t2 = db.begin()
         assert t1.degree(hub.id) == 0  # adjacency predicate read
         assert t2.degree(hub.id) == 0
-        if warm:
-            # A degree reads the relation alone: nothing is resolved.
-            assert t2.engine_transaction.snapshot_cache_stats()["misses"] == 0
+        # A degree reads the relation alone: it registers the adjacency
+        # predicate and no relationship key.
+        assert not t2.engine_transaction.cc_record.read_keys
         t1.create_relationship(s1.id, hub.id, "LINK")
         t2.create_relationship(s2.id, hub.id, "LINK")
         t1.commit()
@@ -332,8 +332,7 @@ class TestExpandsRegisterTheRelationOnly:
 
     @staticmethod
     def _expand(db, hub_id, call):
-        """One tracked expansion; returns (rel ids, SIREAD keys, predicates,
-        read-path stats)."""
+        """One tracked expansion; returns (rel ids, SIREAD keys, predicates)."""
         tx = db.begin()
         try:
             if call is None:
@@ -346,7 +345,6 @@ class TestExpandsRegisterTheRelationOnly:
                 [rel.id for rel in rels],
                 set(record.read_keys),
                 set(record.predicates),
-                tx.engine_transaction.snapshot_cache_stats(),
             )
         finally:
             tx.rollback()
@@ -357,13 +355,12 @@ class TestExpandsRegisterTheRelationOnly:
 
         db = GraphDatabase.in_memory(isolation=IsolationLevel.SERIALIZABLE)
         hub_id, deleted_rel_id = self._hub(db)
-        rels, keys, predicates, stats = self._expand(db, hub_id, call)
-        assert stats == {"hits": 0, "misses": 1}
+        rels, keys, predicates = self._expand(db, hub_id, call)
         assert deleted_rel_id not in rels
         assert keys == {rel_key(rel_id) for rel_id in rels}
         assert predicates == {("adjacency", hub_id)}
         again = self._expand(db, hub_id, call)
-        assert again[:3] == (rels, keys, predicates)
+        assert again == (rels, keys, predicates)
         db.close()
 
     def test_filtered_calls_read_one_relation(self):
@@ -372,7 +369,7 @@ class TestExpandsRegisterTheRelationOnly:
         sizes = {}
         for call in (None, ("both", None), ("outgoing", None), ("both", ("KNOWS",)),
                      ("incoming", ("LIKES",))):
-            rels, keys, predicates, _stats = self._expand(db, hub_id, call)
+            rels, keys, predicates = self._expand(db, hub_id, call)
             assert len(keys) == len(rels) and predicates == {("adjacency", hub_id)}
             sizes[call] = len(rels)
         assert sizes == {
@@ -391,7 +388,6 @@ class TestExpandsRegisterTheRelationOnly:
             record = tx.engine_transaction.cc_record
             assert set(record.read_keys) == set()
             assert set(record.predicates) == {("adjacency", hub_id)}
-            assert tx.engine_transaction.snapshot_cache_stats() == {"hits": 2, "misses": 0}
         finally:
             tx.rollback()
         db.close()
@@ -405,7 +401,7 @@ class TestExpandsRegisterTheRelationOnly:
         assert early.degree(hub_id) == 3
         with db.transaction() as tx:
             tx.create_relationship(hub_id, tx.create_node(), "KNOWS")
-        rels, keys, _predicates, _stats = self._expand(db, hub_id, ("both", None))
+        rels, keys, _predicates = self._expand(db, hub_id, ("both", None))
         assert len(rels) == 4 and len(keys) == 4
         assert early.degree(hub_id) == 3
         early.rollback()
