@@ -435,31 +435,32 @@ class VersionedRelationshipTypeIndex(_VersionedKeyedIndex):
 
 
 #: One node's entries of one relationship type, in rel-id order: the tuple
-#: ``(data, settled_ts, closed, all_flags, any_flags, pairs)``.  ``data``
-#: holds the entries flat, :data:`_STRIDE` ints each — ``rel_id, other,
-#: flags, created_ts, removed_ts`` — so storing an entry allocates nothing
-#: the cyclic garbage collector keeps counting (a bulk load is all
-#: appends).  ``settled_ts`` is the newest ``created_ts`` while no entry is
-#: closed (``closed`` counts them), and :data:`_OPEN` otherwise: a snapshot
-#: at or past it sees every entry without a visibility test.  ``all_flags``
-#: / ``any_flags`` (the AND and OR of the entries' flags) answer a direction
-#: filter the same way when every entry, or none, leaves the node that way;
-#: after a purge they may be stale, only ever conservatively (a superset's
-#: AND and OR).  ``pairs`` is every entry's ``(rel_id, other)``, built by
-#: the first read that needs it (``None`` until then) and kept up by later
-#: appends: what a settled read returns.
-_Bucket = Tuple[Tuple[int, ...], int, int, int, int, Optional[Tuple[Tuple[int, int], ...]]]
+#: ``(data, settled_ts, pairs)``.  ``data`` holds the entries flat,
+#: :data:`_STRIDE` ints each — ``rel_id, other, flags, created_ts,
+#: removed_ts`` — so storing an entry allocates nothing the cyclic garbage
+#: collector keeps counting (a bulk load is all appends).  ``settled_ts`` is
+#: the newest ``created_ts`` while no entry is closed and :data:`_OPEN`
+#: otherwise: a snapshot at or past it sees every entry without a
+#: visibility test.  ``pairs`` is every entry's ``(rel_id, other)``, built
+#: by the first read that needs it (``None`` until then) and kept up by
+#: later appends: what a settled undirected read returns.
+_Bucket = Tuple[Tuple[int, ...], int, Optional[Tuple[Tuple[int, int], ...]]]
+
+
+def _settled_ts(data: Tuple[int, ...]) -> int:
+    """``settled_ts`` of a bucket holding ``data``."""
+    if min(data[4::_STRIDE]) < _OPEN:
+        return _OPEN
+    return max(data[3::_STRIDE])
 
 
 def _bucket_visible(bucket: _Bucket, start_ts: int, wanted: int) -> List[Tuple[int, int]]:
     """The ``(rel_id, other)`` pairs of ``bucket`` visible at ``start_ts``
     that leave the node ``wanted``."""
-    data, settled_ts, _closed, all_flags, any_flags, pairs = bucket
+    data, settled_ts, pairs = bucket
     if settled_ts <= start_ts:
-        if wanted == _BOTH or all_flags & wanted:
+        if wanted == _BOTH:
             return list(pairs or zip(data[0::_STRIDE], data[1::_STRIDE]))
-        if not any_flags & wanted:
-            return []
         return [
             (rel_id, other)
             for rel_id, other, flags in zip(
@@ -506,7 +507,9 @@ class AdjacencyIndex:
     Buckets are immutable tuples: a change builds a new one under the
     node's stripe lock and swaps it into the node's ``type -> bucket`` map
     in one assignment (a change that adds or drops a type swaps in a new
-    map instead), so readers take no lock.  A snapshot never sees an entry
+    map instead), so a read takes no lock — save the first undirected read
+    of a settled bucket, which stores the bucket's ``pairs`` under the
+    stripe lock (:meth:`_pairs_of`).  A snapshot never sees an entry
     a commit it cannot see is adding, since that commit's timestamp lies
     past the snapshot.  Closing an entry threads ``(removed_ts, node_id,
     rel_type, rel_id)`` onto its stripe's queue, ordered by ``removed_ts``,
@@ -546,10 +549,10 @@ class AdjacencyIndex:
                 # Adding a key to a map a reader may be iterating is not
                 # safe; swapping a value (below) is.
                 buckets = dict(buckets or ())
-                buckets[rel_type] = (entry, commit_ts, 0, flags, flags, None)
+                buckets[rel_type] = (entry, commit_ts, None)
                 shard[node_id] = buckets
                 return
-            data, settled_ts, closed, all_flags, any_flags, pairs = bucket
+            data, settled_ts, pairs = bucket
             if data[-stride] <= rel_id:
                 data += entry
                 if pairs is not None:
@@ -560,8 +563,7 @@ class AdjacencyIndex:
                 pairs = None
             # settled_ts stays _OPEN while an entry is closed.
             buckets[rel_type] = (
-                data, commit_ts if commit_ts > settled_ts else settled_ts,
-                closed, all_flags & flags, any_flags | flags, pairs,
+                data, commit_ts if commit_ts > settled_ts else settled_ts, pairs
             )
 
     def remove(self, relationship: RelationshipData, commit_ts: int) -> None:
@@ -575,12 +577,12 @@ class AdjacencyIndex:
                 bucket = buckets.get(rel_type) if buckets else None
                 if bucket is None:
                     continue
-                data, _settled_ts, closed, all_flags, any_flags, pairs = bucket
+                data = bucket[0]
                 at = _bucket_find(data, rel_id, _OPEN)
                 if at < 0:
                     continue
                 data = data[:at + 4] + (commit_ts,) + data[at + _STRIDE:]
-                buckets[rel_type] = (data, _OPEN, closed + 1, all_flags, any_flags, pairs)
+                buckets[rel_type] = (data, _OPEN, bucket[2])
                 _thread_closed(self._closed[index], (commit_ts, node_id, rel_type, rel_id))
 
     def purge(self, watermark: int) -> Tuple[int, int]:
@@ -597,18 +599,14 @@ class AdjacencyIndex:
                     bucket = buckets.get(rel_type) if buckets else None
                     if bucket is None:
                         continue
-                    data, _settled_ts, closed, all_flags, any_flags, _pairs = bucket
+                    data = bucket[0]
                     at = _bucket_find(data, rel_id, removed_ts)
                     if at < 0:
                         continue
                     purged += 1
                     if len(data) > _STRIDE:
                         data = data[:at] + data[at + _STRIDE:]
-                        closed -= 1
-                        settled_ts = _OPEN if closed else max(data[3::_STRIDE])
-                        buckets[rel_type] = (
-                            data, settled_ts, closed, all_flags, any_flags, None
-                        )
+                        buckets[rel_type] = (data, _settled_ts(data), None)
                     elif len(buckets) > 1:
                         buckets = dict(buckets)
                         del buckets[rel_type]
@@ -626,8 +624,8 @@ class AdjacencyIndex:
     ) -> List[List[Tuple[int, int]]]:
         """The ``(rel_id, other)`` pairs of each node visible at ``start_ts``,
         in rel-id order, leaving the node in ``direction`` with a type in
-        ``rel_types`` (any type when ``None``).  Lock-free (see the class
-        docstring)."""
+        ``rel_types`` (any type when ``None``).  See the class docstring for
+        the one lock a read may take."""
         shards = self._shards
         stripes = len(shards)
         wanted = _DIRECTION_FLAGS[direction]
@@ -642,9 +640,9 @@ class AdjacencyIndex:
                 bucket = buckets.get(only)
                 if bucket is None:
                     append([])
-                elif bucket[1] <= start_ts and (wanted == _BOTH or bucket[3] & wanted):
-                    # Settled, and every entry leaves the node as wanted.
-                    pairs = bucket[5]
+                elif wanted == _BOTH and bucket[1] <= start_ts:
+                    # Settled: every entry is visible.
+                    pairs = bucket[2]
                     if pairs is None:
                         pairs = self._pairs_of(node_id, only, bucket)
                     append(list(pairs))
@@ -671,7 +669,7 @@ class AdjacencyIndex:
         with self._locks[index]:
             buckets = self._shards[index].get(node_id)
             if buckets is not None and buckets.get(rel_type) is bucket:
-                buckets[rel_type] = bucket[:5] + (pairs,)
+                buckets[rel_type] = (data, bucket[1], pairs)
         return pairs
 
     def candidate_rel_ids(self, node_id: int) -> List[int]:
