@@ -1,10 +1,14 @@
 #!/usr/bin/env python
-"""Paired A/B runs of one benchmark workload: a parent commit against this tree.
+"""Paired A/B runs of benchmark workloads: a parent commit against this tree.
 
 Usage::
 
-    python3 scripts/ab_pairs.py --parent REV --workload NAME \\
+    python3 scripts/ab_pairs.py --parent REV --workload NAME[,NAME...]|all \\
         [--pairs 10] [--seed 11] [--seconds 12] [--smoke]
+
+``--workload`` takes one workload, a comma-separated list, or ``all`` (every
+workload of ``BENCHMARK.json``, in its order); each is run pair by pair and
+reported in its own table before the next starts.
 
 Exports ``REV`` with ``git archive`` into ``.bench_build/ab/parent`` (no
 network, no worktree left behind), then runs the benchmark's contract command
@@ -67,11 +71,11 @@ def export_parent(rev: str) -> str:
     return tree
 
 
-def run_once(tree: str, side: str, pair: int, args) -> Dict[str, object]:
+def run_once(tree: str, workload: str, side: str, pair: int, args) -> Dict[str, object]:
     """The contract command in ``tree``; its last stdout line plus the witness."""
-    out = os.path.join(AB_DIR, "results", f"{side}-{pair}")
+    out = os.path.join(AB_DIR, "results", workload, f"{side}-{pair}")
     command = [sys.executable, os.path.join("benchmarks", "suite", "run.py"),
-               "--workload", args.workload, "--seed", str(args.seed),
+               "--workload", workload, "--seed", str(args.seed),
                "--trace", "0", "--out", out]
     if args.seconds is not None:
         command += ["--seconds", str(args.seconds)]
@@ -82,7 +86,7 @@ def run_once(tree: str, side: str, pair: int, args) -> Dict[str, object]:
         sys.stderr.write(completed.stdout + completed.stderr)
         raise SystemExit(f"{side} run {pair} exited with {completed.returncode}")
     result = json.loads(completed.stdout.strip().splitlines()[-1])
-    result_file = os.path.join(out, f"{args.workload}.seed{args.seed}.end_to_end.json")
+    result_file = os.path.join(out, f"{workload}.seed{args.seed}.end_to_end.json")
     with open(result_file, encoding="utf-8") as handle:
         result["host_witness_us"] = json.load(handle).get("host_witness_us")
     return result
@@ -113,40 +117,26 @@ def past_bound(parent_median: float, change_median: float, better: str,
     return worse > bound * abs(parent_median)
 
 
-def main(argv: List[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--parent", required=True, help="git revision to compare against")
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=11)
-    parser.add_argument("--seconds", type=float,
-                        help="measured interval (default: 12, or run.py's smoke default)")
-    parser.add_argument("--smoke", action="store_true", help="pass --smoke to run.py")
-    args = parser.parse_args(argv)
-    if args.seconds is None and not args.smoke:
-        args.seconds = 12.0
-
-    trees = {"parent": export_parent(args.parent), "change": ROOT}
+def run_workload(workload: str, trees: Dict[str, str], spec, args) -> List[str]:
+    """Every pair of one workload, then its table; returns the flagged runs."""
     runs: Dict[str, List[Dict[str, object]]] = {"parent": [], "change": []}
     flagged = []
     for pair in range(args.pairs):
         order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
         for side in order:
-            result = run_once(trees[side], side, pair, args)
+            result = run_once(trees[side], workload, side, pair, args)
             runs[side].append(result)
             bad = not result["correct"] or result["failed"]
             if bad:
-                flagged.append(f"{side} pair {pair}: correct={result['correct']} "
+                flagged.append(f"{workload} {side} pair {pair}: correct={result['correct']} "
                                f"failed={result['failed']}/{result['attempted']}")
             witness = result["host_witness_us"]
-            print(f"pair {pair} {side:6s} witness {witness or 0:.0f} us  "
+            print(f"{workload} pair {pair} {side:6s} witness {witness or 0:.0f} us  "
                   + "  ".join(f"{name}={metric['value']:.5g}"
                               for name, metric in result["metrics"].items())
                   + ("  FLAGGED" if bad else ""), flush=True)
 
-    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as handle:
-        spec = json.load(handle)
-    print(f"\n{args.workload}, seed {args.seed}, {args.pairs} pairs, parent {args.parent}")
+    print(f"\n{workload}, seed {args.seed}, {args.pairs} pairs, parent {args.parent}")
     print(f"{'metric':22s} {'parent median [q1, q3]':>32s} {'change median [q1, q3]':>32s} "
           f"{'change':>8s} {'ratio':>7s} {'wins':>6s} {'gain rule':9s} bound")
     regressions = []
@@ -165,12 +155,45 @@ def main(argv: List[str] | None = None) -> int:
         wins, holds = gain_rule(parent, change, metric["better"])
         past = past_bound(base, median, metric["better"], metric["bound"])
         if past:
-            regressions.append(f"{name}: {moved:+.1%} against a {metric['bound']:.1%} bound")
+            regressions.append(f"{workload} {name}: {moved:+.1%} against a "
+                               f"{metric['bound']:.1%} bound")
         print(f"{name:22s} {cells[0]:>32s} {cells[1]:>32s} {moved:+8.1%} {ratio} "
               f"{wins:>3d}/{len(parent):<2d} {'holds' if holds else 'no':9s} "
               f"{'past bound' if past else 'ok'}")
     for line in regressions:
         print(f"PAST BOUND {line}")
+    print(flush=True)
+    return flagged
+
+
+def main(argv: List[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", required=True, help="git revision to compare against")
+    parser.add_argument("--workload", required=True,
+                        help="a workload, a comma-separated list of them, or 'all'")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=11)
+    parser.add_argument("--seconds", type=float,
+                        help="measured interval (default: 12, or run.py's smoke default)")
+    parser.add_argument("--smoke", action="store_true", help="pass --smoke to run.py")
+    args = parser.parse_args(argv)
+    if args.seconds is None and not args.smoke:
+        args.seconds = 12.0
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as handle:
+        spec = json.load(handle)
+    known = [workload["name"] for workload in spec["workloads"]]
+    if args.workload == "all":
+        workloads = known
+    else:
+        workloads = [name.strip() for name in args.workload.split(",") if name.strip()]
+        unknown = [name for name in workloads if name not in known]
+        if unknown or not workloads:
+            parser.error(f"unknown workload(s) {unknown}; choose from {known} or 'all'")
+
+    trees = {"parent": export_parent(args.parent), "change": ROOT}
+    flagged: List[str] = []
+    for workload in workloads:
+        flagged += run_workload(workload, trees, spec, args)
     for line in flagged:
         print(f"FLAGGED {line}")
     return 1 if flagged else 0

@@ -390,7 +390,8 @@ class Transaction:
     # executor reads only through these and builds a handle only where a
     # value leaves its statement.  ``topology_of_many`` reads the relation
     # alone — which relationships attach, not their states — for every
-    # expand that never reads a relationship.
+    # expand that never reads a relationship, and ``labelled_many`` checks
+    # the labels of a far end that nothing else reads.
 
     def all_node_states(self) -> Iterator[NodeData]:
         """The state of every node visible to this transaction (what
@@ -446,6 +447,14 @@ class Transaction:
         relationship state resolved (under serializable isolation, one
         adjacency predicate per node and no SIREAD)."""
         return self._txn.topology_many(node_ids, direction, rel_types)
+
+    def labelled_many(self, node_ids: Sequence[int], labels: Sequence[str]) -> List[bool]:
+        """Whether each node id is visible and carries every one of
+        ``labels``, in input order, with no node state read: under snapshot
+        isolation one probe of the versioned label index per label (under
+        serializable isolation the node keys register as a state read's
+        would)."""
+        return self._txn.labelled_many(node_ids, labels)
 
     def relationship_states_of_many(
         self,

@@ -149,6 +149,28 @@ class SnapshotTransaction(EngineTransaction):
             node_ids, self.snapshot.start_ts, direction, wanted_types
         )
 
+    def _committed_labelled_many(
+        self, node_ids: Sequence[int], labels: FrozenSet[str]
+    ) -> List[bool]:
+        """Label membership at the snapshot, straight from the versioned
+        label index: no node version is resolved.
+
+        The reads reported are the node keys themselves — what reading the
+        states would register — so a concurrent relabel or delete forms the
+        same rw edge with this check as with a state read.
+        """
+        if self._track_reads or self._pending_reader is not None:
+            self._note_reads(node_ids)
+        carries_many = self._engine.indexes.node_labels.carries_many
+        first, *rest = labels
+        result = carries_many(first, node_ids, self._index_ts)
+        for label in rest:
+            result = [
+                both and this
+                for both, this in zip(result, carries_many(label, node_ids, self._index_ts))
+            ]
+        return result
+
     # ------------------------------------------------------------------
     # writes (write rule, first-updater-wins)
     # ------------------------------------------------------------------

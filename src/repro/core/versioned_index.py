@@ -191,6 +191,15 @@ class VersionedEntrySet:
             self._visible_cache = (start_ts, frozenset(members))
         return members
 
+    def covers_many(self, entity_ids: Sequence[int], start_ts: int) -> List[bool]:
+        """Whether each entity's membership interval contains ``start_ts``:
+        one dict lookup per id, no member set built."""
+        return [
+            held is not None
+            and (held <= start_ts if type(held) is int else _covers(held, start_ts))
+            for held in map(self._intervals.get, entity_ids)
+        ]
+
     @property
     def open_count(self) -> int:
         """Number of current members, without materialising the set (O(1))."""
@@ -374,6 +383,17 @@ class VersionedLabelIndex(_VersionedKeyedIndex):
     def visible(self, label: str, start_ts: int) -> Set[int]:
         """Node ids carrying ``label`` in the snapshot at ``start_ts``."""
         return self._visible(label, start_ts)
+
+    def carries_many(self, label: str, node_ids: Sequence[int], start_ts: int) -> List[bool]:
+        """Whether each node id carries ``label`` in the snapshot at
+        ``start_ts`` — so is visible there: a node's delete closes its
+        label intervals.  One shard lock for the label, one lookup per id."""
+        shard = self._shard_of(label)
+        with shard.lock:
+            entry = shard.entries.get(label)
+            if entry is None:
+                return [False] * len(node_ids)
+            return entry.covers_many(node_ids, start_ts)
 
     def count(self, label: str) -> int:
         """Number of nodes currently carrying ``label`` (O(1), no set copy)."""

@@ -77,8 +77,9 @@ class EngineTransaction(abc.ABC):
     :class:`~repro.graph.entity.NodeData` / ``RelationshipData`` states.
 
     A subclass supplies the committed side of every read — one batch read
-    ``_read_committed``, one topology read ``_committed_topology_many`` and
-    the commit point ``_index_ts`` that index lookups read at — and the
+    ``_read_committed``, one topology read ``_committed_topology_many``, one
+    label check ``_committed_labelled_many`` and the commit point
+    ``_index_ts`` that index lookups read at — and the
     write-time concurrency control; this class overlays the private write
     set on all of it.
     """
@@ -441,6 +442,42 @@ class EngineTransaction(abc.ABC):
                 merged[rel_id] = data.other_node(node_id)
                 changed = True
         return sorted(merged.items()) if changed else pairs
+
+    @abc.abstractmethod
+    def _committed_labelled_many(
+        self, node_ids: Sequence[int], labels: FrozenSet[str]
+    ) -> List[bool]:
+        """Whether each committed node is visible to this transaction and
+        carries every one of ``labels`` (the private write set is overlaid
+        by the caller)."""
+
+    def labelled_many(
+        self, node_ids: Sequence[int], labels: Sequence[str]
+    ) -> List[bool]:
+        """Whether each node id is visible and carries every one of
+        ``labels`` (at least one), in order: what a label check on the node
+        states would say, without reading them.  Own writes win; under
+        SERIALIZABLE the committed ids register as the state read would
+        register them."""
+        self.ensure_open()
+        wanted = frozenset(labels)
+        if not wanted:
+            raise ValueError("labelled_many needs at least one label")
+        writes = self._writes
+        if not writes:
+            return self._committed_labelled_many(node_ids, wanted)
+        committed_ids = [node_id for node_id in node_ids if node_id not in writes]
+        committed = dict(zip(
+            committed_ids, self._committed_labelled_many(committed_ids, wanted)
+        ))
+        result = []
+        for node_id in node_ids:
+            if node_id in writes:
+                state = writes[node_id]
+                result.append(state is not None and wanted <= state.labels)
+            else:
+                result.append(committed[node_id])
+        return result
 
     def relationships_of(
         self,

@@ -81,6 +81,16 @@ class ReadCommittedTransaction(EngineTransaction):
             ])
         return results
 
+    def _committed_labelled_many(
+        self, node_ids: Sequence[int], labels: FrozenSet[str]
+    ) -> List[bool]:
+        """The node states, each read under a short lock, checked for the
+        labels: the newest committed state, as every read here."""
+        return [
+            state is not None and labels <= state.labels
+            for state in self._read_committed(node_ids)
+        ]
+
     # ------------------------------------------------------------------
     # writes
     # ------------------------------------------------------------------

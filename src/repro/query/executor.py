@@ -17,7 +17,11 @@ one tracker visit registers its SIREADs, as through the handle-returning
 reads those wrap.  A hop that never reads a relationship — the planner's
 topology hops, distinct-endpoint walks and fused ``count(r)`` — reads only
 the relation (``topology_of_many``): relationship ids and far ends, with no
-relationship state resolved, and binds the bare id.  A :class:`~repro.api.transaction.Node` /
+relationship state resolved, and binds the bare id.  A single hop whose far
+end nothing reads (``bind_target`` cleared) reads no neighbour state: it
+checks the far end's labels, if the pattern has any, in the versioned label
+index (``labelled_many``) and binds a named far end's bare node id, which is
+all ``count`` reads.  A :class:`~repro.api.transaction.Node` /
 ``Relationship`` handle is built only where a value leaves the statement
 (:func:`edge_value`: a returned column, or inside a returned list) or where
 a write clause calls the transaction API; equality, ``DISTINCT``, grouping
@@ -84,6 +88,7 @@ from repro.query.expressions import (
     sort_key,
 )
 from repro.query.planner import (
+    ANON_PREFIX,
     Aggregate,
     AllNodesScan,
     Argument,
@@ -759,11 +764,12 @@ def _expand(op: Expand, build: _Build) -> Stage:
 
 def _hop_matches(
     op: Expand, ctx: ExecutionContext, in_batch: RowBatch, rel_prop_fns, _profiled,
-) -> Iterator[Tuple[int, List[object], List[Optional[NodeData]]]]:
+) -> Iterator[Tuple[int, List[object], List[object]]]:
     """``(row index, relationships, neighbours)`` of each input row with a
     single-hop match, the matches in reverse adjacency order: a single hop
     is the one-level case of the var-length walk, which pops its stack LIFO.
-    A topology hop (``bind_rel`` cleared) gives each relationship's id."""
+    A topology hop (``bind_rel`` cleared) gives each relationship's id, and
+    an unobserved far end (``bind_target`` cleared) its node id."""
     source_indexes, sources = _expand_sources(op, in_batch)
     if not sources:
         return
@@ -772,21 +778,21 @@ def _hop_matches(
     if op.bind_target:
         expand_many = tx.expand_states_many if op.bind_rel else _topology_expand(tx)
         expanded = expand_many(sources, op.direction, rel_types)
-    elif op.bind_rel:
-        # Nothing downstream can observe the far-end node (anonymous terminal
-        # target, no label/property checks), so skip the neighbour reads and
-        # pair each relationship with a placeholder.
-        expanded = [
-            [(relationship, None) for relationship in relationships]
-            for relationships in tx.relationship_states_of_many(
-                sources, op.direction, rel_types
-            )
-        ]
     else:
-        expanded = [
-            [(rel_id, None) for rel_id, _other in pairs]
-            for pairs in tx.topology_of_many(sources, op.direction, rel_types)
-        ]
+        # Nothing reads the far end (the planner's unobserved target): pair
+        # each relationship with the far end's id, read no neighbour state,
+        # and check the pattern's labels, if any, in the label index.
+        if op.bind_rel:
+            expanded = [
+                [(relationship, relationship.other_node(source)) for relationship in relationships]
+                for source, relationships in zip(
+                    sources, tx.relationship_states_of_many(sources, op.direction, rel_types)
+                )
+            ]
+        else:
+            expanded = tx.topology_of_many(sources, op.direction, rel_types)
+        if op.to_pattern.labels:
+            expanded = _label_checked(tx, expanded, op.to_pattern.labels)
     filtered = op.exclude_rel_vars or op.into or rel_prop_fns
     row = _RowView(in_batch.data)
     for index, pairs in zip(source_indexes, expanded):
@@ -813,6 +819,20 @@ def _hop_matches(
                 continue
         pairs = pairs[::-1]
         yield index, [relationship for relationship, _ in pairs], [node for _, node in pairs]
+
+
+def _label_checked(tx: Transaction, expanded, labels: Sequence[str]):
+    """Each node's ``(relationship, far-end id)`` pairs whose far end is
+    visible and carries ``labels``: one ``labelled_many`` probe of the
+    distinct far ends, no node state read."""
+    distinct = list(dict.fromkeys(other for pairs in expanded for _rel, other in pairs))
+    if not distinct:
+        return expanded
+    carried = {
+        other for other, carries in zip(distinct, tx.labelled_many(distinct, labels))
+        if carries
+    }
+    return [[pair for pair in pairs if pair[1] in carried] for pairs in expanded]
 
 
 def _rel_id(relationship) -> int:
@@ -843,9 +863,10 @@ def _topology_expand(tx: Transaction):
 
 
 def _expand_output(in_batch: RowBatch, op: Expand, indexes: List[int],
-                   rels: Optional[List[object]], nodes: List[NodeData]) -> RowBatch:
+                   rels: Optional[List[object]], nodes: List[object]) -> RowBatch:
     """Input rows replicated per expansion, with the hop's bindings appended
-    (``rels`` is ``None`` when the relationship variable is not bound)."""
+    (``rels`` is ``None`` when the relationship variable is not bound; an
+    unobserved far end binds its id, and only when it is named)."""
     data = {
         name: [column[i] for i in indexes]
         for name, column in in_batch.data.items()
@@ -855,7 +876,7 @@ def _expand_output(in_batch: RowBatch, op: Expand, indexes: List[int],
         if op.rel_var not in data:
             columns = columns + (op.rel_var,)
         data[op.rel_var] = rels
-    if not op.into and op.bind_target:
+    if not op.into and (op.bind_target or not op.to_var.startswith(ANON_PREFIX)):
         if op.to_var not in data:
             columns = columns + (op.to_var,)
         data[op.to_var] = nodes
@@ -1491,7 +1512,8 @@ def _group_batches(op: Aggregate, groups, batch_size: int) -> Iterator[RowBatch]
 
 def _fuses_expand_count(op: Aggregate) -> bool:
     """Whether ``Expand -> Aggregate(count(r))`` folds into adjacency-length
-    sums: an unbound-target single hop whose rows exist only to be counted
+    sums: a single hop with an unobserved, unlabelled far end (the
+    ``unbound-target`` hop) whose rows exist only to be counted
     by plain ``count(rel_var)`` aggregates grouped on pre-expand variables.
     The counts are the lengths of one topology read (a count needs no
     relationship state), and a source with an empty adjacency produces no
@@ -1501,7 +1523,8 @@ def _fuses_expand_count(op: Aggregate) -> bool:
         return False
     rel = child.rel
     if (child.into or rel.var_length or rel.min_hops != 1 or rel.max_hops != 1
-            or rel.properties or child.exclude_rel_vars or child.bind_target):
+            or rel.properties or child.exclude_rel_vars or child.bind_target
+            or child.to_pattern.labels):
         return False
     rel_var = child.rel_var
     for item in op.group_items:

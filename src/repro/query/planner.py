@@ -222,10 +222,13 @@ class Expand(PlanOperator):
         self.to_pattern = to_pattern
         self.into = into
         self.exclude_rel_vars = exclude_rel_vars
-        #: Whether the far-end node must be materialised.  The planner clears
-        #: this for terminal anonymous targets with no label/property checks
-        #: (``-[r:KNOWS]-()``): the executor then skips the neighbour
-        #: node reads entirely — the result cannot depend on them.
+        #: Whether the far-end node state must be read.  The planner clears
+        #: this on single hops whose far end nothing observes (see
+        #: ``_mark_unobserved_targets``): the executor then reads no
+        #: neighbour state, checks the far end's labels, if any, against
+        #: the versioned label index (``label-checked`` in EXPLAIN;
+        #: ``unbound-target`` without labels), and binds a named far end to
+        #: its bare node id, which is all ``count`` needs.
         self.bind_target = True
         #: Whether the hop's relationship states must be materialised.  The
         #: planner clears this on hops whose relationship is anonymous and
@@ -268,7 +271,9 @@ class Expand(PlanOperator):
             hops = f"*{self.rel.min_hops}..{upper}"
         arrow_left = "<-" if self.rel.direction == "IN" else "-"
         arrow_right = "->" if self.rel.direction == "OUT" else "-"
-        tags = "" if self.bind_target or self.into else " unbound-target"
+        tags = ""
+        if not (self.bind_target or self.into):
+            tags = " label-checked" if self.to_pattern.labels else " unbound-target"
         if not self.bind_rel:
             tags += " topology"
         if self.rel.var_length and not self.distinct_endpoints:
@@ -522,7 +527,7 @@ class _Planner:
                 if clause.is_return:
                     columns = tuple(item.alias for item in clause.items)
         root = ProduceResults(op, columns, op.estimated_rows)
-        self._prune_unbound_targets(root)
+        self._mark_unobserved_targets(root, query)
         self._mark_distinct_endpoint_expands(root)
         self._mark_topology_expands(root)
         return Plan(query, root)
@@ -542,30 +547,29 @@ class _Planner:
                 op.bind_rel = False
 
     @staticmethod
-    def _prune_unbound_targets(root: PlanOperator) -> None:
-        """Clear ``bind_target`` on hops whose far end nobody can observe.
+    def _mark_unobserved_targets(root: PlanOperator, query: ast.Query) -> None:
+        """Clear ``bind_target`` on single hops whose far end nothing reads.
 
-        An anonymous target (``-[r:KNOWS]-()``) is only reachable by later
-        hops of the same MATCH — user expressions cannot name ``#anon``
-        variables.  A terminal anonymous node with no label or property
-        checks therefore contributes nothing to the result, and the batch
-        executor can skip materialising the neighbour nodes.
+        A far end is unobserved when the hop is a single hop that is not
+        ``into``, its node pattern has no property map, no later hop starts
+        from it, and its variable is anonymous or is read only as the
+        argument of ``count(v)`` / ``count(DISTINCT v)`` (see
+        :func:`_observed_variables`).  Its labels are then the one thing
+        the result depends on, and the executor checks them without
+        reading the node.
         """
         expands = [op for op in root.walk() if isinstance(op, Expand)]
-        referenced: Set[str] = set()
+        observed = _observed_variables(query)
         for op in expands:
-            referenced.add(op.from_var)
+            observed.add(op.from_var)
             if op.into:
-                referenced.add(op.to_var)
+                observed.add(op.to_var)
         for op in expands:
-            pattern = op.to_pattern
             if (
                 not op.into
                 and not op.rel.var_length
-                and op.to_var.startswith(ANON_PREFIX)
-                and op.to_var not in referenced
-                and not pattern.labels
-                and not pattern.properties
+                and not op.to_pattern.properties
+                and op.to_var not in observed
             ):
                 op.bind_target = False
 
@@ -927,6 +931,64 @@ def _rewrite_order_for_aggregate(
             ast.OrderItem(expression=expression, ascending=order_item.ascending)
         )
     return tuple(rewritten)
+
+
+def _observed_variables(query: ast.Query) -> Set[str]:
+    """The variables a query reads other than as the argument of ``count(v)``
+    / ``count(DISTINCT v)``: every free variable of its expressions, every
+    variable a write clause names, and every variable two node patterns
+    name (a second pattern joins or re-checks the node)."""
+    observed: Set[str] = set()
+    named: Set[str] = set()
+    expressions: List[ast.Expression] = []
+    for clause in query.clauses:
+        if isinstance(clause, (ast.MatchClause, ast.CreateClause)):
+            for pattern in clause.patterns:
+                for node in pattern.nodes:
+                    if node.variable is not None:
+                        if node.variable in named or isinstance(clause, ast.CreateClause):
+                            observed.add(node.variable)
+                        named.add(node.variable)
+                    expressions.extend(value for _key, value in node.properties)
+                for rel in pattern.rels:
+                    expressions.extend(value for _key, value in rel.properties)
+            if isinstance(clause, ast.MatchClause) and clause.where is not None:
+                expressions.append(clause.where)
+        elif isinstance(clause, ast.SetClause):
+            for item in clause.items:
+                observed.add(item.variable)
+                if isinstance(item, ast.SetProperty):
+                    expressions.append(item.value)
+        elif isinstance(clause, ast.DeleteClause):
+            observed.update(clause.variables)
+        elif isinstance(clause, ast.ProjectionClause):
+            expressions.extend(
+                expression
+                for expression in (
+                    [item.expression for item in clause.items]
+                    + [item.expression for item in clause.order_by]
+                )
+                if not _counts_a_variable(expression)
+            )
+            expressions.extend(
+                expression
+                for expression in (clause.skip, clause.limit, clause.where)
+                if expression is not None
+            )
+    for expression in expressions:
+        observed |= _free_variables(expression)
+    return observed
+
+
+def _counts_a_variable(expression: ast.Expression) -> bool:
+    """Whether ``expression`` is ``count(v)`` or ``count(DISTINCT v)``."""
+    return (
+        isinstance(expression, ast.FunctionCall)
+        and expression.name == "count"
+        and not expression.star
+        and len(expression.args) == 1
+        and isinstance(expression.args[0], ast.Variable)
+    )
 
 
 def _free_variables(expression: ast.Expression) -> Set[str]:

@@ -7,8 +7,10 @@ must return byte-identical rows (same values, same order) under batch sizes
 1, 2 and 1024, with the default version cache and a tiny one, and with
 garbage collection off and after every commit — and the executor must preserve the snapshot-consistency and SSI-abort behaviour the
 reference exhibits, including for the plans the batch runtime rewrites
-(unbound-target expands and fused ``Expand -> count(r)`` aggregates) and
-for queries that read what they wrote.
+(unbound-target and label-checked expands, and fused ``Expand -> count(r)``
+aggregates) and for queries that read what they wrote.  The label-checked
+cases run under every isolation level, and under SERIALIZABLE they register
+the reference's node keys and predicates.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import pytest
 from reference_executor import reference_executor
 from repro import GraphDatabase, IsolationLevel, TransactionAbortedError
 from repro.errors import NodeNotFoundError
+from repro.graph.entity import REL_TAG
 from repro.query import executor
 
 from harness.graphs import build_social_graph
@@ -343,6 +346,34 @@ def _unbounded_adjacency_skew_outcome(db: GraphDatabase, warm: bool = False) -> 
     )
 
 
+def _label_skew_outcome(db: GraphDatabase, warm: bool = False) -> tuple:
+    """Cross rw-antidependency through label-checked far ends: each side
+    counts the ``Person`` residents of one city — a far end nothing else
+    reads, so its labels are checked in the label index — then removes the
+    label from a resident the other side counted.  The probe must register
+    the node keys a state read would, or both sides would commit."""
+    read = "MATCH (c:City {k: $k})<-[:LIVES_IN]-(p:Person) RETURN count(p)"
+    with db.transaction() as tx:
+        for city in "xy":
+            tx.execute(
+                "CREATE (c:City {k: $k}) "
+                "CREATE (:Person {k: $k + '1'})-[:LIVES_IN]->(c) "
+                "CREATE (:Person {k: $k + '2'})-[:LIVES_IN]->(c)",
+                {"k": city},
+            )
+    if warm:
+        with db.transaction() as tx:
+            for k in "xy":
+                assert tx.execute(read, {"k": k}).value() == 2
+    t1 = db.begin()
+    t2 = db.begin()
+    assert t1.execute(read, {"k": "x"}).value() == 2
+    assert t2.execute(read, {"k": "y"}).value() == 2
+    for txn, victim in ((t1, "y1"), (t2, "x1")):
+        txn.remove_label(txn.find_nodes(key="k", value=victim)[0], "Person")
+    return _commit_outcomes(db, t1, t2)
+
+
 #: The second committer aborts, classified as an rw-antidependency.
 SKEW_OUTCOME = (("committed", "aborted"), {"rw-antidependency": 1})
 
@@ -356,8 +387,8 @@ class TestSSIAbortEquivalence:
     @pytest.mark.parametrize(
         "scenario",
         [_write_skew_outcome, _adjacency_skew_outcome,
-         _unbounded_adjacency_skew_outcome],
-        ids=["write-skew", "adjacency-skew", "unbounded-adjacency-skew"],
+         _unbounded_adjacency_skew_outcome, _label_skew_outcome],
+        ids=["write-skew", "adjacency-skew", "unbounded-adjacency-skew", "label-skew"],
     )
     def test_outcome_matches_reference(self, scenario, warm, batch_config):
         row_db = GraphDatabase.in_memory(isolation=IsolationLevel.SERIALIZABLE)
@@ -386,7 +417,7 @@ class TestSSIAbortEquivalence:
                 _build_motifs(db)
                 with db.transaction() as tx, runtime():
                     rows = tx.execute(text).rows()
-                    record = tx._txn.cc_record
+                    record = getattr(tx._txn, "cc_record", None)
                     registered.append(
                         (rows, set(record.read_keys), set(record.predicates))
                     )
@@ -712,4 +743,179 @@ class TestWriteThenReadEquivalence:
                 db.close()
         rows, stats = outcomes[0][:2]
         assert rows and any(stats.values())
+        assert outcomes[1] == outcomes[0]
+
+
+# -- label-checked far ends ----------------------------------------------------
+
+
+def _build_labelled(db: GraphDatabase) -> None:
+    """Every label combination (and a node with none), T and U relationships
+    both ways, a parallel pair and a self-loop: every far end a label check
+    can keep or drop.  ``S`` marks the sources, the rarest label, so each
+    pattern is matched from its source end."""
+    labels = {
+        "a": ["S", "A"], "b": ["B"], "c": ["S", "A", "B"], "d": [],
+        "e": ["A"], "f": ["S", "B"], "g": ["A"], "h": [],
+    }
+    with db.transaction() as tx:
+        node = {key: tx.create_node(names, {"k": key}) for key, names in labels.items()}
+        for start, end, rel_type, weight in (
+            ("a", "b", "T", 1), ("a", "c", "T", 2), ("b", "c", "T", 1),
+            ("c", "a", "T", 1), ("c", "e", "T", 2), ("d", "a", "T", 1),
+            ("e", "f", "T", 1), ("f", "c", "T", 2), ("g", "g", "T", 1),
+            ("c", "c", "U", 1), ("h", "a", "T", 1), ("a", "e", "T", 1),
+            ("a", "e", "T", 2), ("b", "a", "U", 1), ("d", "c", "U", 2),
+            ("e", "g", "U", 1), ("f", "h", "U", 1),
+        ):
+            tx.create_relationship(node[start], node[end], rel_type, {"w": weight})
+
+
+#: Hops whose far end nothing reads: EXPLAIN tags them ``label-checked``,
+#: and the executor checks the labels without reading the node.
+LABEL_CHECKED_QUERIES = [
+    "MATCH (a:S)-[:T]->(:A) RETURN a.k",
+    "MATCH (a:S)<-[:T]-(:B) RETURN a.k",
+    "MATCH (a:S)-[]-(:A) RETURN a.k",
+    "MATCH (a:S)<-[]-(:A) RETURN a.k",
+    "MATCH (a:S)-[:T|U]->(b:A) RETURN a.k, count(b) AS n",
+    "MATCH (a:S)-[]-(b:B) RETURN count(DISTINCT b) AS n",
+    "MATCH (a:S)-[:T]-(b:A:B) RETURN a.k, count(b) AS n",
+    "MATCH (a:S)-[r:T]->(:A) RETURN a.k, r.w",
+    "MATCH (a:S)-[r]-(:B) RETURN a.k, count(r) AS n",
+    "MATCH (a) WITH a MATCH (a)-[]-(b:Nobody) RETURN count(b) AS n",
+    "MATCH (a) WITH a WHERE a.k < 'f' MATCH (a)-[:T]-(b:A) "
+    "RETURN a.k, count(b) AS n ORDER BY a.k",
+    "MATCH (a) WITH a MATCH (a)<-[]-(b:B) RETURN count(DISTINCT b) AS n",
+    "MATCH (a) WITH a MATCH (a)-[:U]->(:A) RETURN a.k ORDER BY a.k",
+]
+
+#: The same far ends, observed: each must keep reading the node state.
+STATE_READING_QUERIES = [
+    "MATCH (a:S)-[:T]->(b:A) RETURN a.k, b.k",
+    "MATCH (a:S)-[:T]->(b:A) WHERE b.k <> 'c' RETURN a.k",
+    "MATCH (a:S)-[:T]->(b:A)-[:U]-(c) RETURN a.k, c.k",
+    "MATCH (a:S)-[:T]->(b:A), (b)-[:T]->(c) RETURN count(b) AS n",
+    "MATCH (a) WITH a MATCH (a)-[:T]->(b:A {k: 'e'}) RETURN count(b) AS n",
+    "MATCH (a:S)-[:T]->(b:A) RETURN a.k, collect(b) AS bs",
+]
+
+#: Write clauses beside a label-checked hop, and write clauses naming the
+#: far end (which observe it).
+LABEL_CHECKED_WRITES = [
+    ("MATCH (a {k: 'h'})-[r:T]->(:A), (c {k: 'g'}) DELETE r CREATE (a)-[:T]->(c)", True),
+    ("MATCH (a:S)-[:T]->(:B) SET a.seen = 1", True),
+    ("MATCH (a {k: 'a'})-[:T]->(b:A) SET b.seen = 1", False),
+    ("MATCH (a {k: 'd'})-[:T]->(b:A) DETACH DELETE b", False),
+]
+
+ISOLATIONS = [pytest.param(level, id=level.value) for level in IsolationLevel]
+
+
+def _reads_of(tx) -> object:
+    """A tracked transaction's registered reads: node keys, predicates and
+    relationship keys (``None`` when nothing is tracked)."""
+    record = getattr(tx._txn, "cc_record", None)
+    if record is None:
+        return None
+    keys = set(record.read_keys)
+    return (
+        {key for key in keys if key < REL_TAG},
+        set(record.predicates),
+        {key for key in keys if key >= REL_TAG},
+    )
+
+
+def _own_writes(tx) -> None:
+    """Every own write a label check must see: a created far end, a label
+    set, a label removed and a far end deleted."""
+    tx.execute("MATCH (d {k: 'd'}) CREATE (d)-[:T]->(:A {k: 'new'})")
+    tx.execute("MATCH (n {k: 'b'}) SET n:A")
+    tx.remove_label(tx.find_nodes(key="k", value="e")[0], "A")
+    tx.execute("MATCH (n {k: 'g'}) DETACH DELETE n")
+
+
+class TestLabelCheckedEquivalence:
+    """A far end that nothing reads is label-checked in the versioned label
+    index: the rows, the registered reads and the state left behind are the
+    reference's, which reads every far end's state, under every isolation
+    level and batch size."""
+
+    def test_plans_tag_exactly_the_unobserved_far_ends(self):
+        db = GraphDatabase.in_memory()
+        try:
+            _build_labelled(db)
+            for text in LABEL_CHECKED_QUERIES:
+                assert "label-checked" in db.execute("EXPLAIN " + text).render_plan(), text
+            for text in STATE_READING_QUERIES:
+                assert "label-checked" not in db.execute("EXPLAIN " + text).render_plan(), text
+            for text, checked in LABEL_CHECKED_WRITES:
+                rendered = db.execute("EXPLAIN " + text).render_plan()
+                assert ("label-checked" in rendered) == checked, text
+        finally:
+            db.close()
+
+    @pytest.mark.parametrize("isolation", ISOLATIONS)
+    def test_rows_and_reads_match_the_reference(self, isolation, batch_config):
+        outcomes = []
+        for runtime in RUNTIMES:
+            db = GraphDatabase.in_memory(isolation=isolation, **batch_config)
+            try:
+                _build_labelled(db)
+                seen = []
+                for text in LABEL_CHECKED_QUERIES + STATE_READING_QUERIES:
+                    with db.transaction() as tx, runtime():
+                        seen.append((text, tx.execute(text).rows(), _reads_of(tx)))
+                outcomes.append(seen)
+            finally:
+                db.close()
+        for (text, expected, reference_reads), (_text, rows, reads) in zip(*outcomes):
+            assert rows == expected, text
+            if reference_reads is None:
+                assert reads is None
+                continue
+            # The same node keys and predicates; a topology hop resolves no
+            # relationship, so it registers a subset of the reference's
+            # relationship keys (all of them when it binds a relationship).
+            assert reads[:2] == reference_reads[:2], text
+            assert reads[2] <= reference_reads[2], text
+        if isolation is IsolationLevel.SERIALIZABLE:
+            assert all(reads[0] for _text, _rows, reads in outcomes[1])
+
+    @pytest.mark.parametrize("isolation", ISOLATIONS)
+    def test_own_writes_win(self, isolation, batch_config):
+        outcomes = []
+        for runtime in RUNTIMES:
+            db = GraphDatabase.in_memory(isolation=isolation, **batch_config)
+            try:
+                _build_labelled(db)
+                with db.transaction() as tx:
+                    _own_writes(tx)
+                    with runtime():
+                        outcomes.append([
+                            (text, tx.execute(text).rows())
+                            for text in LABEL_CHECKED_QUERIES
+                        ])
+            finally:
+                db.close()
+        for expected, actual in zip(*outcomes):
+            assert actual == expected, expected[0]
+
+    @pytest.mark.parametrize("text, checked", LABEL_CHECKED_WRITES)
+    def test_writes_leave_the_reference_state(self, text, checked, batch_config):
+        outcomes = []
+        for runtime in RUNTIMES:
+            db = GraphDatabase.in_memory(**batch_config)
+            try:
+                _build_labelled(db)
+                with runtime():
+                    result = db.execute(text)
+                state = db.execute(
+                    "MATCH (n) RETURN labels(n), n.k, n.seen ORDER BY n.k"
+                ).rows()
+                edges = db.execute("MATCH (a)-[r]->(b) RETURN a.k, type(r), b.k").rows()
+                outcomes.append((result.stats.as_dict(), state, sorted(edges)))
+            finally:
+                db.close()
+        assert any(outcomes[0][0].values())
         assert outcomes[1] == outcomes[0]

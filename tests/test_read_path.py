@@ -14,6 +14,7 @@ import time
 import pytest
 
 from repro import GraphDatabase, IsolationLevel
+from repro.core import si_manager
 from repro.core.si_manager import SnapshotIsolationEngine
 from repro.core.version import Version, VersionChain
 from repro.graph.entity import Direction, NodeData, key_id, node_key
@@ -291,6 +292,35 @@ class TestSharedReadCache:
             assert db.engine._payload_cache[key][0] == long_reader.engine_transaction.start_ts
         long_reader.rollback()
         db.close()
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="a full payload cache admits no key and evicts nothing "
+               "(ROADMAP item 17 (a))",
+    )
+    def test_a_key_read_again_and_again_is_cached_once_the_cache_is_full(
+        self, monkeypatch
+    ):
+        """Keys read once fill the cache; a key read three times after them
+        must still get an entry.  Today ``_publish_entry`` drops every new
+        key once the cache holds ``PAYLOAD_CACHE_LIMIT`` entries, and
+        nothing ever evicts one, so the hot key is resolved from its chain
+        on every read for the rest of the engine's life."""
+        monkeypatch.setattr(si_manager, "PAYLOAD_CACHE_LIMIT", 8)
+        db = GraphDatabase.in_memory()
+        try:
+            with db.transaction() as tx:
+                cold = [tx.create_node(["P"], {"i": i}).id for i in range(8)]
+                hot = tx.create_node(["P"], {"i": "hot"}).id
+            with db.transaction(read_only=True) as tx:
+                tx.node_states(cold)
+            assert len(db.engine._payload_cache) == 8
+            for _ in range(3):
+                with db.transaction(read_only=True) as tx:
+                    assert tx.get_node(hot).get("i") == "hot"
+            assert node_key(hot) in db.engine._payload_cache
+        finally:
+            db.close()
 
     def test_adjacency_cache_overlays_own_writes(self):
         db = GraphDatabase.in_memory()

@@ -1,22 +1,29 @@
-"""Topology reads against a model of the relation.
+"""Topology and label reads against a model of the graph.
 
 An expand that reads no relationship property reads the versioned adjacency
 index alone (``Transaction.topology_of_many``): the ``(rel_id, other)``
 pairs visible at the snapshot, filtered by direction and type, with the
-transaction's own writes overlaid.  These tests pin it against a plain dict
-model of which relationships exist after every commit:
+transaction's own writes overlaid.  A far end that nothing reads is
+label-checked in the versioned label index (``Transaction.labelled_many``)
+instead of read.  These tests pin both against a plain dict model of which
+relationships exist, and which labels each node carries, after every
+commit:
 
 * a seeded random sequence of relationship creates, deletes and property
-  updates and detach-deletes of nodes, with readers pinned at several
-  snapshots (each with own writes) and GC passes in between — every
-  reader's topology read, both directions and each single direction, typed
-  and untyped, equals the model at its ``start_ts``, and so does the
-  relationship list a resolving expand returns;
+  updates, label adds and removes, and detach-deletes of nodes, with
+  readers pinned at several snapshots (each with own writes, a relabel
+  among them) and GC passes in between — every reader's topology read,
+  both directions and each single direction, typed and untyped, equals the
+  model at its ``start_ts``, and so do the relationship list a resolving
+  expand returns, its label probes and the counts of label-checked
+  queries;
 * the same sequence under READ_COMMITTED, whose topology read resolves its
-  candidates under short locks, against the model after each commit;
+  candidates and whose label check reads the node states under short
+  locks, against the model after each commit;
 * SERIALIZABLE: a topology read registers only the ``("adjacency", node)``
   predicate, so write skew over adjacency aborts while a relationship
-  property update alone forms no rw edge with it.
+  property update alone forms no rw edge with it; a label check registers
+  the node keys, so a relabel meets it as it meets a state read.
 
 Knobs (environment variables; CI's nightly job raises them):
 
@@ -24,12 +31,14 @@ Knobs (environment variables; CI's nightly job raises them):
 * ``TOPOLOGY_SEED`` — base seed.
 """
 
+import contextlib
 import os
 import random
 from typing import Dict, List, Optional, Set, Tuple
 
 import pytest
 
+from reference_executor import reference_executor
 from repro import GraphDatabase, IsolationLevel
 from repro.errors import SerializationError
 from repro.graph.entity import REL_TAG, Direction
@@ -46,8 +55,19 @@ READS = [
     for types in (None, ("T",), ("T", "U"))
 ]
 
+#: Labels the sequence adds and removes (every node also carries ``N``).
+LABELS = ("L", "M")
+#: Label-checked count queries: (text, direction, types, labels).
+LABEL_COUNTS = [
+    ("MATCH (a:N)-[:T]->(:L) RETURN count(*)", Direction.OUTGOING, ("T",), {"L"}),
+    ("MATCH (a:N)<-[]-(b:M) RETURN count(b)", Direction.INCOMING, None, {"M"}),
+    ("MATCH (a:N)-[]-(b:L:M) RETURN count(DISTINCT b)", Direction.BOTH, None, {"L", "M"}),
+]
+
 #: rel id -> (type, start node, end node): the relation one state holds.
 Relation = Dict[int, Tuple[str, int, int]]
+#: node id -> its labels besides ``N``: the visible nodes one state holds.
+Labels = Dict[int, Set[str]]
 
 
 def expected(relation: Relation, node_id: int, direction: Direction,
@@ -63,17 +83,33 @@ def expected(relation: Relation, node_id: int, direction: Direction,
     return pairs
 
 
-class Reader:
-    """A pinned read-write transaction, its own writes, and the relation it
-    must see: the model at its snapshot with those writes applied.  A delete
-    it buffers holds the relationship's write lock (``locked``) until it
-    ends, so the sequence leaves that relationship alone meanwhile."""
+def label_count(relation: Relation, labels: Labels, direction: Direction,
+                types: Optional[Tuple[str, ...]], wanted: Set[str],
+                distinct: bool) -> int:
+    """The model's answer to one of :data:`LABEL_COUNTS`."""
+    far_ends = [
+        other
+        for node_id in labels
+        for _rel_id, other in expected(relation, node_id, direction, types)
+        if wanted <= labels[other]
+    ]
+    return len(set(far_ends)) if distinct else len(far_ends)
 
-    def __init__(self, db, rng: random.Random, relation: Relation, nodes: List[int],
-                 locked: Set[int]):
+
+class Reader:
+    """A pinned read-write transaction, its own writes, and the graph it
+    must see: the model at its snapshot with those writes applied.  A delete
+    it buffers holds the relationship's write lock (``locked``), and a
+    relabel the node's (``relabelled``), until it ends, so the sequence
+    leaves them alone meanwhile."""
+
+    def __init__(self, db, rng: random.Random, relation: Relation, labels: Labels,
+                 nodes: List[int], locked: Set[int], relabelled: Set[int]):
         self.tx = db.begin()
         self.relation = dict(relation)
+        self.labels = {node_id: set(held) for node_id, held in labels.items()}
         self.locked: Optional[int] = None
+        self.relabelled: Optional[int] = None
         own = sorted(set(relation) - locked)
         if own and rng.random() < 0.5:
             self.locked = rng.choice(own)
@@ -84,6 +120,16 @@ class Reader:
             rel_type = rng.choice(TYPES)
             created = self.tx.create_relationship(start, end, rel_type)
             self.relation[created.id] = (rel_type, start, end)
+        free = sorted(set(nodes) - relabelled)
+        if free and rng.random() < 0.5:
+            self.relabelled = rng.choice(free)
+            label = rng.choice(LABELS)
+            if label in self.labels[self.relabelled]:
+                self.tx.remove_label(self.relabelled, label)
+                self.labels[self.relabelled].discard(label)
+            else:
+                self.tx.add_label(self.relabelled, label)
+                self.labels[self.relabelled].add(label)
 
     def check(self, node_ids: List[int]) -> None:
         for direction, types in READS:
@@ -99,6 +145,16 @@ class Reader:
         for rels in resolved:
             for rel in rels:
                 assert self.relation[rel.rel_id] == (rel.rel_type, rel.start_node, rel.end_node)
+        for wanted in (("L",), ("M",), ("L", "M")):
+            assert self.tx.labelled_many(node_ids, wanted) == [
+                node_id in self.labels and set(wanted) <= self.labels[node_id]
+                for node_id in node_ids
+            ], wanted
+        for text, direction, types, wanted in LABEL_COUNTS:
+            assert "label-checked" in self.tx.execute("EXPLAIN " + text).render_plan()
+            assert self.tx.execute(text).value() == label_count(
+                self.relation, self.labels, direction, types, wanted, "DISTINCT" in text
+            ), text
 
 
 def _commit(db, body) -> None:
@@ -116,11 +172,15 @@ def run_sequence(seed: int, ops: int, isolation: IsolationLevel) -> None:
             nodes = [tx.create_node(["N"]).id for _ in range(8)]
         every_node = list(nodes)
         relation: Relation = {}
+        labels: Labels = {node_id: set() for node_id in nodes}
         readers: List[Reader] = []
         snapshots = isolation is not IsolationLevel.READ_COMMITTED
 
         def locked() -> Set[int]:
             return {reader.locked for reader in readers} - {None}
+
+        def relabelled() -> Set[int]:
+            return {reader.relabelled for reader in readers} - {None}
 
         def free_rels() -> List[int]:
             return sorted(set(relation) - locked())
@@ -140,11 +200,20 @@ def run_sequence(seed: int, ops: int, isolation: IsolationLevel) -> None:
             elif roll < 0.65 and free_rels():
                 rel_id = rng.choice(free_rels())
                 _commit(db, lambda tx: tx.set_relationship_property(rel_id, "w", _step))
-            elif roll < 0.7 and len(nodes) > 3:
+            elif roll < 0.71 and sorted(set(nodes) - relabelled()):
+                node_id = rng.choice(sorted(set(nodes) - relabelled()))
+                label = rng.choice(LABELS)
+                if label in labels[node_id]:
+                    _commit(db, lambda tx: tx.remove_label(node_id, label))
+                    labels[node_id].discard(label)
+                else:
+                    _commit(db, lambda tx: tx.add_label(node_id, label))
+                    labels[node_id].add(label)
+            elif roll < 0.76 and len(nodes) > 3:
                 held = locked()
                 victims = [
                     node_id for node_id in nodes
-                    if not any(
+                    if node_id not in relabelled() and not any(
                         node_id in (start, end) and rel_id in held
                         for rel_id, (_type, start, end) in relation.items()
                     )
@@ -153,26 +222,30 @@ def run_sequence(seed: int, ops: int, isolation: IsolationLevel) -> None:
                     continue
                 victim = rng.choice(victims)
                 nodes.remove(victim)
+                del labels[victim]
                 _commit(db, lambda tx: tx.delete_node(victim, detach=True))
                 for rel_id, (_type, start, end) in list(relation.items()):
                     if victim in (start, end):
                         del relation[rel_id]
-            elif roll < 0.72:
+            elif roll < 0.78:
                 with db.transaction() as tx:
                     created = tx.create_node(["N"]).id
                 nodes.append(created)
                 every_node.append(created)
-            elif roll < 0.82 and snapshots:
-                readers.append(Reader(db, rng, relation, nodes, locked()))
+                labels[created] = set()
+            elif roll < 0.87 and snapshots:
+                readers.append(
+                    Reader(db, rng, relation, labels, nodes, locked(), relabelled())
+                )
                 if len(readers) > 4:
                     readers.pop(rng.randrange(len(readers))).tx.rollback()
-            elif roll < 0.9:
+            elif roll < 0.93:
                 db.run_gc()
             if snapshots:
                 for reader in readers:
                     reader.check(every_node)
             else:
-                fresh = Reader(db, rng, relation, nodes, set())
+                fresh = Reader(db, rng, relation, labels, nodes, set(), set())
                 fresh.check(every_node)
                 fresh.tx.rollback()
         for reader in readers:
@@ -184,9 +257,16 @@ def run_sequence(seed: int, ops: int, isolation: IsolationLevel) -> None:
                 assert tx.topology_of_many(every_node, direction, types) == [
                     expected(relation, node_id, direction, types) for node_id in every_node
                 ]
-        # Once no snapshot needs them, the closed entries are gone.
+            assert tx.labelled_many(every_node, ["L"]) == [
+                node_id in labels and "L" in labels[node_id] for node_id in every_node
+            ]
+        # Once no snapshot needs them, the closed entries and label
+        # intervals are gone.
         assert db.engine.indexes.adjacency.entry_count() == sum(
             len({start, end}) for _type, start, end in relation.values()
+        )
+        assert db.engine.indexes.node_labels.interval_count() == sum(
+            1 + len(held) for held in labels.values()
         )
     finally:
         db.close()
@@ -255,6 +335,37 @@ def test_a_property_update_meets_only_a_resolving_reader(resolving):
         reader.set_node_property(other, "seen", True)
         reader.commit()  # one rw edge at most: no dangerous structure
         assert (_rw_edges(db) > before) == resolving
+    finally:
+        db.close()
+
+
+@pytest.mark.parametrize(
+    "runtime", [reference_executor, contextlib.nullcontext],
+    ids=["state-reading", "label-checked"],
+)
+def test_a_relabel_meets_a_label_checked_count_as_a_state_read(runtime):
+    """``REMOVE p:Person`` on a far end the count counted, committed while
+    the counting transaction runs: one rw edge whether the count read the
+    far ends' states (the reference) or probed the label index for them."""
+    db = GraphDatabase.in_memory(isolation=IsolationLevel.SERIALIZABLE)
+    try:
+        with db.transaction() as tx:
+            city = tx.create_node(["City"]).id
+            persons = [tx.create_node(["Person"]).id for _ in range(2)]
+            other = tx.create_node(["N"]).id
+            for person in persons:
+                tx.create_relationship(person, city, "LIVES_IN")
+        text = "MATCH (c:City)<-[:LIVES_IN]-(p:Person) RETURN count(p)"
+        reader = db.begin()
+        assert "label-checked" in reader.execute("EXPLAIN " + text).render_plan()
+        with runtime():
+            assert reader.execute(text).value() == 2
+        before = _rw_edges(db)
+        with db.transaction() as tx:
+            tx.remove_label(persons[0], "Person")
+        reader.set_node_property(other, "seen", True)
+        reader.commit()  # one rw edge: no dangerous structure
+        assert _rw_edges(db) == before + 1
     finally:
         db.close()
 
